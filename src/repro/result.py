@@ -17,45 +17,49 @@ serialize and page results through these methods, identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 
-def _encode_value(v) -> object:
-    """One cell as a strict-JSON-safe Python scalar."""
+def _encode_column(arr: np.ndarray) -> list:
+    """One column as a list of strict-JSON-safe Python scalars."""
+    kind = arr.dtype.kind
+    if kind == "f":
+        arr = arr.astype(np.float64, copy=False)
+        if np.isfinite(arr).all():
+            return arr.tolist()
+        cells = arr.astype(object)  # non-finite cells travel as strings
+        cells[np.isnan(arr)] = "NaN"
+        cells[arr == np.inf] = "Infinity"
+        cells[arr == -np.inf] = "-Infinity"
+        return cells.tolist()
+    values = arr.tolist()
+    if kind in "iubU" or set(map(type, values)) <= {str}:
+        return values
+    return [_encode_object_cell(v) for v in values]
+
+
+def _encode_object_cell(v) -> object:
+    """A cell of an object column that holds more than ``str`` (rare):
+    numbers keep their JSON type, as in a numeric column; the rest is text."""
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f):
-            return "NaN"
-        if math.isinf(f):
-            return "Infinity" if f > 0 else "-Infinity"
-        return f
+        return _encode_column(np.array([v], dtype=np.float64))[0]
     return str(v)
-
-
-_FLOAT_SPECIALS = {
-    "NaN": float("nan"),
-    "Infinity": float("inf"),
-    "-Infinity": float("-inf"),
-}
 
 
 def _decode_column(values: list, dtype: str) -> np.ndarray:
     if dtype == "int64":
         return np.array(values, dtype=np.int64)
     if dtype == "float64":
-        return np.array(
-            [_FLOAT_SPECIALS.get(v, v) if isinstance(v, str) else v for v in values],
-            dtype=np.float64,
-        )
-    return np.array([str(v) for v in values], dtype=object)
+        # NumPy parses "NaN" / "Infinity" / "-Infinity" cells itself.
+        return np.array(values, dtype=np.float64)
+    return np.array(list(map(str, values)), dtype=object)
 
 
 def _dtype_token(arr: np.ndarray) -> str:
@@ -100,7 +104,8 @@ class QueryResult:
             raise KeyError(f"no result column {name!r}; have {self.names}") from None
 
     def rows(self) -> list[tuple]:
-        return [tuple(col[i] for col in self.columns) for i in range(self.num_rows)]
+        """Row tuples of Python scalars (one ``tolist`` per column)."""
+        return list(zip(*(col.tolist() for col in self.columns)))
 
     def scalar(self):
         """The single value of a 1x1 result (aggregate convenience)."""
@@ -150,7 +155,7 @@ class QueryResult:
         return {
             "names": list(self.names),
             "dtypes": [_dtype_token(c) for c in self.columns],
-            "columns": [[_encode_value(v) for v in c] for c in self.columns],
+            "columns": [_encode_column(c) for c in self.columns],
             "num_rows": self.num_rows,
         }
 

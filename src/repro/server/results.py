@@ -48,7 +48,7 @@ def result_ram_bytes(result: QueryResult) -> int:
     total = 0
     for col in result.columns:
         if col.dtype.kind == "O":
-            total += sum(len(str(v)) for v in col) + 8 * len(col)
+            total += sum(map(len, map(str, col.tolist()))) + 8 * len(col)
         else:
             total += int(col.nbytes)
     return total
@@ -138,20 +138,19 @@ class ResultManager:
         result_id = secrets.token_hex(8)
         now = self._clock()
         expires_at = now + self.ttl_s
+        encoded = result.to_json_dict()  # the one full-result encoding
         meta = {
             "result_id": result_id,
             "num_rows": result.num_rows,
             "num_columns": result.num_columns,
             "names": list(result.names),
-            "dtypes": result.to_json_dict()["dtypes"],
+            "dtypes": encoded["dtypes"],
             "page_size": page_size,
             "num_pages": result.num_pages(page_size),
             "created_at": now,
             "expires_at": expires_at,
         }
-        body = json.dumps(
-            {"meta": meta, "result": result.to_json_dict()}, allow_nan=False
-        )
+        body = json.dumps({"meta": meta, "result": encoded}, allow_nan=False)
         path = self._path(result_id)
         tmp = path.with_suffix(".tmp")
         try:
@@ -174,14 +173,15 @@ class ResultManager:
             last_access=now,
             result=result,
         )
+        nbytes = result_ram_bytes(result)  # O(rows) for strings: not under the lock
         with self._lock:
             self._entries[result_id] = entry
             self.stored += 1
-            self._charge_ram(entry, result)
+            self._charge_ram(entry, nbytes)
             self._purge_locked(now)
         return dict(meta)
 
-    def _charge_ram(self, entry: _Entry, result: QueryResult) -> None:
+    def _charge_ram(self, entry: _Entry, nbytes: int) -> None:
         if self.memory is None:
             return
 
@@ -192,9 +192,7 @@ class ResultManager:
             with self._counter_lock:
                 self.ram_spills += 1
 
-        self.memory.register(
-            (_MEMORY_TABLE, entry.result_id), result_ram_bytes(result), spill
-        )
+        self.memory.register((_MEMORY_TABLE, entry.result_id), nbytes, spill)
 
     # -------------------------------------------------------------- fetch
 
@@ -211,19 +209,15 @@ class ResultManager:
         entry.last_access = now
         return entry
 
-    def meta(self, result_id: str) -> dict:
-        """Metadata of a stored result (404-shaped error when gone)."""
+    def _lookup(self, result_id: str) -> _Entry:
+        """The one index access of a fetch: purge, then find the entry."""
         now = self._clock()
         with self._lock:
             self._purge_locked(now)
-            return dict(self._live_entry(result_id, now).meta)
+            return self._live_entry(result_id, now)
 
-    def get(self, result_id: str) -> QueryResult:
-        """The full result — RAM copy, or reloaded from its resource file."""
-        now = self._clock()
-        with self._lock:
-            self._purge_locked(now)
-            entry = self._live_entry(result_id, now)
+    def _resident(self, entry: _Entry) -> QueryResult:
+        """The entry's RAM copy, reloaded from its resource file if spilled."""
         with entry.lock:  # one reload even under concurrent page fetches
             result = entry.result
             if result is None:
@@ -232,15 +226,23 @@ class ResultManager:
             self.memory.touch((_MEMORY_TABLE, entry.result_id))
         return result
 
+    def meta(self, result_id: str) -> dict:
+        """Metadata of a stored result (404-shaped error when gone)."""
+        return dict(self._lookup(result_id).meta)
+
+    def get(self, result_id: str) -> QueryResult:
+        """The full result — RAM copy, or reloaded from its resource file."""
+        return self._resident(self._lookup(result_id))
+
     def page(self, result_id: str, n: int) -> tuple[dict, QueryResult]:
-        """Page ``n`` of a stored result, with its metadata."""
-        meta = self.meta(result_id)
-        result = self.get(result_id)
+        """Page ``n`` of a stored result (array slices, no copy), with
+        its metadata."""
+        entry = self._lookup(result_id)
         try:
-            page = result.page(n, int(meta["page_size"]))
+            page = self._resident(entry).page(n, int(entry.meta["page_size"]))
         except IndexError as exc:
             raise UnknownResultError(str(exc)) from None
-        return meta, page
+        return dict(entry.meta), page
 
     def _reload(self, entry: _Entry) -> QueryResult:
         """Re-read a spilled result from disk and re-charge its RAM copy."""
@@ -256,8 +258,9 @@ class ResultManager:
         entry.result = result
         with self._counter_lock:
             self.disk_reloads += 1
+        nbytes = result_ram_bytes(result)
         with self._lock:
-            self._charge_ram(entry, result)
+            self._charge_ram(entry, nbytes)
         return result
 
     # ----------------------------------------------------------- lifecycle

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -22,6 +24,23 @@ def test_health_reports_liveness(remote):
     payload = remote.health()
     assert payload["status"] == "ok"
     assert payload["uptime_s"] >= 0
+
+
+def test_keep_alive_requests_do_not_stall(served):
+    # Head and body in two sends cost a persistent connection ~40 ms per
+    # request (Nagle waits for the client's delayed ACK of the head).
+    conn = http.client.HTTPConnection(served.host, served.port, timeout=10)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        took = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert took < 20 * 0.020, f"20 keep-alive requests took {took:.3f}s"
 
 
 def test_tables_lists_attachments(remote):

@@ -8,6 +8,7 @@ import pytest
 
 from repro import UnknownResultError
 from repro.client import RemoteConnection
+from repro.result import QueryResult
 
 
 @pytest.mark.parametrize("page_size", [1, 7, 100, 499, 500, 501])
@@ -20,6 +21,46 @@ def test_all_pages_concatenate_to_the_full_result(served, remote, page_size):
     rows = [row for page in result.pages() for row in page.rows()]
     assert rows == want
     assert result.to_result().rows() == want
+
+
+@pytest.fixture
+def mixed(server_factory, tmp_path):
+    """A server over a 230-row table with an int, a float and a string column."""
+    path = tmp_path / "mixed.csv"
+    lines = ["i,f,s"] + [f"{i * 7 - 300},{i / 8 - 3.0!r},w{i % 13}" for i in range(230)]
+    path.write_text("\n".join(lines) + "\n")
+    server = server_factory()
+    server.engine.attach("m", path)
+    return server
+
+
+def test_mixed_dtype_download_equals_the_embedded_result(mixed):
+    sql = "select i, f, s from m where i > -200"
+    want = mixed.engine.query(sql)
+    remote = RemoteConnection(mixed.url).execute(sql, page_size=32)
+    assert remote.num_pages == -(-want.num_rows // 32) > 1
+    got = remote.to_result()
+    assert got.names == want.names
+    assert [c.dtype.kind for c in got.columns] == ["i", "f", "O"]
+    for have, expected in zip(got.columns, want.columns):
+        assert have.tolist() == expected.tolist()  # floats exactly, not approximately
+    assert remote.rows() == want.rows()
+
+
+def test_a_query_encodes_the_full_result_once_and_then_only_pages(mixed, monkeypatch):
+    encoded_rows = []
+    encode = QueryResult.to_json_dict
+
+    def counting(self):
+        encoded_rows.append(self.num_rows)
+        return encode(self)
+
+    monkeypatch.setattr(QueryResult, "to_json_dict", counting)
+    remote = RemoteConnection(mixed.url).execute("select i, f, s from m", page_size=50)
+    assert encoded_rows == [230, 50]  # the resource, then page 0 of the response
+    del encoded_rows[:]
+    assert sum(page.num_rows for page in remote.pages()) == 230
+    assert encoded_rows == [50, 50, 50, 30]  # pages 1..4; page 0 came with the query
 
 
 def test_pages_are_bounded_by_page_size(remote):

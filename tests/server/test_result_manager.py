@@ -9,6 +9,7 @@ import pytest
 
 from repro import UnknownResultError
 from repro.result import QueryResult
+from repro.server import results as results_module
 from repro.server.results import ResultManager, result_ram_bytes
 from repro.storage.memory import MemoryManager
 
@@ -49,6 +50,51 @@ def test_store_then_fetch_roundtrips_exactly(manager):
     assert fetched.rows() == result.rows()
     _, page = manager.page(meta["result_id"], 2)
     assert page.num_rows == 5
+
+
+def test_store_encodes_the_result_exactly_once(manager, monkeypatch, tmp_path):
+    calls = []
+    encode = QueryResult.to_json_dict
+    monkeypatch.setattr(
+        QueryResult, "to_json_dict", lambda self: calls.append(self) or encode(self)
+    )
+    result = make_result(25)
+    meta = manager.store(result, page_size=10)
+    assert calls == [result]
+    assert meta["dtypes"] == ["int64", "float64"]
+    on_disk = json.loads((tmp_path / f"{meta['result_id']}.json").read_text())
+    assert on_disk == {"meta": meta, "result": encode(result)}
+
+
+def test_a_page_fetch_is_one_index_lookup(manager, monkeypatch):
+    meta = manager.store(make_result(25), page_size=10)
+    purges = []
+    purge = manager._purge_locked
+    monkeypatch.setattr(manager, "_purge_locked", lambda now: purges.append(now) or purge(now))
+    got_meta, page = manager.page(meta["result_id"], 1)
+    assert len(purges) == 1
+    assert got_meta == meta and page.num_rows == 10
+    # A page is a window on the stored arrays, not a copy of them.
+    assert page.columns[0].base is not None
+
+
+def test_results_are_sized_outside_the_index_lock(tmp_path, clock, monkeypatch):
+    words = QueryResult(["s"], [np.array(["ab", "cde", ""], dtype=object)])
+    assert result_ram_bytes(words) == 5 + 8 * 3
+    memory = MemoryManager(budget_bytes=result_ram_bytes(words) + 8)  # room for one
+    manager = ResultManager(tmp_path, memory=memory, ttl_s=60.0, clock=clock)
+    held = []
+
+    def sizing(result):
+        held.append(manager._lock.locked())
+        return result_ram_bytes(result)
+
+    monkeypatch.setattr(results_module, "result_ram_bytes", sizing)
+    first = manager.store(words, page_size=10)["result_id"]
+    manager.store(words, page_size=10)  # spills the first's RAM copy
+    assert manager.get(first).rows() == words.rows()
+    assert manager.snapshot()["disk_reloads"] == 1
+    assert held == [False, False, False]  # two stores, one reload
 
 
 def test_ttl_expiry_drops_the_resource_and_its_file(manager, clock, tmp_path):
