@@ -161,9 +161,14 @@ def table_names(files: list[Path]) -> list[str]:
 
 
 def _print_stats(engine: NoDBEngine, out) -> None:
+    if engine.persistent_store is not None:
+        # Let background store writes land, so the total below counts
+        # this query's save in the shell and one-shot modes alike.
+        engine.flush_persistent_store()
     # Read through the JSON-safe snapshot — the same surface the HTTP
     # /stats endpoint serves — never through live counter objects.
-    q = engine.stats.snapshot()["last_query"]
+    snap = engine.stats.snapshot()
+    q = snap["last_query"]
     if q is None:
         return
     if q["result_cache_hit"]:
@@ -177,11 +182,16 @@ def _print_stats(engine: NoDBEngine, out) -> None:
         if q["parallel_partitions"]
         else ""
     )
+    store = (
+        f" | store bytes written (total) {snap['persist_bytes_written']:,}"
+        if engine.persistent_store is not None
+        else ""
+    )
     print(
         f"-- {q['elapsed_s'] * 1e3:.1f} ms | {source} | "
         f"bytes read {q['file_bytes_read']:,} | "
         f"values parsed {q['values_parsed']:,} | "
-        f"rows loaded {q['rows_loaded']:,}" + parallel,
+        f"rows loaded {q['rows_loaded']:,}" + parallel + store,
         file=out,
     )
 

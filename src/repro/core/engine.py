@@ -142,6 +142,7 @@ class NoDBEngine:
             self.persistent_store = PersistentStore(
                 self.config.store_dir, fault_plan=self.fault_plan
             )
+            self.stats.store = self.persistent_store.stats
 
     # ----------------------------------------------------------- attaching
 
@@ -837,6 +838,7 @@ class NoDBEngine:
         entry.partitions = state.partitions
         entry.zone_maps = state.zone_maps
         entry.loaded_fingerprint = brand
+        entry.store_base = (state.fingerprint, state.nrows)
         for name, values in state.columns.items():
             pc = entry.table.column(name)
             pc.restore_full(values)
@@ -944,7 +946,16 @@ class NoDBEngine:
                 ):
                     return
                 state = PersistedState.from_entry(entry, fingerprint)
+                epoch = entry.epoch
             self.persistent_store.save(state)
+            with entry.rwlock.read_locked():
+                # Only this thread reads or writes ``store_base`` under
+                # the read lock; restores and invalidations hold the
+                # write lock.  Unless the entry was invalidated since the
+                # snapshot, its state — even if a tail-append extended it
+                # meanwhile — still extends what was just committed.
+                if entry.epoch == epoch:
+                    entry.store_base = (fingerprint, state.nrows)
             self.stats.count("persist_writes")
             with self._persist_lock:
                 self._persist_consecutive_failures = 0

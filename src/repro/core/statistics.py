@@ -13,9 +13,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.flatfile.parser import ParseStats
 from repro.flatfile.tokenizer import TokenizerStats
+
+if TYPE_CHECKING:
+    from repro.storage.persistent import PersistentStoreStats
 
 
 @dataclass
@@ -169,6 +173,8 @@ class EngineStatistics:
     counters: ConcurrencyCounters = field(default_factory=ConcurrencyCounters)
     #: (table key, frozenset of columns, generation) -> raw-file loads.
     loads_by_signature: dict[tuple, int] = field(default_factory=dict)
+    #: The persistent store's I/O accounting (None without a store).
+    store: "PersistentStoreStats | None" = None
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -226,6 +232,11 @@ class EngineStatistics:
         return {
             "queries": len(queries),
             "total_file_bytes": sum(q.file_bytes_read for q in queries),
+            # Bytes the persistent store wrote (array files + manifests):
+            # a tail-append save adds kilobytes, a rewrite the whole entry.
+            "persist_bytes_written": (
+                self.store.bytes_written if self.store is not None else 0
+            ),
             "total_values_parsed": sum(q.parse.values_parsed for q in queries),
             "total_rows_loaded": sum(q.rows_loaded for q in queries),
             "queries_from_store": sum(1 for q in queries if q.served_from_store),

@@ -25,6 +25,8 @@ point               where it fires
 flatfile.read       any raw read of a :class:`~repro.flatfile.files.FlatFile`
 flatfile.short_read a raw read silently returns truncated bytes
 persist.write       a persistent-store :meth:`save` (the writer thread)
+persist.commit      a save whose array writes landed, before its manifest
+                    swap (a crash leaves the old entry plus torn tails)
 persist.read        a persistent-store :meth:`load` (restart-warm restore)
 pool.worker         the parallel-scan process pool dies mid-pass
 results.write       writing a result-resource file to disk
@@ -53,6 +55,7 @@ FAULT_POINTS = frozenset(
         "flatfile.read",
         "flatfile.short_read",
         "persist.write",
+        "persist.commit",
         "persist.read",
         "pool.worker",
         "results.write",

@@ -86,6 +86,13 @@ class TableEntry:
     pre_fingerprint: FileFingerprint | None = field(
         default=None, repr=False, compare=False
     )
+    #: ``(fingerprint, nrows)`` of the persistent-store entry this state
+    #: was last restored from or saved as.  Verified tail-appends keep it
+    #: (the state then extends that entry row for row, so the next save
+    #: writes only the new rows); invalidation drops it.
+    store_base: tuple[FileFingerprint, int] | None = field(
+        default=None, repr=False, compare=False
+    )
     #: Reader–writer lock serializing store mutation per table: queries
     #: answered from resident fragments share the read side; loads (and
     #: invalidation) take the write side.  Distinct tables never contend.
@@ -97,6 +104,10 @@ class TableEntry:
     #: Bumped on every invalidation; a "cold (table, columns) generation"
     #: in the shared-scan accounting is keyed by this counter.
     generation: int = 0
+    #: Bumped by :meth:`invalidate` only (not by tail-append extensions):
+    #: state under one epoch grows from one load row for row, so a save
+    #: of an earlier snapshot still describes a prefix of it.
+    epoch: int = 0
     #: Tombstone set (under the write lock) when the table is detached: a
     #: query that resolved this entry before the detach must fail instead
     #: of silently repopulating store/split state on an unlisted entry.
@@ -195,8 +206,10 @@ class TableEntry:
             self.split_catalog.destroy()
             self.split_catalog = None
         self.loaded_fingerprint = None
+        self.store_base = None
         self.schema = None
         self.generation += 1
+        self.epoch += 1
         self.file.reset_format_state()
 
 

@@ -32,13 +32,33 @@ Invariants
   the source file (size, mtime_ns, inode, head/tail content probe).  A
   restore compares it against the fingerprint captured *before* any raw
   read; any mismatch — including a same-size forged-mtime rewrite, which
-  the content probe catches — deletes the entry and reports a miss.
-* **Crash-safe.**  Every file is written to a temp name and
-  ``os.replace``\\ d into place; the manifest is written last.  A crash
-  at any point leaves either the old complete entry or an orphan the
-  reader ignores — never a torn entry.  Corruption (truncated arrays,
-  garbage manifests) is detected by size validation and reported as a
-  cold miss, never a query error.
+  the content probe catches — deletes the entry and reports a miss.  The
+  one exception is a verified pure tail-append: the entry restores as the
+  state of the file's old prefix, and the engine's next save extends its
+  arrays in place under the new fingerprint (see *Append-only*).
+* **Crash-safe; the manifest is the commit point.**  The manifest alone
+  says how many rows (and blob bytes) of each array file are valid;
+  readers map exactly that prefix and ignore anything past it.  Whole
+  files are written to a temp name and ``os.replace``\\ d into place;
+  appended rows are ``pwrite``\\ n at their position past the committed
+  prefix.  Every touched file is fsynced before the manifest is swapped
+  atomically, last.  A crash at any point leaves the old complete entry
+  plus orphans or a torn tail the reader ignores — never a torn entry.
+  Corruption (arrays shorter than the manifest says, garbage manifests)
+  is detected by size validation and reported as a cold miss, never a
+  query error.
+* **Append-only.**  When the engine proves the snapshot extends the
+  (fingerprint, nrows) the on-disk manifest describes
+  (:attr:`PersistedState.base`), a save writes only rows
+  ``[base_rows, nrows)`` of each array the manifest already names, at
+  their byte position — never ``O_APPEND``, never a truncate, and never
+  trusting bytes already past the committed prefix (a torn tail from a
+  crashed save is overwritten, not reused).  Learned state is
+  deterministic given the file's bytes, so racing writers write
+  identical bytes, and a reader mapping the committed prefix never sees
+  a file shrink under it.  A first save, a manifest describing anything
+  else, a changed schema (a widened column) or a header change take the
+  wipe-and-rewrite path.
 * **Shared pages.**  Numeric columns restore as read-only ``np.memmap``
   arrays: co-located engines and parallel workers mapping the same entry
   share one physical copy of the pages, and "evicting" a mapped column
@@ -90,6 +110,12 @@ class PersistedState:
     columns: dict[str, np.ndarray]
     #: Per-zone min/max/null statistics (None when none were learned).
     zone_maps: "ZoneMapIndex | None" = None
+    #: ``(fingerprint, nrows)`` of a store entry this state provably
+    #: extends row for row (it was restored from or saved as that, then
+    #: grown only by verified tail-appends); None when no such proof
+    #: exists.  :meth:`PersistentStore.save` appends instead of
+    #: rewriting only when the manifest on disk still describes it.
+    base: tuple[FileFingerprint, int] | None = None
 
     @classmethod
     def from_entry(
@@ -126,6 +152,7 @@ class PersistedState:
             zone_maps=(
                 entry.zone_maps.snapshot() if entry.zone_maps is not None else None
             ),
+            base=entry.store_base,
         )
 
 
@@ -141,7 +168,9 @@ class LoadOutcome:
     #: state is valid for a byte-identical *prefix* of the live file and
     #: carries the stored (old) fingerprint; the engine must extend it
     #: over the appended region before serving new rows.  The on-disk
-    #: entry is kept (re-branded by the next persist), not deleted.
+    #: entry is kept, not deleted: the engine's next persist writes only
+    #: the appended rows onto its arrays and commits a manifest under the
+    #: new fingerprint.
     appended: bool = False
 
 
@@ -219,23 +248,29 @@ class PersistentStore:
     # ------------------------------------------------------------- writing
 
     def save(self, state: PersistedState) -> None:
-        """Persist a snapshot crash-safely; incremental where possible.
+        """Persist a snapshot crash-safely, writing only what is new.
 
-        Array files already named by a same-fingerprint manifest are
-        reused (learned state is deterministic given the file's bytes),
-        so persisting a newly loaded column does not rewrite its
-        siblings.  The manifest is replaced last, atomically.
+        The manifest on disk decides how many rows of each array are
+        already there (:meth:`_committed_rows`): all of them under the
+        same fingerprint (persisting a newly loaded column does not
+        rewrite its siblings), the base's rows when ``state`` provably
+        extends what the manifest describes (a tail-append writes its
+        tail), none otherwise (the entry is wiped and rewritten).  Every
+        touched file is fsynced before the manifest is replaced, last and
+        atomically: the manifest swap is the commit point.
         """
         if self.fault_plan is not None:
             self.fault_plan.check("persist.write")
         edir = self.entry_dir(state.source)
-        fp_manifest = state.fingerprint.as_manifest()
         old = self._read_manifest(edir)
-        if old.get("fingerprint") != fp_manifest:
+        committed = self._committed_rows(old, state)
+        if committed is None:
             self._wipe(edir)
-            old = {}
+            old, committed = {}, 0
         edir.mkdir(parents=True, exist_ok=True)
         old_pm = old.get("positional_map") or {}
+        if old_pm.get("nrows") != committed:
+            old_pm = {}  # the old map does not cover the committed rows
         old_cols = old.get("columns") or {}
 
         pm = state.positional_map
@@ -247,7 +282,11 @@ class PersistentStore:
         }
         if pm.row_offsets is not None:
             pm_manifest["row_offsets"] = self._put_array(
-                edir, "pm_rows.bin", pm.row_offsets, old_pm.get("row_offsets")
+                edir,
+                "pm_rows.bin",
+                pm.row_offsets,
+                old_pm.get("row_offsets"),
+                committed,
             )
         old_pm_cols = old_pm.get("columns") or {}
         for col in pm.known_columns():
@@ -257,10 +296,10 @@ class PersistentStore:
             known = old_pm_cols.get(str(col)) or {}
             pm_manifest["columns"][str(col)] = {
                 "starts": self._put_array(
-                    edir, f"pm_s{col}.bin", starts, known.get("starts")
+                    edir, f"pm_s{col}.bin", starts, known.get("starts"), committed
                 ),
                 "ends": self._put_array(
-                    edir, f"pm_e{col}.bin", ends, known.get("ends")
+                    edir, f"pm_e{col}.bin", ends, known.get("ends"), committed
                 ),
             }
 
@@ -270,45 +309,22 @@ class PersistentStore:
             i = index_of[name.lower()]
             dtype = DataType(state.schema[i][1])
             known = old_cols.get(name.lower()) or {}
+            if known.get("dtype") != dtype.value:
+                known = {}  # widened since: the old bytes are another type
+            entry = {"name": name, "dtype": dtype.value}
             if dtype.is_numeric:
                 data = np.ascontiguousarray(values, dtype=dtype.numpy_dtype)
-                col_manifest[name.lower()] = {
-                    "name": name,
-                    "dtype": dtype.value,
-                    "file": self._put_array(
-                        edir, f"col_{i}.bin", data, known.get("file")
-                    ),
-                }
+                entry["file"] = self._put_array(
+                    edir, f"col_{i}.bin", data, known.get("file"), committed
+                )
             else:
-                entry = {"name": name, "dtype": dtype.value}
-                if (
-                    known.get("dtype") == dtype.value
-                    and isinstance(known.get("blob_bytes"), int)
-                    and self._have(
-                        edir, known.get("offsets"), (len(values) + 1) * _ITEMSIZE
-                    )
-                    and self._have(edir, known.get("blob"), known["blob_bytes"])
-                ):
-                    entry.update(
-                        offsets=known["offsets"],
-                        blob=known["blob"],
-                        blob_bytes=known["blob_bytes"],
-                    )
-                else:
-                    offsets, blob = encode_strings(values)
-                    entry["offsets"] = self._put_array(
-                        edir, f"col_{i}.off.bin", offsets, None
-                    )
-                    atomic_write_bytes(edir / f"col_{i}.blob.bin", blob)
-                    self.stats.bytes_written += len(blob)
-                    entry["blob"] = f"col_{i}.blob.bin"
-                    entry["blob_bytes"] = len(blob)
-                col_manifest[name.lower()] = entry
+                entry.update(self._put_strings(edir, i, values, known, committed))
+            col_manifest[name.lower()] = entry
 
         manifest = {
             "version": _VERSION,
             "source": str(Path(state.source).resolve()),
-            "fingerprint": fp_manifest,
+            "fingerprint": state.fingerprint.as_manifest(),
             "nrows": state.nrows,
             "has_header": state.has_header,
             "schema": [[name, dtype] for name, dtype in state.schema],
@@ -321,29 +337,140 @@ class PersistentStore:
             ),
             "columns": col_manifest,
         }
-        atomic_write_bytes(
+        if self.fault_plan is not None:
+            self.fault_plan.check("persist.commit")
+        self._write_whole(
             edir / "manifest.json",
             json.dumps(manifest, ensure_ascii=False).encode("utf-8"),
         )
         self.stats.entries_written += 1
 
+    @staticmethod
+    def _committed_rows(old: dict, state: PersistedState) -> int | None:
+        """Rows of ``state`` the entry on disk already holds, or None.
+
+        All of them when the manifest carries the snapshot's own
+        fingerprint; the base's rows when the engine proved the snapshot
+        extends exactly the state the manifest describes — same
+        fingerprint and row count as the base, same schema and header;
+        None (rewrite the entry) in every other case.
+        """
+        if old.get("version") != _VERSION:
+            return None
+        if old.get("fingerprint") == state.fingerprint.as_manifest():
+            return state.nrows if old.get("nrows") == state.nrows else None
+        if state.base is None:
+            return None
+        base_fingerprint, base_rows = state.base
+        extends = (
+            old.get("fingerprint") == base_fingerprint.as_manifest()
+            and old.get("nrows") == base_rows <= state.nrows
+            and old.get("has_header") == state.has_header
+            and old.get("schema") == [[n, d] for n, d in state.schema]
+        )
+        return base_rows if extends else None
+
     def _put_array(
-        self, edir: Path, filename: str, values: np.ndarray, known: str | None
+        self,
+        edir: Path,
+        filename: str,
+        values: np.ndarray,
+        known: str | None,
+        committed: int,
     ) -> str:
-        """Write one array unless the old manifest already vouches for it."""
+        """Write one array: only the rows past ``committed`` when the old
+        manifest already names the file (``known``), all of it otherwise."""
         data = np.ascontiguousarray(values)
-        if known == filename and self._have(edir, filename, data.nbytes):
-            return filename
-        atomic_write_bytes(edir / filename, data.tobytes())
-        self.stats.bytes_written += data.nbytes
+        offset = committed * data.itemsize
+        if (
+            known == filename
+            and len(data) >= committed
+            and self._have(edir, filename, offset)
+        ):
+            self._write_at(edir / filename, data[committed:], offset)
+        else:
+            self._write_whole(edir / filename, data.tobytes())
         return filename
+
+    def _put_strings(
+        self,
+        edir: Path,
+        i: int,
+        values: np.ndarray,
+        known: dict,
+        committed: int,
+    ) -> dict:
+        """Write string column ``i`` as char offsets (n+1) plus a UTF-8
+        blob: only the rows past ``committed`` when the old manifest
+        already names both files, their offsets shifted by the committed
+        char total; both files whole otherwise."""
+        off_name, blob_name = f"col_{i}.off.bin", f"col_{i}.blob.bin"
+        old_blob = known.get("blob_bytes")
+        if (
+            known.get("offsets") == off_name
+            and known.get("blob") == blob_name
+            and isinstance(old_blob, int)
+            and len(values) >= committed
+            and self._have(edir, off_name, (committed + 1) * _ITEMSIZE)
+            and self._have(edir, blob_name, old_blob)
+        ):
+            offsets, blob = encode_strings(values[committed:])
+            if len(offsets) > 1:
+                chars = np.fromfile(
+                    edir / off_name,
+                    dtype=np.int64,
+                    count=1,
+                    offset=committed * _ITEMSIZE,
+                )[0]
+                self._write_at(
+                    edir / off_name,
+                    offsets[1:] + chars,
+                    (committed + 1) * _ITEMSIZE,
+                )
+                self._write_at(edir / blob_name, blob, old_blob)
+            return {
+                "offsets": off_name,
+                "blob": blob_name,
+                "blob_bytes": old_blob + len(blob),
+            }
+        offsets, blob = encode_strings(values)
+        self._write_whole(edir / off_name, offsets.tobytes())
+        self._write_whole(edir / blob_name, blob)
+        return {"offsets": off_name, "blob": blob_name, "blob_bytes": len(blob)}
+
+    def _write_whole(self, path: Path, data: bytes) -> None:
+        """Replace ``path`` atomically (temp file, fsync, rename)."""
+        atomic_write_bytes(path, data)
+        self.stats.bytes_written += len(data)
+
+    def _write_at(self, path: Path, data, offset: int) -> None:
+        """``pwrite`` ``data`` at ``offset`` of an existing file, then fsync.
+
+        Never ``O_APPEND`` and never a truncate: the committed bytes
+        before ``offset`` — and any reader mapping them — are untouched,
+        and whatever a crashed save left past ``offset`` is overwritten.
+        """
+        view = memoryview(data).cast("B")
+        if not view.nbytes:
+            return
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            done = 0
+            while done < view.nbytes:
+                done += os.pwrite(fd, view[done:], offset + done)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self.stats.bytes_written += view.nbytes
 
     @staticmethod
     def _have(edir: Path, filename: str | None, expected_bytes: int) -> bool:
+        """Does ``filename`` hold at least ``expected_bytes`` (a longer
+        file carries a torn tail past the committed prefix)?"""
         if not filename:
             return False
         try:
-            return (edir / filename).stat().st_size == expected_bytes
+            return (edir / filename).stat().st_size >= expected_bytes
         except OSError:
             return False
 
@@ -375,7 +502,8 @@ class PersistentStore:
                 # entry instead of deleting it — materialize under the
                 # *stored* fingerprint and let the engine extend the
                 # state over the appended region (the next persist then
-                # rewrites the manifest under the new fingerprint).
+                # writes just the appended rows and commits a manifest
+                # under the new fingerprint).
                 try:
                     state = self._materialize(edir, manifest, source, stored)
                 except (OSError, ValueError, KeyError, TypeError):
@@ -437,19 +565,23 @@ class PersistentStore:
         for entry in (manifest.get("columns") or {}).values():
             name = str(entry["name"])
             dtype = DataType(entry["dtype"])
+            values: np.ndarray
             if dtype.is_numeric:
                 path = self._checked(edir, entry["file"], nrows * _ITEMSIZE)
-                values = np.memmap(path, dtype=dtype.numpy_dtype, mode="r")
+                values = np.memmap(
+                    path, dtype=dtype.numpy_dtype, mode="r", shape=(nrows,)
+                )
             else:
+                blob_bytes = int(entry["blob_bytes"])
                 off_path = self._checked(
                     edir, entry["offsets"], (nrows + 1) * _ITEMSIZE
                 )
-                blob_path = self._checked(
-                    edir, entry["blob"], int(entry["blob_bytes"])
-                )
-                offsets = np.fromfile(off_path, dtype=np.int64)
-                values = decode_strings(offsets, blob_path.read_bytes())
-                self.stats.bytes_read += offsets.nbytes + int(entry["blob_bytes"])
+                blob_path = self._checked(edir, entry["blob"], blob_bytes)
+                offsets = np.fromfile(off_path, dtype=np.int64, count=nrows + 1)
+                with open(blob_path, "rb") as fh:
+                    blob = fh.read(blob_bytes)
+                values = decode_strings(offsets, blob)
+                self.stats.bytes_read += offsets.nbytes + blob_bytes
             columns[name] = values
 
         return PersistedState(
@@ -465,20 +597,27 @@ class PersistentStore:
         )
 
     def _mapped_int64(self, edir: Path, filename: str, nrows) -> np.ndarray:
-        expected = int(nrows) * _ITEMSIZE
+        nrows = int(nrows)
         return np.memmap(
-            self._checked(edir, filename, expected), dtype=np.int64, mode="r"
+            self._checked(edir, filename, nrows * _ITEMSIZE),
+            dtype=np.int64,
+            mode="r",
+            shape=(nrows,),
         )
 
     @staticmethod
     def _checked(edir: Path, filename: str, expected_bytes: int) -> Path:
-        """Resolve an entry-local file, rejecting damage and path tricks."""
+        """Resolve an entry-local file, rejecting damage and path tricks.
+
+        Only a file *shorter* than the manifest's committed prefix is
+        damage; bytes past it are a torn tail the caller never reads.
+        """
         name = str(filename)
         if "/" in name or name.startswith("."):
             raise ValueError(f"illegal manifest filename {name!r}")
         path = edir / name
-        if path.stat().st_size != int(expected_bytes):
-            raise ValueError(f"{name}: size mismatch (truncated or corrupt)")
+        if path.stat().st_size < int(expected_bytes):
+            raise ValueError(f"{name}: shorter than the manifest says (truncated)")
         return path
 
     @staticmethod
@@ -534,7 +673,7 @@ class PersistentStore:
 
     def entries(self) -> list[dict]:
         """One summary dict per valid entry (for ``repro cache``)."""
-        out = []
+        out: list[dict] = []
         if not self.directory.exists():
             return out
         for edir in sorted(self.directory.iterdir()):

@@ -368,7 +368,9 @@ class TestAppendAcrossRestart:
         counters = b.stats.counters
         assert counters.restart_warm_hits == 1
         assert counters.append_extensions == 1
-        # The persisted entry was re-branded, not wiped.
+        # The persisted entry was kept, not wiped: the save below writes
+        # only the 40 appended rows onto its arrays and commits a new
+        # manifest under the grown file's fingerprint.
         assert counters.store_invalidations == 0
         b.flush_persistent_store()
         b.close()

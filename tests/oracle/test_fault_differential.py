@@ -48,6 +48,7 @@ ENGINE_POINTS = (
     "flatfile.read",
     "flatfile.short_read",
     "persist.write",
+    "persist.commit",
     "persist.read",
     "pool.worker",
 )

@@ -14,21 +14,29 @@ Three layers of guarantees are pinned here:
 * **Damage is a miss, never an error.**  Truncated columns, garbage
   manifests and mid-write crash leftovers all restore as a plain cold
   miss.
+* **A tail-append persists its tail.**  After an append the store's
+  arrays are extended in place — the committed prefix of every array is
+  byte-identical to a cold engine's save of the grown file, no array file
+  is replaced, and a torn tail left by a crashed save is overwritten,
+  never reused.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.csv_engine import CSVEngine
 from repro.config import EngineConfig
 from repro.core.engine import NoDBEngine
 from repro.core.partitions import Partition, PartitionIndex
+from repro.faults import FaultPlan, FaultSpec
 from repro.flatfile.files import FileFingerprint
 from repro.flatfile.positions import PositionalMap
 from repro.storage.persistent import (
@@ -434,3 +442,300 @@ class TestDamage:
         assert store.clear() == 1
         assert store.entries() == []
         assert store.load(source, fp).state is None
+
+
+# ---------------------------------------------------------------------------
+# append-only saves
+# ---------------------------------------------------------------------------
+
+#: Loads all three columns of a log row fully: int, maybe-widened, string.
+LOG_QUERY = "select sum(a1), sum(a2), min(a3), max(a3), count(*) from t"
+
+
+def _log_rows(start: int, stop: int, widen: bool = False, salt: int = 3) -> str:
+    """Rows ``start..stop`` of a growing log; ``widen`` puts one float in
+    the int column ``a2``; ``a3`` is a (sometimes non-ASCII) string."""
+    out = []
+    for i in range(start, stop):
+        a2 = f"{i}.5" if widen and i == stop - 1 else str(i * salt)
+        out.append(f"{i},{a2},v{'bcé'[(i * salt) % 3]}{i % (salt + 2)}\n")
+    return "".join(out)
+
+
+def _append(path, text: str) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _entry_dir(store_dir):
+    (edir,) = [p for p in store_dir.iterdir() if p.is_dir()]
+    return edir
+
+
+def _manifest(store_dir) -> dict:
+    return json.loads((_entry_dir(store_dir) / "manifest.json").read_text())
+
+
+def _committed(store_dir) -> dict[str, bytes]:
+    """The committed prefix of every array the manifest names."""
+    edir = _entry_dir(store_dir)
+    m = _manifest(store_dir)
+    pm, n = m["positional_map"], m["nrows"]
+    sizes = {}
+    if pm["row_offsets"]:
+        sizes[pm["row_offsets"]] = pm["nrows"] * 8
+    for files in pm["columns"].values():
+        sizes[files["starts"]] = sizes[files["ends"]] = pm["nrows"] * 8
+    for col in m["columns"].values():
+        if "file" in col:
+            sizes[col["file"]] = n * 8
+        else:
+            sizes[col["offsets"]] = (n + 1) * 8
+            sizes[col["blob"]] = col["blob_bytes"]
+    out = {}
+    for name, size in sizes.items():
+        data = (edir / name).read_bytes()
+        assert len(data) >= size, f"{name} is shorter than its manifest says"
+        out[name] = data[:size]
+    return out
+
+
+def _inodes(store_dir) -> dict[str, int]:
+    edir = _entry_dir(store_dir)
+    return {name: (edir / name).stat().st_ino for name in _committed(store_dir)}
+
+
+def _run(path, store_dir, plan: FaultPlan | None = None):
+    """One engine lifetime over ``path``: the log query, flushed, closed.
+    Returns the answer and the engine's statistics."""
+    engine = NoDBEngine(
+        EngineConfig(policy="column_loads", store_dir=store_dir, fault_plan=plan)
+    )
+    engine.attach("t", path)
+    rows = engine.query(LOG_QUERY).rows()
+    engine.flush_persistent_store()
+    engine.close()
+    return rows, engine.stats
+
+
+def _oracle(path):
+    oracle = CSVEngine()
+    oracle.attach("t", path)
+    try:
+        return oracle.query(LOG_QUERY).rows()
+    finally:
+        oracle.close()
+
+
+class TestAppendOnlySave:
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=40), st.booleans()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_appends_extend_the_cold_save(self, steps, tmp_path_factory):
+        """k appends, each followed by a restart and a save: the committed
+        prefix of every array equals a cold engine's save of the grown
+        file, and a save that kept the schema replaced no array file."""
+        tmp_path = tmp_path_factory.mktemp("appends")
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 200), encoding="utf-8")
+        store = tmp_path / "store"
+        _run(path, store)
+        nrows = 200
+        for k, (added, widen) in enumerate(steps):
+            before, inodes = _manifest(store), _inodes(store)
+            _append(path, _log_rows(nrows, nrows + added, widen))
+            nrows += added
+
+            rows, stats = _run(path, store)
+            assert rows == _oracle(path)
+            assert stats.counters.restart_warm_hits == 1
+            assert stats.counters.store_invalidations == 0
+
+            cold_store = tmp_path / f"cold{k}"
+            _run(path, cold_store)
+            after, cold = _manifest(store), _manifest(cold_store)
+            assert after["nrows"] == cold["nrows"] == nrows
+            assert after["schema"] == cold["schema"]
+            assert _committed(store) == _committed(cold_store)
+            if after["schema"] == before["schema"]:
+                assert {n: _inodes(store)[n] for n in inodes} == inodes
+                manifest_bytes = (_entry_dir(store) / "manifest.json").stat().st_size
+                tail_bound = added * 8 * len(inodes) + manifest_bytes
+                assert stats.snapshot()["persist_bytes_written"] <= tail_bound
+
+    def test_tail_append_save_writes_kilobytes_not_the_entry(self, tmp_path):
+        """1 000 rows appended to a 400k-row entry: the save writes about
+        the appended rows of each array plus the manifest, in place."""
+        path = tmp_path / "log.csv"
+        path.write_text("".join(f"{i},{i * 3}\n" for i in range(400_000)))
+        store = tmp_path / "store"
+        engine = NoDBEngine(EngineConfig(policy="column_loads", store_dir=store))
+        engine.attach("t", path)
+        engine.query("select sum(a1), sum(a2) from t")
+        engine.flush_persistent_store()
+        engine.close()
+        inodes = _inodes(store)
+
+        _append(path, "".join(f"{i},{i * 3}\n" for i in range(400_000, 401_000)))
+        engine = NoDBEngine(EngineConfig(policy="column_loads", store_dir=store))
+        engine.attach("t", path)
+        assert engine.query("select sum(a1), sum(a2) from t").rows() == [
+            (sum(range(401_000)), 3 * sum(range(401_000)))
+        ]
+        engine.flush_persistent_store()
+        written = engine.stats.snapshot()["persist_bytes_written"]
+        engine.close()
+
+        manifest_bytes = (_entry_dir(store) / "manifest.json").stat().st_size
+        assert 0 < written <= 1_000 * 8 * len(inodes) + manifest_bytes
+        assert _inodes(store) == inodes
+
+    def test_commit_fault_keeps_the_old_prefix(self, tmp_path):
+        """A save that dies between its tail writes and the manifest swap
+        leaves the old entry committed: the next engine restores that
+        prefix, extends it over the tail and answers like the oracle."""
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 300), encoding="utf-8")
+        store = tmp_path / "store"
+        _run(path, store)
+        _append(path, _log_rows(300, 360))
+
+        plan = FaultPlan({"persist.commit": FaultSpec(times=1)})
+        _, stats = _run(path, store, plan)
+        assert plan.fired() == {"persist.commit": 1}
+        assert stats.counters.persist_failures == 1
+        assert stats.counters.persist_writes == 0
+        assert _manifest(store)["nrows"] == 300  # not committed
+        col = _entry_dir(store) / _manifest(store)["columns"]["a1"]["file"]
+        assert col.stat().st_size == 360 * 8  # the uncommitted tail
+
+        rows, stats = _run(path, store)
+        assert rows == _oracle(path)
+        assert stats.counters.restart_warm_hits == 1
+        assert stats.counters.append_extensions == 1
+        assert stats.counters.store_invalidations == 0
+        assert _manifest(store)["nrows"] == 360
+
+    def test_append_during_a_slow_save_still_appends_next(self, tmp_path):
+        """A tail-append absorbed while a save is still writing: that save
+        commits its snapshot's rows, and the save the append scheduled
+        extends them in place instead of rewriting the entry."""
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 300), encoding="utf-8")
+        store = tmp_path / "store"
+        engine = NoDBEngine(EngineConfig(policy="column_loads", store_dir=store))
+        persistent = engine.persistent_store
+        real_save = persistent.save
+        saving, release = threading.Event(), threading.Event()
+        saves = []
+
+        def slow_save(state):
+            saving.set()
+            assert release.wait(10)
+            before = persistent.stats.bytes_written
+            real_save(state)
+            saves.append(
+                (state.nrows, persistent.stats.bytes_written - before, _inodes(store))
+            )
+
+        persistent.save = slow_save
+        engine.attach("t", path)
+        engine.query(LOG_QUERY)  # schedules the first save
+        assert saving.wait(10)
+        _append(path, _log_rows(300, 360))
+        assert engine.query(LOG_QUERY).rows() == _oracle(path)
+        assert engine.stats.counters.append_extensions == 1
+        release.set()
+        engine.flush_persistent_store()
+        engine.close()
+
+        (first, _, inodes), (grown, written, inodes_after) = saves
+        assert (first, grown) == (300, 360)
+        manifest_bytes = (_entry_dir(store) / "manifest.json").stat().st_size
+        assert written <= 60 * 8 * len(inodes) + manifest_bytes
+        assert inodes_after == inodes
+        rows, stats = _run(path, store)
+        assert rows == _oracle(path)
+        assert stats.counters.restart_warm_hits == 1
+        assert stats.last().file_bytes_read == 0
+
+    def test_torn_tail_is_overwritten_not_reused(self, tmp_path):
+        """A crashed save leaves a torn tail; the file is then cut back and
+        grows by *different* rows.  The next save must write those rows
+        over the stale bytes, not trust them because the file is long
+        enough."""
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 300), encoding="utf-8")
+        base = path.read_bytes()
+        store = tmp_path / "store"
+        _run(path, store)
+        _append(path, _log_rows(300, 360))
+        _run(path, store, FaultPlan({"persist.commit": FaultSpec(times=1)}))
+
+        path.write_bytes(base)
+        _append(path, _log_rows(300, 340, salt=7))
+        rows, stats = _run(path, store)
+        assert rows == _oracle(path)
+        assert stats.counters.store_invalidations == 0
+
+        cold_store = tmp_path / "cold"
+        _run(path, cold_store)
+        assert _committed(store) == _committed(cold_store)
+        rows, stats = _run(path, store)  # restored from the store alone
+        assert rows == _oracle(path)
+        assert stats.counters.restart_warm_hits == 1
+        assert stats.last().file_bytes_read == 0
+
+    @pytest.mark.parametrize("proven", [True, False])
+    def test_append_needs_the_manifest_to_match_the_base(self, tmp_path, proven):
+        """The store appends only onto the exact state the engine proved it
+        extends; any other base wipes and rewrites the entry."""
+        source = _source(tmp_path, "a\n1\n2\n")
+        store = PersistentStore(tmp_path / "store")
+        fp = FileFingerprint.of(source)
+        store.save(
+            _state(
+                source,
+                fp,
+                schema=[("a", "int64")],
+                columns={"a": np.array([1, 2], dtype=np.int64)},
+            )
+        )
+        _append(source, "3\n")
+        grown = FileFingerprint.of(source)
+        before = store.stats.bytes_written
+        other = FileFingerprint(
+            size=fp.size, mtime_ns=fp.mtime_ns + 1, ino=fp.ino, head=fp.head, tail=fp.tail
+        )
+        store.save(
+            _state(
+                source,
+                grown,
+                nrows=3,
+                schema=[("a", "int64")],
+                columns={"a": np.array([1, 2, 3], dtype=np.int64)},
+                base=(fp if proven else other, 2),
+            )
+        )
+        manifest = (store.entry_dir(source) / "manifest.json").stat().st_size
+        written = store.stats.bytes_written - before - manifest
+        assert written == (8 if proven else 24)  # one row, or all three
+        restored = store.load(source, grown).state
+        assert restored.nrows == 3
+        assert np.asarray(restored.columns["a"]).tolist() == [1, 2, 3]
+
+    def test_reader_maps_only_the_committed_prefix(self, tmp_path):
+        source, store, fp, edir = TestDamage()._saved(tmp_path)
+        for f in edir.glob("*.bin"):
+            with open(f, "ab") as fh:
+                fh.write(b"\xff" * 24)  # a torn tail
+        state = store.load(source, fp).state
+        assert state.nrows == 2
+        assert np.asarray(state.columns["a"]).tolist() == [1, 2]
+        assert list(state.columns["b"]) == ["x", "y"]
+        assert np.asarray(state.positional_map.row_offsets).tolist() == [4, 8]

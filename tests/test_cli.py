@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 
 import pytest
 
@@ -197,6 +198,26 @@ class TestPersistentStore:
 
         code, out, _ = run_cli("cache", "list", "--store-dir", str(store))
         assert code == 0 and "empty" in out
+
+    @pytest.mark.parametrize("shell", [False, True])
+    def test_stats_report_the_store_write_volume(self, tmp_path, shell):
+        """One-shot and shell ``--stats`` both wait for the save and
+        report the same engine-total store write volume."""
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n1,2\n3,4\n")
+        store = tmp_path / "store"
+        sql = "select sum(a) from t"
+        if shell:
+            argv = ("--shell", "--store-dir", str(store), "--stats", str(p))
+            code, out, _ = run_cli(*argv, stdin_text=sql + "\n\\q\n")
+        else:
+            code, out, _ = run_cli("--store-dir", str(store), "--stats", sql, str(p))
+        assert code == 0
+        lines = out.splitlines()
+        (stats_at,) = [i for i, line in enumerate(lines) if line.startswith("-- ")]
+        assert lines[stats_at - 1].split() == ["4"]  # the result row
+        written = re.search(r"store bytes written \(total\) ([\d,]+)", lines[stats_at])
+        assert written and int(written.group(1).replace(",", "")) > 0
 
     def test_no_persistent_store_bypasses(self, tmp_path):
         p = tmp_path / "d.csv"
