@@ -4,8 +4,9 @@ Paper series on the Q1 template (four aggregates, 10% selective):
 
 * **Awk** — streams and re-parses the whole flat file per query; flat and
   slowest at scale;
-* **Cold DB** — data loaded, caches cold: columns come off the binary
-  store before scanning;
+* **Cold DB** — data loaded, engine restarted: a fresh engine restores
+  the columns restart-warm from the persistent store (memory-mapped)
+  before scanning;
 * **Hot DB** — columns resident in memory, pure vectorized scans;
 * **Index DB** — database cracking: each query physically reorganizes the
   touched columns, so repeated range workloads converge to touching only
@@ -37,22 +38,29 @@ def _timed(fn) -> float:
 
 def _db_times(path, tmp_path, n) -> tuple[float, float]:
     """(cold, hot) seconds for one Q1 on a loaded table."""
-    bin_dir = tmp_path / f"bin{n}"
-    loader = fresh_engine(
-        "fullload", path, persist_loads=True, binary_store_dir=bin_dir
-    )
+    store_dir = tmp_path / f"store{n}"
+    loader = fresh_engine("fullload", path, store_dir=store_dir)
     loader.query("select count(*) from r")  # pay the load once
+    # Let the background store write land first: left running, it
+    # competes with the hot queries.
+    loader.flush_persistent_store()
     q = make_q1(n, rng=np.random.default_rng(n)).sql
     hot = min(
         _timed(lambda: loader.query(q)) for _ in range(3)
     )  # min-of-3: hot runs are jitter-sensitive at small sizes
     loader.close()
 
-    cold_engine = fresh_engine("fullload", path, binary_store_dir=bin_dir)
-    start = time.perf_counter()
-    cold_engine.query(q)
-    cold = time.perf_counter() - start
-    cold_engine.close()
+    def cold_run() -> float:
+        engine = fresh_engine("fullload", path, store_dir=store_dir)
+        try:
+            seconds = _timed(lambda: engine.query(q))
+            assert engine.stats.counters.restart_warm_hits == 1
+            return seconds
+        finally:
+            engine.close()
+
+    # Each cold run is a fresh engine restoring restart-warm from the store.
+    cold = min(cold_run() for _ in range(3))
     return cold, hot
 
 

@@ -17,13 +17,17 @@ Paper's headline shapes, asserted below:
 * every rerun is served at MonetDB steady-state speed by all caching
   policies.
 
-MonetDB here runs with binary persistence (a real load writes the
+MonetDB here runs with the persistent store on (a real load writes the
 internal format), matching what its 11,000 s figure includes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# numpy imports numpy.ma lazily on the first np.unique (~10 ms): pay it at
+# collection, not inside Partial Loads V2's first query, the first caller.
+import numpy.ma  # noqa: F401
 import pytest
 
 from benchmarks.conftest import FIG4_ROWS, fresh_engine
@@ -34,6 +38,21 @@ NEW_COLUMN_QUERIES = [2, 4, 6, 8, 10]  # 0-based indices of later cold peaks
 RERUNS = [1, 3, 5, 7, 9, 11]
 
 
+class _WriteThrough:
+    """Times each query through the store write it scheduled: a classic
+    load returns only once its internal format is on disk.  A no-op for
+    engines without a store."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.stats = engine.stats
+
+    def query(self, sql):
+        result = self.engine.query(sql)
+        self.engine.flush_persistent_store()
+        return result
+
+
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_adaptive_loading_with_file_reorganization(
     benchmark, fig4_file, tmp_path
@@ -41,17 +60,13 @@ def test_fig4_adaptive_loading_with_file_reorganization(
     sqls = [q.sql for q in figure4_sequence(FIG4_ROWS, ncols=12, seed=131)]
     series = []
     for label, policy, config in [
-        (
-            "MonetDB",
-            "fullload",
-            {"persist_loads": True, "binary_store_dir": tmp_path / "monet-bin"},
-        ),
+        ("MonetDB", "fullload", {"store_dir": tmp_path / "monet-store"}),
         ("Column Loads", "column_loads", {}),
         ("Partial Loads V2", "partial_v2", {}),
         ("Split Files", "splitfiles", {"splitfile_dir": tmp_path / "splits"}),
     ]:
         engine = fresh_engine(policy, fig4_file, **config)
-        series.append(run_sequence(label, engine, sqls))
+        series.append(run_sequence(label, _WriteThrough(engine), sqls))
         engine.close()
     monet, column, v2, split = series
 

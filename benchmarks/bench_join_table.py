@@ -23,6 +23,9 @@ SQL = (
     "from l join rt on l.a1 = rt.a1 "
     "where l.a4 > 0"
 )
+#: The columns SQL reads from each side: what a cold column store pulls
+#: off disk.
+SQL_COLUMNS = {"l": ["a1", "a2", "a3", "a4"], "rt": ["a1", "a2", "a3"]}
 
 
 def _awk_seconds(join_files, strategy: str) -> float:
@@ -37,36 +40,36 @@ def _awk_seconds(join_files, strategy: str) -> float:
 
 def _db_seconds(join_files, tmp_path) -> tuple[float, float]:
     lp, rp = join_files
-    bin_dir = tmp_path / "join-bin"
-    loader = NoDBEngine(
-        EngineConfig(policy="fullload", persist_loads=True, binary_store_dir=bin_dir)
-    )
+    store_dir = tmp_path / "join-store"
+    loader = NoDBEngine(EngineConfig(policy="fullload", store_dir=store_dir))
     loader.attach("l", lp)
     loader.attach("rt", rp)
     loader.query("select count(*) from l")
     loader.query("select count(*) from rt")
+    loader.flush_persistent_store()
     start = time.perf_counter()
     loader.query(SQL)
     hot = time.perf_counter() - start
     loader.close()
 
-    # Cold run: restore from the binary store through a simulated cold disk
-    # (25 MB/s) — the paper's cold numbers are disk-bound reads of the
-    # internal format.
-    cold = NoDBEngine(
-        EngineConfig(
-            policy="fullload",
-            binary_store_dir=bin_dir,
-            binary_read_bandwidth=25e6,
-        )
-    )
+    # Cold run: a fresh engine restores restart-warm from the store.  The
+    # paper's cold numbers are disk-bound reads of the internal format, so
+    # the restored bytes of the columns the join reads are charged at a
+    # simulated 25 MB/s cold disk.
+    cold = NoDBEngine(EngineConfig(policy="fullload", store_dir=store_dir))
     cold.attach("l", lp)
     cold.attach("rt", rp)
     start = time.perf_counter()
     cold.query(SQL)
     cold_s = time.perf_counter() - start
+    read_bytes = sum(
+        cold.catalog.get(table).table.column(name).logical_nbytes
+        for table, names in SQL_COLUMNS.items()
+        for name in names
+    )
+    assert cold.stats.counters.restart_warm_hits == 2
     cold.close()
-    return cold_s, hot
+    return cold_s + read_bytes / 25e6, hot
 
 
 @pytest.mark.benchmark(group="join-table")

@@ -328,8 +328,7 @@ def build_server_from_args(args):
         policy=args.policy,
         parallel_workers=args.parallel_workers,
         result_cache=args.result_cache,
-        store_dir=args.store_dir,
-        persistent_store=args.persistent_store,
+        store_dir=args.store_dir if args.persistent_store else None,
         memory_budget_bytes=args.memory_budget_bytes,
     )
     engine = NoDBEngine(config)
@@ -426,8 +425,7 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
             vectorized_tokenizer=args.vectorized_tokenizer,
             result_cache=args.result_cache,
             max_cached_results=args.max_cached_results,
-            store_dir=args.store_dir,
-            persistent_store=args.persistent_store,
+            store_dir=args.store_dir if args.persistent_store else None,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=stderr)

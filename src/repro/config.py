@@ -138,17 +138,6 @@ class EngineConfig:
     eviction_policy:
         ``"lru"`` (default) or ``"fifo"``; how victims are chosen when the
         memory budget is exceeded.
-    persist_loads:
-        Write fully loaded columns to the binary store (the engine's
-        internal on-disk format).  This is part of what a classic load
-        costs — MonetDB writes BATs — and what makes a later *cold* engine
-        start cheap: it restores from binary instead of re-parsing CSV.
-    binary_store_dir:
-        Where binary columns live.  Required when ``persist_loads`` is on;
-        point a fresh engine at an existing directory for a cold run.
-    binary_write_bandwidth / binary_read_bandwidth:
-        Optional simulated disk bandwidth for the binary store
-        (bytes/second), used by the Figure 1a memory-wall simulation.
     store_dir:
         Root of the **persistent adaptive store**: a fingerprint-keyed
         on-disk cache of learned state (positional maps, partition
@@ -159,10 +148,6 @@ class EngineConfig:
         off the query path after a cold load and invalidated whenever
         the source file's fingerprint changes.  ``None`` (default)
         disables persistence.
-    persistent_store:
-        Master switch for the persistent adaptive store; with ``False``
-        a configured ``store_dir`` is ignored (the ``--no-persistent-
-        store`` CLI escape hatch).
     result_cache:
         Cache completed query results keyed by (normalized statement,
         file signature) and serve byte-identical repeats without loading
@@ -223,12 +208,7 @@ class EngineConfig:
     append_extension: bool = True
     io_bandwidth_bytes_per_sec: float | None = None
     eviction_policy: str = "lru"
-    persist_loads: bool = False
-    binary_store_dir: Path | None = None
-    binary_write_bandwidth: float | None = None
-    binary_read_bandwidth: float | None = None
     store_dir: Path | None = None
-    persistent_store: bool = True
     result_cache: bool = False
     max_cached_results: int = 256
     global_lock: bool = False
@@ -268,10 +248,6 @@ class EngineConfig:
             raise ValueError("persist_failure_limit must be >= 1")
         if self.splitfile_dir is not None:
             self.splitfile_dir = Path(self.splitfile_dir)
-        if self.persist_loads and self.binary_store_dir is None:
-            raise ValueError("persist_loads requires binary_store_dir")
-        if self.binary_store_dir is not None:
-            self.binary_store_dir = Path(self.binary_store_dir)
         if self.store_dir is not None:
             self.store_dir = Path(self.store_dir)
 

@@ -68,7 +68,6 @@ from repro.sql.parser import parse_sql
 from repro.execution.executor import execute_bound_query
 from repro.flatfile.files import FileFingerprint, detect_tail_append
 from repro.flatfile.schema import ColumnSchema, DataType, TableSchema, merge_schemas, widest
-from repro.storage.binarystore import BinaryStore
 from repro.storage.catalog import Catalog, MultiFileEntry, TableEntry
 from repro.storage.memory import MemoryManager
 from repro.storage.persistent import PersistedState, PersistentStore
@@ -116,13 +115,6 @@ class NoDBEngine:
             self.result_cache = QueryResultCache(
                 memory=self.memory, max_entries=self.config.max_cached_results
             )
-        self.binary_store: BinaryStore | None = None
-        if self.config.binary_store_dir is not None:
-            self.binary_store = BinaryStore(
-                self.config.binary_store_dir,
-                write_bandwidth_bytes_per_sec=self.config.binary_write_bandwidth,
-                read_bandwidth_bytes_per_sec=self.config.binary_read_bandwidth,
-            )
         # The persistent adaptive store: learned state (positional maps,
         # partition plans, widened schemas, fully loaded columns) that
         # survives restarts, keyed by the source file's fingerprint.
@@ -138,7 +130,7 @@ class NoDBEngine:
         # a broken store directory must never fail a query.
         self._persist_read_only = False
         self._persist_consecutive_failures = 0
-        if self.config.store_dir is not None and self.config.persistent_store:
+        if self.config.store_dir is not None:
             self.persistent_store = PersistentStore(
                 self.config.store_dir, fault_plan=self.fault_plan
             )
@@ -683,9 +675,10 @@ class NoDBEngine:
                             )
                         else:
                             # provide() without touching the raw file
-                            # (binary-store restore, v2 coverage found
-                            # inside the lock): warm in substance, and a
-                            # follower that waited still counts as reuse.
+                            # (columns a store restore left resident, v2
+                            # coverage found inside the lock): warm in
+                            # substance, and a follower that waited still
+                            # counts as reuse.
                             self._count_warm(qstats, waited)
                         self._schedule_persist(entry, pre_fingerprint)
                         return view
@@ -744,7 +737,6 @@ class NoDBEngine:
             memory=self.memory,
             qstats=qstats,
             split=split,
-            binary=self.binary_store,
             advisor=self.monitor.cracking,
         )
 
@@ -1039,9 +1031,9 @@ class NoDBEngine:
         is byte-identical, the positional map, fully loaded columns, zone
         maps and partition plan are all extended in place instead of
         wiped — only structures whose *answers* changed (crackers, cached
-        results, binary-store row images) are invalidated.  Returns False
-        when the change is not a tail-append or any extension
-        precondition fails; the caller falls back to full invalidation.
+        results) are invalidated.  Returns False when the change is not a
+        tail-append or any extension precondition fails; the caller falls
+        back to full invalidation.
         """
         if not self.config.append_extension:
             return False
@@ -1062,8 +1054,6 @@ class NoDBEngine:
             self.memory.forget(entry.cracker_key(col))
         entry.crackers.clear()
         self.monitor.cracking.forget_table(entry.name.lower())
-        if self.binary_store is not None:
-            self.binary_store.drop_table(entry.name)
         if self.result_cache is not None:
             self.result_cache.invalidate_table(entry.name.lower())
         entry.loaded_fingerprint = fingerprint
@@ -1080,8 +1070,6 @@ class NoDBEngine:
             self.memory.forget(entry.cracker_key(col))
         self.monitor.cracking.forget_table(entry.name.lower())
         entry.invalidate()  # destroys the entry's split catalog too
-        if self.binary_store is not None:
-            self.binary_store.drop_table(entry.name)
         if self.result_cache is not None:
             self.result_cache.invalidate_table(entry.name.lower())
         if self.persistent_store is not None:

@@ -44,7 +44,6 @@ from repro.core.statistics import QueryStats
 from repro.cracking.cracker import CrackerColumn
 from repro.errors import ExecutionError
 from repro.ranges import Condition, ValueInterval
-from repro.storage.binarystore import BinaryStore
 from repro.storage.catalog import TableEntry
 from repro.storage.memory import MemoryManager
 from repro.storage.partial import CoverageCertificate
@@ -62,7 +61,6 @@ class LoadContext:
     memory: MemoryManager
     qstats: QueryStats
     split: SplitFileCatalog | None = None
-    binary: BinaryStore | None = None
     #: The engine monitor's cracking advisor (None in bare-policy tests:
     #: the warm path then never cracks).
     advisor: CrackingAdvisor | None = None
@@ -258,33 +256,8 @@ class LoadingPolicy:
     ) -> None:
         """Store completely loaded columns and register them for eviction."""
         for name, values in result.columns.items():
-            pc = table.column(name)
-            newly = pc.store_full(values)
-            ctx.qstats.rows_loaded += newly
+            ctx.qstats.rows_loaded += table.column(name).store_full(values)
             _register(ctx, table, name)
-            if (
-                ctx.config.persist_loads
-                and ctx.binary is not None
-                and pc.dtype.is_numeric
-            ):
-                ctx.binary.save(table.name, pc.name, pc.dtype, pc.values)
-
-    @staticmethod
-    def _restore_from_binary(ctx: LoadContext, missing: list[str]) -> list[str]:
-        """Reload columns from the binary store (cold run); return the rest."""
-        if ctx.binary is None:
-            return missing
-        still_missing = []
-        for name in missing:
-            if not ctx.binary.has(ctx.entry.name, name):
-                still_missing.append(name)
-                continue
-            values = ctx.binary.load(ctx.entry.name, name)
-            table = ctx.entry.ensure_table(len(values))
-            pc = table.column(name)
-            ctx.qstats.rows_loaded += pc.store_full(values)
-            _register(ctx, table, name)
-        return still_missing
 
     @staticmethod
     def _view_from_store(
@@ -357,19 +330,15 @@ class FullLoadPolicy(LoadingPolicy):
     def provide(self, ctx: LoadContext) -> TableView:
         entry = ctx.entry
         went_to_file = False
-        binary_warm = ctx.binary is not None and ctx.binary.nrows(entry.name) is not None
-        if entry.table is None and not binary_warm:
+        if entry.table is None:
             result = full_load_pass(entry, ctx.config)
             table = entry.ensure_table(result.nrows)
             self._absorb_pass(ctx, result)
             self._store_full_columns(ctx, table, result)
             went_to_file = True
-        if entry.table is None and binary_warm:
-            entry.ensure_table(ctx.binary.nrows(entry.name))
         table = entry.table
         missing = [n for n in ctx.needed if not table.column(n).is_fully_loaded]
-        missing = self._restore_from_binary(ctx, missing)
-        if missing:  # possible after eviction or a cold start with gaps
+        if missing:  # possible after eviction or a partial store restore
             result = column_load_pass(entry, missing, ctx.config)
             self._absorb_pass(ctx, result)
             self._store_full_columns(ctx, table, result)
@@ -427,7 +396,6 @@ class ColumnLoadsPolicy(LoadingPolicy):
         else:
             missing = [n for n in ctx.needed if not table.column(n).is_fully_loaded]
         went_to_file = False
-        missing = self._restore_from_binary(ctx, missing)
         if missing:
             result = column_load_pass(entry, missing, ctx.config)
             table = entry.ensure_table(result.nrows)
@@ -584,7 +552,6 @@ class SplitFilesPolicy(LoadingPolicy):
         else:
             missing = [n for n in ctx.needed if not table.column(n).is_fully_loaded]
         went_to_file = False
-        missing = self._restore_from_binary(ctx, missing)
         if missing:
             went_to_file = True
             indices = [schema.index_of(n) for n in missing]
@@ -599,16 +566,8 @@ class SplitFilesPolicy(LoadingPolicy):
                 values = parse_column_with_widening(
                     entry, idx, fetched.fields[idx], ctx.qstats.parse
                 )
-                pc = table.column(name)
-                newly = pc.store_full(values)
-                ctx.qstats.rows_loaded += newly
+                ctx.qstats.rows_loaded += table.column(name).store_full(values)
                 _register(ctx, table, name)
-                if (
-                    ctx.config.persist_loads
-                    and ctx.binary is not None
-                    and pc.dtype.is_numeric
-                ):
-                    ctx.binary.save(table.name, pc.name, pc.dtype, pc.values)
         return self._view_from_store(
             ctx, ctx.entry.table, served_from_store=not went_to_file, went_to_file=went_to_file
         )

@@ -119,7 +119,7 @@ class ReproServer:
         # same kind); otherwise in server-owned scratch space.
         self._owns_results_dir = False
         if results_dir is None:
-            if engine.config.store_dir is not None and engine.config.persistent_store:
+            if engine.config.store_dir is not None:
                 results_dir = engine.config.store_dir / "results"
             else:
                 results_dir = Path(tempfile.mkdtemp(prefix="repro-results-"))

@@ -21,10 +21,6 @@ Layout (one entry directory per source path, under ``store_dir``)::
         col_<i>.off.bin     # string column i: int64 char offsets (n+1)
         col_<i>.blob.bin    # string column i: UTF-8 payload
 
-The format deliberately extends :class:`~repro.storage.binarystore.
-BinaryStore`'s manifest + per-column layout (raw little-endian arrays, a
-JSON manifest naming them) rather than inventing a second one.
-
 Invariants
 ----------
 
@@ -82,7 +78,6 @@ from repro.faults import FaultPlan
 from repro.flatfile.files import FileFingerprint, detect_tail_append
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import DataType
-from repro.storage.binarystore import atomic_write_bytes
 
 if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
     from repro.core.partitions import PartitionIndex
@@ -439,8 +434,18 @@ class PersistentStore:
         return {"offsets": off_name, "blob": blob_name, "blob_bytes": len(blob)}
 
     def _write_whole(self, path: Path, data: bytes) -> None:
-        """Replace ``path`` atomically (temp file, fsync, rename)."""
-        atomic_write_bytes(path, data)
+        """Replace ``path`` atomically (temp file, fsync, rename).
+
+        ``os.replace`` is atomic on POSIX, so a reader sees the old
+        complete file or the new one, never a torn write; a crash
+        mid-write leaves only a ``.tmp`` orphan, which readers ignore.
+        """
+        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
         self.stats.bytes_written += len(data)
 
     def _write_at(self, path: Path, data, offset: int) -> None:

@@ -66,21 +66,31 @@ class TestAutoInvalidate:
         assert result.scalar() == sum(i * 100 for i in range(60))
         engine.close()
 
-    def test_binary_store_invalidated(self, editable_csv, tmp_path):
-        cfg = EngineConfig(
-            policy="fullload",
-            persist_loads=True,
-            binary_store_dir=tmp_path / "bin",
-        )
+    @pytest.mark.parametrize(
+        "policy", ["fullload", "column_loads", "partial_v2", "splitfiles"]
+    )
+    def test_persistent_store_invalidated(self, policy, editable_csv, tmp_path):
+        """An edit seen mid-session drops the file's store entry; the
+        reload is persisted again and a restarted engine restores the new
+        bytes, not the old ones."""
+        cfg = EngineConfig(policy=policy, store_dir=tmp_path / "store")
         engine = NoDBEngine(cfg)
         engine.attach("t", editable_csv)
         engine.query("select sum(a2) from t")
-        assert engine.binary_store.has("t", "a2")
+        engine.flush_persistent_store()
+        assert engine.persistent_store.entries()
         edit(editable_csv)
-        assert engine.query("select sum(a2) from t").scalar() == sum(
-            i * 100 for i in range(60)
-        )
+        expect = sum(i * 100 for i in range(60))
+        assert engine.query("select sum(a2) from t").scalar() == expect
+        assert engine.stats.counters.store_invalidations == 1
+        engine.flush_persistent_store()
         engine.close()
+
+        restarted = NoDBEngine(cfg)
+        restarted.attach("t", editable_csv)
+        assert restarted.query("select sum(a2) from t").scalar() == expect
+        assert restarted.stats.counters.restart_warm_hits == 1
+        restarted.close()
 
     def test_memory_manager_forgets_dropped_fragments(self, editable_csv):
         engine = NoDBEngine(EngineConfig(policy="column_loads"))

@@ -4,7 +4,7 @@
 memory budget, with a mid-session file edit, a policy switch and an
 explicit cache clear — every answer checked against a freshly computed
 ground truth.  If any piece of state (certificates, positional map, split
-files, eviction bookkeeping, binary store) survives where it should not,
+files, eviction bookkeeping) survives where it should not,
 this is where it surfaces.
 """
 

@@ -10,7 +10,8 @@ Three layers of guarantees are pinned here:
 * **Staleness is airtight.**  The entry key is the full content-probing
   fingerprint: a same-size in-place rewrite with a forged mtime (the
   nastiest edit the engine's auto-invalidation handles) must invalidate
-  the persisted entry too, across a simulated restart.
+  the persisted entry too, across a simulated restart, under every
+  caching policy.
 * **Damage is a miss, never an error.**  Truncated columns, garbage
   manifests and mid-write crash leftovers all restore as a plain cold
   miss.
@@ -288,26 +289,56 @@ class TestStaleness:
         again = store.load(source, other)
         assert again.state is None and not again.invalidated
 
-    def test_forged_mtime_same_size_rewrite_across_restart(self, tmp_path):
-        """The airtightness bar: rewrite in place with identical size,
-        forge the mtime back, restart — the persisted entry must be
-        discarded (content probe mismatch) and the fresh engine must
-        answer from the new bytes."""
-        f = tmp_path / "a.csv"
-        f.write_text("a1\n10\n20\n30\n")
+    @pytest.mark.parametrize(
+        "policy", ["fullload", "column_loads", "partial_v2", "splitfiles"]
+    )
+    def test_forged_mtime_same_size_rewrite_across_restart(self, policy, tmp_path):
+        """The airtightness bar, under every caching policy: an engine
+        loads and persists, then the file is rewritten while no engine
+        runs — in place with identical size and the mtime forged back,
+        then at a different size.  Each time the persisted entry must be
+        discarded and a fresh engine on the same store must answer from
+        the new bytes.  A different file attached under the same table
+        name must answer with its own rows."""
         store_dir = tmp_path / "store"
-        cfg = dict(policy="column_loads", store_dir=store_dir)
+        queries = [
+            "select count(*), sum(a1), sum(a2) from t",
+            "select sum(a2) from t where a1 >= 3 and a1 < 40",
+        ]
 
-        e1 = NoDBEngine(EngineConfig(**cfg))
-        e1.attach("t", f)
-        assert int(e1.query("select sum(a1) from t").scalar()) == 60
-        e1.flush_persistent_store()
-        assert e1.stats.counters.persist_writes >= 1
-        e1.close()
+        def lifetime(path):
+            engine = NoDBEngine(EngineConfig(policy=policy, store_dir=store_dir))
+            engine.attach("t", path)
+            got = [engine.query(q).rows() for q in queries]
+            engine.flush_persistent_store()
+            engine.close()
+            return got, engine.stats.counters
 
+        def oracle(path):
+            csv = CSVEngine()
+            csv.attach("t", path)
+            try:
+                return [csv.query(q).rows() for q in queries]
+            finally:
+                csv.close()
+
+        def write_rows(path, a2_values):
+            path.write_text(
+                "a1,a2\n" + "".join(f"{i:03d},{v:03d}\n" for i, v in enumerate(a2_values))
+            )
+
+        f = tmp_path / "a.csv"
+        write_rows(f, range(100))
+        got, counters = lifetime(f)
+        assert got == oracle(f)
+        assert counters.persist_writes >= 1
+
+        # Same size, same inode, mtime forged back: only the content
+        # probe can tell the rewrite apart.
         old = os.stat(f)
-        with open(f, "r+") as fh:  # in-place: same inode, same size
-            fh.write("a1\n40")
+        with open(f, "r+") as fh:
+            fh.seek(len("a1,a2\n"))
+            fh.write("".join(f"{i:03d},{999 - i:03d}\n" for i in range(100)))
         _force_stat(f, old.st_mtime_ns)
         st_ = os.stat(f)
         assert (st_.st_size, st_.st_mtime_ns, st_.st_ino) == (
@@ -315,13 +346,21 @@ class TestStaleness:
             old.st_mtime_ns,
             old.st_ino,
         )
+        got, counters = lifetime(f)
+        assert got == oracle(f)
+        assert counters.restart_warm_hits == 0
+        assert counters.store_invalidations >= 1
 
-        e2 = NoDBEngine(EngineConfig(**cfg))
-        e2.attach("t", f)
-        assert int(e2.query("select sum(a1) from t").scalar()) == 90
-        assert e2.stats.counters.restart_warm_hits == 0
-        assert e2.stats.counters.store_invalidations >= 1
-        e2.close()
+        # A different size, again with no engine running.
+        write_rows(f, [7 * i for i in range(60)])
+        got, counters = lifetime(f)
+        assert got == oracle(f)
+        assert counters.restart_warm_hits == 0
+
+        # A different file under the same table name and the same store.
+        g = tmp_path / "b.csv"
+        write_rows(g, range(1, 6))
+        assert lifetime(g)[0] == oracle(g)
 
     def test_unchanged_file_restores_restart_warm(self, tmp_path):
         f = tmp_path / "a.csv"
@@ -442,6 +481,118 @@ class TestDamage:
         assert store.clear() == 1
         assert store.entries() == []
         assert store.load(source, fp).state is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: ["a", "list"],  # valid JSON, wrong shape
+            lambda m: {**m, "version": m["version"] + 1},
+            lambda m: {k: v for k, v in m.items() if k != "nrows"},
+        ],
+        ids=["wrong_shape", "other_version", "missing_nrows"],
+    )
+    def test_malformed_manifest_is_a_miss(self, tmp_path, damage):
+        source, store, fp, edir = self._saved(tmp_path)
+        manifest = json.loads((edir / "manifest.json").read_text())
+        (edir / "manifest.json").write_text(json.dumps(damage(manifest)))
+        outcome = store.load(source, fp)
+        assert outcome.state is None and not outcome.invalidated
+
+    def test_deleted_column_file_is_a_miss(self, tmp_path):
+        source, store, fp, edir = self._saved(tmp_path)
+        manifest = json.loads((edir / "manifest.json").read_text())
+        (edir / manifest["columns"]["a"]["file"]).unlink()
+        assert store.load(source, fp).state is None
+
+    def test_string_blob_mismatch_is_a_miss(self, tmp_path):
+        """A blob whose committed length disagrees with the char offsets
+        cannot decode: a miss, not a query error or a wrong string."""
+        source, store, fp, edir = self._saved(tmp_path)
+        manifest = json.loads((edir / "manifest.json").read_text())
+        manifest["columns"]["b"]["blob_bytes"] -= 1
+        (edir / "manifest.json").write_text(json.dumps(manifest))
+        assert store.load(source, fp).state is None
+
+    def test_save_over_garbage_manifest_recovers(self, tmp_path):
+        source, store, fp, edir = self._saved(tmp_path)
+        (edir / "manifest.json").write_bytes(b"\xde\xad")
+        store.save(_state(source, fp, columns={"a": np.array([1, 2])}))
+        restored = store.load(source, fp).state
+        assert np.asarray(restored.columns["a"]).tolist() == [1, 2]
+
+    def test_tmp_orphans_beside_a_committed_entry_are_ignored(self, tmp_path):
+        """Crash leftovers next to a complete manifest: the entry still
+        restores, and invalidation removes the orphans with it."""
+        source, store, fp, edir = self._saved(tmp_path)
+        (edir / ".col_0.bin.999.tmp").write_bytes(b"\x01\x02")
+        (edir / ".manifest.json.999.tmp").write_bytes(b"{half")
+        state = store.load(source, fp).state
+        assert np.asarray(state.columns["a"]).tolist() == [1, 2]
+        assert list(state.columns["b"]) == ["x", "y"]
+        assert store.invalidate(source)
+        assert not edir.exists()
+
+
+class TestStore:
+    def test_load_without_entry_is_a_plain_miss(self, tmp_path):
+        source = _source(tmp_path)
+        store = PersistentStore(tmp_path / "store")
+        outcome = store.load(source, FileFingerprint.of(source))
+        assert outcome.state is None
+        assert not outcome.invalidated and not outcome.appended
+
+    def test_invalidate_is_idempotent(self, tmp_path):
+        source, store, fp, edir = TestDamage()._saved(tmp_path)
+        assert store.invalidate(source)
+        assert not edir.exists()
+        assert not store.invalidate(source)
+        assert store.load(source, fp).state is None
+
+    def test_stats_account_every_byte(self, tmp_path):
+        """Bytes written equal the entry's files on disk; a restore reads
+        string columns onto the heap and maps numeric ones unread."""
+        source, store, fp, edir = TestDamage()._saved(tmp_path)
+        on_disk = sum(f.stat().st_size for f in edir.iterdir())
+        assert store.stats.bytes_written == on_disk == store.bytes_on_disk()
+        assert store.stats.entries_written == 1
+        assert store.stats.entries_restored == 1  # the probe in _saved
+        assert store.stats.bytes_read == 3 * 8 + len(b"xy")  # column b only
+
+    def test_entry_dir_keyed_by_resolved_path(self, tmp_path):
+        store = PersistentStore(tmp_path / "store")
+        a = _source(tmp_path)
+        (tmp_path / "sub").mkdir()
+        b = tmp_path / "sub" / a.name
+        b.write_text(a.read_text())
+        assert store.entry_dir(tmp_path / "sub" / ".." / a.name) == store.entry_dir(a)
+        assert store.entry_dir(b) != store.entry_dir(a)  # same name, same bytes
+
+    def test_entry_follows_the_file_not_the_table_name(self, tmp_path):
+        """Two files persisted under two table names, then attached under
+        each other's name: each restores restart-warm with its own rows."""
+        store_dir = tmp_path / "store"
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        a = _source(tmp_path / "x")
+        b = _source(tmp_path / "y", "a,b\n5,p\n6,q\n7,r\n")
+        query = "select count(*), sum(a) from {}"
+
+        first = NoDBEngine(EngineConfig(policy="fullload", store_dir=store_dir))
+        first.attach("t", a)
+        first.attach("u", b)
+        assert first.query(query.format("t")).rows() == [(2, 3)]
+        assert first.query(query.format("u")).rows() == [(3, 18)]
+        first.flush_persistent_store()
+        first.close()
+
+        swapped = NoDBEngine(EngineConfig(policy="fullload", store_dir=store_dir))
+        swapped.attach("t", b)
+        swapped.attach("u", a)
+        assert swapped.query(query.format("t")).rows() == [(3, 18)]
+        assert swapped.query(query.format("u")).rows() == [(2, 3)]
+        assert swapped.stats.counters.restart_warm_hits == 2
+        assert swapped.stats.counters.store_invalidations == 0
+        swapped.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for EngineConfig validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import POLICIES, EngineConfig
@@ -29,9 +31,39 @@ def test_bad_eviction_policy_rejected():
         EngineConfig(eviction_policy="random")
 
 
-def test_persist_requires_binary_dir():
-    with pytest.raises(ValueError, match="binary_store_dir"):
-        EngineConfig(persist_loads=True)
+def test_knob_ratchet():
+    """Every EngineConfig field, pinned: adding or removing a knob must
+    show up as a reviewed one-line change here."""
+    assert sorted(f.name for f in dataclasses.fields(EngineConfig)) == [
+        "append_extension",
+        "auto_invalidate",
+        "crack_after",
+        "cracking",
+        "eviction_policy",
+        "fault_plan",
+        "global_lock",
+        "io_bandwidth_bytes_per_sec",
+        "io_retry_attempts",
+        "io_retry_backoff_s",
+        "max_cached_results",
+        "memory_budget_bytes",
+        "parallel_start_method",
+        "parallel_workers",
+        "partition_min_bytes",
+        "persist_failure_limit",
+        "policy",
+        "predicate_pushdown",
+        "result_cache",
+        "selective_read_max_gap",
+        "selective_reads",
+        "splitfile_dir",
+        "store_dir",
+        "tokenizer_early_abort",
+        "use_positional_map",
+        "vectorized_tokenizer",
+        "zone_map_rows",
+        "zone_maps",
+    ]
 
 
 def test_resolve_splitfile_dir_creates_and_reuses(tmp_path):
