@@ -547,8 +547,9 @@ class FlatFile:
         offsets = np.zeros(len(chunks), dtype=np.int64)
         if len(chunks):
             offsets[1:] = np.cumsum(sizes[:-1])
-        for size in sizes.tolist():
-            self._account(size, full_scan=False)
+            # One call for every window: the same totals, without a lock
+            # round trip per window (one per row on a scattered column).
+            self._account(int(sizes.sum()), full_scan=False, calls=len(chunks))
         return FileWindows(
             starts=win_starts,
             ends=win_ends,

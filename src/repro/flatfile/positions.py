@@ -17,10 +17,12 @@ The map stores, per flat file:
   rescanning needed to find where the field stops.
 
 A later load of column *j* asks :meth:`PositionalMap.anchor_for` for the
-closest already-known column at or before *j*.  Tokenization then starts at
-the anchor's byte offset and skips only ``j - anchor`` fields instead of
-``j`` fields from the start of the row.  When the anchor *is* ``j`` the
-field is extracted with zero scanning.
+closest already-known column at or before *j*.  The anchor sets the
+accounting: the pass scans over only the ``j - anchor`` fields from the
+anchor to *j* instead of ``j`` fields from the start of the row, and over
+none when the anchor *is* ``j``.  The scalar fast path starts
+scanning at the anchor's offset; the vectorized kernel takes only which
+columns are known and derives every position from the bytes themselves.
 
 When both start and end offsets of every column a pass needs are known
 (:meth:`PositionalMap.can_slice`), the loader skips tokenization entirely:

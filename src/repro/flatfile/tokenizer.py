@@ -38,10 +38,12 @@ A third route sits *above* both for cold scans over raw bytes:
 (:mod:`repro.flatfile.vectorized`) for dialects whose rows and fields are
 framed by raw ASCII bytes (``FormatAdapter.supports_vectorized``), and
 falls back to the scalar routes above — decoding the bytes first — when
-the kernel is ineligible or declines (ragged rows, usable positional-map
-anchors, non-ASCII fixed-width content).  The kernel's outputs, learned
-offsets and work counters are exactly the scalar routes'; only the
-per-byte interpreter cost disappears.
+the kernel is ineligible or declines (ragged rows, non-ASCII delimiters,
+invalid UTF-8, non-ASCII fixed-width content).  A warm positional map
+does not send a pass here: the kernel charges the fast path's anchor
+jumps itself.  The kernel's outputs, learned offsets and work counters
+are exactly the scalar routes'; only the per-byte interpreter cost
+disappears.
 
 Quoted fields, escaped separators, JSON records and fixed-width records
 are therefore supported through adapters; see :mod:`repro.flatfile.
@@ -450,10 +452,11 @@ def tokenize_bytes(
     The cold-scan entry point.  Dialects framed by raw ASCII bytes
     (``adapter.supports_vectorized``) go through the NumPy bulk kernel,
     which touches each byte once, in bulk, and never even decodes the
-    file to a Python string on the pure-ASCII fast path.  Everything
-    else — and any text the kernel declines (ragged rows, usable map
-    anchors, non-ASCII fixed-width) — decodes once and takes the scalar
-    routes, with identical outputs, learned offsets and work counters.
+    file to a Python string on the pure-ASCII fast path, warm positional
+    map or not.  Everything else — and any text the kernel declines
+    (ragged rows, non-ASCII delimiters, invalid UTF-8, non-ASCII
+    fixed-width) — decodes once and takes the scalar routes, with
+    identical outputs, learned offsets and work counters.
     ``vectorized=False`` forces the scalar path (the ablation/differential
     toggle surfaced as ``EngineConfig.vectorized_tokenizer``).
     """

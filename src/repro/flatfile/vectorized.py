@@ -14,10 +14,11 @@ performs the *same* pass over the raw bytes in bulk:
    ``ncols - 1``) makes the kernel decline, and the caller falls back to
    the scalar path *for that text only*, which reproduces the scalar
    route's error/tolerance semantics exactly;
-3. **columnar field extraction** — a row×field offset view built from the
-   separator index; only columns up to the last needed one are ever
-   materialized ("never slice columns right of the last needed one" — the
-   paper's early-abort economics, bulk-shaped), and pushdown predicates
+3. **columnar field extraction** — per-column field bounds gathered from
+   the separator index for the columns the pass visits only; no column
+   right of the last needed one is ever materialized ("never slice
+   columns right of the last needed one" — the paper's early-abort
+   economics, bulk-shaped), and pushdown predicates
    are evaluated column-by-column as masks over the still-candidate rows,
    so a failing early column spares every later column's slices;
 4. **bulk learning** — the positional map absorbs whole offset-matrix
@@ -33,17 +34,24 @@ happened to locate.  The differential suite in
 ``tests/flatfile/test_vectorized.py`` holds this equality under ragged
 rows, blank lines, trailing delimiters, predicates and non-ASCII input.
 
+A warm positional map runs the kernel too.  The scalar fast path jumps to
+the largest known column at or left of each needed one, so the kernel
+visits, charges and learns exactly the columns those jumps would.  It
+takes only *which* columns the map knows, never their offsets: the
+framing pass already locates every delimiter, and a map with corrupted
+offsets can then skew the work counters but never an answer.
+
 Eligibility: dialects with ``supports_vectorized`` (plain delimited, TSV,
 fixed-width).  Quoted CSV needs a quote state machine and JSON-lines has
 no field spans; both keep the adapter route.  The kernel also declines —
-returning ``None`` so the dispatcher falls back to the scalar path —
-when a positional map already offers usable column anchors (the scalar
-jump accounting is the reference there), for non-ASCII fixed-width
-content (field widths are characters, not bytes), and for non-ASCII
-delimiters.
+returning ``None`` so the dispatcher falls back to the scalar path — on
+ragged rows, for non-ASCII fixed-width content (field widths are
+characters, not bytes), for non-ASCII delimiters and for invalid UTF-8.
 """
 
 from __future__ import annotations
+
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -98,7 +106,7 @@ def tokenize_vectorized(
     data: bytes,
     adapter: FormatAdapter,
     ncols: int,
-    needed,
+    needed: Sequence[int],
     *,
     early_abort: bool = True,
     predicates: dict[int, RawPredicate] | None = None,
@@ -142,12 +150,6 @@ def tokenize_vectorized(
         return None
     if delimiter is not None and ord(delimiter) > 127:
         return None
-    if find_jump and positional_map is not None and any(
-        c <= last_needed for c in positional_map.field_offsets
-    ):
-        # The scalar fast path would jump via these anchors and charge
-        # less scanning work; it is the reference for that accounting.
-        return None
 
     buf = np.frombuffer(data, dtype=np.uint8)
     ascii_only = not bool((buf > 127).any()) if len(buf) else True
@@ -180,9 +182,26 @@ def tokenize_vectorized(
         def to_chars(a: np.ndarray) -> np.ndarray:
             return a - pad[a]
 
+    # ------------------------------------------------- visited column set
+    # The scalar fast path's anchor jumps: each needed column is reached
+    # from the previous one or from the largest known column at or left
+    # of it, whichever is further right.  Over zero rows the scalar route
+    # learns every column up to the last needed one, so no jump applies.
+    known = (
+        positional_map.known_columns()
+        if find_jump and positional_map is not None and nrows
+        else []
+    )
+    visit: list[int] = []
+    for w in wanted:
+        anchor = max((c for c in known if c <= w), default=0)
+        visit.extend(range(max(visit[-1] + 1 if visit else 0, anchor), w + 1))
+    if not early_abort:
+        visit.extend(range(last_needed + 1, ncols))
+
     # ------------------------------------------ separator / ragged detection
-    ncols_visited = ncols if not early_abort else min(last_needed + 1, ncols)
     if delimiter is None:
+        assert isinstance(adapter, FixedWidthAdapter)
         widths = np.asarray(adapter.widths, dtype=np.int64)
         if nrows and not bool(((row_ends - row_starts) == int(widths.sum())).all()):
             return None  # some row has the wrong width: scalar raises there
@@ -197,16 +216,10 @@ def tokenize_vectorized(
         hi = np.searchsorted(d_pos, row_ends)
         if nrows and not bool((hi - lo == ncols - 1).all()):
             return None  # ragged rows: the scalar path is the reference
-        sep_width = min(ncols_visited, ncols - 1)
-        if sep_width and nrows:
-            sep = d_pos[lo[:, None] + np.arange(sep_width, dtype=np.int64)[None, :]]
-        else:
-            sep = np.empty((nrows, sep_width), dtype=np.int64)
-        del d_pos
 
         def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
-            start = row_starts if c == 0 else sep[:, c - 1] + 1
-            end = row_ends if c == ncols - 1 else sep[:, c]
+            start = row_starts if c == 0 else d_pos[lo + (c - 1)] + 1
+            end = row_ends if c == ncols - 1 else d_pos[lo + c]
             return start, end
 
     # ------------------------------------- column sweep: stats + predicates
@@ -234,7 +247,7 @@ def tokenize_vectorized(
         )
         return adapter.decode_many(values)
 
-    for col in range(ncols_visited):
+    for col in visit:
         fstart, fend = col_bounds(col)
         bounds[col] = (fstart, fend)
         clen = to_chars(fend) - to_chars(fstart)
@@ -271,7 +284,7 @@ def tokenize_vectorized(
         learned_bound = min(fail_cols) if fail_cols else last_needed
         cols = [
             c
-            for c in range(min(last_needed + 1, ncols))
+            for c in visit
             if c <= learned_bound and not positional_map.knows_column(c)
         ]
         positional_map.absorb_offsets(
@@ -283,7 +296,8 @@ def tokenize_vectorized(
         positional_map.record_text_geometry(nbytes=len(data), nchars=nchars)
 
     # --------------------------------------------------------- materialize
-    out_fields: dict[int, np.ndarray] = {}
+    # NumPy string arrays where TokenizeResult names Sequence[str].
+    out_fields: dict[int, Any] = {}
     for col in wanted:
         if col in pred_values:
             values, rows = pred_values[col], pred_rows[col]

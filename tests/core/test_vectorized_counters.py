@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import EngineConfig, NoDBEngine
+from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.workload import TableSpec, materialize_csv
 
 QUERIES = [
@@ -23,6 +23,14 @@ QUERIES = [
     "select sum(a1) from r",  # warm repeat (selective/store path)
 ]
 
+# Each query needs columns right of the ones the map already knows, so
+# every pass after the first starts from positional-map anchors.
+WARM_MAP_QUERIES = [
+    "select sum(a1) from r",
+    "select sum(a3) from r",
+    "select a4 from r where a2 > 120",
+]
+
 
 @pytest.fixture(scope="module")
 def csv_file(tmp_path_factory):
@@ -30,14 +38,14 @@ def csv_file(tmp_path_factory):
     return materialize_csv(TableSpec(nrows=400, ncols=4, seed=311), root / "r.csv")
 
 
-def _counters(path, policy: str, vectorized: bool):
+def _counters(path, policy: str, vectorized: bool, queries=QUERIES):
     engine = NoDBEngine(
         EngineConfig(policy=policy, vectorized_tokenizer=vectorized)
     )
     try:
         engine.attach("r", path)
         out = []
-        for sql in QUERIES:
+        for sql in queries:
             result = engine.query(sql)
             q = engine.stats.last()
             out.append(
@@ -78,3 +86,43 @@ def test_fields_touched_counts_only_visited_columns(csv_file):
         assert q.tokenizer.fields_tokenized == 400
     finally:
         engine.close()
+
+
+def test_warm_map_passes_run_the_kernel(csv_file, monkeypatch):
+    """Anchored passes over consistent plain CSV stay on the kernel, with
+    the scalar route's counters."""
+    scalar = _counters(
+        csv_file, "column_loads", vectorized=False, queries=WARM_MAP_QUERIES
+    )
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("scalar tokenize_columns ran on plain CSV")
+
+    monkeypatch.setattr(
+        "repro.flatfile.tokenizer.tokenize_columns", no_fallback
+    )
+    vec = _counters(
+        csv_file, "column_loads", vectorized=True, queries=WARM_MAP_QUERIES
+    )
+    assert vec == scalar
+
+
+def test_corrupted_map_offsets_never_change_an_answer(csv_file):
+    """The kernel reads only *which* columns the map knows, never where:
+    a learned column shifted by one character must not leak into the
+    values of a later pass that re-tokenizes it."""
+    sql = "select sum(a2), sum(a3) from r where a2 > 120"
+    engine = NoDBEngine(EngineConfig(policy="partial_v1"))
+    oracle = CSVEngine()
+    try:
+        engine.attach("r", csv_file)
+        oracle.attach("r", csv_file)
+        engine.query("select sum(a2) from r")
+        pmap = engine.catalog.get("r").positional_map
+        assert pmap.knows_column(1) and not pmap.knows_column(2)
+        pmap.field_offsets[1] += 1
+        pmap.field_ends[1] += 1
+        assert engine.query(sql).rows() == oracle.query(sql).rows()
+    finally:
+        engine.close()
+        oracle.close()

@@ -11,6 +11,8 @@ NUL bytes, headers) — and diff everything.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,15 +59,20 @@ def assert_routes_agree(
     make_predicates=None,
     skip_rows=0,
     learn=True,
+    warm=None,
 ):
     """Run both routes over ``data``; every observable must be identical.
 
     ``make_predicates`` builds a fresh predicate dict per route (so call
-    logs do not leak between them); returns (result, call_log) pairs.
+    logs do not leak between them); ``warm`` is a positional map both
+    routes start from (each gets its own deep copy).  Returns
+    (result, call_log) pairs.
     """
     outcomes = []
     for vectorized in (True, False):
-        pmap = PositionalMap() if learn else None
+        pmap = None
+        if learn:
+            pmap = copy.deepcopy(warm) if warm is not None else PositionalMap()
         calls: list[tuple[int, str]] = []
         predicates = make_predicates(calls) if make_predicates else None
         try:
@@ -191,6 +198,59 @@ def test_delimited_with_pushdown_predicates(case):
     )
 
 
+def _scalar_warm_map(data: bytes, adapter, ncols: int, keep) -> PositionalMap:
+    """A map the scalar route learned, then trimmed to the ``keep`` columns.
+
+    One scalar pass over every column learns them all; forgetting the
+    rest yields any known-column set, gaps included.  Ragged input makes
+    that pass raise, leaving a map that knows row offsets only.
+    """
+    pmap = PositionalMap()
+    try:
+        tokenize_bytes(
+            data, adapter, ncols, range(ncols), positional_map=pmap,
+            vectorized=False,
+        )
+    except FlatFileError:
+        pass
+    for col in set(pmap.field_offsets) - set(keep):
+        del pmap.field_offsets[col]
+        del pmap.field_ends[col]
+    return pmap
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=delimited_files(),
+    keep=st.sets(st.integers(0, 4)),
+    early_abort=st.booleans(),
+    with_predicate=st.booleans(),
+)
+def test_warm_map_vectorized_equals_scalar(case, keep, early_abort, with_predicate):
+    """Both routes start from the same learned map: the kernel must visit,
+    charge, filter and learn exactly what the scalar anchor jumps do."""
+    data, delimiter, ncols, needed = case
+    adapter = DelimitedAdapter(delimiter)
+    warm = _scalar_warm_map(data, adapter, ncols, keep)
+
+    def make_predicates(calls):
+        def pred(value: str) -> bool:
+            calls.append((needed[0], value))
+            return len(value) % 2 == 0
+
+        return {needed[0]: pred} if with_predicate else {}
+
+    assert_routes_agree(
+        data,
+        adapter,
+        ncols,
+        needed,
+        early_abort=early_abort,
+        make_predicates=make_predicates,
+        warm=warm,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.lists(
@@ -272,6 +332,13 @@ class TestEdgeCases:
     def test_empty_file(self):
         assert_routes_agree(b"", CSV, 3, [1])
 
+    def test_empty_file_with_warm_map_learns_every_column(self):
+        """Over zero rows the scalar route learns every column up to the
+        last needed one, whatever the map's anchors say."""
+        warm = _scalar_warm_map(b"", CSV, 4, {2})
+        out = assert_routes_agree(b"", CSV, 4, [3], warm=warm)
+        assert sorted(out[0][0]["pmap"]["starts"]) == [0, 1, 2, 3]
+
     def test_single_column_no_delimiters(self):
         out = assert_routes_agree(b"10\n20\n30\n", CSV, 1, [0])
         assert out[0][0]["fields"][0] == ["10", "20", "30"]
@@ -329,16 +396,23 @@ class TestEdgeCases:
 
 
 class TestKernelDeclines:
-    def test_declines_when_map_offers_anchors(self):
-        """Scalar anchor jumps charge less work; the kernel steps aside."""
+    def test_runs_with_anchors(self):
+        """A warm map keeps the pass on the kernel, which charges the
+        scalar anchor jumps' work itself."""
         data = b"1,2,3\n4,5,6\n"
         pmap = PositionalMap()
-        tokenize_bytes(data, CSV, 3, [1], positional_map=pmap)
+        tokenize_bytes(data, CSV, 3, [1], positional_map=pmap, vectorized=False)
         assert pmap.knows_column(1)
         assert (
-            tokenize_vectorized(data, CSV, 3, [2], positional_map=pmap)
-            is None
+            tokenize_vectorized(
+                data, CSV, 3, [2], positional_map=copy.deepcopy(pmap)
+            )
+            is not None
         )
+        out = assert_routes_agree(data, CSV, 3, [2], warm=pmap)
+        # Jump to column 1, scan over it (2 chars), then field 2 (1 char).
+        assert out[0][0]["stats"]["fields_tokenized"] == 4
+        assert out[0][0]["stats"]["chars_scanned"] == len(data) + 2 * 3
 
     def test_declines_on_ragged_rows(self):
         assert tokenize_vectorized(b"1,2\n3\n", CSV, 2, [0]) is None
