@@ -41,6 +41,7 @@ int64 → float64 → str — and retries, instead of failing the query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -106,79 +107,111 @@ def _widen_column(entry: TableEntry, idx: int, to_dtype: DataType) -> None:
             pc.widen(to_dtype)
 
 
-def parse_column_with_widening(
-    entry: TableEntry, idx: int, raw, parse_stats: ParseStats
+def parse_widening(
+    raw,
+    get_dtype: Callable[[], DataType],
+    widen: Callable[[DataType], None],
+    parse_stats: ParseStats,
 ) -> np.ndarray:
-    """Parse raw fields under the schema type, widening on failure.
-
-    A valid CSV whose sampled type was too narrow (a float or a string
-    past the schema-inference sample window) must not make the column
-    unqueryable: on parse failure the column's type is widened one step
-    (int64 → float64 → str) and the parse retried.  The retry re-counts
-    the converted values in ``parse_stats`` — re-parsing is real work.
-    """
+    """Parse raw fields under the current type; on failure ``widen`` one
+    ladder step (int64 → float64 → str, so this ends) and re-parse all of
+    them.  Each attempt counts every value: re-parsing is real work."""
     while True:
-        dtype = entry.schema.columns[idx].dtype
+        dtype = get_dtype()
         try:
             return parse_fields(raw, dtype, parse_stats)
         except FlatFileError:
             wider = _WIDER.get(dtype)
             if wider is None:
                 raise
-            _widen_column(entry, idx, wider)
+            widen(wider)
 
 
-def make_widening_predicate(
-    column_name: str,
-    interval,
-    get_dtype,
-    widen,
-    parse_stats: ParseStats,
-) -> RawPredicate:
-    """Build one raw-text pushdown predicate over the widening ladder.
+def parse_column_with_widening(
+    entry: TableEntry, idx: int, raw, parse_stats: ParseStats
+) -> np.ndarray:
+    """Parse raw fields under the schema type, widening the schema.
+
+    A valid CSV whose sampled type was too narrow (a float or a string
+    past the schema-inference sample window) must not make the column
+    unqueryable: :func:`parse_widening` over the real schema.
+    """
+    return parse_widening(
+        raw,
+        lambda: entry.schema.columns[idx].dtype,
+        lambda wider: _widen_column(entry, idx, wider),
+        parse_stats,
+    )
+
+
+@dataclass
+class WideningPredicate:
+    """One raw-text pushdown predicate over the widening ladder.
 
     The single source of truth for predicate semantics, shared by the
     serial loader and the parallel partition workers (which must stay
-    behaviourally identical): each evaluation parses the field under the
-    current type (counted in ``parse_stats`` — conversions are real
-    work), a value the type cannot represent calls ``widen`` with the
-    next ladder step and retries (terminates: str parsing cannot fail),
-    and failures surface as :class:`~repro.errors.FlatFileError` — a
-    typed error in the library's one family, never a raw ``ValueError``
-    or ``TypeError``.  ``get_dtype``/``widen`` abstract where the column
-    type lives: the real schema serially, partition-local state in a
-    worker.
+    behaviourally identical).  It has two forms:
+
+    * ``pred(text)`` — per value, for the scalar tokenizer routes only:
+      parse the field under the current type, and on a value the type
+      cannot represent call ``widen`` with the next ladder step and retry;
+    * ``pred.mask(values)`` — per column, for the bulk kernel and the
+      selective-read route: :func:`parse_widening` over the whole array,
+      then one :meth:`~repro.ranges.ValueInterval.mask`.
+
+    Both count every conversion in ``parse_stats`` (conversions are real
+    work) and raise :class:`~repro.errors.FlatFileError`, never a raw
+    ``ValueError`` or ``TypeError``, on a field they cannot parse or
+    compare.  A column that widens mid-way compares its earlier values
+    at the narrower type per value, but all of them at the wider type in
+    bulk.  ``get_dtype``/``widen`` abstract where the column type lives:
+    the real schema serially, partition-local state in a worker.
     """
 
-    def parse_counted(text: str) -> object:
+    column_name: str
+    interval: ValueInterval
+    get_dtype: Callable[[], DataType]
+    widen: Callable[[DataType], None]
+    parse_stats: ParseStats
+
+    def __call__(self, text: str) -> bool:
         while True:
-            dtype = get_dtype()
-            parse_stats.values_parsed += 1
+            dtype = self.get_dtype()
+            self.parse_stats.values_parsed += 1
             try:
-                return parse_single(text, dtype)
+                value = parse_single(text, dtype)
+                break
             except ValueError as exc:
                 wider = _WIDER.get(dtype)
                 if wider is None:
                     raise FlatFileError(
                         f"cannot parse field {text!r} of column "
-                        f"{column_name!r} as {dtype.value} "
+                        f"{self.column_name!r} as {dtype.value} "
                         "for a pushdown predicate"
                     ) from exc
-                widen(wider)
-
-    raw_check = interval.raw_predicate(parse_counted)
-
-    def checked(text: str) -> bool:
+                self.widen(wider)
         try:
-            return raw_check(text)
+            return self.interval.contains_value(value)
         except TypeError as exc:
             # e.g. a str-widened field compared against numeric bounds.
             raise FlatFileError(
                 f"cannot compare field {text!r} of column "
-                f"{column_name!r} for a pushdown predicate"
+                f"{self.column_name!r} for a pushdown predicate"
             ) from exc
 
-    return checked
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        if len(values) == 0:
+            # Nothing to parse or compare; NumPy would still reject a type
+            # mismatch over zero elements, which no per-value call sees.
+            return np.zeros(0, dtype=bool)
+        parsed = parse_widening(values, self.get_dtype, self.widen, self.parse_stats)
+        try:
+            return self.interval.mask(parsed)
+        except TypeError as exc:
+            raise FlatFileError(
+                f"cannot compare column {self.column_name!r} as "
+                f"{self.get_dtype().value} for a pushdown predicate"
+            ) from exc
 
 
 def _pushdown_predicates(
@@ -189,7 +222,7 @@ def _pushdown_predicates(
 ) -> dict[int, RawPredicate]:
     """Build raw-text predicates for the tokenizer from a range condition.
 
-    See :func:`make_widening_predicate` for the per-predicate semantics;
+    See :class:`WideningPredicate` for the per-predicate semantics;
     here each predicate reads and widens the *real* schema in place.
     """
     if condition is None or not config.predicate_pushdown:
@@ -198,7 +231,7 @@ def _pushdown_predicates(
     predicates = {}
     for col, interval in condition.items:
         idx = schema.index_of(col)
-        predicates[idx] = make_widening_predicate(
+        predicates[idx] = WideningPredicate(
             schema.columns[idx].name,
             interval,
             get_dtype=lambda _idx=idx: schema.columns[_idx].dtype,
@@ -345,8 +378,9 @@ def _selective_worthwhile(
         return False
     if not all(pmap.can_slice(c) for c in cols):
         return False
-    starts = np.concatenate([pmap.slices_for(c)[0] for c in cols])
-    ends = np.concatenate([pmap.slices_for(c)[1] for c in cols])
+    # Row-major: the ranges arrive in file order, so they sort cheaply.
+    starts = np.column_stack([pmap.slices_for(c)[0] for c in cols]).ravel()
+    ends = np.column_stack([pmap.slices_for(c)[1] for c in cols]).ravel()
     win_starts, win_ends = coalesce_ranges(
         starts, ends, config.selective_read_max_gap
     )
@@ -361,7 +395,7 @@ def _gather_column(
     rows: np.ndarray,
     config: EngineConfig,
     stats: TokenizerStats,
-) -> list[str]:
+) -> np.ndarray:
     """Read and extract one column's fields for the given rows only."""
     starts, ends = pmap.slices_for(col)
     starts = starts[rows]
@@ -397,7 +431,10 @@ def _selective_pass(
     Pushdown predicates keep their early-abandonment power in range form:
     each predicate column is gathered only for the rows still in play, so
     a failing early predicate spares all later columns' bytes for that row
-    — the byte-range analogue of abandoning a row mid-tokenization.
+    — the byte-range analogue of abandoning a row mid-tokenization.  Each
+    predicate is one bulk call over the gathered column (``pred.mask``:
+    one parse, one range mask; see :class:`WideningPredicate`), and
+    fields stay NumPy string arrays from the gather to the parser.
 
     Zone maps sharpen this further: before any window read, rows in
     zones whose min/max statistics prove the range predicate cannot
@@ -422,7 +459,7 @@ def _selective_pass(
             candidates = candidates[keep[zmi.zone_of_rows(candidates)]]
             zone_skips += int(len(keep) - keep.sum())
             stats.rows_abandoned += before - len(candidates)
-    gathered: dict[int, list[str]] = {}
+    gathered: dict[int, np.ndarray] = {}
     gathered_rows: dict[int, np.ndarray] = {}
     for col in sorted(predicates):
         values = _gather_column(entry, pmap, col, candidates, config, stats)
@@ -434,16 +471,13 @@ def _selective_pass(
             # query can skip — the partial-loads analogue of learning
             # during cold scans.
             _learn_zones_from_text(entry, schema, col, values, config)
-        pred = predicates[col]
-        keep = np.fromiter(
-            (pred(v) for v in values), dtype=bool, count=len(values)
-        )
+        keep = predicates[col].mask(values)
         stats.rows_abandoned += int(len(keep) - keep.sum())
         candidates = candidates[keep]
 
     needed_idx = sorted({schema.index_of(n) for n in needed})
     remaining = [c for c in needed_idx if c not in predicates]
-    if remaining and len(candidates):
+    if remaining:
         all_starts = np.concatenate(
             [pmap.slices_for(c)[0][candidates] for c in remaining]
         )
@@ -468,10 +502,6 @@ def _selective_pass(
             )
             gathered_rows[col] = candidates
             stats.fields_tokenized += len(candidates)
-    elif remaining:
-        for col in remaining:
-            gathered[col] = []
-            gathered_rows[col] = candidates
 
     columns: dict[str, np.ndarray] = {}
     for name in needed:
@@ -481,8 +511,7 @@ def _selective_pass(
         if len(rows) != len(candidates):
             # Gathered before later predicates narrowed the row set: keep
             # only the survivors (rows arrays are sorted by construction).
-            sel = np.searchsorted(rows, candidates)
-            values = [values[i] for i in sel.tolist()]
+            values = values[np.searchsorted(rows, candidates)]
         columns[schema.columns[idx].name] = parse_column_with_widening(
             entry, idx, values, parse_stats
         )
@@ -541,7 +570,7 @@ def _learn_zones_from_text(
     entry: TableEntry,
     schema: TableSchema,
     col: int,
-    texts: list[str],
+    texts: np.ndarray,
     config: EngineConfig,
 ) -> None:
     """Zone-map a predicate column gathered for every row (text form).

@@ -49,8 +49,8 @@ import numpy as np
 from repro.config import EngineConfig
 from repro.core.loader import (
     PassResult,
+    WideningPredicate,
     _widen_column,
-    make_widening_predicate,
     parse_column_with_widening,
 )
 from repro.errors import FlatFileError
@@ -314,7 +314,7 @@ def _predicate_from_spec(
     """Rebuild a counted, widening pushdown predicate from its spec.
 
     Same construction as the serial loader (one source of truth:
-    :func:`~repro.core.loader.make_widening_predicate`), except the
+    :class:`~repro.core.loader.WideningPredicate`), except the
     column type lives in partition-local state instead of the real
     schema, and every widening is recorded in ``widened`` so the parent
     can replay it onto the schema during the merge.
@@ -325,7 +325,7 @@ def _predicate_from_spec(
         state["dtype"] = wider
         widened[spec.col] = wider.value
 
-    return make_widening_predicate(
+    return WideningPredicate(
         spec.name,
         spec.interval,
         get_dtype=lambda: state["dtype"],

@@ -147,11 +147,15 @@ class FormatAdapter:
         pure-ASCII plain-delimited content never pays a per-field decode.
         Non-identity dialects that the kernel supports override this
         with a bulk, array-in/array-out implementation; the base
-        per-field loop only ever sees lists.
+        per-field loop keeps arrays arrays too (the selective-read
+        gather hands quoted CSV one).
         """
         if self.identity_decode:
             return values
-        return [self.decode_field(v) for v in values]
+        decoded = [self.decode_field(v) for v in values]
+        if isinstance(values, np.ndarray):
+            return np.array(decoded, dtype=object)
+        return decoded
 
     # -------------------------------------------------------------- encode
 

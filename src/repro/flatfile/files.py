@@ -16,6 +16,7 @@ things for free everywhere else:
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import threading
 import time
@@ -513,58 +514,84 @@ class FlatFile:
 
         The selective-read fast path hands over the positional map's field
         byte ranges; ranges closer than ``max_gap`` are merged into one
-        seek+read (see :func:`coalesce_ranges`).  Only the coalesced
-        windows are read and accounted — never the whole file.
+        window (see :func:`coalesce_ranges`).  Only the coalesced windows
+        are accounted — never the whole file: ``bytes_read`` is the window
+        bytes and ``read_calls`` the window count.
 
-        With ``workers > 1`` the coalesced windows are split into
-        contiguous runs read concurrently by a thread pool (each thread on
-        its own file handle).  ``read()`` releases the GIL, so warm
-        selective passes with many scattered windows overlap their seeks;
-        the returned buffer is byte-identical to the serial read.
+        Windows are then read in *blocks*: consecutive windows at most
+        :attr:`_BLOCK_GAP` bytes apart (``io.DEFAULT_BUFFER_SIZE``, the
+        span ``BufferedReader`` streams through on a per-window
+        seek+read anyway, so physical I/O does not grow) share one
+        ``read``, and one NumPy gather cuts the windows out of the
+        blocks.  A block breaks at window boundaries only, so its
+        envelope is at most :attr:`_BLOCK_MAX` plus one window.  The
+        gather's index takes 16 bytes per window byte while it lives.
+
+        With ``workers > 1`` the blocks are split into contiguous runs
+        read concurrently by a thread pool (each thread on its own file
+        handle); the returned buffer is byte-identical to the serial read.
         """
         win_starts, win_ends = coalesce_ranges(starts, ends, max_gap)
-        if len(win_starts):
-            expected = int((win_ends - win_starts).sum())
+        n = len(win_starts)
+        lengths = win_ends - win_starts
+        offsets = np.cumsum(lengths) - lengths
+        if not n:
+            return FileWindows(win_starts, win_ends, offsets, b"")
+        chunk = win_starts // self._BLOCK_MAX
+        gap = win_starts[1:] - win_ends[:-1]
+        new_block = (gap > self._BLOCK_GAP) | (chunk[1:] != chunk[:-1])
+        block_of = np.concatenate(([0], np.cumsum(new_block)))
+        first = np.flatnonzero(np.concatenate(([True], new_block)))
+        blk_starts = win_starts[first]
+        blk_ends = win_ends[np.append(first[1:] - 1, n - 1)]
+        blk_sizes = blk_ends - blk_starts
+        expected = int(blk_sizes.sum())
 
-            def once() -> list[bytes]:
-                self._maybe_fault("flatfile.read")
-                got = self._read_window_list(win_starts, win_ends, workers)
-                if got:
-                    got[0] = self._truncated(got[0])
-                # Window bounds come from the positional map: every
-                # window lies inside the file, so short is truncation.
-                if sum(len(c) for c in got) != expected:
-                    raise OSError(
-                        f"short window read of {self.path}: expected "
-                        f"{expected} bytes over {len(win_starts)} windows"
-                    )
-                return got
+        def once() -> list[bytes]:
+            self._maybe_fault("flatfile.read")
+            got = self._read_blocks(blk_starts, blk_ends, workers)
+            got[0] = self._truncated(got[0])
+            # Window bounds come from the positional map: every block
+            # lies inside the file, so short is truncation.
+            if sum(len(c) for c in got) != expected:
+                raise OSError(
+                    f"short window read of {self.path}: expected "
+                    f"{expected} bytes over {len(got)} blocks"
+                )
+            return got
 
-            chunks = self._read_retrying(once, f"{self.path} window reads")
-        else:
-            chunks = []
-        sizes = np.asarray([len(c) for c in chunks], dtype=np.int64)
-        offsets = np.zeros(len(chunks), dtype=np.int64)
-        if len(chunks):
-            offsets[1:] = np.cumsum(sizes[:-1])
-            # One call for every window: the same totals, without a lock
-            # round trip per window (one per row on a scattered column).
-            self._account(int(sizes.sum()), full_scan=False, calls=len(chunks))
+        blocks = self._read_retrying(once, f"{self.path} window reads")
+        # Byte j of window i sits at ``shift[block] + win_starts[i] + j``
+        # in the concatenated blocks and at ``offsets[i] + j`` in the
+        # buffer: one index array maps every buffer byte to its source.
+        shift = np.cumsum(blk_sizes) - blk_sizes - blk_starts
+        total = int(lengths.sum())
+        source = np.repeat(shift[block_of] + win_starts - offsets, lengths)
+        source += np.arange(total, dtype=np.int64)
+        blob = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+        # One call for every window: the same totals, without a lock
+        # round trip per window (one per row on a scattered column).
+        self._account(total, full_scan=False, calls=n)
         return FileWindows(
             starts=win_starts,
             ends=win_ends,
             offsets=offsets,
-            buffer=b"".join(chunks),
+            buffer=blob[source].tobytes(),
         )
 
-    #: Below this many windows per thread, pool overhead beats overlap.
-    _MIN_WINDOWS_PER_THREAD = 8
+    #: Windows at most this far apart share one block read.
+    _BLOCK_GAP = io.DEFAULT_BUFFER_SIZE
+    #: A block breaks at the first window starting past a multiple of
+    #: this many bytes, bounding the buffer of one ``read``.
+    _BLOCK_MAX = 1 << 20
+    #: Below this many blocks per thread, pool overhead beats overlap.
+    _MIN_BLOCKS_PER_THREAD = 8
 
-    def _read_window_list(
-        self, win_starts: np.ndarray, win_ends: np.ndarray, workers: int
+    def _read_blocks(
+        self, blk_starts: np.ndarray, blk_ends: np.ndarray, workers: int
     ) -> list[bytes]:
-        """Read the coalesced windows, serially or via a thread pool."""
-        pairs = list(zip(win_starts.tolist(), win_ends.tolist()))
+        """Read byte ranges ``[start, end)``, serially or via a thread pool."""
+        pairs = list(zip(blk_starts.tolist(), blk_ends.tolist()))
 
         def read_run(run: list[tuple[int, int]]) -> list[bytes]:
             with open(self.path, "rb") as f:
@@ -574,7 +601,7 @@ class FlatFile:
                     got.append(f.read(e - s))
                 return got
 
-        nthreads = min(workers, len(pairs) // self._MIN_WINDOWS_PER_THREAD)
+        nthreads = min(workers, len(pairs) // self._MIN_BLOCKS_PER_THREAD)
         if nthreads <= 1:
             return read_run(pairs)
         per = (len(pairs) + nthreads - 1) // nthreads

@@ -37,7 +37,9 @@ def parse_fields(
     """Convert raw field strings into a typed NumPy array.
 
     Raises :class:`FlatFileError` on the first unparseable value, naming
-    the value — silent coercion would corrupt query answers.
+    the value — silent coercion would corrupt query answers.  An integer
+    outside int64 is unparseable as int64 too, so the widening ladder
+    takes the column to float64.
 
     When ``raw`` is already a NumPy string array (the vectorized
     tokenization kernel's output), the conversion is one bulk ``astype``
@@ -60,7 +62,7 @@ def parse_fields(
         if dtype is DataType.FLOAT64:
             return np.array([float(v) for v in raw], dtype=np.float64)
         return np.array(list(raw), dtype=object)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FlatFileError(f"cannot parse field as {dtype.value}: {exc}") from exc
 
 

@@ -53,7 +53,7 @@ dialects` for the dialect semantics and capability flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -61,10 +61,18 @@ from repro.errors import FlatFileError
 from repro.flatfile.dialects import FormatAdapter, newline_row_bounds
 from repro.flatfile.positions import PositionalMap
 
-#: A pushdown predicate receives the raw field text and returns whether the
-#: row may still qualify.  Parsing happens inside the callable so that the
-#: tokenizer stays type-agnostic.
-RawPredicate = Callable[[str], bool]
+
+class RawPredicate(Protocol):
+    """A pushdown predicate over raw field text: may the row still qualify?
+
+    ``pred(text)`` answers for one field (the scalar routes, row by row),
+    ``pred.mask(values)`` for a whole array of fields (the bulk kernel and
+    the selective-read route).  Parsing happens inside, so the tokenizer
+    stays type-agnostic."""
+
+    def __call__(self, text: str) -> bool: ...
+
+    def mask(self, values: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass
@@ -583,19 +591,20 @@ def bulk_extract_fields(
 
 def gather_fields(
     buffer: bytes, starts: np.ndarray, lengths: np.ndarray
-) -> list[str]:
+) -> np.ndarray:
     """Extract ``buffer[starts[i] : starts[i] + lengths[i]]`` as strings.
 
     The selective-read fast path knows every field's byte range from the
     positional map, so no delimiter scanning happens at all: the fields
     are gathered out of the read windows by :func:`bulk_extract_fields`
-    instead of a per-row Python loop.
+    instead of a per-row Python loop.  The result stays a NumPy string
+    array, so predicates mask it and the parser converts it in bulk.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if len(starts) == 0:
-        return []
-    return bulk_extract_fields(buffer, starts, lengths).tolist()
+    return bulk_extract_fields(
+        buffer,
+        np.asarray(starts, dtype=np.int64),
+        np.asarray(lengths, dtype=np.int64),
+    )
 
 
 def split_rows(text: str, delimiter: str = ",") -> list[list[str]]:

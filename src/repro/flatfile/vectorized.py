@@ -19,8 +19,10 @@ performs the *same* pass over the raw bytes in bulk:
    right of the last needed one is ever materialized ("never slice
    columns right of the last needed one" — the paper's early-abort
    economics, bulk-shaped), and pushdown predicates
-   are evaluated column-by-column as masks over the still-candidate rows,
-   so a failing early column spares every later column's slices;
+   are evaluated column-by-column over the still-candidate rows, each as
+   one bulk call (``pred.mask``: one parse of the candidate array, one
+   range mask — never a Python call per value), so a failing early
+   column spares every later column's slices;
 4. **bulk learning** — the positional map absorbs whole offset-matrix
    columns (:meth:`~repro.flatfile.positions.PositionalMap.absorb_offsets`)
    instead of being offered one field at a time.
@@ -261,9 +263,7 @@ def tokenize_vectorized(
         pred = predicates.get(col)
         if pred is not None:
             values = extract(col, candidates)
-            keep = np.fromiter(
-                (bool(pred(v)) for v in values), dtype=bool, count=len(values)
-            )
+            keep = pred.mask(values)
             pred_values[col] = values
             pred_rows[col] = candidates
             failed = int(len(keep) - keep.sum())

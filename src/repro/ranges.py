@@ -117,19 +117,6 @@ class ValueInterval:
             out &= (values < self.hi) if self.hi_open else (values <= self.hi)
         return out
 
-    def raw_predicate(self, parse):
-        """Build a text-level predicate for tokenizer pushdown.
-
-        ``parse`` converts the raw field text to a comparable value; the
-        returned callable is what :func:`repro.flatfile.tokenizer.
-        tokenize_columns` applies while tokenizing.
-        """
-
-        def check(text: str) -> bool:
-            return self.contains_value(parse(text))
-
-        return check
-
     def __str__(self) -> str:  # pragma: no cover - debug aid
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"

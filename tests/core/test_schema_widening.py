@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import EngineConfig, NoDBEngine
+from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.config import POLICIES
 from repro.core.loader import column_load_pass, partial_load_pass
 from repro.errors import FlatFileError, ReproError
@@ -37,6 +37,15 @@ def late_text_csv(tmp_path):
     rows = [f"{i},{i * 2}" if i != 150 else "oops,300" for i in range(200)]
     path = tmp_path / "late_text.csv"
     path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture
+def int64_overflow_csv(tmp_path):
+    """Column ``a`` holds 0..1999, then an integer no int64 can hold."""
+    rows = [str(i) for i in range(2000)] + ["99999999999999999999"]
+    path = tmp_path / "overflow.csv"
+    path.write_text("a\n" + "\n".join(rows) + "\n")
     return path
 
 
@@ -88,6 +97,30 @@ class TestWidening:
             result = engine.query("select sum(a1) from t")
             assert result.scalar() == pytest.approx(EXPECTED_SUM)
             assert ("a1", "float64") in engine.schema_of("t")
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_int64_overflow_widens_to_float(
+        self, int64_overflow_csv, policy, vectorized
+    ):
+        """Past int64 the parse overflows rather than failing: that must
+        widen like any other unparseable value, not leak OverflowError."""
+        oracle = CSVEngine()
+        oracle.attach("t", int64_overflow_csv)
+        config = EngineConfig(policy=policy, vectorized_tokenizer=vectorized)
+        with NoDBEngine(config) as engine:
+            engine.attach("t", int64_overflow_csv)
+            for sql in (
+                "select max(a) from t",
+                "select count(*), max(a) from t where a > 1000",
+                "select sum(a) from t where a < 50",
+            ):
+                try:
+                    got = engine.query(sql).rows()
+                except ReproError:
+                    continue
+                assert got == oracle.query(sql).rows(), sql
+        assert ("a", "float64") in oracle._engine.schema_of("t")
 
     def test_pushdown_predicate_widens_int_to_float(self, late_float_csv):
         """Under pushdown the predicate itself hits 150.5 first."""

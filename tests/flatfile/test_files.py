@@ -1,12 +1,16 @@
 """Tests for flat-file handles, fingerprints and counted reads."""
 
+import io
 import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FlatFileError
+from repro.faults import FaultPlan, FaultSpec
 from repro.flatfile.files import FileFingerprint, FlatFile, coalesce_ranges
 
 
@@ -136,6 +140,104 @@ class TestReadWindows:
         f = FlatFile(csv_file)
         win = f.read_windows(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         assert win.buffer == b""
+        assert f.stats.bytes_read == 0
+
+
+GAP = io.DEFAULT_BUFFER_SIZE
+CAP = FlatFile._BLOCK_MAX
+
+
+@pytest.fixture(scope="module")
+def big_file(tmp_path_factory):
+    """Two and a half block caps of seeded bytes."""
+    path = tmp_path_factory.mktemp("blocks") / "big.bin"
+    rng = np.random.default_rng(17)
+    path.write_bytes(rng.integers(0, 256, 5 * CAP // 2, dtype=np.uint8).tobytes())
+    return path
+
+
+def per_window_oracle(path, starts, ends, max_gap):
+    """The reads a window list costs one ``seek``+``read`` at a time."""
+    ws, we = coalesce_ranges(starts, ends, max_gap)
+    with open(path, "rb") as f:
+        chunks = []
+        for s, e in zip(ws.tolist(), we.tolist()):
+            f.seek(s)
+            chunks.append(f.read(e - s))
+    return b"".join(chunks), len(ws)
+
+
+def file_bytes(path, start, end):
+    with open(path, "rb") as f:
+        f.seek(start)
+        return f.read(end - start)
+
+
+@st.composite
+def window_requests(draw):
+    """Runs of ranges near the block gap and the block cap, shuffled,
+    with overlapping and empty ranges mixed in."""
+    starts, ends = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.sampled_from([0, GAP, CAP, 2 * CAP])) + draw(
+            st.integers(-GAP - 8, GAP + 8)
+        )
+        for _ in range(draw(st.integers(1, 12))):
+            pos += draw(st.sampled_from([0, 1, 5, GAP - 1, GAP, GAP + 1, 3 * GAP]))
+            length = draw(st.integers(0, 40))
+            start = min(max(pos, 0), 5 * CAP // 2 - length)
+            starts.append(start)
+            ends.append(start + length)
+            pos = start + length
+    order = draw(st.permutations(range(len(starts))))
+    starts = [starts[i] for i in order]
+    ends = [ends[i] for i in order]
+    if starts and draw(st.booleans()):
+        starts.append(starts[0])  # an overlapping duplicate
+        ends.append(ends[0] + 3)
+    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+
+
+class TestBlockReads:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        request=window_requests(),
+        max_gap=st.sampled_from([0, 4]),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_buffer_matches_per_window_reads(self, big_file, request, max_gap, workers):
+        starts, ends = request
+        f = FlatFile(big_file)
+        win = f.read_windows(starts, ends, max_gap=max_gap, workers=workers)
+        want, nwindows = per_window_oracle(big_file, starts, ends, max_gap)
+        assert win.buffer == want
+        assert f.stats.bytes_read == len(want)
+        assert f.stats.read_calls == nwindows
+        local = win.translate(starts)
+        for start, end, at in zip(starts.tolist(), ends.tolist(), local.tolist()):
+            assert win.buffer[at : at + end - start] == file_bytes(big_file, start, end)
+
+    def test_threaded_blocks_match_serial(self, big_file):
+        starts = np.arange(40, dtype=np.int64) * (3 * GAP) + 7  # 40 blocks
+        serial = FlatFile(big_file).read_windows(starts, starts + 9)
+        threaded = FlatFile(big_file).read_windows(starts, starts + 9, workers=4)
+        want = per_window_oracle(big_file, starts, starts + 9, 0)[0]
+        assert threaded.buffer == serial.buffer == want
+
+    def test_short_read_is_retried(self, big_file):
+        plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})
+        f = FlatFile(big_file, fault_plan=plan, retry_backoff_s=0.0)
+        starts = np.array([10, 10 + 3 * GAP, CAP + 5], dtype=np.int64)
+        win = f.read_windows(starts, starts + 20)
+        assert win.buffer == per_window_oracle(big_file, starts, starts + 20, 0)[0]
+        assert f.stats.retries == 1
+        assert (f.stats.bytes_read, f.stats.read_calls) == (60, 3)
+
+    def test_persistent_short_read_is_typed(self, big_file):
+        plan = FaultPlan({"flatfile.short_read": FaultSpec(times=None)})
+        f = FlatFile(big_file, fault_plan=plan, retry_backoff_s=0.0)
+        with pytest.raises(FlatFileError, match="short window read"):
+            f.read_windows(np.array([0, 100]), np.array([10, 110]))
         assert f.stats.bytes_read == 0
 
 

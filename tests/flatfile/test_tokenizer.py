@@ -195,22 +195,22 @@ class TestGatherFields:
     def test_simple_gather(self):
         buf = b"10,20,30"
         out = gather_fields(buf, np.array([0, 3, 6]), np.array([2, 2, 2]))
-        assert out == ["10", "20", "30"]
+        assert out.tolist() == ["10", "20", "30"]
 
     def test_ragged_lengths(self):
         buf = b"7,1234,x"
         out = gather_fields(buf, np.array([0, 2, 7]), np.array([1, 4, 1]))
-        assert out == ["7", "1234", "x"]
+        assert out.tolist() == ["7", "1234", "x"]
 
     def test_zero_length_fields(self):
         out = gather_fields(b"a,,b", np.array([0, 2, 3]), np.array([1, 0, 1]))
-        assert out == ["a", "", "b"]
+        assert out.tolist() == ["a", "", "b"]
 
     def test_all_empty(self):
-        assert gather_fields(b"xy", np.array([0, 1]), np.array([0, 0])) == ["", ""]
+        assert gather_fields(b"xy", np.array([0, 1]), np.array([0, 0])).tolist() == ["", ""]
 
     def test_empty_input(self):
-        assert gather_fields(b"", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == []
+        assert gather_fields(b"", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)).tolist() == []
 
     def test_wide_field_fallback_path(self):
         wide = "9" * 1000
@@ -218,7 +218,7 @@ class TestGatherFields:
         out = gather_fields(
             buf, np.array([0, 2, 1003]), np.array([1, 1000, 1])
         )
-        assert out == ["a", wide, "b"]
+        assert out.tolist() == ["a", wide, "b"]
 
     def test_negative_length_rejected(self):
         with pytest.raises(FlatFileError):
@@ -232,7 +232,7 @@ class TestGatherFields:
         expected = [
             buf[s : s + l].decode() for s, l in zip(starts.tolist(), lengths.tolist())
         ]
-        assert gather_fields(buf, starts, lengths) == expected
+        assert gather_fields(buf, starts, lengths).tolist() == expected
 
 
 class TestSplitRows:

@@ -49,6 +49,31 @@ def _stats_state(stats):
     }
 
 
+def _flatten(log):
+    return [(c, v) for c, values in log for v in values]
+
+
+class _Recorded:
+    """Test-side adapter giving a plain per-value predicate both forms.
+
+    ``__call__`` (the scalar routes) logs one value; ``mask`` (the kernel)
+    logs the whole array it was handed.  Concatenated, either route's log
+    is the sequence of values the predicate saw.
+    """
+
+    def __init__(self, col, fn, log):
+        self.col, self.fn, self.log = col, fn, log
+
+    def __call__(self, value):
+        self.log.append((self.col, [value]))
+        return self.fn(value)
+
+    def mask(self, values):
+        values = [str(v) for v in values]
+        self.log.append((self.col, values))
+        return np.array([bool(self.fn(v)) for v in values], dtype=bool)
+
+
 def assert_routes_agree(
     data: bytes,
     adapter,
@@ -63,8 +88,9 @@ def assert_routes_agree(
 ):
     """Run both routes over ``data``; every observable must be identical.
 
-    ``make_predicates`` builds a fresh predicate dict per route (so call
-    logs do not leak between them); ``warm`` is a positional map both
+    ``make_predicates`` returns plain per-value predicates by column;
+    each route gets them wrapped in its own :class:`_Recorded` log, and
+    the concatenated logs must match; ``warm`` is a positional map both
     routes start from (each gets its own deep copy).  Returns
     (result, call_log) pairs.
     """
@@ -73,8 +99,12 @@ def assert_routes_agree(
         pmap = None
         if learn:
             pmap = copy.deepcopy(warm) if warm is not None else PositionalMap()
-        calls: list[tuple[int, str]] = []
-        predicates = make_predicates(calls) if make_predicates else None
+        log: list[tuple[int, list[str]]] = []
+        predicates = (
+            {c: _Recorded(c, fn, log) for c, fn in make_predicates().items()}
+            if make_predicates
+            else None
+        )
         try:
             result = tokenize_bytes(
                 data,
@@ -89,7 +119,7 @@ def assert_routes_agree(
                 vectorized=vectorized,
             )
         except FlatFileError:
-            outcomes.append(("error", calls, None))
+            outcomes.append(("error", _flatten(log), None))
             continue
         outcomes.append(
             (
@@ -102,7 +132,7 @@ def assert_routes_agree(
                     "stats": _stats_state(result.stats),
                     "pmap": _pmap_state(pmap) if pmap is not None else None,
                 },
-                calls,
+                _flatten(log),
                 result,
             )
         )
@@ -182,12 +212,8 @@ def test_delimited_vectorized_equals_scalar(case, early_abort):
 def test_delimited_with_pushdown_predicates(case):
     data, delimiter, ncols, needed = case
 
-    def make_predicates(calls):
-        def pred(value: str) -> bool:
-            calls.append((0, value))
-            return len(value) % 2 == 0
-
-        return {0: pred} if 0 in needed else {}
+    def make_predicates():
+        return {0: lambda value: len(value) % 2 == 0} if 0 in needed else {}
 
     assert_routes_agree(
         data,
@@ -233,12 +259,8 @@ def test_warm_map_vectorized_equals_scalar(case, keep, early_abort, with_predica
     adapter = DelimitedAdapter(delimiter)
     warm = _scalar_warm_map(data, adapter, ncols, keep)
 
-    def make_predicates(calls):
-        def pred(value: str) -> bool:
-            calls.append((needed[0], value))
-            return len(value) % 2 == 0
-
-        return {needed[0]: pred} if with_predicate else {}
+    def make_predicates():
+        return {needed[0]: lambda value: len(value) % 2 == 0} if with_predicate else {}
 
     assert_routes_agree(
         data,
@@ -372,12 +394,8 @@ class TestEdgeCases:
         decode_many fallback once returned a list here)."""
         adapter = FixedWidthAdapter((3, 3))
 
-        def make_predicates(calls):
-            def pred(v):
-                calls.append((0, v))
-                return v.startswith("c")
-
-            return {0: pred}
+        def make_predicates():
+            return {0: lambda v: v.startswith("c")}
 
         out = assert_routes_agree(
             b"ab\x00xyz\ncd qqq\nef rrr\n",

@@ -93,13 +93,6 @@ class TestValueInterval:
         iv = ValueInterval(2, 7, lo_open=False, hi_open=False)
         assert iv.mask(values).sum() == 6
 
-    def test_raw_predicate(self):
-        iv = ValueInterval(10, 20)
-        pred = iv.raw_predicate(int)
-        assert pred("15")
-        assert not pred("10")
-        assert not pred("25")
-
 
 @st.composite
 def intervals(draw):
