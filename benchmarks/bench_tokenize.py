@@ -1,29 +1,17 @@
-"""Bulk-tokenization kernel throughput: vectorized vs scalar cold scans.
+"""Bulk-tokenization kernel throughput on cold scans.
 
 The innermost loop of every cold first pass is tokenization.  This bench
 measures it in isolation — same raw bytes, same needed columns, same
-positional-map learning — through both routes of
-:func:`repro.flatfile.tokenizer.tokenize_bytes`:
-
-* ``vectorized=True``  — the NumPy byte-scan kernel
-  (:mod:`repro.flatfile.vectorized`);
-* ``vectorized=False`` — the scalar ``str.find`` tokenizer the paper's
-  cost model was validated against.
-
-Before timing anything it asserts the two routes emit identical fields,
-row ids and **work counters** (rows/fields touched, chars scanned) — the
-regression gate leans on those counters staying exact, so a counter
-drift fails the bench outright rather than producing pretty-but-wrong
-throughput.
+positional-map learning — through :func:`repro.flatfile.tokenizer.
+tokenize_bytes`, which runs the NumPy byte-scan kernel
+(:mod:`repro.flatfile.vectorized`) on plain CSV, TSV and fixed-width.
 
 Script mode (what the CI ``bench-regression`` job runs)::
 
     PYTHONPATH=src python -m benchmarks.bench_tokenize --quick --json out.json
 
-Gated metrics: ``csv_cold_mb_s`` (the kernel's cold plain-CSV
-tokenization throughput; the baseline pins it at >= 3x the scalar
-route's historical ~3 MB/s engine figure), ``csv_scalar_mb_s`` (the
-fallback path must not rot either) and ``speedup_vs_scalar``.
+Gated metric: ``csv_cold_mb_s`` (the kernel's cold plain-CSV
+tokenization throughput).  TSV and fixed-width throughputs are info.
 """
 
 from __future__ import annotations
@@ -58,30 +46,21 @@ QUICK_ROWS = 150_000  # ~7 MB
 REPEATS = 3
 
 
-def _tokenize_once(data: bytes, adapter, vectorized: bool):
+def _tokenize_once(data: bytes, adapter) -> float:
     pmap = PositionalMap()
     start = time.perf_counter()
-    result = tokenize_bytes(
-        data,
-        adapter,
-        ncols=NCOLS,
-        needed=NEEDED,
-        positional_map=pmap,
-        vectorized=vectorized,
-    )
-    return time.perf_counter() - start, result
+    tokenize_bytes(data, adapter, ncols=NCOLS, needed=NEEDED, positional_map=pmap)
+    return time.perf_counter() - start
 
 
-def _best_mb_s(data: bytes, adapter, vectorized: bool, repeats: int) -> float:
-    best = min(
-        _tokenize_once(data, adapter, vectorized)[0] for _ in range(repeats)
-    )
+def _best_mb_s(data: bytes, adapter, repeats: int) -> float:
+    best = min(_tokenize_once(data, adapter) for _ in range(repeats))
     return (len(data) / 2**20) / best
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = bench_arg_parser(
-        "Cold tokenization throughput: vectorized kernel vs scalar path."
+        "Cold tokenization throughput of the bulk kernel."
     )
     args = parser.parse_args(argv)
     rows = dataset_rows(args, FULL_ROWS, QUICK_ROWS)
@@ -92,45 +71,22 @@ def main(argv: list[str] | None = None) -> int:
         root = Path(tmp)
         csv_adapter = DelimitedAdapter(",")
         csv_data = write_csv(root / "r.csv", columns, adapter=csv_adapter).read_bytes()
-
-        # Counters and outputs must be exactly equal before speed matters.
-        _, vec = _tokenize_once(csv_data, csv_adapter, True)
-        _, scalar = _tokenize_once(csv_data, csv_adapter, False)
-        if vars(vec.stats) != vars(scalar.stats):
-            print(
-                f"FATAL: work counters differ: vectorized {vars(vec.stats)} "
-                f"!= scalar {vars(scalar.stats)}",
-                file=sys.stderr,
-            )
-            return 1
-        if vec.row_ids.tolist() != scalar.row_ids.tolist() or any(
-            [str(v) for v in vec.fields[c]] != list(scalar.fields[c])
-            for c in NEEDED
-        ):
-            print("FATAL: vectorized output differs from scalar", file=sys.stderr)
-            return 1
-
-        csv_mb_s = _best_mb_s(csv_data, csv_adapter, True, repeats)
-        scalar_mb_s = _best_mb_s(csv_data, csv_adapter, False, repeats)
+        csv_mb_s = _best_mb_s(csv_data, csv_adapter, repeats)
 
         tsv_adapter = TsvAdapter()
         tsv_data = write_csv(root / "r.tsv", columns, adapter=tsv_adapter).read_bytes()
-        tsv_mb_s = _best_mb_s(tsv_data, tsv_adapter, True, repeats)
+        tsv_mb_s = _best_mb_s(tsv_data, tsv_adapter, repeats)
 
         width = max(
             len(str(int(v))) for col in columns for v in (col.min(), col.max())
         ) + 1
         fw_adapter = FixedWidthAdapter(tuple([width] * NCOLS))
         fw_data = write_csv(root / "r.fw", columns, adapter=fw_adapter).read_bytes()
-        fw_mb_s = _best_mb_s(fw_data, fw_adapter, True, repeats)
+        fw_mb_s = _best_mb_s(fw_data, fw_adapter, repeats)
 
     report = BenchReport(
         bench="tokenize",
-        metrics={
-            "csv_cold_mb_s": csv_mb_s,
-            "csv_scalar_mb_s": scalar_mb_s,
-            "speedup_vs_scalar": csv_mb_s / scalar_mb_s,
-        },
+        metrics={"csv_cold_mb_s": csv_mb_s},
         info={
             "rows": rows,
             "ncols": NCOLS,
@@ -139,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
             "file_mb": round(len(csv_data) / 2**20, 1),
             "tsv_cold_mb_s": round(tsv_mb_s, 1),
             "fixed_width_cold_mb_s": round(fw_mb_s, 1),
-            "counters_equal": True,
             "quick": args.quick,
         },
     )

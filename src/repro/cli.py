@@ -94,14 +94,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         f"(default: {EngineConfig.partition_min_bytes})",
     )
     parser.add_argument(
-        "--vectorized-tokenizer",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="route cold scans through the NumPy bulk-tokenization "
-        "kernel where the dialect allows it (--no-vectorized-tokenizer "
-        "forces the scalar tokenizer; default: on)",
-    )
-    parser.add_argument(
         "--result-cache",
         action=argparse.BooleanOptionalAction,
         default=False,
@@ -422,7 +414,6 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
             policy=args.policy,
             parallel_workers=args.parallel_workers,
             partition_min_bytes=args.partition_min_bytes,
-            vectorized_tokenizer=args.vectorized_tokenizer,
             result_cache=args.result_cache,
             max_cached_results=args.max_cached_results,
             store_dir=args.store_dir if args.persistent_store else None,

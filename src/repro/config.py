@@ -73,12 +73,6 @@ class EngineConfig:
         milliseconds, so smaller partitions would be dominated by task
         dispatch and result pickling — the regression the old 1 MiB
         default exhibited on the ``parallel_scan`` bench.
-    vectorized_tokenizer:
-        Route cold scans through the NumPy bulk-tokenization kernel
-        (:mod:`repro.flatfile.vectorized`) for dialects that support it
-        (plain delimited, TSV, fixed-width).  Outputs, learned positional
-        maps and work counters are identical to the scalar tokenizer —
-        off is the ablation/differential-testing baseline.
     parallel_start_method:
         Multiprocessing start method for the scan worker pool: ``None``
         (default) prefers ``fork`` where available — cheap, and safe for
@@ -196,7 +190,6 @@ class EngineConfig:
     parallel_workers: int = 1
     partition_min_bytes: int = 4 << 20
     parallel_start_method: str | None = None
-    vectorized_tokenizer: bool = True
     tokenizer_early_abort: bool = True
     predicate_pushdown: bool = True
     zone_maps: bool = True

@@ -107,7 +107,8 @@ def extend_entry_for_append(
             positional_map=tail_map,
             learn=True,
             skip_rows=0,
-            vectorized=config.vectorized_tokenizer,
+            source=entry.file.path,
+            offset=old.size,
         )
     except FlatFileError:
         return False

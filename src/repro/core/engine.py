@@ -66,6 +66,7 @@ from repro.sql.ast_nodes import SelectStmt
 from repro.sql.binder import BoundQuery, bind
 from repro.sql.parser import parse_sql
 from repro.execution.executor import execute_bound_query
+from repro.flatfile.dialects import DelimitedAdapter
 from repro.flatfile.files import FileFingerprint, detect_tail_append
 from repro.flatfile.schema import ColumnSchema, DataType, TableSchema, merge_schemas, widest
 from repro.storage.catalog import Catalog, MultiFileEntry, TableEntry
@@ -712,7 +713,7 @@ class NoDBEngine:
 
     @staticmethod
     def _splittable(entry: TableEntry) -> bool:
-        return entry.file.adapter.supports_find_jump
+        return isinstance(entry.file.adapter, DelimitedAdapter)
 
     def _make_ctx(
         self,
@@ -761,7 +762,6 @@ class NoDBEngine:
                 ncols=len(schema),
                 table_key=entry.name.lower(),
                 skip_rows=1 if entry.has_header else 0,
-                vectorized=self.config.vectorized_tokenizer,
             )
         return entry.split_catalog
 

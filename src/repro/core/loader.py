@@ -152,7 +152,7 @@ class WideningPredicate:
     serial loader and the parallel partition workers (which must stay
     behaviourally identical).  It has two forms:
 
-    * ``pred(text)`` — per value, for the scalar tokenizer routes only:
+    * ``pred(text)`` — per value, for the dialect loop only:
       parse the field under the current type, and on a value the type
       cannot represent call ``widen`` with the next ladder step and retry;
     * ``pred.mask(values)`` — per column, for the bulk kernel and the
@@ -333,7 +333,7 @@ def run_pass(
         positional_map=pmap,
         learn=pmap is not None,
         skip_rows=skip,
-        vectorized=config.vectorized_tokenizer,
+        source=entry.file.path,
     )
     nrows = result.stats.rows_scanned
     columns: dict[str, np.ndarray] = {}

@@ -12,7 +12,7 @@ interfaces — and fans them out over a process pool:
    the positional map, and invalidated with it);
 2. :func:`scan_partition` — the picklable worker — tokenizes one
    partition with the ordinary :func:`~repro.flatfile.tokenizer.
-   tokenize_columns`, rebuilding pushdown predicates from declarative
+   tokenize_bytes`, rebuilding pushdown predicates from declarative
    specs and learning a partition-local positional map;
 3. :func:`parallel_pass` dispatches the workers and merges their outputs
    deterministically: row ids are re-based in partition order, positional
@@ -279,7 +279,6 @@ class ScanTask:
     parse_cols: tuple[tuple[int, str], ...]  # (column index, dtype value)
     predicates: tuple[PredicateSpec, ...]
     early_abort: bool
-    vectorized: bool = True
     bandwidth: float | None = None
 
 
@@ -367,7 +366,8 @@ def scan_partition(task: ScanTask) -> ScanResult:
         positional_map=local_map,
         learn=True,
         skip_rows=task.skip_rows,
-        vectorized=task.vectorized,
+        source=task.path,
+        offset=task.byte_start,
     )
     # tokenize_bytes recorded the partition's geometry on the local map.
     nchars = local_map.text_geometry[1]
@@ -542,7 +542,6 @@ def parallel_pass(
             parse_cols=parse_cols,
             predicates=specs,
             early_abort=early_abort,
-            vectorized=config.vectorized_tokenizer,
             bandwidth=entry.file.bandwidth_bytes_per_sec,
         )
         for p in pindex.partitions

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import FlatFileError
-from repro.flatfile.files import FlatFile
+from repro.flatfile.files import FlatFile, decode_utf8
 from repro.flatfile.tokenizer import TokenizerStats, tokenize_bytes
 
 
@@ -62,9 +62,6 @@ class SplitFileCatalog:
     ncols: int
     table_key: str
     skip_rows: int = 0
-    #: Route remainder tokenization through the vectorized kernel (the
-    #: engine mirrors ``EngineConfig.vectorized_tokenizer`` here).
-    vectorized: bool = True
     homes: dict[int, ColumnHome] = field(default_factory=dict)
     _counter: int = 0
     files_written: int = 0
@@ -141,7 +138,7 @@ class SplitFileCatalog:
             needed=local_needed,
             early_abort=True,
             skip_rows=home.skip_rows,
-            vectorized=self.vectorized,
+            source=home.file.path,
         )
         out: dict[int, list[str]] = {}
         local_to_global = {local_of[c]: c for c in members}
@@ -162,7 +159,7 @@ class SplitFileCatalog:
             tail_path = self.directory / f"{self.table_key}_rem{self._counter}.txt"
             self._counter += 1
             self._write_remainder(
-                data.decode("utf-8"), result, tail_path, home
+                decode_utf8(data, home.file.path), result, tail_path, home
             )
             written += 1
             tail_file = FlatFile(tail_path, delimiter=home.file.delimiter)

@@ -24,7 +24,7 @@ from repro.flatfile.parser import parse_fields
 from repro.flatfile.schema import ColumnSchema, DataType, TableSchema, infer_schema
 from repro.flatfile.tokenizer import (
     TokenizerStats,
-    tokenize_columns,
+    tokenize_bytes,
     tokenize_dialect,
 )
 from repro.flatfile.writer import write_csv
@@ -47,7 +47,7 @@ __all__ = [
     "make_adapter",
     "parse_fields",
     "sniff_format",
-    "tokenize_columns",
+    "tokenize_bytes",
     "tokenize_dialect",
     "write_csv",
 ]

@@ -22,8 +22,6 @@ needs to know about a dialect:
 Capability flags drive graceful degradation in the engine:
 
 ========================  ===================================================
-``supports_find_jump``    the optimized ``str.find`` tokenizer fast path is
-                          valid (single-char delimiter, no quoting/escaping)
 ``supports_partitioning``  raw newline bytes always terminate records, so
                           newline-aligned parallel partitions are safe
 ``supports_field_spans``  per-field character spans exist, enabling
@@ -32,10 +30,12 @@ Capability flags drive graceful degradation in the engine:
                           or unescape step)
 ``supports_vectorized``   rows and fields are framed by raw ASCII bytes
                           alone, so the NumPy bulk-tokenization kernel
-                          (:mod:`repro.flatfile.vectorized`) may replace
-                          the scalar scan (plain delimited, TSV and
-                          fixed-width; quoted CSV needs a quote state
-                          machine and JSON-lines has no spans)
+                          (:mod:`repro.flatfile.vectorized`) tokenizes
+                          the file; input it declines, and every other
+                          dialect, takes the adapter's own field loop
+                          (plain delimited, TSV and fixed-width; quoted
+                          CSV needs a quote state machine and JSON-lines
+                          has no spans)
 ========================  ===================================================
 
 Concrete adapters: plain delimited (the original substrate), RFC-4180
@@ -105,7 +105,6 @@ class FormatAdapter:
     """
 
     name = "abstract"
-    supports_find_jump = False
     supports_partitioning = True
     supports_field_spans = True
     identity_decode = False
@@ -186,14 +185,13 @@ class DelimitedAdapter(FormatAdapter):
     """The original substrate dialect: unquoted, single-char delimiter.
 
     Field values may not contain the delimiter or line breaks; in
-    exchange, the ``str.find`` tokenizer fast path, positional-map column
-    jumps and parallel newline-aligned partitioning are all valid.
+    exchange, the bulk tokenization kernel, split files and parallel
+    newline-aligned partitioning are all valid.
     """
 
     delimiter: str = ","
 
     name = "csv"
-    supports_find_jump = True
     supports_partitioning = True
     supports_field_spans = True
     identity_decode = True
@@ -236,7 +234,6 @@ class QuotedCsvAdapter(FormatAdapter):
     delimiter: str = ","
 
     name = "quoted-csv"
-    supports_find_jump = False
     supports_partitioning = False
     supports_field_spans = True
     identity_decode = False
@@ -367,13 +364,11 @@ class TsvAdapter(FormatAdapter):
     Literal tabs/newlines inside values are always escaped, so raw tab
     bytes only ever separate fields and raw newline bytes only ever
     terminate records — framing stays line-based and newline-aligned
-    partitioning stays safe.  The ``str.find`` fast path is off because
-    raw field text needs the unescape step.
+    partitioning stays safe.
     """
 
     name = "tsv"
     delimiter = "\t"
-    supports_find_jump = False
     supports_partitioning = True
     supports_field_spans = True
     identity_decode = False
@@ -463,7 +458,6 @@ class JsonLinesAdapter(FormatAdapter):
     columns: tuple[str, ...] | None = None
 
     name = "jsonl"
-    supports_find_jump = False
     supports_partitioning = True
     supports_field_spans = False
     identity_decode = True
@@ -532,7 +526,6 @@ class FixedWidthAdapter(FormatAdapter):
     widths: tuple[int, ...]
 
     name = "fixed-width"
-    supports_find_jump = False
     supports_partitioning = True
     supports_field_spans = True
     identity_decode = False

@@ -31,6 +31,21 @@ from repro.faults import FaultPlan, retry_io
 from repro.flatfile.dialects import FormatAdapter, make_adapter, sniff_format
 
 
+def decode_utf8(data: bytes, source: object, offset: int = 0) -> str:
+    """Decode raw file bytes; invalid UTF-8 is a :class:`FlatFileError`.
+
+    ``source`` names the file and ``offset`` is where ``data`` starts in
+    it, so the error points at the file byte that breaks the encoding.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FlatFileError(
+            f"{source} is not valid UTF-8: {exc.reason} at byte "
+            f"{offset + exc.start}"
+        ) from exc
+
+
 def coalesce_ranges(
     starts: np.ndarray, ends: np.ndarray, max_gap: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +352,7 @@ class FlatFile:
         if truncated:
             cut = data.rfind(b"\n")
             data = data[: cut + 1] if cut != -1 else b""
-        return data.decode("utf-8"), truncated
+        return decode_utf8(data, self.path), truncated
 
     def _read_sniff_sample(self) -> str:
         return self._read_head_sample()[0]
@@ -467,11 +482,11 @@ class FlatFile:
 
     def read_all(self) -> str:
         """Read and return the entire file as text (one full scan)."""
-        return self.read_all_bytes().decode("utf-8")
+        return decode_utf8(self.read_all_bytes(), self.path)
 
     def read_range(self, start: int, end: int) -> str:
         """Read bytes ``[start, end)`` — used for positional-map jumps."""
-        return self.read_range_bytes(start, end).decode("utf-8")
+        return decode_utf8(self.read_range_bytes(start, end), self.path, start)
 
     def read_range_bytes(self, start: int, end: int) -> bytes:
         """Read raw bytes ``[start, end)`` (accounted, not a full scan).
@@ -627,8 +642,8 @@ class FlatFile:
             nbytes = 0
             with open(self.path, "rb") as f:
                 for raw in f:
+                    line = decode_utf8(raw, self.path, nbytes).rstrip("\r\n")
                     nbytes += len(raw)
-                    line = raw.decode("utf-8").rstrip("\r\n")
                     if line:
                         rows.append(adapter.row_values(line))
                     if len(rows) >= limit:

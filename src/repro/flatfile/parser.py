@@ -44,7 +44,7 @@ def parse_fields(
     When ``raw`` is already a NumPy string array (the vectorized
     tokenization kernel's output), the conversion is one bulk ``astype``
     over the whole column.  NumPy's str→int64/float64 casts apply the
-    same Python-level ``int()``/``float()`` parsing rules as the scalar
+    same Python-level ``int()``/``float()`` parsing rules as the per-value
     loop, so acceptance, values and the widening ladder's trigger points
     are identical — only the per-value interpreter dispatch disappears.
     """

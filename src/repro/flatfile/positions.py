@@ -16,13 +16,13 @@ The map stores, per flat file:
   starts, so that a known column is a pure byte *slice* of the file — no
   rescanning needed to find where the field stops.
 
-A later load of column *j* asks :meth:`PositionalMap.anchor_for` for the
-closest already-known column at or before *j*.  The anchor sets the
-accounting: the pass scans over only the ``j - anchor`` fields from the
-anchor to *j* instead of ``j`` fields from the start of the row, and over
-none when the anchor *is* ``j``.  The scalar fast path starts
-scanning at the anchor's offset; the vectorized kernel takes only which
-columns are known and derives every position from the bytes themselves.
+A later load of column *j* is anchored at the closest already-known
+column at or before *j* (:meth:`PositionalMap.known_columns`).  The
+anchor sets the accounting: the pass scans over only the ``j - anchor``
+fields from the anchor to *j* instead of ``j`` fields from the start of
+the row, and over none when the anchor *is* ``j``.  The vectorized kernel
+takes only which columns are known and derives every position from the
+bytes themselves.
 
 When both start and end offsets of every column a pass needs are known
 (:meth:`PositionalMap.can_slice`), the loader skips tokenization entirely:
@@ -161,22 +161,6 @@ class PositionalMap:
 
     def known_columns(self) -> list[int]:
         return sorted(self.field_offsets)
-
-    def anchor_for(self, col: int) -> tuple[int, np.ndarray] | None:
-        """Best starting point for locating ``col`` in every row.
-
-        Returns ``(anchor_col, offsets)`` where ``anchor_col`` is the
-        largest known column ``<= col``; falls back to row starts as
-        pseudo-column ``0`` anchors when rows are known but no smaller
-        column is; returns ``None`` when the map knows nothing useful.
-        """
-        candidates = [c for c in self.field_offsets if c <= col]
-        if candidates:
-            best = max(candidates)
-            return best, self.field_offsets[best]
-        if self.row_offsets is not None:
-            return 0, self.row_offsets
-        return None
 
     def clear(self) -> None:
         """Forget everything (called when the source file was edited)."""

@@ -1,9 +1,10 @@
-"""Vectorized bulk-tokenization kernel: the cold-scan hot path in NumPy.
+"""Vectorized bulk-tokenization kernel: the tokenize hot path in NumPy.
 
-The scalar tokenizer (:mod:`repro.flatfile.tokenizer`) walks the file with
-per-row, per-field ``str.find`` calls — its cost model is faithful to the
-paper, but every byte is touched from the Python interpreter.  This kernel
-performs the *same* pass over the raw bytes in bulk:
+The paper's selective tokenizer walks each row field by field, one
+``str.find`` per delimiter; its cost model (tokenizing fewer columns is
+cheaper) is what the experiments rely on, but from Python every byte
+would be touched by the interpreter.  This kernel performs the *same*
+pass over the raw bytes in bulk:
 
 1. **byte-scan framing** — ``np.frombuffer`` over the raw bytes, one-shot
    ``np.nonzero`` location of every newline (and delimiter) byte.  Both are
@@ -11,9 +12,11 @@ performs the *same* pass over the raw bytes in bulk:
    so byte scanning is safe for any UTF-8 content;
 2. **cumulative row framing** — per-row separator counts via two
    ``searchsorted`` calls; any ragged row (a separator count other than
-   ``ncols - 1``) makes the kernel decline, and the caller falls back to
-   the scalar path *for that text only*, which reproduces the scalar
-   route's error/tolerance semantics exactly;
+   ``ncols - 1``) makes the kernel decline, and
+   :func:`~repro.flatfile.tokenizer.tokenize_bytes` falls back to the
+   adapter's field loop (:func:`~repro.flatfile.tokenizer.
+   tokenize_dialect`) *for that input only*, which frames rows, learns
+   spans and raises "fewer than N fields" the same way;
 3. **columnar field extraction** — per-column field bounds gathered from
    the separator index for the columns the pass visits only; no column
    right of the last needed one is ever materialized ("never slice
@@ -28,16 +31,17 @@ performs the *same* pass over the raw bytes in bulk:
    instead of being offered one field at a time.
 
 Work counters stay **exact**: :class:`~repro.flatfile.tokenizer.
-TokenizerStats` out of this kernel is field-for-field identical to the
-scalar route's — ``fields_tokenized`` counts only the fields the scalar
-pass would have visited (per-row early abort, predicate abandonment and
+TokenizerStats` out of this kernel is field-for-field the per-field
+``str.find`` walk's — ``fields_tokenized`` counts only the fields that
+walk would have visited (per-row early abort, predicate abandonment and
 the ablation tail included), never the delimiters the one-shot scan
 happened to locate.  The differential suite in
-``tests/flatfile/test_vectorized.py`` holds this equality under ragged
-rows, blank lines, trailing delimiters, predicates and non-ASCII input.
+``tests/flatfile/test_vectorized.py`` holds this equality against a
+scalar ``str.find`` oracle under blank lines, trailing delimiters,
+predicates and non-ASCII input.
 
-A warm positional map runs the kernel too.  The scalar fast path jumps to
-the largest known column at or left of each needed one, so the kernel
+A warm positional map runs the kernel too.  The ``str.find`` walk jumps
+to the largest known column at or left of each needed one, so the kernel
 visits, charges and learns exactly the columns those jumps would.  It
 takes only *which* columns the map knows, never their offsets: the
 framing pass already locates every delimiter, and a map with corrupted
@@ -46,7 +50,7 @@ offsets can then skew the work counters but never an answer.
 Eligibility: dialects with ``supports_vectorized`` (plain delimited, TSV,
 fixed-width).  Quoted CSV needs a quote state machine and JSON-lines has
 no field spans; both keep the adapter route.  The kernel also declines —
-returning ``None`` so the dispatcher falls back to the scalar path — on
+returning ``None`` so the dispatcher falls back to the adapter route — on
 ragged rows, for non-ASCII fixed-width content (field widths are
 characters, not bytes), for non-ASCII delimiters and for invalid UTF-8.
 """
@@ -116,11 +120,12 @@ def tokenize_vectorized(
     learn: bool = True,
     skip_rows: int = 0,
 ) -> TokenizeResult | None:
-    """One bulk tokenization pass, or ``None`` when the scalar path must run.
+    """One bulk tokenization pass, or ``None`` when the adapter route must run.
 
     Semantics (outputs, learned offsets, *and* work counters) are exactly
-    those of the scalar route for the same adapter — see the module
-    docstring for when the kernel declines instead of risking divergence.
+    those of the ``str.find`` walk for plain delimited input and of the
+    adapter route otherwise — see the module docstring for when the kernel
+    declines instead of risking divergence.
     """
     if ncols <= 0:
         raise FlatFileError(f"ncols must be positive, got {ncols}")
@@ -140,10 +145,10 @@ def tokenize_vectorized(
 
     # ------------------------------------------------------------ dispatch
     if isinstance(adapter, DelimitedAdapter):
-        find_jump = True  # scalar reference: tokenize_columns
+        find_jump = True  # counters follow the str.find column jumps
         delimiter: str | None = adapter.delimiter
     elif isinstance(adapter, TsvAdapter):
-        find_jump = False  # scalar reference: the dialect-generic route
+        find_jump = False  # counters follow the adapter route
         delimiter = "\t"
     elif isinstance(adapter, FixedWidthAdapter):
         find_jump = False
@@ -161,9 +166,9 @@ def tokenize_vectorized(
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
-            # Invalid UTF-8: the scalar route's decode raises the
-            # canonical error (and the char geometry the kernel would
-            # learn from raw continuation bytes would be fiction).
+            # Invalid UTF-8: the fallback's decode raises the taxonomy
+            # error (and the char geometry the kernel would learn from
+            # raw continuation bytes would be fiction).
             return None
     nul_free = not bool((buf == 0).any()) if len(buf) else True
 
@@ -185,10 +190,10 @@ def tokenize_vectorized(
             return a - pad[a]
 
     # ------------------------------------------------- visited column set
-    # The scalar fast path's anchor jumps: each needed column is reached
+    # The str.find walk's anchor jumps: each needed column is reached
     # from the previous one or from the largest known column at or left
-    # of it, whichever is further right.  Over zero rows the scalar route
-    # learns every column up to the last needed one, so no jump applies.
+    # of it, whichever is further right.  Over zero rows that walk learns
+    # every column up to the last needed one, so no jump applies.
     known = (
         positional_map.known_columns()
         if find_jump and positional_map is not None and nrows
@@ -206,7 +211,7 @@ def tokenize_vectorized(
         assert isinstance(adapter, FixedWidthAdapter)
         widths = np.asarray(adapter.widths, dtype=np.int64)
         if nrows and not bool(((row_ends - row_starts) == int(widths.sum())).all()):
-            return None  # some row has the wrong width: scalar raises there
+            return None  # some row has the wrong width: the fallback raises
         cum = np.concatenate(([0], np.cumsum(widths)))
 
         def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +222,7 @@ def tokenize_vectorized(
         lo = np.searchsorted(d_pos, row_starts)
         hi = np.searchsorted(d_pos, row_ends)
         if nrows and not bool((hi - lo == ncols - 1).all()):
-            return None  # ragged rows: the scalar path is the reference
+            return None  # ragged rows: the fallback raises or tolerates
 
         def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
             start = row_starts if c == 0 else d_pos[lo + (c - 1)] + 1
@@ -257,7 +262,7 @@ def tokenize_vectorized(
         stats.fields_tokenized += alive
         stats.chars_scanned += int(clen[candidates].sum())
         if find_jump and col not in wanted_set and col != ncols - 1:
-            # The scalar fast path scans over this column *through* its
+            # The str.find walk scans over this column *through* its
             # trailing delimiter; needed fields stop at the field end.
             stats.chars_scanned += alive
         pred = predicates.get(col)

@@ -1,14 +1,12 @@
 """Column-store substrate: the "MonetDB" under the adaptive loader.
 
 Loaded data lives here as NumPy-backed columns.  The subpackage provides
-full columns, partially-loaded columns with a table of contents of what is
-materialized, tables, the catalog of attached flat files, physical layout
-variants (column / row / PAX) for the adaptive store, and the memory-budget
-manager with LRU eviction.
+partially-loaded columns with a table of contents of what is materialized,
+tables, the catalog of attached flat files, and the memory-budget manager
+with LRU eviction.
 """
 
 from repro.storage.catalog import Catalog, TableEntry
-from repro.storage.column import Column
 from repro.storage.intervals import IntervalSet
 from repro.storage.memory import MemoryManager
 from repro.storage.partial import CoverageCertificate, PartialColumn
@@ -16,7 +14,6 @@ from repro.storage.table import Table
 
 __all__ = [
     "Catalog",
-    "Column",
     "CoverageCertificate",
     "IntervalSet",
     "MemoryManager",

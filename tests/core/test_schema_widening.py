@@ -101,14 +101,19 @@ class TestWidening:
     @pytest.mark.parametrize("vectorized", [True, False])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_int64_overflow_widens_to_float(
-        self, int64_overflow_csv, policy, vectorized
+        self, int64_overflow_csv, policy, vectorized, monkeypatch
     ):
         """Past int64 the parse overflows rather than failing: that must
-        widen like any other unparseable value, not leak OverflowError."""
+        widen like any other unparseable value, not leak OverflowError —
+        on the kernel and on the dialect loop it falls back to."""
         oracle = CSVEngine()
         oracle.attach("t", int64_overflow_csv)
-        config = EngineConfig(policy=policy, vectorized_tokenizer=vectorized)
-        with NoDBEngine(config) as engine:
+        if not vectorized:
+            monkeypatch.setattr(
+                "repro.flatfile.vectorized.tokenize_vectorized",
+                lambda *args, **kwargs: None,
+            )
+        with NoDBEngine(EngineConfig(policy=policy)) as engine:
             engine.attach("t", int64_overflow_csv)
             for sql in (
                 "select max(a) from t",

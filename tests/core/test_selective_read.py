@@ -16,9 +16,9 @@ import pytest
 from repro import EngineConfig, NoDBEngine
 from repro.config import POLICIES
 from repro.core.loader import column_load_pass, partial_load_pass
-from repro.flatfile.tokenizer import split_rows
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import Catalog
+from scalar_oracle import split_rows
 
 CONFIG = EngineConfig()
 

@@ -1,20 +1,24 @@
-"""EngineStatistics parity: vectorized and scalar tokenizer routes.
+"""EngineStatistics parity: the shipped tokenizer and the scalar oracle.
 
 Regression guard for the work-counter contract: the vectorized kernel
-must report exactly the work the scalar pass would have done — "fields
-touched" counts only the fields the pass visits (early abort, pushdown
-abandonment), never every delimiter the one-shot byte scan located; byte
-and parse counters must match too.  If the kernel ever drifts, the
-paper's figures (and the bench-regression gate asserting these counters)
+must report exactly the work the scalar ``str.find`` walk
+(``tests/scalar_oracle.py``) would have done — "fields touched" counts
+only the fields the pass visits (early abort, pushdown abandonment),
+never every delimiter the one-shot byte scan located; byte and parse
+counters must match too.  If the kernel ever drifts, the paper's figures
 would silently measure a different engine.
 """
 
 from __future__ import annotations
 
+import shutil
+import time
+
 import pytest
 
 from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.workload import TableSpec, materialize_csv
+from scalar_oracle import scalar_tokenize_bytes
 
 QUERIES = [
     "select sum(a1) from r",  # early abort: one column
@@ -38,10 +42,8 @@ def csv_file(tmp_path_factory):
     return materialize_csv(TableSpec(nrows=400, ncols=4, seed=311), root / "r.csv")
 
 
-def _counters(path, policy: str, vectorized: bool, queries=QUERIES):
-    engine = NoDBEngine(
-        EngineConfig(policy=policy, vectorized_tokenizer=vectorized)
-    )
+def _counters(path, policy: str, queries=QUERIES):
+    engine = NoDBEngine(EngineConfig(policy=policy))
     try:
         engine.attach("r", path)
         out = []
@@ -69,10 +71,10 @@ def _counters(path, policy: str, vectorized: bool, queries=QUERIES):
 @pytest.mark.parametrize(
     "policy", ["column_loads", "partial_v1", "partial_v2", "external", "fullload"]
 )
-def test_tokenizer_counters_identical_between_routes(csv_file, policy):
-    vec = _counters(csv_file, policy, vectorized=True)
-    scalar = _counters(csv_file, policy, vectorized=False)
-    assert vec == scalar
+def test_tokenizer_counters_identical_between_routes(csv_file, policy, monkeypatch):
+    shipped = _counters(csv_file, policy)
+    monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_bytes)
+    assert shipped == _counters(csv_file, policy)
 
 
 def test_fields_touched_counts_only_visited_columns(csv_file):
@@ -88,23 +90,46 @@ def test_fields_touched_counts_only_visited_columns(csv_file):
         engine.close()
 
 
-def test_warm_map_passes_run_the_kernel(csv_file, monkeypatch):
-    """Anchored passes over consistent plain CSV stay on the kernel, with
-    the scalar route's counters."""
-    scalar = _counters(
-        csv_file, "column_loads", vectorized=False, queries=WARM_MAP_QUERIES
-    )
+def test_warm_map_passes_run_the_kernel(csv_file, tmp_path, monkeypatch):
+    """On clean plain CSV no pass leaves the kernel — cold, warm-map,
+    append-tail and split-file remainder passes alike — and the counters
+    are the oracle's."""
+    monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_bytes)
+    oracle_counters = _counters(csv_file, "column_loads", queries=WARM_MAP_QUERIES)
+    monkeypatch.undo()
 
     def no_fallback(*args, **kwargs):
-        raise AssertionError("scalar tokenize_columns ran on plain CSV")
+        raise AssertionError("the dialect loop ran on clean plain CSV")
 
-    monkeypatch.setattr(
-        "repro.flatfile.tokenizer.tokenize_columns", no_fallback
+    monkeypatch.setattr("repro.flatfile.tokenizer.tokenize_dialect", no_fallback)
+    assert _counters(csv_file, "column_loads", queries=WARM_MAP_QUERIES) == (
+        oracle_counters
     )
-    vec = _counters(
-        csv_file, "column_loads", vectorized=True, queries=WARM_MAP_QUERIES
-    )
-    assert vec == scalar
+
+    path = tmp_path / "r.csv"
+    shutil.copy(csv_file, path)
+    oracle = CSVEngine()
+    oracle.attach("r", path)
+    appending = NoDBEngine(EngineConfig(policy="column_loads"))
+    splitting = NoDBEngine(EngineConfig(policy="splitfiles"))
+    try:
+        for engine in (appending, splitting):
+            engine.attach("r", path)
+        appending.query("select sum(a1), sum(a3) from r")
+        time.sleep(0.002)  # distinct mtime even on coarse filesystems
+        with open(path, "a") as fh:
+            fh.write("1,2,3,4\n5,6,7,8\n")
+        sql = "select sum(a1), sum(a3) from r"
+        assert appending.query(sql).rows() == oracle.query(sql).rows()
+        assert appending.stats.counters.append_extensions == 1
+        # a2 splits the original file; a4 then tokenizes the remainder.
+        for sql in ("select sum(a2) from r", "select sum(a4) from r"):
+            assert splitting.query(sql).rows() == oracle.query(sql).rows()
+        assert splitting.catalog.get("r").split_catalog.homes[3].kind == "single"
+    finally:
+        appending.close()
+        splitting.close()
+        oracle.close()
 
 
 def test_corrupted_map_offsets_never_change_an_answer(csv_file):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.flatfile.positions import PositionalMap
+from scalar_oracle import anchor_for
 
 
 class TestRecording:
@@ -28,13 +29,15 @@ class TestRecording:
 
 
 class TestAnchors:
+    """The anchor rule of the scalar oracle (and of the kernel's visits)."""
+
     def test_no_knowledge(self):
-        assert PositionalMap().anchor_for(3) is None
+        assert anchor_for(PositionalMap(), 3) is None
 
     def test_row_offsets_anchor_column_zero(self):
         m = PositionalMap()
         m.record_row_offsets(np.array([0, 10]))
-        col, offsets = m.anchor_for(5)
+        col, offsets = anchor_for(m, 5)
         assert col == 0
         assert list(offsets) == [0, 10]
 
@@ -42,19 +45,19 @@ class TestAnchors:
         m = PositionalMap()
         m.record_field_offsets(1, np.array([2]))
         m.record_field_offsets(3, np.array([6]))
-        col, offsets = m.anchor_for(4)
+        col, offsets = anchor_for(m, 4)
         assert col == 3
         assert list(offsets) == [6]
 
     def test_later_columns_ignored(self):
         m = PositionalMap()
         m.record_field_offsets(5, np.array([9]))
-        assert m.anchor_for(2) is None
+        assert anchor_for(m, 2) is None
 
     def test_exact_column_anchor(self):
         m = PositionalMap()
         m.record_field_offsets(2, np.array([4]))
-        col, _ = m.anchor_for(2)
+        col, _ = anchor_for(m, 2)
         assert col == 2
 
 

@@ -1,4 +1,9 @@
-"""Tests for the selective tokenizer — the heart of adaptive loading."""
+"""Tests for the selective tokenizer — the heart of adaptive loading.
+
+Everything here drives :func:`~repro.flatfile.tokenizer.tokenize_bytes`,
+the route every loading operator takes; the kernel-vs-oracle property
+suites live in ``test_vectorized.py``.
+"""
 
 from __future__ import annotations
 
@@ -11,88 +16,119 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FlatFileError
+from repro.flatfile.dialects import DelimitedAdapter
 from repro.flatfile.positions import PositionalMap
-from repro.flatfile.tokenizer import gather_fields, split_rows, tokenize_columns
+from repro.flatfile.tokenizer import gather_fields, tokenize_bytes
+from scalar_oracle import split_rows
 
 TEXT = "10,20,30,40\n11,21,31,41\n12,22,32,42\n"
 
 
+class _Both:
+    """A plain per-value predicate in both ``RawPredicate`` forms."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, text):
+        return self.fn(text)
+
+    def mask(self, values):
+        return np.array([bool(self.fn(str(v))) for v in values], dtype=bool)
+
+
+def tok(text, ncols, needed, delimiter=",", predicates=None, **kwargs):
+    """``tokenize_bytes`` over ``text``'s bytes; fields as plain lists."""
+    if predicates is not None:
+        predicates = {c: _Both(fn) for c, fn in predicates.items()}
+    r = tokenize_bytes(
+        text.encode(),
+        DelimitedAdapter(delimiter),
+        ncols,
+        needed,
+        predicates=predicates,
+        **kwargs,
+    )
+    r.fields = {c: [str(v) for v in values] for c, values in r.fields.items()}
+    return r
+
+
 class TestBasicExtraction:
     def test_single_column(self):
-        r = tokenize_columns(TEXT, 4, [1])
+        r = tok(TEXT, 4, [1])
         assert r.fields[1] == ["20", "21", "22"]
         assert list(r.row_ids) == [0, 1, 2]
 
     def test_multiple_columns(self):
-        r = tokenize_columns(TEXT, 4, [0, 3])
+        r = tok(TEXT, 4, [0, 3])
         assert r.fields[0] == ["10", "11", "12"]
         assert r.fields[3] == ["40", "41", "42"]
 
     def test_unsorted_and_duplicate_needed(self):
-        r = tokenize_columns(TEXT, 4, [3, 1, 1])
+        r = tok(TEXT, 4, [3, 1, 1])
         assert set(r.fields) == {1, 3}
 
     def test_last_column_no_trailing_delimiter(self):
-        r = tokenize_columns("1,2\n3,4\n", 2, [1])
+        r = tok("1,2\n3,4\n", 2, [1])
         assert r.fields[1] == ["2", "4"]
 
     def test_trailing_newline_optional(self):
-        r = tokenize_columns("1,2\n3,4", 2, [0])
+        r = tok("1,2\n3,4", 2, [0])
         assert r.fields[0] == ["1", "3"]
 
     def test_blank_lines_skipped(self):
-        r = tokenize_columns("1,2\n\n3,4\n\n", 2, [0])
+        r = tok("1,2\n\n3,4\n\n", 2, [0])
         assert r.fields[0] == ["1", "3"]
 
     def test_crlf_line_endings(self):
-        r = tokenize_columns("1,2\r\n3,4\r\n", 2, [1])
+        r = tok("1,2\r\n3,4\r\n", 2, [1])
         assert r.fields[1] == ["2", "4"]
 
     def test_skip_rows(self):
-        r = tokenize_columns("h1,h2\n1,2\n3,4\n", 2, [0], skip_rows=1)
+        r = tok("h1,h2\n1,2\n3,4\n", 2, [0], skip_rows=1)
         assert r.fields[0] == ["1", "3"]
 
     def test_custom_delimiter(self):
-        r = tokenize_columns("1|2\n3|4\n", 2, [1], delimiter="|")
+        r = tok("1|2\n3|4\n", 2, [1], delimiter="|")
         assert r.fields[1] == ["2", "4"]
 
 
 class TestValidation:
     def test_out_of_range_column(self):
         with pytest.raises(FlatFileError):
-            tokenize_columns(TEXT, 4, [4])
+            tok(TEXT, 4, [4])
 
     def test_no_needed_columns(self):
         with pytest.raises(FlatFileError):
-            tokenize_columns(TEXT, 4, [])
+            tok(TEXT, 4, [])
 
     def test_short_row_raises(self):
         with pytest.raises(FlatFileError, match="fewer than"):
-            tokenize_columns("1,2,3\n1\n", 3, [2])
+            tok("1,2,3\n1\n", 3, [2])
 
     def test_predicate_on_untokenized_column_rejected(self):
         with pytest.raises(FlatFileError):
-            tokenize_columns(TEXT, 4, [0], predicates={2: lambda s: True})
+            tok(TEXT, 4, [0], predicates={2: lambda s: True})
 
 
 class TestEarlyAbort:
     def test_early_abort_skips_trailing_fields(self):
-        with_abort = tokenize_columns(TEXT, 4, [0], early_abort=True)
-        without = tokenize_columns(TEXT, 4, [0], early_abort=False)
+        with_abort = tok(TEXT, 4, [0], early_abort=True)
+        without = tok(TEXT, 4, [0], early_abort=False)
         assert with_abort.fields == without.fields
         assert (
             with_abort.stats.fields_tokenized < without.stats.fields_tokenized
         )
 
     def test_full_tokenization_counts_all_fields(self):
-        r = tokenize_columns(TEXT, 4, [0], early_abort=False)
+        r = tok(TEXT, 4, [0], early_abort=False)
         assert r.stats.fields_tokenized == 12  # 3 rows x 4 fields
 
 
 class TestPredicatePushdown:
     def test_rows_filtered(self):
         pred = {0: lambda s: int(s) >= 11}
-        r = tokenize_columns(TEXT, 4, [0, 2], predicates=pred)
+        r = tok(TEXT, 4, [0, 2], predicates=pred)
         assert r.fields[0] == ["11", "12"]
         assert r.fields[2] == ["31", "32"]
         assert list(r.row_ids) == [1, 2]
@@ -100,20 +136,20 @@ class TestPredicatePushdown:
 
     def test_failed_predicate_stops_row_work(self):
         pred = {0: lambda s: False}
-        r = tokenize_columns(TEXT, 4, [0, 3], predicates=pred)
+        r = tok(TEXT, 4, [0, 3], predicates=pred)
         assert r.stats.rows_emitted == 0
         # Only the first field of each row was tokenized.
         assert r.stats.fields_tokenized == 3
 
     def test_predicate_on_second_needed_column(self):
         pred = {2: lambda s: int(s) > 31}
-        r = tokenize_columns(TEXT, 4, [0, 2], predicates=pred)
+        r = tok(TEXT, 4, [0, 2], predicates=pred)
         assert r.fields[0] == ["12"]
         assert list(r.row_ids) == [2]
 
     def test_all_rows_pass(self):
         pred = {0: lambda s: True}
-        r = tokenize_columns(TEXT, 4, [0], predicates=pred)
+        r = tok(TEXT, 4, [0], predicates=pred)
         assert r.stats.rows_emitted == 3
         assert r.stats.rows_abandoned == 0
 
@@ -121,7 +157,7 @@ class TestPredicatePushdown:
 class TestPositionalMapIntegration:
     def test_learning_row_and_field_offsets(self):
         pmap = PositionalMap()
-        tokenize_columns(TEXT, 4, [1], positional_map=pmap)
+        tok(TEXT, 4, [1], positional_map=pmap)
         assert pmap.nrows == 3
         assert list(pmap.row_offsets) == [0, 12, 24]
         assert pmap.knows_column(1)
@@ -129,22 +165,22 @@ class TestPositionalMapIntegration:
 
     def test_offsets_point_at_field_starts(self):
         pmap = PositionalMap()
-        tokenize_columns(TEXT, 4, [2], positional_map=pmap)
+        tok(TEXT, 4, [2], positional_map=pmap)
         for row, off in enumerate(pmap.field_offsets[2]):
             assert TEXT[off : off + 2] == f"3{row}"
 
     def test_exploiting_map_reduces_scanning(self):
         pmap = PositionalMap()
-        first = tokenize_columns(TEXT, 4, [2], positional_map=pmap)
-        second = tokenize_columns(TEXT, 4, [3], positional_map=pmap)
-        blind = tokenize_columns(TEXT, 4, [3])
+        first = tok(TEXT, 4, [2], positional_map=pmap)
+        second = tok(TEXT, 4, [3], positional_map=pmap)
+        blind = tok(TEXT, 4, [3])
         assert second.fields[3] == blind.fields[3]
         assert second.stats.fields_tokenized < blind.stats.fields_tokenized
 
     def test_direct_jump_when_column_known(self):
         pmap = PositionalMap()
-        tokenize_columns(TEXT, 4, [2], positional_map=pmap)
-        again = tokenize_columns(TEXT, 4, [2], positional_map=pmap)
+        tok(TEXT, 4, [2], positional_map=pmap)
+        again = tok(TEXT, 4, [2], positional_map=pmap)
         assert again.fields[2] == ["30", "31", "32"]
         # Direct jumps: one field tokenized per row, nothing skipped over.
         assert again.stats.fields_tokenized == 3
@@ -152,7 +188,7 @@ class TestPositionalMapIntegration:
     def test_incomplete_offsets_not_recorded_under_pushdown(self):
         pmap = PositionalMap()
         pred = {0: lambda s: s == "11"}
-        tokenize_columns(TEXT, 4, [0, 2], predicates=pred, positional_map=pmap)
+        tok(TEXT, 4, [0, 2], predicates=pred, positional_map=pmap)
         # Column 0 was seen in every row; column 2 only in qualifying rows.
         assert pmap.knows_column(0)
         assert not pmap.knows_column(2)
@@ -161,28 +197,28 @@ class TestPositionalMapIntegration:
 class TestFieldEndLearning:
     def test_ends_recorded_with_starts(self):
         pmap = PositionalMap()
-        tokenize_columns(TEXT, 4, [1], positional_map=pmap)
+        tok(TEXT, 4, [1], positional_map=pmap)
         assert pmap.can_slice(1)
         starts, ends = pmap.slices_for(1)
         assert [TEXT[s:e] for s, e in zip(starts, ends)] == ["20", "21", "22"]
 
     def test_last_column_end_is_row_end(self):
         pmap = PositionalMap()
-        tokenize_columns("1,2\n3,45\n", 2, [1], positional_map=pmap)
+        tok("1,2\n3,45\n", 2, [1], positional_map=pmap)
         starts, ends = pmap.slices_for(1)
         assert ["1,2\n3,45\n"[s:e] for s, e in zip(starts, ends)] == ["2", "45"]
 
     def test_crlf_end_excludes_carriage_return(self):
         text = "1,2\r\n3,4\r\n"
         pmap = PositionalMap()
-        tokenize_columns(text, 2, [1], positional_map=pmap)
+        tok(text, 2, [1], positional_map=pmap)
         starts, ends = pmap.slices_for(1)
         assert [text[s:e] for s, e in zip(starts, ends)] == ["2", "4"]
 
     def test_scanned_over_columns_learned_too(self):
         """Columns tokenized merely to reach a needed one are remembered."""
         pmap = PositionalMap()
-        tokenize_columns(TEXT, 4, [2], positional_map=pmap)
+        tok(TEXT, 4, [2], positional_map=pmap)
         assert pmap.can_slice(0)
         assert pmap.can_slice(1)
         assert pmap.can_slice(2)
@@ -277,7 +313,7 @@ class TestAgainstStdlibCsv:
         needed = data.draw(
             st.lists(st.integers(0, ncols - 1), min_size=1, max_size=ncols, unique=True)
         )
-        result = tokenize_columns(text, ncols, needed)
+        result = tok(text, ncols, needed)
         expected = list(stdlib_csv.reader(io.StringIO(text)))
         for col in needed:
             assert result.fields[col] == [row[col] for row in expected]
@@ -289,8 +325,8 @@ class TestAgainstStdlibCsv:
         ncols, rows = table
         text = "\n".join(",".join(r) for r in rows) + "\n"
         needed = [0] if ncols == 1 else [0, ncols // 2]
-        a = tokenize_columns(text, ncols, needed, early_abort=True)
-        b = tokenize_columns(text, ncols, needed, early_abort=False)
+        a = tok(text, ncols, needed, early_abort=True)
+        b = tok(text, ncols, needed, early_abort=False)
         assert a.fields == b.fields
         assert list(a.row_ids) == list(b.row_ids)
 
@@ -303,7 +339,7 @@ class TestAgainstStdlibCsv:
         ncols, rows = table
         text = "\n".join(",".join(r) for r in rows) + "\n"
         pmap = PositionalMap()
-        result = tokenize_columns(
+        result = tok(
             text, ncols, list(range(ncols)), positional_map=pmap
         )
         for col in range(ncols):
@@ -322,8 +358,8 @@ class TestAgainstStdlibCsv:
         ncols, rows = table
         text = "\n".join(",".join(r) for r in rows) + "\n"
         pmap = PositionalMap()
-        tokenize_columns(text, ncols, list(range(ncols)), positional_map=pmap)
+        tok(text, ncols, list(range(ncols)), positional_map=pmap)
         for col in range(ncols):
-            with_map = tokenize_columns(text, ncols, [col], positional_map=pmap)
-            without = tokenize_columns(text, ncols, [col])
+            with_map = tok(text, ncols, [col], positional_map=pmap)
+            without = tok(text, ncols, [col])
             assert with_map.fields[col] == without.fields[col]

@@ -1,12 +1,16 @@
-"""Vectorized kernel == scalar tokenizer, property-tested.
+"""The shipped tokenizer == the scalar oracle, property-tested.
 
-The bulk-tokenization kernel must be indistinguishable from the scalar
-routes in everything but speed: emitted fields, row ids, *every*
+Wherever the bulk-tokenization kernel runs, ``tokenize_bytes`` must be
+indistinguishable from the scalar oracle (``tests/scalar_oracle.py``) in
+everything but speed: emitted fields, row ids, *every*
 :class:`TokenizerStats` counter, learned positional-map contents and
-pushdown-predicate evaluation sequences.  These tests drive both routes
-over the same bytes — Hypothesis-generated tables plus handcrafted edge
-cases (ragged rows, blank lines, CRLF, trailing delimiters, non-ASCII,
-NUL bytes, headers) — and diff everything.
+pushdown-predicate evaluation sequences.  Where the kernel declines
+(ragged rows, a non-ASCII delimiter, non-ASCII fixed-width), the
+dialect loop answers instead, and only the answer is pinned: fields, row
+ids and whether the pass raised.  These tests drive both over the same
+bytes — Hypothesis-generated tables plus handcrafted edge cases (ragged
+rows, blank lines, CRLF, trailing delimiters, non-ASCII, NUL bytes,
+headers).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.flatfile.dialects import (
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import tokenize_bytes
 from repro.flatfile.vectorized import tokenize_vectorized
+from scalar_oracle import scalar_tokenize_bytes
 
 
 def _pmap_state(pmap: PositionalMap):
@@ -56,7 +61,7 @@ def _flatten(log):
 class _Recorded:
     """Test-side adapter giving a plain per-value predicate both forms.
 
-    ``__call__`` (the scalar routes) logs one value; ``mask`` (the kernel)
+    ``__call__`` (the per-row loops) logs one value; ``mask`` (the kernel)
     logs the whole array it was handed.  Concatenated, either route's log
     is the sequence of values the predicate saw.
     """
@@ -74,6 +79,17 @@ class _Recorded:
         return np.array([bool(self.fn(v)) for v in values], dtype=bool)
 
 
+def _kernel_declines(data: bytes, adapter, ncols, needed, skip_rows) -> bool:
+    """Does the kernel hand this input to the dialect loop?"""
+    try:
+        result = tokenize_vectorized(
+            data, adapter, ncols, needed, learn=False, skip_rows=skip_rows
+        )
+    except FlatFileError:
+        return False
+    return result is None
+
+
 def assert_routes_agree(
     data: bytes,
     adapter,
@@ -86,16 +102,18 @@ def assert_routes_agree(
     learn=True,
     warm=None,
 ):
-    """Run both routes over ``data``; every observable must be identical.
+    """Run ``tokenize_bytes`` and the oracle over ``data`` and diff them.
 
+    Every observable must be identical where the kernel runs; where it
+    declines, fields, row ids and raising-or-not must.
     ``make_predicates`` returns plain per-value predicates by column;
     each route gets them wrapped in its own :class:`_Recorded` log, and
     the concatenated logs must match; ``warm`` is a positional map both
     routes start from (each gets its own deep copy).  Returns
-    (result, call_log) pairs.
+    (outcome, call_log, result) triples, ``tokenize_bytes``'s first.
     """
     outcomes = []
-    for vectorized in (True, False):
+    for tokenize in (tokenize_bytes, scalar_tokenize_bytes):
         pmap = None
         if learn:
             pmap = copy.deepcopy(warm) if warm is not None else PositionalMap()
@@ -106,7 +124,7 @@ def assert_routes_agree(
             else None
         )
         try:
-            result = tokenize_bytes(
+            result = tokenize(
                 data,
                 adapter,
                 ncols=ncols,
@@ -116,7 +134,6 @@ def assert_routes_agree(
                 positional_map=pmap,
                 learn=learn,
                 skip_rows=skip_rows,
-                vectorized=vectorized,
             )
         except FlatFileError:
             outcomes.append(("error", _flatten(log), None))
@@ -136,10 +153,23 @@ def assert_routes_agree(
                 result,
             )
         )
-    vec, scalar = outcomes
-    assert vec[0] == scalar[0], f"vectorized != scalar for {data!r}"
-    assert vec[1] == scalar[1], f"predicate call sequences differ for {data!r}"
+    shipped, oracle = outcomes
+    if _kernel_declines(data, adapter, ncols, needed, skip_rows):
+        assert _answer(shipped[0]) == _answer(oracle[0]), (
+            f"dialect loop != oracle for {data!r}"
+        )
+    else:
+        assert shipped[0] == oracle[0], f"kernel != oracle for {data!r}"
+        assert shipped[1] == oracle[1], (
+            f"predicate call sequences differ for {data!r}"
+        )
     return outcomes
+
+
+def _answer(outcome):
+    if outcome == "error":
+        return outcome
+    return outcome["fields"], outcome["row_ids"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +255,16 @@ def test_delimited_with_pushdown_predicates(case):
 
 
 def _scalar_warm_map(data: bytes, adapter, ncols: int, keep) -> PositionalMap:
-    """A map the scalar route learned, then trimmed to the ``keep`` columns.
+    """A map the oracle learned, then trimmed to the ``keep`` columns.
 
-    One scalar pass over every column learns them all; forgetting the
+    One oracle pass over every column learns them all; forgetting the
     rest yields any known-column set, gaps included.  Ragged input makes
     that pass raise, leaving a map that knows row offsets only.
     """
     pmap = PositionalMap()
     try:
-        tokenize_bytes(
-            data, adapter, ncols, range(ncols), positional_map=pmap,
-            vectorized=False,
+        scalar_tokenize_bytes(
+            data, adapter, ncols, range(ncols), positional_map=pmap
         )
     except FlatFileError:
         pass
@@ -254,7 +283,7 @@ def _scalar_warm_map(data: bytes, adapter, ncols: int, keep) -> PositionalMap:
 )
 def test_warm_map_vectorized_equals_scalar(case, keep, early_abort, with_predicate):
     """Both routes start from the same learned map: the kernel must visit,
-    charge, filter and learn exactly what the scalar anchor jumps do."""
+    charge, filter and learn exactly what the oracle's anchor jumps do."""
     data, delimiter, ncols, needed = case
     adapter = DelimitedAdapter(delimiter)
     warm = _scalar_warm_map(data, adapter, ncols, keep)
@@ -346,17 +375,42 @@ class TestEdgeCases:
 
     def test_ragged_only_beyond_needed_is_tolerated(self):
         # A short row to the *right* of the last needed column is invisible
-        # to the scalar early-abort pass; the kernel must agree (it falls
-        # back to the scalar route on any ragged row).
+        # to an early-abort pass; the kernel declines any ragged row, and
+        # the dialect loop must agree with the oracle.
         out = assert_routes_agree(b"1,2,3,4\n5,6\n", CSV, 4, [0])
         assert out[0][0]["fields"][0] == ["1", "5"]
+
+    def test_ragged_beyond_needed_is_tolerated_without_early_abort(self):
+        # Early abort changes cost, never results: the ablation's tail
+        # walk tolerates the short row too.
+        for adapter, data in ((CSV, b"1,2,3,4\n5,6\n"), (TsvAdapter(), b"1\t2\t3\n5\t6\n")):
+            ncols = data.split(b"\n")[0].count(adapter.delimiter.encode()) + 1
+            out = assert_routes_agree(data, adapter, ncols, [0], early_abort=False)
+            assert out[0][0]["fields"][0] == ["1", "5"]
+
+    @pytest.mark.parametrize("early_abort", [True, False])
+    def test_short_row_raises_before_its_predicate(self, early_abort):
+        # Row 3 ends at its needed field with a column still owed: short,
+        # even though the predicate would have abandoned it.
+        def make_predicates():
+            return {0: lambda value: len(value) % 2 == 0}
+
+        out = assert_routes_agree(
+            b",\n,\n,\n000",
+            CSV,
+            2,
+            [0],
+            early_abort=early_abort,
+            make_predicates=make_predicates,
+        )
+        assert out[0][0] == "error"
 
     def test_empty_file(self):
         assert_routes_agree(b"", CSV, 3, [1])
 
     def test_empty_file_with_warm_map_learns_every_column(self):
-        """Over zero rows the scalar route learns every column up to the
-        last needed one, whatever the map's anchors say."""
+        """Over zero rows the oracle learns every column up to the last
+        needed one, whatever the map's anchors say."""
         warm = _scalar_warm_map(b"", CSV, 4, {2})
         out = assert_routes_agree(b"", CSV, 4, [3], warm=warm)
         assert sorted(out[0][0]["pmap"]["starts"]) == [0, 1, 2, 3]
@@ -416,10 +470,10 @@ class TestEdgeCases:
 class TestKernelDeclines:
     def test_runs_with_anchors(self):
         """A warm map keeps the pass on the kernel, which charges the
-        scalar anchor jumps' work itself."""
+        oracle's anchor jumps' work itself."""
         data = b"1,2,3\n4,5,6\n"
         pmap = PositionalMap()
-        tokenize_bytes(data, CSV, 3, [1], positional_map=pmap, vectorized=False)
+        scalar_tokenize_bytes(data, CSV, 3, [1], positional_map=pmap)
         assert pmap.knows_column(1)
         assert (
             tokenize_vectorized(
@@ -442,13 +496,15 @@ class TestKernelDeclines:
         )
 
     def test_declines_on_invalid_utf8(self):
-        """Both routes must raise the scalar decode error — the kernel
-        must not silently tokenize bytes no decoded string ever had."""
+        """The kernel must not silently tokenize bytes no decoded string
+        ever had; the fallback's decode raises the taxonomy error, naming
+        the file and the byte."""
         data = b"1,a\xe9b,3\n4,x,6\n"  # lone latin-1 byte: invalid UTF-8
         assert tokenize_vectorized(data, CSV, 3, [0]) is None
-        for vectorized in (True, False):
-            with pytest.raises(UnicodeDecodeError):
-                tokenize_bytes(data, CSV, 3, [0], vectorized=vectorized)
+        with pytest.raises(FlatFileError, match=r"^t\.csv is not valid UTF-8.* at byte 3$"):
+            tokenize_bytes(data, CSV, 3, [0], source="t.csv")
+        with pytest.raises(FlatFileError, match="at byte 103$"):
+            tokenize_bytes(data, CSV, 3, [0], source="t.csv", offset=100)
 
     def test_runs_on_regular_input(self):
         result = tokenize_vectorized(b"1,2\n3,4\n", CSV, 2, [1])
@@ -481,9 +537,7 @@ class TestBulkLearning:
         data = b"10,20,30\n11,21,31\n"
         vec_map, scalar_map = PositionalMap(), PositionalMap()
         tokenize_bytes(data, CSV, 3, [2], positional_map=vec_map)
-        tokenize_bytes(
-            data, CSV, 3, [2], positional_map=scalar_map, vectorized=False
-        )
+        scalar_tokenize_bytes(data, CSV, 3, [2], positional_map=scalar_map)
         assert _pmap_state(vec_map) == _pmap_state(scalar_map)
         assert vec_map.can_slice(0) and vec_map.can_slice(2)
 

@@ -52,18 +52,24 @@ def test_every_policy_matches_oracle(dialect, columns):
 
 
 @pytest.mark.parametrize("dialect", ("csv", "tsv", "fixed-width"))
-def test_every_policy_matches_oracle_with_kernel_forced_off(dialect, tmp_path):
-    """Scalar-tokenizer ablation: ``vectorized_tokenizer=False`` for every
-    policy must still equal the oracle — and equal the kernel route.
+def test_every_policy_matches_oracle_with_kernel_forced_off(
+    dialect, tmp_path, monkeypatch
+):
+    """With the kernel declining every input, every policy must still
+    equal the oracle computed on the kernel route.
 
-    This keeps the scalar path (the fallback for ragged/anchored text and
-    the reference the vectorized differential suite diffs against) under
-    the same end-to-end oracle as the default configuration.
+    This keeps the dialect loop — the fallback for input the kernel
+    declines (ragged rows, non-ASCII delimiters) — under the same
+    end-to-end oracle as the default configuration.
     """
     columns = _seeded_table(nrows=150, ncols=3)
     path, kwargs = render_table(tmp_path, columns, dialect)
     queries = make_workload(columns, bounds=(40, 360))
     expected = oracle_results(path, kwargs, queries)
+    monkeypatch.setattr(
+        "repro.flatfile.vectorized.tokenize_vectorized",
+        lambda *args, **kwargs: None,
+    )
     for policy in POLICIES:
         compare_engine_to_oracle(
             path,
@@ -71,8 +77,7 @@ def test_every_policy_matches_oracle_with_kernel_forced_off(dialect, tmp_path):
             queries,
             expected,
             policy,
-            label=f"{dialect} scalar-tokenizer",
-            vectorized_tokenizer=False,
+            label=f"{dialect} kernel declined",
         )
 
 

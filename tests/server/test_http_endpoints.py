@@ -143,6 +143,27 @@ def test_non_json_body_is_bad_request(served):
     assert payload["error"] == "bad_request"
 
 
+def test_invalid_utf8_travels_as_flat_file(server_factory, tmp_path):
+    rows = [f"{i},{i * 2}".encode() for i in range(200)]
+    rows[150] = b"150,\xe9"  # past the schema sample: the full pass decodes it
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    server = server_factory()
+    server.engine.attach("t", path)
+    request = urllib.request.Request(
+        server.url + "/query",
+        data=json.dumps({"sql": "select sum(a1) from t"}).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=10)
+    assert excinfo.value.code == 422
+    payload = json.loads(excinfo.value.read())
+    assert payload["error"] == "flat_file"
+    assert "not valid UTF-8" in payload["message"]
+
+
 def test_stats_sections_are_json_safe(remote):
     remote.execute("select avg(a2) from r")
     stats = remote.stats()  # travelled as strict JSON already

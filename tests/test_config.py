@@ -60,7 +60,6 @@ def test_knob_ratchet():
         "store_dir",
         "tokenizer_early_abort",
         "use_positional_map",
-        "vectorized_tokenizer",
         "zone_map_rows",
         "zone_maps",
     ]
