@@ -293,17 +293,36 @@ def run_pass(
         not tokenize_everything
         and config.selective_reads
         and pmap is not None
-        and _selective_worthwhile(entry, pmap, want_cols, config)
+        and _can_read_selectively(pmap, want_cols)
     ):
-        predicates = _pushdown_predicates(
-            entry, condition if pushdown else None, config, parse_stats
-        )
         intervals = {schema.index_of(c): iv for c, iv in pushdown_items}
-        result = _selective_pass(
-            entry, schema, needed, predicates, intervals, pmap, config, parse_stats
+        candidates, zone_skips = _zone_candidates(
+            entry, intervals, int(pmap.nrows), config
         )
-        _learn_zone_maps(entry, schema, result, config)
-        return result
+        # Skip the full scan only when the windows over the zone
+        # survivors save at least 1/16th of the file; otherwise one
+        # sequential read beats many window reads of the same bytes.
+        size = entry.file.size_bytes()
+        covered = _coalesced_bytes(
+            pmap, want_cols, candidates, config.selective_read_max_gap
+        )
+        if covered < size - (size >> 4):
+            predicates = _pushdown_predicates(
+                entry, condition if pushdown else None, config, parse_stats
+            )
+            result = _selective_pass(
+                entry,
+                schema,
+                needed,
+                predicates,
+                candidates,
+                zone_skips,
+                pmap,
+                config,
+                parse_stats,
+            )
+            _learn_zone_maps(entry, schema, result, config)
+            return result
     pindex = partitions_for(entry, config)
     if pindex is not None:
         result = parallel_pass(
@@ -359,33 +378,74 @@ def run_pass(
 # ---------------------------------------------------------------------------
 
 
-def _selective_worthwhile(
-    entry: TableEntry,
-    pmap: PositionalMap,
-    cols: list[int],
-    config: EngineConfig,
-) -> bool:
-    """Can — and should — this pass skip the full scan?
-
-    *Can*: the map knows the row count, the file is single-byte text (so
+def _can_read_selectively(pmap: PositionalMap, cols: list[int]) -> bool:
+    """The map knows the row count, the file is single-byte text (so
     character offsets are byte offsets), and every column the pass will
-    touch is a known byte slice.  *Should*: the coalesced ranges must save
-    a meaningful fraction of the file (at least 1/16th), otherwise one
-    sequential ``read_all`` beats many window reads covering the same
-    bytes.
-    """
+    touch is a known byte slice."""
     if pmap.nrows is None or not pmap.sliceable:
         return False
-    if not all(pmap.can_slice(c) for c in cols):
-        return False
-    # Row-major: the ranges arrive in file order, so they sort cheaply.
-    starts = np.column_stack([pmap.slices_for(c)[0] for c in cols]).ravel()
-    ends = np.column_stack([pmap.slices_for(c)[1] for c in cols]).ravel()
-    win_starts, win_ends = coalesce_ranges(
-        starts, ends, config.selective_read_max_gap
-    )
-    size = entry.file.size_bytes()
-    return int((win_ends - win_starts).sum()) < size - (size >> 4)
+    return all(pmap.can_slice(c) for c in cols)
+
+
+def _zone_candidates(
+    entry: TableEntry,
+    intervals: dict[int, ValueInterval],
+    nrows: int,
+    config: EngineConfig,
+) -> tuple[np.ndarray, int]:
+    """Rows the zone maps cannot rule out, and how many zones they skip.
+
+    A zone is skipped when its min/max statistics prove a range predicate
+    cannot match any of its rows.  Skipping is sound because zones only
+    exist for columns whose every value parsed under the current schema
+    type (a widening drops the column's zones), and the zone test uses
+    the same comparison operators as the predicate itself.
+    """
+    candidates = np.arange(nrows, dtype=np.int64)
+    zone_skips = 0
+    zmi = entry.zone_maps if config.zone_maps else None
+    if zmi is None or zmi.nrows != nrows:
+        return candidates, zone_skips
+    for col, interval in intervals.items():
+        keep = zmi.zone_keep_mask(col, interval)
+        if keep is None or bool(keep.all()):
+            continue
+        candidates = candidates[keep[zmi.zone_of_rows(candidates)]]
+        zone_skips += int(len(keep) - keep.sum())
+    return candidates, zone_skips
+
+
+def _coalesced_bytes(
+    pmap: PositionalMap, cols: list[int], rows: np.ndarray, max_gap: int
+) -> int:
+    """Bytes the coalesced windows over ``cols``' spans in ``rows`` cover.
+
+    Row-major, the spans lie in file order: ``cols`` left to right within
+    a row, then the next row.  Over a sorted, non-overlapping sequence
+    the windows are exactly the span from the first start to the last
+    end, less every gap wider than ``max_gap`` — one pass over the
+    per-column arrays, no stacking and no sort.  A negative gap (spans
+    out of order or overlapping) falls back to :func:`coalesce_ranges`.
+    """
+    if len(rows) == 0:
+        return 0
+    starts = [pmap.slices_for(c)[0] for c in cols]
+    ends = [pmap.slices_for(c)[1] for c in cols]
+    if len(rows) < pmap.nrows:  # zones ruled some rows out
+        starts = [s[rows] for s in starts]
+        ends = [e[rows] for e in ends]
+    gaps = [s - e for e, s in zip(ends, starts[1:])]  # within a row
+    gaps.append(starts[0][1:] - ends[-1][:-1])  # one row to the next
+    lengths = [e - s for s, e in zip(starts, ends)]
+    if starts[0][0] < 0 or any(bool((a < 0).any()) for a in gaps + lengths):
+        win_starts, win_ends = coalesce_ranges(
+            np.column_stack(starts).ravel(), np.column_stack(ends).ravel(), max_gap
+        )
+        return int((win_ends - win_starts).sum())
+    total = int(ends[-1][-1] - starts[0][0])
+    for gap in gaps:
+        total -= int(gap[gap > max_gap].sum())
+    return total
 
 
 def _gather_column(
@@ -421,12 +481,17 @@ def _selective_pass(
     schema: TableSchema,
     needed: list[str],
     predicates: dict[int, RawPredicate],
-    intervals: dict[int, ValueInterval],
+    candidates: np.ndarray,
+    zone_skips: int,
     pmap: PositionalMap,
     config: EngineConfig,
     parse_stats: ParseStats,
 ) -> PassResult:
     """Positional-map-driven pass: touch only the bytes the query needs.
+
+    ``candidates`` are the rows the zone maps could not rule out
+    (:func:`_zone_candidates`, ``zone_skips`` zones skipped): bytes of
+    any other row are never requested at all.
 
     Pushdown predicates keep their early-abandonment power in range form:
     each predicate column is gathered only for the rows still in play, so
@@ -434,31 +499,13 @@ def _selective_pass(
     — the byte-range analogue of abandoning a row mid-tokenization.  Each
     predicate is one bulk call over the gathered column (``pred.mask``:
     one parse, one range mask; see :class:`WideningPredicate`), and
-    fields stay NumPy string arrays from the gather to the parser.
-
-    Zone maps sharpen this further: before any window read, rows in
-    zones whose min/max statistics prove the range predicate cannot
-    match are dropped from the candidate set, so their bytes are never
-    requested at all.  Skipping is sound because zones only exist for
-    columns whose every value parsed under the current schema type (a
-    widening drops the column's zones), and the zone test uses the same
-    comparison operators as the predicate itself.
+    fields stay NumPy arrays from the gather to the parser — ``S`` bytes
+    on ASCII windows, cast straight to numbers.
     """
     nrows = int(pmap.nrows)
     stats = TokenizerStats()
     stats.rows_scanned = nrows
-    candidates = np.arange(nrows, dtype=np.int64)
-    zone_skips = 0
-    zmi = entry.zone_maps if config.zone_maps else None
-    if zmi is not None and zmi.nrows == nrows:
-        for col, interval in intervals.items():
-            keep = zmi.zone_keep_mask(col, interval)
-            if keep is None or bool(keep.all()):
-                continue
-            before = len(candidates)
-            candidates = candidates[keep[zmi.zone_of_rows(candidates)]]
-            zone_skips += int(len(keep) - keep.sum())
-            stats.rows_abandoned += before - len(candidates)
+    stats.rows_abandoned = nrows - len(candidates)
     gathered: dict[int, np.ndarray] = {}
     gathered_rows: dict[int, np.ndarray] = {}
     for col in sorted(predicates):

@@ -54,7 +54,7 @@ from repro.core.loader import (
     parse_column_with_widening,
 )
 from repro.errors import FlatFileError
-from repro.flatfile.dialects import FormatAdapter
+from repro.flatfile.dialects import FormatAdapter, as_text
 from repro.flatfile.parser import ParseStats, parse_fields
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import WIDENS_TO, DataType, TableSchema, widest
@@ -616,13 +616,18 @@ def _merge_results(
         if predicate_mode:
             parts = [r.raw_fields[idx] for r in results]
             if parts and all(isinstance(p, np.ndarray) for p in parts):
-                # Vectorized workers ship string arrays: concatenate and
-                # parse the merged column in one bulk conversion.
+                # Vectorized workers ship field arrays: concatenate and
+                # parse the merged column in one bulk conversion.  ASCII
+                # partitions ship ``S`` bytes; beside ``U`` or object
+                # partitions they become ``str`` first, so no bytes leak
+                # into a merged object batch.
+                if len({p.dtype.kind for p in parts}) > 1:
+                    parts = [as_text(p) for p in parts]
                 raw: "list[str] | np.ndarray" = np.concatenate(parts)
             else:
                 raw = []
                 for p in parts:
-                    raw.extend(p)
+                    raw.extend(as_text(p))
             columns[schema.columns[idx].name] = parse_column_with_widening(
                 entry, idx, raw, parse_stats
             )

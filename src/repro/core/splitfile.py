@@ -26,12 +26,17 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import FlatFileError
 from repro.flatfile.files import FlatFile, decode_utf8
-from repro.flatfile.tokenizer import TokenizerStats, tokenize_bytes
+from repro.flatfile.tokenizer import (
+    TokenizerStats,
+    bulk_extract_fields,
+    tokenize_bytes,
+)
 
 
 @dataclass
@@ -46,9 +51,14 @@ class ColumnHome:
 
 @dataclass
 class SplitResult:
-    """Raw column texts produced by one split pass."""
+    """Raw column texts produced by one split pass.
 
-    fields: dict[int, list[str]]  # global column index -> raw values
+    Values are NumPy field arrays (``S`` bytes for ASCII text, as the
+    bulk gather returns them) ready for bulk parsing, or lists of ``str``
+    where the tokenizer took the dialect loop.
+    """
+
+    fields: dict[int, Sequence[str] | np.ndarray]  # global column -> raw values
     stats: TokenizerStats
     files_written: int = 0
 
@@ -82,7 +92,7 @@ class SplitFileCatalog:
         Groups the needed columns by their current home file so each file
         is read at most once per call.
         """
-        out: dict[int, list[str]] = {}
+        out: dict[int, Sequence[str] | np.ndarray] = {}
         stats = TokenizerStats()
         written = 0
         by_file: dict[int, list[int]] = {}
@@ -108,19 +118,36 @@ class SplitFileCatalog:
         self.files_written += written
         return SplitResult(out, stats, written)
 
-    def _read_single(self, home: ColumnHome) -> tuple[list[str], TokenizerStats]:
-        text = home.file.read_all()
+    def _read_single(self, home: ColumnHome) -> tuple[np.ndarray, TokenizerStats]:
+        """One value per line, gathered in bulk from the file's bytes."""
+        data = home.file.read_all_bytes()
+        ascii_only = data.isascii()
+        # Characters, as the text route counts them; decoding also turns
+        # invalid UTF-8 into a FlatFileError naming the file.
+        chars = len(data) if ascii_only else len(decode_utf8(data, home.file.path))
+        buf = np.frombuffer(data, dtype=np.uint8)
+        # Every value, the last one and empty ones included, ends in a
+        # newline (see _write_lines).
+        ends = np.flatnonzero(buf == 0x0A)
+        starts = np.concatenate(([0], ends + 1))[:-1]
+        values = bulk_extract_fields(
+            data,
+            starts,
+            ends - starts,
+            buf=buf,
+            ascii_only=ascii_only,
+            nul_free=b"\0" not in data,
+        )
         stats = TokenizerStats()
-        values = [line for line in text.split("\n") if line]
         stats.rows_scanned = len(values)
         stats.rows_emitted = len(values)
         stats.fields_tokenized = len(values)
-        stats.chars_scanned = len(text)
+        stats.chars_scanned = chars
         return values, stats
 
     def _split_from(
         self, home: ColumnHome, global_cols: list[int]
-    ) -> tuple[dict[int, list[str]], TokenizerStats, int]:
+    ) -> tuple[dict[int, Sequence[str] | np.ndarray], TokenizerStats, int]:
         """Tokenize a remainder/original file and split it on the way out."""
         # Which global columns does this file hold, in file order?
         members = sorted(
@@ -140,7 +167,7 @@ class SplitFileCatalog:
             skip_rows=home.skip_rows,
             source=home.file.path,
         )
-        out: dict[int, list[str]] = {}
+        out: dict[int, Sequence[str] | np.ndarray] = {}
         local_to_global = {local_of[c]: c for c in members}
         written = 0
         # Write one single file per tokenized column and repoint its home.
@@ -239,11 +266,16 @@ class SplitFileCatalog:
 
 
 def _write_lines(path: Path, values) -> None:
+    """Write one value per line; an ``S`` batch (ASCII bytes) as is."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(values))
+    if isinstance(values, np.ndarray) and values.dtype.kind == "S":
+        body = b"\n".join(values.tolist())
+    else:
+        body = "\n".join(values).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(body)
         if len(values):
-            f.write("\n")
+            f.write(b"\n")
 
 
 def cleanup_directory(directory: Path) -> None:

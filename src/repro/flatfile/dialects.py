@@ -60,6 +60,15 @@ from repro.errors import FlatFileError, FormatDetectionError
 FORMATS = ("csv", "quoted-csv", "tsv", "jsonl", "fixed-width")
 
 
+def as_text(values):
+    """Field values as ``str``: an ``S`` batch (ASCII field bytes, as the
+    bulk gather returns them) casts to ``U``; lists and ``U``/object
+    arrays pass through untouched."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "S":
+        return values.astype(str)
+    return values
+
+
 def newline_row_bounds(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Return (row_starts, row_ends) character offsets of non-empty lines.
 
@@ -139,18 +148,20 @@ class FormatAdapter:
         return raw
 
     def decode_many(self, values):
-        """Decode a batch of raw fields (list or NumPy string array).
+        """Decode a batch of raw fields (list or NumPy ``S``/``U`` array).
 
         The identity-dialect fast path returns the batch untouched —
         including whole NumPy arrays from the vectorized kernel, so
-        pure-ASCII plain-delimited content never pays a per-field decode.
-        Non-identity dialects that the kernel supports override this
-        with a bulk, array-in/array-out implementation; the base
-        per-field loop keeps arrays arrays too (the selective-read
-        gather hands quoted CSV one).
+        pure-ASCII plain-delimited content never pays a per-field decode
+        and stays ``S`` bytes for the parser.  Non-identity dialects that
+        the kernel supports override this with a bulk, array-in/array-out
+        implementation; the base per-field loop works on ``str`` (an
+        ``S`` batch is cast to ``U`` first) and keeps arrays arrays too
+        (the selective-read gather hands quoted CSV one).
         """
         if self.identity_decode:
             return values
+        values = as_text(values)
         decoded = [self.decode_field(v) for v in values]
         if isinstance(values, np.ndarray):
             return np.array(decoded, dtype=object)
@@ -378,15 +389,20 @@ class TsvAdapter(FormatAdapter):
         return _iter_delimited(row, "\t")
 
     def decode_many(self, values):
-        """Bulk unescape: untouched fields (the common case) never loop."""
+        """Bulk unescape: untouched fields (the common case) never loop.
+
+        An ``S`` batch is probed for the backslash byte and, untouched,
+        returned as bytes; only a batch with an escape becomes ``str``.
+        """
         if isinstance(values, np.ndarray):
             if len(values) == 0:
                 return values
-            if values.dtype.kind == "U":
-                escaped = np.char.find(values, "\\") >= 0
+            if values.dtype.kind in "SU":
+                backslash = b"\\" if values.dtype.kind == "S" else "\\"
+                escaped = np.char.find(values, backslash) >= 0
                 if not escaped.any():
                     return values
-                out = values.astype(object)
+                out = as_text(values).astype(object)
             else:
                 out = values.astype(object)
                 escaped = np.fromiter(
@@ -564,11 +580,14 @@ class FixedWidthAdapter(FormatAdapter):
 
         Array in, array out — the kernel indexes the result with NumPy
         row selections, so the object-dtype batches (NUL-trailing
-        fields) must stay arrays too.
+        fields) must stay arrays too.  An ``S`` batch is de-padded as
+        bytes and stays ``S``.
         """
         if isinstance(values, np.ndarray):
             if len(values) == 0:
                 return values
+            if values.dtype.kind == "S":
+                return np.char.rstrip(values, b" ")
             if values.dtype.kind == "U":
                 return np.char.rstrip(values, " ")
             return np.array(

@@ -27,6 +27,12 @@ needed column, pushdown predicates abandon rows at the first failing
 conjunct, short rows raise "fewer than N fields", and field spans (where
 the dialect defines them — all but JSON-lines) feed the positional map.
 Invalid UTF-8 raises :class:`~repro.errors.FlatFileError` naming the byte.
+
+Field text leaves the bulk kernel and the selective-read gather as NumPy
+arrays: ``S`` bytes on pure-ASCII input, so the parser casts bytes
+straight to numbers with no ``str`` detour, and ``U`` strings otherwise.
+:func:`~repro.flatfile.dialects.as_text` turns a batch into ``str``
+where a string is the answer.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.errors import FlatFileError
-from repro.flatfile.dialects import FormatAdapter
+from repro.flatfile.dialects import FormatAdapter, as_text
 from repro.flatfile.files import decode_utf8
 from repro.flatfile.positions import PositionalMap
 
@@ -79,14 +85,16 @@ class TokenizeResult:
     """Output of one selective tokenization pass.
 
     ``fields[col]`` holds the text of column ``col`` for every emitted
-    row, in row order — a plain list from :func:`tokenize_dialect`, a
-    NumPy string array from the vectorized kernel (downstream typed
-    parsing converts whole arrays in bulk).  ``row_ids`` are the 0-based indices
+    row, in row order — a plain list of ``str`` from
+    :func:`tokenize_dialect`, a NumPy array from the vectorized kernel:
+    ``S`` bytes on pure-ASCII input, ``U`` (or object, for repaired
+    fields) otherwise; downstream typed parsing converts whole arrays in
+    bulk.  ``row_ids`` are the 0-based indices
     (within the tokenized range) of the emitted rows; when predicates
     filtered nothing, this is simply ``arange(rows_scanned)``.
     """
 
-    fields: dict[int, Sequence[str]]
+    fields: dict[int, Sequence[str] | np.ndarray]
     row_ids: np.ndarray
     stats: TokenizerStats = field(default_factory=TokenizerStats)
 
@@ -297,35 +305,39 @@ def bulk_extract_fields(
     ascii_only: bool | None = None,
     nul_free: bool = False,
 ) -> np.ndarray:
-    """Bulk-slice ``data[starts[i] : starts[i] + lengths[i]]`` into strings.
+    """Bulk-slice ``data[starts[i] : starts[i] + lengths[i]]`` into fields.
 
     The shared extraction core of the selective-read gather and the
     vectorized tokenization kernel: one NumPy fancy-indexing step builds
     a ``(n, maxlen)`` NUL-padded byte matrix viewed as fixed-width
-    bytes, converted to strings with a single ``S``→``U`` cast when the
-    content is pure ASCII (no per-field decode at all) and with a C-level
-    ``np.char.decode`` otherwise.  Fields wider than the padded matrix
-    pays for (:data:`_GATHER_MAX_FIELD`) are sliced directly — one
-    whole-window ASCII decode when possible, per-field UTF-8 otherwise.
+    bytes.  When the content is pure ASCII that ``S`` array *is* the
+    result — no decode at all; the parser casts ``S`` straight to
+    int64/float64, and only string answers become ``str``
+    (:func:`~repro.flatfile.dialects.as_text`).  Other content is decoded
+    to ``U`` with a C-level ``np.char.decode``.  Fields wider than the
+    padded matrix pays for (:data:`_GATHER_MAX_FIELD`) are sliced
+    directly into an object array of ``str`` — one whole-window ASCII
+    decode when possible, per-field UTF-8 otherwise.
 
     The fixed-width ``S`` view strips trailing NULs, which would truncate
     a field that legitimately ends in NUL bytes; unless the caller
-    vouches the buffer is NUL-free, every decoded length is audited
+    vouches the buffer is NUL-free, every field length is audited
     against ``char_lengths`` (``lengths`` when not given — byte lengths,
     so multi-byte fields are also caught) and mismatches are re-sliced
-    exactly into an object-dtype batch.
+    exactly into an object-dtype batch of ``str`` (the whole batch is
+    ``str`` then, never a mix of ``bytes`` and ``str``).
 
     ``buf``/``ascii_only`` let a caller that already scanned the bytes
     (the kernel) skip recomputing them.
     """
     n = len(starts)
     if n == 0:
-        return np.empty(0, dtype="U1")
+        return np.empty(0, dtype="S1")
     if (lengths < 0).any():
         raise FlatFileError("gather_fields: negative field length")
     maxlen = int(lengths.max())
     if maxlen == 0:
-        return np.zeros(n, dtype="U1")
+        return np.zeros(n, dtype="S1")
     if maxlen > _GATHER_MAX_FIELD:
         pairs = list(zip(starts.tolist(), lengths.tolist()))
         # One whole-buffer decode beats per-field decodes only when the
@@ -347,24 +359,22 @@ def bulk_extract_fields(
         buf = np.frombuffer(data, dtype=np.uint8)
     if len(buf) == 0:
         raise FlatFileError("gather_fields: non-empty fields but empty buffer")
-    offs = np.arange(maxlen, dtype=np.int64)
-    idx = starts[:, None] + offs[None, :]
-    np.clip(idx, 0, max(len(buf) - 1, 0), out=idx)
-    chars = buf[idx]
-    chars[offs[None, :] >= lengths[:, None]] = 0
-    packed = np.ascontiguousarray(chars).view(f"S{maxlen}").ravel()
+    # Built column-major, (maxlen, n), so every NumPy loop runs over the
+    # n fields rather than a field's few bytes; one transposing copy
+    # packs it row-major for the ``S`` view.
+    offs = np.arange(maxlen, dtype=np.int64)[:, None]
+    chars = buf.take(offs + starts, mode="clip")  # masked below if past a field
+    chars *= offs < lengths
+    packed = np.ascontiguousarray(chars.T).view(f"S{maxlen}").ravel()
     if ascii_only is None:
         ascii_only = not bool((chars > 127).any())
-    if ascii_only:
-        out = packed.astype(f"U{maxlen}")
-    else:
-        out = np.char.decode(packed, "utf-8")
+    out = packed if ascii_only else np.char.decode(packed, "utf-8")
     if nul_free:
         return out
     expected = lengths if char_lengths is None else char_lengths
     bad = np.nonzero(np.char.str_len(out) != expected)[0]
     if len(bad):
-        out = out.astype(object)
+        out = as_text(out).astype(object)
         for i in bad.tolist():
             s, ln = int(starts[i]), int(lengths[i])
             out[i] = data[s : s + ln].decode("utf-8")
@@ -374,13 +384,14 @@ def bulk_extract_fields(
 def gather_fields(
     buffer: bytes, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """Extract ``buffer[starts[i] : starts[i] + lengths[i]]`` as strings.
+    """Extract ``buffer[starts[i] : starts[i] + lengths[i]]`` as fields.
 
     The selective-read fast path knows every field's byte range from the
     positional map, so no delimiter scanning happens at all: the fields
     are gathered out of the read windows by :func:`bulk_extract_fields`
-    instead of a per-row Python loop.  The result stays a NumPy string
-    array, so predicates mask it and the parser converts it in bulk.
+    instead of a per-row Python loop.  The result stays a NumPy array
+    (``S`` bytes when the windows are ASCII), so predicates mask it and
+    the parser converts it in bulk.
     """
     return bulk_extract_fields(
         buffer,

@@ -25,7 +25,10 @@ pass over the raw bytes in bulk:
    are evaluated column-by-column over the still-candidate rows, each as
    one bulk call (``pred.mask``: one parse of the candidate array, one
    range mask — never a Python call per value), so a failing early
-   column spares every later column's slices;
+   column spares every later column's slices.  On pure-ASCII input the
+   fields are ``S`` byte arrays (the gather's packed matrix, never cast
+   to ``str``), so the predicate mask and the parser cast bytes straight
+   to numbers; non-ASCII input is decoded to ``U`` once, in bulk;
 4. **bulk learning** — the positional map absorbs whole offset-matrix
    columns (:meth:`~repro.flatfile.positions.PositionalMap.absorb_offsets`)
    instead of being offered one field at a time.
@@ -301,7 +304,7 @@ def tokenize_vectorized(
         positional_map.record_text_geometry(nbytes=len(data), nchars=nchars)
 
     # --------------------------------------------------------- materialize
-    # NumPy string arrays where TokenizeResult names Sequence[str].
+    # NumPy field arrays (S on ASCII input, U otherwise); see TokenizeResult.
     out_fields: dict[int, Any] = {}
     for col in wanted:
         if col in pred_values:

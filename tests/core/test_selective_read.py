@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import EngineConfig, NoDBEngine
 from repro.config import POLICIES
-from repro.core.loader import column_load_pass, partial_load_pass
+from repro.core.loader import _coalesced_bytes, column_load_pass, partial_load_pass
+from repro.flatfile.files import coalesce_ranges
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import Catalog
 from scalar_oracle import split_rows
@@ -221,3 +224,99 @@ class TestSafetyGates:
         # Both columns cover ~the whole file; windowed reads would not
         # beat a single sequential scan, so the loader does not bother.
         assert entry.file.stats.full_scans == 2
+
+
+class _Spans:
+    """The two members of a positional map the selective planner reads."""
+
+    def __init__(self, starts, ends):
+        self.nrows = len(starts[0])
+        self._spans = {c: (s, e) for c, (s, e) in enumerate(zip(starts, ends))}
+
+    def slices_for(self, col):
+        return self._spans[col]
+
+
+@st.composite
+def row_major_spans(draw):
+    """Per-column span arrays laid out row-major, plus a row subset."""
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 30))
+    steps = draw(
+        st.lists(
+            st.integers(0, 40), min_size=2 * ncols * nrows, max_size=2 * ncols * nrows
+        )
+    )
+    bounds = np.cumsum(steps).reshape(nrows, ncols, 2)
+    starts = [np.ascontiguousarray(bounds[:, c, 0]) for c in range(ncols)]
+    ends = [np.ascontiguousarray(bounds[:, c, 1]) for c in range(ncols)]
+    rows = np.array(
+        sorted(draw(st.sets(st.integers(0, nrows - 1), min_size=1))), dtype=np.int64
+    )
+    return starts, ends, rows
+
+
+def _coalesced_by_sort(starts, ends, rows, max_gap):
+    win_starts, win_ends = coalesce_ranges(
+        np.concatenate([s[rows] for s in starts]),
+        np.concatenate([e[rows] for e in ends]),
+        max_gap,
+    )
+    return int((win_ends - win_starts).sum())
+
+
+class TestPlanning:
+    """Selective-read planning: exact window bytes without a sort, over
+    the rows zone maps keep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_major_spans(), st.sampled_from([0, 1, 5, 40, 8192]))
+    def test_coalesced_bytes_equal_coalesce_ranges(self, spans, max_gap):
+        starts, ends, rows = spans
+        pmap = _Spans(starts, ends)
+        cols = list(range(len(starts)))
+        want = _coalesced_by_sort(starts, ends, rows, max_gap)
+        assert _coalesced_bytes(pmap, cols, rows, max_gap) == want
+        every = np.arange(pmap.nrows, dtype=np.int64)
+        assert _coalesced_bytes(pmap, cols, every, max_gap) == (
+            _coalesced_by_sort(starts, ends, every, max_gap)
+        )
+
+    def test_out_of_order_spans_fall_back_to_coalesce_ranges(self):
+        # Column 1 lies left of column 0 in the second row: a negative gap.
+        starts = [np.array([0, 30]), np.array([10, 20])]
+        ends = [np.array([5, 35]), np.array([15, 25])]
+        rows = np.arange(2, dtype=np.int64)
+        assert _coalesced_bytes(_Spans(starts, ends), [0, 1], rows, 0) == 20
+        assert _coalesced_by_sort(starts, ends, rows, 0) == 20
+
+    def _sorted_file(self, tmp_path):
+        # Every column is needed, so the whole file is "wanted": only zone
+        # maps can make a windowed read worthwhile.
+        rows = [f"{i},{i % 7}" for i in range(4000)]
+        return _write(tmp_path / "s.csv", rows)
+
+    def test_zone_survivors_make_a_wide_query_selective(self, tmp_path):
+        path = self._sorted_file(tmp_path)
+        cfg = EngineConfig(policy="partial_v1", zone_map_rows=256, cracking=False)
+        with NoDBEngine(cfg) as engine:
+            engine.attach("t", path)
+            engine.query("select sum(a1), sum(a2) from t")  # map + zones
+            sql = "select sum(a2) from t where a1 >= 1000 and a1 < 1010"
+            got = engine.query(sql).scalar()
+            q = engine.stats.last()
+        assert got == sum(i % 7 for i in range(1000, 1010))
+        assert q.zone_map_skips > 0
+        assert 0 < q.file_bytes_read < path.stat().st_size // 4
+
+    def test_no_zone_skip_keeps_the_full_scan(self, tmp_path):
+        path = self._sorted_file(tmp_path)
+        cfg = EngineConfig(policy="partial_v1", zone_map_rows=256, cracking=False)
+        with NoDBEngine(cfg) as engine:
+            engine.attach("t", path)
+            engine.query("select sum(a1), sum(a2) from t")
+            got = engine.query("select sum(a2) from t where a1 >= 0").scalar()
+            q = engine.stats.last()
+        assert got == sum(i % 7 for i in range(4000))
+        assert q.zone_map_skips == 0
+        assert q.file_bytes_read == path.stat().st_size

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.core.splitfile import SplitFileCatalog
+from repro.flatfile.dialects import as_text
 from repro.flatfile.files import FlatFile
 from repro.flatfile.writer import write_csv
 
@@ -25,11 +27,16 @@ def expected_text(col):
     return [str(v) for v in col]
 
 
+def texts(values):
+    """Fetched fields as ``str`` (a split of ASCII text yields ``S`` bytes)."""
+    return list(as_text(values))
+
+
 class TestFetch:
     def test_fetch_from_original(self, setup):
         catalog, cols = setup
         result = catalog.fetch_columns([1])
-        assert list(result.fields[1]) == expected_text(cols[1])
+        assert texts(result.fields[1]) == expected_text(cols[1])
 
     def test_fetch_creates_singles_and_remainder(self, setup):
         catalog, cols = setup
@@ -47,14 +54,14 @@ class TestFetch:
         single = catalog.homes[0].file
         before = single.stats.bytes_read
         result = catalog.fetch_columns([0])
-        assert list(result.fields[0]) == expected_text(cols[0])
+        assert texts(result.fields[0]) == expected_text(cols[0])
         assert single.stats.bytes_read - before == single.size_bytes()
 
     def test_fetch_from_remainder_resplits(self, setup):
         catalog, cols = setup
         catalog.fetch_columns([0])  # singles: 0; remainder: 1..4
         result = catalog.fetch_columns([2])
-        assert list(result.fields[2]) == expected_text(cols[2])
+        assert texts(result.fields[2]) == expected_text(cols[2])
         assert catalog.homes[1].kind == "single"
         assert catalog.homes[2].kind == "single"
         assert catalog.homes[3].kind == "remainder"
@@ -63,13 +70,13 @@ class TestFetch:
         catalog, cols = setup
         catalog.fetch_columns([1])
         result = catalog.fetch_columns([0, 3])
-        assert list(result.fields[0]) == expected_text(cols[0])
-        assert list(result.fields[3]) == expected_text(cols[3])
+        assert texts(result.fields[0]) == expected_text(cols[0])
+        assert texts(result.fields[3]) == expected_text(cols[3])
 
     def test_last_column(self, setup):
         catalog, cols = setup
         result = catalog.fetch_columns([4])
-        assert list(result.fields[4]) == expected_text(cols[4])
+        assert texts(result.fields[4]) == expected_text(cols[4])
         assert all(h.kind == "single" for h in catalog.homes.values())
 
     def test_out_of_range(self, setup):
@@ -88,7 +95,7 @@ class TestReassembly:
         catalog.fetch_columns([0, 2])
         for i, col in enumerate(cols):
             got = catalog.fetch_columns([i]).fields[i]
-            assert list(got) == expected_text(col), f"column {i} corrupted by splitting"
+            assert texts(got) == expected_text(col), f"column {i} corrupted by splitting"
 
 
 class TestAccounting:
@@ -124,7 +131,7 @@ class TestDestroy:
                 assert not p.exists()
         # Still functional after destroy.
         got = catalog.fetch_columns([2]).fields[2]
-        assert list(got) == expected_text(cols[2])
+        assert texts(got) == expected_text(cols[2])
 
 
 class TestHeaderedSource:
@@ -138,6 +145,60 @@ class TestHeaderedSource:
             table_key="h",
             skip_rows=1,
         )
-        assert list(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
+        assert texts(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
         # Singles must not contain the header.
-        assert list(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
+        assert texts(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
+
+
+class TestSingleFileReads:
+    def test_non_ascii_and_ascii_singles_read_back_exactly(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("1,é x,a\n2,b,ü\n3,d,c\n", encoding="utf-8")
+        catalog = SplitFileCatalog(
+            source=FlatFile(path), directory=tmp_path / "s", ncols=3, table_key="u"
+        )
+        first = catalog.fetch_columns([1, 2])
+        assert texts(first.fields[1]) == ["é x", "b", "d"]
+        # Now from the single files written by that split.
+        again = catalog.fetch_columns([0, 1, 2])
+        assert catalog.homes[1].kind == "single"
+        assert texts(again.fields[0]) == ["1", "2", "3"]
+        assert texts(again.fields[1]) == ["é x", "b", "d"]
+        assert texts(again.fields[2]) == ["a", "ü", "c"]
+        # Characters scanned, not bytes (which would be 9 + 6 + 7):
+        # "é x\nb\nd\n" + "1\n2\n3\n" + "a\nü\nc\n".
+        assert again.stats.chars_scanned == 8 + 6 + 6
+
+    def test_empty_values_survive_their_single_file(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("1,,x\n2,b,\n3,,z\n", encoding="utf-8")
+        catalog = SplitFileCatalog(
+            source=FlatFile(path), directory=tmp_path / "s", ncols=3, table_key="e"
+        )
+        assert texts(catalog.fetch_columns([1, 2]).fields[1]) == ["", "b", ""]
+        again = catalog.fetch_columns([1, 2])
+        assert catalog.homes[1].kind == "single"
+        assert texts(again.fields[1]) == ["", "b", ""]
+        assert texts(again.fields[2]) == ["x", "", "z"]
+        assert again.stats.rows_scanned == 6
+
+    def test_empty_string_answer_matches_oracle(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text(
+            "id,name,tag\n1,,x\n2,bob,\n3,,z\n4,dan,w\n", encoding="utf-8"
+        )
+        sql = "select id, name from t where name = '' order by id"
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        # A one-byte budget keeps nothing loaded: every query re-reads.
+        config = EngineConfig(
+            policy="splitfiles",
+            splitfile_dir=tmp_path / "s",
+            memory_budget_bytes=1,
+        )
+        with NoDBEngine(config) as engine:
+            engine.attach("t", path)
+            first = engine.query(sql).rows()
+            again = engine.query(sql).rows()
+            assert engine.stats.last().file_bytes_read > 0
+        assert first == again == oracle.query(sql).rows() == [(1, ""), (3, "")]

@@ -19,7 +19,7 @@ from repro.errors import FlatFileError
 from repro.flatfile.dialects import DelimitedAdapter
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import gather_fields, tokenize_bytes
-from scalar_oracle import split_rows
+from scalar_oracle import field_texts, split_rows
 
 TEXT = "10,20,30,40\n11,21,31,41\n12,22,32,42\n"
 
@@ -34,7 +34,7 @@ class _Both:
         return self.fn(text)
 
     def mask(self, values):
-        return np.array([bool(self.fn(str(v))) for v in values], dtype=bool)
+        return np.array([bool(self.fn(v)) for v in field_texts(values)], dtype=bool)
 
 
 def tok(text, ncols, needed, delimiter=",", predicates=None, **kwargs):
@@ -49,7 +49,11 @@ def tok(text, ncols, needed, delimiter=",", predicates=None, **kwargs):
         predicates=predicates,
         **kwargs,
     )
-    r.fields = {c: [str(v) for v in values] for c, values in r.fields.items()}
+    ascii_input = text.isascii()
+    r.fields = {
+        c: field_texts(values, ascii_input=ascii_input)
+        for c, values in r.fields.items()
+    }
     return r
 
 
@@ -231,22 +235,24 @@ class TestGatherFields:
     def test_simple_gather(self):
         buf = b"10,20,30"
         out = gather_fields(buf, np.array([0, 3, 6]), np.array([2, 2, 2]))
-        assert out.tolist() == ["10", "20", "30"]
+        assert field_texts(out, ascii_input=True) == ["10", "20", "30"]
 
     def test_ragged_lengths(self):
         buf = b"7,1234,x"
         out = gather_fields(buf, np.array([0, 2, 7]), np.array([1, 4, 1]))
-        assert out.tolist() == ["7", "1234", "x"]
+        assert field_texts(out, ascii_input=True) == ["7", "1234", "x"]
 
     def test_zero_length_fields(self):
         out = gather_fields(b"a,,b", np.array([0, 2, 3]), np.array([1, 0, 1]))
-        assert out.tolist() == ["a", "", "b"]
+        assert field_texts(out, ascii_input=True) == ["a", "", "b"]
 
     def test_all_empty(self):
-        assert gather_fields(b"xy", np.array([0, 1]), np.array([0, 0])).tolist() == ["", ""]
+        out = gather_fields(b"xy", np.array([0, 1]), np.array([0, 0]))
+        assert field_texts(out, ascii_input=True) == ["", ""]
 
     def test_empty_input(self):
-        assert gather_fields(b"", np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)).tolist() == []
+        empty = np.empty(0, dtype=np.int64)
+        assert field_texts(gather_fields(b"", empty, empty), ascii_input=True) == []
 
     def test_wide_field_fallback_path(self):
         wide = "9" * 1000
@@ -254,7 +260,7 @@ class TestGatherFields:
         out = gather_fields(
             buf, np.array([0, 2, 1003]), np.array([1, 1000, 1])
         )
-        assert out.tolist() == ["a", wide, "b"]
+        assert field_texts(out, ascii_input=True) == ["a", wide, "b"]
 
     def test_negative_length_rejected(self):
         with pytest.raises(FlatFileError):
@@ -268,7 +274,8 @@ class TestGatherFields:
         expected = [
             buf[s : s + l].decode() for s, l in zip(starts.tolist(), lengths.tolist())
         ]
-        assert gather_fields(buf, starts, lengths).tolist() == expected
+        out = gather_fields(buf, starts, lengths)
+        assert field_texts(out, ascii_input=True) == expected
 
 
 class TestSplitRows:

@@ -31,7 +31,7 @@ from repro.flatfile.dialects import (
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import tokenize_bytes
 from repro.flatfile.vectorized import tokenize_vectorized
-from scalar_oracle import scalar_tokenize_bytes
+from scalar_oracle import field_texts, scalar_tokenize_bytes
 
 
 def _pmap_state(pmap: PositionalMap):
@@ -74,7 +74,7 @@ class _Recorded:
         return self.fn(value)
 
     def mask(self, values):
-        values = [str(v) for v in values]
+        values = field_texts(values)
         self.log.append((self.col, values))
         return np.array([bool(self.fn(v)) for v in values], dtype=bool)
 
@@ -114,6 +114,8 @@ def assert_routes_agree(
     """
     outcomes = []
     for tokenize in (tokenize_bytes, scalar_tokenize_bytes):
+        # The shipped route over ASCII bytes must hand out S arrays.
+        ascii_input = tokenize is tokenize_bytes and data.isascii()
         pmap = None
         if learn:
             pmap = copy.deepcopy(warm) if warm is not None else PositionalMap()
@@ -142,7 +144,7 @@ def assert_routes_agree(
             (
                 {
                     "fields": {
-                        c: [str(v) for v in vals]
+                        c: field_texts(vals, ascii_input=ascii_input)
                         for c, vals in result.fields.items()
                     },
                     "row_ids": result.row_ids.tolist(),
@@ -509,7 +511,7 @@ class TestKernelDeclines:
     def test_runs_on_regular_input(self):
         result = tokenize_vectorized(b"1,2\n3,4\n", CSV, 2, [1])
         assert result is not None
-        assert [str(v) for v in result.fields[1]] == ["2", "4"]
+        assert field_texts(result.fields[1], ascii_input=True) == ["2", "4"]
 
 
 class TestValidationParity:

@@ -11,7 +11,8 @@ must reproduce, so the property suites diff the shipped route
 :func:`scalar_tokenize_bytes` is the reference for ``tokenize_bytes``
 itself: decode, then this walk for plain delimited input and the
 dialect-generic loop for every other dialect.  :func:`split_rows` is plain
-ground truth.
+ground truth.  :func:`field_texts` is the one way the suites turn a
+route's field batch into ``str`` before comparing it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import FlatFileError
-from repro.flatfile.dialects import DelimitedAdapter, FormatAdapter, newline_row_bounds
+from repro.flatfile.dialects import (
+    DelimitedAdapter,
+    FormatAdapter,
+    as_text,
+    newline_row_bounds,
+)
 from repro.flatfile.files import decode_utf8
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import (
@@ -228,6 +234,23 @@ def anchor_for(pmap: PositionalMap, col: int) -> tuple[int, np.ndarray] | None:
     if pmap.row_offsets is not None:
         return 0, pmap.row_offsets
     return None
+
+
+def field_texts(values, *, ascii_input: bool = False) -> list[str]:
+    """A route's field batch as a list of ``str``, for comparing routes.
+
+    Decodes through :func:`~repro.flatfile.dialects.as_text`, the engine's
+    own ``S`` -> ``str`` step.  With ``ascii_input``, a NumPy batch must
+    be ``S`` bytes — the parser's no-``str`` fast path — or an object
+    batch of ``str`` only (wide or NUL-repaired fields), never ``U`` and
+    never a mix of ``bytes`` and ``str``.
+    """
+    if ascii_input and isinstance(values, np.ndarray):
+        if values.dtype == object:
+            assert all(isinstance(v, str) for v in values), values
+        else:
+            assert values.dtype.kind == "S", f"ASCII input gave {values.dtype}"
+    return [str(v) for v in as_text(values)]
 
 
 def scalar_tokenize_bytes(
