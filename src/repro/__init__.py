@@ -15,10 +15,12 @@ between versions).
     (files auto-attach as ``t`` / ``t1..tN``);
     ``repro.connect(url="http://host:port")`` opens the same surface
     against a running ``repro serve`` process.
-:class:`NoDBEngine` / :class:`AutoTuningEngine`
+:class:`NoDBEngine`
     The adaptive engine itself, for direct use: attach raw flat files,
     fire SQL immediately; data is loaded selectively, adaptively and
-    incrementally as queries demand.
+    incrementally as queries demand.  ``engine.monitor.advise()`` names
+    a better loading policy when the workload calls for one, and
+    ``engine.set_policy()`` applies it.
 :class:`EngineConfig` / :data:`POLICIES`
     Engine knobs: loading policy, memory budget, tokenizer toggles,
     persistence and concurrency switches.
@@ -58,7 +60,7 @@ Serving::
 from repro.api import Connection, connect
 from repro.baselines import AwkEngine, CSVEngine
 from repro.config import POLICIES, EngineConfig
-from repro.core import AutoTuningEngine, NoDBEngine
+from repro.core import NoDBEngine
 from repro.errors import (
     BadRequestError,
     BindError,
@@ -87,7 +89,6 @@ __all__ = [
     "Connection",
     "connect",
     # engines
-    "AutoTuningEngine",
     "NoDBEngine",
     # baselines (oracle reference, not the application path)
     "AwkEngine",

@@ -32,7 +32,6 @@ from pathlib import Path
 
 from repro.api import table_names_for
 from repro.config import POLICIES, EngineConfig
-from repro.core.autotuner import AutoTuningEngine
 from repro.core.engine import NoDBEngine
 from repro.errors import ReproError
 from repro.flatfile.dialects import FORMATS
@@ -58,7 +57,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--auto",
         action="store_true",
-        help="auto-tune the policy from the robustness monitor's advice",
+        help="after each query, switch to the loading policy the "
+        "robustness monitor advises (once a full window of queries ran "
+        "under the current one) and print the switch",
     )
     parser.add_argument(
         "--delimiter", default=",", help="field delimiter (default: ',')"
@@ -188,9 +189,24 @@ def _print_stats(engine: NoDBEngine, out) -> None:
     )
 
 
-def run_shell(engine, raw_engine: NoDBEngine, show_stats: bool, stdin, stdout) -> int:
+def _follow_advice(engine: NoDBEngine, out) -> None:
+    """``--auto``: apply the robustness monitor's advice, printing the switch."""
+    advice = engine.monitor.advise()
+    old = engine.config.policy
+    if advice is None or advice.switch_to == old:
+        return
+    engine.set_policy(advice.switch_to)
+    print(
+        f"-- auto-tuner: switched {old} -> {advice.switch_to} ({advice.reason})",
+        file=out,
+    )
+
+
+def run_shell(
+    engine: NoDBEngine, show_stats: bool, auto: bool, stdin, stdout
+) -> int:
     print("repro shell — end statements with Enter; \\q quits.", file=stdout)
-    print(f"tables: {', '.join(raw_engine.tables())}", file=stdout)
+    print(f"tables: {', '.join(engine.tables())}", file=stdout)
     for line in stdin:
         sql = line.strip()
         if not sql:
@@ -201,7 +217,9 @@ def run_shell(engine, raw_engine: NoDBEngine, show_stats: bool, stdin, stdout) -
             result = engine.query(sql)
             print(result, file=stdout)
             if show_stats:
-                _print_stats(raw_engine, stdout)
+                _print_stats(engine, stdout)
+            if auto:
+                _follow_advice(engine, stdout)
         except ReproError as exc:
             print(f"error: {exc}", file=stdout)
     return 0
@@ -421,12 +439,7 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
     except ValueError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
-    if args.auto:
-        engine = AutoTuningEngine(config)
-        raw_engine = engine.engine
-    else:
-        engine = NoDBEngine(config)
-        raw_engine = engine
+    engine = NoDBEngine(config)
 
     fixed_widths: tuple[int, ...] | None = None
     if args.fixed_widths is not None:
@@ -444,7 +457,7 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
     fmt = None if args.format == "csv" else args.format
     try:
         for name, path in zip(table_names(files), files):
-            raw_engine.attach(
+            engine.attach(
                 name,
                 path,
                 delimiter=args.delimiter,
@@ -457,9 +470,9 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
 
     try:
         if args.shell:
-            return run_shell(engine, raw_engine, args.stats, stdin, stdout)
+            return run_shell(engine, args.stats, args.auto, stdin, stdout)
         if args.explain:
-            print(raw_engine.explain(sql), file=stdout)
+            print(engine.explain(sql), file=stdout)
             return 0
         result = engine.query(sql)
         if args.json:
@@ -469,20 +482,15 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
         else:
             print(result, file=stdout)
         if args.stats:
-            _print_stats(raw_engine, stdout)
-        if args.auto and getattr(engine, "switches", None):
-            for switch in engine.switches:
-                print(
-                    f"-- auto-tuner: switched {switch.from_policy} -> "
-                    f"{switch.to_policy} ({switch.reason})",
-                    file=stdout,
-                )
+            _print_stats(engine, stdout)
+        if args.auto:
+            _follow_advice(engine, stdout)
         return 0
     except ReproError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     finally:
-        raw_engine.close()
+        engine.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -7,18 +7,15 @@ decides — per query — what to read from the raw files, what to keep, and
 what to serve from the adaptive store.
 """
 
-from repro.core.autotuner import AutoTuningEngine, PolicySwitch
 from repro.core.engine import NoDBEngine
 from repro.core.monitor import PolicyAdvice, RobustnessMonitor
 from repro.core.policies import make_policy
 from repro.core.statistics import EngineStatistics, QueryStats
 
 __all__ = [
-    "AutoTuningEngine",
     "EngineStatistics",
     "NoDBEngine",
     "PolicyAdvice",
-    "PolicySwitch",
     "QueryStats",
     "RobustnessMonitor",
     "make_policy",

@@ -98,7 +98,7 @@ class NoDBEngine:
             policy=self.config.eviction_policy,
         )
         self.stats = EngineStatistics()
-        self.monitor = RobustnessMonitor(policy=self.config.policy)
+        self.monitor = RobustnessMonitor(self.stats, self.config, self.memory.stats)
         self._owns_split_dir = self.config.splitfile_dir is None
         # Catalog/config mutation (attach, detach, set_policy, close) is
         # serialized here; with ``global_lock=True`` the whole per-query
@@ -230,7 +230,6 @@ class NoDBEngine:
                 return
             self.policy = make_policy(policy_name)  # validates the name
             self.config.policy = policy_name
-            self.monitor.policy = policy_name
 
     def schema_of(self, name: str) -> list[tuple[str, str]]:
         """Column names/types of an attached table (triggers inference)."""
@@ -299,7 +298,6 @@ class NoDBEngine:
         if qstats.cracks:
             self.stats.count("cracks", qstats.cracks)
         self.stats.record(qstats)
-        self.monitor.observe(qstats, self.memory.stats.evictions)
         result.stats = {
             "policy": self.config.policy,
             "elapsed_s": qstats.elapsed_s,
@@ -407,7 +405,6 @@ class NoDBEngine:
         qstats.elapsed_s = total.lap()
         self.stats.count("result_cache_hits")
         self.stats.record(qstats)
-        self.monitor.observe(qstats, self.memory.stats.evictions)
         cached.stats = {
             "policy": self.config.policy,
             "elapsed_s": qstats.elapsed_s,

@@ -4,7 +4,8 @@
 process to monitor the system performance and the workload trends such as
 we can continuously adjust critical decisions."
 
-The monitor watches the per-query statistics stream and raises *advice*
+The monitor reads the engine's own bounded query record
+(:class:`~repro.core.statistics.EngineStatistics`) and raises *advice*
 when the running policy is pathological for the observed workload:
 
 * a stateless policy (``external``, ``partial_v1``) paying full-file trips
@@ -17,8 +18,17 @@ when the running policy is pathological for the observed workload:
   evicted before they are ever reused) — the worst case sketched in 5.5
   where "all the effort of incremental loading is wasted".
 
-Advice is returned, never enforced: switching policies mid-flight is the
-operator's (or a future auto-tuner's) decision.
+Advice is only given once the last ``window`` queries all ran under the
+current policy, so a switch silences the monitor until a full window of
+post-switch behaviour has been seen — the hysteresis that keeps it from
+flapping.  The monitor never switches by itself: ``repro --auto`` (section
+5.3's adaptation loop) applies each advice with
+:meth:`~repro.core.engine.NoDBEngine.set_policy`, and library callers do
+the same::
+
+    advice = engine.monitor.advise()
+    if advice is not None:
+        engine.set_policy(advice.switch_to)
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.core.statistics import QueryStats
+from repro.config import EngineConfig
+from repro.core.statistics import EngineStatistics, QueryStats
+from repro.storage.memory import MemoryStats
 
 
 @dataclass(frozen=True)
@@ -69,29 +81,29 @@ class CrackingAdvisor:
 
 @dataclass
 class RobustnessMonitor:
-    """Sliding-window workload/performance watcher."""
+    """Sliding-window workload/performance watcher over an engine's stats."""
 
-    policy: str
+    #: The engine's query record; the window is its last ``window`` entries.
+    stats: EngineStatistics
+    #: The engine's live config: ``config.policy`` is the running policy.
+    config: EngineConfig
+    #: The engine's eviction counters (thrashing evidence).
+    memory: MemoryStats
     window: int = 8
-    evictions_seen: int = 0
-    history: list[QueryStats] = field(default_factory=list)
     #: Decides when repeated range predicates justify cracking a column.
     cracking: CrackingAdvisor = field(default_factory=CrackingAdvisor)
-
-    def observe(self, qstats: QueryStats, evictions_total: int = 0) -> None:
-        self.history.append(qstats)
-        self.evictions_seen = evictions_total
 
     # -------------------------------------------------------------- advice
 
     def advise(self) -> PolicyAdvice | None:
-        recent = self.history[-self.window :]
-        if len(recent) < self.window:
+        policy = self.config.policy
+        recent = self.stats.recent(self.window)
+        if len(recent) < self.window or any(q.policy != policy for q in recent):
             return None
         file_trips = sum(1 for q in recent if q.went_to_file)
         store_hits = sum(1 for q in recent if q.served_from_store)
 
-        if self.policy in ("external", "partial_v1") and file_trips == len(recent):
+        if policy in ("external", "partial_v1") and file_trips == len(recent):
             repeated = self._repeated_column_traffic(recent)
             if repeated:
                 return PolicyAdvice(
@@ -102,7 +114,7 @@ class RobustnessMonitor:
                         "would amortize the tokenize/parse cost"
                     ),
                 )
-        if self.policy == "partial_v2" and store_hits == 0 and file_trips == len(recent):
+        if policy == "partial_v2" and store_hits == 0 and file_trips == len(recent):
             return PolicyAdvice(
                 switch_to="column_loads",
                 reason=(
@@ -111,9 +123,9 @@ class RobustnessMonitor:
                     "value-range reuse, so loading whole columns amortizes better"
                 ),
             )
-        if self.policy not in ("external", "partial_v1"):
+        if policy not in ("external", "partial_v1"):
             loads = sum(q.rows_loaded for q in recent)
-            if self.evictions_seen >= len(recent) and loads > 0 and store_hits == 0:
+            if self.memory.evictions >= len(recent) and loads > 0 and store_hits == 0:
                 return PolicyAdvice(
                     switch_to="partial_v1",
                     reason=(

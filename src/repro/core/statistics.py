@@ -3,16 +3,21 @@
 Every query records a :class:`QueryStats` with the raw-file work it caused
 (bytes read, rows/fields tokenized, values parsed), the adaptive-store
 traffic (rows newly loaded, rows served from cache) and wall-clock split
-into load vs execute.  The bench harness reads these to print the paper's
-series, and the robustness monitor (section 5.5) reads them to detect
-pathological workloads.
+into load vs execute.  :class:`EngineStatistics` keeps the last
+:data:`HISTORY_CAP` of them, the engine's only per-query record, plus
+running totals over every query, so a long-running engine's memory and
+``snapshot()`` cost stay flat.  The bench harness reads the records to
+print the paper's series, and the robustness monitor (section 5.5) reads
+its window from the same deque.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.flatfile.parser import ParseStats
@@ -71,29 +76,15 @@ class QueryStats:
 
     def snapshot(self) -> dict:
         """JSON-safe flat view of what this query cost (wire/CLI form)."""
-        return {
-            "sql": self.sql,
-            "policy": self.policy,
-            "tables": list(self.tables),
-            "elapsed_s": self.elapsed_s,
-            "load_s": self.load_s,
-            "execute_s": self.execute_s,
-            "file_bytes_read": self.file_bytes_read,
-            "file_reads": self.file_reads,
-            "rows_loaded": self.rows_loaded,
-            "values_parsed": self.parse.values_parsed,
-            "fields_tokenized": self.tokenizer.fields_tokenized,
-            "served_from_store": self.served_from_store,
-            "went_to_file": self.went_to_file,
-            "result_rows": self.result_rows,
-            "parallel_partitions": self.parallel_partitions,
-            "result_cache_hit": self.result_cache_hit,
-            "shared_scan_reused": self.shared_scan_reused,
-            "zone_map_skips": self.zone_map_skips,
-            "cracks": self.cracks,
-            "served_by_cracker": self.served_by_cracker,
-            "io_retries": self.io_retries,
+        snap = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("tokenizer", "parse")
         }
+        snap["tables"] = list(self.tables)
+        snap["values_parsed"] = self.parse.values_parsed
+        snap["fields_tokenized"] = self.tokenizer.fields_tokenized
+        return snap
 
 
 @dataclass
@@ -149,32 +140,35 @@ class ConcurrencyCounters:
     persist_failures: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "warm_hits": self.warm_hits,
-            "shared_scan_reuses": self.shared_scan_reuses,
-            "shared_scan_loads": self.shared_scan_loads,
-            "persist_writes": self.persist_writes,
-            "restart_warm_hits": self.restart_warm_hits,
-            "store_invalidations": self.store_invalidations,
-            "zone_map_skips": self.zone_map_skips,
-            "cracks": self.cracks,
-            "io_retries": self.io_retries,
-            "persist_failures": self.persist_failures,
-        }
+        return asdict(self)
+
+
+#: Per-query records an engine keeps: enough for the monitor's window and
+#: any test or debugging session, small enough that a serving engine's
+#: memory does not grow with its age.  Totals keep counting past it.
+HISTORY_CAP = 1024
 
 
 @dataclass
 class EngineStatistics:
-    """Accumulated per-engine history."""
+    """Per-engine history: the recent queries and running totals."""
 
-    queries: list[QueryStats] = field(default_factory=list)
+    #: The last :data:`HISTORY_CAP` queries, oldest first.
+    queries: deque[QueryStats] = field(
+        default_factory=lambda: deque(maxlen=HISTORY_CAP)
+    )
     counters: ConcurrencyCounters = field(default_factory=ConcurrencyCounters)
     #: (table key, frozenset of columns, generation) -> raw-file loads.
     loads_by_signature: dict[tuple, int] = field(default_factory=dict)
     #: The persistent store's I/O accounting (None without a store).
     store: "PersistentStoreStats | None" = None
+    # Running totals over every recorded query, kept or dropped.
+    total_queries: int = 0
+    total_file_bytes: int = 0
+    total_values_parsed: int = 0
+    total_rows_loaded: int = 0
+    queries_from_store: int = 0
+    queries_from_file: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -182,6 +176,17 @@ class EngineStatistics:
     def record(self, q: QueryStats) -> None:
         with self._lock:
             self.queries.append(q)
+            self.total_queries += 1
+            self.total_file_bytes += q.file_bytes_read
+            self.total_values_parsed += q.parse.values_parsed
+            self.total_rows_loaded += q.rows_loaded
+            self.queries_from_store += q.served_from_store
+            self.queries_from_file += q.went_to_file
+
+    def recent(self, n: int) -> list[QueryStats]:
+        """The last ``n`` recorded queries (fewer if fewer ran), oldest first."""
+        with self._lock:
+            return list(itertools.islice(reversed(self.queries), n))[::-1]
 
     # ------------------------------------------------- concurrency counters
 
@@ -223,48 +228,28 @@ class EngineStatistics:
         This is the **only** sanctioned way for serving layers (the HTTP
         ``/stats`` endpoint, the CLI ``--stats`` printer) to read engine
         statistics: one lock acquisition yields a coherent copy, and the
-        dict is plain data — no live counter objects escape.
+        dict is plain data — no live counter objects escape.  Its cost
+        does not grow with the number of queries run.
         """
         with self._lock:
-            queries = list(self.queries)
-            counters = self.counters.snapshot()
-            max_loads = max(self.loads_by_signature.values(), default=0)
-        return {
-            "queries": len(queries),
-            "total_file_bytes": sum(q.file_bytes_read for q in queries),
-            # Bytes the persistent store wrote (array files + manifests):
-            # a tail-append save adds kilobytes, a rewrite the whole entry.
-            "persist_bytes_written": (
-                self.store.bytes_written if self.store is not None else 0
-            ),
-            "total_values_parsed": sum(q.parse.values_parsed for q in queries),
-            "total_rows_loaded": sum(q.rows_loaded for q in queries),
-            "queries_from_store": sum(1 for q in queries if q.served_from_store),
-            "queries_from_file": sum(1 for q in queries if q.went_to_file),
-            "max_loads_per_signature": max_loads,
-            "counters": counters,
-            "last_query": queries[-1].snapshot() if queries else None,
-        }
-
-    @property
-    def total_file_bytes(self) -> int:
-        return sum(q.file_bytes_read for q in self.queries)
-
-    @property
-    def total_values_parsed(self) -> int:
-        return sum(q.parse.values_parsed for q in self.queries)
-
-    @property
-    def total_rows_loaded(self) -> int:
-        return sum(q.rows_loaded for q in self.queries)
-
-    @property
-    def queries_from_store(self) -> int:
-        return sum(1 for q in self.queries if q.served_from_store)
-
-    @property
-    def queries_from_file(self) -> int:
-        return sum(1 for q in self.queries if q.went_to_file)
+            return {
+                "queries": self.total_queries,
+                "total_file_bytes": self.total_file_bytes,
+                # Bytes the persistent store wrote (array files + manifests):
+                # a tail-append save adds kilobytes, a rewrite the whole entry.
+                "persist_bytes_written": (
+                    self.store.bytes_written if self.store is not None else 0
+                ),
+                "total_values_parsed": self.total_values_parsed,
+                "total_rows_loaded": self.total_rows_loaded,
+                "queries_from_store": self.queries_from_store,
+                "queries_from_file": self.queries_from_file,
+                "max_loads_per_signature": max(
+                    self.loads_by_signature.values(), default=0
+                ),
+                "counters": self.counters.snapshot(),
+                "last_query": self.queries[-1].snapshot() if self.queries else None,
+            }
 
     def last(self) -> QueryStats:
         if not self.queries:

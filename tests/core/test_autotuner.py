@@ -1,10 +1,11 @@
 """Tests for policy switching and the auto-tuning loop (section 5.3)."""
 
-import numpy as np
+import io
+
 import pytest
 
-from repro import EngineConfig, NoDBEngine
-from repro.core.autotuner import AutoTuningEngine
+from repro.cli import _follow_advice
+from repro.core.monitor import PolicyAdvice
 
 SQL = "select sum(a1), avg(a2) from r where a1 > 50 and a1 < 300"
 
@@ -51,97 +52,66 @@ class TestSetPolicy:
         assert engine.config.policy == "column_loads"
 
 
-class TestAutoTuningEngine:
-    def test_switches_away_from_stateless_on_repeats(self, small_csv):
-        with AutoTuningEngine(
-            EngineConfig(policy="external"), cooldown=8
-        ) as auto:
-            auto.attach("r", small_csv)
-            results = [auto.query(SQL) for _ in range(12)]
-            assert auto.policy == "splitfiles"
-            assert len(auto.switches) == 1
-            switch = auto.switches[0]
-            assert switch.from_policy == "external"
-            assert "re-read" in switch.reason
-            # Every answer identical before/after the switch.
-            assert all(r.approx_equal(results[0]) for r in results)
+def run_auto(engine, n):
+    """The ``repro --auto`` loop: query, then follow the monitor's advice.
 
-    def test_no_switch_for_healthy_policy(self, small_csv):
-        with AutoTuningEngine(
-            EngineConfig(policy="column_loads"), cooldown=4
-        ) as auto:
-            auto.attach("r", small_csv)
-            for _ in range(12):
-                auto.query(SQL)
-            assert auto.policy == "column_loads"
-            assert not auto.switches
+    Returns the answers and the printed switch lines, one per switch.
+    """
+    out = io.StringIO()
+    results = []
+    for _ in range(n):
+        results.append(engine.query(SQL))
+        _follow_advice(engine, out)
+    return results, out.getvalue().splitlines()
 
-    def test_cooldown_prevents_flapping(self, small_csv):
-        with AutoTuningEngine(
-            EngineConfig(policy="external"), cooldown=50
-        ) as auto:
-            auto.attach("r", small_csv)
-            for _ in range(20):
-                auto.query(SQL)
-            # Advice exists, but the cooldown hasn't elapsed yet.
-            assert not auto.switches
-            assert auto.policy == "external"
 
-    def test_switch_log_records_query_index(self, small_csv):
-        with AutoTuningEngine(
-            EngineConfig(policy="external"), cooldown=8
-        ) as auto:
-            auto.attach("r", small_csv)
-            for _ in range(10):
-                auto.query(SQL)
-            assert auto.switches[0].query_index == 8
+class TestAutoTuning:
+    def test_switches_away_from_stateless_on_repeats(self, engine_factory):
+        engine = engine_factory("external")
+        results, switches = run_auto(engine, 12)
+        assert engine.config.policy == "splitfiles"
+        assert len(switches) == 1
+        assert switches[0].startswith("-- auto-tuner: switched external -> splitfiles (")
+        assert "re-read" in switches[0]
+        # Every answer identical before/after the switch.
+        assert all(r.approx_equal(results[0]) for r in results)
 
-    def test_no_switch_exactly_one_query_before_cooldown(self, small_csv):
-        """Boundary: the switch can fire at query == cooldown, not before."""
-        with AutoTuningEngine(
-            EngineConfig(policy="external"), cooldown=8
-        ) as auto:
-            auto.attach("r", small_csv)
-            for _ in range(7):
-                auto.query(SQL)
-            assert not auto.switches  # advice exists but cooldown gates it
-            auto.query(SQL)
-            assert len(auto.switches) == 1
+    def test_no_switch_for_healthy_policy(self, engine_factory):
+        engine = engine_factory("column_loads")
+        _, switches = run_auto(engine, 12)
+        assert engine.config.policy == "column_loads"
+        assert not switches
 
-    def test_window_cleared_after_switch_prevents_double_fire(self, small_csv):
-        """Hysteresis: post-switch, the stale pre-switch window must not
-        trigger a second switch — the monitor history is cleared and the
-        cooldown restarts from the switch."""
-        with AutoTuningEngine(
-            EngineConfig(policy="external"), cooldown=8
-        ) as auto:
-            auto.attach("r", small_csv)
-            for _ in range(9):
-                auto.query(SQL)
-            assert len(auto.switches) == 1
-            assert auto.engine.monitor.history == [] or len(
-                auto.engine.monitor.history
-            ) < 8
-            for _ in range(10):
-                auto.query(SQL)
-            # splitfiles now serves from the store: healthy, no flapping.
-            assert len(auto.switches) == 1
-            assert auto.policy == "splitfiles"
+    def test_first_switch_at_query_8(self, engine_factory):
+        """The window needs 8 queries: none switches at 7, the 8th does."""
+        engine = engine_factory("external")
+        _, switches = run_auto(engine, 7)
+        assert not switches
+        assert engine.config.policy == "external"
+        _, switches = run_auto(engine, 1)
+        assert len(switches) == 1
+        assert engine.config.policy == "splitfiles"
 
-    def test_advice_matching_current_policy_not_logged(self, small_csv, monkeypatch):
-        """advise() returning the already-running policy is a no-op."""
-        from repro.core.monitor import PolicyAdvice
+    def test_no_second_switch_after_the_first(self, engine_factory):
+        """Hysteresis: pre-switch records never count toward the new
+        policy's window, so the switch cannot fire twice."""
+        engine = engine_factory("external")
+        _, first = run_auto(engine, 9)
+        assert len(first) == 1
+        # A window mixing both policies gives no advice.
+        assert engine.monitor.advise() is None
+        _, later = run_auto(engine, 10)
+        # splitfiles now serves from the store: healthy, no flapping.
+        assert not later
+        assert engine.config.policy == "splitfiles"
 
-        with AutoTuningEngine(
-            EngineConfig(policy="column_loads"), cooldown=2
-        ) as auto:
-            auto.attach("r", small_csv)
-            monkeypatch.setattr(
-                auto.engine.monitor,
-                "advise",
-                lambda: PolicyAdvice(switch_to="column_loads", reason="noop"),
-            )
-            for _ in range(6):
-                auto.query(SQL)
-            assert not auto.switches
-            assert auto.policy == "column_loads"
+    def test_advice_naming_running_policy_is_noop(self, engine_factory, monkeypatch):
+        engine = engine_factory("column_loads")
+        monkeypatch.setattr(
+            engine.monitor,
+            "advise",
+            lambda: PolicyAdvice(switch_to="column_loads", reason="noop"),
+        )
+        _, switches = run_auto(engine, 6)
+        assert not switches
+        assert engine.config.policy == "column_loads"

@@ -150,7 +150,7 @@ class TestSharedTable:
             assert sum(1 for b in per_query if b > 0) == 1, per_query
             # per-query deltas never exceed the engine-wide file counter
             entry = engine.catalog.get("r")
-            assert sum(per_query) <= entry.file.stats.bytes_read
+            assert engine.stats.total_file_bytes <= entry.file.stats.bytes_read
         finally:
             engine.close()
 
@@ -257,8 +257,9 @@ class TestResultCacheConcurrency:
             for got in _run_gang(CONCURRENCY, job):
                 assert got == expected
             c = engine.stats.counters
-            assert c.result_cache_hits + c.result_cache_misses == len(
-                engine.stats.queries
+            assert (
+                c.result_cache_hits + c.result_cache_misses
+                == engine.stats.total_queries
             )
             assert c.result_cache_hits >= CONCURRENCY  # all gang queries hit
         finally:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import EngineConfig, NoDBEngine
+from repro import EngineConfig
 from repro.core.monitor import RobustnessMonitor
-from repro.core.statistics import QueryStats
+from repro.core.statistics import EngineStatistics, QueryStats
 from repro.flatfile.parser import ParseStats
+from repro.storage.memory import MemoryStats
 
 
 def fake_query(went_to_file=True, served_from_store=False, parsed=1000, loaded=0):
@@ -17,54 +18,68 @@ def fake_query(went_to_file=True, served_from_store=False, parsed=1000, loaded=0
     return q
 
 
+def make_monitor(policy, window):
+    """A monitor over its own statistics, as an engine wires one."""
+    return RobustnessMonitor(
+        EngineStatistics(), EngineConfig(policy=policy), MemoryStats(), window=window
+    )
+
+
+def feed(m, q):
+    """Record ``q`` as the engine would: under the running policy."""
+    q.policy = m.config.policy
+    m.stats.record(q)
+
+
 class TestAdviceHeuristics:
     def test_quiet_before_window_fills(self):
-        m = RobustnessMonitor(policy="external", window=8)
+        m = make_monitor("external", 8)
         for _ in range(7):
-            m.observe(fake_query())
+            feed(m, fake_query())
         assert m.advise() is None
 
     def test_stateless_repeated_work_advice(self):
-        m = RobustnessMonitor(policy="external", window=4)
+        m = make_monitor("external", 4)
         for _ in range(4):
-            m.observe(fake_query(parsed=1000))
+            feed(m, fake_query(parsed=1000))
         advice = m.advise()
         assert advice is not None
         assert advice.switch_to == "splitfiles"
 
     def test_stateless_varied_workload_no_advice(self):
-        m = RobustnessMonitor(policy="partial_v1", window=4)
+        m = make_monitor("partial_v1", 4)
         for parsed in (100, 5000, 40000, 100000):
-            m.observe(fake_query(parsed=parsed))
+            feed(m, fake_query(parsed=parsed))
         assert m.advise() is None
 
     def test_v2_never_covered_advice(self):
-        m = RobustnessMonitor(policy="partial_v2", window=4)
+        m = make_monitor("partial_v2", 4)
         for _ in range(4):
-            m.observe(fake_query(went_to_file=True, served_from_store=False))
+            feed(m, fake_query(went_to_file=True, served_from_store=False))
         advice = m.advise()
         assert advice is not None
         assert advice.switch_to == "column_loads"
 
     def test_v2_with_store_hits_no_advice(self):
-        m = RobustnessMonitor(policy="partial_v2", window=4)
+        m = make_monitor("partial_v2", 4)
         for i in range(4):
-            m.observe(fake_query(went_to_file=(i % 2 == 0), served_from_store=(i % 2 == 1)))
+            feed(m, fake_query(went_to_file=(i % 2 == 0), served_from_store=(i % 2 == 1)))
         assert m.advise() is None
 
     def test_thrashing_advice(self):
-        m = RobustnessMonitor(policy="column_loads", window=4)
+        m = make_monitor("column_loads", 4)
         for i in range(4):
-            m.observe(fake_query(loaded=500), evictions_total=i + 10)
+            feed(m, fake_query(loaded=500))
+            m.memory.evictions = i + 10
         advice = m.advise()
         assert advice is not None
         assert advice.switch_to == "partial_v1"
         assert "thrash" in advice.reason
 
     def test_healthy_caching_no_advice(self):
-        m = RobustnessMonitor(policy="column_loads", window=4)
+        m = make_monitor("column_loads", 4)
         for _ in range(4):
-            m.observe(
+            feed(m, 
                 fake_query(went_to_file=False, served_from_store=True, parsed=0)
             )
         assert m.advise() is None
@@ -93,7 +108,7 @@ class TestEngineIntegration:
 # ---------------------------------------------------------------------------
 
 #: (case id, policy, window of (went_to_file, served_from_store, parsed,
-#: loaded), evictions_total, expected switch_to or None).
+#: loaded), evictions, expected switch_to or None).
 SWITCH_TABLE = [
     # --- stateless repeated-work trigger -> splitfiles
     (
@@ -220,17 +235,18 @@ SWITCH_TABLE = [
     ids=[case[0] for case in SWITCH_TABLE],
 )
 def test_switch_trigger_table(policy, window, evictions, expected):
-    monitor = RobustnessMonitor(policy=policy, window=len(window))
+    monitor = make_monitor(policy, len(window))
     for went, served, parsed, loaded in window:
-        monitor.observe(
-            fake_query(
+        monitor.stats.record(
+            QueryStats(
+                policy=policy,
                 went_to_file=went,
                 served_from_store=served,
-                parsed=parsed,
-                loaded=loaded,
-            ),
-            evictions_total=evictions,
+                parse=ParseStats(values_parsed=parsed),
+                rows_loaded=loaded,
+            )
         )
+    monitor.memory.evictions = evictions
     advice = monitor.advise()
     if expected is None:
         assert advice is None, f"unexpected advice: {advice}"
@@ -248,16 +264,24 @@ class TestRepeatedColumnTraffic:
         assert not RobustnessMonitor._repeated_column_traffic(window)
 
     def test_advice_quiet_while_window_refills_after_switch(self):
-        """Hysteresis: clearing the history (as the autotuner does after
-        a switch) silences advice until a full window of post-switch
+        """Hysteresis: after a switch, records from the old policy do not
+        count, so advice stays silent until a full window of post-switch
         behaviour accumulates."""
-        monitor = RobustnessMonitor(policy="external", window=4)
+        monitor = make_monitor("external", 4)
         for _ in range(4):
-            monitor.observe(fake_query(parsed=1000))
+            feed(monitor, fake_query(parsed=1000))
         assert monitor.advise() is not None
-        monitor.history.clear()
+        monitor.config.policy = "partial_v1"
         for _ in range(3):
-            monitor.observe(fake_query(parsed=1000))
+            feed(monitor, fake_query(parsed=1000))
         assert monitor.advise() is None  # window not yet refilled
-        monitor.observe(fake_query(parsed=1000))
+        feed(monitor, fake_query(parsed=1000))
+        assert monitor.advise() is not None
+
+    def test_window_reads_only_the_latest_records(self):
+        """Older records past the window never suppress advice."""
+        monitor = make_monitor("external", 4)
+        feed(monitor, fake_query(went_to_file=False, served_from_store=True))
+        for _ in range(4):
+            feed(monitor, fake_query(parsed=1000))
         assert monitor.advise() is not None

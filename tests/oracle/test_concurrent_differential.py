@@ -97,7 +97,7 @@ def test_concurrent_matrix_matches_oracle(dialect, nthreads, tmp_path):
                     assert counters.result_cache_hits > 0, label
                     assert (
                         counters.result_cache_hits + counters.result_cache_misses
-                        == len(engine.stats.queries)
+                        == engine.stats.total_queries
                     ), label
                 if policy in STORE_KEEPING:
                     assert engine.stats.max_loads_per_signature() <= 1, (

@@ -119,6 +119,25 @@ class TestAutoTuning:
         )
         assert code == 0
 
+    def test_shell_prints_the_switch_when_it_happens(self, small_csv):
+        sql = "select sum(a1), avg(a2) from t where a1 > 50 and a1 < 300\n"
+        code, out, err = run_cli(
+            "--auto", "--policy", "external", "--shell", str(small_csv),
+            stdin_text=sql * 10,
+        )
+        assert code == 0, err
+        lines = out.splitlines()[2:]  # past the banner and table list
+        switches = [ln for ln in lines if ln.startswith("-- auto-tuner:")]
+        assert len(switches) == 1
+        assert switches[0].startswith(
+            "-- auto-tuner: switched external -> splitfiles ("
+        )
+        # Printed right after the 8th answer (header + one row each).
+        assert lines.index(switches[0]) == 8 * 2
+        answers = [ln for ln in lines if ln not in switches]
+        assert len(answers) == 10 * 2
+        assert answers == answers[:2] * 10
+
 
 class TestFormats:
     def test_format_jsonl(self, tmp_path):

@@ -19,7 +19,6 @@ EXPECTED_EXPORTS = {
     "Connection",
     "connect",
     # engines
-    "AutoTuningEngine",
     "NoDBEngine",
     # baselines (oracle reference, not the application path)
     "AwkEngine",
