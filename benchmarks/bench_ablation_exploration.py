@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import FIG3_ROWS, fresh_engine
-from repro.bench import run_sequence
-from repro.workload import exploration_sequence
+from benchmarks.harness import run_sequence
+from benchmarks.workload import exploration_sequence
 
 
 @pytest.mark.benchmark(group="ablation-exploration")

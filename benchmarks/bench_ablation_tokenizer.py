@@ -16,7 +16,7 @@ import time
 import pytest
 
 from benchmarks.conftest import FIG3_ROWS, fresh_engine
-from repro.workload import make_q2
+from benchmarks.workload import make_q2
 
 import numpy as np
 

@@ -33,9 +33,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows
+from benchmarks.workload import TableSpec, materialize_csv
 from repro import EngineConfig, NoDBEngine
-from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows
-from repro.workload import TableSpec, materialize_csv
 
 CONCURRENCY = 4
 FULL_ROWS = 120_000  # per table

@@ -27,8 +27,9 @@ import tempfile
 import time
 from pathlib import Path
 
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows
+from benchmarks.workload import TableSpec, generate_columns
 from repro import EngineConfig, NoDBEngine
-from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows
 from repro.flatfile.dialects import (
     DelimitedAdapter,
     FixedWidthAdapter,
@@ -37,7 +38,6 @@ from repro.flatfile.dialects import (
     TsvAdapter,
 )
 from repro.flatfile.writer import write_csv
-from repro.workload import TableSpec, generate_columns
 
 QUERY = "select sum(a1), avg(a2) from r where a1 > 100"
 NCOLS = 4

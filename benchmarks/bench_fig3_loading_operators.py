@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import FIG3_ROWS, fresh_engine
-from repro.bench import print_series_table, run_sequence
-from repro.workload import figure3_sequence
+from benchmarks.harness import print_series_table, run_sequence
+from benchmarks.workload import figure3_sequence
 
 POLICIES = [
     ("MonetDB", "fullload"),

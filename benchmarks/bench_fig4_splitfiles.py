@@ -31,8 +31,8 @@ import numpy.ma  # noqa: F401
 import pytest
 
 from benchmarks.conftest import FIG4_ROWS, fresh_engine
-from repro.bench import print_series_table, run_sequence
-from repro.workload import figure4_sequence
+from benchmarks.harness import print_series_table, run_sequence
+from benchmarks.workload import figure4_sequence
 
 NEW_COLUMN_QUERIES = [2, 4, 6, 8, 10]  # 0-based indices of later cold peaks
 RERUNS = [1, 3, 5, 7, 9, 11]

@@ -15,8 +15,9 @@ import time
 
 import pytest
 
+from benchmarks.awk import AwkEngine
 from benchmarks.conftest import JOIN_ROWS
-from repro import AwkEngine, EngineConfig, NoDBEngine
+from repro import EngineConfig, NoDBEngine
 
 SQL = (
     "select sum(l.a2), avg(rt.a2), min(l.a3), max(rt.a3), count(*) "

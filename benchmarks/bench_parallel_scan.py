@@ -44,9 +44,9 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import fresh_engine, scaled
-from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows
+from benchmarks.workload import TableSpec, materialize_csv
 from repro.core.partitions import warm_pool
-from repro.workload import TableSpec, materialize_csv
 
 QUERY = "select sum(a1), avg(a2) from r where a1 > 100"
 NCOLS = 8

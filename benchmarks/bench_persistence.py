@@ -39,10 +39,10 @@ import tempfile
 import time
 from pathlib import Path
 
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows
+from benchmarks.workload import TableSpec, generate_columns
 from repro import EngineConfig, NoDBEngine
-from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows
 from repro.flatfile.writer import write_csv
-from repro.workload import TableSpec, generate_columns
 
 NCOLS = 6
 FULL_ROWS = 400_000  # ~16 MB of plain CSV

@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import fresh_engine
-from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows
-from repro.workload import TableSpec, materialize_csv
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows
+from benchmarks.workload import TableSpec, materialize_csv
 
 QUERY = "select sum(a3), count(*) from r where a3 > 50 and a3 < 900000"
 FULL_REPEATS = 5

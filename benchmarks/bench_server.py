@@ -31,11 +31,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows, iterations
+from benchmarks.workload import TableSpec, materialize_csv
 from repro import EngineConfig, NoDBEngine
-from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows, iterations
 from repro.client import RemoteConnection
 from repro.server import ReproServer
-from repro.workload import TableSpec, materialize_csv
 
 CLIENTS = 4
 FULL_ROWS = 20_000

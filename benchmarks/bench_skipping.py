@@ -34,7 +34,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bench.harness import BenchReport, bench_arg_parser, dataset_rows
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows
 from repro.config import EngineConfig
 from repro.core.engine import NoDBEngine
 

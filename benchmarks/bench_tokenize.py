@@ -21,12 +21,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bench.harness import (
-    BenchReport,
-    bench_arg_parser,
-    dataset_rows,
-    iterations,
-)
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows, iterations
+from benchmarks.workload import TableSpec, generate_columns
 from repro.flatfile.dialects import (
     DelimitedAdapter,
     FixedWidthAdapter,
@@ -35,7 +31,6 @@ from repro.flatfile.dialects import (
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import tokenize_bytes
 from repro.flatfile.writer import write_csv
-from repro.workload import TableSpec, generate_columns
 
 NCOLS = 8
 #: The cold-scan shape the paper's workloads take: a query touching a

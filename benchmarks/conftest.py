@@ -14,9 +14,8 @@ import os
 
 import pytest
 
+from benchmarks.workload import TableSpec, materialize_csv, materialize_join_pair
 from repro import EngineConfig, NoDBEngine
-from repro.workload import TableSpec, materialize_csv
-from repro.workload.generator import materialize_join_pair
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 

@@ -1,4 +1,4 @@
-"""Timing harness for query sequences, plus the bench-script CLI contract.
+"""Timing harness for query sequences, paper-style tables, and the bench CLI.
 
 The paper's figures plot *per-query* response time over a query sequence
 (not a steady-state mean), so the central helper here is
@@ -7,14 +7,15 @@ record each query's wall-clock time plus the engine's own work counters.
 ``pytest-benchmark`` wraps whole sequences in the bench files; within a
 sequence this harness provides the per-query resolution the figures need.
 
-The second half of this module is the shared command-line contract of the
+The middle of this module is the shared command-line contract of the
 scripts under ``benchmarks/``: every script builds its parser with
 :func:`bench_arg_parser` (so ``--quick``, ``--json``, ``--rows`` and
 ``--repeats`` mean the same thing everywhere, instead of each script
 hardcoding iteration counts), sizes itself with :func:`iterations` /
 :func:`dataset_rows`, and reports through :class:`BenchReport`, whose
 JSON payload is what the CI ``bench-regression`` job diffs against the
-committed ``BENCH_BASELINE.json``.
+committed ``BENCH_BASELINE.json``.  The end renders per-query series as
+the paper-style tables the figure benches print.
 """
 
 from __future__ import annotations
@@ -182,3 +183,72 @@ class BenchReport:
         if json_path is not None:
             json_path.write_text(json.dumps(self.payload(), indent=2) + "\n")
             print(f"  wrote {json_path}", file=stream)
+
+
+# ---------------------------------------------------------------------------
+# paper-style series tables
+# ---------------------------------------------------------------------------
+#
+# The benches print the same rows/series the paper's figures plot, aligned
+# for terminal reading and optionally as Markdown.  Times are printed in
+# milliseconds: the reproduction's datasets are scaled down, so absolute
+# magnitudes are not comparable to the paper's seconds — shapes and ratios
+# are what the tables are for.
+
+
+def format_series_table(
+    title: str,
+    series: Sequence[Series],
+    x_label: str = "query",
+    markdown: bool = False,
+) -> str:
+    """Render per-query times of several series side by side."""
+    if not series:
+        return f"{title}\n(no data)"
+    npoints = max(len(s.times_s) for s in series)
+    header = [x_label] + [s.label for s in series]
+    rows = []
+    for i in range(npoints):
+        row = [str(i + 1)]
+        for s in series:
+            if i < len(s.times_s):
+                mark = "*" if i < len(s.from_store) and s.from_store[i] else ""
+                row.append(f"{s.times_s[i] * 1e3:.2f}{mark}")
+            else:
+                row.append("-")
+        rows.append(row)
+    totals = ["total"] + [f"{s.total_s * 1e3:.2f}" for s in series]
+    rows.append(totals)
+    if markdown:
+        lines = [f"### {title}", ""]
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "|".join("---" for _ in header) + "|")
+        for row in rows:
+            lines.append("| " + " | ".join(row) + " |")
+        lines.append("")
+        lines.append("(*) served from the adaptive store; times in ms")
+        return "\n".join(lines)
+    widths = [
+        max(len(header[c]), max(len(r[c]) for r in rows)) for c in range(len(header))
+    ]
+    out = [title, ""]
+    out.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
+    out.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        out.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
+    out.append("(*) served from the adaptive store; times in ms")
+    return "\n".join(out)
+
+
+def print_series_table(
+    title: str, series: Sequence[Series], x_label: str = "query"
+) -> None:
+    print()
+    print(format_series_table(title, series, x_label=x_label))
+
+
+def format_ratio_line(name: str, numerator: float, denominator: float) -> str:
+    """One-line ratio summary, NaN-safe."""
+    if denominator <= 0:
+        return f"{name}: n/a"
+    return f"{name}: {numerator / denominator:.2f}x"

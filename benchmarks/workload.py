@@ -1,4 +1,13 @@
-"""Query templates and sequences of the paper's evaluation.
+"""Datasets and query sequences for the paper's experiments.
+
+"The data set consists of a four-attribute table, which has as values
+unique integers randomly distributed in the columns." (section 2)
+
+Every column of a generated table is an independent random permutation of
+``0..nrows-1`` — unique integers, uniform, zero correlation across columns
+— which makes query selectivity exactly computable from range width (the
+property the query generator relies on).  Generation is seeded and
+deterministic so benches and tests are reproducible.
 
 Q1 (Figure 1, section 2)::
 
@@ -22,8 +31,72 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from repro.flatfile.writer import write_csv
+
+
+@dataclass(frozen=True)
+class TableSpec:
+    """Shape of one generated table."""
+
+    nrows: int
+    ncols: int
+    seed: int = 7
+
+    def __post_init__(self) -> None:
+        if self.nrows <= 0 or self.ncols <= 0:
+            raise ValueError("nrows and ncols must be positive")
+
+    @property
+    def column_names(self) -> list[str]:
+        return [f"a{i + 1}" for i in range(self.ncols)]
+
+
+def generate_columns(spec: TableSpec) -> list[np.ndarray]:
+    """Generate the columns: each an independent permutation of 0..n-1."""
+    rng = np.random.default_rng(spec.seed)
+    return [rng.permutation(spec.nrows).astype(np.int64) for _ in range(spec.ncols)]
+
+
+def materialize_csv(spec: TableSpec, path: Path | str) -> Path:
+    """Generate and write the table as a headerless CSV (paper format)."""
+    return write_csv(Path(path), generate_columns(spec))
+
+
+def generate_join_pair(
+    nrows: int, payload_cols: int = 3, seed: int = 11
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Two tables with a perfect 1-to-1 join on their first column.
+
+    Reproduces the section 2.2 join setup: both tables contain the same
+    key set (``0..nrows-1``) in different random orders, plus independent
+    integer payload columns for the aggregations.
+    """
+    rng = np.random.default_rng(seed)
+    left = [rng.permutation(nrows).astype(np.int64)]
+    right = [rng.permutation(nrows).astype(np.int64)]
+    for _ in range(payload_cols):
+        left.append(rng.permutation(nrows).astype(np.int64))
+        right.append(rng.permutation(nrows).astype(np.int64))
+    return left, right
+
+
+def materialize_join_pair(
+    nrows: int,
+    left_path: Path | str,
+    right_path: Path | str,
+    payload_cols: int = 3,
+    seed: int = 11,
+) -> tuple[Path, Path]:
+    """Write the join pair as two CSV files."""
+    left, right = generate_join_pair(nrows, payload_cols, seed)
+    return (
+        write_csv(Path(left_path), left),
+        write_csv(Path(right_path), right),
+    )
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,19 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro import EngineConfig, NoDBEngine
-from repro.workload import TableSpec, materialize_csv
 
 ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "60000"))
+
+
+def write_table(path: Path, nrows: int, ncols: int, seed: int) -> Path:
+    """A headerless CSV whose columns a1..aN each permute 0..nrows-1."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.permutation(nrows) for _ in range(ncols)]
+    np.savetxt(path, np.column_stack(columns), fmt="%d", delimiter=",")
+    return path
 
 
 def describe_catalog(engine: NoDBEngine) -> str:
@@ -42,7 +51,7 @@ def describe_catalog(engine: NoDBEngine) -> str:
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-cracking-"))
-    path = materialize_csv(TableSpec(nrows=ROWS, ncols=12, seed=5), workdir / "big.csv")
+    path = write_table(workdir / "big.csv", ROWS, ncols=12, seed=5)
     original_size = path.stat().st_size
     print(f"raw file: {path} ({original_size:,} bytes)\n")
 

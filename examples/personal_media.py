@@ -11,10 +11,12 @@ the same adaptive engine, including schema detection (§5.6: names and
 types come from the file, not from the user) and live edits.
 
 Run:  python examples/personal_media.py
+(set REPRO_EXAMPLE_ROWS to shrink the library, e.g. for CI smoke runs)
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -25,9 +27,10 @@ import repro
 
 GENRES = ["rock", "jazz", "electronic", "classical", "hiphop", "folk"]
 ARTISTS = [f"artist_{i:02d}" for i in range(40)]
+TRACKS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "5000"))
 
 
-def write_library(path: Path, tracks: int = 5000, seed: int = 4) -> None:
+def write_library(path: Path, tracks: int = TRACKS, seed: int = 4) -> None:
     rng = np.random.default_rng(seed)
     lines = ["artist,album,genre,year,duration,plays"]
     for i in range(tracks):

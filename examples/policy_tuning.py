@@ -26,13 +26,32 @@ from pathlib import Path
 import numpy as np
 
 from repro import EngineConfig, NoDBEngine
-from repro.workload import TableSpec, materialize_csv, make_q2
 
 ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "30000"))
 #: One range query, repeated: the same columns every time.
 REPEATED_SQL = (
     f"select sum(a1), avg(a2) from r where a1 > {ROWS // 60} and a1 < {ROWS * 3 // 10}"
 )
+
+
+def write_table(path: Path, nrows: int, ncols: int, seed: int) -> Path:
+    """A headerless CSV whose columns a1..aN each permute 0..nrows-1."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.permutation(nrows) for _ in range(ncols)]
+    np.savetxt(path, np.column_stack(columns), fmt="%d", delimiter=",")
+    return path
+
+
+def range_query(rng: np.random.Generator, col_a: str, col_b: str) -> str:
+    """A random ~10%-selective range query on two columns (the paper's Q2)."""
+    width = ROWS * 32 // 100  # two predicates of ~sqrt(10%) each
+    lo_a, lo_b = (int(v) for v in rng.integers(0, ROWS - width, size=2))
+    return (
+        f"select sum({col_a}), avg({col_b}) from r "
+        f"where {col_a} > {lo_a} and {col_a} < {lo_a + width} "
+        f"and {col_b} > {lo_b} and {col_b} < {lo_b + width}"
+    )
+
 
 def scenario_repeated_workload_on_stateless_policy(path: Path) -> None:
     print("scenario 1: a repetitive workload on the stateless CSV engine")
@@ -59,7 +78,7 @@ def scenario_thrashing_cache(path: Path) -> None:
     rng = np.random.default_rng(1)
     for i in range(8):
         col_a, col_b = (("a1", "a2"), ("a3", "a4"))[i % 2]
-        engine.query(make_q2(ROWS, col_a, col_b, rng=rng).sql)
+        engine.query(range_query(rng, col_a, col_b))
     print(
         f"  store hits: {engine.stats.queries_from_store}, "
         f"evictions: {engine.memory.stats.evictions}, "
@@ -86,7 +105,7 @@ def scenario_well_matched(path: Path) -> None:
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-tuning-"))
-    path = materialize_csv(TableSpec(nrows=ROWS, ncols=4, seed=3), workdir / "r.csv")
+    path = write_table(workdir / "r.csv", ROWS, ncols=4, seed=3)
     scenario_repeated_workload_on_stateless_policy(path)
     scenario_thrashing_cache(path)
     scenario_well_matched(path)

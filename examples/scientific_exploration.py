@@ -1,7 +1,7 @@
 """The paper's motivating scenario: exploratory science over raw files.
 
 A scientist receives a wide instrument dump (here: 12 'sensor channels',
-100k observations) and wants answers *now* — no schema design, no load
+100k observations by default) and wants answers *now* — no schema design, no load
 step, no tuning, and tomorrow another terabyte arrives (section 1.2).
 
 The session below mimics exploratory behaviour: a quick look at a couple
@@ -14,29 +14,54 @@ different channels.  Three configurations answer the same session:
 
 The per-query trace shows where each configuration pays its costs — the
 paper's Figure 3/4 story, replayed as a user session.
+
+Run:  python examples/scientific_exploration.py
+(set REPRO_EXAMPLE_ROWS to shrink the dataset, e.g. for CI smoke runs)
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro import EngineConfig, NoDBEngine
-from repro.workload import TableSpec, materialize_csv
+
+ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "100000"))
+
+
+def pct(p: int) -> int:
+    """The channel value at ``p`` percent of the value range."""
+    return ROWS * p // 100
+
 
 SESSION = [
     # quick look: are channels 2/3 interesting at all?
-    "select count(*), min(a2), max(a2) from r where a2 > 40000 and a2 < 60000 and a3 > 10000 and a3 < 90000",
+    f"select count(*), min(a2), max(a2) from r where a2 > {pct(40)} and a2 < {pct(60)} "
+    f"and a3 > {pct(10)} and a3 < {pct(90)}",
     # zoom in on the hot region (covered by the first query's load!)
-    "select avg(a2), avg(a3) from r where a2 > 45000 and a2 < 55000 and a3 > 20000 and a3 < 80000",
+    f"select avg(a2), avg(a3) from r where a2 > {pct(45)} and a2 < {pct(55)} "
+    f"and a3 > {pct(20)} and a3 < {pct(80)}",
     # zoom further
-    "select count(*) from r where a2 > 48000 and a2 < 52000 and a3 > 30000 and a3 < 70000",
+    f"select count(*) from r where a2 > {pct(48)} and a2 < {pct(52)} "
+    f"and a3 > {pct(30)} and a3 < {pct(70)}",
     # shift: yesterday's channels are boring, look at 11/12 instead
-    "select sum(a11), avg(a12) from r where a11 > 10000 and a11 < 42000 and a12 > 10000 and a12 < 42000",
-    # rerun after a coffee
-    "select sum(a11), avg(a12) from r where a11 > 10000 and a11 < 42000 and a12 > 10000 and a12 < 42000",
+    f"select sum(a11), avg(a12) from r where a11 > {pct(10)} and a11 < {pct(42)} "
+    f"and a12 > {pct(10)} and a12 < {pct(42)}",
 ]
+# rerun after a coffee
+SESSION.append(SESSION[-1])
+
+
+def write_table(path: Path, nrows: int, ncols: int, seed: int) -> Path:
+    """A headerless CSV whose columns a1..aN each permute 0..nrows-1."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.permutation(nrows) for _ in range(ncols)]
+    np.savetxt(path, np.column_stack(columns), fmt="%d", delimiter=",")
+    return path
 
 
 def run_session(label: str, engine: NoDBEngine, path: Path) -> None:
@@ -63,9 +88,7 @@ def run_session(label: str, engine: NoDBEngine, path: Path) -> None:
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-explore-"))
-    path = materialize_csv(
-        TableSpec(nrows=100_000, ncols=12, seed=99), workdir / "instrument.csv"
-    )
+    path = write_table(workdir / "instrument.csv", ROWS, ncols=12, seed=99)
     print(f"instrument dump: {path} ({path.stat().st_size:,} bytes)\n")
 
     run_session(

@@ -23,16 +23,25 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import repro
 from repro.server import ReproServer
-from repro.workload import TableSpec, materialize_csv
 
 ROWS = int(os.environ.get("REPRO_EXAMPLE_ROWS", "100000"))
 
 
+def write_table(path: Path, nrows: int, ncols: int, seed: int) -> Path:
+    """A headerless CSV whose columns a1..aN each permute 0..nrows-1."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.permutation(nrows) for _ in range(ncols)]
+    np.savetxt(path, np.column_stack(columns), fmt="%d", delimiter=",")
+    return path
+
+
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
-    csv_path = materialize_csv(TableSpec(nrows=ROWS, ncols=4, seed=7), workdir / "data.csv")
+    csv_path = write_table(workdir / "data.csv", ROWS, ncols=4, seed=7)
     print(f"raw data file: {csv_path} ({csv_path.stat().st_size:,} bytes)")
 
     engine = repro.NoDBEngine(repro.EngineConfig(policy="column_loads"))

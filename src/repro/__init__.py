@@ -33,12 +33,13 @@ between versions).
     The serializable error taxonomy: every error carries a stable
     ``code`` (the wire identifier) and an HTTP status, so client
     errors, engine errors and overload are distinguishable anywhere.
-:class:`AwkEngine` / :class:`CSVEngine`
-    The paper's baselines (Unix scripting; MySQL CSV engine).
-    ``CSVEngine`` is the *oracle* of the differential test suites —
-    applications should use :func:`connect` instead.
-:mod:`repro.workload`
-    Dataset and query-sequence generators for the paper's experiments.
+:class:`CSVEngine`
+    The paper's MySQL CSV engine baseline, kept as the *oracle* of the
+    differential test suites — applications should use :func:`connect`
+    instead.
+
+The benchmark kit (the Awk baseline, dataset and query generators,
+timing harness) lives outside the package, under ``benchmarks/``.
 
 Quickstart::
 
@@ -58,7 +59,7 @@ Serving::
 """
 
 from repro.api import Connection, connect
-from repro.baselines import AwkEngine, CSVEngine
+from repro.baselines import CSVEngine
 from repro.config import POLICIES, EngineConfig
 from repro.core import NoDBEngine
 from repro.errors import (
@@ -90,8 +91,7 @@ __all__ = [
     "connect",
     # engines
     "NoDBEngine",
-    # baselines (oracle reference, not the application path)
-    "AwkEngine",
+    # baseline (oracle reference, not the application path)
     "CSVEngine",
     # configuration
     "EngineConfig",

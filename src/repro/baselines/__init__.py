@@ -1,15 +1,12 @@
-"""Comparison systems from the paper's evaluation.
+"""The paper's MySQL CSV engine baseline, kept as the test oracle.
 
-* :class:`~repro.baselines.awk.AwkEngine` — the Unix-scripting baseline:
-  stateless, streaming, row-at-a-time over the raw file, constant cost per
-  query (sections 2.1-2.2).
-* :class:`~repro.baselines.csv_engine.CSVEngine` — the MySQL CSV engine:
-  SQL over the flat file with zero caching (section 3.2), implemented as a
-  thin veneer over the ``external`` loading policy so the comparison runs
-  through exactly the same substrate code.
+:class:`~repro.baselines.csv_engine.CSVEngine` — SQL over the flat file
+with zero caching (section 3.2), implemented as a thin veneer over the
+``external`` loading policy so the comparison runs through exactly the
+same substrate code.  The differential suites state the engine's
+correctness invariant against it.
 """
 
-from repro.baselines.awk import AwkEngine
 from repro.baselines.csv_engine import CSVEngine
 
-__all__ = ["AwkEngine", "CSVEngine"]
+__all__ = ["CSVEngine"]

@@ -275,14 +275,3 @@ class PositionalMap:
                 self.field_ends.pop(col, None)
         self.nrows = (self.nrows or 0) + added_rows
         self.text_geometry = new_geometry
-
-    def memory_bytes(self) -> int:
-        """Approximate resident size of the map, for budget accounting."""
-        total = 0
-        if self.row_offsets is not None:
-            total += self.row_offsets.nbytes
-        for arr in self.field_offsets.values():
-            total += arr.nbytes
-        for arr in self.field_ends.values():
-            total += arr.nbytes
-        return total

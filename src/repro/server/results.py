@@ -265,12 +265,6 @@ class ResultManager:
 
     # ----------------------------------------------------------- lifecycle
 
-    def list_ids(self) -> list[str]:
-        now = self._clock()
-        with self._lock:
-            self._purge_locked(now)
-            return sorted(self._entries)
-
     def delete(self, result_id: str) -> None:
         """Explicitly drop a resource (404-shaped error when gone)."""
         now = self._clock()

@@ -146,13 +146,21 @@ class TableEntry:
             return
         second = rows[1] if len(rows) > 1 else None
         self.has_header = looks_like_header(rows[0], second)
-        if self.has_header:
-            header, body = rows[0], rows[1:]
-            if not body:
-                raise CatalogError(f"file {self.file.path} has a header but no data")
+        header, body = (rows[0], rows[1:]) if self.has_header else (None, rows)
+        if not body:
+            raise CatalogError(f"file {self.file.path} has a header but no data")
+        try:
             self.schema = infer_schema(body, header=header)
-        else:
-            self.schema = infer_schema(rows)
+        except SchemaInferenceError as exc:
+            # Plain delimited splits on every delimiter, quoted or not: a
+            # spreadsheet-style quoted field shows up as a width mismatch.
+            quoted = any('"' in value for row in rows for value in row)
+            if self.file.format not in (None, "csv") or not quoted:
+                raise
+            raise SchemaInferenceError(
+                f'{exc}; the file has quoted fields: attach it with format="auto" '
+                f'(or format="quoted-csv")'
+            ) from None
 
     def ensure_table(self, nrows: int) -> Table:
         """Create the adaptive-store table once the row count is known.

@@ -101,27 +101,6 @@ class IntervalSet:
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(_normalize(self.intervals + other.intervals))
 
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        """Set difference ``self - other`` (what is still missing)."""
-        result: list[tuple[int, int]] = []
-        for s, e in self.intervals:
-            pieces = [(s, e)]
-            for os, oe in other.intervals:
-                next_pieces: list[tuple[int, int]] = []
-                for ps, pe in pieces:
-                    if oe <= ps or os >= pe:
-                        next_pieces.append((ps, pe))
-                        continue
-                    if ps < os:
-                        next_pieces.append((ps, os))
-                    if oe < pe:
-                        next_pieces.append((oe, pe))
-                pieces = next_pieces
-                if not pieces:
-                    break
-            result.extend(pieces)
-        return IntervalSet(result)
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         result: list[tuple[int, int]] = []
         i = j = 0

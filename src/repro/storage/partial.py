@@ -213,12 +213,6 @@ class PartialColumn:
     def covers_query(self, query: Condition) -> bool:
         return any(cert.covers_query(query) for cert in self.certificates)
 
-    def loaded_values(self) -> np.ndarray:
-        """Values at loaded positions, in row order."""
-        if self.values is None:
-            return np.empty(0, dtype=self.dtype.numpy_dtype)
-        return self.values[self.loaded_mask]
-
     def qualifying_mask(self, interval) -> np.ndarray:
         """Global row mask of loaded rows whose value lies in ``interval``.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import CatalogError
 from repro.flatfile.schema import TableSchema
 from repro.storage.partial import PartialColumn
 
@@ -69,8 +68,3 @@ class Table:
         }
         self.nrows = new_nrows
         return kept
-
-    def ensure_known(self, names: list[str]) -> None:
-        for n in names:
-            if not self.has_column(n):
-                raise CatalogError(f"table {self.name!r} has no column {n!r}")

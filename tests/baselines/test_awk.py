@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro import AwkEngine, NoDBEngine
+from benchmarks.awk import AwkEngine
+from benchmarks.workload import materialize_join_pair
+from repro import NoDBEngine
 from repro.errors import UnsupportedSQLError
-from repro.workload.generator import materialize_join_pair
 
 
 @pytest.fixture

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.harness import (
-    BenchReport,
-    bench_arg_parser,
-    dataset_rows,
-    iterations,
-)
+from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows, iterations
 
 
 def parse(argv):

@@ -1,8 +1,13 @@
 """Tests for the bench harness and report formatting."""
 
+from benchmarks.harness import (
+    Series,
+    format_ratio_line,
+    format_series_table,
+    run_sequence,
+    time_callable,
+)
 from repro import NoDBEngine
-from repro.bench.harness import Series, run_sequence, time_callable
-from repro.bench.report import format_ratio_line, format_series_table
 
 
 class TestSeries:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from benchmarks.workload import TableSpec, generate_columns, materialize_csv
 from repro import EngineConfig, NoDBEngine
-from repro.workload import TableSpec, generate_columns, materialize_csv
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.register_profile("dev", deadline=None)

@@ -20,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from benchmarks.workload import TableSpec, generate_columns, materialize_csv
 from repro import EngineConfig, NoDBEngine, POLICIES
-from repro.workload import TableSpec, generate_columns, materialize_csv
 
 
 @pytest.fixture(scope="module")

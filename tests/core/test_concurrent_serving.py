@@ -28,8 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from benchmarks.workload import TableSpec, generate_columns, materialize_csv
 from repro import EngineConfig, NoDBEngine
-from repro.workload import TableSpec, generate_columns, materialize_csv
 
 #: Gang size for every stress test (CI stress job sets 2 and 8).
 CONCURRENCY = max(2, int(os.environ.get("REPRO_CONCURRENCY", "4")))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from benchmarks.workload import materialize_join_pair
 from repro import CatalogError, EngineConfig, NoDBEngine
-from repro.workload import TableSpec, generate_columns, materialize_csv
 
 
 class TestZeroInitialization:
@@ -120,8 +120,6 @@ class TestContextManager:
 
 class TestMultiTable:
     def test_join_through_engine(self, tmp_path):
-        from repro.workload.generator import materialize_join_pair
-
         lp, rp = materialize_join_pair(300, tmp_path / "l.csv", tmp_path / "r.csv")
         engine = NoDBEngine()
         engine.attach("l", lp)

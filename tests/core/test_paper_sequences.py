@@ -8,14 +8,15 @@ random queries, here pinned to the workloads the benches time.
 
 import pytest
 
-from repro import AwkEngine, EngineConfig, NoDBEngine, POLICIES
-from repro.workload import (
+from benchmarks.awk import AwkEngine
+from benchmarks.workload import (
     TableSpec,
     exploration_sequence,
     figure3_sequence,
     figure4_sequence,
     materialize_csv,
 )
+from repro import EngineConfig, NoDBEngine, POLICIES
 
 NROWS = 400
 

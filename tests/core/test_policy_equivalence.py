@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AwkEngine, EngineConfig, NoDBEngine, POLICIES
+from benchmarks.awk import AwkEngine
+from repro import EngineConfig, NoDBEngine, POLICIES
 
 NROWS = 500  # matches the session-scoped small_csv fixture
 

@@ -16,8 +16,8 @@ import time
 
 import pytest
 
+from benchmarks.workload import TableSpec, materialize_csv
 from repro import CSVEngine, EngineConfig, NoDBEngine
-from repro.workload import TableSpec, materialize_csv
 from scalar_oracle import scalar_tokenize_bytes
 
 QUERIES = [

@@ -1,9 +1,6 @@
 """Regression tests for the dormant-module bugs fixed when cracking was
 wired into the warm path.
 
-* ``CrackingExecutor.select_rowids`` crashed with ``StopIteration`` on a
-  trivial condition over a zero-column table (``next(iter(...))`` on an
-  empty dict).
 * ``CrackerColumn.rowids`` was typed ``np.ndarray`` but defaulted to
   ``None``; it is now declared Optional and narrowed in ``__post_init__``.
 * ``CrackerColumn.crack`` on a NaN pivot silently produced a degenerate
@@ -18,26 +15,8 @@ import numpy as np
 import pytest
 
 from repro.cracking.cracker import CrackerColumn
-from repro.cracking.executor import CrackingExecutor
 from repro.errors import ExecutionError
-from repro.ranges import Condition, ValueInterval
-
-
-def test_empty_condition_on_zero_column_table():
-    ex = CrackingExecutor(columns={})
-    rowids = ex.select_rowids(Condition())
-    assert rowids.dtype == np.int64
-    assert len(rowids) == 0
-
-
-def test_empty_condition_enumerates_all_rows():
-    ex = CrackingExecutor(columns={"a1": np.array([5, 6, 7])})
-    assert ex.select_rowids(Condition()).tolist() == [0, 1, 2]
-
-
-def test_count_star_on_zero_column_table():
-    ex = CrackingExecutor(columns={})
-    assert ex.aggregate(Condition(), [("count", "*")]).scalar() == 0
+from repro.ranges import ValueInterval
 
 
 def test_rowids_narrowed_after_post_init():

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import FlatFileError, FormatDetectionError
+import repro
+from repro.errors import FlatFileError, FormatDetectionError, SchemaInferenceError
 from repro.flatfile.dialects import (
     DelimitedAdapter,
     FixedWidthAdapter,
@@ -316,6 +317,22 @@ class TestAutoAttach:
         f.reset_format_state()
         assert isinstance(f.adapter, JsonLinesAdapter)
         assert f.adapter.columns is None  # learned state forgotten
+
+    def test_quoted_csv_on_the_plain_default_names_the_fix(self, tmp_path):
+        p = tmp_path / "q.csv"
+        rows = [f'"alpha, {i}",{i},{2 * i}' for i in range(50)]
+        p.write_text("name,x,y\n" + "\n".join(rows) + "\n")
+        sql = "select count(*), sum(y) from t"
+        with repro.connect() as conn:
+            conn.attach("t", p)
+            with pytest.raises(SchemaInferenceError) as info:
+                conn.execute(sql)
+        message = str(info.value)
+        assert "header has 3 names but rows have 4 fields" in message
+        assert 'format="auto"' in message and 'format="quoted-csv"' in message
+        with repro.connect() as conn:
+            conn.attach("t", p, format="auto")
+            assert conn.execute(sql).rows() == [(50, 2450)]
 
 
 class TestTokenizeDialect:

@@ -108,13 +108,6 @@ class TestLifecycle:
         assert m.text_geometry is None
         assert not m.sliceable
 
-    def test_memory_accounting(self):
-        m = PositionalMap()
-        assert m.memory_bytes() == 0
-        m.record_row_offsets(np.zeros(10, dtype=np.int64))
-        m.record_field_offsets(1, np.zeros(10, dtype=np.int64))
-        assert m.memory_bytes() == 160
-
     def test_known_columns_sorted(self):
         m = PositionalMap()
         m.record_field_offsets(3, np.array([1]))

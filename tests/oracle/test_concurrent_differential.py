@@ -31,8 +31,8 @@ from harness import (
     tables,
 )
 
+from benchmarks.workload import TableSpec, generate_columns
 from repro import EngineConfig, NoDBEngine
-from repro.workload import TableSpec, generate_columns
 
 #: Thread counts of the acceptance matrix.
 THREAD_COUNTS = (2, 4)

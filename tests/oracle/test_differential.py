@@ -28,9 +28,9 @@ from harness import (
     tables,
 )
 
+from benchmarks.workload import TableSpec, generate_columns
 from repro import EngineConfig, NoDBEngine
 from repro.core.partitions import warm_pool
-from repro.workload import TableSpec, generate_columns
 
 #: Acceptance matrix: worker counts the parallel sweep must cover.
 WORKER_COUNTS = (1, 2, 4)

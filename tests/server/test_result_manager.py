@@ -114,10 +114,12 @@ def test_lru_eviction_beyond_max_results(manager, clock):
         clock.now += 1.0
         ids.append(manager.store(make_result(seed=i), page_size=10)["result_id"])
     # max_results=4: the oldest (least recently accessed) id is gone.
-    assert manager.list_ids() == sorted(ids[1:])
+    assert manager.snapshot()["results_held"] == 4
     with pytest.raises(UnknownResultError):
         manager.get(ids[0])
     assert manager.snapshot()["lru_evicted"] == 1
+    for result_id in ids[1:]:
+        manager.meta(result_id)
 
 
 def test_recent_access_protects_against_lru(manager, clock):
@@ -129,8 +131,9 @@ def test_recent_access_protects_against_lru(manager, clock):
     manager.get(ids[0])  # refresh the would-be victim
     clock.now += 1.0
     manager.store(make_result(seed=9), page_size=10)
-    assert ids[0] in manager.list_ids()
-    assert ids[1] not in manager.list_ids()
+    with pytest.raises(UnknownResultError):
+        manager.meta(ids[1])
+    manager.meta(ids[0])
 
 
 def test_delete_is_explicit_and_final(manager, tmp_path):
@@ -152,7 +155,8 @@ def test_restart_reindexes_surviving_resources(tmp_path, clock):
     (tmp_path / "garbage.json").write_text("{not json")
 
     second = ResultManager(tmp_path, ttl_s=60.0, clock=clock)
-    assert second.list_ids() == [keep["result_id"]]
+    second.purge()
+    assert second.snapshot()["results_held"] == 1
     assert second.get(keep["result_id"]).num_rows == 30
     assert not (tmp_path / f"{doomed['result_id']}.json").exists()
 
@@ -177,7 +181,7 @@ def test_clear_empties_directory(manager, tmp_path):
     for i in range(3):
         manager.store(make_result(seed=i), page_size=10)
     assert manager.clear() == 3
-    assert manager.list_ids() == []
+    assert manager.snapshot()["results_held"] == 0
     assert list(tmp_path.glob("*.json")) == []
 
 

@@ -81,14 +81,6 @@ class TestOperations:
         s.add(5, 8)
         assert s.intervals == [(0, 8)]
 
-    def test_subtract_middle(self):
-        s = IntervalSet([(0, 10)]).subtract(IntervalSet([(3, 6)]))
-        assert s.intervals == [(0, 3), (6, 10)]
-
-    def test_subtract_everything(self):
-        s = IntervalSet([(2, 4)]).subtract(IntervalSet([(0, 10)]))
-        assert not s
-
     def test_intersect(self):
         a = IntervalSet([(0, 10), (20, 30)])
         b = IntervalSet([(5, 25)])
@@ -114,12 +106,6 @@ class TestInvariants:
     def test_union_semantics(self, a, b):
         sa, sb = IntervalSet(list(a)), IntervalSet(list(b))
         assert _as_set(sa.union(sb)) == _ref_set(a) | _ref_set(b)
-
-    @settings(max_examples=100, deadline=None)
-    @given(interval_lists, interval_lists)
-    def test_subtract_semantics(self, a, b):
-        sa, sb = IntervalSet(list(a)), IntervalSet(list(b))
-        assert _as_set(sa.subtract(sb)) == _ref_set(a) - _ref_set(b)
 
     @settings(max_examples=100, deadline=None)
     @given(interval_lists, interval_lists)

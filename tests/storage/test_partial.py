@@ -136,8 +136,3 @@ class TestAccounting:
         assert pc.values is None
         assert not pc.certificates
         assert not pc.covers_query(Condition())
-
-    def test_loaded_values_in_row_order(self):
-        pc = make_column(10)
-        pc.store(np.array([7, 2]), np.array([70, 20]))
-        assert pc.loaded_values().tolist() == [20, 70]

@@ -45,12 +45,6 @@ class TestTable:
         t.drop_all()
         assert not t.columns
 
-    def test_ensure_known(self):
-        t = Table("r", make_schema(), nrows=4)
-        t.ensure_known(["a1", "a2"])
-        with pytest.raises(CatalogError, match="no column"):
-            t.ensure_known(["zz"])
-
 
 class TestCatalog:
     def test_attach_and_get(self, small_csv):

@@ -1,10 +1,14 @@
 """Remaining DESIGN.md section-5 invariants not covered elsewhere."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import EngineConfig, NoDBEngine
 from repro.cracking.cracker import CrackerColumn
 from repro.flatfile.schema import DataType
@@ -122,3 +126,27 @@ class TestResidualPredicatesThroughPolicies:
         mask = (a1 > 100) & (a1 < 200) & ((a2 < 100) | (a2 > 400))
         assert got == mask.sum()
         engine.close()
+
+
+class TestDependencyDirection:
+    """The package is the engine: scaffolding may import it, never the
+    reverse, so benchmark and test code cannot creep back into ``src``."""
+
+    SCAFFOLDING = {"benchmarks", "tests", "pytest", "hypothesis"}
+
+    def test_no_product_module_imports_scaffolding(self):
+        package = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                for module in modules:
+                    if module.split(".")[0] in self.SCAFFOLDING:
+                        rel = path.relative_to(package.parent)
+                        offenders.append(f"{rel}:{node.lineno} imports {module}")
+        assert not offenders, offenders

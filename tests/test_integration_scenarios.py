@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks.workload import TableSpec, materialize_csv
 from repro import (
     CatalogError,
     EngineConfig,
@@ -17,7 +18,6 @@ from repro import (
     POLICIES,
     SQLSyntaxError,
 )
-from repro.workload import TableSpec, materialize_csv
 
 
 class TestMixedTypeSessions:

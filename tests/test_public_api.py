@@ -20,8 +20,7 @@ EXPECTED_EXPORTS = {
     "connect",
     # engines
     "NoDBEngine",
-    # baselines (oracle reference, not the application path)
-    "AwkEngine",
+    # baseline (oracle reference, not the application path)
     "CSVEngine",
     # configuration
     "EngineConfig",

@@ -2,8 +2,8 @@
 
 import pytest
 
+from benchmarks.workload import exploration_sequence
 from repro import EngineConfig, NoDBEngine
-from repro.workload import exploration_sequence
 
 
 class TestSequenceStructure:

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.workload.generator import (
+from benchmarks.workload import (
     TableSpec,
-    generate_columns,
-    generate_join_pair,
-    materialize_csv,
-)
-from repro.workload.queries import (
     figure3_sequence,
     figure4_sequence,
+    generate_columns,
+    generate_join_pair,
     make_q1,
     make_q2,
+    materialize_csv,
 )
 
 
