@@ -53,10 +53,6 @@ class EngineConfig:
         batched window reads) and gather the fields vectorized, instead of
         re-reading and re-tokenizing the whole file.  Requires
         ``use_positional_map``; off is the ablation baseline.
-    selective_read_max_gap:
-        Byte ranges closer than this are merged into one window read on the
-        selective path.  Larger values trade extra bytes read for fewer
-        seek+read calls; ``0`` merges only touching ranges.
     parallel_workers:
         Number of workers for the partitioned parallel scan.  ``1``
         (default) keeps every pass serial.  With ``N > 1``, first-pass
@@ -120,22 +116,20 @@ class EngineConfig:
         extend the learned state over the appended region instead of
         wiping it: the positional map absorbs offsets for the new tail
         only, fully loaded columns parse and concatenate just the new
-        rows, zone maps gain zones, and the partition plan appends one
-        tail partition.  Crackers and cached results (whose answers
-        genuinely changed) still invalidate.  Off forces every edit down
-        the full-invalidation path.
+        rows, and zone maps gain zones; the partition plan is re-planned
+        over the grown file on the next parallel pass.  Crackers and
+        cached results (whose answers genuinely changed) still
+        invalidate.  Off forces every edit down the full-invalidation
+        path.
     io_bandwidth_bytes_per_sec:
         Optional simulated I/O throttle.  When set, every read of ``n``
         bytes from a flat file additionally sleeps ``n / bandwidth``
         seconds.  Used by the Figure 1a bench to recreate the memory-wall
         knee of loading cost without a real 1-billion-tuple table.
-    eviction_policy:
-        ``"lru"`` (default) or ``"fifo"``; how victims are chosen when the
-        memory budget is exceeded.
     store_dir:
         Root of the **persistent adaptive store**: a fingerprint-keyed
-        on-disk cache of learned state (positional maps, partition
-        plans, widened schemas, fully loaded columns).  A fresh engine
+        on-disk cache of learned state (positional-map field spans,
+        widened schemas, zone maps, fully loaded columns).  A fresh engine
         pointed at a warm ``store_dir`` restores a table restart-warm —
         numeric columns come back as shared read-only ``np.memmap``
         arrays — instead of re-paying the cold scan; entries are written
@@ -186,7 +180,6 @@ class EngineConfig:
     memory_budget_bytes: int | None = None
     use_positional_map: bool = True
     selective_reads: bool = True
-    selective_read_max_gap: int = 4
     parallel_workers: int = 1
     partition_min_bytes: int = 4 << 20
     parallel_start_method: str | None = None
@@ -200,7 +193,6 @@ class EngineConfig:
     auto_invalidate: bool = True
     append_extension: bool = True
     io_bandwidth_bytes_per_sec: float | None = None
-    eviction_policy: str = "lru"
     store_dir: Path | None = None
     result_cache: bool = False
     max_cached_results: int = 256
@@ -213,10 +205,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
-        if self.eviction_policy not in ("lru", "fifo"):
-            raise ValueError(f"unknown eviction policy {self.eviction_policy!r}")
-        if self.selective_read_max_gap < 0:
-            raise ValueError("selective_read_max_gap must be non-negative")
         if self.parallel_workers < 0:
             raise ValueError("parallel_workers must be >= 1, or 0 for one per CPU")
         if self.partition_min_bytes <= 0:

@@ -7,15 +7,18 @@ Learned structures are themselves derived data worth preserving — a
 positional map over 100M rows does not become wrong because 1M rows
 arrived after it — so this module extends them incrementally:
 
-* the **positional map** absorbs row/field offsets for the appended
-  region only (tokenized standalone, shifted by the old text geometry);
+* the **positional map** absorbs field spans for the appended region
+  only (tokenized standalone, shifted by the old text geometry) and
+  grows its row count;
 * fully loaded **store columns** parse and concatenate just the appended
   values, staying fully loaded (partial fragments drop: their coverage
   certificates no longer describe the grown row space);
 * **zone maps** merge the boundary zone and append new zones (zone
-  statistics are associative);
-* the **partition plan** gains one tail partition covering the new
-  bytes.
+  statistics are associative).
+
+The partition plan is not extended: its ``file_size`` no longer matches,
+so the next parallel pass re-plans balanced partitions over the grown
+file (:func:`repro.core.partitions.partitions_for`).
 
 Crackers and cached query results are *not* extended — their answers
 genuinely changed — and the engine invalidates them alongside.  Every
@@ -32,7 +35,6 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.core.loader import parse_column_with_widening
-from repro.core.partitions import Partition, PartitionIndex
 from repro.errors import FlatFileError
 from repro.flatfile.files import FileFingerprint
 from repro.flatfile.parser import ParseStats
@@ -160,22 +162,6 @@ def extend_entry_for_append(
 
     if entry.zone_maps is not None:
         entry.zone_maps = entry.zone_maps.extended(new_nrows, appended_idx)
-
-    pidx = entry.partitions
-    if pidx is not None and pidx.file_size == old.size:
-        tail_part = Partition(
-            index=len(pidx.partitions),
-            byte_start=old.size,
-            byte_end=new.size,
-            skip_rows=0,
-        )
-        entry.partitions = PartitionIndex(
-            partitions=list(pidx.partitions) + [tail_part],
-            requested=pidx.requested,
-            file_size=new.size,
-        )
-    else:
-        entry.partitions = None
 
     if entry.split_catalog is not None:
         # Split per-column files cover the old rows only; rebuild lazily.

@@ -26,7 +26,7 @@ engine"); this engine replaces that global lock with three layers:
   each :class:`TableEntry`): queries over distinct tables never contend,
   and warm queries over the *same* table share the read side and run
   fully in parallel.  Loading — which mutates the store, the positional
-  map and the partition index — takes the write side.
+  map and the in-memory partition plan — takes the write side.
 * **shared-scan batching** (:class:`repro.locks.SingleFlight`): when N
   threads miss the store for the same cold (table, column-set), exactly
   one runs the adaptive load; the rest wait on the flight and then serve
@@ -50,6 +50,10 @@ from pathlib import Path
 
 import numpy as np
 
+# The loader imports the parallel route on first use (an import cycle);
+# loading it here keeps its one-time process-pool imports out of the
+# first query's latency.
+import repro.core.partitions  # noqa: F401
 from repro.config import EngineConfig
 from repro.core.append import extend_entry_for_append
 from repro.core.loader import _widen_column
@@ -93,10 +97,7 @@ class NoDBEngine:
         self.policy = make_policy(self.config.policy)
         #: Stand-in for splitfiles on dialects that cannot be cracked.
         self._splitfile_fallback = make_policy("column_loads")
-        self.memory = MemoryManager(
-            budget_bytes=self.config.memory_budget_bytes,
-            policy=self.config.eviction_policy,
-        )
+        self.memory = MemoryManager(budget_bytes=self.config.memory_budget_bytes)
         self.stats = EngineStatistics()
         self.monitor = RobustnessMonitor(self.stats, self.config, self.memory.stats)
         self._owns_split_dir = self.config.splitfile_dir is None
@@ -117,7 +118,7 @@ class NoDBEngine:
                 memory=self.memory, max_entries=self.config.max_cached_results
             )
         # The persistent adaptive store: learned state (positional maps,
-        # partition plans, widened schemas, fully loaded columns) that
+        # widened schemas, zone maps, fully loaded columns) that
         # survives restarts, keyed by the source file's fingerprint.
         # Writes happen off the query path on a single background thread.
         self.persistent_store: PersistentStore | None = None
@@ -631,7 +632,7 @@ class NoDBEngine:
                     pre_fingerprint = self._check_stale(entry)
                     # Restart-warm path: before scheduling a cold scan,
                     # consult the persistent store; a fingerprint-valid
-                    # entry restores the positional map, partition plan,
+                    # entry restores the positional map, zone maps,
                     # widened schema and mmapped columns in one step and
                     # the warm probe below then serves from them.
                     if self.persistent_store is not None and entry.table is None:
@@ -824,7 +825,6 @@ class NoDBEngine:
         entry.has_header = state.has_header
         entry.table = Table(entry.name, entry.schema, state.nrows)
         entry.positional_map = state.positional_map
-        entry.partitions = state.partitions
         entry.zone_maps = state.zone_maps
         entry.loaded_fingerprint = brand
         entry.store_base = (state.fingerprint, state.nrows)
@@ -870,9 +870,7 @@ class NoDBEngine:
         return (
             fingerprint,
             loaded,
-            frozenset(c for c in pm.field_offsets if c in pm.field_ends),
-            pm.row_offsets is not None,
-            entry.partitions is not None,
+            frozenset(pm.field_offsets),
             frozenset(entry.zone_maps.columns)
             if entry.zone_maps is not None
             else frozenset(),
@@ -1025,10 +1023,10 @@ class NoDBEngine:
         """Extend learned state over a pure tail-append (write lock held).
 
         Appends aren't rewrites: when the file grew and the prior region
-        is byte-identical, the positional map, fully loaded columns, zone
-        maps and partition plan are all extended in place instead of
-        wiped — only structures whose *answers* changed (crackers, cached
-        results) are invalidated.  Returns False when the change is not a
+        is byte-identical, the positional map, fully loaded columns and
+        zone maps are all extended in place instead of wiped — only
+        structures whose *answers* changed (crackers, cached results) are
+        invalidated.  Returns False when the change is not a
         tail-append or any extension precondition fails; the caller falls
         back to full invalidation.
         """

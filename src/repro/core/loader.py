@@ -61,6 +61,10 @@ from repro.core.zonemaps import ZoneMapIndex
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import TableEntry
 
+#: Selective reads merge byte ranges closer than this into one window
+#: read: a few wasted bytes beat one more seek+read call.
+SELECTIVE_READ_MAX_GAP = 4
+
 
 @dataclass
 class PassResult:
@@ -304,7 +308,7 @@ def run_pass(
         # sequential read beats many window reads of the same bytes.
         size = entry.file.size_bytes()
         covered = _coalesced_bytes(
-            pmap, want_cols, candidates, config.selective_read_max_gap
+            pmap, want_cols, candidates, SELECTIVE_READ_MAX_GAP
         )
         if covered < size - (size >> 4):
             predicates = _pushdown_predicates(
@@ -384,7 +388,7 @@ def _can_read_selectively(pmap: PositionalMap, cols: list[int]) -> bool:
     touch is a known byte slice."""
     if pmap.nrows is None or not pmap.sliceable:
         return False
-    return all(pmap.can_slice(c) for c in cols)
+    return all(pmap.knows_column(c) for c in cols)
 
 
 def _zone_candidates(
@@ -463,7 +467,7 @@ def _gather_column(
     windows = entry.file.read_windows(
         starts,
         ends,
-        max_gap=config.selective_read_max_gap,
+        max_gap=SELECTIVE_READ_MAX_GAP,
         workers=config.resolved_parallel_workers(),
     )
     stats.chars_scanned += windows.total_bytes
@@ -534,7 +538,7 @@ def _selective_pass(
         windows = entry.file.read_windows(
             all_starts,
             all_ends,
-            max_gap=config.selective_read_max_gap,
+            max_gap=SELECTIVE_READ_MAX_GAP,
             workers=config.resolved_parallel_workers(),
         )
         stats.chars_scanned += windows.total_bytes

@@ -8,8 +8,9 @@ independently servable units in the spirit of result-bounded access
 interfaces — and fans them out over a process pool:
 
 1. :func:`plan_partitions` splits the file into N newline-aligned byte
-   ranges (computed once per file, cached on the catalog entry alongside
-   the positional map, and invalidated with it);
+   ranges (cached in memory on the catalog entry and re-planned whenever
+   the file's size changes; never persisted, since a re-plan costs one
+   small probe per boundary);
 2. :func:`scan_partition` — the picklable worker — tokenizes one
    partition with the ordinary :func:`~repro.flatfile.tokenizer.
    tokenize_bytes`, rebuilding pushdown predicates from declarative
@@ -48,6 +49,7 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.core.loader import (
+    SELECTIVE_READ_MAX_GAP,
     PassResult,
     WideningPredicate,
     _widen_column,
@@ -102,7 +104,8 @@ class PartitionIndex:
     together with all other derived state when the file is edited.
     ``requested`` remembers the partition count asked for, so a config
     change recomputes; ``file_size`` guards against reuse across edits
-    that auto-invalidation has not yet observed.
+    that auto-invalidation has not yet observed, and makes a tail-append
+    re-plan over the grown file.  Held in memory only, never persisted.
     """
 
     partitions: list[Partition]
@@ -113,33 +116,6 @@ class PartitionIndex:
 
     def __len__(self) -> int:
         return len(self.partitions)
-
-    def as_manifest(self) -> dict:
-        """JSON-serializable form, for the persistent store's manifests.
-
-        Probe counters are I/O *history*, not plan state, and are not
-        carried: a restored plan cost the restoring engine zero probes.
-        """
-        return {
-            "requested": self.requested,
-            "file_size": self.file_size,
-            "parts": [
-                [p.index, p.byte_start, p.byte_end, p.skip_rows]
-                for p in self.partitions
-            ],
-        }
-
-    @classmethod
-    def from_manifest(cls, data: dict) -> "PartitionIndex":
-        """Inverse of :meth:`as_manifest` (raises on malformed input)."""
-        return cls(
-            partitions=[
-                Partition(int(i), int(start), int(end), int(skip))
-                for i, start, end, skip in data["parts"]
-            ],
-            requested=int(data["requested"]),
-            file_size=int(data["file_size"]),
-        )
 
 
 def plan_partitions(
@@ -641,7 +617,7 @@ def _merge_results(
             # (formatting was lost in parsing); rebuild the column from
             # the file via the merged field slices.  Rare — it needs a
             # column that is numeric in some partitions and not others.
-            if not all(r.learned.can_slice(idx) for r in results):
+            if not all(r.learned.knows_column(idx) for r in results):
                 # Span-less dialect (JSON-lines): no field slices exist;
                 # re-tokenize just this column from the full text.
                 if full_text is None:
@@ -679,7 +655,7 @@ def _merge_results(
                 windows = entry.file.read_windows(
                     starts,
                     ends,
-                    max_gap=config.selective_read_max_gap,
+                    max_gap=SELECTIVE_READ_MAX_GAP,
                     workers=config.resolved_parallel_workers(),
                 )
                 raw = gather_fields(

@@ -7,8 +7,8 @@ loads do less tokenization work.  This module is that structure.
 
 The map stores, per flat file:
 
-* ``row_offsets`` — byte offset of the start of every data row, learned the
-  first time any full pass tokenizes the file;
+* ``nrows`` — the number of data rows, fixed by the first pass that frames
+  the whole file;
 * per-column arrays of **field start offsets**, one ``int64`` per row,
   recorded as a side effect whenever a tokenization pass locates that
   column in every row;
@@ -24,8 +24,8 @@ the row, and over none when the anchor *is* ``j``.  The vectorized kernel
 takes only which columns are known and derives every position from the
 bytes themselves.
 
-When both start and end offsets of every column a pass needs are known
-(:meth:`PositionalMap.can_slice`), the loader skips tokenization entirely:
+When the spans of every column a pass needs are known
+(:meth:`PositionalMap.knows_column`), the loader skips tokenization entirely:
 it reads only the required byte ranges from the file and gathers the
 fields directly (the selective-read fast path).  Offsets are *character*
 offsets into the decoded text; :meth:`record_text_geometry` remembers
@@ -38,8 +38,11 @@ quotes, for TSV the backslash escapes, for fixed-width the padding — and
 always lands on field starts/ends as the dialect frames them.  Gathered
 span text is passed through the adapter's ``decode_many`` before parsing,
 so the selective path returns the same logical values as a full scan.
-Span-less dialects (JSON-lines) record row offsets only, and the
+Span-less dialects (JSON-lines) record the row count only, and the
 selective fast path simply never activates for them.
+
+Row-start offsets are not kept: no query route reads them, and a pass
+that needs row boundaries frames the text itself.
 
 The map is append-only and never trusted blindly: it is invalidated
 together with all other derived state when the source file's fingerprint
@@ -61,9 +64,6 @@ class PositionalMap:
     ----------
     nrows:
         Number of data rows in the file; fixed at first learning pass.
-    row_offsets:
-        ``int64[nrows]`` byte offset of each row start, or ``None`` if no
-        pass has learned them yet.
     field_offsets:
         Mapping column index -> ``int64[nrows]`` byte offset of that
         column's field start in every row.
@@ -78,38 +78,33 @@ class PositionalMap:
     """
 
     nrows: int | None = None
-    row_offsets: np.ndarray | None = None
     field_offsets: dict[int, np.ndarray] = field(default_factory=dict)
     field_ends: dict[int, np.ndarray] = field(default_factory=dict)
     text_geometry: tuple[int, int] | None = None
 
     # ------------------------------------------------------------ learning
 
-    def record_row_offsets(self, offsets: np.ndarray) -> None:
-        """Store row-start offsets (idempotent; first writer wins)."""
-        if self.row_offsets is None:
-            self.row_offsets = np.asarray(offsets, dtype=np.int64)
-            self.nrows = len(self.row_offsets)
+    def record_nrows(self, nrows: int) -> None:
+        """Store the data-row count (idempotent; first writer wins)."""
+        if self.nrows is None:
+            self.nrows = int(nrows)
 
     def record_field_offsets(
-        self, col: int, offsets: np.ndarray, ends: np.ndarray | None = None
+        self, col: int, offsets: np.ndarray, ends: np.ndarray
     ) -> None:
-        """Store field-start (and optionally end) offsets for ``col``."""
+        """Store the field-start and field-end offsets of ``col``."""
         arr = np.asarray(offsets, dtype=np.int64)
-        if self.nrows is not None and len(arr) != self.nrows:
-            raise ValueError(
-                f"field offsets for column {col} have {len(arr)} entries, expected {self.nrows}"
-            )
-        if self.nrows is None:
-            self.nrows = len(arr)
-        self.field_offsets.setdefault(col, arr)
-        if ends is not None:
-            end_arr = np.asarray(ends, dtype=np.int64)
-            if len(end_arr) != self.nrows:
+        end_arr = np.asarray(ends, dtype=np.int64)
+        self.record_nrows(len(arr))
+        for name, got in (("offsets", arr), ("ends", end_arr)):
+            if len(got) != self.nrows:
                 raise ValueError(
-                    f"field ends for column {col} have {len(end_arr)} entries, expected {self.nrows}"
+                    f"field {name} for column {col} have {len(got)} entries, "
+                    f"expected {self.nrows}"
                 )
-            self.field_ends.setdefault(col, end_arr)
+        if col not in self.field_offsets:
+            self.field_offsets[col] = arr
+            self.field_ends[col] = end_arr
 
     def record_text_geometry(self, nbytes: int, nchars: int) -> None:
         """Remember the byte/character sizes seen by a full scan."""
@@ -142,6 +137,7 @@ class PositionalMap:
     # ----------------------------------------------------------- exploiting
 
     def knows_column(self, col: int) -> bool:
+        """True when ``col``'s field span is known in every row."""
         return col in self.field_offsets
 
     @property
@@ -150,10 +146,6 @@ class PositionalMap:
         return self.text_geometry is not None and (
             self.text_geometry[0] == self.text_geometry[1]
         )
-
-    def can_slice(self, col: int) -> bool:
-        """True when ``col`` is a known byte range in every row."""
-        return col in self.field_offsets and col in self.field_ends
 
     def slices_for(self, col: int) -> tuple[np.ndarray, np.ndarray]:
         """``(starts, ends)`` arrays of ``col``'s field byte ranges."""
@@ -165,7 +157,6 @@ class PositionalMap:
     def clear(self) -> None:
         """Forget everything (called when the source file was edited)."""
         self.nrows = None
-        self.row_offsets = None
         self.field_offsets.clear()
         self.field_ends.clear()
         self.text_geometry = None
@@ -181,10 +172,11 @@ class PositionalMap:
         in the full decoded text.  Merging shifts and concatenates, with
         the same first-writer-wins semantics as serial learning:
 
-        * row offsets merge only when every partition learned its rows;
-        * a column's field slices merge only when *every* partition knows
-          them completely (``can_slice``), mirroring the serial rule that
-          offsets are recorded only when learned for all rows;
+        * the row count is the sum of the partitions' counts, when every
+          partition framed its rows;
+        * a column's field spans merge only when *every* partition knows
+          them, mirroring the serial rule that spans are recorded only
+          when learned for all rows;
         * text geometry is the sum of the partitions' byte/char sizes —
           partitions tile the file, so the sums equal a full scan's view.
         """
@@ -194,18 +186,12 @@ class PositionalMap:
             )
         if not parts:
             return
-        if all(p.row_offsets is not None for p in parts):
-            self.record_row_offsets(
-                np.concatenate(
-                    [p.row_offsets + base for p, base in zip(parts, char_bases)]
-                )
-            )
+        if all(p.nrows is not None for p in parts):
+            self.record_nrows(sum(p.nrows for p in parts))
         shared = set(parts[0].field_offsets)
         for p in parts[1:]:
             shared &= set(p.field_offsets)
         for col in sorted(shared):
-            if not all(p.can_slice(col) for p in parts):
-                continue
             starts = np.concatenate(
                 [p.field_offsets[col] + base for p, base in zip(parts, char_bases)]
             )
@@ -226,15 +212,13 @@ class PositionalMap:
         ``tail`` was learned by tokenizing only the appended bytes as a
         standalone document, so its offsets are relative to the start of
         the appended region; they are shifted by the old text's character
-        size and concatenated.  Knowledge the tail pass did not relearn
-        (a column's spans, row offsets) is dropped for safety rather than
-        kept half-length — the same opportunistic semantics as partition
+        size and concatenated.  A column's spans the tail pass did not
+        relearn are dropped for safety rather than kept half-length — the same opportunistic semantics as partition
         merging.  A map with no recorded geometry cannot shift offsets
         and is cleared instead (callers treat that as "relearn later").
         """
         knows_nothing = (
             self.nrows is None
-            and self.row_offsets is None
             and not self.field_offsets
             and self.text_geometry is None
         )
@@ -248,20 +232,9 @@ class PositionalMap:
             self.text_geometry[0] + tail.text_geometry[0],
             self.text_geometry[1] + tail.text_geometry[1],
         )
-        if (
-            self.row_offsets is not None
-            and tail.row_offsets is not None
-            and len(tail.row_offsets) == added_rows
-        ):
-            self.row_offsets = np.concatenate(
-                [self.row_offsets, tail.row_offsets + char_base]
-            )
-        else:
-            self.row_offsets = None
         for col in list(self.field_offsets):
             if (
-                self.can_slice(col)
-                and tail.can_slice(col)
+                tail.knows_column(col)
                 and len(tail.field_offsets[col]) == added_rows
             ):
                 self.field_offsets[col] = np.concatenate(

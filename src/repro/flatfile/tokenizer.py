@@ -142,7 +142,7 @@ def tokenize_dialect(
     stats.chars_scanned += len(text)  # the framing pass touches everything
 
     if learn and positional_map is not None:
-        positional_map.record_row_offsets(row_starts)
+        positional_map.record_nrows(nrows)
 
     spans_ok = adapter.supports_field_spans
     wanted_set = set(wanted)

@@ -288,7 +288,7 @@ def tokenize_vectorized(
 
     # ------------------------------------------------------------ learning
     if learn and positional_map is not None:
-        positional_map.record_row_offsets(to_chars(row_starts))
+        positional_map.record_nrows(nrows)
         learned_bound = min(fail_cols) if fail_cols else last_needed
         cols = [
             c

@@ -7,7 +7,6 @@ with LRU eviction.
 """
 
 from repro.storage.catalog import Catalog, TableEntry
-from repro.storage.intervals import IntervalSet
 from repro.storage.memory import MemoryManager
 from repro.storage.partial import CoverageCertificate, PartialColumn
 from repro.storage.table import Table
@@ -15,7 +14,6 @@ from repro.storage.table import Table
 __all__ = [
     "Catalog",
     "CoverageCertificate",
-    "IntervalSet",
     "MemoryManager",
     "PartialColumn",
     "Table",

@@ -74,10 +74,9 @@ class MemoryStats:
 
 @dataclass
 class MemoryManager:
-    """LRU/FIFO budget manager over adaptive-store fragments."""
+    """LRU budget manager over adaptive-store fragments."""
 
     budget_bytes: int | None = None
-    policy: str = "lru"
     fragments: dict[tuple[str, str], FragmentInfo] = field(default_factory=dict)
     stats: MemoryStats = field(default_factory=MemoryStats)
     _clock: int = 0
@@ -136,11 +135,7 @@ class MemoryManager:
             existing = self.fragments.get(key)
             if existing is not None:
                 existing.nbytes = nbytes
-                # Under FIFO, ``last_used`` is the insertion order and must
-                # survive resizes — refreshing it here would silently turn
-                # FIFO into LRU for any fragment that grows.
-                if self.policy == "lru":
-                    existing.last_used = tick
+                existing.last_used = tick
                 existing.dropper = dropper
                 existing.mapped = mapped
                 if pinned:
@@ -158,7 +153,7 @@ class MemoryManager:
     def touch(self, key: tuple[str, str]) -> None:
         with self._lock:
             frag = self.fragments.get(key)
-            if frag is not None and self.policy == "lru":
+            if frag is not None:
                 frag.last_used = self._tick()
 
     def forget(self, key: tuple[str, str]) -> None:

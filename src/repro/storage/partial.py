@@ -18,6 +18,10 @@ column load issues the trivial (always true) certificate.  A later query
 needs, some certificate's condition is implied by ``Q'`` — e.g. repeated
 queries, or "zoom-in" queries whose ranges are subsets of earlier ones,
 exactly the exploratory pattern the paper motivates.
+
+Which rows are materialized is recorded once, in ``loaded_mask``, with
+``loaded_count`` kept beside it so the fully-loaded test every warm probe
+makes stays O(1).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.flatfile.schema import DataType
 from repro.ranges import Condition
-from repro.storage.intervals import IntervalSet
 
 
 @dataclass(frozen=True)
@@ -52,18 +55,19 @@ class PartialColumn:
     """A column materialized for a subset of rows.
 
     The backing array always has capacity for all ``nrows`` of the table;
-    positions outside :attr:`loaded` contain garbage and must never be read
-    without consulting :attr:`loaded_mask`.  Logical (budget-accounted)
-    size is proportional to loaded rows only, matching the paper's framing
-    of partial loading as a storage-footprint optimization.
+    positions where :attr:`loaded_mask` is False contain garbage and must
+    never be read.  :attr:`loaded_count` is the number of True entries.
+    Logical (budget-accounted) size is proportional to loaded rows only,
+    matching the paper's framing of partial loading as a
+    storage-footprint optimization.
     """
 
     name: str
     dtype: DataType
     nrows: int
     values: np.ndarray | None = None
-    loaded: IntervalSet = field(default_factory=IntervalSet)
     loaded_mask: np.ndarray | None = None
+    loaded_count: int = 0
     certificates: list[CoverageCertificate] = field(default_factory=list)
 
     def _ensure_backing(self) -> None:
@@ -77,7 +81,8 @@ class PartialColumn:
     # -------------------------------------------------------------- loading
 
     def store(self, row_ids: np.ndarray, values: np.ndarray) -> int:
-        """Materialize ``values`` at ``row_ids``; returns rows newly loaded."""
+        """Materialize ``values`` at distinct ``row_ids``; returns rows
+        newly loaded."""
         if len(row_ids) != len(values):
             raise ExecutionError(
                 f"store: {len(row_ids)} row ids but {len(values)} values"
@@ -89,11 +94,11 @@ class PartialColumn:
             # Restored from the persistent store as a read-only memmap:
             # copy-on-write to the heap before mutating in place.
             self.values = np.array(self.values)
-        before = len(self.loaded)
+        newly = int(np.count_nonzero(~self.loaded_mask[row_ids]))
         self.values[row_ids] = values
         self.loaded_mask[row_ids] = True
-        self.loaded = self.loaded.union(IntervalSet.from_indices(row_ids))
-        return len(self.loaded) - before
+        self.loaded_count += newly
+        return newly
 
     def store_full(self, values: np.ndarray) -> int:
         """Materialize the whole column in one go (column load)."""
@@ -103,8 +108,8 @@ class PartialColumn:
             )
         self.values = np.asarray(values, dtype=self.dtype.numpy_dtype if self.dtype.is_numeric else object)
         self.loaded_mask = np.ones(self.nrows, dtype=bool)
-        newly = self.nrows - len(self.loaded)
-        self.loaded = IntervalSet.from_range(0, self.nrows)
+        newly = self.nrows - self.loaded_count
+        self.loaded_count = self.nrows
         self.add_certificate(CoverageCertificate(Condition()))
         return newly
 
@@ -122,7 +127,7 @@ class PartialColumn:
             )
         self.values = values
         self.loaded_mask = np.ones(self.nrows, dtype=bool)
-        self.loaded = IntervalSet.from_range(0, self.nrows)
+        self.loaded_count = self.nrows
         self.add_certificate(CoverageCertificate(Condition()))
 
     def widen(self, dtype: DataType) -> None:
@@ -178,7 +183,7 @@ class PartialColumn:
             self.values = np.concatenate([np.asarray(self.values), tail])
             self.nrows = new_nrows
             self.loaded_mask = np.ones(new_nrows, dtype=bool)
-            self.loaded = IntervalSet.from_range(0, new_nrows)
+            self.loaded_count = new_nrows
             self.add_certificate(CoverageCertificate(Condition()))
             return True
         self.drop()
@@ -200,7 +205,7 @@ class PartialColumn:
 
     @property
     def is_fully_loaded(self) -> bool:
-        return len(self.loaded) == self.nrows
+        return self.loaded_count == self.nrows
 
     @property
     def is_mapped(self) -> bool:
@@ -221,11 +226,11 @@ class PartialColumn:
         if self.values is None:
             return np.zeros(self.nrows, dtype=bool)
         if self.dtype is DataType.STRING:
-            member = np.fromiter(
-                (self.loaded_mask[i] and interval.contains_value(self.values[i]) for i in range(self.nrows)),
-                dtype=bool,
-                count=self.nrows,
-            )
+            # Unloaded string slots hold None, which does not compare with
+            # str: test the loaded positions only.
+            rows = np.flatnonzero(self.loaded_mask)
+            member = np.zeros(self.nrows, dtype=bool)
+            member[rows] = interval.mask(self.values[rows])
             return member
         return self.loaded_mask & interval.mask(self.values)
 
@@ -242,10 +247,6 @@ class PartialColumn:
     # ----------------------------------------------------------- accounting
 
     @property
-    def loaded_count(self) -> int:
-        return len(self.loaded)
-
-    @property
     def logical_nbytes(self) -> int:
         """Budget-accounted bytes: loaded values only (plus the mask)."""
         if self.values is None:
@@ -257,5 +258,5 @@ class PartialColumn:
         """Evict everything (adaptive-store lifetime management)."""
         self.values = None
         self.loaded_mask = None
-        self.loaded = IntervalSet()
+        self.loaded_count = 0
         self.certificates = []

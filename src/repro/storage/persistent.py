@@ -1,25 +1,31 @@
 """Persistent adaptive store: learned state that survives restarts.
 
-Everything the engine learns about a flat file — the positional map, the
-partition plan, the (possibly widened) schema, and fully loaded column
-arrays — is derived state: expensive to acquire, free to throw away, and
-deterministic given the file's bytes.  This module makes that state
-*addressable*: one on-disk entry per source file, keyed by the same
-content-probing :class:`~repro.flatfile.files.FileFingerprint` that
-drives in-memory auto-invalidation, so a fresh engine (or a co-located
-worker) starts restart-warm instead of re-paying the cold scan the
-paper's Figure 1 amortizes.
+Everything the engine learns about a flat file that a later query reads —
+the positional map's field spans, the (possibly widened) schema, zone
+maps, and fully loaded column arrays — is derived state: expensive to
+acquire, free to throw away, and deterministic given the file's bytes.
+This module makes that state *addressable*: one on-disk entry per source
+file, keyed by the same content-probing
+:class:`~repro.flatfile.files.FileFingerprint` that drives in-memory
+auto-invalidation, so a fresh engine (or a co-located worker) starts
+restart-warm instead of re-paying the cold scan the paper's Figure 1
+amortizes.
 
 Layout (one entry directory per source path, under ``store_dir``)::
 
     <store_dir>/<stem>-<path-digest>/
-        manifest.json       # fingerprint, schema, posmap + column index
-        pm_rows.bin         # int64 row-start offsets
+        manifest.json       # version 2: fingerprint, schema, posmap,
+                            # zone maps + column index
         pm_s<j>.bin         # int64 field-start offsets of column j
         pm_e<j>.bin         # int64 field-end offsets of column j
         col_<i>.bin         # numeric column i, little-endian (memmapped)
         col_<i>.off.bin     # string column i: int64 char offsets (n+1)
         col_<i>.blob.bin    # string column i: UTF-8 payload
+
+Only state some query route reads is stored.  A partition plan is not:
+re-planning costs one small probe per boundary, and the engine re-plans
+whenever the file's size changes.  An entry written under another
+manifest ``version`` is a miss, and the next save wipes and rewrites it.
 
 Invariants
 ----------
@@ -80,11 +86,10 @@ from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import DataType
 
 if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
-    from repro.core.partitions import PartitionIndex
     from repro.core.zonemaps import ZoneMapIndex
     from repro.storage.catalog import TableEntry
 
-_VERSION = 1
+_VERSION = 2
 
 _ITEMSIZE = 8  # int64 / float64; the only numeric widths the engine has
 
@@ -100,7 +105,6 @@ class PersistedState:
     #: ``(name, DataType.value)`` in file order — the *widened* schema.
     schema: list[tuple[str, str]]
     positional_map: PositionalMap
-    partitions: "PartitionIndex | None"
     #: Fully loaded columns only, keyed by schema-cased name.
     columns: dict[str, np.ndarray]
     #: Per-zone min/max/null statistics (None when none were learned).
@@ -137,12 +141,10 @@ class PersistedState:
             schema=[(c.name, c.dtype.value) for c in entry.ensure_schema().columns],
             positional_map=PositionalMap(
                 nrows=pm.nrows,
-                row_offsets=pm.row_offsets,
                 field_offsets=dict(pm.field_offsets),
                 field_ends=dict(pm.field_ends),
                 text_geometry=pm.text_geometry,
             ),
-            partitions=entry.partitions,
             columns=columns,
             zone_maps=(
                 entry.zone_maps.snapshot() if entry.zone_maps is not None else None
@@ -272,21 +274,10 @@ class PersistentStore:
         pm_manifest: dict = {
             "nrows": pm.nrows,
             "text_geometry": list(pm.text_geometry) if pm.text_geometry else None,
-            "row_offsets": None,
             "columns": {},
         }
-        if pm.row_offsets is not None:
-            pm_manifest["row_offsets"] = self._put_array(
-                edir,
-                "pm_rows.bin",
-                pm.row_offsets,
-                old_pm.get("row_offsets"),
-                committed,
-            )
         old_pm_cols = old_pm.get("columns") or {}
         for col in pm.known_columns():
-            if col not in pm.field_ends:
-                continue  # starts without ends cannot feed the selective path
             starts, ends = pm.slices_for(col)
             known = old_pm_cols.get(str(col)) or {}
             pm_manifest["columns"][str(col)] = {
@@ -324,9 +315,6 @@ class PersistentStore:
             "has_header": state.has_header,
             "schema": [[name, dtype] for name, dtype in state.schema],
             "positional_map": pm_manifest,
-            "partitions": (
-                state.partitions.as_manifest() if state.partitions else None
-            ),
             "zone_maps": (
                 state.zone_maps.as_manifest() if state.zone_maps else None
             ),
@@ -532,8 +520,6 @@ class PersistentStore:
         source: Path | str,
         fingerprint: FileFingerprint,
     ) -> PersistedState:
-        from repro.core.partitions import PartitionIndex
-
         nrows = int(manifest["nrows"])
         schema = [(str(n), str(d)) for n, d in manifest["schema"]]
         for _, dtype in schema:
@@ -542,10 +528,8 @@ class PersistentStore:
         pm_manifest = manifest.get("positional_map") or {}
         pm = PositionalMap()
         pm_nrows = pm_manifest.get("nrows")
-        if pm_manifest.get("row_offsets"):
-            pm.record_row_offsets(
-                self._mapped_int64(edir, pm_manifest["row_offsets"], pm_nrows)
-            )
+        if pm_nrows is not None:
+            pm.record_nrows(int(pm_nrows))
         for col, files in (pm_manifest.get("columns") or {}).items():
             pm.record_field_offsets(
                 int(col),
@@ -555,10 +539,6 @@ class PersistentStore:
         geometry = pm_manifest.get("text_geometry")
         if geometry is not None:
             pm.record_text_geometry(int(geometry[0]), int(geometry[1]))
-
-        partitions = None
-        if manifest.get("partitions"):
-            partitions = PartitionIndex.from_manifest(manifest["partitions"])
 
         zone_maps = None
         if manifest.get("zone_maps"):
@@ -596,7 +576,6 @@ class PersistentStore:
             has_header=bool(manifest["has_header"]),
             schema=schema,
             positional_map=pm,
-            partitions=partitions,
             columns=columns,
             zone_maps=zone_maps,
         )

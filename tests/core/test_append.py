@@ -2,7 +2,7 @@
 
 A pure tail-append — the file grew, the prior region is byte-identical —
 must *extend* the learned state (positional map, fully loaded columns,
-zone maps, partition plan, persisted entry) instead of wiping it, while
+zone maps, persisted entry) instead of wiping it, while
 structures whose answers genuinely changed (crackers, cached results)
 still invalidate.  Everything else (head edits, truncation, same-size
 rewrites) keeps the full-invalidation behavior of section 5.4.
@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro import EngineConfig, NoDBEngine
+from repro.baselines.csv_engine import CSVEngine
 from repro.errors import FlatFileError
 from repro.flatfile.files import FileFingerprint, detect_tail_append
 
@@ -137,21 +138,45 @@ class TestAppendExtension:
         assert engine.stats.counters.append_extensions == 1
         engine.close()
 
-    def test_positional_map_and_partitions_extended(self, growing_csv):
+    def test_positional_map_extended(self, growing_csv):
         engine = NoDBEngine(EngineConfig(policy="column_loads"))
         engine.attach("t", growing_csv)
         engine.query("select a1, a2, a3 from t")
         entry = engine.catalog.get("t")
-        old_size = entry.file.size_bytes()
         append_rows(growing_csv, range(500, 520))
         engine.query("select sum(a1) from t")
         assert entry.table.nrows == 520
         pm = entry.positional_map
         assert pm.nrows == 520
-        if entry.partitions is not None:
-            assert entry.partitions.file_size == entry.file.size_bytes()
-            tail = entry.partitions.partitions[-1]
-            assert tail.byte_start == old_size
+        assert pm.known_columns() == [0, 1, 2]
+        assert all(len(pm.slices_for(c)[1]) == 520 for c in range(3))
+        engine.close()
+
+    def test_append_replans_partitions_over_grown_file(self, growing_csv):
+        """The plan is not grown by a tail partition: the next cold
+        parallel pass re-plans balanced partitions over the whole file."""
+        engine = NoDBEngine(
+            EngineConfig(
+                policy="column_loads", parallel_workers=2, partition_min_bytes=1024
+            )
+        )
+        engine.attach("t", growing_csv)
+        engine.query("select sum(a1) from t")
+        entry = engine.catalog.get("t")
+        assert len(entry.partitions) == 2
+        old_size = entry.file.size_bytes()
+        append_rows(growing_csv, range(500, 700))
+        new_size = growing_csv.stat().st_size
+        query = "select sum(a1), sum(a3), count(*) from t where a2 > 300"
+        got = engine.query(query).rows()
+        assert engine.stats.counters.append_extensions == 1
+        assert engine.stats.last().parallel_partitions == 2
+        assert entry.partitions.file_size == new_size
+        assert all(p.byte_start != old_size for p in entry.partitions.partitions)
+        oracle = CSVEngine()
+        oracle.attach("t", growing_csv)
+        assert got == oracle.query(query).rows()
+        oracle.close()
         engine.close()
 
     def test_zone_maps_extended_and_still_skip(self, growing_csv):

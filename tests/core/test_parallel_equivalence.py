@@ -41,9 +41,7 @@ def run_engine(path, sql, workers, policy="column_loads", **cfg):
         "schema": engine.schema_of("r"),
         "nrows": entry.table.nrows if entry.table is not None else None,
         "rows_scanned": engine.stats.last().tokenizer.rows_scanned,
-        "row_offsets": None
-        if pmap.row_offsets is None
-        else pmap.row_offsets.tolist(),
+        "map_nrows": pmap.nrows,
         "known_columns": pmap.known_columns(),
         "field_offsets": {
             c: pmap.field_offsets[c].tolist() for c in pmap.known_columns()

@@ -161,6 +161,36 @@ class TestPartialV2:
         assert engine.stats.last().served_from_store
 
 
+    def test_string_range_over_partial_string_column(self, tmp_path):
+        """A string range served from a partially loaded string column,
+        whose unloaded slots hold None, answers like the oracle."""
+        from repro.baselines.csv_engine import CSVEngine
+
+        words = ["apple", "kiwi", "lime", "pear", "fig", "mango", "kale"]
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "".join(f"{i},{words[i % len(words)]}{i % 5}\n" for i in range(400))
+        )
+        engine = NoDBEngine(EngineConfig(policy="partial_v2"))
+        engine.attach("t", path)
+        engine.query("select a1, a2 from t where a1 > 100 and a1 < 300")
+        a2 = engine.catalog.get("t").table.columns["a2"]
+        assert 0 < a2.loaded_count < 400
+        query = (
+            "select a1, a2 from t "
+            "where a1 > 150 and a1 < 250 and a2 >= 'k' and a2 < 'm'"
+        )
+        got = engine.query(query).rows()
+        assert engine.stats.last().served_from_store
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        want = oracle.query(query).rows()
+        oracle.close()
+        engine.close()
+        assert got == want
+        assert len(want) > 0
+
+
 class TestSplitFiles:
     def test_first_touch_splits(self, engine_factory):
         engine = engine_factory("splitfiles")

@@ -218,8 +218,8 @@ class TestSafetyGates:
         path = _write(tmp_path / "t.csv", rows)
         entry = Catalog().attach("t", path)
         column_load_pass(entry, ["a1", "a2"], CONFIG)
-        assert entry.positional_map.can_slice(0)
-        assert entry.positional_map.can_slice(1)
+        assert entry.positional_map.knows_column(0)
+        assert entry.positional_map.knows_column(1)
         column_load_pass(entry, ["a1", "a2"], CONFIG)
         # Both columns cover ~the whole file; windowed reads would not
         # beat a single sequential scan, so the loader does not bother.

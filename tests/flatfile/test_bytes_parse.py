@@ -217,7 +217,7 @@ def test_quoted_csv_string_column_under_partial_v1(tmp_path):
     # the second query is answered from byte windows.
     queries = ["select a2 from t where a1 >= 0", "select a2 from t where a1 > 390"]
     want, _ = _answers(CSVEngine(), path, queries, format="quoted-csv")
-    engine = NoDBEngine(EngineConfig(policy="partial_v1", selective_read_max_gap=0))
+    engine = NoDBEngine(EngineConfig(policy="partial_v1"))
     got, engine = _answers(engine, path, queries, format="quoted-csv")
     assert got == want
     assert got[1] == [(f"name {i}, jr",) for i in range(391, 400)]

@@ -159,11 +159,10 @@ class TestPredicatePushdown:
 
 
 class TestPositionalMapIntegration:
-    def test_learning_row_and_field_offsets(self):
+    def test_learning_row_count_and_field_offsets(self):
         pmap = PositionalMap()
         tok(TEXT, 4, [1], positional_map=pmap)
         assert pmap.nrows == 3
-        assert list(pmap.row_offsets) == [0, 12, 24]
         assert pmap.knows_column(1)
         assert list(pmap.field_offsets[1]) == [3, 15, 27]
 
@@ -202,7 +201,7 @@ class TestFieldEndLearning:
     def test_ends_recorded_with_starts(self):
         pmap = PositionalMap()
         tok(TEXT, 4, [1], positional_map=pmap)
-        assert pmap.can_slice(1)
+        assert pmap.knows_column(1)
         starts, ends = pmap.slices_for(1)
         assert [TEXT[s:e] for s, e in zip(starts, ends)] == ["20", "21", "22"]
 
@@ -223,9 +222,9 @@ class TestFieldEndLearning:
         """Columns tokenized merely to reach a needed one are remembered."""
         pmap = PositionalMap()
         tok(TEXT, 4, [2], positional_map=pmap)
-        assert pmap.can_slice(0)
-        assert pmap.can_slice(1)
-        assert pmap.can_slice(2)
+        assert pmap.knows_column(0)
+        assert pmap.knows_column(1)
+        assert pmap.knows_column(2)
         assert not pmap.knows_column(3)
         starts, ends = pmap.slices_for(1)
         assert [TEXT[s:e] for s, e in zip(starts, ends)] == ["20", "21", "22"]

@@ -37,7 +37,6 @@ from scalar_oracle import field_texts, scalar_tokenize_bytes
 def _pmap_state(pmap: PositionalMap):
     return {
         "nrows": pmap.nrows,
-        "rows": None if pmap.row_offsets is None else pmap.row_offsets.tolist(),
         "starts": {c: v.tolist() for c, v in pmap.field_offsets.items()},
         "ends": {c: v.tolist() for c, v in pmap.field_ends.items()},
         "geometry": pmap.text_geometry,
@@ -541,7 +540,7 @@ class TestBulkLearning:
         tokenize_bytes(data, CSV, 3, [2], positional_map=vec_map)
         scalar_tokenize_bytes(data, CSV, 3, [2], positional_map=scalar_map)
         assert _pmap_state(vec_map) == _pmap_state(scalar_map)
-        assert vec_map.can_slice(0) and vec_map.can_slice(2)
+        assert vec_map.knows_column(0) and vec_map.knows_column(2)
 
     def test_absorb_offsets_rejects_mismatched_lengths(self):
         pmap = PositionalMap()

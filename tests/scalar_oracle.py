@@ -98,7 +98,7 @@ def tokenize_columns(
     stats.chars_scanned += len(text)  # the pass over row boundaries
 
     if learn and positional_map is not None:
-        positional_map.record_row_offsets(row_starts)
+        positional_map.record_nrows(nrows)
 
     # Choose, per needed column, the best anchor the map offers.  Anchors
     # are only usable when no pushdown predicate sits between anchor and
@@ -223,16 +223,13 @@ def anchor_for(pmap: PositionalMap, col: int) -> tuple[int, np.ndarray] | None:
     """Best starting point for locating ``col`` in every row.
 
     Returns ``(anchor_col, offsets)`` where ``anchor_col`` is the largest
-    known column ``<= col``; falls back to row starts as pseudo-column
-    ``0`` anchors when rows are known but no smaller column is; returns
-    ``None`` when the map knows nothing useful.
+    known column ``<= col``, or ``None`` when no such column is known
+    (the pass then starts from each row's start, as column ``0`` would).
     """
     candidates = [c for c in pmap.field_offsets if c <= col]
     if candidates:
         best = max(candidates)
         return best, pmap.field_offsets[best]
-    if pmap.row_offsets is not None:
-        return 0, pmap.row_offsets
     return None
 
 

@@ -38,32 +38,8 @@ def test_lru_evicts_least_recently_used():
     assert m.stats.bytes_evicted == 40
 
 
-def test_fifo_ignores_touches():
-    m = MemoryManager(budget_bytes=100, policy="fifo")
-    a, b, c = Fragment(), Fragment(), Fragment()
-    m.register(("t", "a"), 40, a.drop)
-    m.register(("t", "b"), 40, b.drop)
-    m.touch(("t", "a"))  # no effect under FIFO
-    m.register(("t", "c"), 40, c.drop)
-    assert a.dropped
-    assert not b.dropped
-
-
-def test_fifo_ignores_resizes():
-    """Re-registering (resizing) a fragment must not refresh its FIFO
-    position — insertion order is the only order FIFO knows."""
-    m = MemoryManager(budget_bytes=100, policy="fifo")
-    a, b, c = Fragment(), Fragment(), Fragment()
-    m.register(("t", "a"), 30, a.drop)
-    m.register(("t", "b"), 40, b.drop)
-    m.register(("t", "a"), 40, a.drop)  # a grows; still the oldest
-    m.register(("t", "c"), 40, c.drop)
-    assert a.dropped  # FIFO: a entered first, a leaves first
-    assert not b.dropped and not c.dropped
-
-
 def test_lru_resize_refreshes_recency():
-    m = MemoryManager(budget_bytes=100, policy="lru")
+    m = MemoryManager(budget_bytes=100)
     a, b, c = Fragment(), Fragment(), Fragment()
     m.register(("t", "a"), 30, a.drop)
     m.register(("t", "b"), 40, b.drop)

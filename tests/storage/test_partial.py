@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.flatfile.schema import DataType
@@ -29,6 +31,49 @@ class TestStore:
         assert n == 1
         assert pc.loaded_count == 3
         assert pc.values_at(np.array([2])).tolist() == [21]  # latest wins
+
+    def test_scattered_overlapping_stores_count_exactly(self):
+        """Each store returns exactly the rows it newly loaded, however the
+        row ids scatter and overlap earlier stores; the column reads fully
+        loaded on its last row and not before."""
+        nrows = 300
+        pc = make_column(nrows)
+        rng = np.random.default_rng(7)
+        seen: set[int] = set()
+        for _ in range(12):
+            ids = np.sort(rng.choice(nrows, size=40, replace=False))
+            n = pc.store(ids, ids * 10)
+            assert n == len(set(ids.tolist()) - seen)
+            seen |= set(ids.tolist())
+            assert pc.loaded_count == len(seen)
+            assert pc.loaded_count == int(pc.loaded_mask.sum())
+        missing = np.array(sorted(set(range(nrows)) - seen), dtype=np.int64)
+        assert len(missing) > 1
+        assert pc.store(missing[:-1], missing[:-1] * 10) == len(missing) - 1
+        assert not pc.is_fully_loaded
+        assert pc.store(missing[-1:], missing[-1:] * 10) == 1
+        assert pc.is_fully_loaded
+        assert pc.store(np.arange(nrows), np.arange(nrows) * 10) == 0
+        assert pc.values_at(np.arange(nrows)).tolist() == list(range(0, 10 * nrows, 10))
+
+    @given(
+        batches=st.lists(
+            st.lists(st.integers(min_value=0, max_value=63), unique=True, max_size=20),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_loaded_count_matches_a_set_model(self, batches):
+        pc = make_column(64)
+        model: set[int] = set()
+        for batch in batches:
+            ids = np.array(batch, dtype=np.int64)
+            assert pc.store(ids, ids + 1) == len(set(batch) - model)
+            model |= set(batch)
+            assert pc.loaded_count == len(model)
+            assert pc.is_fully_loaded == (len(model) == 64)
+            if pc.loaded_mask is not None:
+                assert set(np.flatnonzero(pc.loaded_mask).tolist()) == model
 
     def test_store_empty(self):
         pc = make_column()
@@ -119,6 +164,14 @@ class TestQualifyingMask:
         assert mask.tolist() == [True, False, False, False, False]
 
 
+    def test_string_mask_over_loaded_rows_only(self):
+        pc = PartialColumn(name="a2", dtype=DataType.STRING, nrows=6)
+        pc.store(np.array([1, 2, 4]), np.array(["kiwi", "apple", "lime"], dtype=object))
+        assert pc.values[0] is None  # unloaded slots never reach a compare
+        mask = pc.qualifying_mask(ValueInterval("k", "m"))
+        assert mask.tolist() == [False, True, False, False, True, False]
+
+
 class TestAccounting:
     def test_logical_bytes_proportional_to_loaded(self):
         pc = make_column(1000)
@@ -136,3 +189,75 @@ class TestAccounting:
         assert pc.values is None
         assert not pc.certificates
         assert not pc.covers_query(Condition())
+
+
+class TestLoadedCount:
+    """``loaded_count`` is kept beside ``loaded_mask`` by every mutator;
+    each must leave the two in agreement, or ``is_fully_loaded`` lies."""
+
+    @staticmethod
+    def _agrees(pc: PartialColumn) -> None:
+        marked = 0 if pc.loaded_mask is None else int(pc.loaded_mask.sum())
+        assert pc.loaded_count == marked
+
+    def test_store_full_after_fragments_counts_the_rest(self):
+        pc = make_column(10)
+        pc.store(np.array([1, 5]), np.array([10, 50]))
+        assert pc.store_full(np.arange(10)) == 8
+        assert pc.is_fully_loaded
+        self._agrees(pc)
+
+    def test_restore_full_then_store_counts_nothing_new(self):
+        pc = make_column(4)
+        frozen = np.arange(4, dtype=np.int64)
+        frozen.flags.writeable = False  # as a read-only store mapping
+        pc.restore_full(frozen)
+        assert pc.is_fully_loaded
+        assert pc.store(np.array([0, 3]), np.array([7, 8])) == 0
+        assert pc.is_fully_loaded
+        assert pc.values_at(np.array([0, 3])).tolist() == [7, 8]
+        self._agrees(pc)
+
+    def test_grow_full_column_stays_full(self):
+        pc = make_column(3)
+        pc.store_full(np.arange(3))
+        assert pc.grow(5, np.array([3, 4]))
+        assert pc.loaded_count == 5
+        assert pc.is_fully_loaded
+        self._agrees(pc)
+
+    def test_grow_partial_column_drops_to_empty(self):
+        pc = make_column(3)
+        pc.store(np.array([0]), np.array([1]))
+        assert not pc.grow(5, np.array([3, 4]))
+        assert pc.loaded_count == 0
+        assert pc.nrows == 5
+        assert not pc.is_fully_loaded
+
+    def test_widen_numeric_keeps_count(self):
+        pc = make_column(6)
+        pc.store(np.array([2, 4]), np.array([20, 40]))
+        pc.widen(DataType.FLOAT64)
+        assert pc.loaded_count == 2
+        assert pc.values_at(np.array([2, 4])).tolist() == [20.0, 40.0]
+        self._agrees(pc)
+
+    def test_widen_to_string_drops_count(self):
+        pc = make_column(6)
+        pc.store_full(np.arange(6))
+        pc.widen(DataType.STRING)
+        assert pc.loaded_count == 0
+        assert not pc.is_fully_loaded
+
+    def test_zero_row_column_reads_fully_loaded(self):
+        pc = make_column(0)
+        assert pc.is_fully_loaded  # no rows to load
+        assert pc.store_full(np.arange(0)) == 0
+        assert pc.is_fully_loaded
+
+    def test_logical_bytes_follow_the_count(self):
+        pc = make_column(800)
+        pc.store(np.arange(0, 800, 2), np.arange(400))
+        assert pc.logical_nbytes == 400 * 8 + 800 // 8
+        pc.store(np.arange(0, 800, 4), np.arange(200))  # all seen before
+        assert pc.logical_nbytes == 400 * 8 + 800 // 8

@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 from repro.baselines.csv_engine import CSVEngine
 from repro.config import EngineConfig
 from repro.core.engine import NoDBEngine
-from repro.core.partitions import Partition, PartitionIndex
 from repro.faults import FaultPlan, FaultSpec
 from repro.flatfile.files import FileFingerprint
 from repro.flatfile.positions import PositionalMap
@@ -66,7 +65,6 @@ def _state(source, fingerprint, **overrides):
         has_header=True,
         schema=[("a", "int64"), ("b", "str")],
         positional_map=PositionalMap(),
-        partitions=None,
         columns={},
     )
     base.update(overrides)
@@ -128,7 +126,7 @@ class TestRoundTrip:
         rows = data.draw(offsets_arrays)
         nrows = len(rows)
         pm = PositionalMap()
-        pm.record_row_offsets(rows)
+        pm.record_nrows(nrows)
         ncols = data.draw(st.integers(min_value=0, max_value=4))
         for col in range(ncols):
             starts = data.draw(offsets_arrays.filter(lambda a: True))
@@ -143,7 +141,6 @@ class TestRoundTrip:
         assert restored is not None
         rpm = restored.positional_map
         assert rpm.nrows == pm.nrows
-        np.testing.assert_array_equal(rpm.row_offsets, pm.row_offsets)
         assert sorted(rpm.field_offsets) == sorted(pm.field_offsets)
         for col in pm.field_ends:
             s0, e0 = pm.slices_for(col)
@@ -151,38 +148,6 @@ class TestRoundTrip:
             assert s1.tobytes() == s0.tobytes()  # byte-for-byte
             assert e1.tobytes() == e0.tobytes()
         assert rpm.text_geometry == pm.text_geometry
-
-    @given(
-        parts=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=2**40),
-                st.integers(min_value=0, max_value=2**40),
-            ),
-            min_size=1,
-            max_size=16,
-        ),
-        requested=st.integers(min_value=1, max_value=64),
-        skip=st.integers(min_value=0, max_value=1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_partition_plan(self, parts, requested, skip, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("parts")
-        source = _source(tmp_path)
-        fp = FileFingerprint.of(source)
-        store = PersistentStore(tmp_path / "store")
-        pindex = PartitionIndex(
-            partitions=[
-                Partition(i, min(a, b), max(a, b), skip if i == 0 else 0)
-                for i, (a, b) in enumerate(parts)
-            ],
-            requested=requested,
-            file_size=123456,
-        )
-        store.save(_state(source, fp, partitions=pindex))
-        restored = store.load(source, fp).state.partitions
-        assert restored.requested == pindex.requested
-        assert restored.file_size == pindex.file_size
-        assert restored.partitions == pindex.partitions
 
     @given(
         names=st.lists(
@@ -422,7 +387,9 @@ class TestDamage:
         store = PersistentStore(tmp_path / "store")
         fp = FileFingerprint.of(source)
         pm = PositionalMap()
-        pm.record_row_offsets(np.array([4, 8], dtype=np.int64))
+        pm.record_field_offsets(
+            0, np.array([4, 8], dtype=np.int64), np.array([5, 9], dtype=np.int64)
+        )
         store.save(
             _state(
                 source,
@@ -452,7 +419,7 @@ class TestDamage:
 
     def test_missing_posmap_file_is_a_miss(self, tmp_path):
         source, store, fp, edir = self._saved(tmp_path)
-        (edir / "pm_rows.bin").unlink()
+        (edir / "pm_s0.bin").unlink()
         assert store.load(source, fp).state is None
 
     def test_mid_write_crash_leaves_old_entry_or_miss(self, tmp_path):
@@ -633,8 +600,6 @@ def _committed(store_dir) -> dict[str, bytes]:
     m = _manifest(store_dir)
     pm, n = m["positional_map"], m["nrows"]
     sizes = {}
-    if pm["row_offsets"]:
-        sizes[pm["row_offsets"]] = pm["nrows"] * 8
     for files in pm["columns"].values():
         sizes[files["starts"]] = sizes[files["ends"]] = pm["nrows"] * 8
     for col in m["columns"].values():
@@ -889,4 +854,95 @@ class TestAppendOnlySave:
         assert state.nrows == 2
         assert np.asarray(state.columns["a"]).tolist() == [1, 2]
         assert list(state.columns["b"]) == ["x", "y"]
-        assert np.asarray(state.positional_map.row_offsets).tolist() == [4, 8]
+        starts, ends = state.positional_map.slices_for(0)
+        assert np.asarray(starts).tolist() == [4, 8]
+        assert np.asarray(ends).tolist() == [5, 9]
+
+
+class TestLayout:
+    """An entry holds only state a query reads: field spans, schema, zone
+    maps and columns — no row-start offsets and no partition plan."""
+
+    def test_cold_save_holds_no_row_offsets_or_partition_plan(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 300))
+        store_dir = tmp_path / "store"
+        engine = NoDBEngine(
+            EngineConfig(
+                policy="column_loads",
+                store_dir=store_dir,
+                parallel_workers=2,
+                partition_min_bytes=1024,
+            )
+        )
+        engine.attach("t", path)
+        engine.query(LOG_QUERY)
+        assert engine.stats.last().parallel_partitions == 2
+        engine.flush_persistent_store()
+        engine.close()
+        names = {p.name for p in _entry_dir(store_dir).iterdir()}
+        assert "pm_rows.bin" not in names
+        manifest = _manifest(store_dir)
+        assert manifest["version"] == 2
+        assert "partitions" not in manifest
+        assert set(manifest["positional_map"]) == {"nrows", "text_geometry", "columns"}
+        assert names == {"manifest.json", *_committed(store_dir)}
+
+    def test_version_1_entry_is_a_miss_then_rewritten(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 50))
+        store_dir = tmp_path / "store"
+        _run(path, store_dir)
+        # Dress the entry as the version-1 layout: row offsets on disk
+        # and a partition plan in the manifest.
+        edir = _entry_dir(store_dir)
+        manifest = _manifest(store_dir)
+        (edir / "pm_rows.bin").write_bytes(np.arange(50, dtype=np.int64).tobytes())
+        manifest["version"] = 1
+        manifest["positional_map"]["row_offsets"] = "pm_rows.bin"
+        manifest["partitions"] = {
+            "requested": 2,
+            "file_size": path.stat().st_size,
+            "parts": [[0, 0, path.stat().st_size, 0]],
+        }
+        (edir / "manifest.json").write_text(json.dumps(manifest))
+
+        outcome = PersistentStore(store_dir).load(path, FileFingerprint.of(path))
+        assert outcome.state is None and not outcome.invalidated
+
+        rows, stats = _run(path, store_dir)
+        assert rows == _oracle(path)
+        assert stats.counters.restart_warm_hits == 0
+        assert _manifest(store_dir)["version"] == 2
+        names = {p.name for p in _entry_dir(store_dir).iterdir()}
+        assert names == {"manifest.json", *_committed(store_dir)}
+
+    def test_restart_replans_partitions(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 300))
+        cfg = dict(
+            policy="column_loads",
+            store_dir=tmp_path / "store",
+            parallel_workers=2,
+            partition_min_bytes=1024,
+        )
+        first = NoDBEngine(EngineConfig(**cfg))
+        first.attach("t", path)
+        first.query("select sum(a1) from t")
+        first.flush_persistent_store()
+        first.close()
+
+        second = NoDBEngine(EngineConfig(**cfg))
+        second.attach("t", path)
+        assert second.query("select sum(a1) from t").rows() == [(sum(range(300)),)]
+        assert second.stats.counters.restart_warm_hits == 1
+        entry = second.catalog.get("t")
+        assert entry.partitions is None  # nothing restored a plan
+        got = second.query("select max(a2), count(*) from t").rows()
+        assert second.stats.last().parallel_partitions == 2
+        assert entry.partitions.file_size == path.stat().st_size
+        second.close()
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        assert got == oracle.query("select max(a2), count(*) from t").rows()
+        oracle.close()

@@ -116,7 +116,7 @@ class TestCatalog:
         entry = c.attach("t", path)
         entry.ensure_schema()
         entry.ensure_table(1)
-        entry.positional_map.record_row_offsets(np.array([0]))
+        entry.positional_map.record_nrows(1)
         entry.invalidate()
         assert entry.table is None
         assert entry.schema is None

@@ -26,11 +26,6 @@ def test_bad_budget_rejected():
         EngineConfig(memory_budget_bytes=0)
 
 
-def test_bad_eviction_policy_rejected():
-    with pytest.raises(ValueError, match="eviction policy"):
-        EngineConfig(eviction_policy="random")
-
-
 def test_knob_ratchet():
     """Every EngineConfig field, pinned: adding or removing a knob must
     show up as a reviewed one-line change here."""
@@ -39,7 +34,6 @@ def test_knob_ratchet():
         "auto_invalidate",
         "crack_after",
         "cracking",
-        "eviction_policy",
         "fault_plan",
         "global_lock",
         "io_bandwidth_bytes_per_sec",
@@ -54,7 +48,6 @@ def test_knob_ratchet():
         "policy",
         "predicate_pushdown",
         "result_cache",
-        "selective_read_max_gap",
         "selective_reads",
         "splitfile_dir",
         "store_dir",
