@@ -92,7 +92,7 @@ def extend_entry_for_append(
                 full_idx.add(schema.index_of(pc.name))
             except KeyError:
                 return False
-    want = set(pm.field_offsets) | full_idx
+    want = set(pm.known_columns()) | full_idx
     if entry.zone_maps is not None:
         want |= set(entry.zone_maps.columns)
     want &= set(range(len(schema)))

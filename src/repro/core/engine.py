@@ -46,6 +46,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext, suppress
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,9 @@ class NoDBEngine:
     """Adaptive in-situ query engine over raw flat files."""
 
     def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config or EngineConfig()
+        # A private copy: set_policy and the owned split-file directory
+        # write to it, and engines sharing one config must not see that.
+        self.config = replace(config) if config is not None else EngineConfig()
         # Deterministic fault injection: an explicit plan on the config
         # wins; otherwise the REPRO_FAULTS env hook is consulted once
         # here so served subprocesses can run under a plan too.  None in
@@ -870,7 +873,7 @@ class NoDBEngine:
         return (
             fingerprint,
             loaded,
-            frozenset(pm.field_offsets),
+            len(pm.known_columns()),
             frozenset(entry.zone_maps.columns)
             if entry.zone_maps is not None
             else frozenset(),

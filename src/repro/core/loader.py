@@ -433,11 +433,10 @@ def _coalesced_bytes(
     """
     if len(rows) == 0:
         return 0
-    starts = [pmap.slices_for(c)[0] for c in cols]
-    ends = [pmap.slices_for(c)[1] for c in cols]
-    if len(rows) < pmap.nrows:  # zones ruled some rows out
-        starts = [s[rows] for s in starts]
-        ends = [e[rows] for e in ends]
+    subset = rows if len(rows) < pmap.nrows else None  # zones ruled rows out
+    spans = [pmap.slices_for(c, subset) for c in cols]
+    starts = [s for s, _ in spans]
+    ends = [e for _, e in spans]
     gaps = [s - e for e, s in zip(ends, starts[1:])]  # within a row
     gaps.append(starts[0][1:] - ends[-1][:-1])  # one row to the next
     lengths = [e - s for s, e in zip(starts, ends)]
@@ -461,9 +460,7 @@ def _gather_column(
     stats: TokenizerStats,
 ) -> np.ndarray:
     """Read and extract one column's fields for the given rows only."""
-    starts, ends = pmap.slices_for(col)
-    starts = starts[rows]
-    ends = ends[rows]
+    starts, ends = pmap.slices_for(col, rows)
     windows = entry.file.read_windows(
         starts,
         ends,
@@ -529,23 +526,16 @@ def _selective_pass(
     needed_idx = sorted({schema.index_of(n) for n in needed})
     remaining = [c for c in needed_idx if c not in predicates]
     if remaining:
-        all_starts = np.concatenate(
-            [pmap.slices_for(c)[0][candidates] for c in remaining]
-        )
-        all_ends = np.concatenate(
-            [pmap.slices_for(c)[1][candidates] for c in remaining]
-        )
+        spans = {c: pmap.slices_for(c, candidates) for c in remaining}
         windows = entry.file.read_windows(
-            all_starts,
-            all_ends,
+            np.concatenate([s for s, _ in spans.values()]),
+            np.concatenate([e for _, e in spans.values()]),
             max_gap=SELECTIVE_READ_MAX_GAP,
             workers=config.resolved_parallel_workers(),
         )
         stats.chars_scanned += windows.total_bytes
         for col in remaining:
-            starts, ends = pmap.slices_for(col)
-            starts = starts[candidates]
-            ends = ends[candidates]
+            starts, ends = spans[col]
             gathered[col] = entry.file.adapter.decode_many(
                 gather_fields(
                     windows.buffer, windows.translate(starts), ends - starts

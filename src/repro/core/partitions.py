@@ -54,12 +54,13 @@ from repro.core.loader import (
     WideningPredicate,
     _widen_column,
     parse_column_with_widening,
+    parse_widening,
 )
 from repro.errors import FlatFileError
 from repro.flatfile.dialects import FormatAdapter, as_text
 from repro.flatfile.parser import ParseStats, parse_fields
 from repro.flatfile.positions import PositionalMap
-from repro.flatfile.schema import WIDENS_TO, DataType, TableSchema, widest
+from repro.flatfile.schema import DataType, TableSchema, widest
 from repro.flatfile.tokenizer import (
     TokenizerStats,
     gather_fields,
@@ -363,17 +364,14 @@ def scan_partition(task: ScanTask) -> ScanResult:
         out.raw_fields = {col: result.fields[col] for col, _ in task.parse_cols}
         return out
     for col, dtype_value in task.parse_cols:
-        dtype = DataType(dtype_value)
-        raw = result.fields[col]
-        while True:
-            try:
-                out.parsed[col] = (dtype.value, parse_fields(raw, dtype, parse_stats))
-                break
-            except FlatFileError:
-                wider = WIDENS_TO.get(dtype)
-                if wider is None:
-                    raise
-                dtype = wider
+        state = [DataType(dtype_value)]
+        values = parse_widening(
+            result.fields[col],
+            lambda: state[0],
+            lambda wider: state.__setitem__(0, wider),
+            parse_stats,
+        )
+        out.parsed[col] = (state[0].value, values)
     return out
 
 
@@ -570,10 +568,10 @@ def _merge_results(
     for col, dtypes in pred_widened.items():
         _widen_column(entry, col, widest(dtypes))
 
-    if config.use_positional_map:
-        entry.positional_map.absorb_partitions(
-            [r.learned for r in results], char_bases.tolist()
-        )
+    # Merged once: the entry's map learns the partitions' spans, and the
+    # mixed-dtype rebuild below reads its spans back from the same map.
+    pmap = entry.positional_map if config.use_positional_map else PositionalMap()
+    pmap.absorb_partitions([r.learned for r in results], char_bases.tolist())
 
     # The partitions tile the file: together they are one full scan.
     # Workers already slept their simulated disk time in-process.
@@ -617,7 +615,7 @@ def _merge_results(
             # (formatting was lost in parsing); rebuild the column from
             # the file via the merged field slices.  Rare — it needs a
             # column that is numeric in some partitions and not others.
-            if not all(r.learned.knows_column(idx) for r in results):
+            if not pmap.knows_column(idx):
                 # Span-less dialect (JSON-lines): no field slices exist;
                 # re-tokenize just this column from the full text.
                 if full_text is None:
@@ -637,18 +635,7 @@ def _merge_results(
                 )
                 _widen_column(entry, idx, target)
                 continue
-            starts = np.concatenate(
-                [
-                    r.learned.field_offsets[idx] + base
-                    for r, base in zip(results, char_bases.tolist())
-                ]
-            )
-            ends = np.concatenate(
-                [
-                    r.learned.field_ends[idx] + base
-                    for r, base in zip(results, char_bases.tolist())
-                ]
-            )
+            starts, ends = pmap.slices_for(idx)
             if sum(r.nbytes for r in results) == sum(r.nchars for r in results):
                 # Single-byte text: char offsets are byte offsets, so the
                 # selective-read machinery fetches just this column.

@@ -118,6 +118,9 @@ class FormatAdapter:
     supports_field_spans = True
     identity_decode = False
     supports_vectorized = False
+    #: Characters between one field's span end and the next field's
+    #: start: the positional map derives ends from starts with it.
+    sep = 1
 
     # ------------------------------------------------------------- framing
 
@@ -546,6 +549,7 @@ class FixedWidthAdapter(FormatAdapter):
     supports_field_spans = True
     identity_decode = False
     supports_vectorized = True
+    sep = 0
 
     def __post_init__(self) -> None:
         self.widths = tuple(int(w) for w in self.widths)

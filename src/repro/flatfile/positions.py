@@ -2,27 +2,31 @@
 
 Section 4.1.5 of the paper ("Learning") proposes that every touch of a flat
 file should teach the system something about the file's physical structure
-— where rows begin, where attributes begin inside rows — so that future
-loads do less tokenization work.  This module is that structure.
+— where attributes begin inside rows — so that future loads do less
+tokenization work.  This module is that structure, and the only module
+that knows its layout: everything else calls its methods, and the store
+saves it through :meth:`PositionalMap.export`/:meth:`~PositionalMap.from_export`.
 
-The map stores, per flat file:
-
-* ``nrows`` — the number of data rows, fixed by the first pass that frames
-  the whole file;
-* per-column arrays of **field start offsets**, one ``int64`` per row,
-  recorded as a side effect whenever a tokenization pass locates that
-  column in every row;
-* per-column arrays of **field end offsets**, recorded alongside the
-  starts, so that a known column is a pure byte *slice* of the file — no
-  rescanning needed to find where the field stops.
+Per flat file the map stores ``nrows`` (fixed by the first pass that
+frames the whole file) and **one boundary array per known column, plus
+one**.  Known columns always form a prefix ``0..K`` (every learner locates
+fields left to right), and the map keeps ``K + 2`` ``int64[nrows]``
+arrays: boundary ``c`` is field ``c``'s start in every row, and boundary
+``K + 1`` is field ``K``'s end plus ``sep``, the dialect adapter's
+separator width (1 for delimited dialects, 0 for fixed-width).  Field
+``c``'s span is ``(bound[c], bound[c + 1] - sep)``: ends are derived,
+never stored.  Learners still hand over ``(starts, ends)`` and the map
+decides what it keeps: learning column ``K + 1`` appends one array,
+because the last boundary is exactly the next field's real start, and a
+column that does not extend the prefix that way is not recorded.
+Merging partitions keeps the shortest shared prefix; a tail-append cuts
+the map to the prefix the tail learned again.
 
 A later load of column *j* is anchored at the closest already-known
-column at or before *j* (:meth:`PositionalMap.known_columns`).  The
-anchor sets the accounting: the pass scans over only the ``j - anchor``
-fields from the anchor to *j* instead of ``j`` fields from the start of
-the row, and over none when the anchor *is* ``j``.  The vectorized kernel
-takes only which columns are known and derives every position from the
-bytes themselves.
+column at or before *j* (:meth:`PositionalMap.known_columns`): the pass
+scans over only the ``j - anchor`` fields from the anchor to *j*.  The
+vectorized kernel takes only which columns are known and derives every
+position from the bytes themselves.
 
 When the spans of every column a pass needs are known
 (:meth:`PositionalMap.knows_column`), the loader skips tokenization entirely:
@@ -32,17 +36,12 @@ offsets into the decoded text; :meth:`record_text_geometry` remembers
 whether characters and bytes coincide (pure-ASCII files), which is the
 precondition for using the offsets as byte ranges.
 
-Under the dialect layer (:mod:`repro.flatfile.dialects`) a recorded span
-covers the **encoded** field text — for quoted CSV that includes the
-quotes, for TSV the backslash escapes, for fixed-width the padding — and
-always lands on field starts/ends as the dialect frames them.  Gathered
-span text is passed through the adapter's ``decode_many`` before parsing,
-so the selective path returns the same logical values as a full scan.
-Span-less dialects (JSON-lines) record the row count only, and the
-selective fast path simply never activates for them.
-
-Row-start offsets are not kept: no query route reads them, and a pass
-that needs row boundaries frames the text itself.
+A recorded span covers the **encoded** field text (quotes, TSV escapes,
+fixed-width padding) as the dialect frames it (:mod:`repro.flatfile.
+dialects`); gathered text goes through the adapter's ``decode_many``
+before parsing.  Span-less dialects (JSON-lines) record the row count
+only, and the selective fast path never activates for them.  Row-start
+offsets are not kept: no query route reads them.
 
 The map is append-only and never trusted blindly: it is invalidated
 together with all other derived state when the source file's fingerprint
@@ -51,7 +50,8 @@ changes (section 5.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -64,12 +64,12 @@ class PositionalMap:
     ----------
     nrows:
         Number of data rows in the file; fixed at first learning pass.
-    field_offsets:
-        Mapping column index -> ``int64[nrows]`` byte offset of that
-        column's field start in every row.
-    field_ends:
-        Mapping column index -> ``int64[nrows]`` byte offset one past the
-        last character of that column's field in every row.
+    sep:
+        Separator width of the recorded spans, or ``None`` before the
+        first span is recorded.
+    bounds:
+        ``K + 2`` ``int64[nrows]`` boundary arrays when columns ``0..K``
+        are known, empty otherwise (see the module docstring).
     text_geometry:
         ``(nbytes, nchars)`` of the file as last fully scanned, or ``None``
         if no full scan has reported it yet.  When the two are equal the
@@ -78,8 +78,8 @@ class PositionalMap:
     """
 
     nrows: int | None = None
-    field_offsets: dict[int, np.ndarray] = field(default_factory=dict)
-    field_ends: dict[int, np.ndarray] = field(default_factory=dict)
+    sep: int | None = None
+    bounds: list[np.ndarray] = field(default_factory=list)
     text_geometry: tuple[int, int] | None = None
 
     # ------------------------------------------------------------ learning
@@ -90,55 +90,49 @@ class PositionalMap:
             self.nrows = int(nrows)
 
     def record_field_offsets(
-        self, col: int, offsets: np.ndarray, ends: np.ndarray
+        self, col: int, offsets: np.ndarray, ends: np.ndarray, *, sep: int
     ) -> None:
-        """Store the field-start and field-end offsets of ``col``."""
-        arr = np.asarray(offsets, dtype=np.int64)
+        """Offer the field-start and field-end offsets of ``col``.
+
+        Kept only when ``col`` is the next column of the known prefix
+        (first writer wins); ``sep`` is the dialect's separator width.
+        """
+        starts = np.asarray(offsets, dtype=np.int64)
         end_arr = np.asarray(ends, dtype=np.int64)
-        self.record_nrows(len(arr))
-        for name, got in (("offsets", arr), ("ends", end_arr)):
-            if len(got) != self.nrows:
-                raise ValueError(
-                    f"field {name} for column {col} have {len(got)} entries, "
-                    f"expected {self.nrows}"
-                )
-        if col not in self.field_offsets:
-            self.field_offsets[col] = arr
-            self.field_ends[col] = end_arr
+        self.record_nrows(len(starts))
+        if not len(starts) == len(end_arr) == self.nrows:
+            raise ValueError(
+                f"column {col}: {len(starts)} starts and {len(end_arr)} ends "
+                f"for {self.nrows} rows"
+            )
+        if col == max(len(self.bounds) - 1, 0):
+            self._grow(col + 2, sep, lambda j: starts if j == col else end_arr + sep)
 
     def record_text_geometry(self, nbytes: int, nchars: int) -> None:
         """Remember the byte/character sizes seen by a full scan."""
         if self.text_geometry is None:
             self.text_geometry = (nbytes, nchars)
 
-    def absorb_offsets(
-        self,
-        cols: list[int],
-        starts: list[np.ndarray],
-        ends: list[np.ndarray],
+    def _grow(
+        self, width: int, sep: int, bound: Callable[[int], np.ndarray]
     ) -> None:
-        """Bulk-learn several columns' field spans in one call.
-
-        The vectorized kernel hands over whole columns of its row×field
-        offset matrix (``starts[i]``/``ends[i]`` are ``int64[nrows]``
-        arrays for column ``cols[i]``) instead of offering one field at a
-        time.  Semantics match serial learning: first writer wins per
-        column, and every array must cover every row.
-        """
-        if not (len(cols) == len(starts) == len(ends)):
-            raise ValueError(
-                f"absorb_offsets: {len(cols)} columns but "
-                f"{len(starts)} start and {len(ends)} end arrays"
-            )
-        for col, s, e in zip(cols, starts, ends):
-            if not self.knows_column(col):
-                self.record_field_offsets(col, s, e)
+        """Extend the prefix to ``width`` boundary arrays (``bound(j)``
+        builds array ``j``), if the candidate agrees with what is known:
+        same ``sep``, and the same last boundary."""
+        have = len(self.bounds)
+        if width < 2 or width <= have:
+            return
+        if not have:
+            self.sep = sep
+        elif sep != self.sep or not np.array_equal(bound(have - 1), self.bounds[-1]):
+            return
+        self.bounds.extend(bound(j) for j in range(have, width))
 
     # ----------------------------------------------------------- exploiting
 
     def knows_column(self, col: int) -> bool:
         """True when ``col``'s field span is known in every row."""
-        return col in self.field_offsets
+        return 0 <= col < len(self.bounds) - 1
 
     @property
     def sliceable(self) -> bool:
@@ -147,19 +141,69 @@ class PositionalMap:
             self.text_geometry[0] == self.text_geometry[1]
         )
 
-    def slices_for(self, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)`` arrays of ``col``'s field byte ranges."""
-        return self.field_offsets[col], self.field_ends[col]
+    def slices_for(
+        self, col: int, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)`` of ``col``'s field ranges, in every row or in
+        ``rows`` (an integer index array) only.
+
+        With ``rows``, both arrays are taken first and the end is derived
+        in place, so the result costs two ``len(rows)`` arrays and no
+        ``nrows``-long temporary.
+        """
+        if not self.knows_column(col):
+            raise KeyError(f"column {col} is not in the positional map")
+        starts, nexts = self.bounds[col], self.bounds[col + 1]
+        if rows is None:
+            return starts, (nexts - self.sep if self.sep else nexts)
+        starts, ends = np.take(starts, rows), np.take(nexts, rows)
+        if self.sep:
+            ends -= self.sep
+        return starts, ends
 
     def known_columns(self) -> list[int]:
-        return sorted(self.field_offsets)
+        return list(range(len(self.bounds) - 1))
+
+    def copy(self) -> "PositionalMap":
+        """A snapshot sharing the (immutable) arrays, not the prefix list."""
+        return replace(self, bounds=list(self.bounds))
+
+    # ---------------------------------------------------------- persisting
+
+    def export(self) -> tuple[dict, list[np.ndarray]]:
+        """``(meta, arrays)``: JSON-safe metadata plus the arrays to save,
+        in order; :meth:`from_export` is the inverse."""
+        meta = {
+            "nrows": self.nrows,
+            "sep": self.sep,
+            "columns": len(self.known_columns()),
+            "text_geometry": list(self.text_geometry) if self.text_geometry else None,
+        }
+        return meta, list(self.bounds)
+
+    @classmethod
+    def from_export(
+        cls, meta: dict, arrays: list[np.ndarray]
+    ) -> "PositionalMap":
+        """Rebuild an exported map; ``ValueError`` on any inconsistency."""
+        nrows, geometry = meta.get("nrows"), meta.get("text_geometry")
+        ncols = int(meta.get("columns") or 0)
+        if len(arrays) != (ncols + 1 if ncols else 0) or any(
+            len(a) != nrows for a in arrays
+        ):
+            raise ValueError(f"{len(arrays)} boundary arrays for {ncols} columns")
+        return cls(
+            nrows=None if nrows is None else int(nrows),
+            sep=int(meta["sep"]) if arrays else None,
+            bounds=list(arrays),
+            text_geometry=None if geometry is None else tuple(map(int, geometry)),
+        )
+
+    # ---------------------------------------------------------- lifecycle
 
     def clear(self) -> None:
         """Forget everything (called when the source file was edited)."""
-        self.nrows = None
-        self.field_offsets.clear()
-        self.field_ends.clear()
-        self.text_geometry = None
+        self.nrows, self.sep, self.bounds, self.text_geometry = None, None, [], None
 
     def absorb_partitions(
         self, parts: list["PositionalMap"], char_bases: list[int]
@@ -174,9 +218,9 @@ class PositionalMap:
 
         * the row count is the sum of the partitions' counts, when every
           partition framed its rows;
-        * a column's field spans merge only when *every* partition knows
-          them, mirroring the serial rule that spans are recorded only
-          when learned for all rows;
+        * the known prefix is the shortest one every partition shares,
+          mirroring the serial rule that spans are recorded only when
+          learned for all rows;
         * text geometry is the sum of the partitions' byte/char sizes —
           partitions tile the file, so the sums equal a full scan's view.
         """
@@ -188,17 +232,15 @@ class PositionalMap:
             return
         if all(p.nrows is not None for p in parts):
             self.record_nrows(sum(p.nrows for p in parts))
-        shared = set(parts[0].field_offsets)
-        for p in parts[1:]:
-            shared &= set(p.field_offsets)
-        for col in sorted(shared):
-            starts = np.concatenate(
-                [p.field_offsets[col] + base for p, base in zip(parts, char_bases)]
+        seps = {p.sep for p in parts}
+        if len(seps) == 1:
+            self._grow(
+                min(len(p.bounds) for p in parts),
+                seps.pop(),
+                lambda j: np.concatenate(
+                    [p.bounds[j] + base for p, base in zip(parts, char_bases)]
+                ),
             )
-            ends = np.concatenate(
-                [p.field_ends[col] + base for p, base in zip(parts, char_bases)]
-            )
-            self.record_field_offsets(col, starts, ends)
         geometries = [p.text_geometry for p in parts]
         if all(g is not None for g in geometries):
             self.record_text_geometry(
@@ -212,39 +254,27 @@ class PositionalMap:
         ``tail`` was learned by tokenizing only the appended bytes as a
         standalone document, so its offsets are relative to the start of
         the appended region; they are shifted by the old text's character
-        size and concatenated.  A column's spans the tail pass did not
-        relearn are dropped for safety rather than kept half-length — the same opportunistic semantics as partition
-        merging.  A map with no recorded geometry cannot shift offsets
-        and is cleared instead (callers treat that as "relearn later").
+        size and concatenated.  The map is cut to the prefix the tail
+        pass learned again (a column cannot be kept half-length) — the
+        same opportunistic semantics as partition merging.  A map with no
+        recorded geometry cannot shift offsets and is cleared instead
+        (callers treat that as "relearn later").
         """
-        knows_nothing = (
-            self.nrows is None
-            and not self.field_offsets
-            and self.text_geometry is None
-        )
-        if knows_nothing:
-            return
+        if self.nrows is None and not self.bounds and self.text_geometry is None:
+            return  # knows nothing
         if self.text_geometry is None or tail.text_geometry is None:
             self.clear()
             return
         char_base = self.text_geometry[1]
-        new_geometry = (
+        width = 0
+        if tail.nrows == added_rows and tail.sep == self.sep:
+            width = min(len(self.bounds), len(tail.bounds))
+        self.bounds = [
+            np.concatenate([self.bounds[j], tail.bounds[j] + char_base])
+            for j in range(width)
+        ]
+        self.nrows = (self.nrows or 0) + added_rows
+        self.text_geometry = (
             self.text_geometry[0] + tail.text_geometry[0],
             self.text_geometry[1] + tail.text_geometry[1],
         )
-        for col in list(self.field_offsets):
-            if (
-                tail.knows_column(col)
-                and len(tail.field_offsets[col]) == added_rows
-            ):
-                self.field_offsets[col] = np.concatenate(
-                    [self.field_offsets[col], tail.field_offsets[col] + char_base]
-                )
-                self.field_ends[col] = np.concatenate(
-                    [self.field_ends[col], tail.field_ends[col] + char_base]
-                )
-            else:
-                self.field_offsets.pop(col, None)
-                self.field_ends.pop(col, None)
-        self.nrows = (self.nrows or 0) + added_rows
-        self.text_geometry = new_geometry

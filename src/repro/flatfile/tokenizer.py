@@ -224,6 +224,7 @@ def tokenize_dialect(
                     col,
                     np.asarray(offsets, dtype=np.int64),
                     np.asarray(learned_ends[col], dtype=np.int64),
+                    sep=adapter.sep,
                 )
 
     return TokenizeResult(

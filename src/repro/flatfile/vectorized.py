@@ -29,9 +29,9 @@ pass over the raw bytes in bulk:
    fields are ``S`` byte arrays (the gather's packed matrix, never cast
    to ``str``), so the predicate mask and the parser cast bytes straight
    to numbers; non-ASCII input is decoded to ``U`` once, in bulk;
-4. **bulk learning** — the positional map absorbs whole offset-matrix
-   columns (:meth:`~repro.flatfile.positions.PositionalMap.absorb_offsets`)
-   instead of being offered one field at a time.
+4. **bulk learning** — the positional map is offered whole columns of
+   field spans (:meth:`~repro.flatfile.positions.PositionalMap.
+   record_field_offsets`), never one field at a time.
 
 Work counters stay **exact**: :class:`~repro.flatfile.tokenizer.
 TokenizerStats` out of this kernel is field-for-field the per-field
@@ -295,11 +295,13 @@ def tokenize_vectorized(
             for c in visit
             if c <= learned_bound and not positional_map.knows_column(c)
         ]
-        positional_map.absorb_offsets(
-            cols,
-            [np.ascontiguousarray(to_chars(bounds[c][0])) for c in cols],
-            [np.ascontiguousarray(to_chars(bounds[c][1])) for c in cols],
-        )
+        for c in cols:
+            positional_map.record_field_offsets(
+                c,
+                np.ascontiguousarray(to_chars(bounds[c][0])),
+                np.ascontiguousarray(to_chars(bounds[c][1])),
+                sep=adapter.sep,
+            )
     if positional_map is not None:
         positional_map.record_text_geometry(nbytes=len(data), nchars=nchars)
 

@@ -469,9 +469,7 @@ class ReproServer:
                     "nrows": table.nrows,
                     "loaded": loaded,
                 }
-            info["positional_map_columns"] = sorted(
-                entry.positional_map.field_offsets
-            )
+            info["positional_map_columns"] = entry.positional_map.known_columns()
         return info
 
     # -------------------------------------------------------------- stats

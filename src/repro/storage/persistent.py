@@ -14,18 +14,21 @@ amortizes.
 Layout (one entry directory per source path, under ``store_dir``)::
 
     <store_dir>/<stem>-<path-digest>/
-        manifest.json       # version 2: fingerprint, schema, posmap,
-                            # zone maps + column index
-        pm_s<j>.bin         # int64 field-start offsets of column j
-        pm_e<j>.bin         # int64 field-end offsets of column j
+        manifest.json       # version 3: fingerprint, schema, posmap
+                            # (nrows, sep, geometry), zone maps +
+                            # column index
+        pm_b<j>.bin         # int64 positional-map boundary j, for j in
+                            # 0..K+1 when columns 0..K are known
         col_<i>.bin         # numeric column i, little-endian (memmapped)
         col_<i>.off.bin     # string column i: int64 char offsets (n+1)
         col_<i>.blob.bin    # string column i: UTF-8 payload
 
-Only state some query route reads is stored.  A partition plan is not:
-re-planning costs one small probe per boundary, and the engine re-plans
-whenever the file's size changes.  An entry written under another
-manifest ``version`` is a miss, and the next save wipes and rewrites it.
+The ``pm_b`` files are the arrays :meth:`PositionalMap.export` hands over,
+in order; this module does not interpret them.  Only state some query
+route reads is stored.  A partition plan is not: re-planning costs one
+small probe per boundary, and the engine re-plans whenever the file's
+size changes.  An entry written under another manifest ``version`` is a
+miss, and the next save wipes and rewrites it.
 
 Invariants
 ----------
@@ -89,7 +92,7 @@ if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
     from repro.core.zonemaps import ZoneMapIndex
     from repro.storage.catalog import TableEntry
 
-_VERSION = 2
+_VERSION = 3
 
 _ITEMSIZE = 8  # int64 / float64; the only numeric widths the engine has
 
@@ -139,12 +142,7 @@ class PersistedState:
             nrows=entry.table.nrows if entry.table is not None else 0,
             has_header=entry.has_header,
             schema=[(c.name, c.dtype.value) for c in entry.ensure_schema().columns],
-            positional_map=PositionalMap(
-                nrows=pm.nrows,
-                field_offsets=dict(pm.field_offsets),
-                field_ends=dict(pm.field_ends),
-                text_geometry=pm.text_geometry,
-            ),
+            positional_map=pm.copy(),
             columns=columns,
             zone_maps=(
                 entry.zone_maps.snapshot() if entry.zone_maps is not None else None
@@ -265,29 +263,23 @@ class PersistentStore:
             self._wipe(edir)
             old, committed = {}, 0
         edir.mkdir(parents=True, exist_ok=True)
-        old_pm = old.get("positional_map") or {}
-        if old_pm.get("nrows") != committed:
-            old_pm = {}  # the old map does not cover the committed rows
         old_cols = old.get("columns") or {}
 
-        pm = state.positional_map
-        pm_manifest: dict = {
-            "nrows": pm.nrows,
-            "text_geometry": list(pm.text_geometry) if pm.text_geometry else None,
-            "columns": {},
-        }
-        old_pm_cols = old_pm.get("columns") or {}
-        for col in pm.known_columns():
-            starts, ends = pm.slices_for(col)
-            known = old_pm_cols.get(str(col)) or {}
-            pm_manifest["columns"][str(col)] = {
-                "starts": self._put_array(
-                    edir, f"pm_s{col}.bin", starts, known.get("starts"), committed
-                ),
-                "ends": self._put_array(
-                    edir, f"pm_e{col}.bin", ends, known.get("ends"), committed
-                ),
-            }
+        pm_manifest, pm_arrays = state.positional_map.export()
+        old_pm = old.get("positional_map") or {}
+        old_files = old_pm.get("files") or []
+        if (old_pm.get("nrows"), old_pm.get("sep")) != (committed, pm_manifest["sep"]):
+            old_files = []  # the old arrays do not hold these rows' prefix
+        pm_manifest["files"] = [
+            self._put_array(
+                edir,
+                f"pm_b{j}.bin",
+                values,
+                old_files[j] if j < len(old_files) else None,
+                committed,
+            )
+            for j, values in enumerate(pm_arrays)
+        ]
 
         index_of = {name.lower(): i for i, (name, _) in enumerate(state.schema)}
         col_manifest: dict = {}
@@ -526,19 +518,13 @@ class PersistentStore:
             DataType(dtype)  # validates
 
         pm_manifest = manifest.get("positional_map") or {}
-        pm = PositionalMap()
-        pm_nrows = pm_manifest.get("nrows")
-        if pm_nrows is not None:
-            pm.record_nrows(int(pm_nrows))
-        for col, files in (pm_manifest.get("columns") or {}).items():
-            pm.record_field_offsets(
-                int(col),
-                self._mapped_int64(edir, files["starts"], pm_nrows),
-                self._mapped_int64(edir, files["ends"], pm_nrows),
-            )
-        geometry = pm_manifest.get("text_geometry")
-        if geometry is not None:
-            pm.record_text_geometry(int(geometry[0]), int(geometry[1]))
+        pm = PositionalMap.from_export(
+            pm_manifest,
+            [
+                self._mapped_int64(edir, name, pm_manifest["nrows"])
+                for name in pm_manifest.get("files") or []
+            ],
+        )
 
         zone_maps = None
         if manifest.get("zone_maps"):
@@ -664,18 +650,15 @@ class PersistentStore:
             if not edir.is_dir():
                 continue
             manifest = self._read_manifest(edir)
-            if not manifest:
-                continue
+            if manifest.get("version") != _VERSION:
+                continue  # a miss to every reader; the next save rewrites it
             out.append(
                 {
                     "source": manifest.get("source", "?"),
                     "nrows": manifest.get("nrows"),
                     "columns": sorted(manifest.get("columns") or {}),
-                    "positional_map_columns": sorted(
-                        int(c)
-                        for c in (manifest.get("positional_map") or {}).get(
-                            "columns", {}
-                        )
+                    "positional_map_columns": list(
+                        range(manifest["positional_map"]["columns"])
                     ),
                     "fingerprint_size": (manifest.get("fingerprint") or {}).get(
                         "size"

@@ -118,6 +118,44 @@ class TestContextManager:
         assert engine.config.splitfile_dir is None  # cleaned up
 
 
+class TestSharedConfig:
+    """Each engine keeps its own copy of the config it was given."""
+
+    def test_closing_one_splitfiles_engine_spares_the_other(
+        self, small_csv, small_columns
+    ):
+        cfg = EngineConfig(policy="splitfiles")
+        a, b = NoDBEngine(cfg), NoDBEngine(cfg)
+        try:
+            for engine in (a, b):
+                engine.attach("r", small_csv)
+                engine.query("select sum(a2) from r")
+            assert a.config.splitfile_dir != b.config.splitfile_dir
+            a.close()
+            got = b.query("select sum(a3) from r").scalar()
+            assert got == int(small_columns[2].sum())
+            assert cfg.splitfile_dir is None
+        finally:
+            a.close()
+            b.close()
+
+    def test_set_policy_does_not_leak_into_a_sibling(
+        self, small_csv, small_columns
+    ):
+        cfg = EngineConfig(policy="splitfiles")
+        c1, c2 = NoDBEngine(cfg), NoDBEngine(cfg)
+        try:
+            c1.set_policy("partial_v1")
+            assert cfg.policy == "splitfiles"
+            assert c2.config.policy == "splitfiles"
+            c2.attach("r", small_csv)
+            got = c2.query("select sum(a1) from r").scalar()
+            assert got == int(small_columns[0].sum())
+        finally:
+            c1.close()
+            c2.close()
+
+
 class TestMultiTable:
     def test_join_through_engine(self, tmp_path):
         lp, rp = materialize_join_pair(300, tmp_path / "l.csv", tmp_path / "r.csv")

@@ -44,10 +44,10 @@ def run_engine(path, sql, workers, policy="column_loads", **cfg):
         "map_nrows": pmap.nrows,
         "known_columns": pmap.known_columns(),
         "field_offsets": {
-            c: pmap.field_offsets[c].tolist() for c in pmap.known_columns()
+            c: pmap.slices_for(c)[0].tolist() for c in pmap.known_columns()
         },
         "field_ends": {
-            c: pmap.field_ends[c].tolist() for c in sorted(pmap.field_ends)
+            c: pmap.slices_for(c)[1].tolist() for c in pmap.known_columns()
         },
         "geometry": pmap.text_geometry,
         "partitions": engine.stats.last().parallel_partitions,

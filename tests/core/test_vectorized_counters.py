@@ -145,8 +145,14 @@ def test_corrupted_map_offsets_never_change_an_answer(csv_file):
         engine.query("select sum(a2) from r")
         pmap = engine.catalog.get("r").positional_map
         assert pmap.knows_column(1) and not pmap.knows_column(2)
-        pmap.field_offsets[1] += 1
-        pmap.field_ends[1] += 1
+        (s0, e0), (s1, e1) = pmap.slices_for(0), pmap.slices_for(1)
+        nrows, geometry = pmap.nrows, pmap.text_geometry
+        pmap.clear()  # relearn column 1 shifted one character right
+        pmap.record_nrows(nrows)
+        pmap.record_text_geometry(*geometry)
+        pmap.record_field_offsets(0, s0, e0 + 1, sep=1)
+        pmap.record_field_offsets(1, s1 + 1, e1 + 1, sep=1)
+        assert pmap.slices_for(1)[0].tolist() == (s1 + 1).tolist()
         assert engine.query(sql).rows() == oracle.query(sql).rows()
     finally:
         engine.close()

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flatfile.positions import PositionalMap
 from scalar_oracle import anchor_for
+
+
+def _record(m, col, starts, ends, sep=1):
+    m.record_field_offsets(col, np.array(starts), np.array(ends), sep=sep)
 
 
 class TestRecording:
@@ -16,21 +22,40 @@ class TestRecording:
 
     def test_field_offsets_idempotent(self):
         m = PositionalMap()
-        m.record_field_offsets(2, np.array([3, 13, 23]), np.array([5, 15, 25]))
-        m.record_field_offsets(2, np.array([9, 9, 9]), np.array([9, 9, 9]))
-        assert list(m.field_offsets[2]) == [3, 13, 23]
-        assert list(m.field_ends[2]) == [5, 15, 25]
+        _record(m, 0, [3, 13, 23], [5, 15, 25])
+        _record(m, 0, [9, 9, 9], [9, 9, 9])
+        starts, ends = m.slices_for(0)
+        assert list(starts) == [3, 13, 23]
+        assert list(ends) == [5, 15, 25]
 
     def test_field_offsets_set_nrows(self):
         m = PositionalMap()
-        m.record_field_offsets(0, np.array([0, 10]), np.array([3, 13]))
+        _record(m, 0, [0, 10], [3, 13])
         assert m.nrows == 2
 
     def test_length_mismatch_rejected(self):
         m = PositionalMap()
         m.record_nrows(2)
         with pytest.raises(ValueError):
-            m.record_field_offsets(1, np.array([1, 2, 3]), np.array([2, 3, 4]))
+            _record(m, 1, [1, 2, 3], [2, 3, 4])
+
+    def test_only_the_next_column_of_the_prefix_is_kept(self):
+        m = PositionalMap()
+        _record(m, 1, [2], [3])  # column 0 unknown: not a prefix
+        assert m.known_columns() == []
+        _record(m, 0, [0], [1])
+        _record(m, 2, [4], [5])  # column 1 unknown: not a prefix
+        assert m.known_columns() == [0]
+
+    def test_starts_that_disagree_with_the_last_bound_are_dropped(self):
+        m = PositionalMap()
+        _record(m, 0, [0, 10], [3, 13])
+        _record(m, 1, [5, 15], [6, 16])  # field 0 ends at 3: 1 starts at 4
+        assert m.known_columns() == [0]
+        _record(m, 1, [4, 14], [6, 16], sep=0)  # another separator width
+        assert m.known_columns() == [0]
+        _record(m, 1, [4, 14], [6, 16])
+        assert m.known_columns() == [0, 1]
 
 
 class TestAnchors:
@@ -46,20 +71,22 @@ class TestAnchors:
 
     def test_closest_predecessor_wins(self):
         m = PositionalMap()
-        m.record_field_offsets(1, np.array([2]), np.array([4]))
-        m.record_field_offsets(3, np.array([6]), np.array([8]))
+        for col in range(4):
+            _record(m, col, [2 * col], [2 * col + 1])
         col, offsets = anchor_for(m, 4)
         assert col == 3
         assert list(offsets) == [6]
 
     def test_later_columns_ignored(self):
         m = PositionalMap()
-        m.record_field_offsets(5, np.array([9]), np.array([11]))
+        _record(m, 5, [9], [11])
+        assert not m.knows_column(5)
         assert anchor_for(m, 2) is None
 
     def test_exact_column_anchor(self):
         m = PositionalMap()
-        m.record_field_offsets(2, np.array([4]), np.array([6]))
+        for col in range(3):
+            _record(m, col, [2 * col], [2 * col + 1])
         col, _ = anchor_for(m, 2)
         assert col == 2
 
@@ -68,17 +95,41 @@ class TestSlices:
     def test_slices_for_known_column(self):
         m = PositionalMap()
         assert not m.knows_column(1)
-        m.record_field_offsets(1, np.array([2, 12]), np.array([4, 14]))
+        _record(m, 0, [0, 10], [1, 11])
+        _record(m, 1, [2, 12], [4, 14])
         assert m.knows_column(1)
         starts, ends = m.slices_for(1)
         assert list(starts) == [2, 12]
         assert list(ends) == [4, 14]
 
+    def test_unknown_column_raises(self):
+        m = PositionalMap()
+        _record(m, 0, [0], [1])
+        with pytest.raises(KeyError):
+            m.slices_for(1)
+
+    def test_rows_select_before_the_end_is_derived(self):
+        m = PositionalMap()
+        _record(m, 0, [0, 10, 20, 30], [3, 13, 23, 33])
+        rows = np.array([3, 1])
+        starts, ends = m.slices_for(0, rows)
+        assert list(starts) == [30, 10]
+        assert list(ends) == [33, 13]
+        assert list(m.slices_for(0)[1]) == [3, 13, 23, 33]  # map untouched
+
+    def test_fixed_width_spans_abut(self):
+        m = PositionalMap()
+        _record(m, 0, [0, 6], [2, 8], sep=0)
+        _record(m, 1, [2, 8], [5, 11], sep=0)
+        assert m.sep == 0
+        assert list(m.slices_for(0)[1]) == [2, 8]
+        assert list(m.slices_for(1)[1]) == [5, 11]
+
     def test_end_length_mismatch_rejected(self):
         m = PositionalMap()
         m.record_nrows(2)
         with pytest.raises(ValueError):
-            m.record_field_offsets(0, np.array([0, 10]), np.array([3]))
+            _record(m, 0, [0, 10], [3])
 
     def test_geometry_first_writer_wins(self):
         m = PositionalMap()
@@ -98,20 +149,40 @@ class TestLifecycle:
     def test_clear(self):
         m = PositionalMap()
         m.record_nrows(1)
-        m.record_field_offsets(0, np.array([0]), np.array([1]))
+        _record(m, 0, [0], [1])
         m.record_text_geometry(nbytes=2, nchars=2)
         m.clear()
         assert m.nrows is None
-        assert not m.field_offsets
-        assert not m.field_ends
+        assert not m.known_columns()
+        assert m.sep is None
         assert m.text_geometry is None
         assert not m.sliceable
 
     def test_known_columns_sorted(self):
         m = PositionalMap()
-        m.record_field_offsets(3, np.array([1]), np.array([2]))
-        m.record_field_offsets(1, np.array([1]), np.array([2]))
-        assert m.known_columns() == [1, 3]
+        _record(m, 1, [1], [2])
+        _record(m, 0, [0], [1])
+        _record(m, 1, [2], [3])
+        assert m.known_columns() == [0, 1]
+
+    def test_export_round_trip(self):
+        m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])}, (8, 8))
+        meta, arrays = m.export()
+        assert len(arrays) == 3  # one boundary per known column, plus one
+        back = PositionalMap.from_export(meta, arrays)
+        assert back.known_columns() == [0, 1]
+        assert back.nrows == 2 and back.sep == 1 and back.text_geometry == (8, 8)
+        for col in (0, 1):
+            assert [a.tolist() for a in back.slices_for(col)] == [
+                a.tolist() for a in m.slices_for(col)
+            ]
+
+    def test_export_inconsistency_rejected(self):
+        meta, arrays = _map(2, {0: ([0, 4], [1, 5])}).export()
+        with pytest.raises(ValueError):
+            PositionalMap.from_export(meta, arrays[:1])
+        with pytest.raises(ValueError):
+            PositionalMap.from_export(meta, [arrays[0], arrays[1][:1]])
 
 
 def _map(nrows, spans=None, geometry=None):
@@ -119,7 +190,7 @@ def _map(nrows, spans=None, geometry=None):
     m = PositionalMap()
     m.record_nrows(nrows)
     for col, (starts, ends) in (spans or {}).items():
-        m.record_field_offsets(col, np.array(starts), np.array(ends))
+        _record(m, col, starts, ends)
     if geometry is not None:
         m.record_text_geometry(*geometry)
     return m
@@ -161,7 +232,7 @@ class TestMerging:
         m = _map(2, {0: ([0, 4], [1, 5])})
         m.extend_tail(_map(1, {0: ([0], [1])}, (4, 4)), 1)
         assert m.nrows is None
-        assert not m.field_offsets
+        assert not m.known_columns()
 
     def test_extend_tail_short_column_is_dropped(self):
         m = _map(2, {0: ([0, 4], [1, 5])}, (8, 8))
@@ -174,9 +245,105 @@ class TestMerging:
         m = PositionalMap()
         m.extend_tail(_map(1, {0: ([0], [1])}, (2, 2)), 1)
         assert m.nrows is None
-        assert not m.field_offsets
+        assert not m.known_columns()
         assert m.text_geometry is None
 
     def test_partitions_and_bases_must_pair(self):
         with pytest.raises(ValueError):
             PositionalMap().absorb_partitions([_map(1)], [0, 4])
+
+
+# ---------------------------------------------------------------------------
+# model test: the boundary format answers like a dict of (starts, ends)
+# ---------------------------------------------------------------------------
+
+
+def _layout(widths: np.ndarray, sep: int):
+    """True per-column ``(starts, ends)`` of rows with these field widths
+    (fields ``sep`` apart, one newline per row), and the text's size."""
+    nrows, ncols = widths.shape
+    row_len = widths.sum(axis=1) + sep * (ncols - 1) + 1
+    pos = (np.cumsum(row_len) - row_len).astype(np.int64)
+    spans = []
+    for c in range(ncols):
+        spans.append((pos, pos + widths[:, c]))
+        pos = spans[-1][1] + sep
+    return spans, int(row_len.sum())
+
+
+def _learned(widths: np.ndarray, sep: int, known: int) -> PositionalMap:
+    """A map that learned the first ``known`` columns of ``widths``."""
+    spans, nchars = _layout(widths, sep)
+    m = PositionalMap()
+    m.record_nrows(len(widths))
+    for col in range(known):
+        m.record_field_offsets(col, *spans[col], sep=sep)
+    m.record_text_geometry(nchars, nchars)
+    return m
+
+
+_WIDTHS = st.integers(0, 6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), ncols=st.integers(1, 4), sep=st.sampled_from([0, 1]))
+def test_boundary_map_matches_a_dict_of_spans(data, ncols, sep):
+    """Any sequence of record, absorb_partitions and extend_tail leaves
+    ``slices_for`` equal to a plain ``{col: (starts, ends)}`` model."""
+
+    def draw_widths(min_rows):
+        nrows = data.draw(st.integers(min_rows, 6))
+        cells = data.draw(st.lists(_WIDTHS, min_size=nrows * ncols, max_size=nrows * ncols))
+        return np.array(cells, dtype=np.int64).reshape(nrows, ncols)
+
+    widths = draw_widths(1)
+    m = PositionalMap()
+    m.record_nrows(len(widths))
+    m.record_text_geometry(*(2 * [_layout(widths, sep)[1]]))
+    model: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    for _ in range(data.draw(st.integers(1, 8))):
+        spans, _ = _layout(widths, sep)
+        op = data.draw(st.sampled_from(["record", "partitions", "append"]))
+        if op == "record":
+            col = data.draw(st.integers(0, ncols - 1))
+            m.record_field_offsets(col, *spans[col], sep=sep)
+            if col == len(model):
+                model[col] = spans[col]
+        elif op == "partitions":
+            nrows = len(widths)
+            cuts = sorted(data.draw(st.sets(st.integers(1, max(nrows - 1, 1)))))
+            edges = [0] + [c for c in cuts if c < nrows] + [nrows]
+            knows = [data.draw(st.integers(0, ncols)) for _ in edges[1:]]
+            parts = [
+                _learned(widths[a:b], sep, k)
+                for a, b, k in zip(edges, edges[1:], knows)
+            ]
+            bases = [0] + np.cumsum([p.text_geometry[1] for p in parts]).tolist()[:-1]
+            m.absorb_partitions(parts, bases)
+            shared = min(knows)
+            if shared > len(model):
+                model = {c: spans[c] for c in range(shared)}
+        else:
+            tail = draw_widths(0)
+            known = data.draw(st.integers(0, ncols))
+            m.extend_tail(_learned(tail, sep, known), len(tail))
+            widths = np.vstack([widths, tail])
+            spans, _ = _layout(widths, sep)
+            model = {c: spans[c] for c in range(min(len(model), known))}
+
+        assert m.nrows == len(widths)
+        assert m.known_columns() == sorted(model)
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, len(widths) - 1), max_size=4)),
+            dtype=np.int64,
+        )
+        for col, (starts, ends) in model.items():
+            got_starts, got_ends = m.slices_for(col)
+            assert got_starts.tolist() == starts.tolist()
+            assert got_ends.tolist() == ends.tolist()
+            sub_starts, sub_ends = m.slices_for(col, rows)
+            assert sub_starts.tolist() == starts[rows].tolist()
+            assert sub_ends.tolist() == ends[rows].tolist()
+        back = PositionalMap.from_export(*m.export())
+        assert back.known_columns() == m.known_columns()

@@ -164,12 +164,12 @@ class TestPositionalMapIntegration:
         tok(TEXT, 4, [1], positional_map=pmap)
         assert pmap.nrows == 3
         assert pmap.knows_column(1)
-        assert list(pmap.field_offsets[1]) == [3, 15, 27]
+        assert list(pmap.slices_for(1)[0]) == [3, 15, 27]
 
     def test_offsets_point_at_field_starts(self):
         pmap = PositionalMap()
         tok(TEXT, 4, [2], positional_map=pmap)
-        for row, off in enumerate(pmap.field_offsets[2]):
+        for row, off in enumerate(pmap.slices_for(2)[0]):
             assert TEXT[off : off + 2] == f"3{row}"
 
     def test_exploiting_map_reduces_scanning(self):
@@ -350,7 +350,7 @@ class TestAgainstStdlibCsv:
         )
         for col in range(ncols):
             assert pmap.knows_column(col)
-            offsets = pmap.field_offsets[col]
+            offsets = pmap.slices_for(col)[0]
             for row_idx, off in enumerate(offsets):
                 expected = result.fields[col][row_idx]
                 assert text[off : off + len(expected)] == expected

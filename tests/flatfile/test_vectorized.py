@@ -37,8 +37,8 @@ from scalar_oracle import field_texts, scalar_tokenize_bytes
 def _pmap_state(pmap: PositionalMap):
     return {
         "nrows": pmap.nrows,
-        "starts": {c: v.tolist() for c, v in pmap.field_offsets.items()},
-        "ends": {c: v.tolist() for c, v in pmap.field_ends.items()},
+        "starts": {c: pmap.slices_for(c)[0].tolist() for c in pmap.known_columns()},
+        "ends": {c: pmap.slices_for(c)[1].tolist() for c in pmap.known_columns()},
         "geometry": pmap.text_geometry,
     }
 
@@ -255,30 +255,35 @@ def test_delimited_with_pushdown_predicates(case):
     )
 
 
-def _scalar_warm_map(data: bytes, adapter, ncols: int, keep) -> PositionalMap:
-    """A map the oracle learned, then trimmed to the ``keep`` columns.
+def _scalar_warm_map(data: bytes, adapter, ncols: int, keep: int) -> PositionalMap:
+    """A map the oracle learned, then trimmed to its first ``keep`` columns.
 
-    One oracle pass over every column learns them all; forgetting the
-    rest yields any known-column set, gaps included.  Ragged input makes
-    that pass raise, leaving a map that knows row offsets only.
+    One oracle pass over every column learns them all; re-recording a
+    prefix of them yields any known-column set the map can hold (known
+    columns are always a prefix).  Ragged input makes that pass raise,
+    leaving a map that knows the row count only.
     """
-    pmap = PositionalMap()
+    learned = PositionalMap()
     try:
         scalar_tokenize_bytes(
-            data, adapter, ncols, range(ncols), positional_map=pmap
+            data, adapter, ncols, range(ncols), positional_map=learned
         )
     except FlatFileError:
         pass
-    for col in set(pmap.field_offsets) - set(keep):
-        del pmap.field_offsets[col]
-        del pmap.field_ends[col]
+    pmap = PositionalMap()
+    if learned.nrows is not None:
+        pmap.record_nrows(learned.nrows)
+    for col in learned.known_columns()[:keep]:
+        pmap.record_field_offsets(col, *learned.slices_for(col), sep=adapter.sep)
+    if learned.text_geometry is not None:
+        pmap.record_text_geometry(*learned.text_geometry)
     return pmap
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     case=delimited_files(),
-    keep=st.sets(st.integers(0, 4)),
+    keep=st.integers(0, 5),
     early_abort=st.booleans(),
     with_predicate=st.booleans(),
 )
@@ -412,7 +417,7 @@ class TestEdgeCases:
     def test_empty_file_with_warm_map_learns_every_column(self):
         """Over zero rows the oracle learns every column up to the last
         needed one, whatever the map's anchors say."""
-        warm = _scalar_warm_map(b"", CSV, 4, {2})
+        warm = _scalar_warm_map(b"", CSV, 4, 3)
         out = assert_routes_agree(b"", CSV, 4, [3], warm=warm)
         assert sorted(out[0][0]["pmap"]["starts"]) == [0, 1, 2, 3]
 
@@ -542,17 +547,12 @@ class TestBulkLearning:
         assert _pmap_state(vec_map) == _pmap_state(scalar_map)
         assert vec_map.knows_column(0) and vec_map.knows_column(2)
 
-    def test_absorb_offsets_rejects_mismatched_lengths(self):
-        pmap = PositionalMap()
-        with pytest.raises(ValueError):
-            pmap.absorb_offsets([0, 1], [np.zeros(2, dtype=np.int64)], [])
-
     def test_first_writer_wins(self):
         pmap = PositionalMap()
         pmap.record_field_offsets(
-            0, np.array([7], dtype=np.int64), np.array([9], dtype=np.int64)
+            0, np.array([7], dtype=np.int64), np.array([9], dtype=np.int64), sep=1
         )
-        pmap.absorb_offsets(
-            [0], [np.array([0], dtype=np.int64)], [np.array([1], dtype=np.int64)]
+        pmap.record_field_offsets(
+            0, np.array([0], dtype=np.int64), np.array([1], dtype=np.int64), sep=1
         )
-        assert pmap.field_offsets[0].tolist() == [7]
+        assert pmap.slices_for(0)[0].tolist() == [7]

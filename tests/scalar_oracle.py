@@ -210,6 +210,7 @@ def tokenize_columns(
                     col,
                     np.asarray(offsets, dtype=np.int64),
                     np.asarray(learned_ends[col], dtype=np.int64),
+                    sep=1,
                 )
 
     return TokenizeResult(
@@ -226,10 +227,10 @@ def anchor_for(pmap: PositionalMap, col: int) -> tuple[int, np.ndarray] | None:
     known column ``<= col``, or ``None`` when no such column is known
     (the pass then starts from each row's start, as column ``0`` would).
     """
-    candidates = [c for c in pmap.field_offsets if c <= col]
+    candidates = [c for c in pmap.known_columns() if c <= col]
     if candidates:
         best = max(candidates)
-        return best, pmap.field_offsets[best]
+        return best, pmap.slices_for(best)[0]
     return None
 
 

@@ -128,11 +128,12 @@ class TestRoundTrip:
         pm = PositionalMap()
         pm.record_nrows(nrows)
         ncols = data.draw(st.integers(min_value=0, max_value=4))
+        sep = data.draw(st.sampled_from([0, 1]))
+        starts = np.resize(data.draw(offsets_arrays), nrows)
         for col in range(ncols):
-            starts = data.draw(offsets_arrays.filter(lambda a: True))
-            starts = np.resize(starts, nrows)
             ends = starts + data.draw(st.integers(min_value=0, max_value=99))
-            pm.record_field_offsets(col, starts, ends)
+            pm.record_field_offsets(col, starts, ends, sep=sep)
+            starts = ends + sep
         if data.draw(st.booleans()):
             pm.record_text_geometry(1000, 1000)
 
@@ -141,8 +142,8 @@ class TestRoundTrip:
         assert restored is not None
         rpm = restored.positional_map
         assert rpm.nrows == pm.nrows
-        assert sorted(rpm.field_offsets) == sorted(pm.field_offsets)
-        for col in pm.field_ends:
+        assert rpm.known_columns() == pm.known_columns() == list(range(ncols))
+        for col in pm.known_columns():
             s0, e0 = pm.slices_for(col)
             s1, e1 = rpm.slices_for(col)
             assert s1.tobytes() == s0.tobytes()  # byte-for-byte
@@ -388,7 +389,10 @@ class TestDamage:
         fp = FileFingerprint.of(source)
         pm = PositionalMap()
         pm.record_field_offsets(
-            0, np.array([4, 8], dtype=np.int64), np.array([5, 9], dtype=np.int64)
+            0,
+            np.array([4, 8], dtype=np.int64),
+            np.array([5, 9], dtype=np.int64),
+            sep=1,
         )
         store.save(
             _state(
@@ -419,7 +423,7 @@ class TestDamage:
 
     def test_missing_posmap_file_is_a_miss(self, tmp_path):
         source, store, fp, edir = self._saved(tmp_path)
-        (edir / "pm_s0.bin").unlink()
+        (edir / "pm_b0.bin").unlink()
         assert store.load(source, fp).state is None
 
     def test_mid_write_crash_leaves_old_entry_or_miss(self, tmp_path):
@@ -600,8 +604,8 @@ def _committed(store_dir) -> dict[str, bytes]:
     m = _manifest(store_dir)
     pm, n = m["positional_map"], m["nrows"]
     sizes = {}
-    for files in pm["columns"].values():
-        sizes[files["starts"]] = sizes[files["ends"]] = pm["nrows"] * 8
+    for name in pm["files"]:
+        sizes[name] = pm["nrows"] * 8
     for col in m["columns"].values():
         if "file" in col:
             sizes[col["file"]] = n * 8
@@ -883,10 +887,24 @@ class TestLayout:
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert "pm_rows.bin" not in names
         manifest = _manifest(store_dir)
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
         assert "partitions" not in manifest
-        assert set(manifest["positional_map"]) == {"nrows", "text_geometry", "columns"}
+        assert set(manifest["positional_map"]) == {
+            "nrows", "sep", "columns", "text_geometry", "files"
+        }
         assert names == {"manifest.json", *_committed(store_dir)}
+
+    def test_one_boundary_file_per_known_column_plus_one(self, tmp_path):
+        """Field ends are derived, not stored: columns 0..K known means
+        ``pm_b0 .. pm_b<K+1>`` and no end-offset files."""
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 300))
+        _run(path, tmp_path / "store")
+        pm = _manifest(tmp_path / "store")["positional_map"]
+        assert pm["columns"] >= 1 and pm["sep"] == 1
+        assert pm["files"] == [f"pm_b{j}.bin" for j in range(pm["columns"] + 1)]
+        names = {p.name for p in _entry_dir(tmp_path / "store").iterdir()}
+        assert not any(n.startswith(("pm_s", "pm_e")) for n in names)
 
     def test_version_1_entry_is_a_miss_then_rewritten(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -913,9 +931,44 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 2
+        assert _manifest(store_dir)["version"] == 3
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
+
+    def test_version_2_entry_is_a_miss_then_rewritten(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 50))
+        store_dir = tmp_path / "store"
+        _run(path, store_dir)
+        # Dress the entry as the version-2 layout: a start and an end
+        # offset file per known column.
+        edir = _entry_dir(store_dir)
+        manifest = _manifest(store_dir)
+        pm = manifest["positional_map"]
+        columns = {}
+        for col in range(pm["columns"]):
+            for kind in "se":
+                (edir / f"pm_{kind}{col}.bin").write_bytes(
+                    np.zeros(pm["nrows"], dtype=np.int64).tobytes()
+                )
+            columns[str(col)] = {"starts": f"pm_s{col}.bin", "ends": f"pm_e{col}.bin"}
+        for name in pm.pop("files"):
+            (edir / name).unlink()
+        del pm["sep"]
+        pm["columns"] = columns
+        manifest["version"] = 2
+        (edir / "manifest.json").write_text(json.dumps(manifest))
+
+        outcome = PersistentStore(store_dir).load(path, FileFingerprint.of(path))
+        assert outcome.state is None and not outcome.invalidated
+
+        rows, stats = _run(path, store_dir)
+        assert rows == _oracle(path)
+        assert stats.counters.restart_warm_hits == 0
+        assert _manifest(store_dir)["version"] == 3
+        names = {p.name for p in _entry_dir(store_dir).iterdir()}
+        assert names == {"manifest.json", *_committed(store_dir)}
+        assert not any(n.startswith(("pm_s", "pm_e")) for n in names)
 
     def test_restart_replans_partitions(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -946,3 +999,51 @@ class TestLayout:
         oracle.attach("t", path)
         assert got == oracle.query("select max(a2), count(*) from t").rows()
         oracle.close()
+
+
+def _dialect_file(tmp_path, kind: str):
+    """A headerless 4-int-column file in one dialect, and its attach args."""
+    rows = [[str((i * 37 + j * 11) % 997) for j in range(4)] for i in range(300)]
+    if kind == "fixed-width":
+        text = "".join("".join(v.ljust(5) for v in r) + "\n" for r in rows)
+        args = {"format": "fixed-width", "fixed_widths": (5, 5, 5, 5)}
+    else:
+        sep, end = {"plain": (",", "\n"), "crlf": (",", "\r\n"), "tsv": ("\t", "\n")}[kind]
+        text = "".join(sep.join(r) + end for r in rows)
+        args = {"format": "tsv"} if kind == "tsv" else {}
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(text.encode())
+    return path, args
+
+
+class TestRestoredSpans:
+    """Spans restored from the store serve a restart with no full scan:
+    each field's end, derived from the next boundary, cuts the same
+    value the dialect frames (the last field's before ``\\r``, fixed
+    widths with no separator)."""
+
+    @pytest.mark.parametrize("kind", ["plain", "crlf", "tsv", "fixed-width"])
+    def test_restart_warm_query_on_restored_spans(self, tmp_path, kind):
+        path, args = _dialect_file(tmp_path, kind)
+        cfg = EngineConfig(policy="partial_v1", store_dir=tmp_path / "store")
+        first = NoDBEngine(cfg)
+        first.attach("t", path, **args)
+        first.query("select sum(a4) from t where a4 > 100")  # learns 0..3
+        first.flush_persistent_store()
+        first.close()
+
+        oracle = CSVEngine()
+        oracle.attach("t", path, **args)
+        second = NoDBEngine(cfg)
+        try:
+            second.attach("t", path, **args)
+            for sql in (
+                "select sum(a2), count(*) from t where a2 > 300",
+                "select min(a4), max(a4), sum(a1) from t where a4 < 500",
+            ):
+                assert second.query(sql).rows() == oracle.query(sql).rows()
+            assert second.stats.counters.restart_warm_hits == 1
+            assert second.catalog.get("t").file.stats.full_scans == 0
+        finally:
+            second.close()
+            oracle.close()

@@ -150,3 +150,34 @@ class TestDependencyDirection:
                         rel = path.relative_to(package.parent)
                         offenders.append(f"{rel}:{node.lineno} imports {module}")
         assert not offenders, offenders
+
+
+class TestPositionalMapFormatBoundary:
+    """The positional map's storage format is one module's decision: no
+    other module under ``src/repro`` names its internal arrays, so it can
+    change without touching the loader, store, server or append path."""
+
+    INTERNALS = {"bounds", "field_offsets", "field_ends"}
+    OWNER = Path("repro/flatfile/positions.py")
+
+    def test_only_positions_names_the_map_arrays(self):
+        package = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            rel = path.relative_to(package.parent)
+            if rel == self.OWNER:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.keyword):
+                    name = node.arg
+                elif isinstance(node, ast.Name):
+                    name = node.id
+                else:
+                    continue
+                if name in self.INTERNALS and not (
+                    isinstance(node, ast.Name) and name == "bounds"
+                ):
+                    offenders.append(f"{rel}:{node.lineno} names {name}")
+        assert not offenders, offenders
