@@ -63,7 +63,7 @@ def test_fig4_adaptive_loading_with_file_reorganization(
         ("MonetDB", "fullload", {"store_dir": tmp_path / "monet-store"}),
         ("Column Loads", "column_loads", {}),
         ("Partial Loads V2", "partial_v2", {}),
-        ("Split Files", "splitfiles", {"splitfile_dir": tmp_path / "splits"}),
+        ("Split Files", "splitfiles", {}),
     ]:
         engine = fresh_engine(policy, fig4_file, **config)
         series.append(run_sequence(label, _WriteThrough(engine), sqls))
@@ -113,12 +113,8 @@ def test_fig4_adaptive_loading_with_file_reorganization(
     split_steady = float(np.mean([split.times_s[i] for i in RERUNS]))
     assert split_steady < 5 * monet_steady
 
-    benchmark.pedantic(
-        lambda: run_sequence(
-            "bench",
-            fresh_engine("splitfiles", fig4_file, splitfile_dir=tmp_path / "s2"),
-            sqls[:2],
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    def rerun():
+        with fresh_engine("splitfiles", fig4_file) as engine:
+            run_sequence("bench", engine, sqls[:2])
+
+    benchmark.pedantic(rerun, rounds=1, iterations=1)

@@ -55,9 +55,7 @@ def main() -> None:
     original_size = path.stat().st_size
     print(f"raw file: {path} ({original_size:,} bytes)\n")
 
-    engine = NoDBEngine(
-        EngineConfig(policy="splitfiles", splitfile_dir=workdir / "splits")
-    )
+    engine = NoDBEngine(EngineConfig(policy="splitfiles"))
     engine.attach("r", path)
 
     for sql in [

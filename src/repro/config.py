@@ -2,15 +2,13 @@
 
 :class:`EngineConfig` gathers every knob of the adaptive engine in one
 immutable-ish dataclass so that experiments can be described declaratively:
-the loading policy name, the adaptive-store memory budget, tokenizer
-behaviour toggles (the ablation switches of DESIGN.md) and the split-file
-working directory.
+the loading policy name, the adaptive-store memory budget, the tokenizer
+and skipping toggles, parallelism and the persistent store.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -103,24 +101,6 @@ class EngineConfig:
         Build a column's cracker once the monitor has seen this many
         warm range scans against it (``1`` cracks eagerly; higher values
         make one-off predicates stay on the cheap mask route).
-    splitfile_dir:
-        Where split (cracked) per-column files are written.  Defaults to a
-        per-engine temporary directory.
-    auto_invalidate:
-        Detect edits to attached flat files (size/mtime/content-probe
-        fingerprints) and transparently drop derived data (section 5.4's
-        "simple solution").
-    append_extension:
-        When an edit is a *pure tail-append* (the file grew and the prior
-        region is byte-identical — the dominant change on growing logs),
-        extend the learned state over the appended region instead of
-        wiping it: the positional map absorbs offsets for the new tail
-        only, fully loaded columns parse and concatenate just the new
-        rows, and zone maps gain zones; the partition plan is re-planned
-        over the grown file on the next parallel pass.  Crackers and
-        cached results (whose answers genuinely changed) still
-        invalidate.  Off forces every edit down the full-invalidation
-        path.
     io_bandwidth_bytes_per_sec:
         Optional simulated I/O throttle.  When set, every read of ``n``
         bytes from a flat file additionally sleeps ``n / bandwidth``
@@ -146,20 +126,6 @@ class EngineConfig:
     max_cached_results:
         Entry cap of the result cache (least recently used beyond it is
         dropped).
-    io_retry_attempts / io_retry_backoff_s:
-        Bounded retry of transient raw-file read errors: each flat-file
-        read is attempted up to ``io_retry_attempts`` times with
-        exponential backoff starting at ``io_retry_backoff_s`` seconds
-        before the failure surfaces as a taxonomy
-        :class:`~repro.errors.FlatFileError`.  Retries are counted in
-        the ``io_retries`` engine counter.
-    persist_failure_limit:
-        After this many *consecutive* persistent-store write failures
-        the store is marked read-only for the rest of the engine's life:
-        queries keep being served (warm-only degradation) and no further
-        writes are attempted.  Each failure bumps the
-        ``persist_failures`` counter; a successful write resets the
-        consecutive count.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` compiled into the
         engine's real I/O paths for deterministic failure testing.  When
@@ -189,17 +155,11 @@ class EngineConfig:
     zone_map_rows: int = 1024
     cracking: bool = True
     crack_after: int = 3
-    splitfile_dir: Path | None = None
-    auto_invalidate: bool = True
-    append_extension: bool = True
     io_bandwidth_bytes_per_sec: float | None = None
     store_dir: Path | None = None
     result_cache: bool = False
     max_cached_results: int = 256
     global_lock: bool = False
-    io_retry_attempts: int = 3
-    io_retry_backoff_s: float = 0.005
-    persist_failure_limit: int = 3
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
@@ -221,14 +181,6 @@ class EngineConfig:
             raise ValueError("crack_after must be >= 1")
         if self.max_cached_results <= 0:
             raise ValueError("max_cached_results must be positive")
-        if self.io_retry_attempts < 1:
-            raise ValueError("io_retry_attempts must be >= 1")
-        if self.io_retry_backoff_s < 0:
-            raise ValueError("io_retry_backoff_s must be non-negative")
-        if self.persist_failure_limit < 1:
-            raise ValueError("persist_failure_limit must be >= 1")
-        if self.splitfile_dir is not None:
-            self.splitfile_dir = Path(self.splitfile_dir)
         if self.store_dir is not None:
             self.store_dir = Path(self.store_dir)
 
@@ -237,10 +189,3 @@ class EngineConfig:
         if self.parallel_workers == 0:
             return os.cpu_count() or 1
         return self.parallel_workers
-
-    def resolve_splitfile_dir(self) -> Path:
-        """Return the split-file directory, creating a temp dir on demand."""
-        if self.splitfile_dir is None:
-            self.splitfile_dir = Path(tempfile.mkdtemp(prefix="repro-splitfiles-"))
-        self.splitfile_dir.mkdir(parents=True, exist_ok=True)
-        return self.splitfile_dir

@@ -61,9 +61,9 @@ from repro.core.loader import _widen_column
 from repro.core.monitor import RobustnessMonitor
 from repro.core.policies import LoadContext, LoadingPolicy, TableView, make_policy
 from repro.core.result_cache import FileSignature, QueryResultCache
-from repro.core.splitfile import SplitFileCatalog, cleanup_directory
+from repro.core.splitfile import SplitFileCatalog
 from repro.core.statistics import EngineStatistics, QueryStats, Stopwatch
-from repro.errors import CatalogError, FlatFileError, StaleFileError
+from repro.errors import CatalogError, FlatFileError
 from repro.faults import FaultPlan
 from repro.locks import SingleFlight
 from repro.result import QueryResult
@@ -80,12 +80,17 @@ from repro.storage.persistent import PersistedState, PersistentStore
 from repro.storage.table import Table
 
 
+#: Consecutive persistent-store write failures after which the store goes
+#: read-only for the rest of the engine's life (warm-only serving).
+PERSIST_FAILURE_LIMIT = 3
+
+
 class NoDBEngine:
     """Adaptive in-situ query engine over raw flat files."""
 
     def __init__(self, config: EngineConfig | None = None) -> None:
-        # A private copy: set_policy and the owned split-file directory
-        # write to it, and engines sharing one config must not see that.
+        # A private copy: set_policy writes to it, and engines sharing
+        # one config must not see that.
         self.config = replace(config) if config is not None else EngineConfig()
         # Deterministic fault injection: an explicit plan on the config
         # wins; otherwise the REPRO_FAULTS env hook is consulted once
@@ -103,17 +108,12 @@ class NoDBEngine:
         self.memory = MemoryManager(budget_bytes=self.config.memory_budget_bytes)
         self.stats = EngineStatistics()
         self.monitor = RobustnessMonitor(self.stats, self.config, self.memory.stats)
-        self._owns_split_dir = self.config.splitfile_dir is None
         # Catalog/config mutation (attach, detach, set_policy, close) is
         # serialized here; with ``global_lock=True`` the whole per-query
         # load phase is too (the paper's section 5.4 baseline).  Query
         # serving otherwise relies on the per-table RW locks plus the
         # shared-scan flight gate below.
         self._lock = threading.RLock()
-        # Serializes lazy creation of the shared split-file directory
-        # (two tables' first cold cracks may race).  Taken only while a
-        # table write lock is held, and never the other way around.
-        self._splitdir_lock = threading.Lock()
         self._scan_gate = SingleFlight()
         self.result_cache: QueryResultCache | None = None
         if self.config.result_cache:
@@ -167,8 +167,6 @@ class NoDBEngine:
                 format=format,
                 fixed_widths=fixed_widths,
                 fault_plan=self.fault_plan,
-                retry_attempts=self.config.io_retry_attempts,
-                retry_backoff_s=self.config.io_retry_backoff_s,
             )
 
     def detach(self, name: str) -> None:
@@ -754,14 +752,9 @@ class NoDBEngine:
     def _split_catalog(self, entry: TableEntry) -> SplitFileCatalog:
         """The entry's split catalog (caller holds the table write lock)."""
         if entry.split_catalog is None:
-            schema = entry.ensure_schema()
-            with self._splitdir_lock:
-                directory = self.config.resolve_splitfile_dir()
             entry.split_catalog = SplitFileCatalog(
                 source=entry.file,
-                directory=directory,
-                ncols=len(schema),
-                table_key=entry.name.lower(),
+                ncols=len(entry.ensure_schema()),
                 skip_rows=1 if entry.has_header else 0,
             )
         return entry.split_catalog
@@ -923,7 +916,7 @@ class NoDBEngine:
 
         A failed disk write degrades, never escalates: the token is
         dropped (a later load may retry), the failure is counted, and
-        after ``config.persist_failure_limit`` *consecutive* failures the
+        after :data:`PERSIST_FAILURE_LIMIT` *consecutive* failures the
         store goes read-only for this engine — queries keep being served
         warm from memory, they just stop surviving restarts.
         """
@@ -954,10 +947,7 @@ class NoDBEngine:
                 if self._persisted_tokens.get(key) == token:
                     del self._persisted_tokens[key]
                 self._persist_consecutive_failures += 1
-                if (
-                    self._persist_consecutive_failures
-                    >= self.config.persist_failure_limit
-                ):
+                if self._persist_consecutive_failures >= PERSIST_FAILURE_LIMIT:
                     self._persist_read_only = True
             self.stats.count("persist_failures")
         except BaseException:
@@ -1010,11 +1000,6 @@ class NoDBEngine:
             or fingerprint == entry.loaded_fingerprint
         ):
             return fingerprint
-        if not self.config.auto_invalidate:
-            raise StaleFileError(
-                f"flat file for table {entry.name!r} changed after loading; "
-                "auto_invalidate is disabled"
-            )
         if self._try_extend_append(entry, fingerprint):
             return fingerprint
         self._invalidate_entry(entry)
@@ -1033,8 +1018,6 @@ class NoDBEngine:
         tail-append or any extension precondition fails; the caller falls
         back to full invalidation.
         """
-        if not self.config.append_extension:
-            return False
         old = entry.loaded_fingerprint
         if old is None or entry.table is None:
             return False
@@ -1104,10 +1087,6 @@ class NoDBEngine:
                 part.split_catalog = None
                 if split is not None:
                     split.destroy()
-        with self._lock:
-            if self._owns_split_dir and self.config.splitfile_dir is not None:
-                cleanup_directory(self.config.splitfile_dir)
-                self.config.splitfile_dir = None
 
     def __enter__(self) -> "NoDBEngine":
         return self

@@ -19,11 +19,18 @@ new remainder for the columns to its right, and updates the catalog —
 exactly the side-effect reorganization of section 4.2.  Each subsequent
 read therefore touches fewer bytes and trivially tokenizable files, which
 is where the Figure 4 "Split Files" curve gets its small peaks.
+
+Split files are derived state that may be thrown away at any time.  Each
+catalog owns a private temporary directory, made when the catalog is
+created (on a table's first ``splitfiles`` load), and :meth:`destroy`
+removes it: when the source file is edited, the table is detached, or
+the engine is closed.  No two catalogs ever share a file.
 """
 
 from __future__ import annotations
 
 import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -68,21 +75,19 @@ class SplitFileCatalog:
     """Split-file state for one attached flat file."""
 
     source: FlatFile
-    directory: Path
     ncols: int
-    table_key: str
     skip_rows: int = 0
-    homes: dict[int, ColumnHome] = field(default_factory=dict)
+    homes: dict[int, ColumnHome] = field(init=False)
+    directory: Path = field(init=False)
     _counter: int = 0
     files_written: int = 0
 
     def __post_init__(self) -> None:
-        self.directory = Path(self.directory)
-        if not self.homes:
-            for c in range(self.ncols):
-                self.homes[c] = ColumnHome(
-                    "original", self.source, c, skip_rows=self.skip_rows
-                )
+        self.homes = {
+            c: ColumnHome("original", self.source, c, skip_rows=self.skip_rows)
+            for c in range(self.ncols)
+        }
+        self.directory = Path(tempfile.mkdtemp(prefix="repro-splitfiles-"))
 
     # ------------------------------------------------------------- loading
 
@@ -127,7 +132,7 @@ class SplitFileCatalog:
         chars = len(data) if ascii_only else len(decode_utf8(data, home.file.path))
         buf = np.frombuffer(data, dtype=np.uint8)
         # Every value, the last one and empty ones included, ends in a
-        # newline (see _write_lines).
+        # newline (see _write_lines and _write_remainder).
         ends = np.flatnonzero(buf == 0x0A)
         starts = np.concatenate(([0], ends + 1))[:-1]
         values = bulk_extract_fields(
@@ -176,34 +181,51 @@ class SplitFileCatalog:
             values = result.fields[local]
             if gcol in global_cols:
                 out[gcol] = values
-            single_path = self.directory / f"{self.table_key}_col{gcol}.txt"
+            single_path = self.directory / f"col{gcol}.txt"
             _write_lines(single_path, values)
             written += 1
             self.homes[gcol] = ColumnHome("single", FlatFile(single_path), 0)
         # Write the non-tokenized tail columns into one new remainder.
         tail_locals = [loc for loc in range(width) if loc > max_needed_local]
         if tail_locals:
-            tail_path = self.directory / f"{self.table_key}_rem{self._counter}.txt"
+            tail_path = self.directory / f"rem{self._counter}.txt"
             self._counter += 1
+            one_column = len(tail_locals) == 1
             self._write_remainder(
-                decode_utf8(data, home.file.path), result, tail_path, home
+                decode_utf8(data, home.file.path),
+                result,
+                tail_path,
+                home,
+                one_column,
             )
             written += 1
             tail_file = FlatFile(tail_path, delimiter=home.file.delimiter)
+            # A one-column remainder holds one value per line: it is a
+            # single file, whose reader keeps the empty values that the
+            # tokenizer would skip as blank lines.  (The tokenizer has
+            # already rejected any row too short to reach the tail.)
+            kind = "single" if one_column else "remainder"
             for new_local, local in enumerate(tail_locals):
                 gcol = local_to_global[local]
-                self.homes[gcol] = ColumnHome("remainder", tail_file, new_local)
+                self.homes[gcol] = ColumnHome(kind, tail_file, new_local)
         return out, result.stats, written
 
     def _write_remainder(
-        self, text: str, result, tail_path: Path, home: ColumnHome
+        self,
+        text: str,
+        result,
+        tail_path: Path,
+        home: ColumnHome,
+        one_column: bool,
     ) -> None:
         """Write the untokenized right part of every row to ``tail_path``.
 
         The tokenizer located the end of the last tokenized field of each
         row; the tail is everything after the following delimiter.  We
         recompute tail starts from the recorded field texts, which keeps
-        this function independent of tokenizer internals.
+        this function independent of tokenizer internals.  A one-column
+        tail is cut at its first delimiter, dropping the extra fields of
+        a ragged row as the tokenizer does.
         """
         from repro.flatfile.dialects import newline_row_bounds  # shared row scan
 
@@ -221,7 +243,11 @@ class SplitFileCatalog:
         with open(tail_path, "w", encoding="utf-8", newline="") as f:
             for i in range(len(starts)):
                 tail_start = int(starts[i] + lengths[i])
-                f.write(text[tail_start : int(ends[i])])
+                end = int(ends[i])
+                if one_column:
+                    cut = text.find(home.file.delimiter, tail_start, end)
+                    end = end if cut < 0 else cut
+                f.write(text[tail_start:end])
                 f.write("\n")
 
     # ---------------------------------------------------------- accounting
@@ -252,22 +278,14 @@ class SplitFileCatalog:
         return total
 
     def destroy(self) -> None:
-        """Delete all split files (source edited -> derived data invalid)."""
-        seen = set()
-        for home in self.homes.values():
-            if home.kind != "original" and home.file.path not in seen:
-                seen.add(home.file.path)
-                home.file.path.unlink(missing_ok=True)
-        self.homes = {
-            c: ColumnHome("original", self.source, c, skip_rows=self.skip_rows)
-            for c in range(self.ncols)
-        }
-        self._counter = 0
+        """Remove the directory and every split file in it (source edited,
+        table detached or engine closed).  The owner then drops the
+        catalog; the next ``splitfiles`` load starts a fresh one."""
+        shutil.rmtree(self.directory, ignore_errors=True)
 
 
 def _write_lines(path: Path, values) -> None:
     """Write one value per line; an ``S`` batch (ASCII bytes) as is."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(values, np.ndarray) and values.dtype.kind == "S":
         body = b"\n".join(values.tolist())
     else:
@@ -277,7 +295,3 @@ def _write_lines(path: Path, values) -> None:
         if len(values):
             f.write(b"\n")
 
-
-def cleanup_directory(directory: Path) -> None:
-    """Remove a split-file working directory entirely (engine shutdown)."""
-    shutil.rmtree(directory, ignore_errors=True)

@@ -156,9 +156,10 @@ class FormatDetectionError(FlatFileError):
 class StaleFileError(FlatFileError):
     """The flat file was edited after data was loaded from it.
 
-    The engine's invalidation policy (paper section 5.4) normally drops the
-    derived data automatically; this error is raised only when the caller
-    disables automatic invalidation and the engine detects the edit.
+    The engine no longer raises this: every edit it detects extends or
+    invalidates the derived data (paper section 5.4).  The class stays
+    because its ``stale_file`` wire code is part of the append-only
+    registry.
     """
 
     code = "stale_file"

@@ -271,21 +271,34 @@ class FaultPlan:
 T = TypeVar("T")
 
 
+#: Bounded retry of transient raw-file read errors: every flat-file read
+#: is attempted this many times, sleeping :data:`IO_RETRY_BACKOFF_S`
+#: seconds (doubling per retry) between attempts.
+IO_RETRY_ATTEMPTS = 3
+IO_RETRY_BACKOFF_S = 0.005
+
+
 def retry_io(
     fn: Callable[[], T],
     *,
-    attempts: int = 3,
-    backoff_s: float = 0.005,
+    attempts: int | None = None,
+    backoff_s: float | None = None,
     max_backoff_s: float = 0.1,
     on_retry: Callable[[int, OSError], None] | None = None,
 ) -> T:
     """Call ``fn``, retrying transient ``OSError`` with bounded backoff.
 
-    The delay doubles per attempt, capped at ``max_backoff_s``; the last
-    failure re-raises unchanged (callers wrap it into the taxonomy).
+    ``attempts`` and ``backoff_s`` default to :data:`IO_RETRY_ATTEMPTS`
+    and :data:`IO_RETRY_BACKOFF_S`, read at call time.  The delay
+    doubles per attempt, capped at ``max_backoff_s``; the last failure
+    re-raises unchanged (callers wrap it into the taxonomy).
     ``on_retry(attempt, exc)`` is called before each sleep — the
     flat-file layer uses it to count ``io_retries``.
     """
+    if attempts is None:
+        attempts = IO_RETRY_ATTEMPTS
+    if backoff_s is None:
+        backoff_s = IO_RETRY_BACKOFF_S
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     delay = backoff_s
@@ -308,6 +321,8 @@ __all__ = [
     "FAULT_POINTS",
     "FaultPlan",
     "FaultSpec",
+    "IO_RETRY_ATTEMPTS",
+    "IO_RETRY_BACKOFF_S",
     "InjectedFault",
     "retry_io",
 ]

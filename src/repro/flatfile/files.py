@@ -288,9 +288,6 @@ class FlatFile:
     fixed_widths: tuple[int, ...] | None = None
     #: Deterministic fault injection (None in production: checks no-op).
     fault_plan: FaultPlan | None = None
-    #: Bounded retry of transient read errors (attempts >= 1; 1 = none).
-    retry_attempts: int = 3
-    retry_backoff_s: float = 0.005
 
     #: Bytes the lazy dialect sniffer samples from the head of the file.
     _SNIFF_BYTES = 1 << 16
@@ -422,12 +419,7 @@ class FlatFile:
         never see a raw ``OSError`` from the read path.
         """
         try:
-            return retry_io(
-                fn,
-                attempts=self.retry_attempts,
-                backoff_s=self.retry_backoff_s,
-                on_retry=self._count_retry,
-            )
+            return retry_io(fn, on_retry=self._count_retry)
         except FlatFileError:
             raise
         except OSError as exc:

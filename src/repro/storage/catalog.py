@@ -248,9 +248,6 @@ class MultiFileEntry:
     fixed_widths: tuple[int, ...] | None = None
     #: Fault-injection plan inherited by every part's FlatFile.
     fault_plan: "FaultPlan | None" = None
-    #: Transient-I/O retry knobs inherited by every part's FlatFile.
-    retry_attempts: int = 3
-    retry_backoff_s: float = 0.005
     #: Resolved part-path string -> that part's own TableEntry.
     parts: dict[str, TableEntry] = field(default_factory=dict)
     #: The merged (widest-per-column) schema across all parts seen.
@@ -315,8 +312,6 @@ class MultiFileEntry:
                         format=self.format,
                         fixed_widths=self.fixed_widths,
                         fault_plan=self.fault_plan,
-                        retry_attempts=self.retry_attempts,
-                        retry_backoff_s=self.retry_backoff_s,
                     ),
                 )
                 self._reconcile_schema(entry)
@@ -376,8 +371,6 @@ class Catalog:
         format: str | None = None,
         fixed_widths: tuple[int, ...] | None = None,
         fault_plan: FaultPlan | None = None,
-        retry_attempts: int = 3,
-        retry_backoff_s: float = 0.005,
     ) -> "TableEntry | MultiFileEntry":
         """Attach one flat file (still no I/O beyond an existence check).
 
@@ -406,8 +399,6 @@ class Catalog:
                 format=format,
                 fixed_widths=fixed_widths,
                 fault_plan=fault_plan,
-                retry_attempts=retry_attempts,
-                retry_backoff_s=retry_backoff_s,
             )
             self.entries[key] = multi
             return multi
@@ -420,8 +411,6 @@ class Catalog:
                 format=format,
                 fixed_widths=fixed_widths,
                 fault_plan=fault_plan,
-                retry_attempts=retry_attempts,
-                retry_backoff_s=retry_backoff_s,
             ),
         )
         self.entries[key] = entry

@@ -231,17 +231,6 @@ class TestAppendExtension:
         assert engine.query("select count(*) from t").scalar() == 500
         engine.close()
 
-    def test_knob_off_forces_full_invalidation(self, growing_csv):
-        engine = NoDBEngine(
-            EngineConfig(policy="column_loads", append_extension=False)
-        )
-        engine.attach("t", growing_csv)
-        engine.query("select sum(a1) from t")
-        append_rows(growing_csv, range(500, 510))
-        assert engine.query("select count(*) from t").scalar() == 510
-        assert engine.stats.counters.append_extensions == 0
-        engine.close()
-
     def test_crackers_invalidated_on_append(self, growing_csv):
         engine = NoDBEngine(
             EngineConfig(policy="column_loads", crack_after=1)

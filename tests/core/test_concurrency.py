@@ -38,9 +38,9 @@ def ground_truth(columns, lo, hi):
 
 
 @pytest.mark.parametrize("policy", ["column_loads", "partial_v2", "splitfiles"])
-def test_parallel_queries_all_correct(data, policy, tmp_path):
+def test_parallel_queries_all_correct(data, policy):
     path, columns = data
-    engine = NoDBEngine(EngineConfig(policy=policy, splitfile_dir=tmp_path / "s"))
+    engine = NoDBEngine(EngineConfig(policy=policy))
     engine.attach("r", path)
     rng = np.random.default_rng(2)
     jobs = []

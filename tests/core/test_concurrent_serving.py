@@ -116,9 +116,7 @@ class TestSharedTable:
     def test_one_cold_load_per_column_set_generation(self, policy, tmp_path):
         """A gang racing one cold table performs exactly one raw load."""
         paths, truths = _make_tables(tmp_path, 1)
-        engine = NoDBEngine(
-            EngineConfig(policy=policy, splitfile_dir=tmp_path / "splits")
-        )
+        engine = NoDBEngine(EngineConfig(policy=policy))
         try:
             engine.attach("r", paths[0])
             expected = int(truths[0][1].sum())
@@ -309,12 +307,11 @@ class TestResultCacheConcurrency:
 class TestDetachUnderLoad:
     def test_detach_racing_splitfiles_cold_load_no_deadlock(self, tmp_path):
         """Regression: detach (engine lock -> table lock) must not invert
-        against the splitfiles cold path (table lock -> splits lock)."""
+        against the splitfiles cold path (table lock held while splitting)."""
         paths, truths = _make_tables(tmp_path, 2, nrows=400)
         engine = NoDBEngine(
             EngineConfig(
                 policy="splitfiles",
-                splitfile_dir=tmp_path / "splits",
                 # throttle stretches the cold load so detach really races it
                 io_bandwidth_bytes_per_sec=2 * 2**20,
             )

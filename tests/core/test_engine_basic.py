@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from benchmarks.workload import materialize_join_pair
-from repro import CatalogError, EngineConfig, NoDBEngine
+from repro import CatalogError, CSVEngine, EngineConfig, NoDBEngine
+from repro.flatfile.writer import write_csv
 
 
 class TestZeroInitialization:
@@ -113,28 +114,52 @@ class TestContextManager:
         with NoDBEngine(EngineConfig(policy="splitfiles")) as engine:
             engine.attach("r", small_csv)
             engine.query("select sum(a2) from r")
-            split_dir = engine.config.splitfile_dir
-            assert split_dir is not None and any(split_dir.iterdir())
-        assert engine.config.splitfile_dir is None  # cleaned up
+            split_dir = engine.catalog.get("r").split_catalog.directory
+            assert any(split_dir.iterdir())
+        assert not split_dir.exists()  # cleaned up
 
 
 class TestSharedConfig:
-    """Each engine keeps its own copy of the config it was given."""
+    """Each engine keeps its own copy of the config it was given, and
+    each split catalog its own directory."""
 
-    def test_closing_one_splitfiles_engine_spares_the_other(
-        self, small_csv, small_columns
-    ):
-        cfg = EngineConfig(policy="splitfiles")
-        a, b = NoDBEngine(cfg), NoDBEngine(cfg)
+    def test_split_catalogs_never_share_a_directory(self, tmp_path):
+        rng = np.random.default_rng(34)
+        paths = [
+            write_csv(
+                tmp_path / f"r{i}.csv",
+                [rng.integers(0, 1000, size=300) for _ in range(4)],
+            )
+            for i in range(2)
+        ]
+        oracles = []
+        for path in paths:
+            oracle = CSVEngine()
+            oracle.attach("r", path)
+            oracles.append(oracle)
+        sqls = [
+            f"select sum({c}), min({c}), count(*) from r"
+            for c in ("a3", "a1", "a4", "a2")
+        ]
+        # A one-byte budget keeps nothing loaded: every query re-reads
+        # the split files.
+        config = EngineConfig(policy="splitfiles", memory_budget_bytes=1)
+        a, b = NoDBEngine(config), NoDBEngine(config)
         try:
-            for engine in (a, b):
-                engine.attach("r", small_csv)
-                engine.query("select sum(a2) from r")
-            assert a.config.splitfile_dir != b.config.splitfile_dir
+            for engine, path in zip((a, b), paths):
+                engine.attach("r", path)
+            for sql in sqls + sqls:
+                for engine, oracle in zip((a, b), oracles):
+                    assert engine.query(sql).rows() == oracle.query(sql).rows()
+            a_dir = a.catalog.get("r").split_catalog.directory
+            assert a_dir != b.catalog.get("r").split_catalog.directory
+            a.attach("s", paths[1])
+            a.query("select sum(a2) from s")
+            assert a.catalog.get("s").split_catalog.directory != a_dir
             a.close()
-            got = b.query("select sum(a3) from r").scalar()
-            assert got == int(small_columns[2].sum())
-            assert cfg.splitfile_dir is None
+            assert not a_dir.exists()
+            for sql in sqls:
+                assert b.query(sql).rows() == oracles[1].query(sql).rows()
         finally:
             a.close()
             b.close()

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro import EngineConfig, NoDBEngine, StaleFileError
+from repro import EngineConfig, NoDBEngine
 
 
 @pytest.fixture
@@ -53,17 +53,16 @@ class TestAutoInvalidate:
         assert q.went_to_file  # reload happened
         engine.close()
 
-    def test_split_files_invalidated(self, editable_csv, tmp_path):
-        engine = NoDBEngine(
-            EngineConfig(policy="splitfiles", splitfile_dir=tmp_path / "s")
-        )
+    def test_split_files_invalidated(self, editable_csv):
+        engine = NoDBEngine(EngineConfig(policy="splitfiles"))
         engine.attach("t", editable_csv)
         engine.query("select sum(a2) from t")
-        split_files = list((tmp_path / "s").iterdir())
-        assert split_files
+        split_dir = engine.catalog.get("t").split_catalog.directory
+        assert any(split_dir.iterdir())
         edit(editable_csv)
         result = engine.query("select sum(a2) from t")
         assert result.scalar() == sum(i * 100 for i in range(60))
+        assert not split_dir.exists()  # the old splits went with the edit
         engine.close()
 
     @pytest.mark.parametrize(
@@ -101,26 +100,4 @@ class TestAutoInvalidate:
         engine.query("select sum(a1) from t")
         # No stale fragments: resident equals the freshly loaded column.
         assert len(engine.memory.fragments) == 1
-        engine.close()
-
-
-class TestManualMode:
-    def test_stale_raises_when_auto_disabled(self, editable_csv):
-        engine = NoDBEngine(
-            EngineConfig(policy="column_loads", auto_invalidate=False)
-        )
-        engine.attach("t", editable_csv)
-        engine.query("select sum(a1) from t")
-        edit(editable_csv)
-        with pytest.raises(StaleFileError):
-            engine.query("select sum(a1) from t")
-        engine.close()
-
-    def test_unloaded_table_never_stale(self, editable_csv):
-        engine = NoDBEngine(
-            EngineConfig(policy="column_loads", auto_invalidate=False)
-        )
-        engine.attach("t", editable_csv)
-        edit(editable_csv)
-        engine.query("select sum(a1) from t")  # first load after the edit: fine
         engine.close()

@@ -219,17 +219,21 @@ class TestSplitFiles:
         assert split.homes[2].kind == "remainder"
         assert split.homes[3].kind == "remainder"
 
-    def test_remainder_resplit_on_demand(self, engine_factory):
+    def test_remainder_resplit_on_demand(self, engine_factory, small_columns):
         engine = engine_factory("splitfiles")
         engine.query(SQL_A12)
-        engine.query("select sum(a3) from r")
         split = engine.catalog.get("r").split_catalog
+        # a3 and a4 share a remainder, away from the original.
+        remainder = split.homes[2].file
+        assert split.homes[3].file is remainder
+        assert remainder.path != split.source.path
+        engine.query("select sum(a3) from r")
         assert split.homes[2].kind == "single"
-        # a4 moved to a fresh (smaller) remainder, away from the original.
-        assert split.homes[3].kind == "remainder"
-        assert split.homes[3].file.path != split.source.path
-        engine.query("select sum(a4) from r")
+        # a4 is alone in the re-split tail: one value per line, a single.
         assert split.homes[3].kind == "single"
+        assert split.homes[3].file is not remainder
+        got = engine.query("select sum(a4) from r").scalar()
+        assert got == int(small_columns[3].sum())
 
     def test_split_results_match(self, engine_factory):
         a = engine_factory("splitfiles")

@@ -11,16 +11,24 @@ from repro.flatfile.writer import write_csv
 
 
 @pytest.fixture
-def setup(tmp_path):
+def make_catalog():
+    """Build split catalogs over a path; their directories go at teardown."""
+    made = []
+
+    def make(path, ncols, skip_rows=0):
+        made.append(SplitFileCatalog(FlatFile(path), ncols, skip_rows=skip_rows))
+        return made[-1]
+
+    yield make
+    for catalog in made:
+        catalog.destroy()
+
+
+@pytest.fixture
+def setup(tmp_path, make_catalog):
     cols = [np.arange(i * 100, i * 100 + 20, dtype=np.int64) for i in range(5)]
     path = write_csv(tmp_path / "src.csv", cols)
-    catalog = SplitFileCatalog(
-        source=FlatFile(path),
-        directory=tmp_path / "splits",
-        ncols=5,
-        table_key="t",
-    )
-    return catalog, cols
+    return make_catalog(path, 5), cols
 
 
 def expected_text(col):
@@ -119,44 +127,42 @@ class TestAccounting:
         assert catalog.io_bytes_read() > 0  # now a single file was read
 
 
-class TestDestroy:
-    def test_destroy_removes_files_and_resets(self, setup):
-        catalog, cols = setup
+class TestDirectory:
+    def test_each_catalog_owns_a_private_directory(self, setup, make_catalog):
+        catalog, _ = setup
+        catalog.fetch_columns([1])
+        other = make_catalog(catalog.source.path, 5)
+        other.fetch_columns([1])
+        assert catalog.directory != other.directory
+        names = sorted(p.name for p in catalog.directory.iterdir())
+        assert names == ["col0.txt", "col1.txt", "rem0.txt"]
+
+    def test_destroy_removes_the_directory(self, setup):
+        catalog, _ = setup
         catalog.fetch_columns([4])
-        paths = [h.file.path for h in catalog.homes.values()]
+        assert any(catalog.directory.iterdir())
         catalog.destroy()
-        assert all(h.kind == "original" for h in catalog.homes.values())
-        for p in paths:
-            if p != catalog.source.path:
-                assert not p.exists()
-        # Still functional after destroy.
-        got = catalog.fetch_columns([2]).fields[2]
-        assert texts(got) == expected_text(cols[2])
+        assert not catalog.directory.exists()
+        assert catalog.source.path.exists()
 
 
 class TestHeaderedSource:
-    def test_skip_rows_respected(self, tmp_path):
+    def test_skip_rows_respected(self, tmp_path, make_catalog):
         path = tmp_path / "h.csv"
         path.write_text("x,y\n1,2\n3,4\n")
-        catalog = SplitFileCatalog(
-            source=FlatFile(path),
-            directory=tmp_path / "s",
-            ncols=2,
-            table_key="h",
-            skip_rows=1,
-        )
+        catalog = make_catalog(path, 2, skip_rows=1)
         assert texts(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
         # Singles must not contain the header.
         assert texts(catalog.fetch_columns([1]).fields[1]) == ["2", "4"]
 
 
 class TestSingleFileReads:
-    def test_non_ascii_and_ascii_singles_read_back_exactly(self, tmp_path):
+    def test_non_ascii_and_ascii_singles_read_back_exactly(
+        self, tmp_path, make_catalog
+    ):
         path = tmp_path / "u.csv"
         path.write_text("1,é x,a\n2,b,ü\n3,d,c\n", encoding="utf-8")
-        catalog = SplitFileCatalog(
-            source=FlatFile(path), directory=tmp_path / "s", ncols=3, table_key="u"
-        )
+        catalog = make_catalog(path, 3)
         first = catalog.fetch_columns([1, 2])
         assert texts(first.fields[1]) == ["é x", "b", "d"]
         # Now from the single files written by that split.
@@ -169,18 +175,49 @@ class TestSingleFileReads:
         # "é x\nb\nd\n" + "1\n2\n3\n" + "a\nü\nc\n".
         assert again.stats.chars_scanned == 8 + 6 + 6
 
-    def test_empty_values_survive_their_single_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "order",
+        # The second order leaves the last column alone in a remainder,
+        # one value per line: its empty value is a blank line.
+        [[[1, 2], [1, 2]], [[0], [1], [2]]],
+    )
+    def test_empty_values_survive_their_single_file(
+        self, tmp_path, make_catalog, order
+    ):
         path = tmp_path / "e.csv"
         path.write_text("1,,x\n2,b,\n3,,z\n", encoding="utf-8")
-        catalog = SplitFileCatalog(
-            source=FlatFile(path), directory=tmp_path / "s", ncols=3, table_key="e"
-        )
-        assert texts(catalog.fetch_columns([1, 2]).fields[1]) == ["", "b", ""]
-        again = catalog.fetch_columns([1, 2])
-        assert catalog.homes[1].kind == "single"
-        assert texts(again.fields[1]) == ["", "b", ""]
-        assert texts(again.fields[2]) == ["x", "", "z"]
-        assert again.stats.rows_scanned == 6
+        catalog = make_catalog(path, 3)
+        want = [["1", "2", "3"], ["", "b", ""], ["x", "", "z"]]
+        for cols in order:
+            got = catalog.fetch_columns(cols)
+            for col in cols:
+                assert texts(got.fields[col]) == want[col]
+        assert all(catalog.homes[col].kind == "single" for col in order[-1])
+        assert got.stats.rows_scanned == 3 * len(order[-1])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("header", [True, False])
+    def test_one_column_remainder_answers_match_oracle(
+        self, tmp_path, newline, header
+    ):
+        names = ("a", "b", "c") if header else ("a1", "a2", "a3")
+        # Past the inference sample, a ragged row's extra field must be
+        # dropped from the one-column remainder as the tokenizer drops it.
+        rows = (["a,b,c"] if header else []) + ["1,2,"] + ["4,5,6"] * 130
+        rows.append("7,8,9,10")
+        path = tmp_path / "e.csv"
+        path.write_bytes((newline.join(rows) + newline).encode())
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        a, b, c = names
+        with NoDBEngine(EngineConfig(policy="splitfiles")) as engine:
+            engine.attach("t", path)
+            for sql in (
+                f"select sum({a}) from t",
+                f"select sum({b}) from t",
+                f"select count(*), min({c}), max({c}) from t",
+            ):
+                assert engine.query(sql).rows() == oracle.query(sql).rows()
 
     def test_empty_string_answer_matches_oracle(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -191,11 +228,7 @@ class TestSingleFileReads:
         oracle = CSVEngine()
         oracle.attach("t", path)
         # A one-byte budget keeps nothing loaded: every query re-reads.
-        config = EngineConfig(
-            policy="splitfiles",
-            splitfile_dir=tmp_path / "s",
-            memory_budget_bytes=1,
-        )
+        config = EngineConfig(policy="splitfiles", memory_budget_bytes=1)
         with NoDBEngine(config) as engine:
             engine.attach("t", path)
             first = engine.query(sql).rows()

@@ -226,7 +226,7 @@ class TestBlockReads:
 
     def test_short_read_is_retried(self, big_file):
         plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})
-        f = FlatFile(big_file, fault_plan=plan, retry_backoff_s=0.0)
+        f = FlatFile(big_file, fault_plan=plan)
         starts = np.array([10, 10 + 3 * GAP, CAP + 5], dtype=np.int64)
         win = f.read_windows(starts, starts + 20)
         assert win.buffer == per_window_oracle(big_file, starts, starts + 20, 0)[0]
@@ -235,7 +235,7 @@ class TestBlockReads:
 
     def test_persistent_short_read_is_typed(self, big_file):
         plan = FaultPlan({"flatfile.short_read": FaultSpec(times=None)})
-        f = FlatFile(big_file, fault_plan=plan, retry_backoff_s=0.0)
+        f = FlatFile(big_file, fault_plan=plan)
         with pytest.raises(FlatFileError, match="short window read"):
             f.read_windows(np.array([0, 100]), np.array([10, 110]))
         assert f.stats.bytes_read == 0

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro import EngineConfig, NoDBEngine
+from repro import EngineConfig, NoDBEngine, faults
 from repro.client import RemoteConnection
 from repro.config import POLICIES
 from repro.errors import ReproError
@@ -104,17 +104,25 @@ def _random_plan(rng: random.Random, points: tuple[str, ...]) -> FaultPlan:
     return FaultPlan(specs, seed=rng.randint(0, 2**20))
 
 
-def _random_config(rng: random.Random, tmp_path, tag: str) -> EngineConfig:
+def _random_config(
+    rng: random.Random, tmp_path, tag: str, monkeypatch
+) -> EngineConfig:
+    """Draw an engine config; the read-retry and persist-failure limits
+    are module constants, so their draws are patched in for the case."""
     workers = rng.choice((1, 2))
+    policy = rng.choice(POLICIES)
+    monkeypatch.setattr(faults, "IO_RETRY_BACKOFF_S", 0.0)
+    monkeypatch.setattr(faults, "IO_RETRY_ATTEMPTS", rng.choice((2, 3)))
+    store_dir = (tmp_path / f"store-{tag}") if rng.random() < 0.5 else None
+    monkeypatch.setattr(
+        "repro.core.engine.PERSIST_FAILURE_LIMIT", rng.choice((1, 3))
+    )
     return EngineConfig(
-        policy=rng.choice(POLICIES),
+        policy=policy,
         fault_plan=None,  # set by the caller
-        io_retry_backoff_s=0.0,
-        io_retry_attempts=rng.choice((2, 3)),
         parallel_workers=workers,
         partition_min_bytes=64 if workers > 1 else 1 << 20,
-        store_dir=(tmp_path / f"store-{tag}") if rng.random() < 0.5 else None,
-        persist_failure_limit=rng.choice((1, 3)),
+        store_dir=store_dir,
     )
 
 
@@ -149,7 +157,9 @@ def _assert_engine_clean(engine) -> None:
 
 @pytest.mark.timeout(180)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_engine_answers_match_oracle_under_random_faults(seed, tmp_path):
+def test_engine_answers_match_oracle_under_random_faults(
+    seed, tmp_path, monkeypatch
+):
     rng = random.Random(seed)
     for round_no in range(4):
         columns = _random_table(rng)
@@ -161,7 +171,7 @@ def test_engine_answers_match_oracle_under_random_faults(seed, tmp_path):
         queries = make_workload(columns, bounds)
         expected = oracle_results(path, kwargs, queries)
 
-        config = _random_config(rng, directory, f"{seed}-{round_no}")
+        config = _random_config(rng, directory, f"{seed}-{round_no}", monkeypatch)
         config.fault_plan = _random_plan(rng, ENGINE_POINTS)
         failures: list = []
         with NoDBEngine(config) as engine:
@@ -179,7 +189,7 @@ def test_engine_answers_match_oracle_under_random_faults(seed, tmp_path):
 @pytest.mark.timeout(180)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_concurrent_engine_answers_match_oracle_under_random_faults(
-    seed, tmp_path
+    seed, tmp_path, monkeypatch
 ):
     rng = random.Random(seed * 31 + 5)
     columns = _random_table(rng)
@@ -187,7 +197,7 @@ def test_concurrent_engine_answers_match_oracle_under_random_faults(
     queries = make_workload(columns, (rng.randint(-1000, 0), rng.randint(0, 1000)))
     expected = oracle_results(path, kwargs, queries)
 
-    config = _random_config(rng, tmp_path, str(seed))
+    config = _random_config(rng, tmp_path, str(seed), monkeypatch)
     config.fault_plan = _random_plan(rng, ENGINE_POINTS)
     nthreads = 3
     barrier = threading.Barrier(nthreads)
@@ -225,14 +235,16 @@ def test_concurrent_engine_answers_match_oracle_under_random_faults(
 
 @pytest.mark.timeout(180)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_served_answers_match_oracle_under_random_faults(seed, tmp_path):
+def test_served_answers_match_oracle_under_random_faults(
+    seed, tmp_path, monkeypatch
+):
     rng = random.Random(seed * 17 + 3)
     columns = _random_table(rng)
     path, kwargs = render_table(tmp_path, columns, "csv")
     queries = make_workload(columns, (rng.randint(-1000, 0), rng.randint(0, 1000)))
     expected = oracle_results(path, kwargs, queries)
 
-    config = _random_config(rng, tmp_path, str(seed))
+    config = _random_config(rng, tmp_path, str(seed), monkeypatch)
     config.fault_plan = _random_plan(rng, SERVER_POINTS)
     engine = NoDBEngine(config)
     try:

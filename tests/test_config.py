@@ -30,43 +30,23 @@ def test_knob_ratchet():
     """Every EngineConfig field, pinned: adding or removing a knob must
     show up as a reviewed one-line change here."""
     assert sorted(f.name for f in dataclasses.fields(EngineConfig)) == [
-        "append_extension",
-        "auto_invalidate",
         "crack_after",
         "cracking",
         "fault_plan",
         "global_lock",
         "io_bandwidth_bytes_per_sec",
-        "io_retry_attempts",
-        "io_retry_backoff_s",
         "max_cached_results",
         "memory_budget_bytes",
         "parallel_start_method",
         "parallel_workers",
         "partition_min_bytes",
-        "persist_failure_limit",
         "policy",
         "predicate_pushdown",
         "result_cache",
         "selective_reads",
-        "splitfile_dir",
         "store_dir",
         "tokenizer_early_abort",
         "use_positional_map",
         "zone_map_rows",
         "zone_maps",
     ]
-
-
-def test_resolve_splitfile_dir_creates_and_reuses(tmp_path):
-    cfg = EngineConfig(splitfile_dir=tmp_path / "splits")
-    d1 = cfg.resolve_splitfile_dir()
-    assert d1.exists()
-    assert cfg.resolve_splitfile_dir() == d1
-
-
-def test_resolve_splitfile_dir_defaults_to_tempdir():
-    cfg = EngineConfig()
-    d = cfg.resolve_splitfile_dir()
-    assert d.exists()
-    assert "repro-splitfiles" in d.name

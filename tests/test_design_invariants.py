@@ -1,6 +1,7 @@
 """Remaining DESIGN.md section-5 invariants not covered elsewhere."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -181,3 +182,36 @@ class TestPositionalMapFormatBoundary:
                 ):
                     offenders.append(f"{rel}:{node.lineno} names {name}")
         assert not offenders, offenders
+
+
+class TestEveryKnobHasACaller:
+    """No knob without a caller: every ``EngineConfig`` field is set by
+    the engine, a bench or an example (as a call keyword, or as a string
+    key of a dict splatted into one), not only by tests."""
+
+    EXEMPT = {
+        "fault_plan": "a test hook; served processes set it via REPRO_FAULTS",
+        "parallel_start_method": "the threaded-host escape hatch of partitions.py",
+    }
+
+    def test_every_field_is_set_outside_tests(self):
+        package = Path(repro.__file__).parent
+        root = package.parent.parent
+        files = [p for p in package.rglob("*.py") if p.name != "config.py"]
+        for tree in ("benchmarks", "examples"):
+            files += (root / tree).rglob("*.py")
+        named = set()
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.keyword) and node.arg:
+                    named.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    named.update(
+                        k.value
+                        for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    )
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert set(self.EXEMPT) <= fields
+        uncalled = sorted(fields - named - set(self.EXEMPT))
+        assert not uncalled, f"EngineConfig fields no caller sets: {uncalled}"

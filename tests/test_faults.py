@@ -4,15 +4,15 @@ Unit coverage of :mod:`repro.faults` (plans, specs, parsing, the retry
 helper) plus integration coverage of each degraded mode: transient-read
 retry, short-read detection, persist-failure degradation to warm-only
 serving, restore-failure fallback to cold scans, and pool-crash serial
-fallback.  Every injected failure runs the *production* handler — no
-monkeypatching of engine internals.
+fallback.  Every injected failure runs the *production* handler; tests
+only lower the module constants that bound retries and persist failures.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import EngineConfig, NoDBEngine
+from repro import EngineConfig, NoDBEngine, faults
 from repro.errors import FlatFileError
 from repro.faults import (
     ENV_FAULTS,
@@ -23,6 +23,12 @@ from repro.faults import (
     InjectedFault,
     retry_io,
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_retry_backoff(monkeypatch):
+    """Retried reads need not sleep here."""
+    monkeypatch.setattr(faults, "IO_RETRY_BACKOFF_S", 0.0)
 
 
 @pytest.fixture
@@ -193,6 +199,18 @@ class TestRetryIO:
             retry_io(bug, attempts=3, backoff_s=0.0)
         assert len(calls) == 1
 
+    def test_defaults_read_the_module_constants(self, monkeypatch):
+        monkeypatch.setattr(faults, "IO_RETRY_ATTEMPTS", 4)
+        calls = []
+
+        def broken():
+            calls.append(1)
+            raise OSError("permanent")
+
+        with pytest.raises(OSError):
+            retry_io(broken)
+        assert len(calls) == 4
+
     def test_validates_attempts(self):
         with pytest.raises(ValueError):
             retry_io(lambda: None, attempts=0)
@@ -206,7 +224,7 @@ class TestRetryIO:
 class TestFlatFileRetry:
     def test_transient_read_faults_are_retried_and_counted(self, csv_path):
         plan = FaultPlan({"flatfile.read": FaultSpec(times=2)})
-        config = EngineConfig(fault_plan=plan, io_retry_backoff_s=0.0)
+        config = EngineConfig(fault_plan=plan)
         with NoDBEngine(config) as engine:
             engine.attach("r", csv_path)
             assert int(engine.query("select count(*) from r").scalar()) == 200
@@ -217,7 +235,7 @@ class TestFlatFileRetry:
 
     def test_persistent_read_fault_raises_taxonomy_error(self, csv_path):
         plan = FaultPlan({"flatfile.read": FaultSpec(times=None)})
-        config = EngineConfig(fault_plan=plan, io_retry_backoff_s=0.0)
+        config = EngineConfig(fault_plan=plan)
         with NoDBEngine(config) as engine:
             engine.attach("r", csv_path)
             with pytest.raises(FlatFileError):
@@ -225,22 +243,21 @@ class TestFlatFileRetry:
 
     def test_short_read_detected_and_retried(self, csv_path):
         plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})
-        config = EngineConfig(fault_plan=plan, io_retry_backoff_s=0.0)
+        config = EngineConfig(fault_plan=plan)
         with NoDBEngine(config) as engine:
             engine.attach("r", csv_path)
             assert int(engine.query("select count(*) from r").scalar()) == 200
             assert engine.stats.last().io_retries >= 1
 
-    def test_retry_attempts_knob_bounds_the_retries(self, csv_path):
+    def test_retry_attempts_bound_the_retries(self, csv_path, monkeypatch):
         # More consecutive faults than attempts: the query must fail.
+        monkeypatch.setattr(faults, "IO_RETRY_ATTEMPTS", 2)
         plan = FaultPlan({"flatfile.read": FaultSpec(times=5)})
-        config = EngineConfig(
-            fault_plan=plan, io_retry_attempts=2, io_retry_backoff_s=0.0
-        )
-        with NoDBEngine(config) as engine:
+        with NoDBEngine(EngineConfig(fault_plan=plan)) as engine:
             engine.attach("r", csv_path)
             with pytest.raises(FlatFileError):
                 engine.query("select count(*) from r")
+        assert plan.fired()["flatfile.read"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +268,7 @@ class TestFlatFileRetry:
 class TestPersistDegradation:
     def test_write_failures_never_fail_queries(self, tmp_path, csv_path):
         plan = FaultPlan({"persist.write": FaultSpec(times=None)})
-        config = EngineConfig(
-            store_dir=tmp_path / "store", fault_plan=plan, io_retry_backoff_s=0.0
-        )
+        config = EngineConfig(store_dir=tmp_path / "store", fault_plan=plan)
         with NoDBEngine(config) as engine:
             engine.attach("r", csv_path)
             assert int(engine.query("select count(*) from r").scalar()) == 200
@@ -265,15 +280,11 @@ class TestPersistDegradation:
             assert int(engine.query("select count(*) from r").scalar()) == 200
 
     def test_store_goes_read_only_after_consecutive_failures(
-        self, tmp_path, csv_path
+        self, tmp_path, csv_path, monkeypatch
     ):
+        monkeypatch.setattr("repro.core.engine.PERSIST_FAILURE_LIMIT", 2)
         plan = FaultPlan({"persist.write": FaultSpec(times=None)})
-        config = EngineConfig(
-            store_dir=tmp_path / "store",
-            fault_plan=plan,
-            persist_failure_limit=2,
-            io_retry_backoff_s=0.0,
-        )
+        config = EngineConfig(store_dir=tmp_path / "store", fault_plan=plan)
         other = tmp_path / "other.csv"
         other.write_text("b1\n1\n2\n3\n")
         with NoDBEngine(config) as engine:
@@ -302,9 +313,7 @@ class TestPersistDegradation:
             warm.query("select count(*) from r")
             warm.flush_persistent_store()
         plan = FaultPlan({"persist.read": FaultSpec(times=1)})
-        config = EngineConfig(
-            store_dir=store, fault_plan=plan, io_retry_backoff_s=0.0
-        )
+        config = EngineConfig(store_dir=store, fault_plan=plan)
         with NoDBEngine(config) as engine:
             engine.attach("r", csv_path)
             assert int(engine.query("select count(*) from r").scalar()) == 200
@@ -332,7 +341,6 @@ class TestPoolCrashFallback:
             parallel_workers=2,
             partition_min_bytes=1,
             fault_plan=plan,
-            io_retry_backoff_s=0.0,
         )
         with NoDBEngine(config) as engine:
             engine.attach("r", csv_path)
