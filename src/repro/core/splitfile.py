@@ -132,7 +132,7 @@ class SplitFileCatalog:
         chars = len(data) if ascii_only else len(decode_utf8(data, home.file.path))
         buf = np.frombuffer(data, dtype=np.uint8)
         # Every value, the last one and empty ones included, ends in a
-        # newline (see _write_lines and _write_remainder).
+        # newline (see _write_lines).
         ends = np.flatnonzero(buf == 0x0A)
         starts = np.concatenate(([0], ends + 1))[:-1]
         values = bulk_extract_fields(
@@ -162,7 +162,10 @@ class SplitFileCatalog:
         width = len(members)
         max_needed_local = max(local_of[c] for c in global_cols)
         data = home.file.read_all_bytes()
-        local_needed = list(range(max_needed_local + 1))
+        # A one-column remainder would hold the same bytes as that
+        # column's single file, so tokenize the last column too.
+        last = width - 1 if max_needed_local == width - 2 else max_needed_local
+        local_needed = list(range(last + 1))
         result = tokenize_bytes(
             data,
             home.file.adapter,
@@ -186,46 +189,29 @@ class SplitFileCatalog:
             written += 1
             self.homes[gcol] = ColumnHome("single", FlatFile(single_path), 0)
         # Write the non-tokenized tail columns into one new remainder.
-        tail_locals = [loc for loc in range(width) if loc > max_needed_local]
+        tail_locals = [loc for loc in range(width) if loc > last]
         if tail_locals:
             tail_path = self.directory / f"rem{self._counter}.txt"
             self._counter += 1
-            one_column = len(tail_locals) == 1
             self._write_remainder(
-                decode_utf8(data, home.file.path),
-                result,
-                tail_path,
-                home,
-                one_column,
+                decode_utf8(data, home.file.path), result, tail_path, home
             )
             written += 1
-            tail_file = FlatFile(tail_path, delimiter=home.file.delimiter)
-            # A one-column remainder holds one value per line: it is a
-            # single file, whose reader keeps the empty values that the
-            # tokenizer would skip as blank lines.  (The tokenizer has
-            # already rejected any row too short to reach the tail.)
-            kind = "single" if one_column else "remainder"
+            tail_file = FlatFile(tail_path, delimiter=home.file.adapter.delimiter)
             for new_local, local in enumerate(tail_locals):
                 gcol = local_to_global[local]
-                self.homes[gcol] = ColumnHome(kind, tail_file, new_local)
+                self.homes[gcol] = ColumnHome("remainder", tail_file, new_local)
         return out, result.stats, written
 
     def _write_remainder(
-        self,
-        text: str,
-        result,
-        tail_path: Path,
-        home: ColumnHome,
-        one_column: bool,
+        self, text: str, result, tail_path: Path, home: ColumnHome
     ) -> None:
         """Write the untokenized right part of every row to ``tail_path``.
 
         The tokenizer located the end of the last tokenized field of each
         row; the tail is everything after the following delimiter.  We
         recompute tail starts from the recorded field texts, which keeps
-        this function independent of tokenizer internals.  A one-column
-        tail is cut at its first delimiter, dropping the extra fields of
-        a ragged row as the tokenizer does.
+        this function independent of tokenizer internals.
         """
         from repro.flatfile.dialects import newline_row_bounds  # shared row scan
 
@@ -243,11 +229,7 @@ class SplitFileCatalog:
         with open(tail_path, "w", encoding="utf-8", newline="") as f:
             for i in range(len(starts)):
                 tail_start = int(starts[i] + lengths[i])
-                end = int(ends[i])
-                if one_column:
-                    cut = text.find(home.file.delimiter, tail_start, end)
-                    end = end if cut < 0 else cut
-                f.write(text[tail_start:end])
+                f.write(text[tail_start : int(ends[i])])
                 f.write("\n")
 
     # ---------------------------------------------------------- accounting

@@ -281,27 +281,17 @@ IO_RETRY_BACKOFF_S = 0.005
 def retry_io(
     fn: Callable[[], T],
     *,
-    attempts: int | None = None,
-    backoff_s: float | None = None,
-    max_backoff_s: float = 0.1,
     on_retry: Callable[[int, OSError], None] | None = None,
 ) -> T:
     """Call ``fn``, retrying transient ``OSError`` with bounded backoff.
 
-    ``attempts`` and ``backoff_s`` default to :data:`IO_RETRY_ATTEMPTS`
-    and :data:`IO_RETRY_BACKOFF_S`, read at call time.  The delay
-    doubles per attempt, capped at ``max_backoff_s``; the last failure
-    re-raises unchanged (callers wrap it into the taxonomy).
+    Makes :data:`IO_RETRY_ATTEMPTS` attempts, read at call time; the last
+    failure re-raises unchanged (callers wrap it into the taxonomy).
     ``on_retry(attempt, exc)`` is called before each sleep — the
     flat-file layer uses it to count ``io_retries``.
     """
-    if attempts is None:
-        attempts = IO_RETRY_ATTEMPTS
-    if backoff_s is None:
-        backoff_s = IO_RETRY_BACKOFF_S
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    delay = backoff_s
+    attempts = IO_RETRY_ATTEMPTS
+    delay = IO_RETRY_BACKOFF_S
     for attempt in range(1, attempts + 1):
         try:
             return fn()
@@ -310,7 +300,7 @@ def retry_io(
                 raise
             if on_retry is not None:
                 on_retry(attempt, exc)
-            time.sleep(min(delay, max_backoff_s))
+            time.sleep(delay)
             delay *= 2
     raise AssertionError("unreachable")  # pragma: no cover
 

@@ -184,10 +184,81 @@ class TestPositionalMapFormatBoundary:
         assert not offenders, offenders
 
 
+def config_fields_set(sources: list[str]) -> set[str]:
+    """Names set on an engine config anywhere in ``sources``.
+
+    A name counts when it is a keyword of a call to ``EngineConfig``,
+    ``dataclasses.replace`` or a *builder* (a function that forwards its
+    ``**kwargs`` to one of those), or a string key of a dict literal or
+    ``dict(...)`` keyword in a scope that splats a dict into such a call.
+    A keyword of any other call does not count.
+    """
+    trees = [ast.parse(text) for text in sources]
+    builders = {"EngineConfig", "replace"}
+
+    def callee(call: ast.Call) -> str | None:
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    def own(scope: ast.AST):
+        """The nodes of ``scope``, not descending into nested functions."""
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            yield node
+            if not isinstance(node, ast.FunctionDef):
+                todo.extend(ast.iter_child_nodes(node))
+
+    def splats(scope: ast.AST):
+        for node in own(scope):
+            if isinstance(node, ast.Call) and callee(node) in builders:
+                for kw in node.keywords:
+                    if kw.arg is None:
+                        yield kw.value
+
+    grew = True
+    while grew:  # builders of builders, to a fixed point
+        grew = False
+        for tree in trees:
+            for fn in ast.walk(tree):
+                if (
+                    isinstance(fn, ast.FunctionDef)
+                    and fn.name not in builders
+                    and fn.args.kwarg is not None
+                    and any(
+                        isinstance(v, ast.Name) and v.id == fn.args.kwarg.arg
+                        for v in splats(fn)
+                    )
+                ):
+                    builders.add(fn.name)
+                    grew = True
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and callee(node) in builders:
+                named.update(kw.arg for kw in node.keywords if kw.arg)
+        scopes = [tree] + [
+            fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        ]
+        for scope in scopes:
+            if not any(True for _ in splats(scope)):
+                continue
+            for node in own(scope):
+                if isinstance(node, ast.Dict):
+                    named.update(
+                        k.value
+                        for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    )
+                elif isinstance(node, ast.Call) and callee(node) == "dict":
+                    named.update(kw.arg for kw in node.keywords if kw.arg)
+    return named
+
+
 class TestEveryKnobHasACaller:
     """No knob without a caller: every ``EngineConfig`` field is set by
-    the engine, a bench or an example (as a call keyword, or as a string
-    key of a dict splatted into one), not only by tests."""
+    the engine, a bench or an example, not only by tests (see
+    :func:`config_fields_set` for what counts as setting it)."""
 
     EXEMPT = {
         "fault_plan": "a test hook; served processes set it via REPRO_FAULTS",
@@ -200,18 +271,37 @@ class TestEveryKnobHasACaller:
         files = [p for p in package.rglob("*.py") if p.name != "config.py"]
         for tree in ("benchmarks", "examples"):
             files += (root / tree).rglob("*.py")
-        named = set()
-        for path in files:
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.keyword) and node.arg:
-                    named.add(node.arg)
-                elif isinstance(node, ast.Dict):
-                    named.update(
-                        k.value
-                        for k in node.keys
-                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
-                    )
+        named = config_fields_set([p.read_text(encoding="utf-8") for p in files])
         fields = {f.name for f in dataclasses.fields(EngineConfig)}
         assert set(self.EXEMPT) <= fields
         uncalled = sorted(fields - named - set(self.EXEMPT))
         assert not uncalled, f"EngineConfig fields no caller sets: {uncalled}"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "EngineConfig(zone_maps=False)",
+            "dataclasses.replace(config, zone_maps=False)",
+            "def mk(path, **kw):\n    return NoDBEngine(EngineConfig(**kw))\n"
+            "def go(**kw):\n    return mk('p', **kw)\n"
+            "go(zone_maps=False)",
+            "def f():\n    for cfg in [{'zone_maps': False}]:\n"
+            "        EngineConfig(**cfg)",
+            "cfg = dict(zone_maps=False)\nEngineConfig(**cfg)",
+        ],
+    )
+    def test_config_calls_count(self, source):
+        assert "zone_maps" in config_fields_set([source])
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # An unrelated call or dict that happens to use a field name.
+            "PersistedState(zone_maps=[])",
+            "def restore(cls, **kw):\n    return cls(**kw)\nrestore(State, zone_maps=[])",
+            "def f():\n    return {'zone_maps': []}\n"
+            "def g(**kw):\n    return EngineConfig(**kw)",
+        ],
+    )
+    def test_unrelated_uses_do_not_count(self, source):
+        assert "zone_maps" not in config_fields_set([source])

@@ -172,21 +172,21 @@ class TestRetryIO:
             return "ok"
 
         retries = []
-        got = retry_io(
-            flaky,
-            attempts=3,
-            backoff_s=0.0,
-            on_retry=lambda n, exc: retries.append(n),
-        )
+        got = retry_io(flaky, on_retry=lambda n, exc: retries.append(n))
         assert got == "ok"
         assert retries == [1, 2]
 
-    def test_reraises_when_exhausted(self):
+    def test_reraises_when_exhausted(self, monkeypatch):
+        monkeypatch.setattr(faults, "IO_RETRY_ATTEMPTS", 2)
+        calls = []
+
         def broken():
+            calls.append(1)
             raise OSError("permanent")
 
         with pytest.raises(OSError, match="permanent"):
-            retry_io(broken, attempts=2, backoff_s=0.0)
+            retry_io(broken)
+        assert len(calls) == 2
 
     def test_non_oserror_passes_through_immediately(self):
         calls = []
@@ -196,24 +196,8 @@ class TestRetryIO:
             raise ValueError("not I/O")
 
         with pytest.raises(ValueError):
-            retry_io(bug, attempts=3, backoff_s=0.0)
+            retry_io(bug)
         assert len(calls) == 1
-
-    def test_defaults_read_the_module_constants(self, monkeypatch):
-        monkeypatch.setattr(faults, "IO_RETRY_ATTEMPTS", 4)
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise OSError("permanent")
-
-        with pytest.raises(OSError):
-            retry_io(broken)
-        assert len(calls) == 4
-
-    def test_validates_attempts(self):
-        with pytest.raises(ValueError):
-            retry_io(lambda: None, attempts=0)
 
 
 # ---------------------------------------------------------------------------
