@@ -12,7 +12,9 @@ arrived after it — so this module extends them incrementally:
   grows its row count;
 * fully loaded **store columns** parse and concatenate just the appended
   values, staying fully loaded (partial fragments drop: their coverage
-  certificates no longer describe the grown row space);
+  certificates no longer describe the grown row space); a string
+  column's existing codes stay put and its dictionary grows at its end
+  by the values it had not seen;
 * **zone maps** merge the boundary zone and append new zones (zone
   statistics are associative).
 

@@ -78,6 +78,7 @@ from repro.storage.catalog import Catalog, MultiFileEntry, TableEntry
 from repro.storage.memory import MemoryManager
 from repro.storage.persistent import PersistedState, PersistentStore
 from repro.storage.table import Table
+from repro.strings import StringColumn
 
 
 #: Consecutive persistent-store write failures after which the store goes
@@ -552,10 +553,7 @@ class NoDBEngine:
         for v in part_views[1:]:
             keys &= set(v.arrays)
         arrays = {
-            key: np.concatenate([v.arrays[key] for v in part_views])
-            if len(part_views) > 1
-            else part_views[0].arrays[key]
-            for key in keys
+            key: _concat([v.arrays[key] for v in part_views]) for key in keys
         }
         return TableView(
             nrows=sum(v.nrows for v in part_views),
@@ -1093,3 +1091,13 @@ class NoDBEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _concat(parts: list) -> "np.ndarray | StringColumn":
+    """One column of a multi-file table from its parts' columns, in part
+    order (the first part's string codes stay put)."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], StringColumn):
+        return StringColumn.concat(parts)
+    return np.concatenate(parts)

@@ -60,6 +60,7 @@ from repro.flatfile.tokenizer import (
 from repro.core.zonemaps import ZoneMapIndex
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import TableEntry
+from repro.strings import StringColumn
 
 #: Selective reads merge byte ranges closer than this into one window
 #: read: a few wasted bytes beat one more seek+read call.
@@ -71,7 +72,7 @@ class PassResult:
     """Typed output of one adaptive-loading pass over a raw file."""
 
     nrows: int  # total data rows in the file
-    columns: dict[str, np.ndarray]  # column name -> parsed values
+    columns: dict[str, "np.ndarray | StringColumn"]  # column name -> parsed values
     row_ids: np.ndarray  # global row ids the values correspond to
     tokenizer: TokenizerStats = field(default_factory=TokenizerStats)
     parse: ParseStats = field(default_factory=ParseStats)
@@ -116,7 +117,7 @@ def parse_widening(
     get_dtype: Callable[[], DataType],
     widen: Callable[[DataType], None],
     parse_stats: ParseStats,
-) -> np.ndarray:
+) -> np.ndarray | StringColumn:
     """Parse raw fields under the current type; on failure ``widen`` one
     ladder step (int64 → float64 → str, so this ends) and re-parse all of
     them.  Each attempt counts every value: re-parsing is real work."""
@@ -133,7 +134,7 @@ def parse_widening(
 
 def parse_column_with_widening(
     entry: TableEntry, idx: int, raw, parse_stats: ParseStats
-) -> np.ndarray:
+) -> np.ndarray | StringColumn:
     """Parse raw fields under the schema type, widening the schema.
 
     A valid CSV whose sampled type was too narrow (a float or a string
@@ -599,9 +600,9 @@ def _learn_zone_maps(
     if not config.zone_maps or result.nrows <= 0 or not result.is_full_rows:
         return
     for name, values in result.columns.items():
-        if values.dtype.kind not in "if":
-            continue
         idx = schema.index_of(name)
+        if not schema.columns[idx].dtype.is_numeric:
+            continue
         zmi = _zone_index(entry, result.nrows, config)
         if not zmi.has(idx):
             zmi.learn(idx, values)

@@ -44,6 +44,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from repro.flatfile.tokenizer import (
 )
 from repro.ranges import ValueInterval
 from repro.storage.catalog import TableEntry
+from repro.strings import StringColumn
 
 #: Read granularity while aligning a partition boundary to a newline.
 _ALIGN_CHUNK = 4096
@@ -276,7 +278,8 @@ class ScanResult:
     nbytes: int
     nchars: int
     row_ids: np.ndarray
-    parsed: dict[int, tuple[str, np.ndarray]] = field(default_factory=dict)
+    #: Column index -> (dtype value, an array or a StringColumn).
+    parsed: dict[int, tuple[str, Any]] = field(default_factory=dict)
     raw_fields: dict[int, list[str]] = field(default_factory=dict)
     learned: PositionalMap = field(default_factory=PositionalMap)
     tokenizer: TokenizerStats = field(default_factory=TokenizerStats)
@@ -659,6 +662,11 @@ def _merge_results(
             # Spans hold *encoded* field text; undo dialect encoding.
             raw = entry.file.adapter.decode_many(raw)
             merged = parse_fields(raw, DataType.STRING, parse_stats)
+        elif target is DataType.STRING:
+            # Each partition encoded its own dictionary; merging them in
+            # file order numbers every value by its first occurrence in
+            # the file, exactly as one serial encode would.
+            merged = StringColumn.concat(r.parsed[idx][1] for r in results)
         else:
             merged = np.concatenate(
                 [

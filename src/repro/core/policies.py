@@ -187,7 +187,7 @@ class LoadingPolicy:
             pcs[name] = pc
         crack_on = None
         for col, interval in ctx.condition.items:
-            if pcs[col].values.dtype.kind in "ifu" and _crackable(interval):
+            if pcs[col].dtype.is_numeric and _crackable(interval):
                 crack_on = (col, interval)
                 break
         if crack_on is None:

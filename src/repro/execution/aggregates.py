@@ -6,6 +6,11 @@ aggregate reduces over segments with ``np.add.reduceat`` and friends.  This
 keeps per-group Python work at zero, which matters because the paper's
 "DBMS wins after loading" story depends on the engine actually being fast
 once data is columnar.
+
+A string column (:class:`~repro.strings.StringColumn`) never sorts as
+``str``: it groups, counts distinct values and takes ``min``/``max`` over
+its integer ranks (string order), and ``min``/``max`` map the winning
+ranks back to strings.
 """
 
 from __future__ import annotations
@@ -13,10 +18,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.strings import StringColumn
+
+#: Column values an aggregate reads: numbers, or a string column.
+Values = np.ndarray | StringColumn
 
 
-def global_aggregate(func: str, values: np.ndarray | None, nrows: int, distinct: bool = False):
+def global_aggregate(func: str, values: Values | None, nrows: int, distinct: bool = False):
     """Aggregate a whole column (or row count for ``count(*)``)."""
+    if isinstance(values, StringColumn):
+        _check_string_aggregate(func)
+        ranks = values.ranks()
+        out = global_aggregate(func, ranks, nrows, distinct)
+        if func == "count" or len(ranks) == 0:
+            return out
+        return values.at_ranks(ranks, [out]).decode()[0]
     if func == "count":
         if values is None:
             return np.int64(nrows)
@@ -25,11 +41,6 @@ def global_aggregate(func: str, values: np.ndarray | None, nrows: int, distinct:
         return np.int64(len(values))
     if values is None:
         raise ExecutionError(f"{func}() requires an argument")
-    if values.dtype == object and func in ("sum", "avg"):
-        # np.sum over object strings would *concatenate* — a silently wrong
-        # answer.  This matters since schema widening can legitimately turn
-        # a sampled-as-numeric column into strings.
-        raise ExecutionError(f"{func}() over a string column is not defined")
     if distinct:
         values = np.unique(values)
     if len(values) == 0:
@@ -39,37 +50,48 @@ def global_aggregate(func: str, values: np.ndarray | None, nrows: int, distinct:
     if func == "sum":
         return values.sum()
     if func == "min":
-        return values.min() if values.dtype != object else min(values)
+        return values.min()
     if func == "max":
-        return values.max() if values.dtype != object else max(values)
+        return values.max()
     if func == "avg":
         return float(values.mean())
     raise ExecutionError(f"unknown aggregate {func!r}")
 
 
-def group_ids(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+def _check_string_aggregate(func: str) -> None:
+    if func in ("sum", "avg"):
+        # Summing strings has no meaning (NumPy would concatenate them).
+        # This matters since schema widening can legitimately turn a
+        # sampled-as-numeric column into strings.
+        raise ExecutionError(f"{func}() over a string column is not defined")
+
+
+def group_ids(keys: list[Values]) -> tuple[np.ndarray, np.ndarray, list[Values]]:
     """Compute group structure for one or more key columns.
 
     Returns ``(order, segment_starts, key_values)`` where ``order`` sorts
     the input rows by key, ``segment_starts`` indexes the first row of each
     group within the sorted order, and ``key_values`` holds each key
-    column's per-group value (in sorted group order).
+    column's per-group value (in sorted group order; a string key's stay
+    a :class:`~repro.strings.StringColumn` of one row per group).
     """
     if not keys:
         raise ExecutionError("group_ids needs at least one key")
     n = len(keys[0])
+    sort_keys = [k.ranks() if isinstance(k, StringColumn) else k for k in keys]
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), [
-            np.empty(0, dtype=k.dtype) for k in keys
+            k[:0] for k in keys
         ]
-    order = np.lexsort(tuple(reversed(keys)))
+    order = np.lexsort(tuple(reversed(sort_keys)))
     boundary = np.zeros(n, dtype=bool)
     boundary[0] = True
-    for key in keys:
+    for key in sort_keys:
         sorted_key = key[order]
         boundary[1:] |= sorted_key[1:] != sorted_key[:-1]
     starts = np.nonzero(boundary)[0]
-    key_values = [key[order][starts] for key in keys]
+    first_rows = order[starts]
+    key_values = [key[first_rows] for key in keys]
     return order, starts, key_values
 
 
@@ -80,7 +102,7 @@ def _segmented_aggregate(
     n: int,
     distinct: bool,
 ) -> np.ndarray:
-    """DISTINCT / string aggregation without per-group Python loops.
+    """DISTINCT aggregation without per-group Python loops.
 
     Rows are re-sorted by (group, value) — a stable value sort chased by a
     stable group sort — so every group's values form a contiguous ascending
@@ -124,12 +146,17 @@ def _segmented_aggregate(
 
 def grouped_aggregate(
     func: str,
-    values: np.ndarray | None,
+    values: Values | None,
     order: np.ndarray,
     starts: np.ndarray,
     distinct: bool = False,
-) -> np.ndarray:
+) -> Values:
     """Aggregate ``values`` per group defined by ``(order, starts)``."""
+    if isinstance(values, StringColumn):
+        _check_string_aggregate(func)
+        ranks = values.ranks()
+        out = grouped_aggregate(func, ranks, order, starts, distinct)
+        return values.at_ranks(ranks, out) if func in ("min", "max") else out
     ngroups = len(starts)
     n = len(order)
     if ngroups == 0:
@@ -140,9 +167,7 @@ def grouped_aggregate(
     if values is None:
         raise ExecutionError(f"{func}() requires an argument")
     sorted_vals = values[order]
-    if sorted_vals.dtype == object and func in ("sum", "avg"):
-        raise ExecutionError(f"{func}() over a string column is not defined")
-    if distinct or sorted_vals.dtype == object:
+    if distinct:
         return _segmented_aggregate(func, sorted_vals, starts, n, distinct)
     if func == "count":
         return np.diff(np.append(starts, n)).astype(np.int64)

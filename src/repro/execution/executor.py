@@ -11,7 +11,12 @@ unchanged kernel.
 
 Pipeline: per-table predicate pushdown -> joins (hash, smaller build side)
 -> residual predicates -> grouping/aggregation -> projection -> DISTINCT ->
-ORDER BY -> LIMIT.
+ORDER BY -> LIMIT -> decode.
+
+A string column arrives as a :class:`~repro.strings.StringColumn` and
+stays one through every stage: predicates, join keys, grouping, DISTINCT
+and ORDER BY run on its codes or ranks.  Only the last stage decodes it,
+so ``str`` exists for the rows that leave as the result and no others.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from repro.errors import ExecutionError, UnsupportedSQLError
 from repro.execution.aggregates import global_aggregate, group_ids, grouped_aggregate
-from repro.execution.expressions import eval_expr, eval_predicate
+from repro.execution.expressions import as_mask, eval_expr, eval_predicate, in_mask
 from repro.execution.joins import hash_join, hash_join_unique
 from repro.result import QueryResult
 from repro.sql.binder import (
@@ -38,9 +43,11 @@ from repro.sql.binder import (
     BNot,
     BoundQuery,
 )
+from repro.strings import StringColumn
 
-#: ``get_column(binding, column_name) -> np.ndarray`` over all base rows.
-ColumnProvider = Callable[[str, str], np.ndarray]
+#: ``get_column(binding, column_name)`` over all base rows: a NumPy array,
+#: or a :class:`~repro.strings.StringColumn` for a STRING column.
+ColumnProvider = Callable[[str, str], "np.ndarray | StringColumn"]
 
 
 def execute_bound_query(
@@ -65,7 +72,10 @@ def execute_bound_query(
         order_keys = None  # row identity changed; keys recompute from outputs
 
     columns = _order_and_limit(query, frame, names, columns, order_keys)
-    return QueryResult(names, columns)
+    return QueryResult(
+        names,
+        [c.decode() if isinstance(c, StringColumn) else c for c in columns],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +104,9 @@ class _Frame:
 
     # ------------------------------------------------------------ resolve
 
-    def resolve(self, col: BColumn) -> np.ndarray:
+    def resolve(self, col: BColumn) -> np.ndarray | StringColumn:
         base = self.get_column(col.binding, col.name)
-        return base[self.selections[col.binding]]
+        return base[self.selections[col.binding]]  # a StringColumn takes codes
 
     def length(self) -> int:
         b = self.joined[0]
@@ -175,11 +185,23 @@ class _Frame:
         left_vals = self.resolve(old)
         right_sel = self.selections[new.binding]
         right_vals = self.get_column(new.binding, new.name)[right_sel]
-        left_idx, right_idx = _best_join(left_vals, right_vals)
+        left_idx, right_idx = _best_join(*_join_keys(left_vals, right_vals))
         for b in self.joined:
             self.selections[b] = self.selections[b][left_idx]
         self.selections[new.binding] = right_sel[right_idx]
         self.joined.append(new.binding)
+
+
+def _join_keys(left, right) -> tuple[np.ndarray, np.ndarray]:
+    """Join keys as arrays: two string columns as ranks in one shared
+    order; a string column against numbers matches nothing."""
+    left_str, right_str = isinstance(left, StringColumn), isinstance(right, StringColumn)
+    if left_str and right_str:
+        return left.co_ranks(right)
+    if left_str or right_str:
+        nothing = np.empty(0, dtype=np.int64)
+        return nothing, nothing
+    return left, right
 
 
 def _best_join(left_vals: np.ndarray, right_vals: np.ndarray):
@@ -198,10 +220,15 @@ def _best_join(left_vals: np.ndarray, right_vals: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _column(value) -> np.ndarray | StringColumn:
+    """An output column: a string column as is, anything else an array."""
+    return value if isinstance(value, StringColumn) else np.asarray(value)
+
+
 def _project_plain(query: BoundQuery, frame: _Frame):
     n = frame.length()
     names = [o.name for o in query.outputs]
-    columns = [np.asarray(eval_expr(o.expr, frame.resolve, n)) for o in query.outputs]
+    columns = [_column(eval_expr(o.expr, frame.resolve, n)) for o in query.outputs]
     return names, columns
 
 
@@ -261,34 +288,18 @@ def _eval_group_expr(
             ">=": lambda: left >= right,
         }[expr.op]()
     if isinstance(expr, BLogical):
-        left = _group_mask(
-            _eval_group_expr(expr.left, agg_values, key_map, n), n
-        )
-        right = _group_mask(
-            _eval_group_expr(expr.right, agg_values, key_map, n), n
-        )
+        left = as_mask(_eval_group_expr(expr.left, agg_values, key_map, n), n)
+        right = as_mask(_eval_group_expr(expr.right, agg_values, key_map, n), n)
         return (left & right) if expr.op == "and" else (left | right)
     if isinstance(expr, BNot):
-        return ~_group_mask(
-            _eval_group_expr(expr.operand, agg_values, key_map, n), n
-        )
+        return ~as_mask(_eval_group_expr(expr.operand, agg_values, key_map, n), n)
     if isinstance(expr, BIn):
         operand = _eval_group_expr(expr.operand, agg_values, key_map, n)
-        operand = np.asarray(operand) if not np.isscalar(operand) else np.full(n, operand)
-        mask = np.zeros(n, dtype=bool)
-        for v in expr.values:
-            mask |= operand == v
+        mask = in_mask(operand, expr.values, n)
         return ~mask if expr.negated else mask
     raise ExecutionError(
         f"expression {expr} mixes aggregates with non-grouped columns"
     )
-
-
-def _group_mask(value, n: int) -> np.ndarray:
-    if np.isscalar(value):
-        return np.full(n, bool(value))
-    arr = np.asarray(value)
-    return arr if arr.dtype == bool else arr.astype(bool)
 
 
 def _project_aggregate(query: BoundQuery, frame: _Frame):
@@ -302,28 +313,22 @@ def _project_aggregate(query: BoundQuery, frame: _Frame):
         _collect_aggs(query.having, aggs)
 
     if query.group_by:
-        key_arrays = [
-            np.asarray(eval_expr(k, frame.resolve, n)) for k in query.group_by
-        ]
+        key_arrays = [_column(eval_expr(k, frame.resolve, n)) for k in query.group_by]
         order, starts, key_values = group_ids(key_arrays)
         key_map = {str(k): kv for k, kv in zip(query.group_by, key_values)}
         agg_values: dict[BAgg, np.ndarray] = {}
         for agg in aggs:
-            arg = (
-                None
-                if agg.arg is None
-                else np.asarray(eval_expr(agg.arg, frame.resolve, n))
-            )
+            arg = None if agg.arg is None else _column(eval_expr(agg.arg, frame.resolve, n))
             agg_values[agg] = grouped_aggregate(
                 agg.func, arg, order, starts, agg.distinct
             )
         ngroups = len(starts)
         if query.having is not None:
-            mask = _group_mask(
+            mask = as_mask(
                 _eval_group_expr(query.having, agg_values, key_map, ngroups),
                 ngroups,
             )
-            agg_values = {k: np.asarray(v)[mask] for k, v in agg_values.items()}
+            agg_values = {k: v[mask] for k, v in agg_values.items()}
             key_map = {k: v[mask] for k, v in key_map.items()}
             ngroups = int(mask.sum())
         names, columns = [], []
@@ -331,12 +336,10 @@ def _project_aggregate(query: BoundQuery, frame: _Frame):
             names.append(out.name)
             value = _eval_group_expr(out.expr, agg_values, key_map, ngroups)
             columns.append(
-                np.asarray(value)
-                if not np.isscalar(value)
-                else np.full(ngroups, value)
+                _column(value) if not np.isscalar(value) else np.full(ngroups, value)
             )
         order_keys = [
-            np.asarray(_eval_group_expr(expr, agg_values, key_map, ngroups))
+            _column(_eval_group_expr(expr, agg_values, key_map, ngroups))
             for expr, _ in query.order_by
         ]
         return names, columns, order_keys
@@ -344,9 +347,7 @@ def _project_aggregate(query: BoundQuery, frame: _Frame):
     # Global aggregation: one output row.
     agg_values = {}
     for agg in aggs:
-        arg = (
-            None if agg.arg is None else np.asarray(eval_expr(agg.arg, frame.resolve, n))
-        )
+        arg = None if agg.arg is None else _column(eval_expr(agg.arg, frame.resolve, n))
         agg_values[agg] = global_aggregate(agg.func, arg, n, agg.distinct)
     names, columns = [], []
     for out in query.outputs:
@@ -361,15 +362,26 @@ def _project_aggregate(query: BoundQuery, frame: _Frame):
 # ---------------------------------------------------------------------------
 
 
-def _distinct(names: list[str], columns: list[np.ndarray]):
+def _sort_key(column) -> np.ndarray:
+    """Integer or numeric sort key of a column, in value order: a string
+    column's ranks, a decoded string array's ``np.unique`` inverse."""
+    if isinstance(column, StringColumn):
+        return column.ranks()
+    if column.dtype.kind in "OSU":
+        return np.unique(column, return_inverse=True)[1].ravel()
+    return column
+
+
+def _distinct(names: list[str], columns: list):
     if not columns or len(columns[0]) == 0:
         return names, columns
-    order = np.lexsort(tuple(reversed(columns)))
+    keys = [_sort_key(c) for c in columns]
+    order = np.lexsort(tuple(reversed(keys)))
     keep_sorted = np.zeros(len(order), dtype=bool)
     keep_sorted[0] = True
     any_diff = np.zeros(len(order) - 1, dtype=bool)
-    for col in columns:
-        s = col[order]
+    for key in keys:
+        s = key[order]
         any_diff |= s[1:] != s[:-1]
     keep_sorted[1:] = any_diff
     kept = order[keep_sorted]
@@ -381,9 +393,9 @@ def _order_and_limit(
     query: BoundQuery,
     frame: _Frame,
     names: list[str],
-    columns: list[np.ndarray],
-    order_keys: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
+    columns: list,
+    order_keys: list | None = None,
+) -> list:
     if query.order_by and columns and len(columns[0]) > 1:
         by_name = {str(o.expr): col for o, col in zip(query.outputs, columns)}
         keys = []
@@ -394,16 +406,16 @@ def _order_and_limit(
             elif str(expr) in by_name:
                 key = by_name[str(expr)]
             elif not query.is_aggregate:
-                key = np.asarray(eval_expr(expr, frame.resolve, frame.length()))
+                key = _column(eval_expr(expr, frame.resolve, frame.length()))
             else:
                 raise UnsupportedSQLError(
                     f"ORDER BY {expr} must appear in the SELECT list of an aggregate query"
                 )
+            text = isinstance(key, StringColumn) or key.dtype.kind in "OSU"
+            key = _sort_key(key)
             if desc:
-                if key.dtype.kind in "ifu":
-                    key = -key.astype(np.float64)
-                else:
-                    raise UnsupportedSQLError("ORDER BY DESC on strings is not supported")
+                # Ranks negate exactly; numbers as float, as ever.
+                key = -key if text else -key.astype(np.float64)
             keys.append(key)
         order = np.lexsort(tuple(keys))
         columns = [c[order] for c in columns]

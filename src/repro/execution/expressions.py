@@ -5,6 +5,8 @@ time over NumPy arrays.  Column references are resolved through a callable
 so the same evaluator serves pre-join frames, post-join frames and grouped
 frames.  Comparisons and logical operators produce boolean masks;
 projecting a mask surfaces it as int64 (0/1), matching common SQL engines.
+A string column stays a :class:`~repro.strings.StringColumn`: its
+comparisons and ``IN`` run once per dictionary entry, never per row.
 """
 
 from __future__ import annotations
@@ -26,18 +28,23 @@ from repro.sql.binder import (
     BNeg,
     BNot,
 )
+from repro.strings import StringColumn
 
-Resolver = Callable[[BColumn], np.ndarray]
+Resolver = Callable[[BColumn], "np.ndarray | StringColumn"]
 
 
-def eval_expr(expr: BExpr, resolve: Resolver, nrows: int) -> np.ndarray:
-    """Evaluate ``expr`` to an array of length ``nrows``.
+def eval_expr(
+    expr: BExpr, resolve: Resolver, nrows: int
+) -> np.ndarray | StringColumn:
+    """Evaluate ``expr`` to an array (or string column) of ``nrows`` rows.
 
     Aggregates must have been replaced before calling (the executor
     evaluates aggregate inputs, not aggregate results, through this
     function); hitting a :class:`BAgg` here is an internal error.
     """
     out = _eval(expr, resolve, nrows)
+    if isinstance(out, StringColumn):
+        return out
     if np.isscalar(out) or out.ndim == 0:
         return np.full(nrows, out)
     return out
@@ -79,17 +86,13 @@ def _eval(expr: BExpr, resolve: Resolver, nrows: int):
             return left >= right
         raise ExecutionError(f"unknown comparison op {expr.op!r}")
     if isinstance(expr, BLogical):
-        left = _as_mask(_eval(expr.left, resolve, nrows), nrows)
-        right = _as_mask(_eval(expr.right, resolve, nrows), nrows)
+        left = as_mask(_eval(expr.left, resolve, nrows), nrows)
+        right = as_mask(_eval(expr.right, resolve, nrows), nrows)
         return (left & right) if expr.op == "and" else (left | right)
     if isinstance(expr, BNot):
-        return ~_as_mask(_eval(expr.operand, resolve, nrows), nrows)
+        return ~as_mask(_eval(expr.operand, resolve, nrows), nrows)
     if isinstance(expr, BIn):
-        operand = _eval(expr.operand, resolve, nrows)
-        operand = np.asarray(operand) if not np.isscalar(operand) else np.full(nrows, operand)
-        mask = np.zeros(nrows, dtype=bool)
-        for v in expr.values:
-            mask |= operand == v
+        mask = in_mask(_eval(expr.operand, resolve, nrows), expr.values, nrows)
         return ~mask if expr.negated else mask
     if isinstance(expr, BAgg):
         raise ExecutionError(
@@ -98,7 +101,21 @@ def _eval(expr: BExpr, resolve: Resolver, nrows: int):
     raise ExecutionError(f"cannot evaluate expression {expr!r}")
 
 
-def _as_mask(value, nrows: int) -> np.ndarray:
+def in_mask(operand, values: tuple, nrows: int) -> np.ndarray:
+    """Row mask of ``operand IN values`` (``operand`` may be a scalar)."""
+    if isinstance(operand, StringColumn):
+        return operand.isin(values)
+    operand = np.asarray(operand) if not np.isscalar(operand) else np.full(nrows, operand)
+    mask = np.zeros(nrows, dtype=bool)
+    for v in values:
+        mask |= operand == v
+    return mask
+
+
+def as_mask(value, nrows: int) -> np.ndarray:
+    """``value`` as a row mask: a scalar broadcast, numbers by truth."""
+    if isinstance(value, StringColumn):
+        return value.compare("!=", "")  # a string is true when non-empty
     if np.isscalar(value):
         return np.full(nrows, bool(value))
     arr = np.asarray(value)
@@ -109,4 +126,4 @@ def _as_mask(value, nrows: int) -> np.ndarray:
 
 def eval_predicate(expr: BExpr, resolve: Resolver, nrows: int) -> np.ndarray:
     """Evaluate a WHERE-style expression to a boolean mask."""
-    return _as_mask(_eval(expr, resolve, nrows), nrows)
+    return as_mask(_eval(expr, resolve, nrows), nrows)

@@ -5,7 +5,9 @@ into typed values) are separate costs in the paper's analysis, and they are
 separate functions here.  ``parse_fields`` is the single choke point where
 raw field text becomes columnar arrays, so the per-value conversion cost — the
 thing a DBMS pays once at load time and a scripting tool pays on every
-query — is centralised and measurable.
+query — is centralised and measurable.  A STRING column leaves it as a
+:class:`~repro.strings.StringColumn` (dictionary codes), its only form
+until the executor emits result rows.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import FlatFileError
-from repro.flatfile.dialects import as_text
 from repro.flatfile.schema import DataType
+from repro.strings import StringColumn
 
 
 @dataclass
@@ -34,8 +36,9 @@ def parse_fields(
     raw: Sequence[str] | np.ndarray,
     dtype: DataType,
     stats: ParseStats | None = None,
-) -> np.ndarray:
-    """Convert raw field text into a typed NumPy array.
+) -> np.ndarray | StringColumn:
+    """Convert raw field text into a typed NumPy array (numbers) or a
+    :class:`~repro.strings.StringColumn` (strings).
 
     Raises :class:`FlatFileError` on the first unparseable value, naming
     the value — silent coercion would corrupt query answers.  An integer
@@ -45,15 +48,16 @@ def parse_fields(
     When ``raw`` is already a NumPy array (the vectorized kernel's and
     the selective-read gather's output), the conversion is one bulk
     ``astype`` over the whole column.  An ``S`` array (ASCII field
-    bytes) casts straight to int64/float64 with no ``str`` detour, and
-    becomes ``str`` only for a STRING column.  NumPy's ``S``- and
-    ``U``-to-number casts apply the same Python-level ``int()``/
-    ``float()`` parsing rules as the per-value loop on ASCII text (sign,
-    whitespace, ``_`` separators, ``nan``/``inf``, exponents, overflow
-    past int64), so acceptance, values and the widening ladder's trigger
-    points are identical — only the per-value interpreter dispatch
-    disappears.  An ``S`` batch of plain unsigned decimals (the common
-    integer column) skips even that cast: see :func:`_parse_digits`.
+    bytes) casts straight to int64/float64 with no ``str`` detour; a
+    STRING column encodes its distinct values, which alone become
+    ``str``.  NumPy's ``S``- and ``U``-to-number casts apply the same
+    Python-level ``int()``/``float()`` parsing rules as the per-value
+    loop on ASCII text (sign, whitespace, ``_`` separators,
+    ``nan``/``inf``, exponents, overflow past int64), so acceptance,
+    values and the widening ladder's trigger points are identical —
+    only the per-value interpreter dispatch disappears.  An ``S`` batch
+    of plain unsigned decimals (the common integer column) skips even
+    that cast: see :func:`_parse_digits`.
     """
     if stats is not None:
         stats.values_parsed += len(raw)
@@ -64,12 +68,12 @@ def parse_fields(
                 return raw.astype(np.int64) if digits is None else digits
             if dtype is DataType.FLOAT64:
                 return raw.astype(np.float64)
-            return as_text(raw).astype(object)
+            return StringColumn.encode(raw)
         if dtype is DataType.INT64:
             return np.array([int(v) for v in raw], dtype=np.int64)
         if dtype is DataType.FLOAT64:
             return np.array([float(v) for v in raw], dtype=np.float64)
-        return np.array(list(raw), dtype=object)
+        return StringColumn.encode(list(raw))
     except (ValueError, OverflowError) as exc:
         raise FlatFileError(f"cannot parse field as {dtype.value}: {exc}") from exc
 

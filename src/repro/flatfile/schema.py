@@ -28,11 +28,13 @@ class DataType(enum.Enum):
 
     @property
     def numpy_dtype(self) -> np.dtype:
+        """The array dtype of a numeric column.  A STRING column is no
+        NumPy array but a :class:`~repro.strings.StringColumn`."""
         if self is DataType.INT64:
             return np.dtype(np.int64)
         if self is DataType.FLOAT64:
             return np.dtype(np.float64)
-        return np.dtype(object)
+        raise ValueError("a STRING column has no NumPy dtype")
 
     @property
     def is_numeric(self) -> bool:

@@ -18,9 +18,12 @@ conjunction of per-column intervals with an implication test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.strings import StringColumn
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,9 @@ class ValueInterval:
 
     # ----------------------------------------------------------- evaluation
 
-    def mask(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized membership over a NumPy array."""
+    def mask(self, values: "np.ndarray | StringColumn") -> np.ndarray:
+        """Vectorized membership over a NumPy array or a string column
+        (whose comparisons run once per dictionary entry)."""
         out = np.ones(len(values), dtype=bool)
         if self.lo is not None:
             out &= (values > self.lo) if self.lo_open else (values >= self.lo)

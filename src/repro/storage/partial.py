@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.flatfile.schema import DataType
 from repro.ranges import Condition
+from repro.strings import StringColumn
 
 
 @dataclass(frozen=True)
@@ -55,17 +56,18 @@ class PartialColumn:
     """A column materialized for a subset of rows.
 
     The backing array always has capacity for all ``nrows`` of the table;
-    positions where :attr:`loaded_mask` is False contain garbage and must
-    never be read.  :attr:`loaded_count` is the number of True entries.
-    Logical (budget-accounted) size is proportional to loaded rows only,
-    matching the paper's framing of partial loading as a
-    storage-footprint optimization.
+    positions where :attr:`loaded_mask` is False contain garbage (for a
+    STRING column, the :class:`~repro.strings.StringColumn`'s unloaded
+    sentinel code) and must never be read.  :attr:`loaded_count` is the
+    number of True entries.  Logical (budget-accounted) size is
+    proportional to loaded rows only, matching the paper's framing of
+    partial loading as a storage-footprint optimization.
     """
 
     name: str
     dtype: DataType
     nrows: int
-    values: np.ndarray | None = None
+    values: np.ndarray | StringColumn | None = None
     loaded_mask: np.ndarray | None = None
     loaded_count: int = 0
     certificates: list[CoverageCertificate] = field(default_factory=list)
@@ -73,14 +75,14 @@ class PartialColumn:
     def _ensure_backing(self) -> None:
         if self.values is None:
             if self.dtype is DataType.STRING:
-                self.values = np.empty(self.nrows, dtype=object)
+                self.values = StringColumn.unloaded(self.nrows)
             else:
                 self.values = np.zeros(self.nrows, dtype=self.dtype.numpy_dtype)
             self.loaded_mask = np.zeros(self.nrows, dtype=bool)
 
     # -------------------------------------------------------------- loading
 
-    def store(self, row_ids: np.ndarray, values: np.ndarray) -> int:
+    def store(self, row_ids: np.ndarray, values: np.ndarray | StringColumn) -> int:
         """Materialize ``values`` at distinct ``row_ids``; returns rows
         newly loaded."""
         if len(row_ids) != len(values):
@@ -90,36 +92,40 @@ class PartialColumn:
         if len(row_ids) == 0:
             return 0
         self._ensure_backing()
-        if not self.values.flags.writeable:
-            # Restored from the persistent store as a read-only memmap:
-            # copy-on-write to the heap before mutating in place.
-            self.values = np.array(self.values)
         newly = int(np.count_nonzero(~self.loaded_mask[row_ids]))
-        self.values[row_ids] = values
+        if isinstance(self.values, StringColumn):
+            self.values = self.values.put(row_ids, self._typed(values))
+        else:
+            if not self.values.flags.writeable:
+                # Restored from the persistent store as a read-only memmap:
+                # copy-on-write to the heap before mutating in place.
+                self.values = np.array(self.values)
+            self.values[row_ids] = self._typed(values)
         self.loaded_mask[row_ids] = True
         self.loaded_count += newly
         return newly
 
-    def store_full(self, values: np.ndarray) -> int:
+    def store_full(self, values: np.ndarray | StringColumn) -> int:
         """Materialize the whole column in one go (column load)."""
         if len(values) != self.nrows:
             raise ExecutionError(
                 f"store_full: column has {self.nrows} rows, got {len(values)} values"
             )
-        self.values = np.asarray(values, dtype=self.dtype.numpy_dtype if self.dtype.is_numeric else object)
+        self.values = self._typed(values)
         self.loaded_mask = np.ones(self.nrows, dtype=bool)
         newly = self.nrows - self.loaded_count
         self.loaded_count = self.nrows
         self.add_certificate(CoverageCertificate(Condition()))
         return newly
 
-    def restore_full(self, values: np.ndarray) -> None:
+    def restore_full(self, values: np.ndarray | StringColumn) -> None:
         """Adopt an externally materialized full column (restart-warm).
 
         Unlike :meth:`store_full` this keeps the array object as-is: a
-        read-only ``np.memmap`` from the persistent store stays a memmap,
-        sharing its pages with every co-located engine instead of being
-        copied onto the heap by ``np.asarray``'s dtype coercion.
+        read-only ``np.memmap`` from the persistent store (a numeric
+        column's values, a string column's codes) stays a memmap, sharing
+        its pages with every co-located engine instead of being copied
+        onto the heap by ``np.asarray``'s dtype coercion.
         """
         if len(values) != self.nrows:
             raise ExecutionError(
@@ -152,14 +158,17 @@ class PartialColumn:
                 self.drop()
         self.dtype = dtype
 
-    def grow(self, new_nrows: int, appended: np.ndarray | None = None) -> bool:
+    def grow(
+        self, new_nrows: int, appended: np.ndarray | StringColumn | None = None
+    ) -> bool:
         """Grow row capacity to ``new_nrows`` after a pure tail-append.
 
         A fully loaded column handed the appended rows' parsed values
         stays fully loaded: the values are concatenated (off any memmap
-        backing, onto the heap) and the full-coverage certificate is
-        refreshed.  Returns True in that case.  Every other state drops
-        its fragments instead — a partial certificate's "rows satisfying
+        backing, onto the heap; a string column's existing codes stay
+        put) and the full-coverage certificate is refreshed.  Returns
+        True in that case.  Every other state drops its fragments
+        instead — a partial certificate's "rows satisfying
         Q are materialized" no longer holds over the grown row space —
         which is always legal under the store's lifetime principle.
         """
@@ -176,11 +185,11 @@ class PartialColumn:
             and appended is not None
             and len(appended) == added
         ):
-            tail = np.asarray(
-                appended,
-                dtype=self.dtype.numpy_dtype if self.dtype.is_numeric else object,
-            )
-            self.values = np.concatenate([np.asarray(self.values), tail])
+            tail = self._typed(appended)
+            if isinstance(self.values, StringColumn):
+                self.values = StringColumn.concat([self.values, tail])
+            else:
+                self.values = np.concatenate([np.asarray(self.values), tail])
             self.nrows = new_nrows
             self.loaded_mask = np.ones(new_nrows, dtype=bool)
             self.loaded_count = new_nrows
@@ -211,7 +220,9 @@ class PartialColumn:
     def is_mapped(self) -> bool:
         """Backed by the persistent store's read-only ``np.memmap``.
 
-        Dropping such a column releases the mapping, never the file.
+        Dropping such a column releases the mapping, never the file.  A
+        string column never is: even with memmapped codes its dictionary
+        is decoded onto the heap, so it counts against the heap budget.
         """
         return isinstance(self.values, np.memmap)
 
@@ -226,17 +237,19 @@ class PartialColumn:
         if self.values is None:
             return np.zeros(self.nrows, dtype=bool)
         if self.dtype is DataType.STRING:
-            # Unloaded string slots hold None, which does not compare with
-            # str: test the loaded positions only.
+            # Unloaded string slots hold a sentinel code that names no
+            # value: test the loaded positions only.
             rows = np.flatnonzero(self.loaded_mask)
             member = np.zeros(self.nrows, dtype=bool)
             member[rows] = interval.mask(self.values[rows])
             return member
         return self.loaded_mask & interval.mask(self.values)
 
-    def values_at(self, row_ids: np.ndarray) -> np.ndarray:
+    def values_at(self, row_ids: np.ndarray) -> np.ndarray | StringColumn:
         """Fetch values at specific rows; raises if any row is not loaded."""
         if len(row_ids) == 0:
+            if self.dtype is DataType.STRING:
+                return StringColumn.empty()
             return np.empty(0, dtype=self.dtype.numpy_dtype)
         if self.values is None or not self.loaded_mask[row_ids].all():
             raise ExecutionError(
@@ -248,11 +261,27 @@ class PartialColumn:
 
     @property
     def logical_nbytes(self) -> int:
-        """Budget-accounted bytes: loaded values only (plus the mask)."""
+        """Budget-accounted bytes: loaded values only (plus the mask).
+
+        A numeric value is 8 bytes; a string is its 4-byte code, plus
+        the dictionary's bytes once per column.
+        """
         if self.values is None:
             return 0
-        itemsize = 8 if self.dtype.is_numeric else 24
-        return self.loaded_count * itemsize + (self.nrows // 8)
+        if isinstance(self.values, StringColumn):
+            unloaded = self.nrows - self.loaded_count
+            return self.values.nbytes - 4 * unloaded + (self.nrows // 8)
+        return self.loaded_count * 8 + (self.nrows // 8)
+
+    def _typed(self, values):
+        """``values`` in this column's in-memory form."""
+        if self.dtype is DataType.STRING:
+            if not isinstance(values, StringColumn):
+                raise ExecutionError(
+                    f"column {self.name!r}: string values must arrive encoded"
+                )
+            return values
+        return np.asarray(values, dtype=self.dtype.numpy_dtype)
 
     def drop(self) -> None:
         """Evict everything (adaptive-store lifetime management)."""

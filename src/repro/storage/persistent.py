@@ -14,14 +14,17 @@ amortizes.
 Layout (one entry directory per source path, under ``store_dir``)::
 
     <store_dir>/<stem>-<path-digest>/
-        manifest.json       # version 3: fingerprint, schema, posmap
+        manifest.json       # version 4: fingerprint, schema, posmap
                             # (nrows, sep, geometry), zone maps +
                             # column index
         pm_b<j>.bin         # int64 positional-map boundary j, for j in
                             # 0..K+1 when columns 0..K are known
         col_<i>.bin         # numeric column i, little-endian (memmapped)
-        col_<i>.off.bin     # string column i: int64 char offsets (n+1)
-        col_<i>.blob.bin    # string column i: UTF-8 payload
+        col_<i>.codes       # string column i: int32 code per row
+                            # (memmapped)
+        col_<i>.dictionary  # string column i: its distinct values as
+                            # UTF-8 records, each ended by a 0xFF byte,
+                            # in code order
 
 The ``pm_b`` files are the arrays :meth:`PositionalMap.export` hands over,
 in order; this module does not interpret them.  Only state some query
@@ -64,11 +67,20 @@ Invariants
   a file shrink under it.  A first save, a manifest describing anything
   else, a changed schema (a widened column) or a header change take the
   wipe-and-rewrite path.
-* **Shared pages.**  Numeric columns restore as read-only ``np.memmap``
-  arrays: co-located engines and parallel workers mapping the same entry
-  share one physical copy of the pages, and "evicting" a mapped column
-  just drops the mapping — the file stays for the next engine.  String
-  columns cannot be object-dtype-mapped and restore onto the heap.
+  A string column's dictionary only grows at its end (see
+  :mod:`repro.strings`), so a tail-append writes the tail of its codes
+  file and the new entries of its dictionary file.  The manifest keeps a
+  digest of the committed dictionary bytes: a column whose in-memory
+  dictionary does not start with them (it was assembled in another
+  order) rewrites both files whole instead.
+* **Shared pages.**  Numeric columns and string codes restore as
+  read-only ``np.memmap`` arrays: co-located engines and parallel workers
+  mapping the same entry share one physical copy of the pages, and
+  "evicting" a mapped column just drops the mapping — the file stays for
+  the next engine.  Only a string column's dictionary — one entry per
+  distinct value — is decoded onto the heap, so a restored string column
+  counts against the heap budget.  Its codes are read once on restore,
+  to check that each names a dictionary entry.
 """
 
 from __future__ import annotations
@@ -79,7 +91,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -87,14 +99,20 @@ from repro.faults import FaultPlan
 from repro.flatfile.files import FileFingerprint, detect_tail_append
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import DataType
+from repro.strings import CODE_DTYPE, StringColumn
 
 if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
     from repro.core.zonemaps import ZoneMapIndex
     from repro.storage.catalog import TableEntry
 
-_VERSION = 3
+_VERSION = 4
 
 _ITEMSIZE = 8  # int64 / float64; the only numeric widths the engine has
+
+#: Ends each string dictionary record, and what it decodes to under
+#: ``surrogateescape``.
+_END = b"\xff"
+_END_CHAR = "\udcff"
 
 
 @dataclass
@@ -109,7 +127,7 @@ class PersistedState:
     schema: list[tuple[str, str]]
     positional_map: PositionalMap
     #: Fully loaded columns only, keyed by schema-cased name.
-    columns: dict[str, np.ndarray]
+    columns: dict[str, "np.ndarray | StringColumn"]
     #: Per-zone min/max/null statistics (None when none were learned).
     zone_maps: "ZoneMapIndex | None" = None
     #: ``(fingerprint, nrows)`` of a store entry this state provably
@@ -131,7 +149,7 @@ class PersistedState:
         while the background writer is still serializing it.
         """
         pm = entry.positional_map
-        columns: dict[str, np.ndarray] = {}
+        columns: dict[str, np.ndarray | StringColumn] = {}
         if entry.table is not None:
             for pc in entry.table.columns.values():
                 if pc.values is not None and pc.is_fully_loaded:
@@ -180,32 +198,32 @@ class PersistentStoreStats:
 
 
 # ---------------------------------------------------------------------------
-# string-column codec (object dtype cannot be memmapped)
+# string-column codec: a codes file beside a dictionary file
 # ---------------------------------------------------------------------------
 
 
-def encode_strings(values: np.ndarray) -> tuple[np.ndarray, bytes]:
-    """``(char_offsets[n+1], utf8_blob)`` for an object array of strings."""
-    texts = [str(v) for v in values]
-    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-    if texts:
-        np.cumsum(
-            np.fromiter((len(t) for t in texts), dtype=np.int64, count=len(texts)),
-            out=offsets[1:],
-        )
-    return offsets, "".join(texts).encode("utf-8")
+def encode_strings(dictionary: Iterable[str]) -> bytes:
+    """Dictionary entries as UTF-8 records, each ended by a 0xFF byte
+    (a byte UTF-8 never uses).  Records only follow one another, so new
+    entries append to an existing file."""
+    return b"".join(value.encode("utf-8") + _END for value in dictionary)
 
 
-def decode_strings(offsets: np.ndarray, blob: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_strings`: object array of ``str``."""
-    text = blob.decode("utf-8")
-    bounds = offsets.tolist()
-    if bounds[-1] != len(text):
-        raise ValueError("string blob does not match its offsets")
-    out = np.empty(len(bounds) - 1, dtype=object)
-    for i in range(len(out)):
-        out[i] = text[bounds[i] : bounds[i + 1]]
+def decode_strings(data: bytes, entries: int) -> np.ndarray:
+    """Inverse of :func:`encode_strings` over ``entries`` records; raises
+    ValueError unless ``data`` holds exactly that many.  One decode of
+    the whole file: every 0xFF byte decodes to U+DCFF, a character no
+    UTF-8 text holds, so splitting there gives the entries."""
+    texts = data.decode("utf-8", "surrogateescape").split(_END_CHAR)
+    if texts.pop() != "" or len(texts) != entries:
+        raise ValueError("string dictionary does not match its entry count")
+    out = np.empty(entries, dtype=object)
+    out[:] = texts
     return out
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +308,13 @@ class PersistentStore:
             if known.get("dtype") != dtype.value:
                 known = {}  # widened since: the old bytes are another type
             entry = {"name": name, "dtype": dtype.value}
-            if dtype.is_numeric:
+            if isinstance(values, StringColumn):
+                entry.update(self._put_strings(edir, i, values, known, committed))
+            else:
                 data = np.ascontiguousarray(values, dtype=dtype.numpy_dtype)
                 entry["file"] = self._put_array(
                     edir, f"col_{i}.bin", data, known.get("file"), committed
                 )
-            else:
-                entry.update(self._put_strings(edir, i, values, known, committed))
             col_manifest[name.lower()] = entry
 
         manifest = {
@@ -371,47 +389,51 @@ class PersistentStore:
         self,
         edir: Path,
         i: int,
-        values: np.ndarray,
+        values: StringColumn,
         known: dict,
         committed: int,
     ) -> dict:
-        """Write string column ``i`` as char offsets (n+1) plus a UTF-8
-        blob: only the rows past ``committed`` when the old manifest
-        already names both files, their offsets shifted by the committed
-        char total; both files whole otherwise."""
-        off_name, blob_name = f"col_{i}.off.bin", f"col_{i}.blob.bin"
-        old_blob = known.get("blob_bytes")
-        if (
-            known.get("offsets") == off_name
-            and known.get("blob") == blob_name
-            and isinstance(old_blob, int)
-            and len(values) >= committed
-            and self._have(edir, off_name, (committed + 1) * _ITEMSIZE)
-            and self._have(edir, blob_name, old_blob)
-        ):
-            offsets, blob = encode_strings(values[committed:])
-            if len(offsets) > 1:
-                chars = np.fromfile(
-                    edir / off_name,
-                    dtype=np.int64,
-                    count=1,
-                    offset=committed * _ITEMSIZE,
-                )[0]
-                self._write_at(
-                    edir / off_name,
-                    offsets[1:] + chars,
-                    (committed + 1) * _ITEMSIZE,
-                )
-                self._write_at(edir / blob_name, blob, old_blob)
-            return {
-                "offsets": off_name,
-                "blob": blob_name,
-                "blob_bytes": old_blob + len(blob),
-            }
-        offsets, blob = encode_strings(values)
-        self._write_whole(edir / off_name, offsets.tobytes())
-        self._write_whole(edir / blob_name, blob)
-        return {"offsets": off_name, "blob": blob_name, "blob_bytes": len(blob)}
+        """Write string column ``i`` as its codes file plus its dictionary
+        file.  When the old manifest names both and the in-memory
+        dictionary starts with the committed entries (the digest
+        matches), only the codes past ``committed`` and the new entries
+        are written; both files are written whole otherwise."""
+        codes_name, dict_name = f"col_{i}.codes", f"col_{i}.dictionary"
+        dictionary = values.dictionary
+        old_entries = known.get("entries")
+        old_bytes = known.get("dictionary_bytes")
+        prefix = b""
+        extends = (
+            known.get("dictionary") == dict_name
+            and isinstance(old_entries, int)
+            and isinstance(old_bytes, int)
+            and old_entries <= len(dictionary)
+            and self._have(edir, dict_name, old_bytes)
+        )
+        if extends:
+            prefix = encode_strings(dictionary[:old_entries])
+            extends = len(prefix) == old_bytes and _digest(prefix) == known.get(
+                "digest"
+            )
+        codes = np.ascontiguousarray(values.codes, dtype=CODE_DTYPE)
+        new = encode_strings(dictionary[old_entries:] if extends else dictionary)
+        if extends:
+            self._write_at(edir / dict_name, new, old_bytes)
+        else:
+            self._write_whole(edir / dict_name, new)
+        return {
+            "codes": self._put_array(
+                edir,
+                codes_name,
+                codes,
+                known.get("codes") if extends else None,
+                committed,
+            ),
+            "dictionary": dict_name,
+            "entries": len(dictionary),
+            "dictionary_bytes": len(prefix) + len(new),
+            "digest": _digest(prefix + new),
+        }
 
     def _write_whole(self, path: Path, data: bytes) -> None:
         """Replace ``path`` atomically (temp file, fsync, rename).
@@ -536,23 +558,14 @@ class PersistentStore:
         for entry in (manifest.get("columns") or {}).values():
             name = str(entry["name"])
             dtype = DataType(entry["dtype"])
-            values: np.ndarray
+            values: np.ndarray | StringColumn
             if dtype.is_numeric:
                 path = self._checked(edir, entry["file"], nrows * _ITEMSIZE)
                 values = np.memmap(
                     path, dtype=dtype.numpy_dtype, mode="r", shape=(nrows,)
                 )
             else:
-                blob_bytes = int(entry["blob_bytes"])
-                off_path = self._checked(
-                    edir, entry["offsets"], (nrows + 1) * _ITEMSIZE
-                )
-                blob_path = self._checked(edir, entry["blob"], blob_bytes)
-                offsets = np.fromfile(off_path, dtype=np.int64, count=nrows + 1)
-                with open(blob_path, "rb") as fh:
-                    blob = fh.read(blob_bytes)
-                values = decode_strings(offsets, blob)
-                self.stats.bytes_read += offsets.nbytes + blob_bytes
+                values = self._mapped_strings(edir, entry, nrows)
             columns[name] = values
 
         return PersistedState(
@@ -565,6 +578,30 @@ class PersistentStore:
             columns=columns,
             zone_maps=zone_maps,
         )
+
+    def _mapped_strings(self, edir: Path, entry: dict, nrows: int) -> StringColumn:
+        """A string column: its codes memmapped, its dictionary decoded
+        after its bytes match the manifest's digest.  Every code must
+        name an entry, or the column is damage (a miss): checking reads
+        the codes file once, 4 bytes a row, where a numeric column's
+        pages are only mapped."""
+        size = int(entry["dictionary_bytes"])
+        with open(self._checked(edir, entry["dictionary"], size), "rb") as fh:
+            data = fh.read(size)
+        if _digest(data) != entry["digest"]:
+            raise ValueError("string dictionary does not match its digest")
+        self.stats.bytes_read += size
+        codes = np.memmap(
+            self._checked(edir, entry["codes"], nrows * CODE_DTYPE.itemsize),
+            dtype=CODE_DTYPE,
+            mode="r",
+            shape=(nrows,),
+        )
+        entries = int(entry["entries"])
+        if nrows and not (0 <= int(codes.min()) and int(codes.max()) < entries):
+            raise ValueError(f"{entry['codes']}: a code names no dictionary entry")
+        self.stats.bytes_read += codes.nbytes
+        return StringColumn(codes, decode_strings(data, entries))
 
     def _mapped_int64(self, edir: Path, filename: str, nrows) -> np.ndarray:
         nrows = int(nrows)

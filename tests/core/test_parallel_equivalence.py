@@ -163,7 +163,7 @@ def test_str_widening_preserves_exact_text(tmp_path):
         engine.attach("r", path)
         engine.query("select count(*) from r")  # loads (and widens) a1
         pc = engine.catalog.get("r").table.columns["a1"]
-        values[w] = pc.values.tolist()
+        values[w] = pc.values.decode().tolist()
         engine.close()
     # zero-padded text must survive (a numeric round-trip would drop it)
     assert values[1][7] == "0007"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.execution.aggregates import global_aggregate, group_ids, grouped_aggregate
+from repro.strings import StringColumn
 
 
 class TestGlobal:
@@ -34,9 +35,16 @@ class TestGlobal:
         assert global_aggregate("count", v, 0) == 0
 
     def test_string_min_max(self):
-        v = np.array(["pear", "apple", "fig"], dtype=object)
-        assert global_aggregate("min", v, 3) == "apple"
-        assert global_aggregate("max", v, 3) == "pear"
+        v = StringColumn.encode(["pear", "apple", "fig", "apple"])
+        assert global_aggregate("min", v, 4) == "apple"
+        assert global_aggregate("max", v, 4) == "pear"
+        assert global_aggregate("count", v, 4, distinct=True) == 3
+
+    def test_string_sum_is_an_error(self):
+        v = StringColumn.encode(["1", "2"])
+        for func in ("sum", "avg"):
+            with pytest.raises(ExecutionError):
+                global_aggregate(func, v, 2)
 
     def test_unknown_func(self):
         with pytest.raises(ExecutionError):
@@ -87,9 +95,17 @@ class TestGrouped:
 
     def test_grouped_strings(self):
         keys = np.array([1, 2, 1])
-        values = np.array(["b", "c", "a"], dtype=object)
+        values = StringColumn.encode(["b", "c", "a"])
         order, starts, _ = group_ids([keys])
-        assert grouped_aggregate("min", values, order, starts).tolist() == ["a", "c"]
+        out = grouped_aggregate("min", values, order, starts)
+        assert out.decode().tolist() == ["a", "c"]
+
+    def test_string_keys_group_in_string_order(self):
+        keys = StringColumn.encode(["é", "b", "", "b", "é"])
+        order, starts, key_values = group_ids([keys])
+        assert key_values[0].decode().tolist() == ["", "b", "é"]
+        sizes = np.diff(np.append(starts, 5))
+        assert sizes.tolist() == [1, 2, 2]
 
     def test_empty_input(self):
         order, starts, kv = group_ids([np.empty(0, dtype=np.int64)])

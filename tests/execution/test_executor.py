@@ -8,11 +8,12 @@ from repro.execution.executor import execute_bound_query
 from repro.flatfile.schema import ColumnSchema, DataType, TableSchema
 from repro.sql.binder import bind
 from repro.sql.parser import parse_sql
+from repro.strings import StringColumn
 
 R_DATA = {
     "a1": np.array([1, 2, 3, 4, 5], dtype=np.int64),
     "a2": np.array([10, 20, 30, 40, 50], dtype=np.int64),
-    "name": np.array(["a", "b", "a", "c", "b"], dtype=object),
+    "name": StringColumn.encode(["a", "b", "a", "c", "b"]),
     "price": np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
 }
 S_DATA = {
@@ -186,6 +187,21 @@ class TestOrderLimitDistinct:
 
     def test_order_by_expression_key(self):
         r = run("select a1, a2 from r order by a2 desc limit 2")
+        assert r.column("a1").tolist() == [5, 4]
+
+    def test_order_desc_on_strings(self):
+        names = R_DATA["name"].decode().tolist()
+        pairs = sorted(zip(names, R_DATA["a1"].tolist()), key=lambda p: p[1])
+        want = sorted(pairs, key=lambda p: p[0], reverse=True)
+        r = run("select name, a1 from r order by name desc, a1")
+        assert r.rows() == want
+        r = run("select name, count(*) from r group by name order by name desc")
+        assert r.column("name").tolist() == ["c", "b", "a"]
+        r = run("select distinct name from r order by name desc limit 2")
+        assert r.column("name").tolist() == ["c", "b"]
+
+    def test_order_desc_on_a_string_literal(self):
+        r = run("select 'x' as c, a1 from r order by c desc, a1 desc limit 2")
         assert r.column("a1").tolist() == [5, 4]
 
     def test_limit(self):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.execution.aggregates import group_ids, grouped_aggregate
 from repro.execution.joins import hash_join, merge_join
+from repro.strings import StringColumn
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -120,18 +121,19 @@ class TestJoinParity:
 
 
 # ---------------------------------------------------------------------------
-# grouped aggregation (DISTINCT / string fallback path)
+# grouped aggregation (DISTINCT and string-rank paths)
 # ---------------------------------------------------------------------------
 
 
 def _run_grouped(func, values_list, keys_list, distinct):
     keys = np.asarray(keys_list, dtype=np.int64)
-    values = np.asarray(
-        values_list,
-        dtype=object if isinstance(values_list[0], str) else None,
-    )
+    if isinstance(values_list[0], str):
+        values = StringColumn.encode(values_list)
+    else:
+        values = np.asarray(values_list)
     order, starts, _ = group_ids([keys])
-    return grouped_aggregate(func, values, order, starts, distinct=distinct)
+    out = grouped_aggregate(func, values, order, starts, distinct=distinct)
+    return out.decode() if isinstance(out, StringColumn) else out
 
 
 _grouped_ints = st.lists(

@@ -11,6 +11,7 @@ from repro.flatfile.schema import DataType
 from repro.flatfile.dialects import DelimitedAdapter, as_text
 from repro.flatfile.tokenizer import tokenize_bytes
 from repro.flatfile.writer import format_value, write_csv, write_rows
+from repro.strings import StringColumn
 
 
 class TestParseFields:
@@ -25,9 +26,9 @@ class TestParseFields:
         assert list(arr) == [1.5, -2000.0]
 
     def test_strings(self):
-        arr = parse_fields(["x", "y"], DataType.STRING)
-        assert arr.dtype == object
-        assert list(arr) == ["x", "y"]
+        column = parse_fields(["x", "y"], DataType.STRING)
+        assert isinstance(column, StringColumn)
+        assert column.decode().tolist() == ["x", "y"]
 
     def test_bad_value_raises_with_context(self):
         with pytest.raises(FlatFileError, match="int64"):

@@ -130,7 +130,9 @@ def make_workload(columns, bounds: tuple[int, int]) -> list[str]:
 
     Mixes projections (touch string columns too), filtered aggregates
     (pushdown + early abort), count(*) (row framing), and a repeat of
-    the first query (warm positional-map path).
+    the first query (warm positional-map path).  A string column is also
+    grouped and compared with one of its own values, so dictionary codes
+    meet every dialect, append, fault and concurrent schedule.
     """
     names = [f"a{i + 1}" for i in range(len(columns))]
     numeric = [
@@ -138,12 +140,19 @@ def make_workload(columns, bounds: tuple[int, int]) -> list[str]:
         for n, col in zip(names, columns)
         if isinstance(col[0], (int, float))
     ]
+    strings = [
+        (n, col) for n, col in zip(names, columns) if isinstance(col[0], str)
+    ]
     lo, hi = sorted(bounds)
     queries = [f"select {', '.join(names)} from t"]
     queries.append(f"select count(*) from t where a1 > {lo}")
     if numeric:
         aggs = ", ".join(f"sum({n}), min({n}), max({n})" for n in numeric[:2])
         queries.append(f"select {aggs} from t where a1 > {lo} and a1 < {hi}")
+    if strings:
+        name, col = strings[0]
+        queries.append(f"select {name}, count(*) from t group by {name}")
+        queries.append(f"select count(*) from t where {name} = '{col[len(col) // 2]}'")
     queries.append(f"select {names[-1]} from t where a1 < {hi}")
     queries.append(queries[0])  # warm repeat inside the same engine
     return queries

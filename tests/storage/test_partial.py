@@ -9,6 +9,7 @@ from repro.errors import ExecutionError
 from repro.flatfile.schema import DataType
 from repro.ranges import Condition, ValueInterval
 from repro.storage.partial import CoverageCertificate, PartialColumn
+from repro.strings import UNLOADED, StringColumn
 
 
 def make_column(nrows=100) -> PartialColumn:
@@ -166,8 +167,9 @@ class TestQualifyingMask:
 
     def test_string_mask_over_loaded_rows_only(self):
         pc = PartialColumn(name="a2", dtype=DataType.STRING, nrows=6)
-        pc.store(np.array([1, 2, 4]), np.array(["kiwi", "apple", "lime"], dtype=object))
-        assert pc.values[0] is None  # unloaded slots never reach a compare
+        pc.store(np.array([1, 2, 4]), StringColumn.encode(["kiwi", "apple", "lime"]))
+        # unloaded slots hold a code that names no value: never compared
+        assert pc.values.codes[0] == UNLOADED
         mask = pc.qualifying_mask(ValueInterval("k", "m"))
         assert mask.tolist() == [False, True, False, False, True, False]
 

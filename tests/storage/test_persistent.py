@@ -5,7 +5,7 @@ Three layers of guarantees are pinned here:
 * **Serialization is lossless.**  Hypothesis drives save → load round
   trips of every serialized artifact — positional maps (byte-for-byte
   offset arrays), partition plans, widened schemas, numeric and
-  object-dtype string columns including non-ASCII — against randomly
+  dictionary-coded string columns including non-ASCII — against randomly
   generated state.
 * **Staleness is airtight.**  The entry key is the full content-probing
   fingerprint: a same-size in-place rewrite with a forged mtime (the
@@ -45,6 +45,7 @@ from repro.storage.persistent import (
     decode_strings,
     encode_strings,
 )
+from repro.strings import StringColumn
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -82,27 +83,31 @@ def _force_stat(path, mtime_ns: int) -> None:
 
 
 class TestStringCodec:
+    """The dictionary file: one UTF-8 record per entry, each ended by a
+    0xFF byte."""
+
     @given(st.lists(st.text(max_size=40), max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, texts):
-        values = np.array(texts, dtype=object)
-        offsets, blob = encode_strings(values)
-        decoded = decode_strings(offsets, blob)
+        decoded = decode_strings(encode_strings(texts), len(texts))
         assert decoded.dtype == object
         assert list(decoded) == texts
 
-    def test_non_ascii_offsets_are_character_offsets(self):
-        values = np.array(["héllo", "日本語", ""], dtype=object)
-        offsets, blob = encode_strings(values)
-        # character offsets: 5 + 3 + 0, while the UTF-8 blob is longer
-        assert offsets.tolist() == [0, 5, 8, 8]
-        assert len(blob) > 8
-        assert list(decode_strings(offsets, blob)) == ["héllo", "日本語", ""]
+    def test_non_ascii_records_are_utf8_bytes(self):
+        data = encode_strings(["héllo", "日本語", ""])
+        assert data == "héllo".encode() + b"\xff" + "日本語".encode() + b"\xff\xff"
+        assert list(decode_strings(data, 3)) == ["héllo", "日本語", ""]
 
-    def test_mismatched_blob_rejected(self):
-        offsets, blob = encode_strings(np.array(["ab", "cd"], dtype=object))
+    def test_appended_records_decode_as_one_dictionary(self):
+        data = encode_strings(["ab"]) + encode_strings(["cd", ""])
+        assert list(decode_strings(data, 3)) == ["ab", "cd", ""]
+
+    def test_mismatched_entry_count_rejected(self):
+        data = encode_strings(["ab", "cd"])
         with pytest.raises(ValueError):
-            decode_strings(offsets, blob + b"junk")
+            decode_strings(data + b"junk", 2)
+        with pytest.raises(ValueError):
+            decode_strings(data, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_widened_schema_and_columns(self, names, data, tmp_path_factory):
         """Schema (including widened types) and column values round-trip;
-        numeric columns come back memmapped, strings on the heap."""
+        numeric columns and string codes come back memmapped."""
         tmp_path = tmp_path_factory.mktemp("cols")
         source = _source(tmp_path)
         fp = FileFingerprint.of(source)
@@ -202,13 +207,12 @@ class TestRoundTrip:
                     dtype=np.float64,
                 )
             else:
-                values = np.array(
+                values = StringColumn.encode(
                     data.draw(
                         st.lists(
                             st.text(max_size=15), min_size=nrows, max_size=nrows
                         )
-                    ),
-                    dtype=object,
+                    )
                 )
             columns[name] = values
 
@@ -222,8 +226,8 @@ class TestRoundTrip:
         for name, dtype in schema:
             got = restored.columns[name]
             if dtype == "str":
-                assert got.dtype == object
-                assert list(got) == list(columns[name])
+                assert isinstance(got.codes, np.memmap)
+                assert got.decode().tolist() == columns[name].decode().tolist()
             else:
                 assert isinstance(got, np.memmap)
                 assert not got.flags.writeable
@@ -401,7 +405,7 @@ class TestDamage:
                 positional_map=pm,
                 columns={
                     "a": np.array([1, 2], dtype=np.int64),
-                    "b": np.array(["x", "y"], dtype=object),
+                    "b": StringColumn.encode(["x", "y"]),
                 },
             )
         )
@@ -475,13 +479,20 @@ class TestDamage:
         (edir / manifest["columns"]["a"]["file"]).unlink()
         assert store.load(source, fp).state is None
 
-    def test_string_blob_mismatch_is_a_miss(self, tmp_path):
-        """A blob whose committed length disagrees with the char offsets
-        cannot decode: a miss, not a query error or a wrong string."""
+    def test_string_dictionary_mismatch_is_a_miss(self, tmp_path):
+        """A dictionary whose committed length or bytes disagree with the
+        manifest cannot decode: a miss, not a query error or a wrong
+        string."""
         source, store, fp, edir = self._saved(tmp_path)
         manifest = json.loads((edir / "manifest.json").read_text())
-        manifest["columns"]["b"]["blob_bytes"] -= 1
+        manifest["columns"]["b"]["dictionary_bytes"] -= 1
         (edir / "manifest.json").write_text(json.dumps(manifest))
+        assert store.load(source, fp).state is None
+        manifest["columns"]["b"]["dictionary_bytes"] += 1
+        (edir / "manifest.json").write_text(json.dumps(manifest))
+        assert store.load(source, fp).state is not None
+        dictionary = edir / manifest["columns"]["b"]["dictionary"]
+        dictionary.write_bytes(dictionary.read_bytes().replace(b"y", b"z"))
         assert store.load(source, fp).state is None
 
     def test_save_over_garbage_manifest_recovers(self, tmp_path):
@@ -521,13 +532,15 @@ class TestStore:
 
     def test_stats_account_every_byte(self, tmp_path):
         """Bytes written equal the entry's files on disk; a restore reads
-        string columns onto the heap and maps numeric ones unread."""
+        a string column's dictionary onto the heap and its codes once (to
+        check each names an entry), and maps numeric columns unread."""
         source, store, fp, edir = TestDamage()._saved(tmp_path)
         on_disk = sum(f.stat().st_size for f in edir.iterdir())
         assert store.stats.bytes_written == on_disk == store.bytes_on_disk()
         assert store.stats.entries_written == 1
         assert store.stats.entries_restored == 1  # the probe in _saved
-        assert store.stats.bytes_read == 3 * 8 + len(b"xy")  # column b only
+        # column b only: two 1-byte records with their ends, two codes
+        assert store.stats.bytes_read == 2 * (1 + 1) + 2 * 4
 
     def test_entry_dir_keyed_by_resolved_path(self, tmp_path):
         store = PersistentStore(tmp_path / "store")
@@ -610,8 +623,8 @@ def _committed(store_dir) -> dict[str, bytes]:
         if "file" in col:
             sizes[col["file"]] = n * 8
         else:
-            sizes[col["offsets"]] = (n + 1) * 8
-            sizes[col["blob"]] = col["blob_bytes"]
+            sizes[col["codes"]] = n * 4
+            sizes[col["dictionary"]] = col["dictionary_bytes"]
     out = {}
     for name, size in sizes.items():
         data = (edir / name).read_bytes()
@@ -887,7 +900,7 @@ class TestLayout:
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert "pm_rows.bin" not in names
         manifest = _manifest(store_dir)
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
         assert "partitions" not in manifest
         assert set(manifest["positional_map"]) == {
             "nrows", "sep", "columns", "text_geometry", "files"
@@ -931,7 +944,7 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 3
+        assert _manifest(store_dir)["version"] == 4
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
 
@@ -965,7 +978,7 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 3
+        assert _manifest(store_dir)["version"] == 4
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
         assert not any(n.startswith(("pm_s", "pm_e")) for n in names)

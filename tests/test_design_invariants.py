@@ -184,6 +184,55 @@ class TestPositionalMapFormatBoundary:
         assert not offenders, offenders
 
 
+class TestStringFormatBoundary:
+    """A string column's form — int32 codes into a dictionary — is one
+    module's decision: only :mod:`repro.strings` and the store's codec,
+    which names the codes and dictionary files, read or build the codes
+    and the dictionary, so every other module goes through
+    :class:`~repro.strings.StringColumn`'s methods."""
+
+    INTERNALS = {"codes", "dictionary", "CODE_DTYPE", "UNLOADED"}
+    OWNERS = {Path("repro/strings.py"), Path("repro/storage/persistent.py")}
+
+    def test_only_the_owners_touch_codes_and_dictionaries(self):
+        package = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            rel = path.relative_to(package.parent)
+            if rel in self.OWNERS:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.keyword):
+                    name = node.arg
+                elif isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name == "StringColumn":
+                        offenders.append(f"{rel}:{node.lineno} builds a StringColumn")
+                    continue
+                else:
+                    continue
+                if name in self.INTERNALS:
+                    offenders.append(f"{rel}:{getattr(node, 'lineno', '?')} names {name}")
+        assert not offenders, offenders
+
+    def test_a_string_column_never_becomes_an_array_silently(self):
+        from repro.strings import StringColumn
+
+        column = StringColumn.encode(["b", "a", "b"])
+        with pytest.raises(TypeError):
+            np.asarray(column)
+        with pytest.raises(TypeError):
+            np.concatenate([column, column])
+        assert column.decode().tolist() == ["b", "a", "b"]
+
+
 def config_fields_set(sources: list[str]) -> set[str]:
     """Names set on an engine config anywhere in ``sources``.
 
