@@ -66,6 +66,7 @@ from repro.core.statistics import EngineStatistics, QueryStats, Stopwatch
 from repro.errors import CatalogError, FlatFileError
 from repro.faults import FaultPlan
 from repro.locks import SingleFlight
+from repro.ranges import Condition
 from repro.result import QueryResult
 from repro.sql.ast_nodes import SelectStmt
 from repro.sql.binder import BoundQuery, bind
@@ -659,6 +660,7 @@ class NoDBEngine:
                         # fingerprint its bytes were read under, or an
                         # append landing mid-read would go unnoticed.
                         entry.pre_fingerprint = pre_fingerprint
+                        mapped = len(entry.positional_map.known_columns())
                         try:
                             view = policy.provide(ctx)
                         finally:
@@ -666,6 +668,7 @@ class NoDBEngine:
                         if entry.table is not None:
                             entry.loaded_fingerprint = pre_fingerprint
                         if view.went_to_file:
+                            self._fit_positional_map(entry, needed, condition, mapped)
                             self.stats.note_load(
                                 entry_key,
                                 frozenset(n.lower() for n in needed),
@@ -684,6 +687,37 @@ class NoDBEngine:
                         self.memory.unpin_many(ctx.pinned_keys)
             finally:
                 self._scan_gate.done(flight_key)
+
+    def _fit_positional_map(
+        self,
+        entry: TableEntry,
+        needed: list[str],
+        condition: Condition | None,
+        mapped: int,
+    ) -> None:
+        """Keep the columns a framing pass added past this query's only
+        while they fit the memory budget (write lock held).
+
+        A framing pass learns every column's spans, 8 bytes a row for
+        each, whatever the query used; the map is not an evictable
+        fragment.  So under a budget, when the map and the resident
+        fragments no longer fit in it, the map is cut back to the
+        ``mapped`` columns it knew before this query or the columns this
+        query touched, whichever is more: a later query on another
+        column frames the file again, the only cost of forgetting (paper
+        section 5.1.3).
+        """
+        pmap = entry.positional_map
+        budget = self.memory.budget_bytes
+        if (
+            budget is None
+            or len(pmap.known_columns()) <= mapped
+            or self.memory.resident_bytes + pmap.nbytes <= budget
+        ):
+            return
+        schema = entry.ensure_schema()
+        names = list(needed) + [c for c, _ in (condition.items if condition else [])]
+        pmap.truncate(max(mapped, max(schema.index_of(n) for n in names) + 1))
 
     def _count_warm(self, qstats: QueryStats, waited: bool) -> None:
         if waited:

@@ -24,9 +24,15 @@ Three routes exist through :func:`run_pass`:
   (the behaviour of every paper figure);
 * the **selective-read route** (section 4.1.5 taken to its conclusion)
   activates when the positional map already knows the byte range of every
-  field the pass needs: only those ranges are read from the file, in
-  coalesced window reads, and the fields are gathered vectorized — a
-  repeat query touches strictly less of the file than its first run;
+  field the pass needs — after the first pass over a file, every field
+  of every column: each run of adjacent wanted columns, padded by its
+  separators, is one window a row, the windows are read in one
+  coalesced block read (a second one, for the kept rows only, reads
+  output columns far from every pushdown predicate), every field is
+  cut from the buffer, and each cut span is checked to sit between
+  separators (a damaged map re-frames the file instead of answering
+  from it) — a next-column or repeat query touches strictly less of
+  the file than its first run;
 * the **partitioned parallel route** (:mod:`repro.core.partitions`)
   activates for cold scans of large files when ``parallel_workers > 1``:
   the file is split into newline-aligned row-range partitions scanned by
@@ -47,7 +53,8 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.errors import FlatFileError
-from repro.flatfile.files import coalesce_ranges
+from repro.flatfile.dialects import FormatAdapter
+from repro.flatfile.files import FileWindows
 from repro.flatfile.parser import ParseStats, parse_fields, parse_single
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import WIDENS_TO, ColumnSchema, DataType, TableSchema
@@ -65,6 +72,9 @@ from repro.strings import StringColumn
 #: Selective reads merge byte ranges closer than this into one window
 #: read: a few wasted bytes beat one more seek+read call.
 SELECTIVE_READ_MAX_GAP = 4
+
+_NEWLINE = 0x0A
+_CARRIAGE = 0x0D
 
 
 @dataclass
@@ -300,32 +310,16 @@ def run_pass(
         and pmap is not None
         and _can_read_selectively(pmap, want_cols)
     ):
-        intervals = {schema.index_of(c): iv for c, iv in pushdown_items}
-        candidates, zone_skips = _zone_candidates(
-            entry, intervals, int(pmap.nrows), config
+        result = _selective_pass(
+            entry,
+            schema,
+            needed,
+            condition if pushdown else None,
+            want_cols,
+            pmap,
+            config,
         )
-        # Skip the full scan only when the windows over the zone
-        # survivors save at least 1/16th of the file; otherwise one
-        # sequential read beats many window reads of the same bytes.
-        size = entry.file.size_bytes()
-        covered = _coalesced_bytes(
-            pmap, want_cols, candidates, SELECTIVE_READ_MAX_GAP
-        )
-        if covered < size - (size >> 4):
-            predicates = _pushdown_predicates(
-                entry, condition if pushdown else None, config, parse_stats
-            )
-            result = _selective_pass(
-                entry,
-                schema,
-                needed,
-                predicates,
-                candidates,
-                zone_skips,
-                pmap,
-                config,
-                parse_stats,
-            )
+        if result is not None:
             _learn_zone_maps(entry, schema, result, config)
             return result
     pindex = partitions_for(entry, config)
@@ -420,148 +414,267 @@ def _zone_candidates(
     return candidates, zone_skips
 
 
-def _coalesced_bytes(
-    pmap: PositionalMap, cols: list[int], rows: np.ndarray, max_gap: int
-) -> int:
-    """Bytes the coalesced windows over ``cols``' spans in ``rows`` cover.
+def _column_runs(cols: list[int]) -> list[list[int]]:
+    """``cols`` split into runs of adjacent column numbers:
+    ``[1, 2, 3, 6]`` gives ``[[1, 2, 3], [6]]``."""
+    runs: list[list[int]] = []
+    for c in cols:
+        if runs and runs[-1][-1] == c - 1:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    return runs
 
-    Row-major, the spans lie in file order: ``cols`` left to right within
-    a row, then the next row.  Over a sorted, non-overlapping sequence
-    the windows are exactly the span from the first start to the last
-    end, less every gap wider than ``max_gap`` — one pass over the
-    per-column arrays, no stacking and no sort.  A negative gap (spans
-    out of order or overlapping) falls back to :func:`coalesce_ranges`.
+
+def _field_spans(
+    pmap: PositionalMap, runs: list[list[int]], rows: np.ndarray, size: int
+) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
+    """``(starts, ends)`` of each column of ``runs`` in ``rows``, or
+    ``None`` when the map is damaged.
+
+    Row-major, a sound map's spans lie in file order: left to right
+    within a row, then the next row, each at least one separator past
+    the end of the one before (none between fixed-width fields), and all
+    inside the file.  Within a run of adjacent columns that holds by
+    construction — a field's end and the next one's start are one
+    boundary array — so only each field's own extent, the step from one
+    run to the next and the step from one row to the next are checked.
+    A map that breaks this order — restored offsets damaged on disk — is
+    never read from.
     """
-    if len(rows) == 0:
-        return 0
     subset = rows if len(rows) < pmap.nrows else None  # zones ruled rows out
-    spans = [pmap.slices_for(c, subset) for c in cols]
-    starts = [s for s, _ in spans]
-    ends = [e for _, e in spans]
-    gaps = [s - e for e, s in zip(ends, starts[1:])]  # within a row
-    gaps.append(starts[0][1:] - ends[-1][:-1])  # one row to the next
-    lengths = [e - s for s, e in zip(starts, ends)]
-    if starts[0][0] < 0 or any(bool((a < 0).any()) for a in gaps + lengths):
-        win_starts, win_ends = coalesce_ranges(
-            np.column_stack(starts).ravel(), np.column_stack(ends).ravel(), max_gap
-        )
-        return int((win_ends - win_starts).sum())
-    total = int(ends[-1][-1] - starts[0][0])
-    for gap in gaps:
-        total -= int(gap[gap > max_gap].sum())
-    return total
+    spans = {c: pmap.slices_for(c, subset) for run in runs for c in run}
+    if not len(rows):
+        return spans
+    sep = pmap.sep or 0
+    first, last = spans[runs[0][0]][0], spans[runs[-1][-1]][1]
+    steps = [(spans[a[-1]][1], spans[b[0]][0]) for a, b in zip(runs, runs[1:])]
+    steps.append((last[:-1], first[1:]))
+    if (
+        first[0] < 0
+        or last[-1] > size
+        or any(bool((s > e).any()) for s, e in spans.values())
+        or any(bool((end + sep > start).any()) for end, start in steps)
+    ):
+        return None
+    return spans
 
 
-def _gather_column(
-    entry: TableEntry,
-    pmap: PositionalMap,
-    col: int,
-    rows: np.ndarray,
-    config: EngineConfig,
-    stats: TokenizerStats,
-) -> np.ndarray:
-    """Read and extract one column's fields for the given rows only."""
-    starts, ends = pmap.slices_for(col, rows)
-    windows = entry.file.read_windows(
-        starts,
-        ends,
-        max_gap=SELECTIVE_READ_MAX_GAP,
-        workers=config.resolved_parallel_workers(),
-    )
-    stats.chars_scanned += windows.total_bytes
-    stats.fields_tokenized += len(rows)
-    raw = gather_fields(
-        windows.buffer, windows.translate(starts), ends - starts
-    )
-    # Spans cover the *encoded* field text; non-identity dialects (quoted
-    # CSV, TSV escapes, fixed-width padding) decode to the logical value.
-    return entry.file.adapter.decode_many(raw)
+def _run_windows(
+    spans: dict[int, tuple[np.ndarray, np.ndarray]],
+    runs: list[list[int]],
+    size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One window per row and run, from the byte before its first field
+    to the byte after its last, clipped to the file, row-major: both
+    bounds run in file order."""
+    lo = [np.maximum(spans[run[0]][0] - 1, 0) for run in runs]
+    hi = [np.minimum(spans[run[-1]][1] + 1, size) for run in runs]
+    if len(runs) == 1:
+        return lo[0], hi[0]
+    return np.column_stack(lo).ravel(), np.column_stack(hi).ravel()
+
+
+def _coalesced_bytes(lo: np.ndarray, hi: np.ndarray, max_gap: int) -> int:
+    """Bytes :func:`~repro.flatfile.files.coalesce_ranges` covers over
+    windows whose starts and ends both run in file order, without
+    building the windows: the whole extent less every gap wider than
+    ``max_gap``."""
+    if not len(lo):
+        return 0
+    gaps = lo[1:] - hi[:-1]
+    return int(hi[-1] - lo[0]) - int(gaps[gaps > max_gap].sum())
+
+
+def _locate_fields(
+    windows: FileWindows,
+    spans: dict[int, tuple[np.ndarray, np.ndarray]],
+    runs: list[list[int]],
+    size: int,
+    adapter: FormatAdapter,
+    ncols: int,
+) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
+    """Buffer offsets and lengths of the fields of ``runs``, or ``None``
+    when some span is not a field.
+
+    A span is a field when it sits between separators: the delimiter
+    before and after it, a newline (or the file start) before the first
+    column, and a newline, CR (or the file end) after the last.  Within
+    a run the separator after one field is the one before the next, so
+    it is checked once.  Each run was read with the byte on either side
+    of it, so those bytes are in the buffer.  Fixed-width files have no
+    delimiter, so only the row edges are checked there.  Restored or
+    learned offsets are never trusted further than this: a damaged map
+    costs a re-frame, never an answer.
+    """
+    buf = np.frombuffer(windows.buffer, dtype=np.uint8)
+    delim = ord(adapter.delimiter) if adapter.delimiter is not None else None
+    located: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for run in runs:
+        s, _ = spans[run[0]]
+        # The run's fields lie in one window, so in one block: one
+        # shift moves all of them into the buffer.
+        shift = windows.translate(s) - s
+        before = buf[np.maximum(s + shift - 1, 0)]
+        if run[0] == 0:
+            ok = (s == 0) | (before == _NEWLINE)
+        else:
+            ok = (s > 0) & (before == delim if delim is not None else True)
+        for c in run:
+            s, e = spans[c]
+            lo, lengths = s + shift, e - s
+            after = buf[np.minimum(lo + lengths, len(buf) - 1)]
+            if c == ncols - 1:
+                line_end = (after == _NEWLINE) | (after == _CARRIAGE)
+                ok &= (e == size) | (line_end & (e < size))
+            else:
+                ok &= (e < size) & (after == delim if delim is not None else True)
+            located[c] = (lo, lengths)
+        if not bool(ok.all()):
+            return None
+    return located
 
 
 def _selective_pass(
     entry: TableEntry,
     schema: TableSchema,
     needed: list[str],
-    predicates: dict[int, RawPredicate],
-    candidates: np.ndarray,
-    zone_skips: int,
+    condition: Condition | None,
+    want_cols: list[int],
     pmap: PositionalMap,
     config: EngineConfig,
-    parse_stats: ParseStats,
-) -> PassResult:
+) -> PassResult | None:
     """Positional-map-driven pass: touch only the bytes the query needs.
 
-    ``candidates`` are the rows the zone maps could not rule out
-    (:func:`_zone_candidates`, ``zone_skips`` zones skipped): bytes of
-    any other row are never requested at all.
+    ``None`` declines, and the caller frames the file instead: when the
+    windows over the zone survivors (:func:`_zone_candidates`) would not
+    save at least 1/16th of the file — one sequential read beats many
+    window reads of the same bytes — or when the map is damaged (it is
+    then cleared, and the framing pass learns it afresh).  Bytes of any
+    row the zones ruled out are never requested at all.
 
-    Pushdown predicates keep their early-abandonment power in range form:
-    each predicate column is gathered only for the rows still in play, so
-    a failing early predicate spares all later columns' bytes for that row
-    — the byte-range analogue of abandoning a row mid-tokenization.  Each
-    predicate is one bulk call over the gathered column (``pred.mask``:
-    one parse, one range mask; see :class:`WideningPredicate`), and
-    fields stay NumPy arrays from the gather to the parser — ``S`` bytes
-    on ASCII windows, cast straight to numbers.
+    Each run of adjacent wanted columns is one window per row, padded by
+    the separator on either side that :func:`_locate_fields` checks, in
+    row-major order, which is file order; far-apart columns read nothing
+    between them.  Pushdown predicates keep their early-abandonment
+    power: the runs holding a predicate column (with the output columns
+    adjacent to it) are read in one :meth:`~repro.flatfile.files.
+    FlatFile.read_windows` call for every candidate, predicate columns
+    are cut from that buffer, each as one bulk call (``pred.mask``: one
+    parse, one range mask; see :class:`WideningPredicate`), and the
+    other columns only for the rows every predicate kept.  The other
+    runs are read in a second call for those rows only.  Without a
+    predicate — a next-column load — every run is read in one call.
+    Fields stay NumPy arrays from the cut to the parser — ``S`` bytes on
+    ASCII input, cast straight to numbers.
     """
     nrows = int(pmap.nrows)
+    intervals = (
+        {schema.index_of(c): iv for c, iv in condition.items} if condition else {}
+    )
+    candidates, zone_skips = _zone_candidates(entry, intervals, nrows, config)
+    size = entry.file.size_bytes()
+    runs = _column_runs(want_cols)
+    spans = _field_spans(pmap, runs, candidates, size)
+    if spans is None:
+        pmap.clear()
+        return None
+    # Two fields at most SELECTIVE_READ_MAX_GAP bytes apart share a read
+    # window; their padded windows are then two bytes closer.
+    max_gap = SELECTIVE_READ_MAX_GAP - 2
+    covered = _coalesced_bytes(*_run_windows(spans, runs, size), max_gap)
+    if covered >= size - (size >> 4):
+        return None
+
+    # Counted apart from the caller's, which a declined pass must leave
+    # untouched for the framing pass.
+    parse_stats = ParseStats()
+    predicates = _pushdown_predicates(entry, condition, config, parse_stats)
     stats = TokenizerStats()
     stats.rows_scanned = nrows
     stats.rows_abandoned = nrows - len(candidates)
+    adapter = entry.file.adapter
+    buffers: dict[int, bytes] = {}
+
+    def read(
+        read_runs: list[list[int]], at: np.ndarray | None
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
+        """Read ``read_runs`` in the candidates at positions ``at``."""
+        sub = {
+            c: spans[c] if at is None else (spans[c][0][at], spans[c][1][at])
+            for run in read_runs
+            for c in run
+        }
+        windows = entry.file.read_windows(
+            *_run_windows(sub, read_runs, size),
+            max_gap=max_gap,
+            workers=config.resolved_parallel_workers(),
+        )
+        stats.chars_scanned += windows.window_bytes
+        buffers.update((c, windows.buffer) for c in sub)
+        return _locate_fields(windows, sub, read_runs, size, adapter, len(schema))
+
+    first = [run for run in runs if any(c in predicates for c in run)] or runs
+    located = read(first, None)
+    if located is None:
+        pmap.clear()
+        return None
+
+    def cut(col: int, at: np.ndarray | None) -> np.ndarray:
+        """Column ``col``'s located fields, at positions ``at``."""
+        lo, lengths = located[col]
+        if at is not None:
+            lo, lengths = lo[at], lengths[at]
+        stats.fields_tokenized += len(lo)
+        # Spans cover the *encoded* field text; non-identity dialects
+        # (quoted CSV, TSV escapes, fixed-width padding) decode it.
+        return adapter.decode_many(gather_fields(buffers[col], lo, lengths))
+
     gathered: dict[int, np.ndarray] = {}
     gathered_rows: dict[int, np.ndarray] = {}
+    rows, alive = candidates, None
     for col in sorted(predicates):
-        values = _gather_column(entry, pmap, col, candidates, config, stats)
-        gathered[col] = values
-        gathered_rows[col] = candidates
+        values = cut(col, alive)
+        gathered[col], gathered_rows[col] = values, rows
         if config.zone_maps and len(values) == nrows:
-            # The first predicate column is gathered for every row (no
-            # zones narrowed it yet): learn its zones so the next warm
-            # query can skip — the partial-loads analogue of learning
-            # during cold scans.
+            # The first predicate column is cut for every row (no zones
+            # narrowed it yet): learn its zones so the next warm query
+            # can skip — the partial-loads analogue of learning during
+            # cold scans.
             _learn_zones_from_text(entry, schema, col, values, config)
         keep = predicates[col].mask(values)
         stats.rows_abandoned += int(len(keep) - keep.sum())
-        candidates = candidates[keep]
-
+        rows = rows[keep]
+        alive = np.flatnonzero(keep) if alive is None else alive[keep]
+    later = [run for run in runs if run not in first]
+    if later:
+        more = read(later, alive)
+        if more is None:
+            pmap.clear()
+            return None
+        located.update(more)
     needed_idx = sorted({schema.index_of(n) for n in needed})
-    remaining = [c for c in needed_idx if c not in predicates]
-    if remaining:
-        spans = {c: pmap.slices_for(c, candidates) for c in remaining}
-        windows = entry.file.read_windows(
-            np.concatenate([s for s, _ in spans.values()]),
-            np.concatenate([e for _, e in spans.values()]),
-            max_gap=SELECTIVE_READ_MAX_GAP,
-            workers=config.resolved_parallel_workers(),
-        )
-        stats.chars_scanned += windows.total_bytes
-        for col in remaining:
-            starts, ends = spans[col]
-            gathered[col] = entry.file.adapter.decode_many(
-                gather_fields(
-                    windows.buffer, windows.translate(starts), ends - starts
-                )
-            )
-            gathered_rows[col] = candidates
-            stats.fields_tokenized += len(candidates)
+    for col in needed_idx:
+        if col not in predicates:
+            at = alive if any(col in run for run in first) else None
+            gathered[col], gathered_rows[col] = cut(col, at), rows
 
     columns: dict[str, np.ndarray] = {}
     for name in needed:
         idx = schema.index_of(name)
         values = gathered[idx]
-        rows = gathered_rows[idx]
-        if len(rows) != len(candidates):
-            # Gathered before later predicates narrowed the row set: keep
+        if len(gathered_rows[idx]) != len(rows):
+            # Cut before later predicates narrowed the row set: keep
             # only the survivors (rows arrays are sorted by construction).
-            values = values[np.searchsorted(rows, candidates)]
+            values = values[np.searchsorted(gathered_rows[idx], rows)]
         columns[schema.columns[idx].name] = parse_column_with_widening(
             entry, idx, values, parse_stats
         )
-    stats.rows_emitted = len(candidates)
+    stats.rows_emitted = len(rows)
     return PassResult(
         nrows=nrows,
         columns=columns,
-        row_ids=candidates,
+        row_ids=rows,
         tokenizer=stats,
         parse=parse_stats,
         zone_map_skips=zone_skips,

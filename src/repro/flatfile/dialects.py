@@ -121,6 +121,8 @@ class FormatAdapter:
     #: Characters between one field's span end and the next field's
     #: start: the positional map derives ends from starts with it.
     sep = 1
+    #: The character between two fields, for dialects that have one.
+    delimiter: str | None = None
 
     # ------------------------------------------------------------- framing
 

@@ -68,33 +68,40 @@ def coalesce_ranges(
         raise FlatFileError(f"max_gap must be non-negative, got {max_gap}")
     if (ends < starts).any() or (starts < 0).any():
         raise FlatFileError("coalesce_ranges: malformed byte range")
+    # A stable sort is a timsort: one linear pass over ranges already in
+    # file order (the loader's field windows).
     order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    e = ends[order]
+    s, e = starts[order], ends[order]
     cummax_e = np.maximum.accumulate(e)
     breaks = np.empty(len(s), dtype=bool)
     breaks[0] = True
     breaks[1:] = s[1:] > cummax_e[:-1] + max_gap
-    first = np.nonzero(breaks)[0]
-    win_starts = s[first]
-    win_ends = np.maximum.reduceat(e, first)
-    return win_starts, win_ends
+    first = np.flatnonzero(breaks)
+    # Every earlier window ends before a window's first start, so the
+    # running maximum at a window's last range is that window's end.
+    last = np.append(first[1:] - 1, len(s) - 1)
+    return s[first], cummax_e[last]
 
 
 @dataclass
 class FileWindows:
-    """Bytes of several coalesced windows of one file, addressable by
-    their original absolute file offsets.
+    """The blocks read for several coalesced windows of one file,
+    addressable by absolute file offsets.
 
-    ``starts[i]``/``ends[i]`` are the file-offset bounds of window ``i``
-    (sorted, disjoint) and ``offsets[i]`` is where window ``i`` begins
-    inside the concatenated :attr:`buffer`.
+    ``starts[i]``/``ends[i]`` are the file-offset bounds of block ``i``
+    (sorted, disjoint) and ``offsets[i]`` is where block ``i`` begins
+    inside the concatenated :attr:`buffer`.  A block is one contiguous
+    run of file bytes, so it also holds the gaps between the windows it
+    covers: :attr:`buffer_bytes` is what was physically read, while
+    :attr:`window_bytes` is the coalesced window bytes that
+    ``bytes_read`` accounts.
     """
 
     starts: np.ndarray
     ends: np.ndarray
     offsets: np.ndarray
     buffer: bytes
+    window_bytes: int
 
     def translate(self, positions: np.ndarray) -> np.ndarray:
         """Map absolute file offsets to offsets within :attr:`buffer`."""
@@ -107,7 +114,7 @@ class FileWindows:
         return positions - self.starts[idx] + self.offsets[idx]
 
     @property
-    def total_bytes(self) -> int:
+    def buffer_bytes(self) -> int:
         return len(self.buffer)
 
 
@@ -529,10 +536,12 @@ class FlatFile:
         :attr:`_BLOCK_GAP` bytes apart (``io.DEFAULT_BUFFER_SIZE``, the
         span ``BufferedReader`` streams through on a per-window
         seek+read anyway, so physical I/O does not grow) share one
-        ``read``, and one NumPy gather cuts the windows out of the
-        blocks.  A block breaks at window boundaries only, so its
+        ``read``.  A block breaks at window boundaries only, so its
         envelope is at most :attr:`_BLOCK_MAX` plus one window.  The
-        gather's index takes 16 bytes per window byte while it lives.
+        blocks are returned joined, as they were read: a caller cuts
+        its fields straight out of them through
+        :meth:`FileWindows.translate`, which searches the few blocks,
+        never the windows, and no compacted copy is made.
 
         With ``workers > 1`` the blocks are split into contiguous runs
         read concurrently by a thread pool (each thread on its own file
@@ -540,14 +549,12 @@ class FlatFile:
         """
         win_starts, win_ends = coalesce_ranges(starts, ends, max_gap)
         n = len(win_starts)
-        lengths = win_ends - win_starts
-        offsets = np.cumsum(lengths) - lengths
+        window_bytes = int((win_ends - win_starts).sum())
         if not n:
-            return FileWindows(win_starts, win_ends, offsets, b"")
+            return FileWindows(win_starts, win_ends, win_starts.copy(), b"", 0)
         chunk = win_starts // self._BLOCK_MAX
         gap = win_starts[1:] - win_ends[:-1]
         new_block = (gap > self._BLOCK_GAP) | (chunk[1:] != chunk[:-1])
-        block_of = np.concatenate(([0], np.cumsum(new_block)))
         first = np.flatnonzero(np.concatenate(([True], new_block)))
         blk_starts = win_starts[first]
         blk_ends = win_ends[np.append(first[1:] - 1, n - 1)]
@@ -568,22 +575,15 @@ class FlatFile:
             return got
 
         blocks = self._read_retrying(once, f"{self.path} window reads")
-        # Byte j of window i sits at ``shift[block] + win_starts[i] + j``
-        # in the concatenated blocks and at ``offsets[i] + j`` in the
-        # buffer: one index array maps every buffer byte to its source.
-        shift = np.cumsum(blk_sizes) - blk_sizes - blk_starts
-        total = int(lengths.sum())
-        source = np.repeat(shift[block_of] + win_starts - offsets, lengths)
-        source += np.arange(total, dtype=np.int64)
-        blob = np.frombuffer(b"".join(blocks), dtype=np.uint8)
         # One call for every window: the same totals, without a lock
         # round trip per window (one per row on a scattered column).
-        self._account(total, full_scan=False, calls=n)
+        self._account(window_bytes, full_scan=False, calls=n)
         return FileWindows(
-            starts=win_starts,
-            ends=win_ends,
-            offsets=offsets,
-            buffer=blob[source].tobytes(),
+            starts=blk_starts,
+            ends=blk_ends,
+            offsets=np.cumsum(blk_sizes) - blk_sizes,
+            buffer=b"".join(blocks),
+            window_bytes=window_bytes,
         )
 
     #: Windows at most this far apart share one block read.

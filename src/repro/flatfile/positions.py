@@ -22,16 +22,23 @@ column that does not extend the prefix that way is not recorded.
 Merging partitions keeps the shortest shared prefix; a tail-append cuts
 the map to the prefix the tail learned again.
 
-A later load of column *j* is anchored at the closest already-known
-column at or before *j* (:meth:`PositionalMap.known_columns`): the pass
-scans over only the ``j - anchor`` fields from the anchor to *j*.  The
-vectorized kernel takes only which columns are known and derives every
-position from the bytes themselves.
+The vectorized kernel frames every column of every row in one pass, so
+the first pass over a file hands the map the whole frame
+(:meth:`PositionalMap.record_frame`) and the prefix is then every
+column.  Only the dialect loop (quoted CSV, ragged rows, non-ASCII
+fixed-width) still learns a shorter prefix, and there a later load of
+column *j* is anchored at the closest already-known column at or before
+*j* (:meth:`PositionalMap.known_columns`): the pass scans over only the
+``j - anchor`` fields from the anchor to *j*.  The kernel takes only
+which columns are known, to charge its work counters as those jumps
+would, and derives every position from the bytes themselves.
 
 When the spans of every column a pass needs are known
 (:meth:`PositionalMap.knows_column`), the loader skips tokenization entirely:
-it reads only the required byte ranges from the file and gathers the
-fields directly (the selective-read fast path).  Offsets are *character*
+it reads each run of adjacent wanted columns, padded by its
+separators, in a block read and cuts the fields out of it (the
+selective-read fast path), after checking that the spans lie in file
+order and each sits between separators.  Offsets are *character*
 offsets into the decoded text; :meth:`record_text_geometry` remembers
 whether characters and bytes coincide (pure-ASCII files), which is the
 precondition for using the offsets as byte ranges.
@@ -108,6 +115,22 @@ class PositionalMap:
         if col == max(len(self.bounds) - 1, 0):
             self._grow(col + 2, sep, lambda j: starts if j == col else end_arr + sep)
 
+    def record_frame(self, bounds: list[np.ndarray], *, sep: int) -> None:
+        """Offer boundary arrays ``0..len(bounds) - 1`` in one call.
+
+        The vectorized kernel frames every column of every row, so it
+        hands over the whole frame at once: ``bounds[c]`` is field
+        ``c``'s start and the last array is the last field's end plus
+        ``sep``.  Kept as far as it extends the known prefix, under the
+        agreement rule of :meth:`record_field_offsets`.
+        """
+        self.record_nrows(len(bounds[0]))
+        if any(len(b) != self.nrows for b in bounds):
+            raise ValueError(
+                f"frame of {[len(b) for b in bounds]} rows for {self.nrows} rows"
+            )
+        self._grow(len(bounds), sep, lambda j: bounds[j])
+
     def record_text_geometry(self, nbytes: int, nchars: int) -> None:
         """Remember the byte/character sizes seen by a full scan."""
         if self.text_geometry is None:
@@ -163,6 +186,16 @@ class PositionalMap:
 
     def known_columns(self) -> list[int]:
         return list(range(len(self.bounds) - 1))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the boundary arrays hold."""
+        return sum(int(b.nbytes) for b in self.bounds)
+
+    def truncate(self, ncols: int) -> None:
+        """Keep only columns ``0..ncols - 1`` of the known prefix."""
+        if ncols < len(self.bounds) - 1:
+            self.bounds = self.bounds[: ncols + 1] if ncols > 0 else []
 
     def copy(self) -> "PositionalMap":
         """A snapshot sharing the (immutable) arrays, not the prefix list."""

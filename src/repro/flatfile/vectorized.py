@@ -6,32 +6,44 @@ cheaper) is what the experiments rely on, but from Python every byte
 would be touched by the interpreter.  This kernel performs the *same*
 pass over the raw bytes in bulk:
 
-1. **byte-scan framing** — ``np.frombuffer`` over the raw bytes, one-shot
-   ``np.nonzero`` location of every newline (and delimiter) byte.  Both are
-   ASCII bytes and UTF-8 never embeds ASCII values in multi-byte sequences,
-   so byte scanning is safe for any UTF-8 content;
-2. **cumulative row framing** — per-row separator counts via two
-   ``searchsorted`` calls; any ragged row (a separator count other than
-   ``ncols - 1``) makes the kernel decline, and
-   :func:`~repro.flatfile.tokenizer.tokenize_bytes` falls back to the
-   adapter's field loop (:func:`~repro.flatfile.tokenizer.
+1. **one separator pass** — ``np.frombuffer`` over the raw bytes and
+   one ``np.flatnonzero`` of every delimiter *or* newline byte.  Both are
+   ASCII bytes and UTF-8 never embeds ASCII values in multi-byte
+   sequences, so byte scanning is safe for any UTF-8 content.  When the
+   file is regular — it ends in a newline, no line ends in CR, no line
+   is blank and every line holds ``ncols - 1`` delimiters — those
+   positions reshape to a ``(nrows, ncols)`` grid whose last column is
+   the newlines, and that grid *is* the frame: column ``c`` runs from
+   ``grid[:, c - 1] + 1`` to ``grid[:, c]`` (the bulk framing of
+   Mühlbauer et al., "Instant Loading for Main Memory Databases",
+   PVLDB 2013);
+2. **the fallback frame** — anything else (blank lines, CRLF, a missing
+   final newline, ragged rows, fixed-width input) is framed by newline
+   rows, then by the fixed widths or by per-row delimiter counts from
+   two ``searchsorted`` calls; a ragged row (a delimiter count other
+   than ``ncols - 1``, or the wrong width) makes the kernel decline,
+   and :func:`~repro.flatfile.tokenizer.tokenize_bytes` falls back to
+   the adapter's field loop (:func:`~repro.flatfile.tokenizer.
    tokenize_dialect`) *for that input only*, which frames rows, learns
    spans and raises "fewer than N fields" the same way;
-3. **columnar field extraction** — per-column field bounds gathered from
-   the separator index for the columns the pass visits only; no column
-   right of the last needed one is ever materialized ("never slice
-   columns right of the last needed one" — the paper's early-abort
-   economics, bulk-shaped), and pushdown predicates
-   are evaluated column-by-column over the still-candidate rows, each as
-   one bulk call (``pred.mask``: one parse of the candidate array, one
-   range mask — never a Python call per value), so a failing early
-   column spares every later column's slices.  On pure-ASCII input the
-   fields are ``S`` byte arrays (the gather's packed matrix, never cast
-   to ``str``), so the predicate mask and the parser cast bytes straight
-   to numbers; non-ASCII input is decoded to ``U`` once, in bulk;
-4. **bulk learning** — the positional map is offered whole columns of
-   field spans (:meth:`~repro.flatfile.positions.PositionalMap.
-   record_field_offsets`), never one field at a time.
+3. **columnar field extraction** — fields are materialized only for the
+   columns the pass visits; no column right of the last needed one is
+   ever sliced ("never slice columns right of the last needed one" —
+   the paper's early-abort economics, bulk-shaped), and pushdown
+   predicates are evaluated column-by-column over the still-candidate
+   rows, each as one bulk call (``pred.mask``: one parse of the
+   candidate array, one range mask — never a Python call per value), so
+   a failing early column spares every later column's slices.  On
+   pure-ASCII input the fields are ``S`` byte arrays (the gather's
+   packed matrix, never cast to ``str``), so the predicate mask and the
+   parser cast bytes straight to numbers; non-ASCII input is decoded to
+   ``U`` once, in bulk;
+4. **the whole frame is learned** — either frame holds every column of
+   every row, so the positional map is offered all of them at once
+   (:meth:`~repro.flatfile.positions.PositionalMap.record_frame`),
+   whatever the pass visited or its predicates abandoned.  A later
+   query on any column is then a window read cut by the map
+   (:mod:`repro.core.loader`), not another framing pass.
 
 Work counters stay **exact**: :class:`~repro.flatfile.tokenizer.
 TokenizerStats` out of this kernel is field-for-field the per-field
@@ -45,10 +57,10 @@ predicates and non-ASCII input.
 
 A warm positional map runs the kernel too.  The ``str.find`` walk jumps
 to the largest known column at or left of each needed one, so the kernel
-visits, charges and learns exactly the columns those jumps would.  It
-takes only *which* columns the map knows, never their offsets: the
-framing pass already locates every delimiter, and a map with corrupted
-offsets can then skew the work counters but never an answer.
+visits and charges exactly the columns those jumps would.  It takes only
+*which* columns the map knows, never their offsets: the framing pass
+already locates every delimiter, and a map with corrupted offsets can
+then skew the work counters but never an answer.
 
 Eligibility: dialects with ``supports_vectorized`` (plain delimited, TSV,
 fixed-width).  Quoted CSV needs a quote state machine and JSON-lines has
@@ -109,6 +121,35 @@ def _frame_rows(
     if skip_rows:
         starts, ends = starts[skip_rows:], ends[skip_rows:]
     return starts, ends
+
+
+def _frame_grid(
+    buf: np.ndarray, delim: int, ncols: int, skip_rows: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row starts and the ``(nrows, ncols)`` separator grid, or ``None``.
+
+    One pass locates every delimiter and newline byte.  When the file is
+    regular — it ends in a newline, no line ends in CR, no line is empty
+    and every line holds exactly ``ncols - 1`` delimiters — those
+    positions reshape to one grid row per line: its delimiters, then its
+    newline.  Anything else declines to :func:`_frame_rows`.
+    """
+    if not len(buf) or buf[-1] != _NEWLINE:
+        return None
+    seps = np.flatnonzero((buf == delim) | (buf == _NEWLINE))
+    if len(seps) % ncols:
+        return None
+    is_nl = buf[seps] == _NEWLINE
+    grid = seps.reshape(-1, ncols)
+    if int(np.count_nonzero(is_nl)) != len(grid) or not is_nl[ncols - 1 :: ncols].all():
+        return None
+    ends = grid[:, -1]
+    row_starts = np.empty(len(grid), dtype=np.int64)
+    row_starts[0] = 0
+    row_starts[1:] = ends[:-1] + 1
+    if bool((ends == row_starts).any()) or bool((buf[ends - 1] == _CARRIAGE).any()):
+        return None  # a blank line (one column) or a CRLF line end
+    return row_starts[skip_rows:], grid[skip_rows:]
 
 
 def tokenize_vectorized(
@@ -176,7 +217,13 @@ def tokenize_vectorized(
     nul_free = not bool((buf == 0).any()) if len(buf) else True
 
     # ------------------------------------------------------------- framing
-    row_starts, row_ends = _frame_rows(buf, skip_rows)
+    frame = None
+    if delimiter is not None:
+        frame = _frame_grid(buf, ord(delimiter), ncols, skip_rows)
+    if frame is not None:
+        row_starts, grid = frame
+    else:
+        row_starts, row_ends = _frame_rows(buf, skip_rows)
     nrows = len(row_starts)
     if ascii_only:
         nchars = len(buf)
@@ -210,7 +257,12 @@ def tokenize_vectorized(
         visit.extend(range(last_needed + 1, ncols))
 
     # ------------------------------------------ separator / ragged detection
-    if delimiter is None:
+    if frame is not None:
+
+        def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
+            return (row_starts if c == 0 else grid[:, c - 1] + 1), grid[:, c]
+
+    elif delimiter is None:
         assert isinstance(adapter, FixedWidthAdapter)
         widths = np.asarray(adapter.widths, dtype=np.int64)
         if nrows and not bool(((row_ends - row_starts) == int(widths.sum())).all()):
@@ -240,7 +292,6 @@ def tokenize_vectorized(
     candidates = np.arange(nrows, dtype=np.int64)
     pred_values: dict[int, np.ndarray] = {}
     pred_rows: dict[int, np.ndarray] = {}
-    fail_cols: list[int] = []
     bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def extract(col: int, rows: np.ndarray) -> np.ndarray:
@@ -277,7 +328,6 @@ def tokenize_vectorized(
             failed = int(len(keep) - keep.sum())
             if failed:
                 stats.rows_abandoned += failed
-                fail_cols.append(col)
                 candidates = candidates[keep]
         if col > last_needed and len(candidates) == 0:
             # Ablation tail over zero qualified rows: nothing to count.
@@ -287,20 +337,18 @@ def tokenize_vectorized(
     stats.rows_emitted = len(survivors)
 
     # ------------------------------------------------------------ learning
+    # The framing located every column of every row, whatever the pass
+    # visited or its predicates abandoned: offer the map the whole frame.
     if learn and positional_map is not None:
         positional_map.record_nrows(nrows)
-        learned_bound = min(fail_cols) if fail_cols else last_needed
-        cols = [
-            c
-            for c in visit
-            if c <= learned_bound and not positional_map.knows_column(c)
-        ]
-        for c in cols:
-            positional_map.record_field_offsets(
-                c,
-                np.ascontiguousarray(to_chars(bounds[c][0])),
-                np.ascontiguousarray(to_chars(bounds[c][1])),
-                sep=adapter.sep,
+        if len(positional_map.known_columns()) < ncols:
+            for c in range(ncols):
+                if c not in bounds:
+                    bounds[c] = col_bounds(c)
+            frame_bounds = [to_chars(bounds[c][0]) for c in range(ncols)]
+            frame_bounds.append(to_chars(bounds[ncols - 1][1]) + adapter.sep)
+            positional_map.record_frame(
+                [np.ascontiguousarray(b) for b in frame_bounds], sep=adapter.sep
             )
     if positional_map is not None:
         positional_map.record_text_geometry(nbytes=len(data), nchars=nchars)

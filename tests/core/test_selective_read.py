@@ -15,10 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import EngineConfig, NoDBEngine
+from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.config import POLICIES
-from repro.core.loader import _coalesced_bytes, column_load_pass, partial_load_pass
-from repro.flatfile.files import coalesce_ranges
+from repro.core.loader import (
+    _coalesced_bytes,
+    _column_runs,
+    _field_spans,
+    _run_windows,
+    column_load_pass,
+    partial_load_pass,
+)
+from repro.flatfile.files import FlatFile, coalesce_ranges
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import Catalog
 from scalar_oracle import split_rows
@@ -232,6 +239,8 @@ class TestSafetyGates:
 class _Spans:
     """The two members of a positional map the selective planner reads."""
 
+    sep = 0
+
     def __init__(self, starts, ends):
         self.nrows = len(starts[0])
         self._spans = {c: (s, e) for c, (s, e) in enumerate(zip(starts, ends))}
@@ -260,39 +269,64 @@ def row_major_spans(draw):
     return starts, ends, rows
 
 
-def _coalesced_by_sort(starts, ends, rows, max_gap):
-    win_starts, win_ends = coalesce_ranges(
-        np.concatenate([s[rows] for s in starts]),
-        np.concatenate([e[rows] for e in ends]),
-        max_gap,
-    )
-    return int((win_ends - win_starts).sum())
-
-
 class TestPlanning:
-    """Selective-read planning: exact window bytes without a sort, over
-    the rows zone maps keep."""
+    """Selective-read planning: one window per row and run of adjacent
+    wanted columns, padded by its separators, already in file order,
+    over the rows zone maps keep."""
+
+    def test_column_runs(self):
+        assert _column_runs([1, 2, 3, 6]) == [[1, 2, 3], [6]]
+        assert _column_runs([0]) == [[0]]
+        assert _column_runs([0, 2, 4, 5]) == [[0], [2], [4, 5]]
 
     @settings(max_examples=200, deadline=None)
     @given(row_major_spans(), st.sampled_from([0, 1, 5, 40, 8192]))
     def test_coalesced_bytes_equal_coalesce_ranges(self, spans, max_gap):
         starts, ends, rows = spans
         pmap = _Spans(starts, ends)
-        cols = list(range(len(starts)))
-        want = _coalesced_by_sort(starts, ends, rows, max_gap)
-        assert _coalesced_bytes(pmap, cols, rows, max_gap) == want
+        # Arbitrary spans are not adjacent by construction: give every
+        # column its own run, so every step between them is checked.
+        runs = [[c] for c in range(len(starts))]
+        size = int(ends[-1][-1]) + 1
         every = np.arange(pmap.nrows, dtype=np.int64)
-        assert _coalesced_bytes(pmap, cols, every, max_gap) == (
-            _coalesced_by_sort(starts, ends, every, max_gap)
-        )
+        for subset in (rows, every):
+            got = _field_spans(pmap, runs, subset, size)
+            assert got is not None
+            for c, (s, e) in got.items():
+                np.testing.assert_array_equal(s, starts[c][subset])
+                np.testing.assert_array_equal(e, ends[c][subset])
+            lo, hi = _run_windows(got, runs, size)
+            assert bool((lo[1:] >= lo[:-1]).all())  # file order
+            assert bool((hi[1:] >= hi[:-1]).all())
+            win_starts, win_ends = coalesce_ranges(lo, hi, max_gap)
+            assert _coalesced_bytes(lo, hi, max_gap) == int(
+                (win_ends - win_starts).sum()
+            )
+            # Sorted or shuffled, the same ranges coalesce to the same
+            # windows.
+            order = np.random.default_rng(7).permutation(len(lo))
+            for a, b in zip(
+                (win_starts, win_ends),
+                coalesce_ranges(lo[order], hi[order], max_gap),
+            ):
+                np.testing.assert_array_equal(a, b)
 
-    def test_out_of_order_spans_fall_back_to_coalesce_ranges(self):
-        # Column 1 lies left of column 0 in the second row: a negative gap.
+    def test_spans_out_of_file_order_mean_a_damaged_map(self):
+        rows = np.arange(2, dtype=np.int64)
+        # Column 1 lies left of column 0 in the second row.
         starts = [np.array([0, 30]), np.array([10, 20])]
         ends = [np.array([5, 35]), np.array([15, 25])]
-        rows = np.arange(2, dtype=np.int64)
-        assert _coalesced_bytes(_Spans(starts, ends), [0, 1], rows, 0) == 20
-        assert _coalesced_by_sort(starts, ends, rows, 0) == 20
+        assert _field_spans(_Spans(starts, ends), [[0], [1]], rows, 40) is None
+        # Row 2 starts before row 1 ends.
+        spans = _Spans([np.array([0, 4])], [np.array([5, 9])])
+        assert _field_spans(spans, [[0]], rows, 40) is None
+        # A field that ends before it starts.
+        spans = _Spans([np.array([0, 30])], [np.array([5, 29])])
+        assert _field_spans(spans, [[0]], rows, 40) is None
+        # Rows in order, but the last span runs past the file's end.
+        spans = _Spans([np.array([0, 30])], [np.array([5, 41])])
+        assert _field_spans(spans, [[0]], rows, 40) is None
+        assert _field_spans(spans, [[0]], rows, 41) is not None
 
     def _sorted_file(self, tmp_path):
         # Every column is needed, so the whole file is "wanted": only zone
@@ -324,3 +358,177 @@ class TestPlanning:
         assert got == sum(i % 7 for i in range(4000))
         assert q.zone_map_skips == 0
         assert q.file_bytes_read == path.stat().st_size
+
+
+class TestOneRead:
+    """The first pass learns every column, so a query on a column no
+    query has touched is one block read cut by the map: no framing.  A
+    predicate far from the output columns adds one read, for the rows
+    it keeps."""
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        rows = [",".join(str(i * 7 + j) for j in range(8)) for i in range(20_000)]
+        return _write(tmp_path / "w.csv", rows)
+
+    @pytest.mark.parametrize(
+        "policy, sql",
+        [
+            ("column_loads", "select sum(a5) from t"),
+            ("partial_v1", "select sum(a6), count(*) from t where a5 > 70000"),
+        ],
+    )
+    def test_next_column_is_one_block_read(self, wide_file, monkeypatch, policy, sql):
+        oracle = CSVEngine()
+        oracle.attach("t", wide_file)
+        want = oracle.query(sql).rows()
+        oracle.close()
+        engine = NoDBEngine(EngineConfig(policy=policy))
+        try:
+            engine.attach("t", wide_file)
+            engine.query("select sum(a1) from t")
+            reads = []
+            real_read = FlatFile.read_windows
+
+            def counted(self, *args, **kwargs):
+                reads.append(args)
+                return real_read(self, *args, **kwargs)
+
+            def no_framing(*args, **kwargs):
+                raise AssertionError("a next-column query framed the file")
+
+            monkeypatch.setattr(FlatFile, "read_windows", counted)
+            monkeypatch.setattr("repro.core.loader.tokenize_bytes", no_framing)
+            got = engine.query(sql).rows()
+            assert len(reads) == 1
+            assert 0 < engine.stats.last().file_bytes_read < wide_file.stat().st_size
+            assert got == want
+        finally:
+            engine.close()
+
+
+    def test_far_output_column_is_read_for_survivors_only(
+        self, wide_file, monkeypatch
+    ):
+        # a8 holds the predicate, a1 the output: a window run apart.  The
+        # a8 windows are read for every row, the a1 windows only for the
+        # rows the predicate keeps, never for a row it drops.
+        sql = "select sum(a1), count(*) from t where a8 > 139000"
+        oracle = CSVEngine()
+        oracle.attach("t", wide_file)
+        want = oracle.query(sql).rows()
+        oracle.close()
+        with NoDBEngine(EngineConfig(policy="partial_v1")) as engine:
+            engine.attach("t", wide_file)
+            engine.query("select sum(a1) from t")
+            reads = []
+            real_read = FlatFile.read_windows
+
+            def counted(self, starts, ends, **kwargs):
+                reads.append(len(starts))
+                return real_read(self, starts, ends, **kwargs)
+
+            monkeypatch.setattr(FlatFile, "read_windows", counted)
+            got = engine.query(sql).rows()
+        assert got == want
+        assert reads == [20_000, want[0][1]]
+
+
+class TestSpanCheck:
+    """A gathered span must be a field: a positional map damaged on disk
+    (same size, so the store restores it) costs a re-frame, never an
+    answer."""
+
+    SQL = "select sum(b), count(*) from t where b > 10"
+
+    @pytest.mark.parametrize(
+        "array, delta, read",
+        [
+            ("pm_b2.bin", 1, True),  # b's end runs into c: no delimiter after it
+            ("pm_b1.bin", 1, True),  # b's start skips a digit: none before it
+            ("pm_b1.bin", -4, True),  # b's start lands inside a
+            # b's start lies rows ahead of its end: out of file order, so
+            # nothing is read through the map.
+            ("pm_b1.bin", 10_000, False),
+        ],
+    )
+    def test_damaged_map_on_disk_never_changes_an_answer(
+        self, tmp_path, array, delta, read
+    ):
+        rows = ["a,b,c"] + [f"{i},{3 * i},{i % 7}" for i in range(20_000)]
+        path = _write(tmp_path / "t.csv", rows)
+        cfg = EngineConfig(policy="partial_v1", store_dir=tmp_path / "store")
+        with NoDBEngine(cfg) as first:
+            first.attach("t", path)
+            first.query(self.SQL)
+            first.flush_persistent_store()
+        (stored,) = (tmp_path / "store").rglob(array)
+        bounds = np.fromfile(stored, dtype=np.int64)
+        bounds[3000:3010] += delta
+        bounds.tofile(stored)
+
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        with NoDBEngine(cfg) as second:
+            second.attach("t", path)
+            assert second.query(self.SQL).rows() == oracle.query(self.SQL).rows()
+            assert second.stats.counters.restart_warm_hits == 1
+            # The damaged map was dropped (after its one window read, when
+            # its spans were in file order) and the file framed afresh:
+            # the map that pass learned serves the next query with a
+            # window read again.
+            framed = second.stats.last().file_bytes_read
+            assert (framed > path.stat().st_size) is read
+            assert framed >= path.stat().st_size
+            assert second.query(self.SQL).rows() == oracle.query(self.SQL).rows()
+            assert second.stats.last().file_bytes_read < path.stat().st_size
+        oracle.close()
+
+
+class TestMapUnderBudget:
+    """A framing pass learns every column's spans, 8 bytes a row each: on
+    a wide file of short fields more than the file.  Under a memory
+    budget the columns past the query's are kept only while they fit."""
+
+    NCOLS = 40
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        rows = [
+            ",".join(str((i * 31 + j) % 10) for j in range(self.NCOLS))
+            for i in range(2000)
+        ]
+        return _write(tmp_path / "wide.csv", rows)
+
+    def _oracle(self, path, sql):
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        try:
+            return oracle.query(sql).rows()
+        finally:
+            oracle.close()
+
+    def test_unbudgeted_map_learns_every_column(self, wide_file):
+        with NoDBEngine(EngineConfig(policy="column_loads")) as engine:
+            engine.attach("t", wide_file)
+            engine.query("select sum(a1) from t")
+            pmap = engine.catalog.get("t").positional_map
+            assert pmap.known_columns() == list(range(self.NCOLS))
+            assert pmap.nbytes > wide_file.stat().st_size
+
+    def test_budget_cuts_the_frame_back_to_the_query(self, wide_file):
+        size = wide_file.stat().st_size
+        cfg = EngineConfig(policy="column_loads", memory_budget_bytes=64_000)
+        with NoDBEngine(cfg) as engine:
+            engine.attach("t", wide_file)
+            pmap = engine.catalog.get("t").positional_map
+            for sql, known, framed in [
+                ("select sum(a1) from t", 1, True),
+                # a5 is past the kept prefix: frame again, keep a1..a5.
+                ("select sum(a5) from t", 5, True),
+                # a3 lies inside it: a window read.
+                ("select sum(a3) from t", 5, False),
+            ]:
+                assert engine.query(sql).rows() == self._oracle(wide_file, sql)
+                assert pmap.known_columns() == list(range(known))
+                assert (engine.stats.last().file_bytes_read == size) is framed

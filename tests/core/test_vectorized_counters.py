@@ -18,7 +18,7 @@ import pytest
 
 from benchmarks.workload import TableSpec, materialize_csv
 from repro import CSVEngine, EngineConfig, NoDBEngine
-from scalar_oracle import scalar_tokenize_bytes
+from scalar_oracle import scalar_tokenize_framed
 
 QUERIES = [
     "select sum(a1) from r",  # early abort: one column
@@ -27,8 +27,9 @@ QUERIES = [
     "select sum(a1) from r",  # warm repeat (selective/store path)
 ]
 
-# Each query needs columns right of the ones the map already knows, so
-# every pass after the first starts from positional-map anchors.
+# Each query needs a column the previous ones did not; with selective
+# reads off, every pass after the first frames the file again from the
+# anchors of the map the first pass learned.
 WARM_MAP_QUERIES = [
     "select sum(a1) from r",
     "select sum(a3) from r",
@@ -42,8 +43,8 @@ def csv_file(tmp_path_factory):
     return materialize_csv(TableSpec(nrows=400, ncols=4, seed=311), root / "r.csv")
 
 
-def _counters(path, policy: str, queries=QUERIES):
-    engine = NoDBEngine(EngineConfig(policy=policy))
+def _counters(path, policy: str, queries=QUERIES, **config):
+    engine = NoDBEngine(EngineConfig(policy=policy, **config))
     try:
         engine.attach("r", path)
         out = []
@@ -73,7 +74,7 @@ def _counters(path, policy: str, queries=QUERIES):
 )
 def test_tokenizer_counters_identical_between_routes(csv_file, policy, monkeypatch):
     shipped = _counters(csv_file, policy)
-    monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_bytes)
+    monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_framed)
     assert shipped == _counters(csv_file, policy)
 
 
@@ -94,17 +95,21 @@ def test_warm_map_passes_run_the_kernel(csv_file, tmp_path, monkeypatch):
     """On clean plain CSV no pass leaves the kernel — cold, warm-map,
     append-tail and split-file remainder passes alike — and the counters
     are the oracle's."""
-    monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_bytes)
-    oracle_counters = _counters(csv_file, "column_loads", queries=WARM_MAP_QUERIES)
+    # Without selective reads every later query frames the file again,
+    # starting from the anchors the whole-frame map offers.
+    monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_framed)
+    oracle_counters = _counters(
+        csv_file, "column_loads", queries=WARM_MAP_QUERIES, selective_reads=False
+    )
     monkeypatch.undo()
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("the dialect loop ran on clean plain CSV")
 
     monkeypatch.setattr("repro.flatfile.tokenizer.tokenize_dialect", no_fallback)
-    assert _counters(csv_file, "column_loads", queries=WARM_MAP_QUERIES) == (
-        oracle_counters
-    )
+    assert _counters(
+        csv_file, "column_loads", queries=WARM_MAP_QUERIES, selective_reads=False
+    ) == oracle_counters
 
     path = tmp_path / "r.csv"
     shutil.copy(csv_file, path)
@@ -144,10 +149,10 @@ def test_corrupted_map_offsets_never_change_an_answer(csv_file):
         oracle.attach("r", csv_file)
         engine.query("select sum(a2) from r")
         pmap = engine.catalog.get("r").positional_map
-        assert pmap.knows_column(1) and not pmap.knows_column(2)
+        assert all(pmap.knows_column(c) for c in range(4))  # the whole frame
         (s0, e0), (s1, e1) = pmap.slices_for(0), pmap.slices_for(1)
         nrows, geometry = pmap.nrows, pmap.text_geometry
-        pmap.clear()  # relearn column 1 shifted one character right
+        pmap.clear()  # keep columns 0 and 1, column 1 shifted right
         pmap.record_nrows(nrows)
         pmap.record_text_geometry(*geometry)
         pmap.record_field_offsets(0, s0, e0 + 1, sep=1)

@@ -97,6 +97,21 @@ class TestCoalesce:
     def test_unsorted_input(self):
         assert self._merge([(10, 12), (0, 3), (2, 5)]) == [(0, 5), (10, 12)]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ranges=st.lists(
+            st.tuples(st.integers(0, 300), st.integers(0, 40)), max_size=30
+        ),
+        max_gap=st.sampled_from([0, 1, 4, 50]),
+        data=st.data(),
+    )
+    def test_sorted_and_shuffled_inputs_coalesce_alike(self, ranges, max_gap, data):
+        """Sorted input skips the sort; it must not change the windows,
+        overlapping and contained ranges included."""
+        ranges = sorted((s, s + n) for s, n in ranges)
+        shuffled = data.draw(st.permutations(ranges))
+        assert self._merge(ranges, max_gap) == self._merge(shuffled, max_gap)
+
     def test_contained_range_absorbed(self):
         assert self._merge([(0, 20), (5, 8), (25, 30)]) == [(0, 20), (25, 30)]
 
@@ -113,7 +128,10 @@ class TestReadWindows:
     def test_reads_only_requested_bytes(self, csv_file):
         f = FlatFile(csv_file)  # "1,2\n3,4\n5,6\n"
         win = f.read_windows(np.array([0, 8]), np.array([3, 11]))
-        assert win.buffer == b"1,2" + b"5,6"
+        # Only the windows are accounted; the one block read for both
+        # holds the bytes between them too.
+        assert win.window_bytes == 6
+        assert win.buffer == b"1,2\n3,4\n5,6"
         assert f.stats.bytes_read == 6
         assert f.stats.read_calls == 2
         assert f.stats.full_scans == 0
@@ -210,9 +228,17 @@ class TestBlockReads:
         f = FlatFile(big_file)
         win = f.read_windows(starts, ends, max_gap=max_gap, workers=workers)
         want, nwindows = per_window_oracle(big_file, starts, ends, max_gap)
-        assert win.buffer == want
-        assert f.stats.bytes_read == len(want)
+        assert win.window_bytes == f.stats.bytes_read == len(want)
         assert f.stats.read_calls == nwindows
+        # Every window, cut through translate, is its per-window read.
+        ws, we = coalesce_ranges(starts, ends, max_gap)
+        for start, end, at in zip(ws.tolist(), we.tolist(), win.translate(ws).tolist()):
+            assert win.buffer[at : at + end - start] == f.read_range_bytes(start, end)
+        # The buffer is the blocks, each one contiguous run of the file.
+        blocks = zip(win.starts.tolist(), win.ends.tolist(), win.offsets.tolist())
+        for start, end, at in blocks:
+            assert win.buffer[at : at + end - start] == file_bytes(big_file, start, end)
+        assert win.buffer_bytes == int((win.ends - win.starts).sum())
         local = win.translate(starts)
         for start, end, at in zip(starts.tolist(), ends.tolist(), local.tolist()):
             assert win.buffer[at : at + end - start] == file_bytes(big_file, start, end)

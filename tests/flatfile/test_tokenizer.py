@@ -192,9 +192,11 @@ class TestPositionalMapIntegration:
         pmap = PositionalMap()
         pred = {0: lambda s: s == "11"}
         tok(TEXT, 4, [0, 2], predicates=pred, positional_map=pmap)
-        # Column 0 was seen in every row; column 2 only in qualifying rows.
-        assert pmap.knows_column(0)
-        assert not pmap.knows_column(2)
+        # The framing located column 2 in every row, so it is recorded
+        # whole, abandoned rows included: never for qualifying rows only.
+        assert pmap.knows_column(2)
+        starts, ends = pmap.slices_for(2)
+        assert [TEXT[s:e] for s, e in zip(starts, ends)] == ["30", "31", "32"]
 
 
 class TestFieldEndLearning:
@@ -219,15 +221,15 @@ class TestFieldEndLearning:
         assert [text[s:e] for s, e in zip(starts, ends)] == ["2", "4"]
 
     def test_scanned_over_columns_learned_too(self):
-        """Columns tokenized merely to reach a needed one are remembered."""
+        """Columns tokenized merely to reach a needed one are remembered,
+        and so are the columns right of it: the framing located them."""
         pmap = PositionalMap()
         tok(TEXT, 4, [2], positional_map=pmap)
-        assert pmap.knows_column(0)
-        assert pmap.knows_column(1)
-        assert pmap.knows_column(2)
-        assert not pmap.knows_column(3)
+        assert all(pmap.knows_column(c) for c in range(4))
         starts, ends = pmap.slices_for(1)
         assert [TEXT[s:e] for s, e in zip(starts, ends)] == ["20", "21", "22"]
+        starts, ends = pmap.slices_for(3)
+        assert [TEXT[s:e] for s, e in zip(starts, ends)] == ["40", "41", "42"]
 
 
 class TestGatherFields:

@@ -3,8 +3,10 @@
 Wherever the bulk-tokenization kernel runs, ``tokenize_bytes`` must be
 indistinguishable from the scalar oracle (``tests/scalar_oracle.py``) in
 everything but speed: emitted fields, row ids, *every*
-:class:`TokenizerStats` counter, learned positional-map contents and
-pushdown-predicate evaluation sequences.  Where the kernel declines
+:class:`TokenizerStats` counter and pushdown-predicate evaluation
+sequences.  Its learned positional map is the oracle's plus every
+further column, since the kernel's frame holds them all; each further
+column's spans must slice exactly that column's fields.  Where the kernel declines
 (ragged rows, a non-ASCII delimiter, non-ASCII fixed-width), the
 dialect loop answers instead, and only the answer is pinned: fields, row
 ids and whether the pass raised.  These tests drive both over the same
@@ -19,7 +21,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FlatFileError
@@ -30,8 +32,10 @@ from repro.flatfile.dialects import (
 )
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import tokenize_bytes
-from repro.flatfile.vectorized import tokenize_vectorized
+from repro.flatfile.vectorized import _frame_grid, tokenize_vectorized
 from scalar_oracle import field_texts, scalar_tokenize_bytes
+
+CSV = DelimitedAdapter(",")
 
 
 def _pmap_state(pmap: PositionalMap):
@@ -160,11 +164,47 @@ def assert_routes_agree(
             f"dialect loop != oracle for {data!r}"
         )
     else:
-        assert shipped[0] == oracle[0], f"kernel != oracle for {data!r}"
+        assert _without_map(shipped[0]) == _without_map(oracle[0]), (
+            f"kernel != oracle for {data!r}"
+        )
+        if shipped[0] != "error" and learn:
+            assert_map_extends(
+                shipped[0]["pmap"], oracle[0]["pmap"], data, adapter, ncols, skip_rows
+            )
         assert shipped[1] == oracle[1], (
             f"predicate call sequences differ for {data!r}"
         )
     return outcomes
+
+
+def _without_map(outcome):
+    if outcome == "error":
+        return outcome
+    return {k: v for k, v in outcome.items() if k != "pmap"}
+
+
+def assert_map_extends(shipped, oracle, data, adapter, ncols, skip_rows):
+    """The kernel learns the whole frame where the oracle's walk learns a
+    prefix: the kernel's map is the oracle's map plus every further
+    column, and each further column's spans slice exactly its fields."""
+    assert (shipped["nrows"], shipped["geometry"]) == (
+        oracle["nrows"],
+        oracle["geometry"],
+    )
+    assert sorted(shipped["starts"]) == list(range(ncols))
+    for key in ("starts", "ends"):
+        assert {c: shipped[key][c] for c in oracle[key]} == oracle[key]
+    extra = [c for c in range(ncols) if c not in oracle["starts"]]
+    if not extra:
+        return
+    text = data.decode("utf-8")
+    truth = scalar_tokenize_bytes(
+        data, adapter, ncols, range(ncols), skip_rows=skip_rows, learn=False
+    )
+    for c in extra:
+        spans = zip(shipped["starts"][c], shipped["ends"][c])
+        raw = [text[s:e] for s, e in spans]
+        assert field_texts(adapter.decode_many(raw)) == field_texts(truth.fields[c])
 
 
 def _answer(outcome):
@@ -345,10 +385,72 @@ def test_fixed_width_vectorized_equals_scalar(rows, needed):
 
 
 # ---------------------------------------------------------------------------
-# handcrafted edges
+# hypothesis: the one-pass grid frames regular files and declines the rest
 # ---------------------------------------------------------------------------
 
-CSV = DelimitedAdapter(",")
+
+@st.composite
+def grid_files(draw):
+    """Plain CSV or TSV, each decline rule of the grid drawn now and then:
+    blank lines, CRLF, no final newline, ragged rows, one column (whose
+    empty fields are blank lines), a header (alone, too), empty input and
+    non-ASCII text."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    adapter = CSV if delimiter == "," else TsvAdapter()
+    ncols = draw(st.integers(1, 4))
+    field = st.text(alphabet="az09. -éあ", max_size=4)
+    rows = [[draw(field) for _ in range(ncols)] for _ in range(draw(st.integers(0, 6)))]
+    header = draw(st.booleans())
+    if header:
+        rows.insert(0, [f"h{c}" for c in range(ncols)])
+    if rows and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if ncols > 1 and draw(st.booleans()) else rows[i] + ["x"]
+    lines = [delimiter.join(r) for r in rows]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    line_end = "\r\n" if draw(st.integers(0, 3)) == 0 else "\n"
+    text = line_end.join(lines)
+    if lines and draw(st.integers(0, 3)) > 0:
+        text += line_end
+    needed = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1)))
+    return text.encode("utf-8"), adapter, ncols, needed, int(header)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=grid_files())
+@example(case=(b"a\nb", CSV, 1, [0], 0))  # one column, no final newline
+@example(case=(b"a,b\n\nc,d\n", CSV, 2, [1], 0))  # a blank line
+def test_grid_frames_exactly_the_regular_files(case):
+    data, adapter, ncols, needed, skip_rows = case
+    delim = adapter.delimiter.encode()
+    lines = data.split(b"\n")
+    regular = data.endswith(b"\n") and all(
+        line and not line.endswith(b"\r") and line.count(delim) == ncols - 1
+        for line in lines[:-1]
+    )
+    frame = _frame_grid(np.frombuffer(data, np.uint8), ord(delim), ncols, skip_rows)
+    assert (frame is not None) == regular
+    if frame is not None:
+        # Every column the grid frames is exactly the oracle's fields.
+        row_starts, grid = frame
+        truth = scalar_tokenize_bytes(
+            data, adapter, ncols, range(ncols), skip_rows=skip_rows, learn=False
+        )
+        assert len(row_starts) == len(truth.row_ids)
+        for c in range(ncols):
+            starts = row_starts if c == 0 else grid[:, c - 1] + 1
+            spans = zip(starts.tolist(), grid[:, c].tolist())
+            fields = [data[s:e].decode("utf-8") for s, e in spans]
+            assert fields == field_texts(truth.fields[c])
+    # Framed by the grid or not, the kernel agrees with the oracle (fields,
+    # row ids, counters and the map), or declines to the dialect loop.
+    assert_routes_agree(data, adapter, ncols, needed, skip_rows=skip_rows)
+
+
+# ---------------------------------------------------------------------------
+# handcrafted edges
+# ---------------------------------------------------------------------------
 
 
 class TestEdgeCases:

@@ -50,7 +50,10 @@ def test_few_windows_stay_serial(big_file):
     starts = np.asarray([0, 100, 200], dtype=np.int64)
     ends = starts + 10
     windows = FlatFile(big_file).read_windows(starts, ends, workers=8)
-    assert windows.total_bytes == 30
+    assert windows.window_bytes == 30
+    # The three windows share one block: the buffer holds their gaps too.
+    assert windows.buffer_bytes == 210
+    assert windows.buffer == big_file.read_bytes()[:210]
 
 
 def test_translate_still_works_after_threaded_read(big_file):

@@ -10,9 +10,12 @@ must reproduce, so the property suites diff the shipped route
 
 :func:`scalar_tokenize_bytes` is the reference for ``tokenize_bytes``
 itself: decode, then this walk for plain delimited input and the
-dialect-generic loop for every other dialect.  :func:`split_rows` is plain
-ground truth.  :func:`field_texts` is the one way the suites turn a
-route's field batch into ``str`` before comparing it.
+dialect-generic loop for every other dialect.
+:func:`scalar_tokenize_framed` adds the kernel's whole-frame learning
+to it, for suites that compare engines query by query.
+:func:`split_rows` is plain ground truth.  :func:`field_texts` is the
+one way the suites turn a route's field batch into ``str`` before
+comparing it.
 """
 
 from __future__ import annotations
@@ -279,6 +282,38 @@ def scalar_tokenize_bytes(
     if isinstance(adapter, DelimitedAdapter):
         return tokenize_columns(text, ncols, needed, adapter.delimiter, **kwargs)
     return tokenize_dialect(text, adapter, ncols, needed, **kwargs)
+
+
+def scalar_tokenize_framed(
+    data: bytes,
+    adapter: FormatAdapter,
+    ncols: int,
+    needed: Sequence[int],
+    **kwargs,
+) -> TokenizeResult:
+    """:func:`scalar_tokenize_bytes`, then the rest of the frame learned.
+
+    The kernel records every column's spans on any pass it frames; the
+    walk records a prefix.  A second, uncounted walk over every column
+    offers the map the rest, so engine-level suites can swap this in for
+    ``tokenize_bytes`` and compare counters query by query: both routes
+    then know the same columns and take the same later routes.
+    """
+    result = scalar_tokenize_bytes(data, adapter, ncols, needed, **kwargs)
+    pmap = kwargs.get("positional_map")
+    if pmap is not None and kwargs.get("learn", True):
+        full = PositionalMap()
+        scalar_tokenize_bytes(
+            data,
+            adapter,
+            ncols,
+            range(ncols),
+            positional_map=full,
+            skip_rows=kwargs.get("skip_rows", 0),
+        )
+        for col in full.known_columns():
+            pmap.record_field_offsets(col, *full.slices_for(col), sep=adapter.sep)
+    return result
 
 
 def split_rows(text: str, delimiter: str = ",") -> list[list[str]]:
