@@ -74,9 +74,6 @@ class EngineConfig:
         ``__main__``.  Multi-threaded host applications should set
         ``"forkserver"`` or ``"spawn"``: forking a threaded process can
         copy held locks into the children.
-    tokenizer_early_abort:
-        Stop tokenizing a row once the last needed column has been seen
-        (section 3.2).
     predicate_pushdown:
         Apply WHERE predicates while parsing, abandoning a row as soon as
         one conjunct fails (the "Partial Loads" trick of section 3.2).
@@ -149,7 +146,6 @@ class EngineConfig:
     parallel_workers: int = 1
     partition_min_bytes: int = 4 << 20
     parallel_start_method: str | None = None
-    tokenizer_early_abort: bool = True
     predicate_pushdown: bool = True
     zone_maps: bool = True
     zone_map_rows: int = 1024

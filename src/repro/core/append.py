@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import EngineConfig
 from repro.core.loader import parse_column_with_widening
 from repro.errors import FlatFileError
 from repro.flatfile.files import FileFingerprint
@@ -50,7 +49,6 @@ def extend_entry_for_append(
     entry: TableEntry,
     old: FileFingerprint,
     new: FileFingerprint,
-    config: EngineConfig,
     memory: MemoryManager,
 ) -> bool:
     """Extend ``entry``'s learned state over a verified tail-append.
@@ -106,7 +104,6 @@ def extend_entry_for_append(
             adapter,
             ncols=len(schema),
             needed=sorted(want) if want else [0],
-            early_abort=config.tokenizer_early_abort,
             predicates={},
             positional_map=tail_map,
             learn=True,

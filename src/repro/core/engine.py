@@ -1056,9 +1056,7 @@ class NoDBEngine:
         if not detect_tail_append(entry.file.path, old, fingerprint):
             return False
         try:
-            extended = extend_entry_for_append(
-                entry, old, fingerprint, self.config, self.memory
-            )
+            extended = extend_entry_for_append(entry, old, fingerprint, self.memory)
         except FlatFileError:
             extended = False
         if not extended:

@@ -280,7 +280,7 @@ def run_pass(
         only qualifying rows are parsed (partial loads).
     tokenize_everything:
         Tokenize all columns of every row regardless of need (the external
-        -table behaviour, and the early-abort ablation).
+        -table behaviour).
     """
     from repro.core.partitions import parallel_pass, partitions_for
 
@@ -294,12 +294,7 @@ def run_pass(
         and condition is not None
         and config.predicate_pushdown
     )
-    if tokenize_everything:
-        tokenize_idx = list(range(len(schema)))
-        early_abort = False
-    else:
-        tokenize_idx = needed_idx
-        early_abort = config.tokenizer_early_abort
+    tokenize_idx = list(range(len(schema))) if tokenize_everything else needed_idx
     pushdown_items = list(condition.items) if pushdown else []
     pred_idx = [schema.index_of(c) for c, _ in pushdown_items]
     pmap = entry.positional_map if config.use_positional_map else None
@@ -332,7 +327,6 @@ def run_pass(
             config,
             pindex,
             tokenize_cols=want_cols,
-            early_abort=early_abort,
         )
         if result is not None:  # None: pool failed to start -> serial
             _learn_zone_maps(entry, schema, result, config)
@@ -346,7 +340,6 @@ def run_pass(
         entry.file.adapter,
         ncols=len(schema),
         needed=want_cols,
-        early_abort=early_abort,
         predicates=predicates,
         positional_map=pmap,
         learn=pmap is not None,

@@ -257,7 +257,6 @@ class ScanTask:
     tokenize_cols: tuple[int, ...]
     parse_cols: tuple[tuple[int, str], ...]  # (column index, dtype value)
     predicates: tuple[PredicateSpec, ...]
-    early_abort: bool
     bandwidth: float | None = None
 
 
@@ -341,7 +340,6 @@ def scan_partition(task: ScanTask) -> ScanResult:
         task.adapter,
         ncols=task.ncols,
         needed=list(task.tokenize_cols),
-        early_abort=task.early_abort,
         predicates=predicates,
         positional_map=local_map,
         learn=True,
@@ -477,7 +475,6 @@ def parallel_pass(
     pindex: PartitionIndex,
     *,
     tokenize_cols: list[int],
-    early_abort: bool,
 ):
     """Fan one first-pass scan out over the partitions and merge.
 
@@ -518,7 +515,6 @@ def parallel_pass(
             tokenize_cols=tuple(tokenize_cols),
             parse_cols=parse_cols,
             predicates=specs,
-            early_abort=early_abort,
             bandwidth=entry.file.bandwidth_bytes_per_sec,
         )
         for p in pindex.partitions
@@ -628,7 +624,6 @@ def _merge_results(
                     entry.file.adapter,
                     ncols=len(schema),
                     needed=[idx],
-                    early_abort=True,
                     learn=False,
                     skip_rows=1 if entry.has_header else 0,
                 )

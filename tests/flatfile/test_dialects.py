@@ -380,7 +380,6 @@ class TestTokenizeDialect:
             TsvAdapter(),
             ncols=2,
             needed=[0],
-            early_abort=True,
         )
         assert res.fields[0] == ["1", "2"]
 

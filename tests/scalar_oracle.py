@@ -2,11 +2,12 @@
 
 :func:`tokenize_columns` is the paper's selective tokenizer written the
 obvious way: one ``str.find`` per delimiter, row by row, with early abort,
-per-value pushdown predicates and positional-map anchor jumps.  Its cost
-model — work proportional to the characters actually scanned — is the one
-the kernel's :class:`~repro.flatfile.tokenizer.TokenizerStats` counters
-must reproduce, so the property suites diff the shipped route
-(:func:`~repro.flatfile.tokenizer.tokenize_bytes`) against it.
+per-value pushdown predicates and positional-map anchor jumps.  It is the
+reference for answers, learned maps and errors: the property suites diff
+the shipped route (:func:`~repro.flatfile.tokenizer.tokenize_bytes`)
+against it on fields, row ids, the row counters, predicate calls and
+whether the pass raised.  Its ``fields_tokenized``/``chars_scanned``
+count the walk's own work, which the kernel does not reproduce.
 
 :func:`scalar_tokenize_bytes` is the reference for ``tokenize_bytes``
 itself: decode, then this walk for plain delimited input and the
@@ -47,7 +48,6 @@ def tokenize_columns(
     needed: Sequence[int],
     delimiter: str = ",",
     *,
-    early_abort: bool = True,
     predicates: dict[int, RawPredicate] | None = None,
     positional_map: PositionalMap | None = None,
     learn: bool = True,
@@ -64,10 +64,6 @@ def tokenize_columns(
         fewer fields than the tokenizer needs raise :class:`FlatFileError`.
     needed:
         Column indices to extract, in any order; duplicates are ignored.
-    early_abort:
-        Stop tokenizing each row after the last needed column (trick 1).
-        Disabling this tokenizes every field of every row, which is the
-        ablation baseline.
     predicates:
         Optional pushdown predicates per column index (trick 2).  A row is
         emitted only if every predicate returns True; evaluation happens in
@@ -188,19 +184,6 @@ def tokenize_columns(
                 cur_col = ncols
         if not qualified:
             continue
-        if not early_abort:
-            # Ablation mode: tokenize the remainder of the row too.
-            while cur_col < ncols - 1:
-                nxt = find(delimiter, pos, row_end)
-                if nxt == -1:
-                    break
-                stats.chars_scanned += nxt + 1 - pos
-                stats.fields_tokenized += 1
-                pos = nxt + 1
-                cur_col += 1
-            stats.chars_scanned += max(0, row_end - pos)
-            if cur_col == ncols - 1:
-                stats.fields_tokenized += 1
         for col, value in extracted.items():
             out_fields[col].append(value)
         out_rows.append(row_idx)
@@ -260,7 +243,6 @@ def scalar_tokenize_bytes(
     ncols: int,
     needed: Sequence[int],
     *,
-    early_abort: bool = True,
     predicates: dict[int, RawPredicate] | None = None,
     positional_map: PositionalMap | None = None,
     learn: bool = True,
@@ -273,7 +255,6 @@ def scalar_tokenize_bytes(
     if positional_map is not None:
         positional_map.record_text_geometry(nbytes=len(data), nchars=len(text))
     kwargs = dict(
-        early_abort=early_abort,
         predicates=predicates,
         positional_map=positional_map,
         learn=learn,
@@ -296,8 +277,9 @@ def scalar_tokenize_framed(
     The kernel records every column's spans on any pass it frames; the
     walk records a prefix.  A second, uncounted walk over every column
     offers the map the rest, so engine-level suites can swap this in for
-    ``tokenize_bytes`` and compare counters query by query: both routes
-    then know the same columns and take the same later routes.
+    ``tokenize_bytes`` and compare answers and read counters query by
+    query: both routes then know the same columns and take the same later
+    routes.
     """
     result = scalar_tokenize_bytes(data, adapter, ncols, needed, **kwargs)
     pmap = kwargs.get("positional_map")

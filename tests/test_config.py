@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import repro
 from repro.config import POLICIES, EngineConfig
 
 
@@ -45,8 +46,13 @@ def test_knob_ratchet():
         "result_cache",
         "selective_reads",
         "store_dir",
-        "tokenizer_early_abort",
         "use_positional_map",
         "zone_map_rows",
         "zone_maps",
     ]
+
+
+def test_removed_knob_is_a_type_error():
+    """A removed field is an unknown keyword, never silently ignored."""
+    with pytest.raises(TypeError, match="tokenizer_early_abort"):
+        repro.connect(tokenizer_early_abort=False)

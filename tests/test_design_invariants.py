@@ -184,6 +184,46 @@ class TestPositionalMapFormatBoundary:
         assert not offenders, offenders
 
 
+class TestKernelWritesTheMapOnly:
+    """The bulk kernel frames its input itself, so it only writes the
+    positional map: every use of ``positional_map`` in
+    ``flatfile/vectorized.py`` is a ``None`` check, a call of a recording
+    method, or ``len(positional_map.known_columns())`` — the guard before
+    ``record_frame``.  No edit can then make the kernel's offsets or work
+    counters depend on what the map held."""
+
+    CALLS = {"record_nrows", "record_frame", "record_text_geometry", "known_columns"}
+
+    def test_vectorized_only_records_into_the_map(self):
+        path = Path(repro.__file__).parent / "flatfile" / "vectorized.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {
+            child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+        }
+        uses, offenders = 0, []
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Name) and node.id == "positional_map"):
+                continue
+            uses += 1
+            up = parent[node]
+            if isinstance(up, ast.Compare):
+                continue  # ``is (not) None``
+            call = parent[up]
+            if (
+                isinstance(up, ast.Attribute)
+                and up.attr in self.CALLS
+                and isinstance(call, ast.Call)
+                and call.func is up
+                and (
+                    up.attr != "known_columns"
+                    or getattr(getattr(parent[call], "func", None), "id", None) == "len"
+                )
+            ):
+                continue
+            offenders.append(f"vectorized.py:{node.lineno} {ast.unparse(up)}")
+        assert uses and not offenders, offenders
+
+
 class TestStringFormatBoundary:
     """A string column's form — int32 codes into a dictionary — is one
     module's decision: only :mod:`repro.strings` and the store's codec,
