@@ -6,7 +6,7 @@ serially it scales linearly with file size.  This bench measures that
 cold-start cost with and without the partitioned parallel scan: the same
 cold aggregation query over the same generated file, once with
 ``parallel_workers=1`` (the serial route) and once with ``parallel_workers
-= 4`` (row-range partitions over a process pool), verifying the answers
+= 4`` (row-range partitions framed on threads), verifying the answers
 are identical before reporting throughput.
 
 Two regimes are measured:
@@ -14,14 +14,14 @@ Two regimes are measured:
 * **CPU-bound** (page-cached file, no throttle): ``serial_mb_s`` and
   ``parallel_mb_s``, the raw tokenize-and-parse rates.  Their ratio is
   reported as ``cpu_speedup`` but only *gated* on machines with enough
-  cores — a process pool cannot beat the clock on one core, and CI
+  cores — partition threads cannot beat the clock on one core, and CI
   runner classes vary.
 * **Disk-bound** (simulated-bandwidth throttle, the regime a genuinely
   cold scan lives in): the gated ``speedup`` metric.  Each partition
-  worker pays its own share of the simulated disk time in-process, so
-  partitioned reads overlap the way N workers streaming N byte ranges
-  do on real hardware — this is deterministic across runner classes,
-  which is what a committed baseline needs.
+  thread pays its own share of the simulated disk time, so partitioned
+  reads overlap the way N readers streaming N byte ranges do on real
+  hardware — this is deterministic across runner classes, which is
+  what a committed baseline needs.
 
 Script mode (what the CI ``bench-regression`` job runs)::
 
@@ -46,7 +46,6 @@ import pytest
 from benchmarks.conftest import fresh_engine, scaled
 from benchmarks.harness import BenchReport, bench_arg_parser, dataset_rows
 from benchmarks.workload import TableSpec, materialize_csv
-from repro.core.partitions import warm_pool
 
 QUERY = "select sum(a1), avg(a2) from r where a1 > 100"
 NCOLS = 8
@@ -64,14 +63,9 @@ def _cold_query(
 ):
     """Time one cold first-pass query; return (seconds, partitions, rows).
 
-    The shared worker pool is warmed first: its start-up is a
-    once-per-process cost (services pay it at boot, not per scan), so it
-    does not belong inside the measured cold-scan latency.  ``bandwidth``
-    switches on the simulated-disk throttle (bytes/second) for the
-    disk-bound regime.
+    ``bandwidth`` switches on the simulated-disk throttle (bytes/second)
+    for the disk-bound regime.
     """
-    if workers > 1:
-        warm_pool(workers)
     engine = fresh_engine(
         "column_loads",
         path,
@@ -147,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             print("FATAL: parallel result differs from serial", file=sys.stderr)
             return 1
         # Disk-bound regime: simulated disk sized so transfer time
-        # dominates the (now vectorized) parse time.  Partition workers
+        # dominates the (now vectorized) parse time.  Partition threads
         # overlap their shares of it; the serial scan pays it in full.
         bandwidth = size / max(serial_s, 1e-9) / 2.0
         disk_serial_s, _, _ = _cold_query(path, 1, bandwidth=bandwidth)

@@ -83,7 +83,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="partition first-pass scans of large files across N workers "
+        help="partition first-pass scans of large files across N threads "
         "(0 = one per CPU; default: 1, serial)",
     )
     parser.add_argument(
@@ -285,7 +285,7 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("auto",) + FORMATS, default="csv")
     parser.add_argument(
         "--parallel-workers", type=int, default=1, metavar="N",
-        help="partitioned-scan workers (0 = one per CPU)",
+        help="partitioned-scan threads (0 = one per CPU)",
     )
     parser.add_argument(
         "--result-cache", action=argparse.BooleanOptionalAction, default=True,

@@ -52,28 +52,21 @@ class EngineConfig:
         re-reading and re-tokenizing the whole file.  Requires
         ``use_positional_map``; off is the ablation baseline.
     parallel_workers:
-        Number of workers for the partitioned parallel scan.  ``1``
-        (default) keeps every pass serial.  With ``N > 1``, first-pass
-        tokenize/parse work over large files is split into up to ``N``
-        newline-aligned row-range partitions processed by a process pool,
-        and warm windowed reads on the selective path use up to ``N``
-        threads.  ``0`` means "one worker per CPU".
+        Number of threads for the partitioned parallel scan.  ``1``
+        (default) keeps every pass serial.  With ``N > 1``, the first
+        pass over a large file the bulk kernel frames (plain delimited,
+        TSV, fixed-width) reads and tokenizes up to ``N``
+        newline-aligned row-range partitions on threads of this process,
+        then parses their merged fields once, and warm windowed reads on
+        the selective path use up to ``N`` threads.  Quoted CSV and
+        JSON-lines always scan serially.  ``0`` means "one per CPU".
     partition_min_bytes:
         Never create a row-range partition smaller than this many bytes;
         files smaller than two minimum-size partitions are scanned
-        serially regardless of ``parallel_workers`` (pool dispatch costs
-        more than it saves on small files).  The default is 4 MiB: with
-        the vectorized tokenization kernel a worker clears a megabyte in
-        milliseconds, so smaller partitions would be dominated by task
-        dispatch and result pickling — the regression the old 1 MiB
-        default exhibited on the ``parallel_scan`` bench.
-    parallel_start_method:
-        Multiprocessing start method for the scan worker pool: ``None``
-        (default) prefers ``fork`` where available — cheap, and safe for
-        scripts/notebooks because workers never re-execute the host's
-        ``__main__``.  Multi-threaded host applications should set
-        ``"forkserver"`` or ``"spawn"``: forking a threaded process can
-        copy held locks into the children.
+        serially regardless of ``parallel_workers`` (starting threads
+        and merging partitions costs more than it saves on small
+        files).  The default is 4 MiB: the vectorized tokenization
+        kernel clears a megabyte in milliseconds.
     predicate_pushdown:
         Apply WHERE predicates while parsing, abandoning a row as soon as
         one conjunct fails (the "Partial Loads" trick of section 3.2).
@@ -145,7 +138,6 @@ class EngineConfig:
     selective_reads: bool = True
     parallel_workers: int = 1
     partition_min_bytes: int = 4 << 20
-    parallel_start_method: str | None = None
     predicate_pushdown: bool = True
     zone_maps: bool = True
     zone_map_rows: int = 1024
@@ -165,10 +157,6 @@ class EngineConfig:
             raise ValueError("parallel_workers must be >= 1, or 0 for one per CPU")
         if self.partition_min_bytes <= 0:
             raise ValueError("partition_min_bytes must be positive")
-        if self.parallel_start_method not in (None, "fork", "forkserver", "spawn"):
-            raise ValueError(
-                "parallel_start_method must be None, 'fork', 'forkserver' or 'spawn'"
-            )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive or None")
         if self.zone_map_rows <= 0:

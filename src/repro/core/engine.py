@@ -51,10 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-# The loader imports the parallel route on first use (an import cycle);
-# loading it here keeps its one-time process-pool imports out of the
-# first query's latency.
-import repro.core.partitions  # noqa: F401
 from repro.config import EngineConfig
 from repro.core.append import extend_entry_for_append
 from repro.core.loader import _widen_column

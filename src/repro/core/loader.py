@@ -35,9 +35,10 @@ Three routes exist through :func:`run_pass`:
   the file than its first run;
 * the **partitioned parallel route** (:mod:`repro.core.partitions`)
   activates for cold scans of large files when ``parallel_workers > 1``:
-  the file is split into newline-aligned row-range partitions scanned by
-  a process pool, and the per-partition results are merged back into the
-  exact output the serial full-scan route would have produced.
+  the file is split into newline-aligned row-range partitions tokenized
+  on threads, and their fields are merged back into the exact
+  tokenizer output of the full-scan route, which the same parse loop
+  then converts.
 
 Typed parsing is widening: a value that does not fit the inferred column
 type (e.g. a float deep in a column sampled as int) widens the column —
@@ -95,7 +96,7 @@ class PassResult:
 
 
 #: Widening ladder for values the inferred type cannot represent (shared
-#: with the pushdown predicates and the parallel partition workers).
+#: with the pushdown predicates).
 _WIDER: dict[DataType, DataType] = WIDENS_TO
 
 
@@ -164,8 +165,8 @@ class WideningPredicate:
     """One raw-text pushdown predicate over the widening ladder.
 
     The single source of truth for predicate semantics, shared by the
-    serial loader and the parallel partition workers (which must stay
-    behaviourally identical).  It has two forms:
+    serial loader and the parallel scan's partition threads (which must
+    stay behaviourally identical).  It has two forms:
 
     * ``pred(text)`` — per value, for the dialect loop only:
       parse the field under the current type, and on a value the type
@@ -180,7 +181,8 @@ class WideningPredicate:
     compare.  A column that widens mid-way compares its earlier values
     at the narrower type per value, but all of them at the wider type in
     bulk.  ``get_dtype``/``widen`` abstract where the column type lives:
-    the real schema serially, partition-local state in a worker.
+    the real schema serially, a partition-local copy on a partition
+    thread.
     """
 
     column_name: str
@@ -320,32 +322,22 @@ def run_pass(
     pindex = partitions_for(entry, config)
     if pindex is not None:
         result = parallel_pass(
-            entry,
-            schema,
-            needed,
-            pushdown_items,
-            config,
-            pindex,
-            tokenize_cols=want_cols,
+            entry, schema, pindex, want_cols, pushdown_items, parse_stats, config
         )
-        if result is not None:  # None: pool failed to start -> serial
-            _learn_zone_maps(entry, schema, result, config)
-            return result
-    predicates = _pushdown_predicates(
-        entry, condition if pushdown else None, config, parse_stats
-    )
-    data = entry.file.read_all_bytes()
-    result = tokenize_bytes(
-        data,
-        entry.file.adapter,
-        ncols=len(schema),
-        needed=want_cols,
-        predicates=predicates,
-        positional_map=pmap,
-        learn=pmap is not None,
-        skip_rows=skip,
-        source=entry.file.path,
-    )
+    else:
+        result = tokenize_bytes(
+            entry.file.read_all_bytes(),
+            entry.file.adapter,
+            ncols=len(schema),
+            needed=want_cols,
+            predicates=_pushdown_predicates(
+                entry, condition if pushdown else None, config, parse_stats
+            ),
+            positional_map=pmap,
+            learn=pmap is not None,
+            skip_rows=skip,
+            source=entry.file.path,
+        )
     nrows = result.stats.rows_scanned
     columns: dict[str, np.ndarray] = {}
     for name in needed:
@@ -360,6 +352,7 @@ def run_pass(
         row_ids=result.row_ids,
         tokenizer=result.stats,
         parse=parse_stats,
+        partitions=len(pindex) if pindex is not None else 0,
     )
     _learn_zone_maps(entry, schema, out, config)
     return out

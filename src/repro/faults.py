@@ -28,7 +28,6 @@ persist.write       a persistent-store :meth:`save` (the writer thread)
 persist.commit      a save whose array writes landed, before its manifest
                     swap (a crash leaves the old entry plus torn tails)
 persist.read        a persistent-store :meth:`load` (restart-warm restore)
-pool.worker         the parallel-scan process pool dies mid-pass
 results.write       writing a result-resource file to disk
 results.read        reloading a spilled result resource from disk
 results.unlink      deleting a result-resource file during GC
@@ -57,7 +56,6 @@ FAULT_POINTS = frozenset(
         "persist.write",
         "persist.commit",
         "persist.read",
-        "pool.worker",
         "results.write",
         "results.read",
         "results.unlink",

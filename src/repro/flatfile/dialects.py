@@ -23,7 +23,8 @@ Capability flags drive graceful degradation in the engine:
 
 ========================  ===================================================
 ``supports_partitioning``  raw newline bytes always terminate records, so
-                          newline-aligned parallel partitions are safe
+                          a newline-aligned byte range (an appended tail,
+                          a parallel-scan partition) holds whole records
 ``supports_field_spans``  per-field character spans exist, enabling
                           positional-map learning and selective reads
 ``identity_decode``       raw field text *is* the logical value (no unquote
@@ -35,7 +36,8 @@ Capability flags drive graceful degradation in the engine:
                           dialect, takes the adapter's own field loop
                           (plain delimited, TSV and fixed-width; quoted
                           CSV needs a quote state machine and JSON-lines
-                          has no spans)
+                          has no spans); only these dialects are split
+                          by the parallel scan
 ========================  ===================================================
 
 Concrete adapters: plain delimited (the original substrate), RFC-4180
@@ -107,11 +109,7 @@ def _iter_delimited(row: str, delimiter: str) -> Iterator[tuple[int, int, str]]:
 
 
 class FormatAdapter:
-    """Base class of all dialect adapters (see module docstring).
-
-    Adapters are small picklable objects: parallel scan workers receive a
-    snapshot of the file's adapter inside their :class:`ScanTask`.
-    """
+    """Base class of all dialect adapters (see module docstring)."""
 
     name = "abstract"
     supports_partitioning = True
@@ -468,12 +466,12 @@ class JsonLinesAdapter(FormatAdapter):
     """One JSON object (or array) per line.
 
     Objects carry their own column names: the first parsed object fixes
-    the key order for the whole file (recorded in :attr:`columns`, which
-    also rides into parallel scan workers so every partition agrees).
-    JSON escapes newlines inside strings, so framing stays line-based and
-    partitioning is safe; per-field character spans are not meaningful,
-    so the positional map keeps row framing only and selective reads
-    degrade to full scans.
+    the key order for the whole file (recorded in :attr:`columns`).
+    JSON escapes newlines inside strings, so framing stays line-based;
+    per-field character spans are not meaningful, so the positional map
+    keeps row framing only and selective reads degrade to full scans.
+    The parallel scan leaves JSON-lines serial: its per-record loop
+    holds the GIL, so partition threads would only take turns.
     """
 
     columns: tuple[str, ...] | None = None

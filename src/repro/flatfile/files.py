@@ -306,9 +306,11 @@ class FlatFile:
         # Shared counters are engine-wide truth; the thread-local mirror
         # lets a concurrently-serving engine compute *per-query* byte
         # deltas without attributing another thread's I/O to this query
-        # (all of one query's raw reads happen on its calling thread —
-        # partition workers report via account_reads on the merge thread,
-        # and read_windows accounts after its thread pool joins).
+        # (all of one query's raw reads are counted on its calling
+        # thread — the parallel scan's partition threads read with
+        # ``account=False`` and the query's thread reports their totals
+        # through account_reads, and read_windows accounts after its
+        # thread pool joins).
         self._stats_lock = threading.Lock()
         self._thread_stats = threading.local()
         if isinstance(self.format, FormatAdapter):
@@ -380,7 +382,11 @@ class FlatFile:
         tls = self._thread_stats
         tls.bytes_read = getattr(tls, "bytes_read", 0) + nbytes
         tls.read_calls = getattr(tls, "read_calls", 0) + calls
-        if throttle and self.bandwidth_bytes_per_sec:
+        if throttle:
+            self._throttle(nbytes)
+
+    def _throttle(self, nbytes: int) -> None:
+        if self.bandwidth_bytes_per_sec:
             # Outside the lock: the simulated disk may be read by many
             # threads at once (that overlap is what bench_concurrent
             # measures).
@@ -439,18 +445,22 @@ class FlatFile:
         calls: int = 1,
         full_scan: bool = False,
         throttled: bool = False,
+        retries: int = 0,
     ) -> None:
-        """Account bytes read *outside* this handle (partition workers).
+        """Count reads on this thread that were not counted where they ran.
 
-        The parallel partitioned scan reads byte ranges of this file in
-        worker processes, whose I/O the parent-side counters never see.
-        The merge step reports the totals here so accounting stays
-        identical to the serial path.  ``throttled=True`` means the
-        readers already paid the simulated-bandwidth sleep in-process
-        (partition workers each stream their own byte range, so their
-        simulated disk time overlaps instead of serializing here).
+        The parallel scan's partition threads read with
+        ``read_range_bytes(..., account=False)``; the query's thread
+        reports their totals here, so the per-thread totals it snapshots
+        hold them and the accounting equals the serial path's.
+        ``throttled=True`` means the readers already paid the simulated
+        disk time (each partition its own, so they overlap); ``retries``
+        are the readers' retries, already in the shared counter, added to
+        this thread's tally.
         """
         self._account(nbytes, full_scan, calls=calls, throttle=not throttled)
+        tls = self._thread_stats
+        tls.retries = getattr(tls, "retries", 0) + retries
 
     def read_all_bytes(self) -> bytes:
         """Read and return the entire file's raw bytes (one full scan).
@@ -487,12 +497,17 @@ class FlatFile:
         """Read bytes ``[start, end)`` — used for positional-map jumps."""
         return decode_utf8(self.read_range_bytes(start, end), self.path, start)
 
-    def read_range_bytes(self, start: int, end: int) -> bytes:
+    def read_range_bytes(
+        self, start: int, end: int, *, account: bool = True
+    ) -> bytes:
         """Read raw bytes ``[start, end)`` (accounted, not a full scan).
 
         The append-extension path reads exactly the appended tail region
         through this, so per-query byte accounting reflects that an
-        extended table re-read only the new bytes.
+        extended table re-read only the new bytes.  ``account=False``
+        pays the simulated disk time but counts nothing: a parallel-scan
+        partition thread reads so, and the query's thread counts the
+        partitions together through :meth:`account_reads`.
         """
         if start < 0 or end < start:
             raise FlatFileError(f"bad byte range [{start}, {end})")
@@ -514,7 +529,10 @@ class FlatFile:
         data = self._read_retrying(
             once, f"{self.path} range [{start}, {end})"
         )
-        self._account(len(data), full_scan=False)
+        if account:
+            self._account(len(data), full_scan=False)
+        else:
+            self._throttle(len(data))
         return data
 
     def read_windows(

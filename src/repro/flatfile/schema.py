@@ -42,9 +42,10 @@ class DataType(enum.Enum):
 
 
 #: The widening ladder for values an inferred type cannot represent:
-#: int64 → float64 → str.  Shared by the serial loader, the pushdown
-#: predicates and the parallel partition workers so every code path walks
-#: the same ladder and partitioned scans converge on the same final type.
+#: int64 → float64 → str.  Shared by the loader and the pushdown
+#: predicates (also the partition-local ones of the parallel scan), so
+#: every code path walks the same ladder and partitioned scans converge
+#: on the same final type.
 WIDENS_TO: dict[DataType, DataType] = {
     DataType.INT64: DataType.FLOAT64,
     DataType.FLOAT64: DataType.STRING,

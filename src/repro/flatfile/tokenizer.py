@@ -77,9 +77,9 @@ class TokenizerStats:
     the dialect loop, every field it walked: up to the last needed one,
     or the whole record where fields have no spans (JSON-lines).
 
-    ``chars_scanned`` counts characters read: the whole input, once, on
-    the kernel; the window bytes on the selective read; the input plus
-    every walked field on the dialect loop.
+    ``chars_scanned`` counts the characters of input a pass covers, each
+    once however often it is looked at: the whole input on the kernel
+    and on the dialect loop, the window bytes on the selective read.
     """
 
     rows_scanned: int = 0
@@ -155,7 +155,7 @@ def tokenize_dialect(
         row_ends = row_ends[skip_rows:]
     nrows = len(row_starts)
     stats.rows_scanned = nrows
-    stats.chars_scanned += len(text)  # the framing pass touches everything
+    stats.chars_scanned = len(text)  # framing covers every character
 
     if learn and positional_map is not None:
         positional_map.record_nrows(nrows)
@@ -185,7 +185,6 @@ def tokenize_dialect(
                     learned[col].append(row_start + fstart)
                     learned_ends[col].append(row_start + fend)
                 stats.fields_tokenized += 1
-                stats.chars_scanned += fend - fstart
                 if col in wanted_set:
                     # A needed field that runs to the end of a row with
                     # columns still owed means the row is short, even

@@ -74,8 +74,8 @@ Invariants
   dictionary does not start with them (it was assembled in another
   order) rewrites both files whole instead.
 * **Shared pages.**  Numeric columns and string codes restore as
-  read-only ``np.memmap`` arrays: co-located engines and parallel workers
-  mapping the same entry share one physical copy of the pages, and
+  read-only ``np.memmap`` arrays: co-located engines, in one process or
+  several, mapping the same entry share one physical copy of the pages, and
   "evicting" a mapped column just drops the mapping — the file stays for
   the next engine.  Only a string column's dictionary — one entry per
   distinct value — is decoded onto the heap, so a restored string column

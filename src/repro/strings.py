@@ -19,9 +19,9 @@ Two invariants make the codes safe to persist and to extend:
 * **Distinct entries.**  No value appears twice in a dictionary, so two
   rows hold equal strings exactly when they hold equal codes.
 * **Existing codes stay put.**  A dictionary only grows at its end:
-  :meth:`StringColumn.concat` (a tail-append, another partition, another
-  part file) and :meth:`StringColumn.put` (a partial load) append the
-  values they have not seen and never renumber the ones they have.  A
+  :meth:`StringColumn.concat` (a tail-append, another part file) and
+  :meth:`StringColumn.put` (a partial load) append the values they have
+  not seen and never renumber the ones they have.  A
   freshly encoded batch numbers its values in order of first occurrence,
   so a column loaded cold and a column grown by appends hold the same
   codes for the same file bytes.
@@ -195,9 +195,6 @@ class StringColumn:
             "a StringColumn does not convert to an array implicitly: "
             "call decode() for its values or ranks() for sort keys"
         )
-
-    def __reduce__(self):
-        return (StringColumn, (self.codes, self.dictionary))
 
     def take(self, idx) -> "StringColumn":
         """The rows ``idx`` selects (an index array, mask or slice)."""

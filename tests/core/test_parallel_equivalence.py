@@ -151,6 +151,33 @@ def test_int_to_str_widening_equivalent(tmp_path):
     assert serial["schema"][0] == ("a1", "str")
 
 
+def test_work_counters_equal_serial_without_predicates(tmp_path):
+    """One parse loop over the merged fields: the parallel route's
+    tokenizer and parse counters equal the serial route's exactly, also
+    when a column widens int -> float and another int -> str in the
+    second partition only."""
+    lines = [f"{i},{i * 2},{i % 7}" for i in range(400)]
+    lines[350] = "3.5,oops,0"
+    path = write(tmp_path, "r.csv", lines)
+    counters = {}
+    for w in WORKERS:
+        engine = NoDBEngine(
+            EngineConfig(parallel_workers=w, partition_min_bytes=1)
+        )
+        engine.attach("r", path)
+        engine.query("select sum(a1), count(a2), sum(a3) from r")
+        last = engine.stats.last()
+        counters[w] = (last.tokenizer, last.parse, engine.schema_of("r"))
+        assert last.parallel_partitions == (0 if w == 1 else w)
+        if w == 2:
+            first, second = engine.catalog.get("r").partitions.partitions
+            assert first.byte_end <= len("\n".join(lines[:350]).encode())
+        engine.close()
+    assert counters[1][2][:2] == [("a1", "float64"), ("a2", "str")]
+    assert counters[2] == counters[1]
+    assert counters[4] == counters[1]
+
+
 def test_str_widening_preserves_exact_text(tmp_path):
     lines = [f"{i:04d},{i}" for i in range(300)]
     lines[250] = "not-a-number,250"
@@ -253,16 +280,6 @@ def test_parallel_cold_then_warm_selective_path(tmp_path):
     # warm repeat goes selective: strictly less than the whole file
     assert engine.stats.last().file_bytes_read < path.stat().st_size
     engine.close()
-
-
-def test_forkserver_start_method_equivalent(tmp_path):
-    """The thread-safe start method must give the same answers as fork."""
-    path = write(tmp_path, "r.csv", [f"{i},{i * 2}" for i in range(400)])
-    sql = "select sum(a1), max(a2) from r"
-    default = run_engine(path, sql, 2)
-    forkserver = run_engine(path, sql, 2, parallel_start_method="forkserver")
-    assert forkserver == default
-    assert forkserver["partitions"] == 2
 
 
 def test_result_stats_expose_partitions(tmp_path):

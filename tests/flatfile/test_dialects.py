@@ -391,3 +391,17 @@ class TestTokenizeDialect:
             needed=[1],
         )
         assert res.fields[1] == ["x", "y"]
+
+    @pytest.mark.parametrize(
+        "adapter, text, ncols",
+        [
+            (QuotedCsvAdapter(","), 'id,"a, b"\n1,"x\ny"\n2,"z ""q"""\n', 2),
+            (JsonLinesAdapter(), '{"a": 1, "b": "é"}\n{"a": 2, "b": "x"}\n', 2),
+            (FixedWidthAdapter((3, 4)), "éa 1   \nb  22  \nc  333 \n", 2),
+        ],
+    )
+    def test_chars_scanned_counts_each_character_once(self, adapter, text, ncols):
+        # Framing reads every character; walking a field rereads none.
+        for needed in ([0], [ncols - 1], list(range(ncols))):
+            res = tokenize_dialect(text, adapter, ncols=ncols, needed=needed)
+            assert res.stats.chars_scanned == len(text)

@@ -50,7 +50,6 @@ ENGINE_POINTS = (
     "persist.write",
     "persist.commit",
     "persist.read",
-    "pool.worker",
 )
 #: The serving layer adds request crashes and result-disk faults.
 SERVER_POINTS = ENGINE_POINTS + (

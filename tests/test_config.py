@@ -38,7 +38,6 @@ def test_knob_ratchet():
         "io_bandwidth_bytes_per_sec",
         "max_cached_results",
         "memory_budget_bytes",
-        "parallel_start_method",
         "parallel_workers",
         "partition_min_bytes",
         "policy",
@@ -54,5 +53,11 @@ def test_knob_ratchet():
 
 def test_removed_knob_is_a_type_error():
     """A removed field is an unknown keyword, never silently ignored."""
-    with pytest.raises(TypeError, match="tokenizer_early_abort"):
-        repro.connect(tokenizer_early_abort=False)
+    for knob, value in (
+        ("tokenizer_early_abort", False),
+        ("parallel_start_method", "spawn"),
+    ):
+        with pytest.raises(TypeError, match=knob):
+            repro.connect(**{knob: value})
+        with pytest.raises(TypeError, match=knob):
+            EngineConfig(**{knob: value})

@@ -153,6 +153,72 @@ class TestDependencyDirection:
         assert not offenders, offenders
 
 
+class TestOneProcess:
+    """The engine runs in one process: the parallel scan frames its
+    partitions on threads, so nothing under ``src/repro`` starts or
+    forks worker processes (no start method to choose, no pickling of
+    frames, nothing to fork from the threaded server)."""
+
+    FORBIDDEN = (
+        "multiprocessing",
+        "concurrent.futures.process",
+        # re-exported by concurrent.futures from its process module
+        "concurrent.futures.ProcessPoolExecutor",
+    )
+
+    @staticmethod
+    def imported(tree: ast.AST) -> list[tuple[int, str]]:
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                module = node.module or ""
+                found.append((node.lineno, module))
+                found += [
+                    (node.lineno, f"{module}.{alias.name}") for alias in node.names
+                ]
+        return found
+
+    def forbidden(self, module: str) -> bool:
+        return any(
+            module == name or module.startswith(name + ".")
+            for name in self.FORBIDDEN
+        )
+
+    def test_no_module_imports_process_pools(self):
+        package = Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(package.parent)}:{line} imports {module}"
+            for path in sorted(package.rglob("*.py"))
+            for line, module in self.imported(
+                ast.parse(path.read_text(encoding="utf-8"))
+            )
+            if self.forbidden(module)
+        ]
+        assert not offenders, offenders
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import multiprocessing",
+            "import multiprocessing.pool as mp",
+            "from multiprocessing import get_context",
+            "from concurrent.futures import process",
+            "from concurrent.futures.process import BrokenProcessPool",
+            "from concurrent.futures import ProcessPoolExecutor",
+        ],
+    )
+    def test_check_sees_each_import_form(self, source):
+        assert any(
+            self.forbidden(m) for _, m in self.imported(ast.parse(source))
+        )
+
+    def test_thread_pools_stay_allowed(self):
+        tree = ast.parse("from concurrent.futures import ThreadPoolExecutor")
+        assert not any(self.forbidden(m) for _, m in self.imported(tree))
+
+
 class TestPositionalMapFormatBoundary:
     """The positional map's storage format is one module's decision: no
     other module under ``src/repro`` names its internal arrays, so it can
@@ -351,7 +417,6 @@ class TestEveryKnobHasACaller:
 
     EXEMPT = {
         "fault_plan": "a test hook; served processes set it via REPRO_FAULTS",
-        "parallel_start_method": "the threaded-host escape hatch of partitions.py",
     }
 
     def test_every_field_is_set_outside_tests(self):
