@@ -11,10 +11,11 @@ The facade the whole repository exists for::
     )
 
 Attaching performs no loading.  Every query triggers exactly as much
-tokenization, parsing and storing as its loading policy decides, the
-adaptive store grows (and shrinks, under a memory budget) as a side effect,
-and edits to the underlying flat file invalidate derived state
-transparently (section 5.4's simple strategy).
+tokenization, parsing and storing as its loading policy decides, and the
+adaptive store grows (and shrinks, under a memory budget) as a side
+effect.  This module dispatches; what becomes of the learned state
+(staleness, tail-append extension, invalidation on edits, restore from
+and writes to the persistent store) is :mod:`repro.core.lifecycle`'s.
 
 Concurrent serving
 ------------------
@@ -44,15 +45,14 @@ engine"); this engine replaces that global lock with three layers:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.config import EngineConfig
-from repro.core.append import extend_entry_for_append
+from repro.core.lifecycle import Lifecycle, check_detached
 from repro.core.loader import _widen_column
 from repro.core.monitor import RobustnessMonitor
 from repro.core.policies import LoadContext, LoadingPolicy, TableView, make_policy
@@ -62,25 +62,17 @@ from repro.core.statistics import EngineStatistics, QueryStats, Stopwatch
 from repro.errors import CatalogError, FlatFileError
 from repro.faults import FaultPlan
 from repro.locks import SingleFlight
-from repro.ranges import Condition
 from repro.result import QueryResult
 from repro.sql.ast_nodes import SelectStmt
 from repro.sql.binder import BoundQuery, bind
 from repro.sql.parser import parse_sql
 from repro.execution.executor import execute_bound_query
 from repro.flatfile.dialects import DelimitedAdapter
-from repro.flatfile.files import FileFingerprint, detect_tail_append
-from repro.flatfile.schema import ColumnSchema, DataType, TableSchema, merge_schemas, widest
+from repro.flatfile.schema import merge_schemas, widest
 from repro.storage.catalog import Catalog, MultiFileEntry, TableEntry
 from repro.storage.memory import MemoryManager
-from repro.storage.persistent import PersistedState, PersistentStore
-from repro.storage.table import Table
+from repro.storage.persistent import PersistentStore
 from repro.strings import StringColumn
-
-
-#: Consecutive persistent-store write failures after which the store goes
-#: read-only for the rest of the engine's life (warm-only serving).
-PERSIST_FAILURE_LIMIT = 3
 
 
 class NoDBEngine:
@@ -121,23 +113,21 @@ class NoDBEngine:
         # The persistent adaptive store: learned state (positional maps,
         # widened schemas, zone maps, fully loaded columns) that
         # survives restarts, keyed by the source file's fingerprint.
-        # Writes happen off the query path on a single background thread.
         self.persistent_store: PersistentStore | None = None
-        self._persist_pool: ThreadPoolExecutor | None = None
-        self._persist_lock = threading.Lock()
-        self._persist_futures: list[Future] = []
-        #: path -> last-persisted state token; skips no-op re-persists.
-        self._persisted_tokens: dict[str, tuple] = {}
-        # Persist-failure degradation: writes that keep failing flip the
-        # store read-only and the engine serves warm-only from memory —
-        # a broken store directory must never fail a query.
-        self._persist_read_only = False
-        self._persist_consecutive_failures = 0
         if self.config.store_dir is not None:
             self.persistent_store = PersistentStore(
                 self.config.store_dir, fault_plan=self.fault_plan
             )
             self.stats.store = self.persistent_store.stats
+        #: The one owner of every table's learned state: staleness,
+        #: append-extension, invalidation, restore and the store writer.
+        self.lifecycle = Lifecycle(
+            self.memory,
+            self.persistent_store,
+            self.result_cache,
+            self.monitor.cracking,
+            self.stats,
+        )
 
     # ----------------------------------------------------------- attaching
 
@@ -170,23 +160,10 @@ class NoDBEngine:
     def detach(self, name: str) -> None:
         # ``_lock`` is NOT held across the table write lock: the load
         # path takes locks while a write lock is held, so the orders are
-        # kept disjoint rather than nested.  The tombstone (set under the
-        # same write lock every serve path checks under) stops queries
-        # that resolved the entry before this detach from repopulating
-        # store/split state on the unlisted entry afterwards.
+        # kept disjoint rather than nested.
         with self._lock:
             entry = self.catalog.get(name)
-        if isinstance(entry, MultiFileEntry):
-            with entry.rwlock.write_locked():
-                entry.detached = True
-            for part in entry.part_entries():
-                with part.rwlock.write_locked():
-                    part.detached = True
-                    self._invalidate_entry(part)
-        else:
-            with entry.rwlock.write_locked():
-                entry.detached = True
-                self._invalidate_entry(entry)
+        self.lifecycle.detach(entry)
         with self._lock:
             self.catalog.detach(name)
 
@@ -208,14 +185,7 @@ class NoDBEngine:
                 else list(self.catalog.entries.values())
             )
         for entry in entries:
-            parts = (
-                entry.part_entries()
-                if isinstance(entry, MultiFileEntry)
-                else [entry]
-            )
-            for part in parts:
-                with part.rwlock.write_locked():
-                    self._invalidate_entry(part)
+            self.lifecycle.clear(entry)
 
     def set_policy(self, policy_name: str) -> None:
         """Switch loading policy in place (adaptation trigger, section 5.3).
@@ -490,15 +460,10 @@ class NoDBEngine:
         persistence and shared scans all work per part — and the views
         are concatenated in sorted part order.
         """
-        if entry.detached:
-            raise CatalogError(
-                f"table {entry.name!r} was detached while the query ran"
-            )
+        check_detached(entry)
         parts, removed = entry.refresh()
         for part in removed:
-            with part.rwlock.write_locked():
-                part.detached = True
-                self._invalidate_entry(part)
+            self.lifecycle.detach(part)
         needed = bound.needed_columns[binding]
         if not needed:
             needed = [entry.ensure_schema().columns[0].name]
@@ -530,7 +495,7 @@ class NoDBEngine:
                     if dtypes[part.name] is target:
                         continue
                     with part.rwlock.write_locked():
-                        self._check_detached(part)
+                        check_detached(part)
                         _widen_column(
                             part, part.schema.index_of(name), target
                         )
@@ -585,19 +550,13 @@ class NoDBEngine:
             # read lock — warm queries on one table run fully in parallel.
             # The result-cache probe already fingerprinted the file this
             # query; reuse that observation instead of re-hashing.
-            if known_fingerprint is not None:
-                stale = (
-                    entry.loaded_fingerprint is not None
-                    and known_fingerprint != entry.loaded_fingerprint
-                )
-                known_fingerprint = None  # retries must observe fresh state
-            else:
-                stale = entry.is_stale()
+            stale = entry.is_stale(known_fingerprint)
+            known_fingerprint = None  # retries must observe fresh state
             if not stale:
                 ctx = self._make_ctx(entry, needed, condition, qstats, policy_name)
                 try:
                     with entry.rwlock.read_locked():
-                        self._check_detached(entry)
+                        check_detached(entry)
                         view = policy.try_serve_warm(ctx)
                 finally:
                     self.memory.unpin_many(ctx.pinned_keys)
@@ -618,28 +577,9 @@ class NoDBEngine:
                 continue
             try:
                 with entry.rwlock.write_locked():
-                    self._check_detached(entry)
-                    # One stat serves both staleness and the fingerprint
-                    # the loaded data will be branded with: captured
-                    # BEFORE any raw read, so a file replaced mid-load
-                    # mismatches on the next query and is reloaded —
-                    # stamping it after the read (ensure_table's default)
-                    # would brand old bytes with the new file's identity.
-                    pre_fingerprint = self._check_stale(entry)
-                    # Restart-warm path: before scheduling a cold scan,
-                    # consult the persistent store; a fingerprint-valid
-                    # entry restores the positional map, zone maps,
-                    # widened schema and mmapped columns in one step and
-                    # the warm probe below then serves from them.
-                    if self.persistent_store is not None and entry.table is None:
-                        try:
-                            self._restore_persistent(entry, pre_fingerprint)
-                        except (OSError, FlatFileError):
-                            # A corrupt or unreadable store entry must
-                            # never fail the query: wipe whatever the
-                            # partial restore left behind and scan cold.
-                            self.stats.count("persist_failures")
-                            self._invalidate_entry(entry)
+                    # Staleness, append-extension and the restart-warm
+                    # restore; the fingerprint is taken before any raw read.
+                    fingerprint = self.lifecycle.prepare(entry)
                     ctx = self._make_ctx(
                         entry, needed, condition, qstats, policy_name, for_load=True
                     )
@@ -650,21 +590,8 @@ class NoDBEngine:
                             return view
                         generation = entry.generation
                         self._pin_resident(entry, needed, ctx)
-                        # Stage the pre-read identity for ensure_table:
-                        # should provide() fail *after* creating the
-                        # table, the entry must still be branded with the
-                        # fingerprint its bytes were read under, or an
-                        # append landing mid-read would go unnoticed.
-                        entry.pre_fingerprint = pre_fingerprint
-                        mapped = len(entry.positional_map.known_columns())
-                        try:
-                            view = policy.provide(ctx)
-                        finally:
-                            entry.pre_fingerprint = None
-                        if entry.table is not None:
-                            entry.loaded_fingerprint = pre_fingerprint
+                        view = self.lifecycle.load(policy, ctx, fingerprint)
                         if view.went_to_file:
-                            self._fit_positional_map(entry, needed, condition, mapped)
                             self.stats.note_load(
                                 entry_key,
                                 frozenset(n.lower() for n in needed),
@@ -677,43 +604,11 @@ class NoDBEngine:
                             # substance, and a follower that waited still
                             # counts as reuse.
                             self._count_warm(qstats, waited)
-                        self._schedule_persist(entry, pre_fingerprint)
                         return view
                     finally:
                         self.memory.unpin_many(ctx.pinned_keys)
             finally:
                 self._scan_gate.done(flight_key)
-
-    def _fit_positional_map(
-        self,
-        entry: TableEntry,
-        needed: list[str],
-        condition: Condition | None,
-        mapped: int,
-    ) -> None:
-        """Keep the columns a framing pass added past this query's only
-        while they fit the memory budget (write lock held).
-
-        A framing pass learns every column's spans, 8 bytes a row for
-        each, whatever the query used; the map is not an evictable
-        fragment.  So under a budget, when the map and the resident
-        fragments no longer fit in it, the map is cut back to the
-        ``mapped`` columns it knew before this query or the columns this
-        query touched, whichever is more: a later query on another
-        column frames the file again, the only cost of forgetting (paper
-        section 5.1.3).
-        """
-        pmap = entry.positional_map
-        budget = self.memory.budget_bytes
-        if (
-            budget is None
-            or len(pmap.known_columns()) <= mapped
-            or self.memory.resident_bytes + pmap.nbytes <= budget
-        ):
-            return
-        schema = entry.ensure_schema()
-        names = list(needed) + [c for c, _ in (condition.items if condition else [])]
-        pmap.truncate(max(mapped, max(schema.index_of(n) for n in names) + 1))
 
     def _count_warm(self, qstats: QueryStats, waited: bool) -> None:
         if waited:
@@ -801,13 +696,7 @@ class NoDBEngine:
         total_bytes = 0
         total_reads = 0
         total_retries = 0
-        flat = []
-        for entry in entries:
-            if isinstance(entry, MultiFileEntry):
-                flat.extend(entry.part_entries())
-            else:
-                flat.append(entry)
-        for entry in flat:
+        for entry in (part for e in entries for part in e.part_entries()):
             nbytes, calls = entry.file.thread_io_totals()
             total_bytes += nbytes
             total_reads += calls
@@ -819,271 +708,13 @@ class NoDBEngine:
 
     # ----------------------------------------------------- persistent store
 
-    def _restore_persistent(
-        self, entry: TableEntry, fingerprint: FileFingerprint
-    ) -> bool:
-        """Restore a cold table from the persistent store (write lock held).
-
-        The restored state is branded with ``fingerprint`` — captured
-        from the live file *before* this read, the same rule cold loads
-        follow — so a file replaced mid-restore mismatches on the next
-        query.  A fingerprint-stale persisted entry is deleted and
-        counted, and the scan proceeds cold — *unless* the mismatch is a
-        pure tail-append, in which case the entry restores under its
-        stored (old) fingerprint and is extended over the appended
-        region in place, exactly like an in-memory warm table would be.
-        """
-        outcome = self.persistent_store.load(entry.file.path, fingerprint)
-        if outcome.invalidated:
-            self.stats.count("store_invalidations")
-        state = outcome.state
-        if state is None or state.nrows <= 0:
-            return False
-        brand = state.fingerprint if outcome.appended else fingerprint
-        # Adopt the persisted (possibly widened) schema wholesale: it was
-        # inferred — and widened — from exactly the bytes the fingerprint
-        # vouches for.
-        entry.schema = TableSchema(
-            [ColumnSchema(n, DataType(d)) for n, d in state.schema]
-        )
-        entry.has_header = state.has_header
-        entry.table = Table(entry.name, entry.schema, state.nrows)
-        entry.positional_map = state.positional_map
-        entry.zone_maps = state.zone_maps
-        entry.loaded_fingerprint = brand
-        entry.store_base = (state.fingerprint, state.nrows)
-        for name, values in state.columns.items():
-            pc = entry.table.column(name)
-            pc.restore_full(values)
-            key = (entry.table.name, pc.name)
-
-            def dropper(pc=pc):
-                pc.drop()
-
-            self.memory.register(
-                key, pc.logical_nbytes, dropper, mapped=pc.is_mapped
-            )
-        # What we just restored is exactly what a re-persist would write.
-        with self._persist_lock:
-            self._persisted_tokens[str(entry.file.path)] = self._persist_token(
-                entry, brand
-            )
-        if outcome.appended:
-            # The restored state covers only the old prefix of the live
-            # file; extend it over the appended tail now, while the write
-            # lock is held.  Failure means the restored state cannot be
-            # grown to match the live file — fall all the way to cold.
-            if not self._try_extend_append(entry, fingerprint):
-                self._invalidate_entry(entry)
-                return False
-        self.stats.count("restart_warm_hits")
-        return True
-
-    @staticmethod
-    def _persist_token(entry: TableEntry, fingerprint: FileFingerprint) -> tuple:
-        """What a persist of ``entry`` right now would write (write/read
-        lock held): used to skip writes that would change nothing."""
-        pm = entry.positional_map
-        loaded: frozenset = frozenset()
-        if entry.table is not None:
-            loaded = frozenset(
-                pc.name
-                for pc in entry.table.columns.values()
-                if pc.values is not None and pc.is_fully_loaded
-            )
-        return (
-            fingerprint,
-            loaded,
-            len(pm.known_columns()),
-            frozenset(entry.zone_maps.columns)
-            if entry.zone_maps is not None
-            else frozenset(),
-        )
-
-    def _schedule_persist(
-        self, entry: TableEntry, fingerprint: FileFingerprint
-    ) -> None:
-        """Queue a crash-safe store write (off the query path).
-
-        Called at the end of a cold provision while the table write lock
-        is still held; the single writer thread snapshots the entry under
-        the read lock and re-validates the fingerprint, so a table
-        invalidated between scheduling and writing is simply skipped.
-        """
-        if (
-            self.persistent_store is None
-            or self._persist_read_only
-            or entry.table is None
-            or entry.detached
-        ):
-            return
-        key = str(entry.file.path)
-        token = self._persist_token(entry, fingerprint)
-        with self._persist_lock:
-            if self._persisted_tokens.get(key) == token:
-                return
-            self._persisted_tokens[key] = token
-            if self._persist_pool is None:
-                self._persist_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-persist"
-                )
-            self._persist_futures.append(
-                self._persist_pool.submit(
-                    self._persist_entry, entry, fingerprint, key, token
-                )
-            )
-
-    def _persist_entry(
-        self,
-        entry: TableEntry,
-        fingerprint: FileFingerprint,
-        key: str,
-        token: tuple,
-    ) -> None:
-        """Writer-thread body: snapshot under the read lock, write outside.
-
-        A failed disk write degrades, never escalates: the token is
-        dropped (a later load may retry), the failure is counted, and
-        after :data:`PERSIST_FAILURE_LIMIT` *consecutive* failures the
-        store goes read-only for this engine — queries keep being served
-        warm from memory, they just stop surviving restarts.
-        """
-        try:
-            with entry.rwlock.read_locked():
-                if (
-                    entry.detached
-                    or entry.table is None
-                    or entry.loaded_fingerprint != fingerprint
-                ):
-                    return
-                state = PersistedState.from_entry(entry, fingerprint)
-                epoch = entry.epoch
-            self.persistent_store.save(state)
-            with entry.rwlock.read_locked():
-                # Only this thread reads or writes ``store_base`` under
-                # the read lock; restores and invalidations hold the
-                # write lock.  Unless the entry was invalidated since the
-                # snapshot, its state — even if a tail-append extended it
-                # meanwhile — still extends what was just committed.
-                if entry.epoch == epoch:
-                    entry.store_base = (fingerprint, state.nrows)
-            self.stats.count("persist_writes")
-            with self._persist_lock:
-                self._persist_consecutive_failures = 0
-        except (OSError, FlatFileError):
-            with self._persist_lock:
-                if self._persisted_tokens.get(key) == token:
-                    del self._persisted_tokens[key]
-                self._persist_consecutive_failures += 1
-                if self._persist_consecutive_failures >= PERSIST_FAILURE_LIMIT:
-                    self._persist_read_only = True
-            self.stats.count("persist_failures")
-        except BaseException:
-            # Non-I/O failures (bugs) still surface via flush.
-            with self._persist_lock:
-                if self._persisted_tokens.get(key) == token:
-                    del self._persisted_tokens[key]
-            raise
-
     def flush_persistent_store(self) -> None:
         """Block until every scheduled store write has landed.
 
         Re-raises writer-thread failures; used by tests, benches and
         anything simulating a restart hand-off to a new engine.
         """
-        while True:
-            with self._persist_lock:
-                futures = self._persist_futures
-                self._persist_futures = []
-            if not futures:
-                return
-            for f in futures:
-                f.result()
-
-    # --------------------------------------------------------- invalidation
-
-    @staticmethod
-    def _check_detached(entry: TableEntry) -> None:
-        """Refuse to serve a tombstoned entry (caller holds a table lock).
-
-        A query may have resolved the entry just before a concurrent
-        ``detach`` completed; failing here (exactly as if the lookup had
-        happened after the detach) prevents it from repopulating store or
-        split state that nothing would ever clean up.
-        """
-        if entry.detached:
-            raise CatalogError(
-                f"table {entry.name!r} was detached while the query ran"
-            )
-
-    def _check_stale(self, entry: TableEntry):
-        """Invalidate a stale table (caller holds the table's write lock).
-
-        Returns the fingerprint observed by the check so the caller can
-        brand data loaded *after* this point with the pre-read identity.
-        """
-        fingerprint = entry.file.fingerprint()
-        if (
-            entry.loaded_fingerprint is None
-            or fingerprint == entry.loaded_fingerprint
-        ):
-            return fingerprint
-        if self._try_extend_append(entry, fingerprint):
-            return fingerprint
-        self._invalidate_entry(entry)
-        return fingerprint
-
-    def _try_extend_append(
-        self, entry: TableEntry, fingerprint: FileFingerprint
-    ) -> bool:
-        """Extend learned state over a pure tail-append (write lock held).
-
-        Appends aren't rewrites: when the file grew and the prior region
-        is byte-identical, the positional map, fully loaded columns and
-        zone maps are all extended in place instead of wiped — only
-        structures whose *answers* changed (crackers, cached results) are
-        invalidated.  Returns False when the change is not a
-        tail-append or any extension precondition fails; the caller falls
-        back to full invalidation.
-        """
-        old = entry.loaded_fingerprint
-        if old is None or entry.table is None:
-            return False
-        if not detect_tail_append(entry.file.path, old, fingerprint):
-            return False
-        try:
-            extended = extend_entry_for_append(entry, old, fingerprint, self.memory)
-        except FlatFileError:
-            extended = False
-        if not extended:
-            return False
-        for col in list(entry.crackers):
-            self.memory.forget(entry.cracker_key(col))
-        entry.crackers.clear()
-        self.monitor.cracking.forget_table(entry.name.lower())
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(entry.name.lower())
-        entry.loaded_fingerprint = fingerprint
-        entry.generation += 1
-        self.stats.count("append_extensions")
-        self._schedule_persist(entry, fingerprint)
-        return True
-
-    def _invalidate_entry(self, entry: TableEntry) -> None:
-        if entry.table is not None:
-            for pc in entry.table.columns.values():
-                self.memory.forget((entry.table.name, pc.name))
-        for col in list(entry.crackers):
-            self.memory.forget(entry.cracker_key(col))
-        self.monitor.cracking.forget_table(entry.name.lower())
-        entry.invalidate()  # destroys the entry's split catalog too
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(entry.name.lower())
-        if self.persistent_store is not None:
-            with self._persist_lock:
-                self._persisted_tokens.pop(str(entry.file.path), None)
-            if self.persistent_store.invalidate(entry.file.path):
-                self.stats.count("store_invalidations")
+        self.lifecycle.flush()
 
     # -------------------------------------------------------------- cleanup
 
@@ -1094,25 +725,9 @@ class NoDBEngine:
         that is the point — but in-flight writes are allowed to land so a
         follow-up engine sees them (writer errors are swallowed here; use
         :meth:`flush_persistent_store` to observe them)."""
-        with suppress(Exception):
-            self.flush_persistent_store()
-        with self._persist_lock:
-            pool, self._persist_pool = self._persist_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         with self._lock:
             entries = list(self.catalog.entries.values())
-        for entry in entries:
-            parts = (
-                entry.part_entries()
-                if isinstance(entry, MultiFileEntry)
-                else [entry]
-            )
-            for part in parts:
-                split = part.split_catalog
-                part.split_catalog = None
-                if split is not None:
-                    split.destroy()
+        self.lifecycle.close(entries)
 
     def __enter__(self) -> "NoDBEngine":
         return self

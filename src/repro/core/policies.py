@@ -257,7 +257,7 @@ class LoadingPolicy:
         """Store completely loaded columns and register them for eviction."""
         for name, values in result.columns.items():
             ctx.qstats.rows_loaded += table.column(name).store_full(values)
-            _register(ctx, table, name)
+            ctx.pinned_keys.append(register_column(ctx.memory, table, name, pinned=True))
 
     @staticmethod
     def _view_from_store(
@@ -297,21 +297,21 @@ def _crackable(interval: ValueInterval) -> bool:
     return True
 
 
-def _register(ctx: LoadContext, table: Table, column_name: str) -> None:
-    pc = table.column(column_name)
+def register_column(
+    memory: MemoryManager, table: Table, name: str, *, pinned: bool = False
+) -> tuple[str, str]:
+    """Charge a resident column to the memory budget; returns its key.
+
+    Evicting it drops the column's values.  ``mapped`` tracks whether the
+    column is (still) backed by a persistent-store memmap rather than
+    heap bytes.  A loading query registers its columns ``pinned`` (the
+    engine releases the context's pins once the views are built), so it
+    cannot evict its own data.
+    """
+    pc = table.column(name)
     key = (table.name, pc.name)
-
-    def dropper() -> None:
-        pc.drop()
-
-    # Pinned for the duration of the current query (the engine releases the
-    # context's pins after the views are built) so a query cannot evict its
-    # own data.  ``mapped`` tracks whether the column is (still) backed by
-    # a persistent-store memmap rather than heap bytes.
-    ctx.memory.register(
-        key, pc.logical_nbytes, dropper, pinned=True, mapped=pc.is_mapped
-    )
-    ctx.pinned_keys.append(key)
+    memory.register(key, pc.logical_nbytes, pc.drop, pinned=pinned, mapped=pc.is_mapped)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ class PartialLoadsV2Policy(LoadingPolicy):
             newly = pc.store(result.row_ids, values)
             pc.add_certificate(certificate)
             ctx.qstats.rows_loaded += newly
-            _register(ctx, table, name)
+            ctx.pinned_keys.append(register_column(ctx.memory, table, name, pinned=True))
         return TableView(
             nrows=len(result.row_ids),
             arrays={k.lower(): v for k, v in result.columns.items()},
@@ -567,7 +567,7 @@ class SplitFilesPolicy(LoadingPolicy):
                     entry, idx, fetched.fields[idx], ctx.qstats.parse
                 )
                 ctx.qstats.rows_loaded += table.column(name).store_full(values)
-                _register(ctx, table, name)
+                ctx.pinned_keys.append(register_column(ctx.memory, table, name, pinned=True))
         return self._view_from_store(
             ctx, ctx.entry.table, served_from_store=not went_to_file, went_to_file=went_to_file
         )

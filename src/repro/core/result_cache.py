@@ -23,8 +23,8 @@ Cached bytes are charged to the engine's :class:`~repro.storage.memory.
 MemoryManager` budget, so results compete with adaptive-store fragments
 under the same eviction policy, and the cache is also bounded by entry
 count (``EngineConfig.max_cached_results``).  Invalidation rides the
-same path that drops positional maps: the engine calls
-:meth:`invalidate_table` from ``_invalidate_entry``.
+same path that drops positional maps: :mod:`repro.core.lifecycle` calls
+:meth:`invalidate_table` on every invalidation and tail-append.
 
 Lock ordering: the memory manager may call this cache's dropper while
 holding its own lock, so the cache NEVER calls into the memory manager

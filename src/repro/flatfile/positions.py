@@ -198,6 +198,14 @@ class PositionalMap:
         """A snapshot sharing the (immutable) arrays, not the prefix list."""
         return replace(self, bounds=list(self.bounds))
 
+    def extends(self, snapshot: "PositionalMap") -> bool:
+        """Does this map still hold every array of ``snapshot`` (a
+        :meth:`copy`)?  Learning only appends arrays, so False means the
+        map was cleared or cut since."""
+        return len(self.bounds) >= len(snapshot.bounds) and all(
+            a is b for a, b in zip(self.bounds, snapshot.bounds)
+        )
+
     # ---------------------------------------------------------- persisting
 
     def export(self) -> tuple[dict, list[np.ndarray]]:
@@ -264,13 +272,17 @@ class PositionalMap:
             self.record_nrows(sum(p.nrows for p in parts))
         seps = {p.sep for p in parts}
         if len(seps) == 1:
-            self._grow(
-                min(len(p.bounds) for p in parts),
-                seps.pop(),
-                lambda j: np.concatenate(
-                    [p.bounds[j] + base for p, base in zip(parts, char_bases)]
-                ),
-            )
+            ends = np.cumsum([len(p.bounds[0]) if p.bounds else 0 for p in parts])
+
+            def shifted(j: int) -> np.ndarray:
+                """Boundary ``j`` of the whole file, each partition's
+                shifted part written in place: one copy per boundary."""
+                out = np.empty(int(ends[-1]), dtype=np.int64)
+                for p, base, hi in zip(parts, char_bases, ends):
+                    np.add(p.bounds[j], base, out=out[hi - len(p.bounds[j]) : hi])
+                return out
+
+            self._grow(min(len(p.bounds) for p in parts), seps.pop(), shifted)
         geometries = [p.text_geometry for p in parts]
         if all(g is not None for g in geometries):
             self.record_text_geometry(

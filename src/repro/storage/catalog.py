@@ -77,15 +77,11 @@ class TableEntry:
     #: entry can never leak its catalog to a re-attached namesake.
     #: Only ever created/used under the table's write lock.
     split_catalog: "SplitFileCatalog | None" = None
+    #: The fingerprint the learned state was read under (None: cold).
+    #: Only :mod:`repro.core.lifecycle` assigns it, ``store_base``,
+    #: ``generation``, ``epoch`` and ``detached``: together they say which
+    #: lifecycle condition the entry is in.
     loaded_fingerprint: FileFingerprint | None = None
-    #: The fingerprint the engine captured *before* any raw read of the
-    #: current load (set around ``policy.provide`` under the write lock).
-    #: :meth:`ensure_table` brands the freshly created table with it, so
-    #: a tail-append landing mid-load is observed by the next staleness
-    #: check instead of being masked by a post-read fingerprint.
-    pre_fingerprint: FileFingerprint | None = field(
-        default=None, repr=False, compare=False
-    )
     #: ``(fingerprint, nrows)`` of the persistent-store entry this state
     #: was last restored from or saved as.  Verified tail-appends keep it
     #: (the state then extends that entry row for row, so the next save
@@ -101,12 +97,14 @@ class TableEntry:
     schema_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    #: Bumped on every invalidation; a "cold (table, columns) generation"
-    #: in the shared-scan accounting is keyed by this counter.
+    #: Bumped on every invalidation and tail-append extension; a "cold
+    #: (table, columns) generation" in the shared-scan accounting is
+    #: keyed by this counter.
     generation: int = 0
-    #: Bumped by :meth:`invalidate` only (not by tail-append extensions):
-    #: state under one epoch grows from one load row for row, so a save
-    #: of an earlier snapshot still describes a prefix of it.
+    #: Bumped when the state stops extending what a store save described
+    #: (invalidation, a damaged positional map dropped), not by tail-append
+    #: extensions: state under one epoch grows from one load row for row,
+    #: so a save of an earlier snapshot still describes a prefix of it.
     epoch: int = 0
     #: Tombstone set (under the write lock) when the table is detached: a
     #: query that resolved this entry before the detach must fail instead
@@ -165,20 +163,12 @@ class TableEntry:
     def ensure_table(self, nrows: int) -> Table:
         """Create the adaptive-store table once the row count is known.
 
-        The table is branded with the *pre-read* fingerprint when the
-        engine staged one (:attr:`pre_fingerprint`): bytes were read and
-        counted under that identity, so an append landing mid-load makes
-        the next staleness check mismatch and observe the new rows.
-        Fingerprinting here (the non-engine fallback) would brand old
-        bytes with the post-read file identity.
+        The lifecycle brands it, once the load ends, with the fingerprint
+        taken before the load's raw read
+        (:meth:`repro.core.lifecycle.Lifecycle.load`).
         """
         if self.table is None:
             self.table = Table(self.name, self.ensure_schema(), nrows)
-            self.loaded_fingerprint = (
-                self.pre_fingerprint
-                if self.pre_fingerprint is not None
-                else self.file.fingerprint()
-            )
         elif self.table.nrows != nrows:
             raise CatalogError(
                 f"table {self.name!r}: row count changed from {self.table.nrows} to {nrows}"
@@ -187,11 +177,12 @@ class TableEntry:
 
     # -------------------------------------------------------- invalidation
 
-    def is_stale(self) -> bool:
-        """Has the flat file been edited since data was loaded from it?"""
+    def is_stale(self, observed: FileFingerprint | None = None) -> bool:
+        """Has the flat file been edited since data was loaded from it?
+        ``observed`` is a fingerprint the caller already took this query."""
         if self.loaded_fingerprint is None:
             return False
-        return self.file.fingerprint() != self.loaded_fingerprint
+        return (observed or self.file.fingerprint()) != self.loaded_fingerprint
 
     def cracker_key(self, column: str) -> tuple[str, str]:
         """Memory-manager key of one cracked column.
@@ -201,24 +192,9 @@ class TableEntry:
         contain NUL)."""
         return (f"{self.name.lower()}\x00crackers", column.lower())
 
-    def invalidate(self) -> None:
-        """Drop all derived state (loaded data, learned offsets, schema)."""
-        if self.table is not None:
-            self.table.drop_all()
-        self.table = None
-        self.positional_map.clear()
-        self.partitions = None
-        self.zone_maps = None
-        self.crackers.clear()
-        if self.split_catalog is not None:
-            self.split_catalog.destroy()
-            self.split_catalog = None
-        self.loaded_fingerprint = None
-        self.store_base = None
-        self.schema = None
-        self.generation += 1
-        self.epoch += 1
-        self.file.reset_format_state()
+    def part_entries(self) -> list["TableEntry"]:
+        """The entry itself: a single-file table is its one part."""
+        return [self]
 
 
 def has_glob_magic(text: str) -> bool:

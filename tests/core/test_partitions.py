@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import EngineConfig
+from repro.core.engine import NoDBEngine
 from repro.core.partitions import (
     Partition,
     PartitionIndex,
@@ -139,7 +140,7 @@ class TestPartitionsFor:
         first = partitions_for(entry, config)
         assert first is not None
         assert partitions_for(entry, config) is first  # cached
-        entry.invalidate()
+        NoDBEngine().lifecycle.invalidate(entry)
         assert entry.partitions is None
         again = partitions_for(entry, config)
         assert again is not None and again is not first

@@ -482,6 +482,13 @@ class TestSpanCheck:
             assert framed >= path.stat().st_size
             assert second.query(self.SQL).rows() == oracle.query(self.SQL).rows()
             assert second.stats.last().file_bytes_read < path.stat().st_size
+        # The re-framed map replaced the damaged one on disk: a third
+        # restart reads through it from its first query.
+        with NoDBEngine(cfg) as third:
+            third.attach("t", path)
+            assert third.query(self.SQL).rows() == oracle.query(self.SQL).rows()
+            assert third.stats.counters.restart_warm_hits == 1
+            assert third.stats.last().file_bytes_read < path.stat().st_size
         oracle.close()
 
 

@@ -114,7 +114,7 @@ def _random_config(
     monkeypatch.setattr(faults, "IO_RETRY_ATTEMPTS", rng.choice((2, 3)))
     store_dir = (tmp_path / f"store-{tag}") if rng.random() < 0.5 else None
     monkeypatch.setattr(
-        "repro.core.engine.PERSIST_FAILURE_LIMIT", rng.choice((1, 3))
+        "repro.core.lifecycle.PERSIST_FAILURE_LIMIT", rng.choice((1, 3))
     )
     return EngineConfig(
         policy=policy,

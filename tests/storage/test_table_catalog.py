@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.engine import NoDBEngine
 from repro.errors import CatalogError
 from repro.flatfile.schema import ColumnSchema, DataType, TableSchema
 from repro.storage.catalog import Catalog
@@ -104,6 +105,8 @@ class TestCatalog:
         entry = c.attach("t", path)
         assert not entry.is_stale()  # nothing loaded yet
         entry.ensure_table(1)
+        # The engine's lifecycle brands a table once its load ends.
+        entry.loaded_fingerprint = entry.file.fingerprint()
         assert not entry.is_stale()
         time.sleep(0.01)
         path.write_text("3,4\n5,6\n")
@@ -117,7 +120,8 @@ class TestCatalog:
         entry.ensure_schema()
         entry.ensure_table(1)
         entry.positional_map.record_nrows(1)
-        entry.invalidate()
+        entry.loaded_fingerprint = entry.file.fingerprint()
+        NoDBEngine().lifecycle.invalidate(entry)
         assert entry.table is None
         assert entry.schema is None
         assert entry.positional_map.nrows is None

@@ -339,6 +339,92 @@ class TestStringFormatBoundary:
         assert column.decode().tolist() == ["b", "a", "b"]
 
 
+class TestLifecycleOwnsTheCondition:
+    """Which lifecycle condition a table entry is in (cold, learned,
+    extended, invalidated, restored) is one module's decision: outside
+    :mod:`repro.core.lifecycle` nothing under ``src/repro`` assigns the
+    fields that record it.  The field declarations of
+    ``storage/catalog.py`` are class-body names, not attributes, so the
+    check passes over them."""
+
+    FIELDS = {"loaded_fingerprint", "store_base", "epoch", "generation", "detached"}
+    OWNER = Path("repro/core/lifecycle.py")
+
+    @classmethod
+    def assigned(cls, tree: ast.AST) -> list[tuple[int, str]]:
+        """``(line, field)`` of each write of a field: an attribute
+        target of a plain, augmented or annotated assignment (also
+        inside a tuple target), ``setattr`` with the field's name, or a
+        ``replace(...)`` keyword."""
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", getattr(func, "attr", None))
+                if callee == "setattr" and len(node.args) > 1:
+                    name = getattr(node.args[1], "value", None)
+                    found += [(node.lineno, name)] if name in cls.FIELDS else []
+                elif callee == "replace":
+                    found += [
+                        (node.lineno, k.arg) for k in node.keywords if k.arg in cls.FIELDS
+                    ]
+                continue
+            else:
+                continue
+            found += [
+                (node.lineno, sub.attr)
+                for target in targets
+                for sub in ast.walk(target)
+                if isinstance(sub, ast.Attribute) and sub.attr in cls.FIELDS
+            ]
+        return found
+
+    def test_only_the_lifecycle_assigns_the_condition(self):
+        package = Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(package.parent)}:{line} assigns {name}"
+            for path in sorted(package.rglob("*.py"))
+            if path.relative_to(package.parent) != self.OWNER
+            for line, name in self.assigned(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert not offenders, offenders
+
+    def test_the_owner_is_where_the_check_looks(self):
+        owner = Path(repro.__file__).parent.parent / self.OWNER
+        assert self.assigned(ast.parse(owner.read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "entry.loaded_fingerprint = fp",
+            "entry.generation += 1",
+            "entry.epoch: int = 1",
+            "part.detached, x = True, 1",
+            "setattr(entry, 'store_base', None)",
+            "entry = dataclasses.replace(entry, epoch=2)",
+        ],
+    )
+    def test_check_sees_each_write_form(self, source):
+        assert self.assigned(ast.parse(source))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "generation = entry.generation",
+            "base = entry.store_base",
+            "class TableEntry:\n    detached: bool = False",
+            "stats.note_load(key, cols, generation=1)",
+            "entry.loaded_fingerprint == fp",
+        ],
+    )
+    def test_reads_and_declarations_pass(self, source):
+        assert not self.assigned(ast.parse(source))
+
+
 def config_fields_set(sources: list[str]) -> set[str]:
     """Names set on an engine config anywhere in ``sources``.
 

@@ -267,7 +267,7 @@ class TestPersistDegradation:
     def test_store_goes_read_only_after_consecutive_failures(
         self, tmp_path, csv_path, monkeypatch
     ):
-        monkeypatch.setattr("repro.core.engine.PERSIST_FAILURE_LIMIT", 2)
+        monkeypatch.setattr("repro.core.lifecycle.PERSIST_FAILURE_LIMIT", 2)
         plan = FaultPlan({"persist.write": FaultSpec(times=None)})
         config = EngineConfig(store_dir=tmp_path / "store", fault_plan=plan)
         other = tmp_path / "other.csv"
@@ -278,7 +278,7 @@ class TestPersistDegradation:
             engine.query("select count(*) from r")
             engine.query("select count(*) from s")
             engine.flush_persistent_store()
-            assert engine._persist_read_only
+            assert engine.lifecycle.read_only
             failures_at_cutoff = engine.stats.snapshot()["counters"][
                 "persist_failures"
             ]
