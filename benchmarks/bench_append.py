@@ -1,7 +1,7 @@
 """Incremental append maintenance: growing a warm table must cost O(tail).
 
-The growing-log scenario: a table is served warm (positional map,
-partitions, zone maps all learned), then ~1% more rows land at the end
+The growing-log scenario: a table is served warm (positional map and
+zone maps learned), then ~1% more rows land at the end
 of the file.  With append extension the next query must absorb just the
 tail — re-tokenize the appended bytes, extend the learned structures in
 place — instead of wiping the store and re-parsing the whole file.

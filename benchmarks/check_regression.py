@@ -12,9 +12,9 @@ results is a hard failure too: a silently-skipped bench must not look
 like a pass.  Refresh the baseline after an intentional perf change with::
 
     PYTHONPATH=src python -m benchmarks.bench_selective_read --quick --json sel.json
-    PYTHONPATH=src python -m benchmarks.bench_parallel_scan  --quick --json par.json
+    PYTHONPATH=src python -m benchmarks.bench_dialects --quick --json dia.json
     python benchmarks/check_regression.py --baseline BENCH_BASELINE.json \
-        --update sel.json par.json
+        --update sel.json dia.json
 
 Stdlib-only on purpose: the gate must run before (and regardless of)
 the project's own dependencies.

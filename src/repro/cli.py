@@ -79,22 +79,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="comma-separated field widths for --format fixed-width",
     )
     parser.add_argument(
-        "--parallel-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition first-pass scans of large files across N threads "
-        "(0 = one per CPU; default: 1, serial)",
-    )
-    parser.add_argument(
-        "--partition-min-bytes",
-        type=int,
-        default=EngineConfig.partition_min_bytes,
-        metavar="BYTES",
-        help="never parallelize partitions smaller than this "
-        f"(default: {EngineConfig.partition_min_bytes})",
-    )
-    parser.add_argument(
         "--result-cache",
         action=argparse.BooleanOptionalAction,
         default=False,
@@ -170,11 +154,6 @@ def _print_stats(engine: NoDBEngine, out) -> None:
         source = "adaptive store"
     else:
         source = "flat file(s)"
-    parallel = (
-        f" | parallel partitions {q['parallel_partitions']}"
-        if q["parallel_partitions"]
-        else ""
-    )
     store = (
         f" | store bytes written (total) {snap['persist_bytes_written']:,}"
         if engine.persistent_store is not None
@@ -184,7 +163,7 @@ def _print_stats(engine: NoDBEngine, out) -> None:
         f"-- {q['elapsed_s'] * 1e3:.1f} ms | {source} | "
         f"bytes read {q['file_bytes_read']:,} | "
         f"values parsed {q['values_parsed']:,} | "
-        f"rows loaded {q['rows_loaded']:,}" + parallel + store,
+        f"rows loaded {q['rows_loaded']:,}" + store,
         file=out,
     )
 
@@ -284,10 +263,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delimiter", default=",")
     parser.add_argument("--format", choices=("auto",) + FORMATS, default="csv")
     parser.add_argument(
-        "--parallel-workers", type=int, default=1, metavar="N",
-        help="partitioned-scan threads (0 = one per CPU)",
-    )
-    parser.add_argument(
         "--result-cache", action=argparse.BooleanOptionalAction, default=True,
         help="serve repeated identical queries from the result cache "
         "(default: on for the server — many clients repeat queries)",
@@ -336,7 +311,6 @@ def build_server_from_args(args):
 
     config = EngineConfig(
         policy=args.policy,
-        parallel_workers=args.parallel_workers,
         result_cache=args.result_cache,
         store_dir=args.store_dir if args.persistent_store else None,
         memory_budget_bytes=args.memory_budget_bytes,
@@ -430,8 +404,6 @@ def main(argv: list[str] | None = None, stdin=None, stdout=None, stderr=None) ->
     try:
         config = EngineConfig(
             policy=args.policy,
-            parallel_workers=args.parallel_workers,
-            partition_min_bytes=args.partition_min_bytes,
             result_cache=args.result_cache,
             max_cached_results=args.max_cached_results,
             store_dir=args.store_dir if args.persistent_store else None,

@@ -3,12 +3,11 @@
 :class:`EngineConfig` gathers every knob of the adaptive engine in one
 immutable-ish dataclass so that experiments can be described declaratively:
 the loading policy name, the adaptive-store memory budget, the tokenizer
-and skipping toggles, parallelism and the persistent store.
+and skipping toggles and the persistent store.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -51,22 +50,6 @@ class EngineConfig:
         batched window reads) and gather the fields vectorized, instead of
         re-reading and re-tokenizing the whole file.  Requires
         ``use_positional_map``; off is the ablation baseline.
-    parallel_workers:
-        Number of threads for the partitioned parallel scan.  ``1``
-        (default) keeps every pass serial.  With ``N > 1``, the first
-        pass over a large file the bulk kernel frames (plain delimited,
-        TSV, fixed-width) reads and tokenizes up to ``N``
-        newline-aligned row-range partitions on threads of this process,
-        then parses their merged fields once, and warm windowed reads on
-        the selective path use up to ``N`` threads.  Quoted CSV and
-        JSON-lines always scan serially.  ``0`` means "one per CPU".
-    partition_min_bytes:
-        Never create a row-range partition smaller than this many bytes;
-        files smaller than two minimum-size partitions are scanned
-        serially regardless of ``parallel_workers`` (starting threads
-        and merging partitions costs more than it saves on small
-        files).  The default is 4 MiB: the vectorized tokenization
-        kernel clears a megabyte in milliseconds.
     predicate_pushdown:
         Apply WHERE predicates while parsing, abandoning a row as soon as
         one conjunct fails (the "Partial Loads" trick of section 3.2).
@@ -136,8 +119,6 @@ class EngineConfig:
     memory_budget_bytes: int | None = None
     use_positional_map: bool = True
     selective_reads: bool = True
-    parallel_workers: int = 1
-    partition_min_bytes: int = 4 << 20
     predicate_pushdown: bool = True
     zone_maps: bool = True
     zone_map_rows: int = 1024
@@ -153,10 +134,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {POLICIES}")
-        if self.parallel_workers < 0:
-            raise ValueError("parallel_workers must be >= 1, or 0 for one per CPU")
-        if self.partition_min_bytes <= 0:
-            raise ValueError("partition_min_bytes must be positive")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive or None")
         if self.zone_map_rows <= 0:
@@ -167,9 +144,3 @@ class EngineConfig:
             raise ValueError("max_cached_results must be positive")
         if self.store_dir is not None:
             self.store_dir = Path(self.store_dir)
-
-    def resolved_parallel_workers(self) -> int:
-        """The effective worker count (``0`` resolves to the CPU count)."""
-        if self.parallel_workers == 0:
-            return os.cpu_count() or 1
-        return self.parallel_workers

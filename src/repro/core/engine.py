@@ -26,8 +26,8 @@ engine"); this engine replaces that global lock with three layers:
 * **per-table reader–writer locks** (:class:`repro.locks.RWLock`, one on
   each :class:`TableEntry`): queries over distinct tables never contend,
   and warm queries over the *same* table share the read side and run
-  fully in parallel.  Loading — which mutates the store, the positional
-  map and the in-memory partition plan — takes the write side.
+  fully in parallel.  Loading — which mutates the store and the
+  positional map — takes the write side.
 * **shared-scan batching** (:class:`repro.locks.SingleFlight`): when N
   threads miss the store for the same cold (table, column-set), exactly
   one runs the adaptive load; the rest wait on the flight and then serve
@@ -273,7 +273,6 @@ class NoDBEngine:
             "elapsed_s": qstats.elapsed_s,
             "served_from_store": qstats.served_from_store,
             "file_bytes_read": qstats.file_bytes_read,
-            "parallel_partitions": qstats.parallel_partitions,
             "result_cache_hit": False,
         }
         if cache_key is not None and signatures is not None:
@@ -380,7 +379,6 @@ class NoDBEngine:
             "elapsed_s": qstats.elapsed_s,
             "served_from_store": True,
             "file_bytes_read": 0,
-            "parallel_partitions": 0,
             "result_cache_hit": True,
         }
         return cached

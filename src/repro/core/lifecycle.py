@@ -15,9 +15,9 @@ it to that):
 * **extended**: a verified pure tail-append grew the state in place.  The
   positional map absorbs the tail's spans, fully loaded columns parse and
   concatenate just the appended values (partial fragments drop: their
-  certificates no longer describe the grown row space), zone maps merge
-  and append zones, and the partition plan re-plans on the new size.
-  Crackers, split files and cached results drop: their answers changed;
+  certificates no longer describe the grown row space) and zone maps
+  merge and append zones.  Crackers, split files and cached results
+  drop: their answers changed;
 * **invalidated**: an edit, ``clear_cache`` or ``detach`` dropped it all;
 * **restored / persisted**: restored from the persistent store, or written
   to it by one background writer; ``store_base`` names the store entry
@@ -36,7 +36,7 @@ from contextlib import suppress
 
 import numpy as np
 
-from repro.core.loader import parse_column_with_widening
+from repro.core.loader import parse_widening
 from repro.core.monitor import CrackingAdvisor
 from repro.core.policies import LoadContext, LoadingPolicy, TableView, register_column
 from repro.core.result_cache import QueryResultCache
@@ -250,8 +250,8 @@ class Lifecycle:
 
     def invalidate(self, entry: TableEntry) -> None:
         """Drop everything learned from the file, back to cold (write
-        lock held): store columns, map, partitions, zone maps, crackers,
-        split files, cached results, schema and the store entry."""
+        lock held): store columns, map, zone maps, crackers, split
+        files, cached results, schema and the store entry."""
         table = entry.table
         if table is not None:
             for pc in table.columns.values():
@@ -260,7 +260,6 @@ class Lifecycle:
         self._drop_answers(entry)
         entry.table = None
         entry.positional_map.clear()
-        entry.partitions = None
         entry.zone_maps = None
         entry.loaded_fingerprint = None
         entry.schema = None
@@ -305,8 +304,8 @@ class Lifecycle:
 
     def _forget_store(self, entry: TableEntry) -> None:
         """The state no longer extends any store entry: drop the entry
-        on disk, its token and ``store_base``.  Bumping ``epoch`` stops
-        a save already in flight from setting ``store_base`` again."""
+        on disk, its token and ``store_base``.  Bumping ``epoch`` makes
+        a save already in flight delete what it writes."""
         entry.store_base = None
         entry.epoch += 1
         if self.store is None:
@@ -345,7 +344,8 @@ class Lifecycle:
     def _persist(
         self, entry: TableEntry, fingerprint: FileFingerprint, key: str, token: tuple
     ) -> None:
-        """Writer-thread body: snapshot under the read lock, write outside.
+        """Writer-thread body: snapshot under the read lock, write outside,
+        and delete the write again if the state was invalidated meanwhile.
 
         A failed disk write degrades, never escalates: the token is
         dropped (a later load may retry), the failure is counted, and
@@ -361,14 +361,23 @@ class Lifecycle:
                 epoch = entry.epoch
             self.store.save(state)
             with entry.rwlock.read_locked():
+                if entry.detached or entry.epoch != epoch:
+                    # An invalidation (``clear_cache``, ``detach``, an
+                    # edit) landed during the save and deleted nothing:
+                    # delete what was just written.  Holding the read
+                    # lock keeps a restore from reading it meanwhile; a
+                    # save scheduled since runs after this one.
+                    self.store.invalidate(entry.file.path)
+                    with self._lock:
+                        if self._tokens.get(key) == token:
+                            del self._tokens[key]
+                    return
                 # Only this thread reads or writes ``store_base`` under
                 # the read lock; everything else that writes it holds the
-                # write lock.  Unless the state stopped extending the
-                # snapshot since (``epoch``), it — even if a tail-append
-                # extended it meanwhile — still extends what was just
-                # committed.
-                if entry.epoch == epoch:
-                    entry.store_base = (fingerprint, state.nrows)
+                # write lock.  The state still extends the snapshot — even
+                # if a tail-append extended it meanwhile — so it extends
+                # what was just committed.
+                entry.store_base = (fingerprint, state.nrows)
             self.stats.count("persist_writes")
             with self._lock:
                 self._failures = 0
@@ -451,7 +460,7 @@ def _extend_state(
     if table is None:
         return False
     adapter = entry.file.adapter
-    if not adapter.supports_partitioning:
+    if not adapter.records_are_lines:
         # Records may span lines (quoted CSV): the appended bytes cannot
         # be framed as a standalone document.
         return False
@@ -513,7 +522,7 @@ def _extend_state(
         raw = result.fields.get(idx)
         if raw is None or len(raw) != added:
             return False
-        appended_idx[idx] = parse_column_with_widening(entry, idx, raw, parse_stats)
+        appended_idx[idx] = parse_widening(entry, idx, raw, parse_stats)
 
     pm.extend_tail(tail_map, added)
 

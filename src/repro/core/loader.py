@@ -18,7 +18,7 @@ All passes discover the table's row count as a side effect, feed the
 positional map when enabled, and honour the tokenizer ablation toggles in
 :class:`~repro.config.EngineConfig`.
 
-Three routes exist through :func:`run_pass`:
+Two routes exist through :func:`run_pass`:
 
 * the **full-scan route** reads the whole file and tokenizes selectively
   (the behaviour of every paper figure);
@@ -32,13 +32,7 @@ Three routes exist through :func:`run_pass`:
   cut from the buffer, and each cut span is checked to sit between
   separators (a damaged map re-frames the file instead of answering
   from it) — a next-column or repeat query touches strictly less of
-  the file than its first run;
-* the **partitioned parallel route** (:mod:`repro.core.partitions`)
-  activates for cold scans of large files when ``parallel_workers > 1``:
-  the file is split into newline-aligned row-range partitions tokenized
-  on threads, and their fields are merged back into the exact
-  tokenizer output of the full-scan route, which the same parse loop
-  then converts.
+  the file than its first run.
 
 Typed parsing is widening: a value that does not fit the inferred column
 type (e.g. a float deep in a column sampled as int) widens the column —
@@ -48,7 +42,6 @@ int64 → float64 → str — and retries, instead of failing the query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -87,7 +80,6 @@ class PassResult:
     row_ids: np.ndarray  # global row ids the values correspond to
     tokenizer: TokenizerStats = field(default_factory=TokenizerStats)
     parse: ParseStats = field(default_factory=ParseStats)
-    partitions: int = 0  # row-range partitions scanned in parallel (0 = serial)
     zone_map_skips: int = 0  # zones skipped by zone-map pruning
 
     @property
@@ -124,53 +116,38 @@ def _widen_column(entry: TableEntry, idx: int, to_dtype: DataType) -> None:
 
 
 def parse_widening(
-    raw,
-    get_dtype: Callable[[], DataType],
-    widen: Callable[[DataType], None],
-    parse_stats: ParseStats,
+    entry: TableEntry, idx: int, raw, parse_stats: ParseStats
 ) -> np.ndarray | StringColumn:
-    """Parse raw fields under the current type; on failure ``widen`` one
-    ladder step (int64 → float64 → str, so this ends) and re-parse all of
-    them.  Each attempt counts every value: re-parsing is real work."""
+    """Parse raw fields under column ``idx``'s schema type; on failure
+    widen the column one ladder step (int64 → float64 → str, so this
+    ends) and re-parse all of them.  Each attempt counts every value:
+    re-parsing is real work.
+
+    A valid CSV whose sampled type was too narrow (a float or a string
+    past the schema-inference sample window) must not make the column
+    unqueryable.
+    """
     while True:
-        dtype = get_dtype()
+        dtype = entry.schema.columns[idx].dtype
         try:
             return parse_fields(raw, dtype, parse_stats)
         except FlatFileError:
             wider = _WIDER.get(dtype)
             if wider is None:
                 raise
-            widen(wider)
-
-
-def parse_column_with_widening(
-    entry: TableEntry, idx: int, raw, parse_stats: ParseStats
-) -> np.ndarray | StringColumn:
-    """Parse raw fields under the schema type, widening the schema.
-
-    A valid CSV whose sampled type was too narrow (a float or a string
-    past the schema-inference sample window) must not make the column
-    unqueryable: :func:`parse_widening` over the real schema.
-    """
-    return parse_widening(
-        raw,
-        lambda: entry.schema.columns[idx].dtype,
-        lambda wider: _widen_column(entry, idx, wider),
-        parse_stats,
-    )
+            _widen_column(entry, idx, wider)
 
 
 @dataclass
 class WideningPredicate:
-    """One raw-text pushdown predicate over the widening ladder.
+    """One raw-text pushdown predicate over column ``idx`` of ``entry``.
 
-    The single source of truth for predicate semantics, shared by the
-    serial loader and the parallel scan's partition threads (which must
-    stay behaviourally identical).  It has two forms:
+    The single source of truth for predicate semantics.  It has two
+    forms:
 
     * ``pred(text)`` — per value, for the dialect loop only:
-      parse the field under the current type, and on a value the type
-      cannot represent call ``widen`` with the next ladder step and retry;
+      parse the field under the column's schema type, and on a value the
+      type cannot represent widen the column one ladder step and retry;
     * ``pred.mask(values)`` — per column, for the bulk kernel and the
       selective-read route: :func:`parse_widening` over the whole array,
       then one :meth:`~repro.ranges.ValueInterval.mask`.
@@ -180,40 +157,38 @@ class WideningPredicate:
     ``ValueError`` or ``TypeError``, on a field they cannot parse or
     compare.  A column that widens mid-way compares its earlier values
     at the narrower type per value, but all of them at the wider type in
-    bulk.  ``get_dtype``/``widen`` abstract where the column type lives:
-    the real schema serially, a partition-local copy on a partition
-    thread.
+    bulk.
     """
 
-    column_name: str
+    entry: TableEntry
+    idx: int
     interval: ValueInterval
-    get_dtype: Callable[[], DataType]
-    widen: Callable[[DataType], None]
     parse_stats: ParseStats
 
     def __call__(self, text: str) -> bool:
+        column = self.entry.schema.columns[self.idx]
         while True:
-            dtype = self.get_dtype()
             self.parse_stats.values_parsed += 1
             try:
-                value = parse_single(text, dtype)
+                value = parse_single(text, column.dtype)
                 break
             except ValueError as exc:
-                wider = _WIDER.get(dtype)
+                wider = _WIDER.get(column.dtype)
                 if wider is None:
                     raise FlatFileError(
                         f"cannot parse field {text!r} of column "
-                        f"{self.column_name!r} as {dtype.value} "
+                        f"{column.name!r} as {column.dtype.value} "
                         "for a pushdown predicate"
                     ) from exc
-                self.widen(wider)
+                _widen_column(self.entry, self.idx, wider)
+                column = self.entry.schema.columns[self.idx]
         try:
             return self.interval.contains_value(value)
         except TypeError as exc:
             # e.g. a str-widened field compared against numeric bounds.
             raise FlatFileError(
                 f"cannot compare field {text!r} of column "
-                f"{self.column_name!r} for a pushdown predicate"
+                f"{column.name!r} for a pushdown predicate"
             ) from exc
 
     def mask(self, values: np.ndarray) -> np.ndarray:
@@ -221,13 +196,14 @@ class WideningPredicate:
             # Nothing to parse or compare; NumPy would still reject a type
             # mismatch over zero elements, which no per-value call sees.
             return np.zeros(0, dtype=bool)
-        parsed = parse_widening(values, self.get_dtype, self.widen, self.parse_stats)
+        parsed = parse_widening(self.entry, self.idx, values, self.parse_stats)
         try:
             return self.interval.mask(parsed)
         except TypeError as exc:
+            column = self.entry.schema.columns[self.idx]
             raise FlatFileError(
-                f"cannot compare column {self.column_name!r} as "
-                f"{self.get_dtype().value} for a pushdown predicate"
+                f"cannot compare column {column.name!r} as "
+                f"{column.dtype.value} for a pushdown predicate"
             ) from exc
 
 
@@ -237,24 +213,15 @@ def _pushdown_predicates(
     config: EngineConfig,
     parse_stats: ParseStats,
 ) -> dict[int, RawPredicate]:
-    """Build raw-text predicates for the tokenizer from a range condition.
-
-    See :class:`WideningPredicate` for the per-predicate semantics;
-    here each predicate reads and widens the *real* schema in place.
-    """
+    """Build raw-text predicates for the tokenizer from a range condition
+    (see :class:`WideningPredicate`)."""
     if condition is None or not config.predicate_pushdown:
         return {}
     schema = entry.ensure_schema()
     predicates = {}
     for col, interval in condition.items:
         idx = schema.index_of(col)
-        predicates[idx] = WideningPredicate(
-            schema.columns[idx].name,
-            interval,
-            get_dtype=lambda _idx=idx: schema.columns[_idx].dtype,
-            widen=lambda wider, _idx=idx: _widen_column(entry, _idx, wider),
-            parse_stats=parse_stats,
-        )
+        predicates[idx] = WideningPredicate(entry, idx, interval, parse_stats)
     return predicates
 
 
@@ -284,8 +251,6 @@ def run_pass(
         Tokenize all columns of every row regardless of need (the external
         -table behaviour).
     """
-    from repro.core.partitions import parallel_pass, partitions_for
-
     schema = entry.ensure_schema()
     skip = 1 if entry.has_header else 0
     needed_idx = _needed_indices(schema, needed) if needed else [0]
@@ -297,8 +262,7 @@ def run_pass(
         and config.predicate_pushdown
     )
     tokenize_idx = list(range(len(schema))) if tokenize_everything else needed_idx
-    pushdown_items = list(condition.items) if pushdown else []
-    pred_idx = [schema.index_of(c) for c, _ in pushdown_items]
+    pred_idx = [schema.index_of(c) for c, _ in condition.items] if pushdown else []
     pmap = entry.positional_map if config.use_positional_map else None
     want_cols = sorted(set(tokenize_idx) | set(pred_idx))
     if (
@@ -319,32 +283,25 @@ def run_pass(
         if result is not None:
             _learn_zone_maps(entry, schema, result, config)
             return result
-    pindex = partitions_for(entry, config)
-    if pindex is not None:
-        result = parallel_pass(
-            entry, schema, pindex, want_cols, pushdown_items, parse_stats, config
-        )
-    else:
-        result = tokenize_bytes(
-            entry.file.read_all_bytes(),
-            entry.file.adapter,
-            ncols=len(schema),
-            needed=want_cols,
-            predicates=_pushdown_predicates(
-                entry, condition if pushdown else None, config, parse_stats
-            ),
-            positional_map=pmap,
-            learn=pmap is not None,
-            skip_rows=skip,
-            source=entry.file.path,
-        )
+    result = tokenize_bytes(
+        entry.file.read_all_bytes(),
+        entry.file.adapter,
+        ncols=len(schema),
+        needed=want_cols,
+        predicates=_pushdown_predicates(
+            entry, condition if pushdown else None, config, parse_stats
+        ),
+        positional_map=pmap,
+        learn=pmap is not None,
+        skip_rows=skip,
+        source=entry.file.path,
+    )
     nrows = result.stats.rows_scanned
     columns: dict[str, np.ndarray] = {}
     for name in needed:
         idx = schema.index_of(name)
-        raw = result.fields[idx]
-        columns[schema.columns[idx].name] = parse_column_with_widening(
-            entry, idx, raw, parse_stats
+        columns[schema.columns[idx].name] = parse_widening(
+            entry, idx, result.fields[idx], parse_stats
         )
     out = PassResult(
         nrows=nrows,
@@ -352,7 +309,6 @@ def run_pass(
         row_ids=result.row_ids,
         tokenizer=result.stats,
         parse=parse_stats,
-        partitions=len(pindex) if pindex is not None else 0,
     )
     _learn_zone_maps(entry, schema, out, config)
     return out
@@ -591,11 +547,7 @@ def _selective_pass(
             for run in read_runs
             for c in run
         }
-        windows = entry.file.read_windows(
-            *_run_windows(sub, read_runs, size),
-            max_gap=max_gap,
-            workers=config.resolved_parallel_workers(),
-        )
+        windows = entry.file.read_windows(*_run_windows(sub, read_runs, size), max_gap=max_gap)
         stats.chars_scanned += windows.window_bytes
         buffers.update((c, windows.buffer) for c in sub)
         return _locate_fields(windows, sub, read_runs, size, adapter, len(schema))
@@ -653,7 +605,7 @@ def _selective_pass(
             # Cut before later predicates narrowed the row set: keep
             # only the survivors (rows arrays are sorted by construction).
             values = values[np.searchsorted(gathered_rows[idx], rows)]
-        columns[schema.columns[idx].name] = parse_column_with_widening(
+        columns[schema.columns[idx].name] = parse_widening(
             entry, idx, values, parse_stats
         )
     stats.rows_emitted = len(rows)

@@ -35,7 +35,7 @@ from repro.core.loader import (
     column_load_pass,
     external_pass,
     full_load_pass,
-    parse_column_with_widening,
+    parse_widening,
     partial_load_pass,
 )
 from repro.core.monitor import CrackingAdvisor
@@ -245,9 +245,6 @@ class LoadingPolicy:
         ctx.qstats.tokenizer.merge(result.tokenizer)
         ctx.qstats.parse.merge(result.parse)
         ctx.qstats.went_to_file = True
-        ctx.qstats.parallel_partitions = max(
-            ctx.qstats.parallel_partitions, result.partitions
-        )
         ctx.qstats.zone_map_skips += result.zone_map_skips
 
     @staticmethod
@@ -563,7 +560,7 @@ class SplitFilesPolicy(LoadingPolicy):
             table = entry.ensure_table(nrows)
             for name in missing:
                 idx = schema.index_of(name)
-                values = parse_column_with_widening(
+                values = parse_widening(
                     entry, idx, fetched.fields[idx], ctx.qstats.parse
                 )
                 ctx.qstats.rows_loaded += table.column(name).store_full(values)

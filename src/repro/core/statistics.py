@@ -46,8 +46,6 @@ class QueryStats:
     went_to_file: bool = False
     split_files_written: int = 0
     result_rows: int = 0
-    #: Row-range partitions scanned by the parallel loader (0 = serial).
-    parallel_partitions: int = 0
     #: Served straight from the query-result cache (no load, no execute).
     result_cache_hit: bool = False
     #: At least one of this query's tables was served from fragments

@@ -1,8 +1,7 @@
 """Zone maps: per-row-range min/max/null-count statistics for skipping.
 
 A :class:`ZoneMapIndex` partitions a table's row space into fixed-size
-zones (``zone_rows`` rows each — the logical analogue of the parallel
-scan's row-range partitions) and records, per numeric column, each
+zones (``zone_rows`` rows each) and records, per numeric column, each
 zone's minimum, maximum and NaN count.  The statistics are learned as a
 side effect of passes that already parse a full column — the paper's
 "indexes as a by-product of queries" applied to skipping — and consulted

@@ -11,6 +11,7 @@ comparisons and ``IN`` run once per dictionary entry, never per row.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,15 @@ from repro.sql.binder import (
 from repro.strings import StringColumn
 
 Resolver = Callable[[BColumn], "np.ndarray | StringColumn"]
+
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def eval_expr(
@@ -72,19 +82,14 @@ def _eval(expr: BExpr, resolve: Resolver, nrows: int):
     if isinstance(expr, BCompare):
         left = _eval(expr.left, resolve, nrows)
         right = _eval(expr.right, resolve, nrows)
-        if expr.op == "=":
-            return left == right
-        if expr.op == "!=":
-            return left != right
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        if expr.op == ">=":
-            return left >= right
-        raise ExecutionError(f"unknown comparison op {expr.op!r}")
+        if expr.op not in _COMPARE:
+            raise ExecutionError(f"unknown comparison op {expr.op!r}")
+        try:
+            return _COMPARE[expr.op](left, right)
+        except TypeError as exc:
+            # The load that served this query widened a column past the
+            # type the binder checked (a string deep in an int column).
+            raise ExecutionError(f"cannot evaluate {expr}: {exc}") from exc
     if isinstance(expr, BLogical):
         left = as_mask(_eval(expr.left, resolve, nrows), nrows)
         right = as_mask(_eval(expr.right, resolve, nrows), nrows)

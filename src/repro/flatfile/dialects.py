@@ -22,9 +22,9 @@ needs to know about a dialect:
 Capability flags drive graceful degradation in the engine:
 
 ========================  ===================================================
-``supports_partitioning``  raw newline bytes always terminate records, so
+``records_are_lines``     raw newline bytes always terminate records, so
                           a newline-aligned byte range (an appended tail,
-                          a parallel-scan partition) holds whole records
+                          a schema sample's head lines) holds whole records
 ``supports_field_spans``  per-field character spans exist, enabling
                           positional-map learning and selective reads
 ``identity_decode``       raw field text *is* the logical value (no unquote
@@ -36,8 +36,7 @@ Capability flags drive graceful degradation in the engine:
                           dialect, takes the adapter's own field loop
                           (plain delimited, TSV and fixed-width; quoted
                           CSV needs a quote state machine and JSON-lines
-                          has no spans); only these dialects are split
-                          by the parallel scan
+                          has no spans)
 ========================  ===================================================
 
 Concrete adapters: plain delimited (the original substrate), RFC-4180
@@ -112,7 +111,7 @@ class FormatAdapter:
     """Base class of all dialect adapters (see module docstring)."""
 
     name = "abstract"
-    supports_partitioning = True
+    records_are_lines = True
     supports_field_spans = True
     identity_decode = False
     supports_vectorized = False
@@ -199,14 +198,14 @@ class DelimitedAdapter(FormatAdapter):
     """The original substrate dialect: unquoted, single-char delimiter.
 
     Field values may not contain the delimiter or line breaks; in
-    exchange, the bulk tokenization kernel, split files and parallel
-    newline-aligned partitioning are all valid.
+    exchange, the bulk tokenization kernel, split files and line-based
+    framing are all valid.
     """
 
     delimiter: str = ","
 
     name = "csv"
-    supports_partitioning = True
+    records_are_lines = True
     supports_field_spans = True
     identity_decode = True
     supports_vectorized = True
@@ -240,7 +239,7 @@ class QuotedCsvAdapter(FormatAdapter):
     """RFC-4180 CSV: optional double-quoted fields, ``\"\"`` escaping.
 
     Quoted fields may contain the delimiter, quotes and raw newlines, so
-    row framing is quote-aware and newline-aligned partitioning is off.
+    row framing is quote-aware and records are not lines.
     Field spans cover the *encoded* field (quotes included); selective
     window reads gather the encoded bytes and decode afterwards.
     """
@@ -248,7 +247,7 @@ class QuotedCsvAdapter(FormatAdapter):
     delimiter: str = ","
 
     name = "quoted-csv"
-    supports_partitioning = False
+    records_are_lines = False
     supports_field_spans = True
     identity_decode = False
 
@@ -377,13 +376,12 @@ class TsvAdapter(FormatAdapter):
 
     Literal tabs/newlines inside values are always escaped, so raw tab
     bytes only ever separate fields and raw newline bytes only ever
-    terminate records — framing stays line-based and newline-aligned
-    partitioning stays safe.
+    terminate records — framing stays line-based.
     """
 
     name = "tsv"
     delimiter = "\t"
-    supports_partitioning = True
+    records_are_lines = True
     supports_field_spans = True
     identity_decode = False
     supports_vectorized = True
@@ -470,14 +468,12 @@ class JsonLinesAdapter(FormatAdapter):
     JSON escapes newlines inside strings, so framing stays line-based;
     per-field character spans are not meaningful, so the positional map
     keeps row framing only and selective reads degrade to full scans.
-    The parallel scan leaves JSON-lines serial: its per-record loop
-    holds the GIL, so partition threads would only take turns.
     """
 
     columns: tuple[str, ...] | None = None
 
     name = "jsonl"
-    supports_partitioning = True
+    records_are_lines = True
     supports_field_spans = False
     identity_decode = True
 
@@ -545,7 +541,7 @@ class FixedWidthAdapter(FormatAdapter):
     widths: tuple[int, ...]
 
     name = "fixed-width"
-    supports_partitioning = True
+    records_are_lines = True
     supports_field_spans = True
     identity_decode = False
     supports_vectorized = True

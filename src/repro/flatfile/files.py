@@ -20,7 +20,6 @@ import io
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -307,10 +306,7 @@ class FlatFile:
         # lets a concurrently-serving engine compute *per-query* byte
         # deltas without attributing another thread's I/O to this query
         # (all of one query's raw reads are counted on its calling
-        # thread — the parallel scan's partition threads read with
-        # ``account=False`` and the query's thread reports their totals
-        # through account_reads, and read_windows accounts after its
-        # thread pool joins).
+        # thread).
         self._stats_lock = threading.Lock()
         self._thread_stats = threading.local()
         if isinstance(self.format, FormatAdapter):
@@ -371,9 +367,7 @@ class FlatFile:
     def fingerprint(self) -> FileFingerprint:
         return FileFingerprint.of(self.path)
 
-    def _account(
-        self, nbytes: int, full_scan: bool, calls: int = 1, throttle: bool = True
-    ) -> None:
+    def _account(self, nbytes: int, full_scan: bool, calls: int = 1) -> None:
         with self._stats_lock:
             self.stats.bytes_read += nbytes
             self.stats.read_calls += calls
@@ -382,10 +376,6 @@ class FlatFile:
         tls = self._thread_stats
         tls.bytes_read = getattr(tls, "bytes_read", 0) + nbytes
         tls.read_calls = getattr(tls, "read_calls", 0) + calls
-        if throttle:
-            self._throttle(nbytes)
-
-    def _throttle(self, nbytes: int) -> None:
         if self.bandwidth_bytes_per_sec:
             # Outside the lock: the simulated disk may be read by many
             # threads at once (that overlap is what bench_concurrent
@@ -438,30 +428,6 @@ class FlatFile:
         except OSError as exc:
             raise FlatFileError(f"cannot read {what}: {exc}") from exc
 
-    def account_reads(
-        self,
-        nbytes: int,
-        *,
-        calls: int = 1,
-        full_scan: bool = False,
-        throttled: bool = False,
-        retries: int = 0,
-    ) -> None:
-        """Count reads on this thread that were not counted where they ran.
-
-        The parallel scan's partition threads read with
-        ``read_range_bytes(..., account=False)``; the query's thread
-        reports their totals here, so the per-thread totals it snapshots
-        hold them and the accounting equals the serial path's.
-        ``throttled=True`` means the readers already paid the simulated
-        disk time (each partition its own, so they overlap); ``retries``
-        are the readers' retries, already in the shared counter, added to
-        this thread's tally.
-        """
-        self._account(nbytes, full_scan, calls=calls, throttle=not throttled)
-        tls = self._thread_stats
-        tls.retries = getattr(tls, "retries", 0) + retries
-
     def read_all_bytes(self) -> bytes:
         """Read and return the entire file's raw bytes (one full scan).
 
@@ -497,17 +463,12 @@ class FlatFile:
         """Read bytes ``[start, end)`` — used for positional-map jumps."""
         return decode_utf8(self.read_range_bytes(start, end), self.path, start)
 
-    def read_range_bytes(
-        self, start: int, end: int, *, account: bool = True
-    ) -> bytes:
+    def read_range_bytes(self, start: int, end: int) -> bytes:
         """Read raw bytes ``[start, end)`` (accounted, not a full scan).
 
         The append-extension path reads exactly the appended tail region
         through this, so per-query byte accounting reflects that an
-        extended table re-read only the new bytes.  ``account=False``
-        pays the simulated disk time but counts nothing: a parallel-scan
-        partition thread reads so, and the query's thread counts the
-        partitions together through :meth:`account_reads`.
+        extended table re-read only the new bytes.
         """
         if start < 0 or end < start:
             raise FlatFileError(f"bad byte range [{start}, {end})")
@@ -529,10 +490,7 @@ class FlatFile:
         data = self._read_retrying(
             once, f"{self.path} range [{start}, {end})"
         )
-        if account:
-            self._account(len(data), full_scan=False)
-        else:
-            self._throttle(len(data))
+        self._account(len(data), full_scan=False)
         return data
 
     def read_windows(
@@ -540,7 +498,6 @@ class FlatFile:
         starts: np.ndarray,
         ends: np.ndarray,
         max_gap: int = 0,
-        workers: int = 1,
     ) -> FileWindows:
         """Read many byte ranges in batched, coalesced window reads.
 
@@ -560,10 +517,6 @@ class FlatFile:
         its fields straight out of them through
         :meth:`FileWindows.translate`, which searches the few blocks,
         never the windows, and no compacted copy is made.
-
-        With ``workers > 1`` the blocks are split into contiguous runs
-        read concurrently by a thread pool (each thread on its own file
-        handle); the returned buffer is byte-identical to the serial read.
         """
         win_starts, win_ends = coalesce_ranges(starts, ends, max_gap)
         n = len(win_starts)
@@ -581,7 +534,11 @@ class FlatFile:
 
         def once() -> list[bytes]:
             self._maybe_fault("flatfile.read")
-            got = self._read_blocks(blk_starts, blk_ends, workers)
+            with open(self.path, "rb") as f:
+                got = []
+                for s, e in zip(blk_starts.tolist(), blk_ends.tolist()):
+                    f.seek(s)
+                    got.append(f.read(e - s))
             got[0] = self._truncated(got[0])
             # Window bounds come from the positional map: every block
             # lies inside the file, so short is truncation.
@@ -609,31 +566,6 @@ class FlatFile:
     #: A block breaks at the first window starting past a multiple of
     #: this many bytes, bounding the buffer of one ``read``.
     _BLOCK_MAX = 1 << 20
-    #: Below this many blocks per thread, pool overhead beats overlap.
-    _MIN_BLOCKS_PER_THREAD = 8
-
-    def _read_blocks(
-        self, blk_starts: np.ndarray, blk_ends: np.ndarray, workers: int
-    ) -> list[bytes]:
-        """Read byte ranges ``[start, end)``, serially or via a thread pool."""
-        pairs = list(zip(blk_starts.tolist(), blk_ends.tolist()))
-
-        def read_run(run: list[tuple[int, int]]) -> list[bytes]:
-            with open(self.path, "rb") as f:
-                got = []
-                for s, e in run:
-                    f.seek(s)
-                    got.append(f.read(e - s))
-                return got
-
-        nthreads = min(workers, len(pairs) // self._MIN_BLOCKS_PER_THREAD)
-        if nthreads <= 1:
-            return read_run(pairs)
-        per = (len(pairs) + nthreads - 1) // nthreads
-        runs = [pairs[i : i + per] for i in range(0, len(pairs), per)]
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            results = list(pool.map(read_run, runs))
-        return [chunk for run in results for chunk in run]
 
     # --------------------------------------------------------------- lines
 
@@ -646,7 +578,7 @@ class FlatFile:
         Rows come back as *logical* (decoded) field values.
         """
         adapter = self.adapter
-        if adapter.supports_partitioning:
+        if adapter.records_are_lines:
             # Records are lines: read lazily, stop at ``limit`` rows.
             rows: list[list[str]] = []
             nbytes = 0

@@ -18,9 +18,8 @@ separator width (1 for delimited dialects, 0 for fixed-width).  Field
 never stored.  Learners still hand over ``(starts, ends)`` and the map
 decides what it keeps: learning column ``K + 1`` appends one array,
 because the last boundary is exactly the next field's real start, and a
-column that does not extend the prefix that way is not recorded.
-Merging partitions keeps the shortest shared prefix; a tail-append cuts
-the map to the prefix the tail learned again.
+column that does not extend the prefix that way is not recorded.  A
+tail-append cuts the map to the prefix the tail learned again.
 
 The vectorized kernel frames every column of every row in one pass, so
 the first pass over a file hands the map the whole frame
@@ -243,53 +242,6 @@ class PositionalMap:
         """Forget everything (called when the source file was edited)."""
         self.nrows, self.sep, self.bounds, self.text_geometry = None, None, [], None
 
-    def absorb_partitions(
-        self, parts: list["PositionalMap"], char_bases: list[int]
-    ) -> None:
-        """Merge per-partition maps (partition-relative offsets) into self.
-
-        ``parts[i]`` was learned over partition ``i`` of the file in
-        isolation, so its offsets are relative to the partition's first
-        character; ``char_bases[i]`` is that partition's character offset
-        in the full decoded text.  Merging shifts and concatenates, with
-        the same first-writer-wins semantics as serial learning:
-
-        * the row count is the sum of the partitions' counts, when every
-          partition framed its rows;
-        * the known prefix is the shortest one every partition shares,
-          mirroring the serial rule that spans are recorded only when
-          learned for all rows;
-        * text geometry is the sum of the partitions' byte/char sizes —
-          partitions tile the file, so the sums equal a full scan's view.
-        """
-        if len(parts) != len(char_bases):
-            raise ValueError(
-                f"{len(parts)} partition maps but {len(char_bases)} bases"
-            )
-        if not parts:
-            return
-        if all(p.nrows is not None for p in parts):
-            self.record_nrows(sum(p.nrows for p in parts))
-        seps = {p.sep for p in parts}
-        if len(seps) == 1:
-            ends = np.cumsum([len(p.bounds[0]) if p.bounds else 0 for p in parts])
-
-            def shifted(j: int) -> np.ndarray:
-                """Boundary ``j`` of the whole file, each partition's
-                shifted part written in place: one copy per boundary."""
-                out = np.empty(int(ends[-1]), dtype=np.int64)
-                for p, base, hi in zip(parts, char_bases, ends):
-                    np.add(p.bounds[j], base, out=out[hi - len(p.bounds[j]) : hi])
-                return out
-
-            self._grow(min(len(p.bounds) for p in parts), seps.pop(), shifted)
-        geometries = [p.text_geometry for p in parts]
-        if all(g is not None for g in geometries):
-            self.record_text_geometry(
-                nbytes=sum(g[0] for g in geometries),
-                nchars=sum(g[1] for g in geometries),
-            )
-
     def extend_tail(self, tail: "PositionalMap", added_rows: int) -> None:
         """Absorb a map learned over an appended tail region of the file.
 
@@ -297,10 +249,9 @@ class PositionalMap:
         standalone document, so its offsets are relative to the start of
         the appended region; they are shifted by the old text's character
         size and concatenated.  The map is cut to the prefix the tail
-        pass learned again (a column cannot be kept half-length) — the
-        same opportunistic semantics as partition merging.  A map with no
-        recorded geometry cannot shift offsets and is cleared instead
-        (callers treat that as "relearn later").
+        pass learned again (a column cannot be kept half-length).  A map
+        with no recorded geometry cannot shift offsets and is cleared
+        instead (callers treat that as "relearn later").
         """
         if self.nrows is None and not self.bounds and self.text_geometry is None:
             return  # knows nothing

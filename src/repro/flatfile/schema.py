@@ -43,16 +43,14 @@ class DataType(enum.Enum):
 
 #: The widening ladder for values an inferred type cannot represent:
 #: int64 → float64 → str.  Shared by the loader and the pushdown
-#: predicates (also the partition-local ones of the parallel scan), so
-#: every code path walks the same ladder and partitioned scans converge
-#: on the same final type.
+#: predicates, so every code path walks the same ladder.
 WIDENS_TO: dict[DataType, DataType] = {
     DataType.INT64: DataType.FLOAT64,
     DataType.FLOAT64: DataType.STRING,
 }
 
 #: Rank of each type on the ladder (higher = wider); lets mergers of
-#: independently-widened partition schemas pick the widest outcome.
+#: independently-widened part-file schemas pick the widest outcome.
 WIDTH_RANK: dict[DataType, int] = {
     DataType.INT64: 0,
     DataType.FLOAT64: 1,
@@ -225,8 +223,7 @@ def merge_schemas(base: TableSchema, other: TableSchema) -> TableSchema:
     Part files must agree on shape — same column count, same names
     (case-insensitive; headerless parts all get ``a1..aN`` so they agree
     by construction) — while per-column types unify to the widest of the
-    two under the shared widening ladder, exactly as independently
-    widened partition schemas merge.  The base's casing wins.
+    two under the shared widening ladder.  The base's casing wins.
     """
     if len(base) != len(other):
         raise SchemaInferenceError(

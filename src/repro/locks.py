@@ -6,7 +6,7 @@ solution" of one global lock) is built from two small primitives:
 * :class:`RWLock` — a classic reader–writer lock, one per attached table.
   Queries that can be answered from the adaptive store share the read
   side and proceed fully in parallel; loading (which mutates the table's
-  store, positional map and partitions) takes the write side.  Writers
+  store and positional map) takes the write side.  Writers
   are preferred once waiting, so a stream of warm readers cannot starve
   a cold load forever.
 * :class:`SingleFlight` — keyed flight coalescing (shared scans).  When

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 from repro.errors import CatalogError, SchemaInferenceError
 
 if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
-    from repro.core.partitions import PartitionIndex
     from repro.core.splitfile import SplitFileCatalog
     from repro.core.zonemaps import ZoneMapIndex
     from repro.cracking.cracker import CrackerColumn
@@ -53,12 +52,9 @@ class TableEntry:
     has_header: bool = False
     table: Table | None = None
     positional_map: PositionalMap = field(default_factory=PositionalMap)
-    #: Cached newline-aligned row-range partitioning (parallel scans);
-    #: derived state like the positional map, invalidated with it.
-    partitions: "PartitionIndex | None" = None
-    #: Per-zone min/max/null-count statistics learned beside the
-    #: partition plan as a side effect of full-row passes; lets the
-    #: selective path skip whole zones a range predicate cannot match.
+    #: Per-zone min/max/null-count statistics learned as a side effect
+    #: of full-row passes; lets the selective path skip whole zones a
+    #: range predicate cannot match.
     zone_maps: "ZoneMapIndex | None" = None
     #: Cracked copies of hot numeric predicate columns (warm path).
     #: Built and reorganized under :attr:`cracker_lock`; dropped
@@ -208,8 +204,8 @@ class MultiFileEntry:
 
     Attaching a glob pattern or a directory creates one of these instead
     of a :class:`TableEntry`.  Each matching part file gets its own full
-    ``TableEntry`` — per-file fingerprint, positional map, partitions,
-    zone maps, persistence, append-extension — and queries serve every
+    ``TableEntry`` — per-file fingerprint, positional map, zone maps,
+    persistence, append-extension — and queries serve every
     part independently before concatenating the views (a late union).
     The part set is re-discovered on every query, so "new data arrived"
     is just "a new part file appeared": no re-attach, no invalidation of

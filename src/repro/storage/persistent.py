@@ -28,10 +28,8 @@ Layout (one entry directory per source path, under ``store_dir``)::
 
 The ``pm_b`` files are the arrays :meth:`PositionalMap.export` hands over,
 in order; this module does not interpret them.  Only state some query
-route reads is stored.  A partition plan is not: re-planning costs one
-small probe per boundary, and the engine re-plans whenever the file's
-size changes.  An entry written under another manifest ``version`` is a
-miss, and the next save wipes and rewrites it.
+route reads is stored.  An entry written under another manifest
+``version`` is a miss, and the next save wipes and rewrites it.
 
 Invariants
 ----------

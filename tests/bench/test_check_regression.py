@@ -109,7 +109,6 @@ def test_committed_baseline_is_valid():
     assert set(payload["benches"]) == {
         "concurrent",
         "dialects",
-        "parallel_scan",
         "persistence",
         "selective_read",
         "server",

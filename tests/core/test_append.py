@@ -152,21 +152,13 @@ class TestAppendExtension:
         assert all(len(pm.slices_for(c)[1]) == 520 for c in range(3))
         engine.close()
 
-    def test_append_replans_partitions_over_grown_file(self, growing_csv):
-        """The plan is not grown by a tail partition: the next cold
-        parallel pass re-plans balanced partitions over the whole file."""
-        engine = NoDBEngine(
-            EngineConfig(
-                policy="column_loads", parallel_workers=2, partition_min_bytes=1024
-            )
-        )
+    def test_full_frame_after_append_matches_oracle(self, growing_csv):
+        """A pass that frames the whole grown file answers like the
+        oracle after the extension."""
+        engine = NoDBEngine(EngineConfig(policy="column_loads"))
         engine.attach("t", growing_csv)
         engine.query("select sum(a1) from t")
-        entry = engine.catalog.get("t")
-        assert len(entry.partitions) == 2
-        old_size = entry.file.size_bytes()
         append_rows(growing_csv, range(500, 700))
-        new_size = growing_csv.stat().st_size
         query = "select sum(a1), sum(a3), count(*) from t where a2 > 300"
         # The map knows every column, so a column load would read only
         # the a2 and a3 windows: the external policy frames the whole
@@ -174,9 +166,7 @@ class TestAppendExtension:
         engine.set_policy("external")
         got = engine.query(query).rows()
         assert engine.stats.counters.append_extensions == 1
-        assert engine.stats.last().parallel_partitions == 2
-        assert entry.partitions.file_size == new_size
-        assert all(p.byte_start != old_size for p in entry.partitions.partitions)
+        assert engine.stats.last().file_bytes_read >= growing_csv.stat().st_size
         oracle = CSVEngine()
         oracle.attach("t", growing_csv)
         assert got == oracle.query(query).rows()

@@ -12,6 +12,8 @@ proves neither bulk route calls the per-value form at all.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from repro.core import loader
 from repro.core.loader import WideningPredicate, parse_widening
 from repro.errors import FlatFileError
 from repro.flatfile.parser import ParseStats
-from repro.flatfile.schema import DataType
+from repro.flatfile.schema import ColumnSchema, DataType, TableSchema
 from repro.ranges import ValueInterval
 
 _LADDER = [DataType.INT64, DataType.FLOAT64, DataType.STRING]
@@ -62,16 +64,22 @@ def intervals(draw):
     )
 
 
+def _column(dtype: DataType) -> SimpleNamespace:
+    """A stand-in table entry whose one column ``c`` is typed ``dtype``:
+    the fields widening reads and writes."""
+    return SimpleNamespace(
+        schema=TableSchema([ColumnSchema("c", dtype)]), zone_maps=None, table=None
+    )
+
+
+def _dtype(entry: SimpleNamespace) -> DataType:
+    return entry.schema.columns[0].dtype
+
+
 def _predicate(interval: ValueInterval, dtype: DataType):
-    """A predicate over its own local column type, as a worker builds."""
-    state = {"dtype": dtype}
-    stats = ParseStats()
-
-    def widen(wider: DataType) -> None:
-        state["dtype"] = wider
-
-    pred = WideningPredicate("c", interval, lambda: state["dtype"], widen, stats)
-    return pred, state, stats
+    """A predicate over a column of its own."""
+    entry, stats = _column(dtype), ParseStats()
+    return WideningPredicate(entry, 0, interval, stats), entry, stats
 
 
 def _outcome(fn):
@@ -92,14 +100,11 @@ def test_mask_agrees_with_per_value_form(texts, interval, start):
     values = np.array(texts, dtype=str) if texts else np.empty(0, dtype="U1")
 
     # The whole-column parse the selective route's output column gets.
-    whole = {"dtype": start}
-    whole_stats = ParseStats()
-    parsed = parse_widening(
-        values, lambda: whole["dtype"], lambda w: whole.update(dtype=w), whole_stats
-    )
-    widened = whole["dtype"] is not start
+    whole = _column(start)
+    parsed = parse_widening(whole, 0, values, ParseStats())
+    widened = _dtype(whole) is not start
 
-    bulk, bulk_state, bulk_stats = _predicate(interval, start)
+    bulk, bulk_entry, bulk_stats = _predicate(interval, start)
     got = _outcome(lambda: bulk.mask(values).tolist())
     per, _, _ = _predicate(interval, start)
     want = _outcome(lambda: [bool(per(v)) for v in texts])
@@ -115,9 +120,9 @@ def test_mask_agrees_with_per_value_form(texts, interval, start):
     # One count per value per parse attempt; the bulk form ends at the
     # type the whole-column parse ends at.
     if len(values):
-        attempts = _LADDER.index(whole["dtype"]) - _LADDER.index(start) + 1
+        attempts = _LADDER.index(_dtype(whole)) - _LADDER.index(start) + 1
         assert bulk_stats.values_parsed == len(values) * attempts
-        assert bulk_state["dtype"] is whole["dtype"]
+        assert _dtype(bulk_entry) is _dtype(whole)
     else:
         assert bulk_stats.values_parsed == 0
 
@@ -127,9 +132,9 @@ def test_widening_compares_the_whole_column_at_the_wider_type():
     in bulk every value compares as a float — and both agree here."""
     interval = ValueInterval(2, None, lo_open=True)
     values = np.array(["3", "2.5", "1"])
-    bulk, state, stats = _predicate(interval, DataType.INT64)
+    bulk, entry, stats = _predicate(interval, DataType.INT64)
     assert bulk.mask(values).tolist() == [True, True, False]
-    assert state["dtype"] is DataType.FLOAT64
+    assert _dtype(entry) is DataType.FLOAT64
     assert stats.values_parsed == 6  # int attempt + float attempt
 
 

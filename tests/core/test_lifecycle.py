@@ -9,10 +9,13 @@ maps, crackers, cached results, split files, a store entry) or restored
 checks what every structure holds afterwards.
 """
 
+import threading
+
 import pytest
 
 from repro import EngineConfig, NoDBEngine
 from repro.flatfile.files import FileFingerprint
+from repro.storage.persistent import PersistentStore
 
 ROWS, ADDED = 3000, 100
 
@@ -226,3 +229,36 @@ def test_extended_state_answers_like_a_cold_engine(tmp_path, start):
             assert warm == fresh.query(sql).rows()
     finally:
         case.engine.close()
+
+
+@pytest.mark.parametrize("drop", ["clear_cache", "detach"])
+def test_drop_during_a_save_leaves_no_store_entry(tmp_path, monkeypatch, drop):
+    """The writer snapshots under the read lock and saves outside it. A
+    ``clear_cache`` or ``detach`` landing between the two finds no entry
+    to delete, so the writer deletes what it wrote; a save scheduled
+    after the drop still lands."""
+    path = tmp_path / "t.csv"
+    path.write_text(_rows(0, ROWS))
+    saving, release = threading.Event(), threading.Event()
+    real_save = PersistentStore.save
+
+    def held_save(store, state):
+        saving.set()
+        assert release.wait(30)
+        real_save(store, state)
+
+    monkeypatch.setattr(PersistentStore, "save", held_save)
+    with NoDBEngine(EngineConfig(store_dir=tmp_path / "store")) as engine:
+        engine.attach("t", path)
+        try:
+            engine.query("select sum(a1) from t")
+            assert saving.wait(30)
+            getattr(engine, drop)("t")
+        finally:
+            release.set()
+        engine.flush_persistent_store()
+        assert engine.persistent_store.entries() == []
+        if drop == "clear_cache":
+            engine.query("select sum(a1) from t")
+            engine.flush_persistent_store()
+            assert len(engine.persistent_store.entries()) == 1

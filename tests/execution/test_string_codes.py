@@ -6,8 +6,7 @@ both sides alike.  Here every expected answer is computed in pure Python
 from the rows written to the file, and the engine answers under each
 route that builds codes differently: one bulk encode (column loads),
 fragments merged into one dictionary (partial loads over two
-overlapping ranges), split files, partitions merged in file order
-(``parallel_workers=2``), and two part files of one table.
+overlapping ranges), split files, and two part files of one table.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ CONFIGS = {
     "partial_v1": {"policy": "partial_v1"},
     "partial_v2": {"policy": "partial_v2"},
     "splitfiles": {"policy": "splitfiles"},
-    "parallel": {
-        "policy": "column_loads",
-        "parallel_workers": 2,
-        "partition_min_bytes": 1,
-    },
 }
 
 
@@ -164,7 +158,5 @@ def test_string_answers_match_python(tmp_path, config, s_values, extra, data):
         engine.attach("t", table)
         engine.attach("d", root / "d.csv")
         _check(engine, s_values, d_keys, probe, absent)
-        if config == "parallel":
-            assert max(q.parallel_partitions for q in engine.stats.queries) >= 2
     finally:
         engine.close()

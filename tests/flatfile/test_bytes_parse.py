@@ -6,11 +6,12 @@ answer.  These tests pin that the shortcut changes nothing observable:
 NumPy's ``S`` casts accept, reject and widen exactly like its ``U`` casts
 and Python's ``int()``/``float()``; dialect decoding of byte batches
 matches decoding of strings; and no ``bytes`` ever reaches an answer —
-through quoted CSV, TSV escapes, fixed-width padding, NUL repair and the
-merge of an ASCII partition with a non-ASCII one.
+through quoted CSV, TSV escapes, fixed-width padding and NUL repair.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.flatfile.dialects import (
     as_text,
 )
 from repro.flatfile.parser import ParseStats, _parse_digits, parse_fields
-from repro.flatfile.schema import DataType
+from repro.flatfile.schema import ColumnSchema, DataType, TableSchema
 from repro.flatfile.tokenizer import bulk_extract_fields, tokenize_bytes
 from repro.strings import StringColumn
 
@@ -141,11 +142,11 @@ def test_plain_digit_batches_parse_exactly(texts, intruder, at):
 def test_widening_ladder_triggers_on_bytes(text, widened):
     raw = gathered(["1", text, "-2"])
     assert raw.dtype.kind == "S"
-    dtype = [DataType.INT64]
-    out = parse_widening(
-        raw, lambda: dtype[0], lambda wider: dtype.__setitem__(0, wider), ParseStats()
+    entry = SimpleNamespace(
+        schema=TableSchema([ColumnSchema("c", DataType.INT64)]), zone_maps=None, table=None
     )
-    assert dtype[0] is widened
+    out = parse_widening(entry, 0, raw, ParseStats())
+    assert entry.schema.columns[0].dtype is widened
     if isinstance(out, StringColumn):
         out = out.decode()
     assert out.tolist() == python_reference(["1", text, "-2"], widened).tolist()
@@ -229,44 +230,3 @@ def test_quoted_csv_string_column_under_partial_v1(tmp_path):
     assert got == want
     assert got[1] == [(f"name {i}, jr",) for i in range(391, 400)]
     assert engine.stats.last().file_bytes_read < path.stat().st_size
-
-
-def test_partitioned_merge_of_ascii_and_non_ascii_parts(tmp_path):
-    """An ASCII partition ships ``S`` bytes, a non-ASCII one ``U``; the
-    merged string column holds ``str`` only."""
-    lines = [f"{i},w{i}" for i in range(300)] + [f"{i},é{i}" for i in range(300, 600)]
-    path = tmp_path / "p.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sql = "select a2 from t where a1 > 295 and a1 < 305"
-    want, _ = _answers(CSVEngine(), path, [sql])
-    engine = NoDBEngine(
-        EngineConfig(
-            policy="partial_v1", parallel_workers=2, partition_min_bytes=64
-        )
-    )
-    got, engine = _answers(engine, path, [sql])
-    assert engine.stats.last().parallel_partitions == 2
-    assert got == want
-    assert all(isinstance(v, str) for (v,) in got[0])
-    assert got[0][0] == ("w296",) and got[0][-1] == ("é304",)
-
-
-def test_partitioned_merge_of_byte_and_object_parts(tmp_path):
-    """A partition with a field too wide for the byte matrix ships an
-    object batch of ``str``; merged beside ``S`` parts, no ``bytes`` leak
-    into the answer."""
-    wide, pad = "w" * 300, "p" * 300  # rows of equal length: halves split at row 300
-    lines = [f"{i},v{i},{pad}" for i in range(300)]
-    lines += [f"{i},{wide},p" for i in range(300, 600)]
-    path = tmp_path / "o.csv"
-    path.write_text("\n".join(lines) + "\n")
-    sql = "select a2 from t where a1 > 297 and a1 < 302"
-    want, _ = _answers(CSVEngine(), path, [sql])
-    engine = NoDBEngine(
-        EngineConfig(
-            policy="partial_v1", parallel_workers=2, partition_min_bytes=64
-        )
-    )
-    got, engine = _answers(engine, path, [sql])
-    assert engine.stats.last().parallel_partitions == 2
-    assert got == want == [[("v298",), ("v299",), (wide,), (wide,)]]

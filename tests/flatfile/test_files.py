@@ -221,12 +221,11 @@ class TestBlockReads:
     @given(
         request=window_requests(),
         max_gap=st.sampled_from([0, 4]),
-        workers=st.sampled_from([1, 2]),
     )
-    def test_buffer_matches_per_window_reads(self, big_file, request, max_gap, workers):
+    def test_buffer_matches_per_window_reads(self, big_file, request, max_gap):
         starts, ends = request
         f = FlatFile(big_file)
-        win = f.read_windows(starts, ends, max_gap=max_gap, workers=workers)
+        win = f.read_windows(starts, ends, max_gap=max_gap)
         want, nwindows = per_window_oracle(big_file, starts, ends, max_gap)
         assert win.window_bytes == f.stats.bytes_read == len(want)
         assert f.stats.read_calls == nwindows
@@ -243,12 +242,11 @@ class TestBlockReads:
         for start, end, at in zip(starts.tolist(), ends.tolist(), local.tolist()):
             assert win.buffer[at : at + end - start] == file_bytes(big_file, start, end)
 
-    def test_threaded_blocks_match_serial(self, big_file):
+    def test_many_blocks_match_per_window_reads(self, big_file):
         starts = np.arange(40, dtype=np.int64) * (3 * GAP) + 7  # 40 blocks
-        serial = FlatFile(big_file).read_windows(starts, starts + 9)
-        threaded = FlatFile(big_file).read_windows(starts, starts + 9, workers=4)
-        want = per_window_oracle(big_file, starts, starts + 9, 0)[0]
-        assert threaded.buffer == serial.buffer == want
+        win = FlatFile(big_file).read_windows(starts, starts + 9)
+        assert len(win.starts) == 40
+        assert win.buffer == per_window_oracle(big_file, starts, starts + 9, 0)[0]
 
     def test_short_read_is_retried(self, big_file):
         plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})

@@ -197,26 +197,6 @@ def _map(nrows, spans=None, geometry=None):
 
 
 class TestMerging:
-    def test_partitions_sum_row_counts_and_shift_spans(self):
-        # "1,2\n3,4\n" | "5,6\n": the second partition starts at char 8.
-        parts = [
-            _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])}, (8, 8)),
-            _map(1, {0: ([0], [1])}, (4, 4)),
-        ]
-        m = PositionalMap()
-        m.absorb_partitions(parts, [0, 8])
-        assert m.nrows == 3
-        assert m.known_columns() == [0]  # column 1 unknown in one part
-        starts, ends = m.slices_for(0)
-        assert starts.tolist() == [0, 4, 8]
-        assert ends.tolist() == [1, 5, 9]
-        assert m.text_geometry == (12, 12)
-
-    def test_partition_without_row_count_leaves_it_unknown(self):
-        m = PositionalMap()
-        m.absorb_partitions([_map(2), PositionalMap()], [0, 8])
-        assert m.nrows is None
-
     def test_extend_tail_grows_rows_and_known_spans(self):
         m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])}, (8, 8))
         tail = _map(1, {0: ([0], [1])}, (4, 4))
@@ -247,10 +227,6 @@ class TestMerging:
         assert m.nrows is None
         assert not m.known_columns()
         assert m.text_geometry is None
-
-    def test_partitions_and_bases_must_pair(self):
-        with pytest.raises(ValueError):
-            PositionalMap().absorb_partitions([_map(1)], [0, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +264,7 @@ _WIDTHS = st.integers(0, 6)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), ncols=st.integers(1, 4), sep=st.sampled_from([0, 1]))
 def test_boundary_map_matches_a_dict_of_spans(data, ncols, sep):
-    """Any sequence of record, absorb_partitions and extend_tail leaves
+    """Any sequence of record_field_offsets and extend_tail leaves
     ``slices_for`` equal to a plain ``{col: (starts, ends)}`` model."""
 
     def draw_widths(min_rows):
@@ -304,26 +280,12 @@ def test_boundary_map_matches_a_dict_of_spans(data, ncols, sep):
 
     for _ in range(data.draw(st.integers(1, 8))):
         spans, _ = _layout(widths, sep)
-        op = data.draw(st.sampled_from(["record", "partitions", "append"]))
+        op = data.draw(st.sampled_from(["record", "append"]))
         if op == "record":
             col = data.draw(st.integers(0, ncols - 1))
             m.record_field_offsets(col, *spans[col], sep=sep)
             if col == len(model):
                 model[col] = spans[col]
-        elif op == "partitions":
-            nrows = len(widths)
-            cuts = sorted(data.draw(st.sets(st.integers(1, max(nrows - 1, 1)))))
-            edges = [0] + [c for c in cuts if c < nrows] + [nrows]
-            knows = [data.draw(st.integers(0, ncols)) for _ in edges[1:]]
-            parts = [
-                _learned(widths[a:b], sep, k)
-                for a, b, k in zip(edges, edges[1:], knows)
-            ]
-            bases = [0] + np.cumsum([p.text_geometry[1] for p in parts]).tolist()[:-1]
-            m.absorb_partitions(parts, bases)
-            shared = min(knows)
-            if shared > len(model):
-                model = {c: spans[c] for c in range(shared)}
         else:
             tail = draw_widths(0)
             known = data.draw(st.integers(0, ncols))

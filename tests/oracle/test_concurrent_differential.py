@@ -15,11 +15,7 @@ raced for it — asserted through ``EngineStatistics.loads_by_signature``.
 
 from __future__ import annotations
 
-import os
-import sys
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -41,9 +37,6 @@ from repro import EngineConfig, NoDBEngine
 
 #: Thread counts of the acceptance matrix.
 THREAD_COUNTS = (2, 4)
-
-#: Gang size of the parallel-scan case (the CI stress job sets 2 and 8).
-GANG = max(2, int(os.environ.get("REPRO_CONCURRENCY", "4")))
 
 #: Engine states the matrix must cover: a cold store, a store pre-warmed
 #: by one serial replay, and a pre-populated result cache.
@@ -278,49 +271,3 @@ def test_hypothesis_workloads_concurrent(policy, columns):
                 )
             finally:
                 engine.close()
-
-
-@pytest.mark.parametrize("shared", [False, True], ids=["two-tables", "one-table"])
-@pytest.mark.parametrize("policy", ("external", "column_loads", "partial_v2"))
-def test_gang_of_parallel_scans_matches_oracle(policy, shared, tmp_path):
-    """A gang of threads runs cold partitioned passes (two partition
-    threads each) at once, over two tables or all over one, with a short
-    switch interval to shake out interleavings: every answer equals the
-    serial oracle's.  ``external`` re-frames the file on every query, so
-    every one of its queries is a parallel pass."""
-    tables = {}
-    for name, seed in (("t", 1311), ("u", 2422)):
-        cols = generate_columns(TableSpec(nrows=300, ncols=3, seed=seed))
-        columns = [c.tolist() for c in cols]
-        (tmp_path / name).mkdir()
-        path, kwargs = render_table(tmp_path / name, columns, "csv")
-        queries = make_workload(columns, bounds=(-50, 420))
-        expected = oracle_results(path, kwargs, queries)
-        if name == "u":
-            queries = [q.replace(" from t", " from u") for q in queries]
-        tables[name] = (path, kwargs, queries, expected)
-    engine = NoDBEngine(
-        EngineConfig(policy=policy, parallel_workers=2, partition_min_bytes=64)
-    )
-    barrier = threading.Barrier(GANG, timeout=60)
-
-    def replay(tid: int) -> None:
-        name = "t" if shared else "tu"[tid % 2]
-        _, _, queries, expected = tables[name]
-        barrier.wait()
-        for i, (query, want) in enumerate(zip(queries, expected)):
-            got = normalize(engine.query(query))
-            assert got == want, f"[{policy} {name}] thread {tid} query#{i}"
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for name, (path, kwargs, _, _) in tables.items():
-            engine.attach(name, path, **kwargs)
-        with ThreadPoolExecutor(max_workers=GANG) as pool:
-            list(pool.map(replay, range(GANG), timeout=120))
-        partitions = [q.parallel_partitions for q in engine.stats.queries]
-        assert max(partitions) == 2
-    finally:
-        sys.setswitchinterval(interval)
-        engine.close()

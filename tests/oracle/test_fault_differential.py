@@ -108,7 +108,6 @@ def _random_config(
 ) -> EngineConfig:
     """Draw an engine config; the read-retry and persist-failure limits
     are module constants, so their draws are patched in for the case."""
-    workers = rng.choice((1, 2))
     policy = rng.choice(POLICIES)
     monkeypatch.setattr(faults, "IO_RETRY_BACKOFF_S", 0.0)
     monkeypatch.setattr(faults, "IO_RETRY_ATTEMPTS", rng.choice((2, 3)))
@@ -119,8 +118,6 @@ def _random_config(
     return EngineConfig(
         policy=policy,
         fault_plan=None,  # set by the caller
-        parallel_workers=workers,
-        partition_min_bytes=64 if workers > 1 else 1 << 20,
         store_dir=store_dir,
     )
 

@@ -260,9 +260,8 @@ class TestRestart:
     [
         {"policy": "column_loads"},
         {"policy": "partial_v2"},
-        {"policy": "column_loads", "parallel_workers": 2, "partition_min_bytes": 1},
     ],
-    ids=["column_loads", "partial_v2", "parallel"],
+    ids=["column_loads", "partial_v2"],
 )
 def test_column_widens_to_strings_after_the_sample(tmp_path, config):
     """Integers for well past the 64 KB sniff and 128-row schema sample,

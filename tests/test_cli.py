@@ -89,6 +89,12 @@ class TestErrors:
         assert code == 1
         assert "error" in err
 
+    def test_removed_worker_flag_is_a_usage_error(self, small_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--parallel-workers", "2", "select count(*) from t", str(small_csv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel-workers" in capsys.readouterr().err
+
 
 class TestShell:
     def test_shell_session(self, small_csv):

@@ -38,8 +38,6 @@ def test_knob_ratchet():
         "io_bandwidth_bytes_per_sec",
         "max_cached_results",
         "memory_budget_bytes",
-        "parallel_workers",
-        "partition_min_bytes",
         "policy",
         "predicate_pushdown",
         "result_cache",
@@ -56,6 +54,8 @@ def test_removed_knob_is_a_type_error():
     for knob, value in (
         ("tokenizer_early_abort", False),
         ("parallel_start_method", "spawn"),
+        ("parallel_workers", 2),
+        ("partition_min_bytes", 1 << 20),
     ):
         with pytest.raises(TypeError, match=knob):
             repro.connect(**{knob: value})

@@ -154,10 +154,16 @@ class TestDependencyDirection:
 
 
 class TestOneProcess:
-    """The engine runs in one process: the parallel scan frames its
-    partitions on threads, so nothing under ``src/repro`` starts or
-    forks worker processes (no start method to choose, no pickling of
-    frames, nothing to fork from the threaded server)."""
+    """The engine runs in one process, and a query's pass on the query's
+    thread: nothing under ``src/repro`` starts or forks worker processes
+    (no start method to choose, no pickling of frames, nothing to fork
+    from the threaded server), and threads start only where serving or
+    the store writer needs them."""
+
+    #: Modules that may construct a thread or a thread pool: the HTTP
+    #: front door, the persistent store's writer and ``serve``'s drain.
+    THREAD_OWNERS = {"repro/server/app.py", "repro/core/lifecycle.py", "repro/cli.py"}
+    THREAD_FACTORIES = {"ThreadPoolExecutor", "Thread"}
 
     FORBIDDEN = (
         "multiprocessing",
@@ -213,6 +219,54 @@ class TestOneProcess:
         assert any(
             self.forbidden(m) for _, m in self.imported(ast.parse(source))
         )
+
+    @classmethod
+    def thread_starts(cls, tree: ast.AST) -> list[int]:
+        """Lines that call a thread or thread-pool constructor, by its
+        name, an ``import ... as`` alias of it, or as a module attribute."""
+        names = set(cls.THREAD_FACTORIES)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names |= {
+                    alias.asname
+                    for alias in node.names
+                    if alias.asname and alias.name in cls.THREAD_FACTORIES
+                }
+        lines = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    lines.append(node.lineno)
+        return lines
+
+    def test_threads_start_only_in_serving_and_the_store_writer(self):
+        package = Path(repro.__file__).parent
+        offenders = [
+            f"{rel}:{line}"
+            for path in sorted(package.rglob("*.py"))
+            if (rel := path.relative_to(package.parent).as_posix()) not in self.THREAD_OWNERS
+            for line in self.thread_starts(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert not offenders, offenders
+
+    @pytest.mark.parametrize(
+        "source, starts",
+        [
+            ("ThreadPoolExecutor(max_workers=2)", True),
+            ("import threading\nthreading.Thread(target=f).start()", True),
+            ("from threading import Thread\nThread(target=f)", True),
+            ("from concurrent.futures import ThreadPoolExecutor as P\nP(2)", True),
+            ("import threading as th\nth.Thread()", True),
+            ("with ThreadPoolExecutor(4) as pool:\n    pass", True),
+            ("import threading\nthreading.Lock()", False),
+            ("threading.local()", False),
+            ("pool = executor_factory\npool.Thread", False),
+        ],
+    )
+    def test_thread_check_sees_each_form(self, source, starts):
+        assert bool(self.thread_starts(ast.parse(source))) is starts
 
     def test_thread_pools_stay_allowed(self):
         tree = ast.parse("from concurrent.futures import ThreadPoolExecutor")

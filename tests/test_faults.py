@@ -305,63 +305,3 @@ class TestPersistDegradation:
             snap = engine.stats.snapshot()["counters"]
             assert snap["persist_failures"] >= 1
             assert snap["restart_warm_hits"] == 0
-
-
-# ---------------------------------------------------------------------------
-# the parallel scan's partition reads
-# ---------------------------------------------------------------------------
-
-
-class TestPartitionReads:
-    SQL = "select sum(a1), count(*) from r"
-
-    def _serial(self, csv_path):
-        with NoDBEngine(EngineConfig()) as engine:
-            engine.attach("r", csv_path)
-            return engine.query(self.SQL).rows()
-
-    def test_short_partition_read_is_retried_with_same_answer(self, csv_path):
-        plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})
-        config = EngineConfig(
-            parallel_workers=2, partition_min_bytes=1, fault_plan=plan
-        )
-        with NoDBEngine(config) as engine:
-            engine.attach("r", csv_path)
-            got = engine.query(self.SQL)
-            assert engine.stats.last().parallel_partitions == 2
-            # The partition thread's retry is this query's retry.
-            assert engine.stats.last().io_retries == 1
-        assert got.rows() == self._serial(csv_path)
-        assert plan.fired()["flatfile.short_read"] == 1
-
-    def test_persistent_partition_read_fault_fails_the_query(self, csv_path):
-        plan = FaultPlan({"flatfile.read": FaultSpec(times=None)})
-        config = EngineConfig(
-            parallel_workers=2, partition_min_bytes=1, fault_plan=plan
-        )
-        with NoDBEngine(config) as engine:
-            engine.attach("r", csv_path)
-            with pytest.raises(FlatFileError):
-                engine.query(self.SQL)
-            entry = engine.catalog.get("r")
-            assert entry.positional_map.nrows is None  # nothing merged
-
-    def test_partition_reads_count_on_the_query_thread(self, csv_path):
-        config = EngineConfig(parallel_workers=2, partition_min_bytes=1)
-        with NoDBEngine(config) as engine:
-            engine.attach("r", csv_path)
-            engine.schema_of("r")  # sample the head before counting
-            io = engine.catalog.get("r").file.stats
-            before = (io.bytes_read, io.read_calls)
-            engine.query(self.SQL)
-            qstats = engine.stats.last()
-            pindex = engine.catalog.get("r").partitions
-            # The engine read nothing else meanwhile: the query's own
-            # totals must hold every partition read.
-            assert qstats.file_bytes_read == io.bytes_read - before[0]
-            assert qstats.file_reads == io.read_calls - before[1]
-            assert qstats.file_bytes_read >= (
-                csv_path.stat().st_size + pindex.probe_bytes
-            )
-            assert qstats.file_reads >= len(pindex) + pindex.probe_calls
-            assert io.full_scans == 1
