@@ -379,13 +379,15 @@ def _field_spans(
     the end of the one before (none between fixed-width fields), and all
     inside the file.  Within a run of adjacent columns that holds by
     construction — a field's end and the next one's start are one
-    boundary array — so only each field's own extent, the step from one
+    frame column — so only each field's own extent, the step from one
     run to the next and the step from one row to the next are checked.
     A map that breaks this order — restored offsets damaged on disk — is
     never read from.
     """
     subset = rows if len(rows) < pmap.nrows else None  # zones ruled rows out
-    spans = {c: pmap.slices_for(c, subset) for run in runs for c in run}
+    spans = {}
+    for run in runs:
+        spans.update(pmap.run_slices(run, subset))
     if not len(rows):
         return spans
     sep = pmap.sep or 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import ExecutionError, UnsupportedSQLError
 from repro.execution.aggregates import global_aggregate, group_ids, grouped_aggregate
-from repro.execution.expressions import as_mask, eval_expr, eval_predicate, in_mask
+from repro.execution.expressions import eval_expr, eval_predicate
 from repro.execution.joins import hash_join, hash_join_unique
 from repro.result import QueryResult
 from repro.sql.binder import (
@@ -37,7 +37,6 @@ from repro.sql.binder import (
     BCompare,
     BExpr,
     BIn,
-    BLiteral,
     BLogical,
     BNeg,
     BNot,
@@ -244,61 +243,25 @@ def _collect_aggs(expr: BExpr, out: list[BAgg]) -> None:
         _collect_aggs(expr.operand, out)
 
 
-def _eval_group_expr(
-    expr: BExpr,
-    agg_values: dict[BAgg, np.ndarray | float],
-    key_map: dict[str, np.ndarray],
-    n: int,
+def _group_leaf(
+    agg_values: dict[BAgg, "np.ndarray | float"], key_map: dict[str, np.ndarray]
 ):
-    """Evaluate a group-level expression (outputs, HAVING, ORDER BY keys).
+    """The leaf hook of a group-level expression (outputs, HAVING, ORDER
+    BY keys): computed aggregates, and group-by key expressions matched
+    structurally by their canonical string form."""
 
-    Leaves are either computed aggregates or group-by key expressions
-    (matched structurally via their canonical string form); anything else
-    referencing bare columns is a grouping violation.
-    """
-    if isinstance(expr, BAgg):
-        return agg_values[expr]
-    if str(expr) in key_map:
-        return key_map[str(expr)]
-    if isinstance(expr, BLiteral):
-        return expr.value
-    if isinstance(expr, BArith):
-        left = _eval_group_expr(expr.left, agg_values, key_map, n)
-        right = _eval_group_expr(expr.right, agg_values, key_map, n)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return np.true_divide(left, right)
-        raise ExecutionError(f"unknown arithmetic op {expr.op!r}")
-    if isinstance(expr, BNeg):
-        return -_eval_group_expr(expr.operand, agg_values, key_map, n)
-    if isinstance(expr, BCompare):
-        left = _eval_group_expr(expr.left, agg_values, key_map, n)
-        right = _eval_group_expr(expr.right, agg_values, key_map, n)
-        return {
-            "=": lambda: left == right,
-            "!=": lambda: left != right,
-            "<": lambda: left < right,
-            "<=": lambda: left <= right,
-            ">": lambda: left > right,
-            ">=": lambda: left >= right,
-        }[expr.op]()
-    if isinstance(expr, BLogical):
-        left = as_mask(_eval_group_expr(expr.left, agg_values, key_map, n), n)
-        right = as_mask(_eval_group_expr(expr.right, agg_values, key_map, n), n)
-        return (left & right) if expr.op == "and" else (left | right)
-    if isinstance(expr, BNot):
-        return ~as_mask(_eval_group_expr(expr.operand, agg_values, key_map, n), n)
-    if isinstance(expr, BIn):
-        operand = _eval_group_expr(expr.operand, agg_values, key_map, n)
-        mask = in_mask(operand, expr.values, n)
-        return ~mask if expr.negated else mask
+    def leaf(expr: BExpr):
+        if isinstance(expr, BAgg):
+            return agg_values[expr]
+        return key_map.get(str(expr))
+
+    return leaf
+
+
+def _ungrouped(col: BColumn):
+    """A bare column left in a group-level expression is no group key."""
     raise ExecutionError(
-        f"expression {expr} mixes aggregates with non-grouped columns"
+        f"expression {col} mixes aggregates with non-grouped columns"
     )
 
 
@@ -324,22 +287,20 @@ def _project_aggregate(query: BoundQuery, frame: _Frame):
             )
         ngroups = len(starts)
         if query.having is not None:
-            mask = as_mask(
-                _eval_group_expr(query.having, agg_values, key_map, ngroups),
-                ngroups,
+            mask = eval_predicate(
+                query.having, _ungrouped, ngroups, _group_leaf(agg_values, key_map)
             )
             agg_values = {k: v[mask] for k, v in agg_values.items()}
             key_map = {k: v[mask] for k, v in key_map.items()}
             ngroups = int(mask.sum())
-        names, columns = [], []
-        for out in query.outputs:
-            names.append(out.name)
-            value = _eval_group_expr(out.expr, agg_values, key_map, ngroups)
-            columns.append(
-                _column(value) if not np.isscalar(value) else np.full(ngroups, value)
-            )
+        leaf = _group_leaf(agg_values, key_map)
+        names = [out.name for out in query.outputs]
+        columns = [
+            _column(eval_expr(out.expr, _ungrouped, ngroups, leaf))
+            for out in query.outputs
+        ]
         order_keys = [
-            _column(_eval_group_expr(expr, agg_values, key_map, ngroups))
+            _column(eval_expr(expr, _ungrouped, ngroups, leaf))
             for expr, _ in query.order_by
         ]
         return names, columns, order_keys
@@ -349,11 +310,11 @@ def _project_aggregate(query: BoundQuery, frame: _Frame):
     for agg in aggs:
         arg = None if agg.arg is None else _column(eval_expr(agg.arg, frame.resolve, n))
         agg_values[agg] = global_aggregate(agg.func, arg, n, agg.distinct)
-    names, columns = [], []
-    for out in query.outputs:
-        names.append(out.name)
-        value = _eval_group_expr(out.expr, agg_values, {}, 1)
-        columns.append(np.asarray([value]))
+    leaf = _group_leaf(agg_values, {})
+    names = [out.name for out in query.outputs]
+    columns = [
+        _column(eval_expr(out.expr, _ungrouped, 1, leaf)) for out in query.outputs
+    ]
     return names, columns, None
 
 

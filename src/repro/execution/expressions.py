@@ -2,8 +2,12 @@
 
 ``eval_expr`` walks a bound expression tree and evaluates it column-at-a-
 time over NumPy arrays.  Column references are resolved through a callable
-so the same evaluator serves pre-join frames, post-join frames and grouped
-frames.  Comparisons and logical operators produce boolean masks;
+so the same evaluator serves pre-join frames and post-join frames; a leaf
+hook supplies a grouped query's aggregates and group keys, so outputs,
+HAVING and ORDER BY keys over groups use it too.  An operator applied to
+a type it does not take — a column the query's own load widened to
+``str`` — is an :class:`~repro.errors.ExecutionError`, never a raw
+``TypeError``.  Comparisons and logical operators produce boolean masks;
 projecting a mask surfaces it as int64 (0/1), matching common SQL engines.
 A string column stays a :class:`~repro.strings.StringColumn`: its
 comparisons and ``IN`` run once per dictionary entry, never per row.
@@ -12,7 +16,7 @@ comparisons and ``IN`` run once per dictionary entry, never per row.
 from __future__ import annotations
 
 import operator
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -32,7 +36,17 @@ from repro.sql.binder import (
 from repro.strings import StringColumn
 
 Resolver = Callable[[BColumn], "np.ndarray | StringColumn"]
+#: Values computed before evaluation — a grouped query's aggregates and
+#: group keys: the hook returns ``expr``'s value, or None when ``expr`` is
+#: evaluated as usual.
+Leaf = Callable[[BExpr], Any]
 
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": np.true_divide,
+}
 _COMPARE = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -44,15 +58,16 @@ _COMPARE = {
 
 
 def eval_expr(
-    expr: BExpr, resolve: Resolver, nrows: int
+    expr: BExpr, resolve: Resolver, nrows: int, leaf: Leaf | None = None
 ) -> np.ndarray | StringColumn:
     """Evaluate ``expr`` to an array (or string column) of ``nrows`` rows.
 
-    Aggregates must have been replaced before calling (the executor
-    evaluates aggregate inputs, not aggregate results, through this
-    function); hitting a :class:`BAgg` here is an internal error.
+    Without a ``leaf`` hook that supplies them, aggregates must have been
+    replaced before calling (the executor evaluates aggregate inputs, not
+    aggregate results, through this function); hitting a :class:`BAgg`
+    then is an internal error.
     """
-    out = _eval(expr, resolve, nrows)
+    out = _eval(expr, resolve, nrows, leaf)
     if isinstance(out, StringColumn):
         return out
     if np.isscalar(out) or out.ndim == 0:
@@ -60,50 +75,49 @@ def eval_expr(
     return out
 
 
-def _eval(expr: BExpr, resolve: Resolver, nrows: int):
+def _eval(expr: BExpr, resolve: Resolver, nrows: int, leaf: Leaf | None = None):
+    if leaf is not None:
+        value = leaf(expr)
+        if value is not None:
+            return value
     if isinstance(expr, BLiteral):
         return expr.value
     if isinstance(expr, BColumn):
         return resolve(expr)
+    if isinstance(expr, (BArith, BCompare)):
+        table = _ARITH if isinstance(expr, BArith) else _COMPARE
+        if expr.op not in table:
+            raise ExecutionError(f"unknown operator {expr.op!r}")
+        left = _eval(expr.left, resolve, nrows, leaf)
+        right = _eval(expr.right, resolve, nrows, leaf)
+        return _apply(expr, table[expr.op], left, right)
     if isinstance(expr, BNeg):
-        return -_eval(expr.operand, resolve, nrows)
-    if isinstance(expr, BArith):
-        left = _eval(expr.left, resolve, nrows)
-        right = _eval(expr.right, resolve, nrows)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return np.true_divide(left, right)
-        raise ExecutionError(f"unknown arithmetic op {expr.op!r}")
-    if isinstance(expr, BCompare):
-        left = _eval(expr.left, resolve, nrows)
-        right = _eval(expr.right, resolve, nrows)
-        if expr.op not in _COMPARE:
-            raise ExecutionError(f"unknown comparison op {expr.op!r}")
-        try:
-            return _COMPARE[expr.op](left, right)
-        except TypeError as exc:
-            # The load that served this query widened a column past the
-            # type the binder checked (a string deep in an int column).
-            raise ExecutionError(f"cannot evaluate {expr}: {exc}") from exc
+        return _apply(expr, operator.neg, _eval(expr.operand, resolve, nrows, leaf))
     if isinstance(expr, BLogical):
-        left = as_mask(_eval(expr.left, resolve, nrows), nrows)
-        right = as_mask(_eval(expr.right, resolve, nrows), nrows)
+        left = as_mask(_eval(expr.left, resolve, nrows, leaf), nrows)
+        right = as_mask(_eval(expr.right, resolve, nrows, leaf), nrows)
         return (left & right) if expr.op == "and" else (left | right)
     if isinstance(expr, BNot):
-        return ~as_mask(_eval(expr.operand, resolve, nrows), nrows)
+        return ~as_mask(_eval(expr.operand, resolve, nrows, leaf), nrows)
     if isinstance(expr, BIn):
-        mask = in_mask(_eval(expr.operand, resolve, nrows), expr.values, nrows)
+        mask = in_mask(_eval(expr.operand, resolve, nrows, leaf), expr.values, nrows)
         return ~mask if expr.negated else mask
     if isinstance(expr, BAgg):
         raise ExecutionError(
             "aggregate reached the scalar evaluator; executor bug"
         )
     raise ExecutionError(f"cannot evaluate expression {expr!r}")
+
+
+def _apply(expr: BExpr, op: Callable, *operands):
+    """``op(*operands)`` for ``expr``; a ``TypeError`` is an
+    :class:`ExecutionError`: the load that served this query widened a
+    column past the type the binder checked (a string deep in an int
+    column)."""
+    try:
+        return op(*operands)
+    except TypeError as exc:
+        raise ExecutionError(f"cannot evaluate {expr}: {exc}") from exc
 
 
 def in_mask(operand, values: tuple, nrows: int) -> np.ndarray:
@@ -129,6 +143,8 @@ def as_mask(value, nrows: int) -> np.ndarray:
     return arr
 
 
-def eval_predicate(expr: BExpr, resolve: Resolver, nrows: int) -> np.ndarray:
-    """Evaluate a WHERE-style expression to a boolean mask."""
-    return as_mask(_eval(expr, resolve, nrows), nrows)
+def eval_predicate(
+    expr: BExpr, resolve: Resolver, nrows: int, leaf: Leaf | None = None
+) -> np.ndarray:
+    """Evaluate a WHERE- or HAVING-style expression to a boolean mask."""
+    return as_mask(_eval(expr, resolve, nrows, leaf), nrows)

@@ -10,9 +10,9 @@ MonetDB operators use:
 2. **Predicate pushdown** — when the WHERE clause is pushed into the load,
    each needed field is parsed and tested the moment it is tokenized, and
    the rest of the row is abandoned as soon as one conjunct fails.
-3. **Learning** — every located row start and field start is offered to the
-   file's :class:`~repro.flatfile.positions.PositionalMap`; a later query
-   on a learned column reads just its bytes
+3. **Learning** — every located field start is offered to the file's
+   :class:`~repro.flatfile.positions.PositionalMap`, as one frame; a later
+   query on a learned column reads just its bytes
    (:mod:`repro.core.loader`'s selective route) instead of tokenizing.
 
 :func:`tokenize_bytes` is the one entry point over raw file bytes.  Dialects
@@ -231,14 +231,17 @@ def tokenize_dialect(
         stats.rows_emitted += 1
 
     if learn and positional_map is not None:
-        for col, offsets in learned.items():
-            if len(offsets) == nrows and not positional_map.knows_column(col):
-                positional_map.record_field_offsets(
-                    col,
-                    np.asarray(offsets, dtype=np.int64),
-                    np.asarray(learned_ends[col], dtype=np.int64),
-                    sep=adapter.sep,
-                )
+        # The prefix of columns spanned in every row, as one frame: each
+        # field's start, then the last field's end plus its separator.
+        width = 0
+        while width in learned and len(learned[width]) == nrows:
+            width += 1
+        if width:
+            frame = np.empty((nrows, width + 1), dtype=np.int64)
+            for col in range(width):
+                frame[:, col] = learned[col]
+            frame[:, width] = np.add(learned_ends[width - 1], adapter.sep)
+            positional_map.record_frame(frame, sep=adapter.sep)
 
     return TokenizeResult(
         fields=out_fields,

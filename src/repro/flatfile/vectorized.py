@@ -203,11 +203,12 @@ def tokenize_vectorized(
     nul_free = not bool((buf == 0).any()) if len(buf) else True
 
     # ------------------------------------------------------------- framing
-    frame = None
+    framed = None
     if delimiter is not None:
-        frame = _frame_grid(buf, ord(delimiter), ncols, skip_rows)
-    if frame is not None:
-        row_starts, grid = frame
+        framed = _frame_grid(buf, ord(delimiter), ncols, skip_rows)
+    grid = None
+    if framed is not None:
+        row_starts, grid = framed
     else:
         row_starts, row_ends = _frame_rows(buf, skip_rows)
     nrows = len(row_starts)
@@ -226,7 +227,7 @@ def tokenize_vectorized(
             return a - pad[a]
 
     # ------------------------------------------ separator / ragged detection
-    if frame is not None:
+    if grid is not None:
 
         def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
             return (row_starts if c == 0 else grid[:, c - 1] + 1), grid[:, c]
@@ -295,18 +296,27 @@ def tokenize_vectorized(
 
     # ------------------------------------------------------------ learning
     # The framing located every column of every row, whatever the pass
-    # needed or its predicates abandoned: offer the map the whole frame.
+    # needed or its predicates abandoned: offer the map the whole frame,
+    # one row per file row (see PositionalMap).
     if learn and positional_map is not None:
         positional_map.record_nrows(nrows)
         if len(positional_map.known_columns()) < ncols:
-            for c in range(ncols):
-                if c not in bounds:
-                    bounds[c] = col_bounds(c)
-            frame_bounds = [to_chars(bounds[c][0]) for c in range(ncols)]
-            frame_bounds.append(to_chars(bounds[ncols - 1][1]) + adapter.sep)
-            positional_map.record_frame(
-                [np.ascontiguousarray(b) for b in frame_bounds], sep=adapter.sep
-            )
+            frame = np.empty((nrows, ncols + 1), dtype=np.int64)
+            if grid is not None:
+                # Field c > 0 starts one past separator c - 1, and one past
+                # the newline is the last field's end plus its separator.
+                frame[:, 0] = row_starts
+                np.add(grid, 1, out=frame[:, 1:])
+                frame = to_chars(frame)
+            else:
+                for c in range(ncols):
+                    frame[:, c] = col_bounds(c)[0]
+                # The last end may be the end of the input: add the
+                # separator after converting, past the last character.
+                frame[:, ncols] = col_bounds(ncols - 1)[1]
+                frame = to_chars(frame)
+                frame[:, ncols] += adapter.sep
+            positional_map.record_frame(frame, sep=adapter.sep)
     if positional_map is not None:
         positional_map.record_text_geometry(nbytes=len(data), nchars=nchars)
 

@@ -14,11 +14,12 @@ amortizes.
 Layout (one entry directory per source path, under ``store_dir``)::
 
     <store_dir>/<stem>-<path-digest>/
-        manifest.json       # version 4: fingerprint, schema, posmap
-                            # (nrows, sep, geometry), zone maps +
-                            # column index
-        pm_b<j>.bin         # int64 positional-map boundary j, for j in
-                            # 0..K+1 when columns 0..K are known
+        manifest.json       # version 5: fingerprint, schema, posmap
+                            # (nrows, sep, columns, geometry), zone
+                            # maps + column index
+        pm.bin              # the positional map's frame: int64,
+                            # row-major, nrows x (K + 2) when columns
+                            # 0..K are known (memmapped)
         col_<i>.bin         # numeric column i, little-endian (memmapped)
         col_<i>.codes       # string column i: int32 code per row
                             # (memmapped)
@@ -26,9 +27,11 @@ Layout (one entry directory per source path, under ``store_dir``)::
                             # UTF-8 records, each ended by a 0xFF byte,
                             # in code order
 
-The ``pm_b`` files are the arrays :meth:`PositionalMap.export` hands over,
-in order; this module does not interpret them.  Only state some query
-route reads is stored.  An entry written under another manifest
+``pm.bin`` is the frame :meth:`PositionalMap.export` hands over; this
+module does not interpret it.  It is row-major, so a tail-append adds
+rows at its end like any column file; a frame of another width (the
+dialect loop learned a wider prefix) rewrites it whole.  Only state some
+query route reads is stored.  An entry written under another manifest
 ``version`` is a miss, and the next save wipes and rewrites it.
 
 Invariants
@@ -103,7 +106,7 @@ if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
     from repro.core.zonemaps import ZoneMapIndex
     from repro.storage.catalog import TableEntry
 
-_VERSION = 4
+_VERSION = 5
 
 _ITEMSIZE = 8  # int64 / float64; the only numeric widths the engine has
 
@@ -281,21 +284,20 @@ class PersistentStore:
         edir.mkdir(parents=True, exist_ok=True)
         old_cols = old.get("columns") or {}
 
-        pm_manifest, pm_arrays = state.positional_map.export()
+        pm_manifest, frame = state.positional_map.export()
         old_pm = old.get("positional_map") or {}
-        old_files = old_pm.get("files") or []
-        if (old_pm.get("nrows"), old_pm.get("sep")) != (committed, pm_manifest["sep"]):
-            old_files = []  # the old arrays do not hold these rows' prefix
-        pm_manifest["files"] = [
-            self._put_array(
-                edir,
-                f"pm_b{j}.bin",
-                values,
-                old_files[j] if j < len(old_files) else None,
-                committed,
-            )
-            for j, values in enumerate(pm_arrays)
-        ]
+        known = old_pm.get("file")
+        if (old_pm.get("nrows"), old_pm.get("sep"), old_pm.get("columns")) != (
+            committed,
+            pm_manifest["sep"],
+            pm_manifest["columns"],
+        ):
+            known = None  # the old frame does not hold these rows' prefix
+        pm_manifest["file"] = (
+            None
+            if frame is None
+            else self._put_array(edir, "pm.bin", frame, known, committed)
+        )
 
         index_of = {name.lower(): i for i, (name, _) in enumerate(state.schema)}
         col_manifest: dict = {}
@@ -370,15 +372,16 @@ class PersistentStore:
         committed: int,
     ) -> str:
         """Write one array: only the rows past ``committed`` when the old
-        manifest already names the file (``known``), all of it otherwise."""
+        manifest already names the file (``known``), all of it otherwise.
+        A row is one item of a column, or one row of a row-major frame."""
         data = np.ascontiguousarray(values)
-        offset = committed * data.itemsize
+        offset = committed * data.strides[0]
         if (
             known == filename
             and len(data) >= committed
             and self._have(edir, filename, offset)
         ):
-            self._write_at(edir / filename, data[committed:], offset)
+            self._write_at(edir / filename, data[committed:].ravel(), offset)
         else:
             self._write_whole(edir / filename, data.tobytes())
         return filename
@@ -538,12 +541,16 @@ class PersistentStore:
             DataType(dtype)  # validates
 
         pm_manifest = manifest.get("positional_map") or {}
+        pm_file = pm_manifest.get("file")
         pm = PositionalMap.from_export(
             pm_manifest,
-            [
-                self._mapped_int64(edir, name, pm_manifest["nrows"])
-                for name in pm_manifest.get("files") or []
-            ],
+            None
+            if pm_file is None
+            else self._mapped_frame(
+                edir,
+                pm_file,
+                (int(pm_manifest["nrows"]), int(pm_manifest["columns"]) + 1),
+            ),
         )
 
         zone_maps = None
@@ -601,13 +608,14 @@ class PersistentStore:
         self.stats.bytes_read += codes.nbytes
         return StringColumn(codes, decode_strings(data, entries))
 
-    def _mapped_int64(self, edir: Path, filename: str, nrows) -> np.ndarray:
-        nrows = int(nrows)
+    def _mapped_frame(
+        self, edir: Path, filename: str, shape: tuple[int, int]
+    ) -> np.ndarray:
         return np.memmap(
-            self._checked(edir, filename, nrows * _ITEMSIZE),
+            self._checked(edir, filename, shape[0] * shape[1] * _ITEMSIZE),
             dtype=np.int64,
             mode="r",
-            shape=(nrows,),
+            shape=shape,
         )
 
     @staticmethod

@@ -26,6 +26,7 @@ from repro.core.loader import (
     partial_load_pass,
 )
 from repro.flatfile.files import FlatFile, coalesce_ranges
+from repro.flatfile.positions import PositionalMap
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import Catalog
 from scalar_oracle import split_rows
@@ -245,9 +246,11 @@ class _Spans:
         self.nrows = len(starts[0])
         self._spans = {c: (s, e) for c, (s, e) in enumerate(zip(starts, ends))}
 
-    def slices_for(self, col, rows=None):
-        starts, ends = self._spans[col]
-        return (starts, ends) if rows is None else (starts[rows], ends[rows])
+    def run_slices(self, cols, rows=None):
+        return {
+            c: self._spans[c] if rows is None else tuple(a[rows] for a in self._spans[c])
+            for c in cols
+        }
 
 
 @st.composite
@@ -442,18 +445,18 @@ class TestSpanCheck:
     SQL = "select sum(b), count(*) from t where b > 10"
 
     @pytest.mark.parametrize(
-        "array, delta, read",
+        "boundary, delta, read",
         [
-            ("pm_b2.bin", 1, True),  # b's end runs into c: no delimiter after it
-            ("pm_b1.bin", 1, True),  # b's start skips a digit: none before it
-            ("pm_b1.bin", -4, True),  # b's start lands inside a
+            (2, 1, True),  # b's end runs into c: no delimiter after it
+            (1, 1, True),  # b's start skips a digit: none before it
+            (1, -4, True),  # b's start lands inside a
             # b's start lies rows ahead of its end: out of file order, so
             # nothing is read through the map.
-            ("pm_b1.bin", 10_000, False),
+            (1, 10_000, False),
         ],
     )
     def test_damaged_map_on_disk_never_changes_an_answer(
-        self, tmp_path, array, delta, read
+        self, tmp_path, boundary, delta, read
     ):
         rows = ["a,b,c"] + [f"{i},{3 * i},{i % 7}" for i in range(20_000)]
         path = _write(tmp_path / "t.csv", rows)
@@ -462,10 +465,12 @@ class TestSpanCheck:
             first.attach("t", path)
             first.query(self.SQL)
             first.flush_persistent_store()
-        (stored,) = (tmp_path / "store").rglob(array)
-        bounds = np.fromfile(stored, dtype=np.int64)
-        bounds[3000:3010] += delta
-        bounds.tofile(stored)
+        # One frame row per file row: a, b and c's starts, then c's end
+        # plus its separator.
+        (stored,) = (tmp_path / "store").rglob("pm.bin")
+        frame = np.fromfile(stored, dtype=np.int64).reshape(-1, 4)
+        frame[3000:3010, boundary] += delta
+        frame.tofile(stored)
 
         oracle = CSVEngine()
         oracle.attach("t", path)
@@ -539,3 +544,24 @@ class TestMapUnderBudget:
                 assert engine.query(sql).rows() == self._oracle(wide_file, sql)
                 assert pmap.known_columns() == list(range(known))
                 assert (engine.stats.last().file_bytes_read == size) is framed
+
+    def test_a_cut_map_frees_the_columns_it_drops(self, wide_file, monkeypatch):
+        # Catch the frame the framing pass learned, before the budget cut.
+        learned = []
+        record = PositionalMap.record_frame
+
+        def spy(self, frame, *, sep):
+            learned.append(frame)
+            record(self, frame, sep=sep)
+
+        monkeypatch.setattr(PositionalMap, "record_frame", spy)
+        cfg = EngineConfig(policy="column_loads", memory_budget_bytes=64_000)
+        with NoDBEngine(cfg) as engine:
+            engine.attach("t", wide_file)
+            engine.query("select sum(a3) from t")
+            pmap = engine.catalog.get("t").positional_map
+            (frame,) = learned
+            assert frame.shape == (2000, self.NCOLS + 1)
+            assert pmap.known_columns() == [0, 1, 2]
+            assert not np.shares_memory(pmap.frame, frame)
+            assert pmap.nbytes == (3 + 1) * 2000 * 8

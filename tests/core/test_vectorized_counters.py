@@ -13,6 +13,7 @@ from __future__ import annotations
 import shutil
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.workload import TableSpec, materialize_csv
@@ -153,8 +154,7 @@ def test_corrupted_map_offsets_never_change_an_answer(csv_file):
         pmap.clear()  # keep columns 0 and 1, column 1 shifted right
         pmap.record_nrows(nrows)
         pmap.record_text_geometry(*geometry)
-        pmap.record_field_offsets(0, s0, e0 + 1, sep=1)
-        pmap.record_field_offsets(1, s1 + 1, e1 + 1, sep=1)
+        pmap.record_frame(np.column_stack([s0, s1 + 1, e1 + 2]), sep=1)
         assert pmap.slices_for(1)[0].tolist() == (s1 + 1).tolist()
         assert engine.query(sql).rows() == oracle.query(sql).rows()
     finally:

@@ -215,3 +215,39 @@ class TestOrderLimitDistinct:
     def test_distinct_multi_column(self):
         r = run("select distinct name, a1 / a1 as one from r")
         assert r.num_rows == 3
+
+
+class TestColumnWidenedByItsOwnLoad:
+    """Schema inference samples 128 rows, so a column bound as int64 can
+    be widened to ``str`` by the very load that serves the query.  An
+    operator that does not take a string is then an ExecutionError on
+    every evaluation path — WHERE, projections, HAVING and ORDER BY keys
+    over groups — never a raw TypeError."""
+
+    @pytest.fixture
+    def late_text(self, tmp_path):
+        rows = [f"{i},{3 * i}" if i != 222 else "x222,666" for i in range(300)]
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select a1, count(*) from r group by a1 having a1 > 10",
+            "select a1, count(*) from r group by a1 order by a1 + 1",
+            "select a1 + 1 from r",
+            "select -a1 from r",
+            "select count(*) from r where a1 > 10",
+        ],
+    )
+    def test_a_type_error_is_an_execution_error(self, late_text, sql):
+        from repro import NoDBEngine
+        from repro.errors import ExecutionError
+
+        with NoDBEngine() as engine:
+            engine.attach("r", late_text)
+            with pytest.raises(ExecutionError, match="cannot evaluate"):
+                engine.query(sql)
+            # The table stays queryable.
+            assert engine.query("select count(*) from r").scalar() == 300

@@ -9,8 +9,16 @@ from repro.flatfile.positions import PositionalMap
 from scalar_oracle import anchor_for
 
 
-def _record(m, col, starts, ends, sep=1):
-    m.record_field_offsets(col, np.array(starts), np.array(ends), sep=sep)
+def _frame(spans, sep=1):
+    """The frame of columns ``0..K`` from their ``[(starts, ends), ...]``:
+    every start, then the last end plus ``sep``."""
+    bounds = [np.asarray(starts) for starts, _ in spans]
+    bounds.append(np.asarray(spans[-1][1]) + sep)
+    return np.column_stack(bounds).astype(np.int64)
+
+
+def _record(m, spans, sep=1):
+    m.record_frame(_frame(spans, sep), sep=sep)
 
 
 class TestRecording:
@@ -20,42 +28,56 @@ class TestRecording:
         m.record_nrows(7)
         assert m.nrows == 3
 
-    def test_field_offsets_idempotent(self):
+    def test_frame_idempotent(self):
         m = PositionalMap()
-        _record(m, 0, [3, 13, 23], [5, 15, 25])
-        _record(m, 0, [9, 9, 9], [9, 9, 9])
+        _record(m, [([3, 13, 23], [5, 15, 25])])
+        _record(m, [([9, 9, 9], [9, 9, 9])])
         starts, ends = m.slices_for(0)
         assert list(starts) == [3, 13, 23]
         assert list(ends) == [5, 15, 25]
 
-    def test_field_offsets_set_nrows(self):
+    def test_frame_sets_nrows(self):
         m = PositionalMap()
-        _record(m, 0, [0, 10], [3, 13])
+        _record(m, [([0, 10], [3, 13])])
         assert m.nrows == 2
 
     def test_length_mismatch_rejected(self):
         m = PositionalMap()
         m.record_nrows(2)
         with pytest.raises(ValueError):
-            _record(m, 1, [1, 2, 3], [2, 3, 4])
+            _record(m, [([1, 2, 3], [2, 3, 4])])
 
-    def test_only_the_next_column_of_the_prefix_is_kept(self):
+    def test_frame_is_two_dimensional(self):
+        with pytest.raises(ValueError):
+            PositionalMap().record_frame(np.array([0, 2]), sep=1)
+
+    def test_only_a_wider_frame_is_kept(self):
         m = PositionalMap()
-        _record(m, 1, [2], [3])  # column 0 unknown: not a prefix
+        m.record_frame(np.zeros((1, 1), dtype=np.int64), sep=1)  # no field
         assert m.known_columns() == []
-        _record(m, 0, [0], [1])
-        _record(m, 2, [4], [5])  # column 1 unknown: not a prefix
-        assert m.known_columns() == [0]
-
-    def test_starts_that_disagree_with_the_last_bound_are_dropped(self):
-        m = PositionalMap()
-        _record(m, 0, [0, 10], [3, 13])
-        _record(m, 1, [5, 15], [6, 16])  # field 0 ends at 3: 1 starts at 4
-        assert m.known_columns() == [0]
-        _record(m, 1, [4, 14], [6, 16], sep=0)  # another separator width
-        assert m.known_columns() == [0]
-        _record(m, 1, [4, 14], [6, 16])
+        _record(m, [([0], [1]), ([2], [3])])
+        _record(m, [([0], [1])])  # narrower: the frame stays
         assert m.known_columns() == [0, 1]
+        _record(m, [([0], [1]), ([2], [3]), ([4], [5])])
+        assert m.known_columns() == [0, 1, 2]
+
+    def test_frames_that_disagree_with_the_last_bound_are_dropped(self):
+        m = PositionalMap()
+        _record(m, [([0, 10], [3, 13])])
+        _record(m, [([0, 10], [4, 14]), ([5, 15], [6, 16])])  # 1 starts at 5, not 4
+        assert m.known_columns() == [0]
+        _record(m, [([0, 10], [4, 14]), ([4, 14], [6, 16])], sep=0)  # other width
+        assert m.known_columns() == [0]
+        _record(m, [([0, 10], [3, 13]), ([4, 14], [6, 16])])
+        assert m.known_columns() == [0, 1]
+
+    def test_a_wider_frame_is_taken_whole(self):
+        m = PositionalMap()
+        _record(m, [([0, 10], [3, 13])])
+        wider = _frame([([0, 10], [3, 13]), ([4, 14], [6, 16])])
+        m.record_frame(wider, sep=1)
+        assert m.slices_for(1)[0].tolist() == [4, 14]
+        assert m.nbytes == wider.nbytes
 
 
 class TestAnchors:
@@ -71,22 +93,20 @@ class TestAnchors:
 
     def test_closest_predecessor_wins(self):
         m = PositionalMap()
-        for col in range(4):
-            _record(m, col, [2 * col], [2 * col + 1])
+        _record(m, [([2 * col], [2 * col + 1]) for col in range(4)])
         col, offsets = anchor_for(m, 4)
         assert col == 3
         assert list(offsets) == [6]
 
-    def test_later_columns_ignored(self):
+    def test_columns_past_the_frame_are_unknown(self):
         m = PositionalMap()
-        _record(m, 5, [9], [11])
-        assert not m.knows_column(5)
-        assert anchor_for(m, 2) is None
+        _record(m, [([0], [1]), ([2], [3])])
+        assert not m.knows_column(2) and not m.knows_column(-1)
+        assert anchor_for(m, 5)[0] == 1
 
     def test_exact_column_anchor(self):
         m = PositionalMap()
-        for col in range(3):
-            _record(m, col, [2 * col], [2 * col + 1])
+        _record(m, [([2 * col], [2 * col + 1]) for col in range(3)])
         col, _ = anchor_for(m, 2)
         assert col == 2
 
@@ -95,8 +115,7 @@ class TestSlices:
     def test_slices_for_known_column(self):
         m = PositionalMap()
         assert not m.knows_column(1)
-        _record(m, 0, [0, 10], [1, 11])
-        _record(m, 1, [2, 12], [4, 14])
+        _record(m, [([0, 10], [1, 11]), ([2, 12], [4, 14])])
         assert m.knows_column(1)
         starts, ends = m.slices_for(1)
         assert list(starts) == [2, 12]
@@ -104,13 +123,13 @@ class TestSlices:
 
     def test_unknown_column_raises(self):
         m = PositionalMap()
-        _record(m, 0, [0], [1])
+        _record(m, [([0], [1])])
         with pytest.raises(KeyError):
             m.slices_for(1)
 
     def test_rows_select_before_the_end_is_derived(self):
         m = PositionalMap()
-        _record(m, 0, [0, 10, 20, 30], [3, 13, 23, 33])
+        _record(m, [([0, 10, 20, 30], [3, 13, 23, 33])])
         rows = np.array([3, 1])
         starts, ends = m.slices_for(0, rows)
         assert list(starts) == [30, 10]
@@ -119,17 +138,23 @@ class TestSlices:
 
     def test_fixed_width_spans_abut(self):
         m = PositionalMap()
-        _record(m, 0, [0, 6], [2, 8], sep=0)
-        _record(m, 1, [2, 8], [5, 11], sep=0)
+        _record(m, [([0, 6], [2, 8]), ([2, 8], [5, 11])], sep=0)
         assert m.sep == 0
         assert list(m.slices_for(0)[1]) == [2, 8]
         assert list(m.slices_for(1)[1]) == [5, 11]
 
-    def test_end_length_mismatch_rejected(self):
+    def test_run_slices_cut_adjacent_columns_from_one_gather(self):
         m = PositionalMap()
-        m.record_nrows(2)
-        with pytest.raises(ValueError):
-            _record(m, 0, [0, 10], [3])
+        _record(m, [([0, 10], [1, 11]), ([2, 12], [4, 14]), ([5, 15], [6, 16])])
+        spans = m.run_slices([1, 2], np.array([1]))
+        assert {c: [a.tolist() for a in se] for c, se in spans.items()} == {
+            1: [[12], [14]],
+            2: [[15], [16]],
+        }
+        with pytest.raises(KeyError):
+            m.run_slices([0, 2])  # not adjacent
+        with pytest.raises(KeyError):
+            m.run_slices([2, 3])  # column 3 unknown
 
     def test_geometry_first_writer_wins(self):
         m = PositionalMap()
@@ -149,7 +174,7 @@ class TestLifecycle:
     def test_clear(self):
         m = PositionalMap()
         m.record_nrows(1)
-        _record(m, 0, [0], [1])
+        _record(m, [([0], [1])])
         m.record_text_geometry(nbytes=2, nchars=2)
         m.clear()
         assert m.nrows is None
@@ -158,18 +183,30 @@ class TestLifecycle:
         assert m.text_geometry is None
         assert not m.sliceable
 
-    def test_known_columns_sorted(self):
-        m = PositionalMap()
-        _record(m, 1, [1], [2])
-        _record(m, 0, [0], [1])
-        _record(m, 1, [2], [3])
-        assert m.known_columns() == [0, 1]
+    def test_truncate_copies_the_kept_columns(self):
+        m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])})
+        frame = m.frame
+        m.truncate(1)
+        assert m.known_columns() == [0]
+        assert not np.shares_memory(m.frame, frame)
+        assert m.nbytes == 2 * 2 * 8
+        m.truncate(0)
+        assert m.known_columns() == [] and m.nbytes == 0
+
+    def test_extends_notices_a_clear_and_a_reframe(self):
+        m = _map(2, {0: ([0, 4], [1, 5])})
+        snapshot = m.copy()
+        _record(m, [([0, 4], [1, 5]), ([2, 6], [3, 7])])  # widened
+        assert m.extends(snapshot)
+        m.clear()
+        _record(m, [([0, 4], [2, 5]), ([3, 6], [4, 7])])  # framed afresh
+        assert not m.extends(snapshot)
 
     def test_export_round_trip(self):
         m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])}, (8, 8))
-        meta, arrays = m.export()
-        assert len(arrays) == 3  # one boundary per known column, plus one
-        back = PositionalMap.from_export(meta, arrays)
+        meta, frame = m.export()
+        assert frame.shape == (2, 3)  # one boundary per known column, plus one
+        back = PositionalMap.from_export(meta, frame)
         assert back.known_columns() == [0, 1]
         assert back.nrows == 2 and back.sep == 1 and back.text_geometry == (8, 8)
         for col in (0, 1):
@@ -178,19 +215,21 @@ class TestLifecycle:
             ]
 
     def test_export_inconsistency_rejected(self):
-        meta, arrays = _map(2, {0: ([0, 4], [1, 5])}).export()
+        meta, frame = _map(2, {0: ([0, 4], [1, 5])}).export()
         with pytest.raises(ValueError):
-            PositionalMap.from_export(meta, arrays[:1])
+            PositionalMap.from_export(meta, frame[:, :1])
         with pytest.raises(ValueError):
-            PositionalMap.from_export(meta, [arrays[0], arrays[1][:1]])
+            PositionalMap.from_export(meta, frame[:1])
+        with pytest.raises(ValueError):
+            PositionalMap.from_export(meta, None)
 
 
 def _map(nrows, spans=None, geometry=None):
     """A map over ``nrows`` rows; ``spans`` is ``{col: (starts, ends)}``."""
     m = PositionalMap()
     m.record_nrows(nrows)
-    for col, (starts, ends) in (spans or {}).items():
-        _record(m, col, starts, ends)
+    if spans:
+        _record(m, [spans[col] for col in sorted(spans)])
     if geometry is not None:
         m.record_text_geometry(*geometry)
     return m
@@ -252,8 +291,8 @@ def _learned(widths: np.ndarray, sep: int, known: int) -> PositionalMap:
     spans, nchars = _layout(widths, sep)
     m = PositionalMap()
     m.record_nrows(len(widths))
-    for col in range(known):
-        m.record_field_offsets(col, *spans[col], sep=sep)
+    if known:
+        m.record_frame(_frame(spans[:known], sep), sep=sep)
     m.record_text_geometry(nchars, nchars)
     return m
 
@@ -264,8 +303,8 @@ _WIDTHS = st.integers(0, 6)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), ncols=st.integers(1, 4), sep=st.sampled_from([0, 1]))
 def test_boundary_map_matches_a_dict_of_spans(data, ncols, sep):
-    """Any sequence of record_field_offsets and extend_tail leaves
-    ``slices_for`` equal to a plain ``{col: (starts, ends)}`` model."""
+    """Any sequence of record_frame and extend_tail leaves ``slices_for``
+    equal to a plain ``{col: (starts, ends)}`` model."""
 
     def draw_widths(min_rows):
         nrows = data.draw(st.integers(min_rows, 6))
@@ -282,10 +321,10 @@ def test_boundary_map_matches_a_dict_of_spans(data, ncols, sep):
         spans, _ = _layout(widths, sep)
         op = data.draw(st.sampled_from(["record", "append"]))
         if op == "record":
-            col = data.draw(st.integers(0, ncols - 1))
-            m.record_field_offsets(col, *spans[col], sep=sep)
-            if col == len(model):
-                model[col] = spans[col]
+            width = data.draw(st.integers(1, ncols))
+            m.record_frame(_frame(spans[:width], sep), sep=sep)
+            if width > len(model):
+                model = {c: spans[c] for c in range(width)}
         else:
             tail = draw_widths(0)
             known = data.draw(st.integers(0, ncols))

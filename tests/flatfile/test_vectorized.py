@@ -306,8 +306,8 @@ def _scalar_warm_map(data: bytes, adapter, ncols: int, keep: int) -> PositionalM
     pmap = PositionalMap()
     if learned.nrows is not None:
         pmap.record_nrows(learned.nrows)
-    for col in learned.known_columns()[:keep]:
-        pmap.record_field_offsets(col, *learned.slices_for(col), sep=adapter.sep)
+    if keep and learned.frame is not None:
+        pmap.record_frame(learned.frame[:, : keep + 1], sep=adapter.sep)
     if learned.text_geometry is not None:
         pmap.record_text_geometry(*learned.text_geometry)
     return pmap
@@ -359,7 +359,10 @@ def test_kernel_counters_are_the_work_done(case, pred_cols, keep):
     garbage = PositionalMap()
     if warm.nrows is not None:
         garbage.record_frame(
-            [np.arange(warm.nrows) * (c + 7) % 11 for c in range(keep + 1)], sep=1
+            np.column_stack(
+                [np.arange(warm.nrows) * (c + 7) % 11 for c in range(keep + 1)]
+            ),
+            sep=1,
         )
     stats = []
     for pmap in (PositionalMap(), warm, garbage):
@@ -604,7 +607,7 @@ class TestKernelDeclines:
         scalar_tokenize_bytes(data, CSV, 3, [1], positional_map=warm)
         assert warm.knows_column(1)
         garbage = PositionalMap()
-        garbage.record_frame([np.array([9, 0]), np.array([3, 11]), np.array([7, 2])], sep=1)
+        garbage.record_frame(np.array([[9, 3, 7], [0, 11, 2]]), sep=1)
         assert garbage.known_columns() == [0, 1]
         outs = []
         for pmap in (PositionalMap(), warm, garbage):
@@ -678,10 +681,6 @@ class TestBulkLearning:
 
     def test_first_writer_wins(self):
         pmap = PositionalMap()
-        pmap.record_field_offsets(
-            0, np.array([7], dtype=np.int64), np.array([9], dtype=np.int64), sep=1
-        )
-        pmap.record_field_offsets(
-            0, np.array([0], dtype=np.int64), np.array([1], dtype=np.int64), sep=1
-        )
+        pmap.record_frame(np.array([[7, 10]]), sep=1)
+        pmap.record_frame(np.array([[0, 2]]), sep=1)
         assert pmap.slices_for(0)[0].tolist() == [7]

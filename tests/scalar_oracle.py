@@ -190,14 +190,17 @@ def tokenize_columns(
         stats.rows_emitted += 1
 
     if learn and positional_map is not None:
-        for col, offsets in learned.items():
-            if len(offsets) == nrows and not positional_map.knows_column(col):
-                positional_map.record_field_offsets(
-                    col,
-                    np.asarray(offsets, dtype=np.int64),
-                    np.asarray(learned_ends[col], dtype=np.int64),
-                    sep=1,
-                )
+        # The known prefix, extended by every column spanned in all rows
+        # right of it, as one frame.
+        known = len(positional_map.known_columns())
+        width = known
+        while width in learned and len(learned[width]) == nrows:
+            width += 1
+        if width > known:
+            bounds = [positional_map.slices_for(c)[0] for c in range(known)]
+            bounds += [np.asarray(learned[c], dtype=np.int64) for c in range(known, width)]
+            bounds.append(np.asarray(learned_ends[width - 1], dtype=np.int64) + 1)
+            positional_map.record_frame(np.column_stack(bounds), sep=1)
 
     return TokenizeResult(
         fields=out_fields,
@@ -293,8 +296,8 @@ def scalar_tokenize_framed(
             positional_map=full,
             skip_rows=kwargs.get("skip_rows", 0),
         )
-        for col in full.known_columns():
-            pmap.record_field_offsets(col, *full.slices_for(col), sep=adapter.sep)
+        if full.frame is not None:
+            pmap.record_frame(full.frame, sep=adapter.sep)
     return result
 
 

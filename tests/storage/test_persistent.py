@@ -134,11 +134,12 @@ class TestRoundTrip:
         pm.record_nrows(nrows)
         ncols = data.draw(st.integers(min_value=0, max_value=4))
         sep = data.draw(st.sampled_from([0, 1]))
-        starts = np.resize(data.draw(offsets_arrays), nrows)
-        for col in range(ncols):
-            ends = starts + data.draw(st.integers(min_value=0, max_value=99))
-            pm.record_field_offsets(col, starts, ends, sep=sep)
-            starts = ends + sep
+        bounds = [np.resize(data.draw(offsets_arrays), nrows)]
+        for _ in range(ncols):
+            ends = bounds[-1] + data.draw(st.integers(min_value=0, max_value=99))
+            bounds.append(ends + sep)
+        if ncols:
+            pm.record_frame(np.column_stack(bounds), sep=sep)
         if data.draw(st.booleans()):
             pm.record_text_geometry(1000, 1000)
 
@@ -392,12 +393,7 @@ class TestDamage:
         store = PersistentStore(tmp_path / "store")
         fp = FileFingerprint.of(source)
         pm = PositionalMap()
-        pm.record_field_offsets(
-            0,
-            np.array([4, 8], dtype=np.int64),
-            np.array([5, 9], dtype=np.int64),
-            sep=1,
-        )
+        pm.record_frame(np.array([[4, 6], [8, 10]]), sep=1)
         store.save(
             _state(
                 source,
@@ -427,7 +423,7 @@ class TestDamage:
 
     def test_missing_posmap_file_is_a_miss(self, tmp_path):
         source, store, fp, edir = self._saved(tmp_path)
-        (edir / "pm_b0.bin").unlink()
+        (edir / "pm.bin").unlink()
         assert store.load(source, fp).state is None
 
     def test_mid_write_crash_leaves_old_entry_or_miss(self, tmp_path):
@@ -617,8 +613,8 @@ def _committed(store_dir) -> dict[str, bytes]:
     m = _manifest(store_dir)
     pm, n = m["positional_map"], m["nrows"]
     sizes = {}
-    for name in pm["files"]:
-        sizes[name] = pm["nrows"] * 8
+    if pm["file"] is not None:
+        sizes[pm["file"]] = pm["nrows"] * (pm["columns"] + 1) * 8
     for col in m["columns"].values():
         if "file" in col:
             sizes[col["file"]] = n * 8
@@ -636,6 +632,15 @@ def _committed(store_dir) -> dict[str, bytes]:
 def _inodes(store_dir) -> dict[str, int]:
     edir = _entry_dir(store_dir)
     return {name: (edir / name).stat().st_ino for name in _committed(store_dir)}
+
+
+def _tail_bound(store_dir, rows: int, inodes: dict[str, int]) -> int:
+    """Bytes a save that appends ``rows`` may write: 8 a row for each
+    array file and for each further frame column of ``pm.bin`` (which
+    holds ``columns + 1`` of them), plus the manifest."""
+    manifest_bytes = (_entry_dir(store_dir) / "manifest.json").stat().st_size
+    words = len(inodes) + _manifest(store_dir)["positional_map"]["columns"]
+    return rows * 8 * words + manifest_bytes
 
 
 def _run(path, store_dir, plan: FaultPlan | None = None):
@@ -697,8 +702,7 @@ class TestAppendOnlySave:
             assert _committed(store) == _committed(cold_store)
             if after["schema"] == before["schema"]:
                 assert {n: _inodes(store)[n] for n in inodes} == inodes
-                manifest_bytes = (_entry_dir(store) / "manifest.json").stat().st_size
-                tail_bound = added * 8 * len(inodes) + manifest_bytes
+                tail_bound = _tail_bound(store, added, inodes)
                 assert stats.snapshot()["persist_bytes_written"] <= tail_bound
 
     def test_tail_append_save_writes_kilobytes_not_the_entry(self, tmp_path):
@@ -724,8 +728,7 @@ class TestAppendOnlySave:
         written = engine.stats.snapshot()["persist_bytes_written"]
         engine.close()
 
-        manifest_bytes = (_entry_dir(store) / "manifest.json").stat().st_size
-        assert 0 < written <= 1_000 * 8 * len(inodes) + manifest_bytes
+        assert 0 < written <= _tail_bound(store, 1_000, inodes)
         assert _inodes(store) == inodes
 
     def test_commit_fault_keeps_the_old_prefix(self, tmp_path):
@@ -789,8 +792,7 @@ class TestAppendOnlySave:
 
         (first, _, inodes), (grown, written, inodes_after) = saves
         assert (first, grown) == (300, 360)
-        manifest_bytes = (_entry_dir(store) / "manifest.json").stat().st_size
-        assert written <= 60 * 8 * len(inodes) + manifest_bytes
+        assert written <= _tail_bound(store, 60, inodes)
         assert inodes_after == inodes
         rows, stats = _run(path, store)
         assert rows == _oracle(path)
@@ -892,24 +894,27 @@ class TestLayout:
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert "pm_rows.bin" not in names
         manifest = _manifest(store_dir)
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         assert "partitions" not in manifest
         assert set(manifest["positional_map"]) == {
-            "nrows", "sep", "columns", "text_geometry", "files"
+            "nrows", "sep", "columns", "text_geometry", "file"
         }
         assert names == {"manifest.json", *_committed(store_dir)}
 
-    def test_one_boundary_file_per_known_column_plus_one(self, tmp_path):
+    def test_one_map_file_of_nrows_by_known_columns_plus_one(self, tmp_path):
         """Field ends are derived, not stored: columns 0..K known means
-        ``pm_b0 .. pm_b<K+1>`` and no end-offset files."""
+        one ``pm.bin`` of ``nrows x (K + 2)`` int64s and no other map
+        file."""
         path = tmp_path / "log.csv"
         path.write_text(_log_rows(0, 300))
         _run(path, tmp_path / "store")
         pm = _manifest(tmp_path / "store")["positional_map"]
         assert pm["columns"] >= 1 and pm["sep"] == 1
-        assert pm["files"] == [f"pm_b{j}.bin" for j in range(pm["columns"] + 1)]
-        names = {p.name for p in _entry_dir(tmp_path / "store").iterdir()}
-        assert not any(n.startswith(("pm_s", "pm_e")) for n in names)
+        assert pm["file"] == "pm.bin"
+        edir = _entry_dir(tmp_path / "store")
+        assert (edir / "pm.bin").stat().st_size == 300 * (pm["columns"] + 1) * 8
+        names = {p.name for p in edir.iterdir()}
+        assert [n for n in names if n.startswith("pm")] == ["pm.bin"]
 
     def test_version_1_entry_is_a_miss_then_rewritten(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -936,7 +941,7 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 4
+        assert _manifest(store_dir)["version"] == 5
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
 
@@ -957,8 +962,7 @@ class TestLayout:
                     np.zeros(pm["nrows"], dtype=np.int64).tobytes()
                 )
             columns[str(col)] = {"starts": f"pm_s{col}.bin", "ends": f"pm_e{col}.bin"}
-        for name in pm.pop("files"):
-            (edir / name).unlink()
+        (edir / pm.pop("file")).unlink()
         del pm["sep"]
         pm["columns"] = columns
         manifest["version"] = 2
@@ -970,10 +974,40 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 4
+        assert _manifest(store_dir)["version"] == 5
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
         assert not any(n.startswith(("pm_s", "pm_e")) for n in names)
+
+    def test_version_4_entry_is_a_miss_then_rewritten(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 50))
+        store_dir = tmp_path / "store"
+        _run(path, store_dir)
+        # Dress the entry as the version-4 layout: one int64 file per
+        # boundary, K + 2 of them, named in the manifest's ``files``.
+        edir = _entry_dir(store_dir)
+        manifest = _manifest(store_dir)
+        pm = manifest["positional_map"]
+        frame = np.fromfile(edir / pm["file"], dtype=np.int64)
+        frame = frame.reshape(pm["nrows"], pm["columns"] + 1)
+        (edir / pm.pop("file")).unlink()
+        pm["files"] = [f"boundary_{j}.bin" for j in range(frame.shape[1])]
+        for j, name in enumerate(pm["files"]):
+            (edir / name).write_bytes(np.ascontiguousarray(frame[:, j]).tobytes())
+        manifest["version"] = 4
+        (edir / "manifest.json").write_text(json.dumps(manifest))
+
+        outcome = PersistentStore(store_dir).load(path, FileFingerprint.of(path))
+        assert outcome.state is None and not outcome.invalidated
+
+        rows, stats = _run(path, store_dir)
+        assert rows == _oracle(path)
+        assert stats.counters.restart_warm_hits == 0
+        assert _manifest(store_dir)["version"] == 5
+        names = {p.name for p in _entry_dir(store_dir).iterdir()}
+        assert names == {"manifest.json", *_committed(store_dir)}
+        assert "pm.bin" in names
 
     def test_restart_then_a_full_frame_matches_oracle(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -59,7 +59,7 @@ def _manifest(store_dir) -> dict:
 def _committed_sizes(manifest: dict) -> dict[str, int]:
     """Committed bytes of every array file the manifest names."""
     n, pm = manifest["nrows"], manifest["positional_map"]
-    sizes = {name: pm["nrows"] * 8 for name in pm["files"]}
+    sizes = {pm["file"]: pm["nrows"] * (pm["columns"] + 1) * 8} if pm["file"] else {}
     for col in manifest["columns"].values():
         if "file" in col:
             sizes[col["file"]] = n * 8
@@ -129,7 +129,7 @@ class TestTailAppend:
 
         after = _manifest(store)
         s_before, s_after = before["columns"]["s"], after["columns"]["s"]
-        assert after["version"] == 4
+        assert after["version"] == 5
         assert after["nrows"] == 340
         assert s_after["entries"] == s_before["entries"] + 2  # "あ", "zz"
         grown = {
@@ -246,7 +246,7 @@ class TestRestart:
             assert engine.stats.counters.restart_warm_hits == 0
             engine.flush_persistent_store()
         manifest = _manifest(store)
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         names = {p.name for p in _entry_dir(store).iterdir()}
         assert names == {"manifest.json", *_committed_sizes(manifest)}
         with _engine(store) as engine:

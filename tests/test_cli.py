@@ -320,3 +320,18 @@ class TestServeSubcommand:
             assert conn.execute("select count(*) from t").rows() == [(500,)]
         finally:
             server.close()
+
+
+def test_widened_column_error_is_a_clean_message(tmp_path):
+    """A comparison on a column the query's own load widened to ``str``
+    prints one error line, not a traceback."""
+    path = tmp_path / "r.csv"
+    path.write_text(
+        "".join(f"{i},{3 * i}\n" if i != 222 else "x222,666\n" for i in range(300))
+    )
+    code, out, err = run_cli(
+        "select a1, count(*) from t group by a1 having a1 > 10", str(path)
+    )
+    assert code != 0
+    assert err.startswith("error: cannot evaluate")
+    assert "Traceback" not in out + err
