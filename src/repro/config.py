@@ -84,8 +84,8 @@ class EngineConfig:
         on-disk cache of learned state (positional-map field spans,
         widened schemas, zone maps, fully loaded columns).  A fresh engine
         pointed at a warm ``store_dir`` restores a table restart-warm —
-        numeric columns come back as shared read-only ``np.memmap``
-        arrays — instead of re-paying the cold scan; entries are written
+        numeric columns come back as shared read-only mapped arrays —
+        instead of re-paying the cold scan; entries are written
         off the query path after a cold load and invalidated whenever
         the source file's fingerprint changes.  ``None`` (default)
         disables persistence.

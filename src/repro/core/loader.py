@@ -342,18 +342,23 @@ def _zone_candidates(
     type (a widening drops the column's zones), and the zone test uses
     the same comparison operators as the predicate itself.
     """
-    candidates = np.arange(nrows, dtype=np.int64)
-    zone_skips = 0
     zmi = entry.zone_maps if config.zone_maps else None
-    if zmi is None or zmi.nrows != nrows:
-        return candidates, zone_skips
-    for col, interval in intervals.items():
-        keep = zmi.zone_keep_mask(col, interval)
-        if keep is None or bool(keep.all()):
-            continue
-        candidates = candidates[keep[zmi.zone_of_rows(candidates)]]
-        zone_skips += int(len(keep) - keep.sum())
-    return candidates, zone_skips
+    alive = None
+    zone_skips = 0
+    if zmi is not None and zmi.nrows == nrows:
+        for col, interval in intervals.items():
+            keep = zmi.zone_keep_mask(col, interval)
+            if keep is None or bool(keep.all()):
+                continue
+            zone_skips += int(len(keep) - keep.sum())
+            alive = keep if alive is None else alive & keep
+    if alive is None:
+        return np.arange(nrows, dtype=np.int64), zone_skips
+    # Rows of the surviving zones only, zone by zone; the last zone may
+    # be partial, so its rows past ``nrows`` are cut.
+    step = zmi.zone_rows
+    rows = (np.flatnonzero(alive)[:, None] * step + np.arange(step)).ravel()
+    return rows[: np.searchsorted(rows, nrows)], zone_skips
 
 
 def _column_runs(cols: list[int]) -> list[list[int]]:

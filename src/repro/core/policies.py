@@ -162,9 +162,11 @@ class LoadingPolicy:
         Runs under the shared *read* lock like every warm serve.  The
         cracker owns a copy of the base column and is only mutated under
         ``entry.cracker_lock``, so the read-lock contract (no entry,
-        store or posmap mutation) holds.  The returned view presents
-        exactly the qualifying rows in file order; the executor
-        re-applies the WHERE conjuncts, which is then a no-op.
+        store or posmap mutation) holds.  The returned view presents the
+        cracked slice in file order: the rows of the cracked column's
+        interval, plus the NaN rows a one-sided interval keeps right of
+        its cut.  The executor re-applies every WHERE conjunct, which
+        drops those and filters on the other condition columns.
         """
         cfg = ctx.config
         if not cfg.cracking or ctx.advisor is None or ctx.condition.is_trivial():
@@ -187,7 +189,8 @@ class LoadingPolicy:
             pcs[name] = pc
         crack_on = None
         for col, interval in ctx.condition.items:
-            if pcs[col].dtype.is_numeric and _crackable(interval):
+            pc = pcs[col]
+            if pc.dtype.is_numeric and _crackable(interval, pc.values.dtype.kind):
                 crack_on = (col, interval)
                 break
         if crack_on is None:
@@ -219,14 +222,6 @@ class LoadingPolicy:
             before = cracker.stats.cracks
             rowids = np.sort(cracker.select_rowids(interval))
             ctx.qstats.cracks += cracker.stats.cracks - before
-        # Exact qualifying set: re-mask every conjunct over the cracked
-        # candidates.  For the cracked column this pins down open/closed
-        # edges and NaNs (which the cracker keeps right of every cut);
-        # for the others it is the usual residual-range filtering.
-        keep = np.ones(len(rowids), dtype=bool)
-        for ccol, cinterval in ctx.condition.items:
-            keep &= cinterval.mask(pcs[ccol].values[rowids])
-        rowids = rowids[keep]
         arrays = {}
         for name in ctx.needed:
             pc = pcs[name.lower()]
@@ -277,9 +272,16 @@ class LoadingPolicy:
         )
 
 
-def _crackable(interval: ValueInterval) -> bool:
-    """Can a cracker answer this interval?  Needs at least one finite,
-    non-bool numeric bound (NaN pivots are refused by the cracker)."""
+def _crackable(interval: ValueInterval, kind: str) -> bool:
+    """Can a cracker over a column of dtype ``kind`` answer this interval?
+
+    Needs at least one finite, non-bool numeric bound (NaN pivots are
+    refused by the cracker).  A bound of the other numeric kind than the
+    column, of magnitude 2**53 or more, declines too: NumPy compares it
+    with the column in float64, where neighbouring int64 values round
+    together, while the cracker orders its cuts by Python's exact
+    comparison, so the cut positions would stop being monotone.
+    """
     if interval.lo is None and interval.hi is None:
         return False
     for bound in (interval.lo, interval.hi):
@@ -289,7 +291,10 @@ def _crackable(interval: ValueInterval) -> bool:
             bound, (int, float, np.integer, np.floating)
         ):
             return False
-        if isinstance(bound, (float, np.floating)) and math.isnan(bound):
+        is_float = isinstance(bound, (float, np.floating))
+        if is_float and math.isnan(bound):
+            return False
+        if is_float != (kind == "f") and abs(bound) >= 2**53:
             return False
     return True
 

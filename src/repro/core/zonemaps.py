@@ -204,10 +204,6 @@ class ZoneMapIndex:
             )
         return keep
 
-    def zone_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Zone index of each row id (zones are fixed-size row ranges)."""
-        return rows // self.zone_rows
-
     # --------------------------------------------------------- persistence
 
     def snapshot(self) -> "ZoneMapIndex":

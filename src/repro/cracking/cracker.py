@@ -67,29 +67,14 @@ class CrackerColumn:
     def __len__(self) -> int:
         return len(self.values)
 
-    # ------------------------------------------------------------- pieces
-
-    def _piece_bounds(self, key: tuple) -> tuple[int, int]:
-        """Start/end of the piece a cut with ``key`` would fall into."""
-        keys = [k for k, _ in self.cuts]
-        i = bisect.bisect_left(keys, key)
-        start = self.cuts[i - 1][1] if i > 0 else 0
-        end = self.cuts[i][1] if i < len(self.cuts) else len(self.values)
-        return start, end
-
-    def _find_cut(self, key: tuple) -> int | None:
-        keys = [k for k, _ in self.cuts]
-        i = bisect.bisect_left(keys, key)
-        if i < len(self.cuts) and self.cuts[i][0] == key:
-            return self.cuts[i][1]
-        return None
-
     def crack(self, value, inclusive: bool) -> int:
         """Partition around ``value``; returns the cut position.
 
         ``inclusive=False`` produces an LT cut (left side ``< value``),
         ``inclusive=True`` an LE cut (left side ``<= value``).  Idempotent:
-        re-cracking an existing cut touches nothing.
+        re-cracking an existing cut touches nothing.  One bisect over the
+        cut list finds both an existing cut and the piece a new one falls
+        into, and the new cut is inserted at that same index.
         """
         if isinstance(value, (float, np.floating)) and math.isnan(value):
             # NaN compares False against everything: the "cut" would be a
@@ -97,24 +82,27 @@ class CrackerColumn:
             # comparison direction.  Refuse cleanly instead.
             raise ExecutionError("cannot crack on a NaN pivot")
         key = (value, _LE if inclusive else _LT)
-        existing = self._find_cut(key)
-        if existing is not None:
-            return existing
-        start, end = self._piece_bounds(key)
+        cuts = self.cuts
+        # ``(key,)`` sorts before every ``(key, pos)`` and after every
+        # smaller key, so ``i`` is the first cut whose key is >= ``key``.
+        i = bisect.bisect_left(cuts, (key,))
+        right = cuts[i] if i < len(cuts) else None
+        if right is not None and right[0] == key:
+            return right[1]
+        start = cuts[i - 1][1] if i else 0
+        end = len(self.values) if right is None else right[1]
         piece = self.values[start:end]
         mask = (piece <= value) if inclusive else (piece < value)
         left = np.nonzero(mask)[0]
-        right = np.nonzero(~mask)[0]
         pos = start + len(left)
         if 0 < len(left) < len(piece):
-            order = np.concatenate((left, right))
+            order = np.concatenate((left, np.nonzero(~mask)[0]))
             self.values[start:end] = piece[order]
             self.rowids[start:end] = self.rowids[start:end][order]
             self.stats.rows_moved += len(piece)
         self.stats.cracks += 1
-        keys = [k for k, _ in self.cuts]
-        self.cuts.insert(bisect.bisect_left(keys, key), (key, pos))
-        self.stats.pieces = len(self.cuts) + 1
+        cuts.insert(i, (key, pos))
+        self.stats.pieces = len(cuts) + 1
         return pos
 
     # ------------------------------------------------------------- selects

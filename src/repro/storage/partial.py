@@ -97,7 +97,7 @@ class PartialColumn:
             self.values = self.values.put(row_ids, self._typed(values))
         else:
             if not self.values.flags.writeable:
-                # Restored from the persistent store as a read-only memmap:
+                # Restored from the persistent store as a read-only mapping:
                 # copy-on-write to the heap before mutating in place.
                 self.values = np.array(self.values)
             self.values[row_ids] = self._typed(values)
@@ -122,8 +122,8 @@ class PartialColumn:
         """Adopt an externally materialized full column (restart-warm).
 
         Unlike :meth:`store_full` this keeps the array object as-is: a
-        read-only ``np.memmap`` from the persistent store (a numeric
-        column's values, a string column's codes) stays a memmap, sharing
+        read-only mapped array from the persistent store (a numeric
+        column's values, a string column's codes) stays mapped, sharing
         its pages with every co-located engine instead of being copied
         onto the heap by ``np.asarray``'s dtype coercion.
         """
@@ -218,13 +218,16 @@ class PartialColumn:
 
     @property
     def is_mapped(self) -> bool:
-        """Backed by the persistent store's read-only ``np.memmap``.
+        """Backed by the persistent store's read-only mapping.
 
+        A restore hands out a plain view of an ``np.memmap``, so this
+        asks the view's ``.base``: any copy onto the heap (``store``,
+        ``grow``, ``widen``, ``store_full``) has another base or none.
         Dropping such a column releases the mapping, never the file.  A
         string column never is: even with memmapped codes its dictionary
         is decoded onto the heap, so it counts against the heap budget.
         """
-        return isinstance(self.values, np.memmap)
+        return isinstance(getattr(self.values, "base", None), np.memmap)
 
     def covers_query(self, query: Condition) -> bool:
         return any(cert.covers_query(query) for cert in self.certificates)

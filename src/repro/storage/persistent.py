@@ -74,14 +74,16 @@ Invariants
   digest of the committed dictionary bytes: a column whose in-memory
   dictionary does not start with them (it was assembled in another
   order) rewrites both files whole instead.
-* **Shared pages.**  Numeric columns and string codes restore as
-  read-only ``np.memmap`` arrays: co-located engines, in one process or
-  several, mapping the same entry share one physical copy of the pages, and
-  "evicting" a mapped column just drops the mapping — the file stays for
-  the next engine.  Only a string column's dictionary — one entry per
-  distinct value — is decoded onto the heap, so a restored string column
-  counts against the heap budget.  Its codes are read once on restore,
-  to check that each names a dictionary entry.
+* **Shared pages.**  Numeric columns, string codes and the frame restore
+  as read-only mapped arrays: plain ``np.ndarray`` views of an
+  ``np.memmap``, which keep the mapping alive through ``.base`` without
+  the subclass's cost on every operation.  Co-located engines, in one
+  process or several, mapping the same entry share one physical copy of
+  the pages, and "evicting" a mapped column just drops the mapping — the
+  file stays for the next engine.  Only a string column's dictionary —
+  one entry per distinct value — is decoded onto the heap, so a restored
+  string column counts against the heap budget.  Its codes are read once
+  on restore, to check that each names a dictionary entry.
 """
 
 from __future__ import annotations
@@ -568,7 +570,7 @@ class PersistentStore:
                 path = self._checked(edir, entry["file"], nrows * _ITEMSIZE)
                 values = np.memmap(
                     path, dtype=dtype.numpy_dtype, mode="r", shape=(nrows,)
-                )
+                ).view(np.ndarray)
             else:
                 values = self._mapped_strings(edir, entry, nrows)
             columns[name] = values
@@ -601,7 +603,7 @@ class PersistentStore:
             dtype=CODE_DTYPE,
             mode="r",
             shape=(nrows,),
-        )
+        ).view(np.ndarray)
         entries = int(entry["entries"])
         if nrows and not (0 <= int(codes.min()) and int(codes.max()) < entries):
             raise ValueError(f"{entry['codes']}: a code names no dictionary entry")
@@ -616,7 +618,7 @@ class PersistentStore:
             dtype=np.int64,
             mode="r",
             shape=shape,
-        )
+        ).view(np.ndarray)
 
     @staticmethod
     def _checked(edir: Path, filename: str, expected_bytes: int) -> Path:

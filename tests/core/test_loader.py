@@ -1,10 +1,15 @@
 """Direct unit tests for the adaptive load passes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.core.loader import (
+    _zone_candidates,
     column_load_pass,
     external_pass,
     full_load_pass,
@@ -96,3 +101,54 @@ class TestHeaderHandling:
             entry, ["y"], Condition([("y", ValueInterval(15, None))]), CONFIG
         )
         assert partial.columns["y"].tolist() == [20, 30]
+
+
+@st.composite
+def _zone_keeps(draw):
+    """A row count, a zone size and per-column keep masks, some of them
+    declining (``None``) or keeping every zone."""
+    zone_rows = draw(st.integers(1, 9))
+    nzones = draw(st.integers(1, 12))
+    nrows = draw(st.integers((nzones - 1) * zone_rows + 1, nzones * zone_rows))
+    mask = st.lists(st.booleans(), min_size=nzones, max_size=nzones)
+    keeps = draw(
+        st.lists(
+            st.one_of(st.none(), st.just([True] * nzones), mask), min_size=1, max_size=3
+        )
+    )
+    return nrows, zone_rows, keeps
+
+
+class TestZoneCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(_zone_keeps())
+    def test_rows_of_surviving_zones_match_the_row_mask(self, drawn):
+        """Rows built zone by zone equal the rows a per-row gather of the
+        combined keep masks leaves, and the skip count sums the columns."""
+        nrows, zone_rows, keeps = drawn
+        masks = [None if k is None else np.array(k) for k in keeps]
+        zmi = SimpleNamespace(
+            nrows=nrows,
+            zone_rows=zone_rows,
+            zone_keep_mask=lambda col, interval: masks[col],
+        )
+        entry = SimpleNamespace(zone_maps=zmi)
+        intervals = {col: ValueInterval(0, None) for col in range(len(masks))}
+        rows, skips = _zone_candidates(entry, intervals, nrows, CONFIG)
+
+        expected = np.arange(nrows, dtype=np.int64)
+        expected_skips = 0
+        for keep in masks:
+            if keep is None or keep.all():
+                continue
+            expected = expected[keep[expected // zone_rows]]
+            expected_skips += int(len(keep) - keep.sum())
+        assert rows.dtype == np.int64
+        assert rows.tolist() == expected.tolist()
+        assert skips == expected_skips
+
+    def test_no_zone_maps_reads_every_row(self):
+        entry = SimpleNamespace(zone_maps=None)
+        rows, skips = _zone_candidates(entry, {0: ValueInterval(0, None)}, 7, CONFIG)
+        assert rows.tolist() == list(range(7))
+        assert skips == 0

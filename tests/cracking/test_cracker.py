@@ -1,4 +1,7 @@
-"""Tests for database cracking — invariants and answer correctness."""
+"""Tests for database cracking — invariants, answer correctness and the
+cost of one crack."""
+
+import math
 
 import numpy as np
 import pytest
@@ -128,3 +131,91 @@ class TestCrackingProperties:
             got_rows = sorted(c.select_rowids(interval).tolist())
             expected_rows = sorted(np.nonzero(interval.mask(arr))[0].tolist())
             assert got_rows == expected_rows
+
+
+class TestLongCrackSequences:
+    """Thousands of cracks on one column: every cut position equals the
+    count NumPy's mask gives over the base column, and so does every
+    selection."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["int", "float"]))
+    def test_two_thousand_cracks_match_numpy_masks(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "int":
+            base = rng.integers(-500, 500, size=3000)
+            # Repeated int pivots, and float ones both between and on the
+            # integers (all well inside float64's exact range).
+            pivots = np.concatenate(
+                [rng.integers(-520, 520, size=1000), rng.integers(-1040, 1040, size=1000) / 2]
+            ).tolist()
+            pivots = [int(p) if i < 1000 else float(p) for i, p in enumerate(pivots)]
+        else:
+            base = rng.normal(scale=100.0, size=3000).round(1)
+            base[rng.random(3000) < 0.05] = math.nan
+            pivots = (rng.normal(scale=120.0, size=2000).round(1)).tolist()
+        rng.shuffle(pivots)
+        c = CrackerColumn(base)
+        flavours = rng.integers(2, size=len(pivots)).astype(bool).tolist()
+        for i, (pivot, inclusive) in enumerate(zip(pivots, flavours)):
+            pos = c.crack(pivot, inclusive=inclusive)
+            left = (base <= pivot) if inclusive else (base < pivot)
+            assert pos == int(left.sum())
+            if i % 50 == 0:
+                lo, hi = sorted(rng.choice(pivots, size=2, replace=False).tolist())
+                interval = ValueInterval(lo, hi, lo_open=bool(i % 100), hi_open=True)
+                got = np.sort(c.select_rowids(interval))
+                assert got.tolist() == np.flatnonzero(interval.mask(base)).tolist()
+        c.check_invariants()
+        assert np.array_equal(base[c.rowids], c.values, equal_nan=True)
+        assert c.stats.pieces == len(c.cuts) + 1
+        moved, cracks = c.stats.rows_moved, c.stats.cracks
+        for pivot, inclusive in zip(pivots[:100], flavours):  # known cuts
+            c.crack(pivot, inclusive=inclusive)
+        assert (c.stats.rows_moved, c.stats.cracks) == (moved, cracks)
+
+
+class _CountingList(list):
+    """A cut list that counts every entry read through it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+class TestCrackCost:
+    """One crack reads O(log cuts) index entries, however the index is
+    stored: a deterministic guard on the cost of a warm range query."""
+
+    CUTS = 4096
+    BOUND = 2 * int(math.log2(CUTS)) + 4
+
+    @pytest.fixture
+    def cracked(self):
+        c = CrackerColumn(np.random.default_rng(1).permutation(4 * self.CUTS))
+        for pivot in range(0, 4 * self.CUTS, 4):
+            c.crack(pivot, inclusive=False)
+        assert len(c.cuts) == self.CUTS
+        c.cuts = _CountingList(c.cuts)
+        return c
+
+    @pytest.mark.parametrize("pivot", [-1, 0, 2, 4 * 2048 + 1, 4 * 4096 - 2, 10**6])
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_one_crack_reads_at_most_2_log2_cuts_plus_4_entries(
+        self, cracked, pivot, inclusive
+    ):
+        cracked.crack(pivot, inclusive=inclusive)
+        assert cracked.cuts.reads <= self.BOUND
+        cracked.check_invariants()
+
+    def test_a_known_cut_costs_the_same(self, cracked):
+        assert cracked.crack(4 * 1000, inclusive=False) == 4 * 1000
+        assert cracked.cuts.reads <= self.BOUND

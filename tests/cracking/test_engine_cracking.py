@@ -12,9 +12,13 @@ order of projections after the cracker has reordered its copy.
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.core.engine import NoDBEngine
@@ -38,8 +42,8 @@ def csv_file(tmp_path, data):
     return path
 
 
-def _engine(path, policy="fullload"):
-    engine = NoDBEngine(EngineConfig(policy=policy, crack_after=1))
+def _engine(path, policy="fullload", cracking=True):
+    engine = NoDBEngine(EngineConfig(policy=policy, crack_after=1, cracking=cracking))
     engine.attach("t", path)
     engine.query("select count(*) from t")  # pay the load once
     return engine
@@ -134,6 +138,19 @@ class TestSelect:
         assert count == mask.sum()
         assert total == data["a2"][mask].sum()
 
+    @pytest.mark.parametrize("where", ["a > 0", "a >= 1.5", "a < 3", "a <= 7.25"])
+    def test_one_sided_range_drops_nan_rows_like_the_mask_route(self, tmp_path, where):
+        """A one-sided cracked slice keeps the NaN rows right of its cut;
+        the executor's WHERE drops them."""
+        path = tmp_path / "f.csv"
+        values = ["1.5", "nan", "3.0", "-2.0", "NaN", "7.25", "nan"]
+        path.write_text("a,b\n" + "".join(f"{v},{i}\n" for i, v in enumerate(values)))
+        sql = f"select b from t where {where}"
+        with _engine(path) as cracked, _engine(path, cracking=False) as masked:
+            got = _rows(cracked, sql)
+            assert cracked.stats.last().served_by_cracker
+            assert got == _rows(masked, sql)
+
     def test_empty_range_answers_like_the_mask_route(self, csv_file):
         sql = "select count(*), sum(a2) from t where a1 > 600 and a1 < 400"
         with _engine(csv_file) as e:
@@ -183,3 +200,72 @@ class TestAggregate:
             assert e.stats.last().served_by_cracker
         mask = (values > -0.5) & (values < 0.25)
         assert got.rows()[0] == (mask.sum(), np.arange(NROWS)[mask].sum())
+
+
+B53 = 2**53
+
+
+def _rows(engine, sql):
+    return sorted(r[0] for r in engine.query(sql).rows())
+
+
+class TestPivotsPastFloatPrecision:
+    """Past 2**53 NumPy compares an int64 column with a float pivot (and a
+    float64 column with an int pivot) in float64, where neighbouring
+    integers round together; the cracker orders its cuts exactly.  Such
+    a pivot declines to the mask route, which every answer must equal."""
+
+    def test_mixed_bounds_past_2_53_answer_like_the_mask_route(self, tmp_path):
+        path = tmp_path / "t.csv"
+        a = [B53 - 2, B53 - 1, B53, B53 + 1, B53 + 2, B53 + 3, 5, B53 + 1]
+        path.write_text("a,b\n" + "".join(f"{v},{i}\n" for i, v in enumerate(a)))
+        queries = [
+            "select b from t where a >= 9007199254740992 and a < 9007199254740994",
+            "select b from t where a > 9007199254740991 and a <= 9007199254740992.0",
+            "select b from t where a >= 9007199254740993 and a <= 9007199254740994",
+        ]
+        with _engine(path) as cracked, _engine(path, cracking=False) as masked:
+            for sql in queries:
+                assert _rows(cracked, sql) == _rows(masked, sql)
+            assert _rows(cracked, queries[-1]) == [3, 4, 7]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        floats=st.booleans(),
+        sign=st.sampled_from([-1, 1]),
+        offsets=st.lists(st.integers(-4, 4), min_size=1, max_size=16),
+        queries=st.lists(
+            st.tuples(
+                st.sampled_from([None, ">", ">="]),
+                st.sampled_from([None, "<", "<="]),
+                st.tuples(st.integers(-4, 4), st.booleans()),
+                st.tuples(st.integers(-4, 4), st.booleans()),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_pivots_of_both_kinds_around_2_53(self, floats, sign, offsets, queries):
+        """Column values and pivots sit at ``sign * (2**53 + offset)``;
+        each pivot is an int or a float literal, on an int64 or a float64
+        column."""
+        values = [sign * (B53 + o) for o in offsets]
+        text = [repr(float(v)) if floats else str(v) for v in values]
+
+        def pivot(drawn):
+            off, as_float = drawn
+            v = sign * (B53 + off)
+            return repr(float(v)) if as_float else str(v)
+
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.csv"
+            path.write_text(
+                "a,b\n" + "".join(f"{v},{i}\n" for i, v in enumerate(text))
+            )
+            with _engine(path) as cracked, _engine(path, cracking=False) as masked:
+                for lo_op, hi_op, lo, hi in queries:
+                    terms = [f"a {lo_op} {pivot(lo)}"] if lo_op else []
+                    terms += [f"a {hi_op} {pivot(hi)}"] if hi_op else []
+                    where = " and ".join(terms) or "a = a"
+                    sql = f"select b from t where {where}"
+                    assert _rows(cracked, sql) == _rows(masked, sql), sql

@@ -38,6 +38,7 @@ from repro.config import EngineConfig
 from repro.core.engine import NoDBEngine
 from repro.faults import FaultPlan, FaultSpec
 from repro.flatfile.files import FileFingerprint
+from repro.flatfile.schema import DataType
 from repro.flatfile.positions import PositionalMap
 from repro.storage.persistent import (
     PersistedState,
@@ -174,7 +175,8 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_widened_schema_and_columns(self, names, data, tmp_path_factory):
         """Schema (including widened types) and column values round-trip;
-        numeric columns and string codes come back memmapped."""
+        numeric columns and string codes come back as plain arrays over
+        the store's mapping."""
         tmp_path = tmp_path_factory.mktemp("cols")
         source = _source(tmp_path)
         fp = FileFingerprint.of(source)
@@ -227,10 +229,12 @@ class TestRoundTrip:
         for name, dtype in schema:
             got = restored.columns[name]
             if dtype == "str":
-                assert isinstance(got.codes, np.memmap)
+                assert type(got.codes) is np.ndarray
+                assert isinstance(got.codes.base, np.memmap)
                 assert got.decode().tolist() == columns[name].decode().tolist()
             else:
-                assert isinstance(got, np.memmap)
+                assert type(got) is np.ndarray
+                assert isinstance(got.base, np.memmap)
                 assert not got.flags.writeable
                 np.testing.assert_array_equal(np.asarray(got), columns[name])
 
@@ -384,6 +388,67 @@ class TestStaleness:
 
 # ---------------------------------------------------------------------------
 # damage tolerance
+class TestRestoredArrays:
+    """A restore hands out plain ``np.ndarray`` views of the store's
+    mappings; ``is_mapped`` still tells a mapped column from a heap one,
+    so the memory manager charges mapped bytes exactly as before."""
+
+    ROWS = 200
+
+    def _restored(self, tmp_path) -> NoDBEngine:
+        f = tmp_path / "a.csv"
+        f.write_text(
+            "a1,a2,s\n" + "".join(f"{i},{i * 3},w{i % 7}\n" for i in range(self.ROWS))
+        )
+        sql = "select sum(a1), sum(a2), count(s) from t"
+        cfg = EngineConfig(policy="column_loads", store_dir=tmp_path / "store")
+        e1 = NoDBEngine(cfg)
+        e1.attach("t", f)
+        e1.query(sql)
+        e1.flush_persistent_store()
+        e1.close()
+        e2 = NoDBEngine(cfg)
+        e2.attach("t", f)
+        e2.query(sql)
+        assert e2.stats.counters.restart_warm_hits == 1
+        return e2
+
+    def test_values_codes_and_frame_are_plain_arrays(self, tmp_path):
+        e = self._restored(tmp_path)
+        entry = e.catalog.get("t")
+        table = entry.table
+        assert type(table.column("a1").values) is np.ndarray
+        assert type(table.column("s").values.codes) is np.ndarray
+        assert type(entry.positional_map.frame) is np.ndarray
+        assert table.column("a1").is_mapped and table.column("a2").is_mapped
+        assert not table.column("s").is_mapped  # its dictionary is heap
+        e.close()
+
+    def test_mapped_bytes_are_the_numeric_columns(self, tmp_path):
+        e = self._restored(tmp_path)
+        # Two numeric columns, each 200 int64 values and a 25-byte mask.
+        assert e.memory.mapped_bytes == 2 * (self.ROWS * 8 + self.ROWS // 8) == 3250
+        assert e.memory.stats.peak_mapped_bytes == 3250
+        e.close()
+
+    @pytest.mark.parametrize("move", ["store", "grow", "widen", "store_full"])
+    def test_moving_onto_the_heap_clears_is_mapped(self, tmp_path, move):
+        e = self._restored(tmp_path)
+        pc = e.catalog.get("t").table.column("a1")
+        assert pc.is_mapped
+        if move == "store":
+            pc.store(np.array([0]), np.array([99], dtype=np.int64))
+        elif move == "grow":
+            assert pc.grow(self.ROWS + 1, np.array([7], dtype=np.int64))
+        elif move == "widen":
+            pc.widen(DataType.FLOAT64)
+        else:
+            pc.store_full(np.arange(self.ROWS, dtype=np.int64))
+        assert not pc.is_mapped
+        assert type(pc.values) is np.ndarray
+        e.close()
+
+
 # ---------------------------------------------------------------------------
 
 

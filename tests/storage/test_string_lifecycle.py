@@ -156,11 +156,11 @@ class TestRestart:
             assert _answer(engine) == cold == _expected(rows)
             assert engine.stats.counters.restart_warm_hits == 1
             assert engine.stats.last().file_bytes_read == 0
-            assert isinstance(_column(engine).codes, np.memmap)
+            assert isinstance(_column(engine).codes.base, np.memmap)
             assert engine.query("select min(s), max(s) from t").rows() == [("", "é")]
 
     def test_restored_dictionary_counts_against_the_heap_budget(self, tmp_path):
-        """The codes are a memmap but the dictionary is decoded onto the
+        """The codes are mapped but the dictionary is decoded onto the
         heap: a restored string column is charged to the budget, and a
         budget smaller than its dictionary evicts it."""
         names = [f"customer-{i:05d}-" + "x" * 40 for i in range(2000)]
@@ -177,7 +177,7 @@ class TestRestart:
         with _engine(store) as engine:
             engine.attach("t", path)
             assert engine.query("select count(distinct s) from t").scalar() == 2000
-            assert isinstance(_column(engine).codes, np.memmap)
+            assert isinstance(_column(engine).codes.base, np.memmap)
             fragment = engine.memory.fragments[("t", "s")]
             assert not fragment.mapped
             assert engine.memory.resident_bytes >= fragment.nbytes > characters
