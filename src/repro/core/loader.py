@@ -53,6 +53,7 @@ from repro.flatfile.parser import ParseStats, parse_fields, parse_single
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import WIDENS_TO, ColumnSchema, DataType, TableSchema
 from repro.flatfile.tokenizer import (
+    FieldSpans,
     RawPredicate,
     TokenizerStats,
     gather_fields,
@@ -191,7 +192,7 @@ class WideningPredicate:
                 f"{column.name!r} for a pushdown predicate"
             ) from exc
 
-    def mask(self, values: np.ndarray) -> np.ndarray:
+    def mask(self, values: FieldSpans) -> np.ndarray:
         if len(values) == 0:
             # Nothing to parse or compare; NumPy would still reject a type
             # mismatch over zero elements, which no per-value call sees.
@@ -514,8 +515,8 @@ def _selective_pass(
     other columns only for the rows every predicate kept.  The other
     runs are read in a second call for those rows only.  Without a
     predicate — a next-column load — every run is read in one call.
-    Fields stay NumPy arrays from the cut to the parser — ``S`` bytes on
-    ASCII input, cast straight to numbers.
+    Fields stay spans of the read buffer from the cut to the parser,
+    which reads a plain digit column straight from them.
     """
     nrows = int(pmap.nrows)
     intervals = (
@@ -565,7 +566,7 @@ def _selective_pass(
         pmap.clear()
         return None
 
-    def cut(col: int, at: np.ndarray | None) -> np.ndarray:
+    def cut(col: int, at: np.ndarray | None) -> FieldSpans:
         """Column ``col``'s located fields, at positions ``at``."""
         lo, lengths = located[col]
         if at is not None:
@@ -573,9 +574,9 @@ def _selective_pass(
         stats.fields_tokenized += len(lo)
         # Spans cover the *encoded* field text; non-identity dialects
         # (quoted CSV, TSV escapes, fixed-width padding) decode it.
-        return adapter.decode_many(gather_fields(buffers[col], lo, lengths))
+        return gather_fields(buffers[col], lo, lengths, adapter.decode_many)
 
-    gathered: dict[int, np.ndarray] = {}
+    gathered: dict[int, FieldSpans] = {}
     gathered_rows: dict[int, np.ndarray] = {}
     rows, alive = candidates, None
     for col in sorted(predicates):
@@ -670,7 +671,7 @@ def _learn_zones_from_text(
     entry: TableEntry,
     schema: TableSchema,
     col: int,
-    texts: np.ndarray,
+    texts: FieldSpans,
     config: EngineConfig,
 ) -> None:
     """Zone-map a predicate column gathered for every row (text form).

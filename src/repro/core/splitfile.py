@@ -39,11 +39,7 @@ import numpy as np
 
 from repro.errors import FlatFileError
 from repro.flatfile.files import FlatFile, decode_utf8
-from repro.flatfile.tokenizer import (
-    TokenizerStats,
-    bulk_extract_fields,
-    tokenize_bytes,
-)
+from repro.flatfile.tokenizer import FieldSpans, TokenizerStats, tokenize_bytes
 
 
 @dataclass
@@ -60,12 +56,13 @@ class ColumnHome:
 class SplitResult:
     """Raw column texts produced by one split pass.
 
-    Values are NumPy field arrays (``S`` bytes for ASCII text, as the
-    bulk gather returns them) ready for bulk parsing, or lists of ``str``
-    where the tokenizer took the dialect loop.
+    Values are ready for bulk parsing: the spans of a single file's lines
+    (:class:`~repro.flatfile.tokenizer.FieldSpans`), the NumPy field
+    arrays a split cut out to write (``S`` bytes for ASCII text), or
+    lists of ``str`` where the tokenizer took the dialect loop.
     """
 
-    fields: dict[int, Sequence[str] | np.ndarray]  # global column -> raw values
+    fields: dict[int, Sequence[str] | np.ndarray | FieldSpans]  # global column -> raw values
     stats: TokenizerStats
     files_written: int = 0
 
@@ -97,7 +94,7 @@ class SplitFileCatalog:
         Groups the needed columns by their current home file so each file
         is read at most once per call.
         """
-        out: dict[int, Sequence[str] | np.ndarray] = {}
+        out: dict[int, Sequence[str] | np.ndarray | FieldSpans] = {}
         stats = TokenizerStats()
         written = 0
         by_file: dict[int, list[int]] = {}
@@ -123,8 +120,8 @@ class SplitFileCatalog:
         self.files_written += written
         return SplitResult(out, stats, written)
 
-    def _read_single(self, home: ColumnHome) -> tuple[np.ndarray, TokenizerStats]:
-        """One value per line, gathered in bulk from the file's bytes."""
+    def _read_single(self, home: ColumnHome) -> tuple[FieldSpans, TokenizerStats]:
+        """One value per line, as spans of the file's bytes."""
         data = home.file.read_all_bytes()
         ascii_only = data.isascii()
         # Characters, as the text route counts them; decoding also turns
@@ -135,13 +132,8 @@ class SplitFileCatalog:
         # newline (see _write_lines).
         ends = np.flatnonzero(buf == 0x0A)
         starts = np.concatenate(([0], ends + 1))[:-1]
-        values = bulk_extract_fields(
-            data,
-            starts,
-            ends - starts,
-            buf=buf,
-            ascii_only=ascii_only,
-            nul_free=b"\0" not in data,
+        values = FieldSpans(
+            data, starts, ends - starts, ascii_only=ascii_only, nul_free=b"\0" not in data
         )
         stats = TokenizerStats()
         stats.rows_scanned = len(values)
@@ -178,9 +170,14 @@ class SplitFileCatalog:
         local_to_global = {local_of[c]: c for c in members}
         written = 0
         # Write one single file per tokenized column and repoint its home.
+        # The fields are cut out once, for the file, and handed on as such.
+        texts = {}
         for local in local_needed:
             gcol = local_to_global[local]
             values = result.fields[local]
+            if isinstance(values, FieldSpans):
+                values = values.values()
+            texts[local] = values
             if gcol in global_cols:
                 out[gcol] = values
             single_path = self.directory / f"col{gcol}.txt"
@@ -193,7 +190,7 @@ class SplitFileCatalog:
             tail_path = self.directory / f"rem{self._counter}.txt"
             self._counter += 1
             self._write_remainder(
-                decode_utf8(data, home.file.path), result, tail_path, home
+                decode_utf8(data, home.file.path), texts, tail_path, home
             )
             written += 1
             tail_file = FlatFile(tail_path, delimiter=home.file.adapter.delimiter)
@@ -203,7 +200,7 @@ class SplitFileCatalog:
         return out, result.stats, written
 
     def _write_remainder(
-        self, text: str, result, tail_path: Path, home: ColumnHome
+        self, text: str, fields: dict, tail_path: Path, home: ColumnHome
     ) -> None:
         """Write the untokenized right part of every row to ``tail_path``.
 
@@ -221,7 +218,7 @@ class SplitFileCatalog:
         # tokenized fields of row i have known total length: sum of field
         # lengths + one delimiter each.
         lengths = np.zeros(len(starts), dtype=np.int64)
-        for local, values in result.fields.items():
+        for values in fields.values():
             lengths += np.fromiter(
                 (len(v) + 1 for v in values), dtype=np.int64, count=len(values)
             )

@@ -83,7 +83,13 @@ def execute_bound_query(
 
 
 class _Frame:
-    """Aligned selection vectors across all bindings of the query."""
+    """Aligned selection vectors across all bindings of the query.
+
+    A binding's selection is ``None`` while it holds all its base rows in
+    order: its columns are then the base columns themselves, and an
+    index is built only where a mask or a join first narrows or
+    reorders the rows.
+    """
 
     def __init__(
         self,
@@ -95,9 +101,7 @@ class _Frame:
         self.get_column = get_column
         self.base_rows = {b: nrows_of(b) for b in query.tables}
         # Selection per binding; joined bindings share one length.
-        self.selections: dict[str, np.ndarray] = {
-            b: np.arange(n, dtype=np.int64) for b, n in self.base_rows.items()
-        }
+        self.selections: dict[str, np.ndarray | None] = dict.fromkeys(self.base_rows)
         self.joined: list[str] = [next(iter(query.tables))] if query.tables else []
         self._conjuncts = _flatten_and(query.where) if query.where is not None else []
 
@@ -105,11 +109,25 @@ class _Frame:
 
     def resolve(self, col: BColumn) -> np.ndarray | StringColumn:
         base = self.get_column(col.binding, col.name)
-        return base[self.selections[col.binding]]  # a StringColumn takes codes
+        sel = self.selections[col.binding]
+        return base if sel is None else base[sel]  # a StringColumn takes codes
+
+    def rows(self, binding: str) -> int:
+        sel = self.selections[binding]
+        return self.base_rows[binding] if sel is None else len(sel)
 
     def length(self) -> int:
-        b = self.joined[0]
-        return len(self.selections[b])
+        return self.rows(self.joined[0])
+
+    def _narrow(self, binding: str, picked: np.ndarray) -> None:
+        """Keep the rows ``picked`` (a mask or positions) of ``binding``'s
+        selection."""
+        sel = self.selections[binding]
+        if sel is not None:
+            picked = sel[picked]
+        elif picked.dtype == bool:
+            picked = np.flatnonzero(picked)
+        self.selections[binding] = picked
 
     # ---------------------------------------------------------- predicates
 
@@ -120,13 +138,8 @@ class _Frame:
             refs = _bindings_of(conjunct)
             if len(refs) == 1:
                 binding = next(iter(refs))
-                sel = self.selections[binding]
-                mask = eval_predicate(
-                    conjunct,
-                    lambda c: self.get_column(c.binding, c.name)[sel],
-                    len(sel),
-                )
-                self.selections[binding] = sel[mask]
+                mask = eval_predicate(conjunct, self.resolve, self.rows(binding))
+                self._narrow(binding, mask)
             else:
                 remaining.append(conjunct)
         self._conjuncts = remaining
@@ -145,7 +158,7 @@ class _Frame:
                 )
             mask &= eval_predicate(conjunct, self.resolve, n)
         for b in self.joined:
-            self.selections[b] = self.selections[b][mask]
+            self._narrow(b, mask)
         self._conjuncts = []
 
     # --------------------------------------------------------------- joins
@@ -182,12 +195,11 @@ class _Frame:
 
     def _execute_join(self, old: BColumn, new: BColumn) -> None:
         left_vals = self.resolve(old)
-        right_sel = self.selections[new.binding]
-        right_vals = self.get_column(new.binding, new.name)[right_sel]
+        right_vals = self.resolve(new)
         left_idx, right_idx = _best_join(*_join_keys(left_vals, right_vals))
         for b in self.joined:
-            self.selections[b] = self.selections[b][left_idx]
-        self.selections[new.binding] = right_sel[right_idx]
+            self._narrow(b, left_idx)
+        self._narrow(new.binding, right_idx)
         self.joined.append(new.binding)
 
 
@@ -227,7 +239,16 @@ def _column(value) -> np.ndarray | StringColumn:
 def _project_plain(query: BoundQuery, frame: _Frame):
     n = frame.length()
     names = [o.name for o in query.outputs]
-    columns = [_column(eval_expr(o.expr, frame.resolve, n)) for o in query.outputs]
+
+    def owned(col: BColumn) -> np.ndarray | StringColumn:
+        # An unnarrowed binding resolves to the base column itself: copy
+        # it, so no result shares memory with a stored column.
+        value = frame.resolve(col)
+        if frame.selections[col.binding] is None and isinstance(value, np.ndarray):
+            return value.copy()
+        return value
+
+    columns = [_column(eval_expr(o.expr, owned, n)) for o in query.outputs]
     return names, columns
 
 

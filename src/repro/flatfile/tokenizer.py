@@ -29,17 +29,20 @@ conjunct, short rows raise "fewer than N fields", and field spans (where
 the dialect defines them — all but JSON-lines) feed the positional map.
 Invalid UTF-8 raises :class:`~repro.errors.FlatFileError` naming the byte.
 
-Field text leaves the bulk kernel and the selective-read gather as NumPy
-arrays: ``S`` bytes on pure-ASCII input, so the parser casts bytes
-straight to numbers with no ``str`` detour, and ``U`` strings otherwise.
-:func:`~repro.flatfile.dialects.as_text` turns a batch into ``str``
-where a string is the answer.
+Field text leaves the bulk kernel and the selective-read gather as
+:class:`FieldSpans` — the buffer plus each field's start and length,
+nothing cut out yet — so the parser reads a plain digit column straight
+from the bytes.  Any other batch is cut by :meth:`FieldSpans.values`
+into a NumPy array: ``S`` bytes on pure-ASCII input, so the parser casts
+bytes straight to numbers with no ``str`` detour, and ``U`` strings
+otherwise.  :func:`~repro.flatfile.dialects.as_text` turns a batch into
+``str`` where a string is the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -54,13 +57,13 @@ class RawPredicate(Protocol):
 
     ``pred(text)`` answers for one field (:func:`tokenize_dialect`, row by
     row),
-    ``pred.mask(values)`` for a whole array of fields (the bulk kernel and
-    the selective-read route).  Parsing happens inside, so the tokenizer
-    stays type-agnostic."""
+    ``pred.mask(values)`` for a whole batch of fields, as
+    :class:`FieldSpans` (the bulk kernel and the selective-read route).
+    Parsing happens inside, so the tokenizer stays type-agnostic."""
 
     def __call__(self, text: str) -> bool: ...
 
-    def mask(self, values: np.ndarray) -> np.ndarray: ...
+    def mask(self, values: "FieldSpans") -> np.ndarray: ...
 
 
 @dataclass
@@ -97,20 +100,77 @@ class TokenizerStats:
 
 
 @dataclass
+class FieldSpans:
+    """A batch of fields not yet cut out: field ``i`` is
+    ``data[starts[i] : starts[i] + lengths[i]]``, still encoded.
+
+    The bulk kernel, the selective-read gather and the split-file reader
+    hand the parser this, so a plain digit column is parsed straight from
+    the buffer (:func:`~repro.flatfile.parser.parse_fields`) and no field
+    array is ever built for it.  :meth:`values` cuts any other batch into
+    an array (:func:`bulk_extract_fields`) and decodes it (``decode``:
+    the adapter's ``decode_many``; every dialect leaves a field of plain
+    digits as it is).  ``ascii_only``, ``nul_free`` and ``char_lengths``
+    are what the producer already knows of the buffer (see
+    :func:`bulk_extract_fields`).  Indexing with row positions gives the
+    spans of those rows.
+    """
+
+    data: bytes
+    starts: np.ndarray
+    lengths: np.ndarray
+    decode: Callable | None = None
+    ascii_only: bool | None = None
+    nul_free: bool = False
+    char_lengths: np.ndarray | None = None
+    buf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.buf = np.frombuffer(self.data, dtype=np.uint8)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, rows: np.ndarray) -> "FieldSpans":
+        chars = self.char_lengths
+        return FieldSpans(
+            self.data,
+            self.starts[rows],
+            self.lengths[rows],
+            self.decode,
+            self.ascii_only,
+            self.nul_free,
+            None if chars is None else chars[rows],
+        )
+
+    def values(self) -> np.ndarray:
+        """The fields as an array: ``S`` bytes on ASCII input, decoded."""
+        values = bulk_extract_fields(
+            self.data,
+            self.starts,
+            self.lengths,
+            buf=self.buf,
+            char_lengths=self.char_lengths,
+            ascii_only=self.ascii_only,
+            nul_free=self.nul_free,
+        )
+        return values if self.decode is None else self.decode(values)
+
+
+@dataclass
 class TokenizeResult:
     """Output of one selective tokenization pass.
 
     ``fields[col]`` holds the text of column ``col`` for every emitted
     row, in row order — a plain list of ``str`` from
-    :func:`tokenize_dialect`, a NumPy array from the vectorized kernel:
-    ``S`` bytes on pure-ASCII input, ``U`` (or object, for repaired
-    fields) otherwise; downstream typed parsing converts whole arrays in
-    bulk.  ``row_ids`` are the 0-based indices
+    :func:`tokenize_dialect`, the fields' :class:`FieldSpans` from the
+    vectorized kernel; downstream typed parsing converts whole batches
+    in bulk.  ``row_ids`` are the 0-based indices
     (within the tokenized range) of the emitted rows; when predicates
     filtered nothing, this is simply ``arange(rows_scanned)``.
     """
 
-    fields: dict[int, Sequence[str] | np.ndarray]
+    fields: dict[int, "Sequence[str] | FieldSpans"]
     row_ids: np.ndarray
     stats: TokenizerStats = field(default_factory=TokenizerStats)
 
@@ -308,6 +368,11 @@ def tokenize_bytes(
 #: paying for itself; fall back to direct per-slice extraction.
 _GATHER_MAX_FIELD = 256
 
+#: Byte indices the gather builds at a time: 512 KiB of int64 stays in
+#: the L2 cache, where one index matrix for the whole batch would be
+#: eight times the batch's bytes, page-faulted in and thrown away.
+_GATHER_BLOCK = 1 << 16
+
 
 def bulk_extract_fields(
     data: bytes,
@@ -321,17 +386,16 @@ def bulk_extract_fields(
 ) -> np.ndarray:
     """Bulk-slice ``data[starts[i] : starts[i] + lengths[i]]`` into fields.
 
-    The shared extraction core of the selective-read gather and the
-    vectorized tokenization kernel: one NumPy fancy-indexing step builds
-    a ``(n, maxlen)`` NUL-padded byte matrix viewed as fixed-width
-    bytes.  When the content is pure ASCII that ``S`` array *is* the
-    result — no decode at all; the parser casts ``S`` straight to
-    int64/float64, and only string answers become ``str``
-    (:func:`~repro.flatfile.dialects.as_text`).  Other content is decoded
-    to ``U`` with a C-level ``np.char.decode``.  Fields wider than the
-    padded matrix pays for (:data:`_GATHER_MAX_FIELD`) are sliced
-    directly into an object array of ``str`` — one whole-window ASCII
-    decode when possible, per-field UTF-8 otherwise.
+    The extraction core behind :meth:`FieldSpans.values`: NumPy
+    fancy-indexing steps build a ``(n, maxlen)`` NUL-padded byte matrix
+    viewed as fixed-width bytes.  When the content is pure ASCII that
+    ``S`` array *is* the result — no decode at all; the parser casts
+    ``S`` straight to int64/float64, and only string answers become
+    ``str`` (:func:`~repro.flatfile.dialects.as_text`).  Other content is
+    decoded to ``U`` with a C-level ``np.char.decode``.  Fields wider
+    than the padded matrix pays for (:data:`_GATHER_MAX_FIELD`) are
+    sliced directly into an object array of ``str`` — one whole-window
+    ASCII decode when possible, per-field UTF-8 otherwise.
 
     The fixed-width ``S`` view strips trailing NULs, which would truncate
     a field that legitimately ends in NUL bytes; unless the caller
@@ -374,14 +438,19 @@ def bulk_extract_fields(
     if len(buf) == 0:
         raise FlatFileError("gather_fields: non-empty fields but empty buffer")
     # Built column-major, (maxlen, n), so every NumPy loop runs over the
-    # n fields rather than a field's few bytes; one transposing copy
-    # packs it row-major for the ``S`` view.
+    # fields rather than a field's few bytes, a block of fields at a
+    # time; one transposing copy packs it row-major for the ``S`` view.
     offs = np.arange(maxlen, dtype=np.int64)[:, None]
-    chars = buf.take(offs + starts, mode="clip")  # masked below if past a field
-    chars *= offs < lengths
+    chars = np.empty((maxlen, n), dtype=np.uint8)
+    step = max(1, _GATHER_BLOCK // maxlen)
+    for lo in range(0, n, step):
+        block = chars[:, lo : lo + step]
+        buf.take(offs + starts[lo : lo + step], out=block, mode="clip")
+        block *= offs < lengths[lo : lo + step]  # the bytes past a field
     packed = np.ascontiguousarray(chars.T).view(f"S{maxlen}").ravel()
     if ascii_only is None:
-        ascii_only = not bool((chars > 127).any())
+        ascii_only = bool(chars.max() < 128)
+    del chars
     out = packed if ascii_only else np.char.decode(packed, "utf-8")
     if nul_free:
         return out
@@ -396,19 +465,21 @@ def bulk_extract_fields(
 
 
 def gather_fields(
-    buffer: bytes, starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Extract ``buffer[starts[i] : starts[i] + lengths[i]]`` as fields.
+    buffer: bytes,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    decode: Callable | None = None,
+) -> FieldSpans:
+    """The fields ``buffer[starts[i] : starts[i] + lengths[i]]``, as spans.
 
     The selective-read fast path knows every field's byte range from the
     positional map, so no delimiter scanning happens at all: the fields
-    are gathered out of the read windows by :func:`bulk_extract_fields`
-    instead of a per-row Python loop.  The result stays a NumPy array
-    (``S`` bytes when the windows are ASCII), so predicates mask it and
-    the parser converts it in bulk.
+    are cut out of the read windows as one :class:`FieldSpans` batch, not
+    by a per-row Python loop.  Predicates mask it and the parser converts
+    it in bulk: a plain digit column straight from the buffer, any other
+    batch through :meth:`FieldSpans.values`.
     """
-    return bulk_extract_fields(
-        buffer,
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(lengths, dtype=np.int64),
-    )
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(lengths) and lengths.min() < 0:
+        raise FlatFileError("gather_fields: negative field length")
+    return FieldSpans(buffer, np.asarray(starts, dtype=np.int64), lengths, decode)

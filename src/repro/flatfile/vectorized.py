@@ -6,42 +6,48 @@ cheaper) is what the experiments rely on, but from Python every byte
 would be touched by the interpreter.  This kernel performs the *same*
 pass over the raw bytes in bulk:
 
-1. **one separator pass** — ``np.frombuffer`` over the raw bytes and
-   one ``np.flatnonzero`` of every delimiter *or* newline byte.  Both are
-   ASCII bytes and UTF-8 never embeds ASCII values in multi-byte
-   sequences, so byte scanning is safe for any UTF-8 content.  When the
-   file is regular — it ends in a newline, no line ends in CR, no line
-   is blank and every line holds ``ncols - 1`` delimiters — those
-   positions reshape to a ``(nrows, ncols)`` grid whose last column is
-   the newlines, and that grid *is* the frame: column ``c`` runs from
-   ``grid[:, c - 1] + 1`` to ``grid[:, c]`` (the bulk framing of
-   Mühlbauer et al., "Instant Loading for Main Memory Databases",
-   PVLDB 2013);
+1. **one blocked separator pass, straight into the frame** — the bytes
+   are cut into blocks of about :data:`_FRAME_BLOCK`, each ending at a
+   newline, and each block's lines counted, so the
+   ``(nrows, ncols + 1)`` frame is allocated once.  Then, block by
+   block, the delimiter and newline masks are written into two reused
+   buffers and one ``np.flatnonzero`` locates every separator.  Both are ASCII bytes and UTF-8 never embeds ASCII values
+   in multi-byte sequences, so byte scanning is safe for any UTF-8
+   content.  When a block is regular — no line ends in CR, no line is
+   blank and every line holds ``ncols - 1`` delimiters — its separator
+   positions reshape to a ``(rows, ncols)`` grid whose last column is
+   the newlines, and that grid, plus one, *is* the block's frame rows:
+   column ``c`` runs from ``frame[:, c]`` to ``frame[:, c + 1] - 1``
+   (the bulk framing of Mühlbauer et al., "Instant Loading for Main
+   Memory Databases", PVLDB 2013).  The frame is the pass's only
+   file-sized array;
 2. **the fallback frame** — anything else (blank lines, CRLF, a missing
    final newline, ragged rows, fixed-width input) is framed by newline
    rows, then by the fixed widths or by per-row delimiter counts from
-   two ``searchsorted`` calls; a ragged row (a delimiter count other
-   than ``ncols - 1``, or the wrong width) makes the kernel decline,
-   and :func:`~repro.flatfile.tokenizer.tokenize_bytes` falls back to
-   the adapter's field loop (:func:`~repro.flatfile.tokenizer.
-   tokenize_dialect`) *for that input only*, which frames rows, learns
-   spans and raises "fewer than N fields" the same way;
-3. **columnar field extraction** — fields are materialized only for the
-   needed columns; no other column is ever sliced, and pushdown
-   predicates are evaluated column-by-column over the still-candidate
-   rows, each as one bulk call (``pred.mask``: one parse of the
-   candidate array, one range mask — never a Python call per value), so
-   a failing early column spares every later column's slices.  On
-   pure-ASCII input the fields are ``S`` byte arrays (the gather's
-   packed matrix, never cast to ``str``), so the predicate mask and the
-   parser cast bytes straight to numbers; non-ASCII input is decoded to
-   ``U`` once, in bulk;
+   two ``searchsorted`` calls, into the same frame; a ragged row (a
+   delimiter count other than ``ncols - 1``, or the wrong width) makes
+   the kernel decline, and :func:`~repro.flatfile.tokenizer.
+   tokenize_bytes` falls back to the adapter's field loop
+   (:func:`~repro.flatfile.tokenizer.tokenize_dialect`) *for that input
+   only*, which frames rows, learns spans and raises "fewer than N
+   fields" the same way;
+3. **columnar fields as spans** — a needed column leaves the kernel as
+   :class:`~repro.flatfile.tokenizer.FieldSpans` (the buffer, starts
+   and lengths out of the frame); nothing is cut out of the buffer
+   here.  The parser reads a plain digit column straight from the
+   spans and cuts any other into an array (``S`` bytes on pure-ASCII
+   input, ``U`` otherwise).  Pushdown predicates are evaluated
+   column-by-column over the still-candidate rows, each as one bulk
+   call (``pred.mask``: one parse of the candidate spans, one range
+   mask — never a Python call per value), so a failing early column
+   spares every later column's work;
 4. **the whole frame is learned** — either frame holds every column of
-   every row, so the positional map is offered all of them at once
-   (:meth:`~repro.flatfile.positions.PositionalMap.record_frame`),
-   whatever the pass needed or its predicates abandoned.  A later
-   query on any column is then a window read cut by the map
-   (:mod:`repro.core.loader`), not another framing pass.
+   every row, so the positional map is offered all of it at once
+   (:meth:`~repro.flatfile.positions.PositionalMap.record_frame`; on
+   ASCII input the very array, no copy), whatever the pass needed or
+   its predicates abandoned.  A later query on any column is then a
+   window read cut by the map (:mod:`repro.core.loader`), not another
+   framing pass.
 
 The kernel writes the positional map and never reads it, beyond asking
 whether it already knows every column: a map — empty, warm or with
@@ -63,7 +69,7 @@ characters, not bytes), for non-ASCII delimiters and for invalid UTF-8.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,14 +82,19 @@ from repro.flatfile.dialects import (
 )
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import (
+    FieldSpans,
     RawPredicate,
     TokenizeResult,
     TokenizerStats,
-    bulk_extract_fields,
 )
 
 _NEWLINE = 0x0A
 _CARRIAGE = 0x0D
+
+#: Bytes framed at a time.  A block's two boolean masks (delimiter and
+#: newline) take 512 KiB, so they stay in a 2 MB L2 cache while the block
+#: is scanned, and no mask as big as the file is ever built.
+_FRAME_BLOCK = 1 << 18
 
 
 def _frame_rows(
@@ -114,33 +125,93 @@ def _frame_rows(
     return starts, ends
 
 
-def _frame_grid(
-    buf: np.ndarray, delim: int, ncols: int, skip_rows: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row starts and the ``(nrows, ncols)`` separator grid, or ``None``.
+def _frame_blocks(
+    data: bytes, buf: np.ndarray, delim: int, ncols: int, skip_rows: int
+) -> np.ndarray | None:
+    """The ``(nrows, ncols + 1)`` byte frame of a regular file, or ``None``.
 
-    One pass locates every delimiter and newline byte.  When the file is
-    regular — it ends in a newline, no line ends in CR, no line is empty
-    and every line holds exactly ``ncols - 1`` delimiters — those
-    positions reshape to one grid row per line: its delimiters, then its
-    newline.  Anything else declines to :func:`_frame_rows`.
+    The file is regular when it ends in a newline, no line ends in CR,
+    no line is empty and every line holds exactly ``ncols - 1``
+    delimiters; then each line's separators are its delimiters, then its
+    newline, and one past each is the next field's start.  The frame is
+    filled block by block (:data:`_FRAME_BLOCK` bytes, cut after a
+    newline; a longer line is one block), with every line checked,
+    header lines included.  Anything else declines to
+    :func:`_frame_fallback`.
     """
     if not len(buf) or buf[-1] != _NEWLINE:
         return None
-    seps = np.flatnonzero((buf == delim) | (buf == _NEWLINE))
-    if len(seps) % ncols:
-        return None
-    is_nl = buf[seps] == _NEWLINE
-    grid = seps.reshape(-1, ncols)
-    if int(np.count_nonzero(is_nl)) != len(grid) or not is_nl[ncols - 1 :: ncols].all():
-        return None
-    ends = grid[:, -1]
-    row_starts = np.empty(len(grid), dtype=np.int64)
-    row_starts[0] = 0
-    row_starts[1:] = ends[:-1] + 1
-    if bool((ends == row_starts).any()) or bool((buf[ends - 1] == _CARRIAGE).any()):
-        return None  # a blank line (one column) or a CRLF line end
-    return row_starts[skip_rows:], grid[skip_rows:]
+    # Two reused masks; the first pass cuts the blocks and counts their
+    # lines, so the frame is allocated once, at its size.
+    masks = np.empty((2, _FRAME_BLOCK), dtype=bool)
+    blocks = []
+    lo = 0
+    while lo < len(buf):
+        hi = data.rfind(b"\n", lo, lo + _FRAME_BLOCK) + 1
+        if hi == 0:  # one line longer than a block
+            hi = data.find(b"\n", lo + _FRAME_BLOCK) + 1
+        if hi - lo > masks.shape[1]:
+            masks = np.empty((2, hi - lo), dtype=bool)
+        is_nl = np.equal(buf[lo:hi], _NEWLINE, out=masks[1, : hi - lo])
+        blocks.append((lo, hi, int(np.count_nonzero(is_nl))))
+        lo = hi
+    nlines = sum(rows for _, _, rows in blocks)
+    frame = np.empty((max(nlines - skip_rows, 0), ncols + 1), dtype=np.int64)
+    line = 0  # lines framed so far
+    for lo, hi, rows in blocks:
+        block = buf[lo:hi]
+        is_sep, is_nl = masks[:, : hi - lo]
+        np.equal(block, delim, out=is_sep)
+        np.equal(block, _NEWLINE, out=is_nl)
+        seps = np.flatnonzero(np.logical_or(is_sep, is_nl, out=is_sep))
+        if len(seps) != rows * ncols:
+            return None
+        grid = seps.reshape(rows, ncols)
+        ends = grid[:, -1]
+        if not bool(is_nl[ends].all()):
+            return None
+        starts = np.empty(rows, dtype=np.int64)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        if bool((ends == starts).any()) or bool((block[ends - 1] == _CARRIAGE).any()):
+            return None  # a blank line (one column) or a CRLF line end
+        first = min(max(skip_rows - line, 0), rows)  # header lines here
+        if first < rows:
+            out = frame[line + first - skip_rows : line + rows - skip_rows]
+            np.add(starts[first:], lo, out=out[:, 0])
+            np.add(grid[first:], lo + 1, out=out[:, 1:])
+        line += rows
+    return frame
+
+
+def _frame_fallback(
+    buf: np.ndarray, adapter: FormatAdapter, delimiter: str | None, ncols: int, skip_rows: int
+) -> np.ndarray | None:
+    """The byte frame of any other file, from its newline rows, or
+    ``None`` when a row is ragged (the fallback loop raises or
+    tolerates).  The last column is each row's end plus ``adapter.sep``
+    (past the input when the last line has no newline)."""
+    row_starts, row_ends = _frame_rows(buf, skip_rows)
+    nrows = len(row_starts)
+    frame = np.empty((nrows, ncols + 1), dtype=np.int64)
+    if delimiter is None:
+        assert isinstance(adapter, FixedWidthAdapter)
+        widths = np.asarray(adapter.widths, dtype=np.int64)
+        if nrows and not bool(((row_ends - row_starts) == int(widths.sum())).all()):
+            return None  # some row has the wrong width
+        cum = np.concatenate(([0], np.cumsum(widths)))
+        np.add(row_starts[:, None], cum[:-1], out=frame[:, :ncols])
+    else:
+        d_pos = np.flatnonzero(buf == ord(delimiter))
+        lo = np.searchsorted(d_pos, row_starts)
+        hi = np.searchsorted(d_pos, row_ends)
+        if nrows and not bool((hi - lo == ncols - 1).all()):
+            return None  # ragged rows
+        frame[:, 0] = row_starts
+        for c in range(1, ncols):
+            frame[:, c] = d_pos[lo + (c - 1)] + 1
+    frame[:, ncols] = row_ends + adapter.sep
+    return frame
 
 
 def tokenize_vectorized(
@@ -189,7 +260,7 @@ def tokenize_vectorized(
         return None
 
     buf = np.frombuffer(data, dtype=np.uint8)
-    ascii_only = not bool((buf > 127).any()) if len(buf) else True
+    ascii_only = not len(buf) or bool(buf.max() < 128)
     if delimiter is None and not ascii_only:
         return None  # fixed-width field widths are characters, not bytes
     if not ascii_only:
@@ -200,18 +271,18 @@ def tokenize_vectorized(
             # error (and the char geometry the kernel would learn from
             # raw continuation bytes would be fiction).
             return None
-    nul_free = not bool((buf == 0).any()) if len(buf) else True
+    nul_free = not len(buf) or bool(buf.min() > 0)
 
     # ------------------------------------------------------------- framing
-    framed = None
+    # frame[:, c] is field c's byte start, frame[:, c + 1] - sep its end.
+    frame = None
     if delimiter is not None:
-        framed = _frame_grid(buf, ord(delimiter), ncols, skip_rows)
-    grid = None
-    if framed is not None:
-        row_starts, grid = framed
-    else:
-        row_starts, row_ends = _frame_rows(buf, skip_rows)
-    nrows = len(row_starts)
+        frame = _frame_blocks(data, buf, ord(delimiter), ncols, skip_rows)
+    if frame is None:
+        frame = _frame_fallback(buf, adapter, delimiter, ncols, skip_rows)
+        if frame is None:
+            return None
+    nrows, sep = len(frame), adapter.sep
     if ascii_only:
         nchars = len(buf)
 
@@ -219,67 +290,45 @@ def tokenize_vectorized(
             return a
 
     else:
-        pad = np.zeros(len(buf) + 1, dtype=np.int64)
-        np.cumsum((buf & 0xC0) == 0x80, dtype=np.int64, out=pad[1:])
+        # pad[i]: continuation bytes before byte i.  One entry more than
+        # positions in the input: a last field's end plus its separator
+        # may lie one past the end, where no more bytes are continued.
+        pad = np.zeros(len(buf) + 2, dtype=np.int64)
+        np.cumsum((buf & 0xC0) == 0x80, dtype=np.int64, out=pad[1:-1])
+        pad[-1] = pad[-2]
         nchars = len(buf) - int(pad[-1])
 
         def to_chars(a: np.ndarray) -> np.ndarray:
             return a - pad[a]
-
-    # ------------------------------------------ separator / ragged detection
-    if grid is not None:
-
-        def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
-            return (row_starts if c == 0 else grid[:, c - 1] + 1), grid[:, c]
-
-    elif delimiter is None:
-        assert isinstance(adapter, FixedWidthAdapter)
-        widths = np.asarray(adapter.widths, dtype=np.int64)
-        if nrows and not bool(((row_ends - row_starts) == int(widths.sum())).all()):
-            return None  # some row has the wrong width: the fallback raises
-        cum = np.concatenate(([0], np.cumsum(widths)))
-
-        def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
-            return row_starts + int(cum[c]), row_starts + int(cum[c + 1])
-
-    else:
-        d_pos = np.nonzero(buf == ord(delimiter))[0]
-        lo = np.searchsorted(d_pos, row_starts)
-        hi = np.searchsorted(d_pos, row_ends)
-        if nrows and not bool((hi - lo == ncols - 1).all()):
-            return None  # ragged rows: the fallback raises or tolerates
-
-        def col_bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
-            start = row_starts if c == 0 else d_pos[lo + (c - 1)] + 1
-            end = row_ends if c == ncols - 1 else d_pos[lo + c]
-            return start, end
 
     # ------------------------------------- column sweep: stats + predicates
     stats = TokenizerStats()
     stats.rows_scanned = nrows
     stats.chars_scanned = nchars  # the framing pass reads everything, once
     candidates = np.arange(nrows, dtype=np.int64)
-    pred_values: dict[int, np.ndarray] = {}
+    pred_values: dict[int, FieldSpans] = {}
     pred_rows: dict[int, np.ndarray] = {}
-    bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def extract(col: int, rows: np.ndarray) -> np.ndarray:
-        fstart, fend = bounds[col]
-        fstart, fend = fstart[rows], fend[rows]
+    def extract(col: int, rows: np.ndarray) -> FieldSpans:
+        if len(rows) == nrows:
+            starts = frame[:, col]
+            lengths = frame[:, col + 1] - starts
+        else:
+            starts = frame[rows, col]
+            lengths = frame[rows, col + 1] - starts
+        lengths -= sep
         stats.fields_tokenized += len(rows)
-        values = bulk_extract_fields(
+        return FieldSpans(
             data,
-            fstart,
-            fend - fstart,
-            buf=buf,
-            char_lengths=to_chars(fend) - to_chars(fstart),
+            starts,
+            lengths,
+            adapter.decode_many,
             ascii_only=ascii_only,
             nul_free=nul_free,
+            char_lengths=None if ascii_only else to_chars(starts + lengths) - to_chars(starts),
         )
-        return adapter.decode_many(values)
 
     for col in wanted:
-        bounds[col] = col_bounds(col)
         pred = predicates.get(col)
         if pred is not None:
             values = extract(col, candidates)
@@ -301,34 +350,17 @@ def tokenize_vectorized(
     if learn and positional_map is not None:
         positional_map.record_nrows(nrows)
         if len(positional_map.known_columns()) < ncols:
-            frame = np.empty((nrows, ncols + 1), dtype=np.int64)
-            if grid is not None:
-                # Field c > 0 starts one past separator c - 1, and one past
-                # the newline is the last field's end plus its separator.
-                frame[:, 0] = row_starts
-                np.add(grid, 1, out=frame[:, 1:])
-                frame = to_chars(frame)
-            else:
-                for c in range(ncols):
-                    frame[:, c] = col_bounds(c)[0]
-                # The last end may be the end of the input: add the
-                # separator after converting, past the last character.
-                frame[:, ncols] = col_bounds(ncols - 1)[1]
-                frame = to_chars(frame)
-                frame[:, ncols] += adapter.sep
-            positional_map.record_frame(frame, sep=adapter.sep)
+            positional_map.record_frame(to_chars(frame), sep=sep)
     if positional_map is not None:
         positional_map.record_text_geometry(nbytes=len(data), nchars=nchars)
 
-    # --------------------------------------------------------- materialize
-    # NumPy field arrays (S on ASCII input, U otherwise); see TokenizeResult.
-    out_fields: dict[int, Any] = {}
+    # -------------------------------------------------------------- output
+    out_fields: dict[int, FieldSpans] = {}
     for col in wanted:
         if col in pred_values:
             values, rows = pred_values[col], pred_rows[col]
             if len(rows) != len(survivors):
-                sel = np.searchsorted(rows, survivors)
-                values = values[sel]
+                values = values[np.searchsorted(rows, survivors)]
             out_fields[col] = values
         else:
             out_fields[col] = extract(col, survivors)

@@ -7,6 +7,7 @@ from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.core.splitfile import SplitFileCatalog
 from repro.flatfile.dialects import as_text
 from repro.flatfile.files import FlatFile
+from repro.flatfile.tokenizer import FieldSpans
 from repro.flatfile.writer import write_csv
 
 
@@ -36,7 +37,10 @@ def expected_text(col):
 
 
 def texts(values):
-    """Fetched fields as ``str`` (a split of ASCII text yields ``S`` bytes)."""
+    """Fetched fields as ``str`` (a split of ASCII text yields ``S`` bytes,
+    a single file the spans of its lines)."""
+    if isinstance(values, FieldSpans):
+        values = values.values()
     return list(as_text(values))
 
 

@@ -72,6 +72,41 @@ class TestProjection:
         assert r.column("seven").tolist() == [7, 7]
 
 
+class TestAllRowsSelection:
+    """A binding no predicate or join narrowed reads its base columns
+    as they are: no index, no gather, and no result aliasing them."""
+
+    def test_unfiltered_aggregate_reads_the_base_column(self):
+        class NoGather(np.ndarray):
+            def __getitem__(self, key):
+                assert not isinstance(key, np.ndarray), "gathered all rows"
+                return super().__getitem__(key)
+
+        data = {n: v.view(NoGather) for n, v in R_DATA.items() if n != "name"}
+        bound = bind(parse_sql("select sum(a1), max(price) from r"), schemas())
+        r = execute_bound_query(bound, lambda b, n: data[n.lower()], lambda b: 5)
+        assert r.rows() == [(15, 5.0)]
+
+    def test_plain_projection_copies_the_base_column(self):
+        r = run("select a1, name from r")
+        assert not np.shares_memory(r.column("a1"), R_DATA["a1"])
+        r.column("a1")[:] = 0
+        assert R_DATA["a1"].tolist() == [1, 2, 3, 4, 5]
+
+    def test_limit_over_all_rows_copies_too(self):
+        r = run("select a2 from r limit 2")
+        assert r.column("a2").tolist() == [10, 20]
+        assert not np.shares_memory(r.column("a2"), R_DATA["a2"])
+
+    def test_mask_then_join_then_residual(self):
+        r = run("select a1, v from r join s on a1 = k where a2 > 30 and v + a2 < 540")
+        assert r.rows() == [(4, 400)]
+
+    def test_join_of_two_unfiltered_tables(self):
+        r = run("select sum(v), count(*) from r join s on a1 = k")
+        assert r.rows() == [(1200, 3)]
+
+
 class TestFilter:
     def test_range(self):
         r = run("select a1 from r where a1 > 1 and a1 < 4")

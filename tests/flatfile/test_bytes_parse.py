@@ -30,7 +30,7 @@ from repro.flatfile.dialects import (
 )
 from repro.flatfile.parser import ParseStats, _parse_digits, parse_fields
 from repro.flatfile.schema import ColumnSchema, DataType, TableSchema
-from repro.flatfile.tokenizer import bulk_extract_fields, tokenize_bytes
+from repro.flatfile.tokenizer import FieldSpans, bulk_extract_fields, tokenize_bytes
 from repro.strings import StringColumn
 
 #: Field text the int/float parsers treat specially, plus near misses.
@@ -105,28 +105,42 @@ def test_bytes_str_and_python_parse_agree(texts):
         assert same(got_u, ref), (dtype, texts, got_u, ref)
 
 
+def spanned(texts: list[str], filler: bytes) -> FieldSpans:
+    """``texts`` as spans of one buffer, the way the kernel hands them to
+    the parser: each field with a ``filler`` byte on either side."""
+    data, starts, lengths = filler, [], []
+    for t in texts:
+        starts.append(len(data))
+        lengths.append(len(t))
+        data += t.encode("ascii") + filler
+    return FieldSpans(data, np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.text(alphabet="0123456789", min_size=1, max_size=19), min_size=1),
     st.one_of(st.none(), st.sampled_from(TRICKY)),
     st.integers(min_value=0, max_value=12),
+    st.sampled_from([b",", b"\n", b"\x00", b"7"]),
 )
-def test_plain_digit_batches_parse_exactly(texts, intruder, at):
-    """The all-digit shortcut equals ``int()``, and steps aside (the
-    cast decides) for every batch it does not cover: a field other
-    than 1-15 plain digits anywhere in it."""
+def test_plain_digit_batches_parse_exactly(texts, intruder, at, filler):
+    """The span digit parser equals ``int()``, and steps aside (the cast
+    decides) for every batch it does not cover: a field other than 1-15
+    plain digits anywhere in it.  Bytes around the spans — a NUL, or a
+    digit that would be a field's 16th — are never read into a value."""
     if intruder is not None:
         texts = texts[:at] + [intruder] + texts[at:]
-    raw = gathered(texts)
-    plain = all(t and set(t) <= set("0123456789") for t in texts)
-    assert (_parse_digits(raw) is not None) == (plain and raw.dtype.itemsize < 16)
+    spans = spanned(texts, filler)
+    plain = all(t and set(t) <= set("0123456789") and len(t) <= 15 for t in texts)
+    assert (_parse_digits(spans.buf, spans.starts, spans.lengths) is not None) == plain
+    # A strided view of the spans parses like its copy.
+    strided = FieldSpans(spans.data, spans.starts[::-2], spans.lengths[::-2])
     for dtype in (DataType.INT64, DataType.FLOAT64):
         ref = outcome(lambda: python_reference(texts, dtype))
-        got = outcome(lambda: parse_fields(raw, dtype))
+        got = outcome(lambda: parse_fields(spans, dtype))
         assert same(got, ref), (dtype, texts, got, ref)
-        # A strided view of the batch parses like its copy.
         ref = outcome(lambda: python_reference(texts[::-2], dtype))
-        got = outcome(lambda: parse_fields(raw[::-2], dtype))
+        got = outcome(lambda: parse_fields(strided, dtype))
         assert same(got, ref), (dtype, texts[::-2], got, ref)
 
 
@@ -180,16 +194,27 @@ def test_tsv_escape_in_byte_batch():
     assert out.tolist() == ["a\tb", "c"]
     assert all(isinstance(v, str) for v in out)
     r = tokenize_bytes(b"x\\\\y\t1\nz\t2\n", adapter, 2, [0, 1])
-    assert list(as_text(r.fields[0])) == ["x\\y", "z"]
-    assert r.fields[1].dtype.kind == "S"
+    assert list(as_text(r.fields[0].values())) == ["x\\y", "z"]
+    assert r.fields[1].values().dtype.kind == "S"
 
 
 def test_fixed_width_depads_bytes():
     adapter = FixedWidthAdapter((4, 3))
     r = tokenize_bytes(b"ab  1  \nc   22 \n", adapter, 2, [0, 1])
-    assert r.fields[0].dtype.kind == "S"
-    assert list(as_text(r.fields[0])) == ["ab", "c"]
+    assert r.fields[0].values().dtype.kind == "S"
+    assert list(as_text(r.fields[0].values())) == ["ab", "c"]
     assert parse_fields(r.fields[1], DataType.INT64).tolist() == [1, 22]
+
+
+@pytest.mark.parametrize(
+    "adapter",
+    [DelimitedAdapter(","), QuotedCsvAdapter(","), TsvAdapter(), FixedWidthAdapter((15,))],
+)
+def test_every_dialect_leaves_plain_digits_as_they_are(adapter):
+    """The parser reads a digit column from the encoded spans, skipping
+    the dialect's decode: so no dialect may change a field of digits."""
+    digits = [b"0", b"7", b"42", b"000123", b"999999999999999"]
+    assert list(as_text(adapter.decode_many(np.array(digits)))) == [d.decode() for d in digits]
 
 
 def test_quoted_csv_decodes_a_byte_batch_to_str():

@@ -66,7 +66,7 @@ class TestWriter:
         r = tokenize_bytes(path.read_bytes(), DelimitedAdapter(), 3, [0, 1, 2])
         assert parse_fields(r.fields[0], DataType.INT64).tolist() == [1, 2]
         assert parse_fields(r.fields[1], DataType.FLOAT64).tolist() == [1.5, 2.5]
-        assert list(as_text(r.fields[2])) == ["a", "b"]
+        assert list(as_text(r.fields[2].values())) == ["a", "b"]
 
     def test_header(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", [np.array([1])], header=["x"])

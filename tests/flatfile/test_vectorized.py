@@ -21,6 +21,7 @@ headers).
 from __future__ import annotations
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from repro.flatfile.dialects import (
 )
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import tokenize_bytes
-from repro.flatfile.vectorized import _frame_grid, tokenize_vectorized
+from repro.flatfile import vectorized
+from repro.flatfile.vectorized import _frame_blocks, tokenize_vectorized
 from scalar_oracle import field_texts, scalar_tokenize_bytes
 
 CSV = DelimitedAdapter(",")
@@ -413,7 +415,7 @@ def test_fixed_width_vectorized_equals_scalar(rows, needed):
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: the one-pass grid frames regular files and declines the rest
+# hypothesis: the blocked grid frames regular files and declines the rest
 # ---------------------------------------------------------------------------
 
 
@@ -446,10 +448,23 @@ def grid_files(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=grid_files())
-@example(case=(b"a\nb", CSV, 1, [0], 0))  # one column, no final newline
-@example(case=(b"a,b\n\nc,d\n", CSV, 2, [1], 0))  # a blank line
-def test_grid_frames_exactly_the_regular_files(case):
+@given(case=grid_files(), block=st.integers(1, 16))
+@example(case=(b"a\nb", CSV, 1, [0], 0), block=16)  # one column, no final newline
+@example(case=(b"a,b\n\nc,d\n", CSV, 2, [1], 0), block=16)  # a blank line
+@example(case=(b"12,3\n4,56\n7,8\n", CSV, 2, [0, 1], 0), block=7)  # rows straddle edges
+@example(case=(b"123456,7\n8,9\n", CSV, 2, [0], 0), block=4)  # a row longer than a block
+@example(case=(b"1,2\n\n3,4\n", CSV, 2, [1], 0), block=4)  # a blank line at an edge
+@example(case=(b"1,2\r\n3,4\n", CSV, 2, [0], 0), block=5)  # a CRLF at an edge
+@example(case=(b"1,2\n3,4", CSV, 2, [0], 0), block=4)  # no final newline at an edge
+@example(case=(b"h,i\n1,2\n3,4\n", CSV, 2, [0, 1], 0), block=4)  # skip_rows 0
+@example(case=(b"h,i\n1,2\n3,4\n", CSV, 2, [0, 1], 1), block=4)  # skip_rows 1
+@example(case=(b"h,i\nj,k\n1,2\n3,4\n", CSV, 2, [1], 2), block=4)  # skip_rows 2
+@example(case=(b"hhhh,i\nj,k\n1,2\n3,4\n", CSV, 2, [0, 1], 2), block=8)  # a header and a row
+@example(case=(b"h\n1\n22\n333\n", CSV, 1, [0], 1), block=2)  # ncols == 1
+def test_grid_frames_exactly_the_regular_files(case, block):
+    """The blocked framer, with blocks of ``block`` bytes, frames exactly
+    the regular files and every one of their fields, header lines
+    skipped; the kernel over the same blocks agrees with the oracle."""
     data, adapter, ncols, needed, skip_rows = case
     delim = adapter.delimiter.encode()
     lines = data.split(b"\n")
@@ -457,23 +472,23 @@ def test_grid_frames_exactly_the_regular_files(case):
         line and not line.endswith(b"\r") and line.count(delim) == ncols - 1
         for line in lines[:-1]
     )
-    frame = _frame_grid(np.frombuffer(data, np.uint8), ord(delim), ncols, skip_rows)
-    assert (frame is not None) == regular
-    if frame is not None:
-        # Every column the grid frames is exactly the oracle's fields.
-        row_starts, grid = frame
-        truth = scalar_tokenize_bytes(
-            data, adapter, ncols, range(ncols), skip_rows=skip_rows, learn=False
-        )
-        assert len(row_starts) == len(truth.row_ids)
-        for c in range(ncols):
-            starts = row_starts if c == 0 else grid[:, c - 1] + 1
-            spans = zip(starts.tolist(), grid[:, c].tolist())
-            fields = [data[s:e].decode("utf-8") for s, e in spans]
-            assert fields == field_texts(truth.fields[c])
-    # Framed by the grid or not, the kernel agrees with the oracle (fields,
-    # row ids, counters and the map), or declines to the dialect loop.
-    assert_routes_agree(data, adapter, ncols, needed, skip_rows=skip_rows)
+    with mock.patch.object(vectorized, "_FRAME_BLOCK", block):
+        frame = _frame_blocks(data, np.frombuffer(data, np.uint8), ord(delim), ncols, skip_rows)
+        assert (frame is not None) == regular
+        if frame is not None:
+            # Every column the frame holds is exactly the oracle's fields.
+            truth = scalar_tokenize_bytes(
+                data, adapter, ncols, range(ncols), skip_rows=skip_rows, learn=False
+            )
+            assert frame.shape == (len(truth.row_ids), ncols + 1)
+            for c in range(ncols):
+                spans = zip(frame[:, c].tolist(), (frame[:, c + 1] - 1).tolist())
+                fields = [data[s:e].decode("utf-8") for s, e in spans]
+                assert fields == field_texts(truth.fields[c])
+        # Framed by the blocks or not, the kernel agrees with the oracle
+        # (fields, row ids, counters and the map), or declines to the
+        # dialect loop.
+        assert_routes_agree(data, adapter, ncols, needed, skip_rows=skip_rows)
 
 
 # ---------------------------------------------------------------------------

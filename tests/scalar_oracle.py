@@ -35,6 +35,7 @@ from repro.flatfile.dialects import (
 from repro.flatfile.files import decode_utf8
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.tokenizer import (
+    FieldSpans,
     RawPredicate,
     TokenizeResult,
     TokenizerStats,
@@ -226,12 +227,16 @@ def anchor_for(pmap: PositionalMap, col: int) -> tuple[int, np.ndarray] | None:
 def field_texts(values, *, ascii_input: bool = False) -> list[str]:
     """A route's field batch as a list of ``str``, for comparing routes.
 
-    Decodes through :func:`~repro.flatfile.dialects.as_text`, the engine's
-    own ``S`` -> ``str`` step.  With ``ascii_input``, a NumPy batch must
-    be ``S`` bytes — the parser's no-``str`` fast path — or an object
-    batch of ``str`` only (wide or NUL-repaired fields), never ``U`` and
-    never a mix of ``bytes`` and ``str``.
+    Spans (:class:`~repro.flatfile.tokenizer.FieldSpans`) are cut out
+    first, as the parser would cut them, then decoded through
+    :func:`~repro.flatfile.dialects.as_text`, the engine's own ``S`` ->
+    ``str`` step.  With ``ascii_input``, a NumPy batch must be ``S``
+    bytes — the parser's no-``str`` fast path — or an object batch of
+    ``str`` only (wide or NUL-repaired fields), never ``U`` and never a
+    mix of ``bytes`` and ``str``.
     """
+    if isinstance(values, FieldSpans):
+        values = values.values()
     if ascii_input and isinstance(values, np.ndarray):
         if values.dtype == object:
             assert all(isinstance(v, str) for v in values), values
