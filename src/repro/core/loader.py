@@ -48,7 +48,7 @@ import numpy as np
 from repro.config import EngineConfig
 from repro.errors import FlatFileError
 from repro.flatfile.dialects import FormatAdapter
-from repro.flatfile.files import FileWindows
+from repro.flatfile.files import FileWindows, window_totals
 from repro.flatfile.parser import ParseStats, parse_fields, parse_single
 from repro.flatfile.positions import PositionalMap
 from repro.flatfile.schema import WIDENS_TO, ColumnSchema, DataType, TableSchema
@@ -425,17 +425,6 @@ def _run_windows(
     return np.column_stack(lo).ravel(), np.column_stack(hi).ravel()
 
 
-def _coalesced_bytes(lo: np.ndarray, hi: np.ndarray, max_gap: int) -> int:
-    """Bytes :func:`~repro.flatfile.files.coalesce_ranges` covers over
-    windows whose starts and ends both run in file order, without
-    building the windows: the whole extent less every gap wider than
-    ``max_gap``."""
-    if not len(lo):
-        return 0
-    gaps = lo[1:] - hi[:-1]
-    return int(hi[-1] - lo[0]) - int(gaps[gaps > max_gap].sum())
-
-
 def _locate_fields(
     windows: FileWindows,
     spans: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -462,18 +451,19 @@ def _locate_fields(
     located: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for run in runs:
         s, _ = spans[run[0]]
-        # The run's fields lie in one window, so in one block: one
-        # shift moves all of them into the buffer.
-        shift = windows.translate(s) - s
-        before = buf[np.maximum(s + shift - 1, 0)]
+        # The run's fields lie in one window, so in one block: one shift (0
+        # on a dense read) moves them into the buffer; ``take`` clips at its ends.
+        shift = windows.shift(s)
+        moved = np.any(shift)
+        before = buf.take(s + (shift - 1), mode="clip")
         if run[0] == 0:
             ok = (s == 0) | (before == _NEWLINE)
         else:
             ok = (s > 0) & (before == delim if delim is not None else True)
         for c in run:
             s, e = spans[c]
-            lo, lengths = s + shift, e - s
-            after = buf[np.minimum(lo + lengths, len(buf) - 1)]
+            lo, lengths = s + shift if moved else s, e - s
+            after = buf.take(e + shift if moved else e, mode="clip")
             if c == ncols - 1:
                 line_end = (after == _NEWLINE) | (after == _CARRIAGE)
                 ok &= (e == size) | (line_end & (e < size))
@@ -532,8 +522,9 @@ def _selective_pass(
     # Two fields at most SELECTIVE_READ_MAX_GAP bytes apart share a read
     # window; their padded windows are then two bytes closer.
     max_gap = SELECTIVE_READ_MAX_GAP - 2
-    covered = _coalesced_bytes(*_run_windows(spans, runs, size), max_gap)
-    if covered >= size - (size >> 4):
+    planned = _run_windows(spans, runs, size)
+    totals = window_totals(*planned, max_gap, size)
+    if totals is not None and totals[0] >= size - (size >> 4):
         return None
 
     # Counted apart from the caller's, which a declined pass must leave
@@ -555,7 +546,10 @@ def _selective_pass(
             for run in read_runs
             for c in run
         }
-        windows = entry.file.read_windows(*_run_windows(sub, read_runs, size), max_gap=max_gap)
+        same = at is None and read_runs == runs  # the windows judged above
+        ranges = planned if same else _run_windows(sub, read_runs, size)
+        sums = totals if same else window_totals(*ranges, max_gap, size)
+        windows = entry.file.read_windows(*ranges, max_gap=max_gap, totals=sums)
         stats.chars_scanned += windows.window_bytes
         buffers.update((c, windows.buffer) for c in sub)
         return _locate_fields(windows, sub, read_runs, size, adapter, len(schema))

@@ -82,6 +82,26 @@ def coalesce_ranges(
     return s[first], cummax_e[last]
 
 
+def window_totals(
+    starts: np.ndarray, ends: np.ndarray, max_gap: int, size: int
+) -> tuple[int, int, int] | None:
+    """``(window_bytes, windows, block_bytes)`` of ranges in file order
+    (starts and ends both): the bytes and count of :func:`coalesce_ranges`'
+    windows and the bytes of :meth:`FlatFile.read_windows`' blocks, each
+    the extent less every gap over ``max_gap`` or :attr:`FlatFile._BLOCK_GAP`.
+    ``None`` when the extent is under 15/16 of the file's ``size``."""
+    extent = int(ends[-1] - starts[0]) if len(starts) else 0
+    if extent < size - (size >> 4) or not extent:
+        return None
+    gaps = starts[1:] - ends[:-1]
+    wide, blocks = gaps > max_gap, gaps > max(max_gap, FlatFile._BLOCK_GAP)
+    return (
+        extent - int(gaps.sum(where=wide)),
+        int(np.count_nonzero(wide)) + 1,
+        extent - int(gaps.sum(where=blocks)),
+    )
+
+
 @dataclass
 class FileWindows:
     """The blocks read for several coalesced windows of one file,
@@ -93,13 +113,13 @@ class FileWindows:
     run of file bytes, so it also holds the gaps between the windows it
     covers: :attr:`buffer_bytes` is what was physically read, while
     :attr:`window_bytes` is the coalesced window bytes that
-    ``bytes_read`` accounts.
+    ``bytes_read`` accounts; a dense read's one block starts at byte 0.
     """
 
     starts: np.ndarray
     ends: np.ndarray
     offsets: np.ndarray
-    buffer: bytes
+    buffer: bytes | bytearray
     window_bytes: int
 
     def translate(self, positions: np.ndarray) -> np.ndarray:
@@ -111,6 +131,16 @@ class FileWindows:
         if (idx < 0).any() or (positions > self.ends[idx]).any():
             raise FlatFileError("file offset outside every read window")
         return positions - self.starts[idx] + self.offsets[idx]
+
+    def shift(self, positions: np.ndarray) -> np.ndarray | int:
+        """What to add to file offsets ``positions`` to index :attr:`buffer`:
+        one number, found with no search, when one block was read."""
+        if len(self.starts) != 1:
+            return self.translate(positions) - positions
+        lo, hi = self.starts[0], self.ends[0]
+        if len(positions) and not lo <= positions.min() <= positions.max() <= hi:
+            raise FlatFileError("file offset outside every read window")
+        return int(self.offsets[0] - lo)
 
     @property
     def buffer_bytes(self) -> int:
@@ -498,6 +528,7 @@ class FlatFile:
         starts: np.ndarray,
         ends: np.ndarray,
         max_gap: int = 0,
+        totals: tuple[int, int, int] | None = None,
     ) -> FileWindows:
         """Read many byte ranges in batched, coalesced window reads.
 
@@ -505,7 +536,7 @@ class FlatFile:
         byte ranges; ranges closer than ``max_gap`` are merged into one
         window (see :func:`coalesce_ranges`).  Only the coalesced windows
         are accounted — never the whole file: ``bytes_read`` is the window
-        bytes and ``read_calls`` the window count.
+        bytes and ``read_calls`` the window count, on either route below.
 
         Windows are then read in *blocks*: consecutive windows at most
         :attr:`_BLOCK_GAP` bytes apart (``io.DEFAULT_BUFFER_SIZE``, the
@@ -517,28 +548,42 @@ class FlatFile:
         its fields straight out of them through
         :meth:`FileWindows.translate`, which searches the few blocks,
         never the windows, and no compacted copy is made.
+
+        *Dense route:* given :func:`window_totals` of ranges in file order
+        whose blocks would span 15/16 of the file, one ``readinto`` reads
+        bytes ``[0, ends[-1])``: no sort, no join, fields at file offsets.
         """
-        win_starts, win_ends = coalesce_ranges(starts, ends, max_gap)
-        n = len(win_starts)
-        window_bytes = int((win_ends - win_starts).sum())
-        if not n:
-            return FileWindows(win_starts, win_ends, win_starts.copy(), b"", 0)
-        chunk = win_starts // self._BLOCK_MAX
-        gap = win_starts[1:] - win_ends[:-1]
-        new_block = (gap > self._BLOCK_GAP) | (chunk[1:] != chunk[:-1])
-        first = np.flatnonzero(np.concatenate(([True], new_block)))
-        blk_starts = win_starts[first]
-        blk_ends = win_ends[np.append(first[1:] - 1, n - 1)]
+        size = self.size_bytes()
+        dense = totals is not None and totals[2] >= size - (size >> 4)
+        if dense:
+            window_bytes, n = totals[:2]
+            blk_starts, blk_ends = np.zeros(1, dtype=np.int64), np.asarray(ends[-1:])
+        else:
+            win_starts, win_ends = coalesce_ranges(starts, ends, max_gap)
+            n = len(win_starts)
+            window_bytes = int((win_ends - win_starts).sum())
+            if not n:
+                return FileWindows(win_starts, win_ends, win_starts.copy(), b"", 0)
+            chunk = win_starts // self._BLOCK_MAX
+            gap = win_starts[1:] - win_ends[:-1]
+            new_block = (gap > self._BLOCK_GAP) | (chunk[1:] != chunk[:-1])
+            first = np.flatnonzero(np.concatenate(([True], new_block)))
+            blk_starts = win_starts[first]
+            blk_ends = win_ends[np.append(first[1:] - 1, n - 1)]
         blk_sizes = blk_ends - blk_starts
         expected = int(blk_sizes.sum())
 
-        def once() -> list[bytes]:
+        def once() -> list[bytes | memoryview]:
             self._maybe_fault("flatfile.read")
             with open(self.path, "rb") as f:
-                got = []
-                for s, e in zip(blk_starts.tolist(), blk_ends.tolist()):
-                    f.seek(s)
-                    got.append(f.read(e - s))
+                if dense:  # filled in place: no second file-sized buffer
+                    got = [memoryview(bytearray(expected))]
+                    got[0] = got[0][: f.readinto(got[0])]
+                else:
+                    got = []
+                    for s, e in zip(blk_starts.tolist(), blk_ends.tolist()):
+                        f.seek(s)
+                        got.append(f.read(e - s))
             got[0] = self._truncated(got[0])
             # Window bounds come from the positional map: every block
             # lies inside the file, so short is truncation.
@@ -557,7 +602,7 @@ class FlatFile:
             starts=blk_starts,
             ends=blk_ends,
             offsets=np.cumsum(blk_sizes) - blk_sizes,
-            buffer=b"".join(blocks),
+            buffer=blocks[0].obj if dense else b"".join(blocks),
             window_bytes=window_bytes,
         )
 

@@ -385,7 +385,8 @@ class PersistentStore:
         ):
             self._write_at(edir / filename, data[committed:].ravel(), offset)
         else:
-            self._write_whole(edir / filename, data.tobytes())
+            # No copy: saved arrays are never written in place (grow/extend_tail concatenate).
+            self._write_whole(edir / filename, data)
         return filename
 
     def _put_strings(
@@ -438,7 +439,7 @@ class PersistentStore:
             "digest": _digest(prefix + new),
         }
 
-    def _write_whole(self, path: Path, data: bytes) -> None:
+    def _write_whole(self, path: Path, data: bytes | np.ndarray) -> None:
         """Replace ``path`` atomically (temp file, fsync, rename).
 
         ``os.replace`` is atomic on POSIX, so a reader sees the old
@@ -451,7 +452,7 @@ class PersistentStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        self.stats.bytes_written += len(data)
+        self.stats.bytes_written += memoryview(data).nbytes
 
     def _write_at(self, path: Path, data, offset: int) -> None:
         """``pwrite`` ``data`` at ``offset`` of an existing file, then fsync.

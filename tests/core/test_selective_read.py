@@ -18,14 +18,15 @@ from hypothesis import strategies as st
 from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.config import POLICIES
 from repro.core.loader import (
-    _coalesced_bytes,
+    SELECTIVE_READ_MAX_GAP,
     _column_runs,
     _field_spans,
     _run_windows,
     column_load_pass,
     partial_load_pass,
 )
-from repro.flatfile.files import FlatFile, coalesce_ranges
+from repro.errors import ReproError
+from repro.flatfile.files import FlatFile, coalesce_ranges, window_totals
 from repro.flatfile.positions import PositionalMap
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import Catalog
@@ -37,6 +38,19 @@ CONFIG = EngineConfig()
 def _write(path, rows, line_ending="\n"):
     path.write_text(line_ending.join(rows) + line_ending)
     return path
+
+
+def spy_reads(monkeypatch):
+    """The :class:`FileWindows` of every ``read_windows`` call from now."""
+    reads = []
+    real_read = FlatFile.read_windows
+
+    def spy(self, *args, **kwargs):
+        reads.append(real_read(self, *args, **kwargs))
+        return reads[-1]
+
+    monkeypatch.setattr(FlatFile, "read_windows", spy)
+    return reads
 
 
 class TestRepeatQueryBytes:
@@ -302,9 +316,11 @@ class TestPlanning:
             assert bool((lo[1:] >= lo[:-1]).all())  # file order
             assert bool((hi[1:] >= hi[:-1]).all())
             win_starts, win_ends = coalesce_ranges(lo, hi, max_gap)
-            assert _coalesced_bytes(lo, hi, max_gap) == int(
-                (win_ends - win_starts).sum()
-            )
+            extent = int(hi[-1] - lo[0])
+            sums = window_totals(lo, hi, max_gap, extent)
+            assert (sums is None) == (extent == 0)
+            if sums is not None:
+                assert sums[:2] == (int((win_ends - win_starts).sum()), len(win_starts))
             # Sorted or shuffled, the same ranges coalesce to the same
             # windows.
             order = np.random.default_rng(7).permutation(len(lo))
@@ -436,6 +452,61 @@ class TestOneRead:
         assert got == want
         assert reads == [20_000, want[0][1]]
 
+    def test_dense_read_counts_its_windows(self, wide_file, monkeypatch):
+        # a5 and a6 in every row: narrow windows, but blocks that span
+        # the file, so one read from the file start.  Still only the
+        # coalesced windows are counted.
+        sql = "select sum(a6), count(*) from t where a5 > 70000"
+        size = wide_file.stat().st_size
+        oracle = CSVEngine()
+        oracle.attach("t", wide_file)
+        want = oracle.query(sql).rows()
+        oracle.close()
+        with NoDBEngine(EngineConfig(policy="partial_v1")) as engine:
+            engine.attach("t", wide_file)
+            engine.query("select sum(a1) from t")
+            pmap = engine.catalog.get("t").positional_map
+            lo, hi = _run_windows(pmap.run_slices([4, 5]), [[4, 5]], size)
+            ws, we = coalesce_ranges(lo, hi, SELECTIVE_READ_MAX_GAP - 2)
+            reads = spy_reads(monkeypatch)
+            got = engine.query(sql).rows()
+            q = engine.stats.last()
+        assert got == want
+        (win,) = reads
+        assert (win.starts.tolist(), win.ends.tolist()) == ([0], [int(hi[-1])])
+        assert (q.file_bytes_read, q.file_reads) == (int((we - ws).sum()), len(ws))
+        assert q.file_bytes_read < size // 2
+
+    def test_file_truncated_under_a_dense_read_never_answers_wrong(
+        self, wide_file, monkeypatch
+    ):
+        sql = "select sum(a6), count(*) from t where a5 > 70000"
+        data = wide_file.read_bytes()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        with NoDBEngine(EngineConfig(policy="partial_v1")) as engine:
+            engine.attach("t", wide_file)
+            engine.query("select sum(a1) from t")
+            real_read = FlatFile.read_windows
+            truncated = []
+
+            def truncating(self, *args, **kwargs):
+                with open(self.path, "r+b") as f:
+                    f.truncate(cut)
+                truncated.append(True)
+                return real_read(self, *args, **kwargs)
+
+            monkeypatch.setattr(FlatFile, "read_windows", truncating)
+            try:
+                got = engine.query(sql).rows()
+            except ReproError:
+                got = None
+        assert truncated
+        if got is not None:
+            oracle = CSVEngine()
+            oracle.attach("t", wide_file)
+            assert got == oracle.query(sql).rows()
+            oracle.close()
+
 
 class TestSpanCheck:
     """A gathered span must be a field: a positional map damaged on disk
@@ -495,6 +566,35 @@ class TestSpanCheck:
             assert third.stats.counters.restart_warm_hits == 1
             assert third.stats.last().file_bytes_read < path.stat().st_size
         oracle.close()
+
+    @pytest.mark.parametrize("boundary, delta", [(2, 1), (1, 1), (1, -4)])
+    def test_dense_read_checks_every_separator(
+        self, tmp_path, monkeypatch, boundary, delta
+    ):
+        rows = ["a,b,c"] + [f"{i},{3 * i},{i % 7}" for i in range(20_000)]
+        path = _write(tmp_path / "t.csv", rows)
+        size = path.stat().st_size
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        want = oracle.query(self.SQL).rows()
+        oracle.close()
+        with NoDBEngine(EngineConfig(policy="partial_v1")) as engine:
+            engine.attach("t", path)
+            engine.query(self.SQL)
+            pmap = engine.catalog.get("t").positional_map
+            learned = pmap.frame
+            damaged = learned.copy()
+            damaged[3000:3010, boundary] += delta
+            pmap.frame = damaged
+            reads = spy_reads(monkeypatch)
+            assert engine.query(self.SQL).rows() == want
+            # One dense read through the damaged map, then a re-frame.
+            (win,) = reads
+            assert win.starts.tolist() == [0]
+            assert engine.stats.last().file_bytes_read > size
+            np.testing.assert_array_equal(pmap.frame, learned)
+            assert engine.query(self.SQL).rows() == want
+            assert engine.stats.last().file_bytes_read < size
 
 
 class TestMapUnderBudget:

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from repro.errors import FlatFileError
 from repro.faults import FaultPlan, FaultSpec
-from repro.flatfile.files import FileFingerprint, FlatFile, coalesce_ranges
+from repro.flatfile.files import (
+    FileFingerprint,
+    FlatFile,
+    coalesce_ranges,
+    window_totals,
+)
 
 
 @pytest.fixture
@@ -263,6 +268,124 @@ class TestBlockReads:
         with pytest.raises(FlatFileError, match="short window read"):
             f.read_windows(np.array([0, 100]), np.array([10, 110]))
         assert f.stats.bytes_read == 0
+
+
+def file_ordered(seed, size, max_gap):
+    """One range every few bytes from the file start to near its end, in
+    file order, some gaps within ``max_gap`` and some wider: the windows
+    of one column in every row."""
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, 2 * max_gap + 6, size // 8)
+    lengths = rng.integers(0, 12, size // 8)
+    starts = np.cumsum(steps + np.append(0, lengths[:-1]))
+    keep = starts + lengths <= size
+    return starts[keep], (starts + lengths)[keep]
+
+
+SMALL = 1 << 18
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """A quarter of a block cap of seeded bytes."""
+    path = tmp_path_factory.mktemp("dense") / "small.bin"
+    rng = np.random.default_rng(19)
+    path.write_bytes(rng.integers(0, 256, SMALL, dtype=np.uint8).tobytes())
+    return path
+
+
+class TestDenseReads:
+    """Ranges in file order, handed over with their totals, whose blocks
+    would span the file are read in one sequential read from the file
+    start, accounted as their windows."""
+
+    @staticmethod
+    def _read(f, starts, ends, max_gap=0):
+        return f.read_windows(
+            starts,
+            ends,
+            max_gap=max_gap,
+            totals=window_totals(starts, ends, max_gap, f.size_bytes()),
+        )
+
+    def _dense(self, win, end):
+        assert (win.starts.tolist(), win.ends.tolist(), win.offsets.tolist()) == (
+            [0],
+            [end],
+            [0],
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), max_gap=st.sampled_from([0, 4]))
+    def test_same_windows_and_counts_as_per_window_reads(self, small_file, seed, max_gap):
+        starts, ends = file_ordered(seed, SMALL, max_gap)
+        f = FlatFile(small_file)
+        win = self._read(f, starts, ends, max_gap)
+        self._dense(win, int(ends[-1]))
+        want, nwindows = per_window_oracle(small_file, starts, ends, max_gap)
+        assert win.window_bytes == f.stats.bytes_read == len(want)
+        assert f.stats.read_calls == nwindows
+        assert win.buffer == file_bytes(small_file, 0, int(ends[-1]))
+        ws, we = coalesce_ranges(starts, ends, max_gap)
+        got = b"".join(win.buffer[s:e] for s, e in zip(ws.tolist(), we.tolist()))
+        assert got == want
+        # Shuffled, the same ranges take the block route, alike.
+        order = np.random.default_rng(seed).permutation(len(starts))
+        g = FlatFile(small_file)
+        blocks = g.read_windows(starts[order], ends[order], max_gap=max_gap)
+        assert blocks.starts.tolist() == [ws[0]]
+        assert blocks.buffer == win.buffer[ws[0] :]
+        assert (g.stats.bytes_read, g.stats.read_calls) == (len(want), nwindows)
+        assert window_totals(starts, ends, max_gap, SMALL) == (
+            len(want),
+            nwindows,
+            blocks.buffer_bytes,
+        )
+
+    def test_windows_that_tile_the_file_are_its_bytes(self, small_file):
+        starts = np.arange(0, SMALL, 10, dtype=np.int64)
+        ends = np.minimum(starts + 10, SMALL)
+        f = FlatFile(small_file)
+        win = self._read(f, starts, ends)
+        want, nwindows = per_window_oracle(small_file, starts, ends, 0)
+        self._dense(win, SMALL)
+        assert win.buffer == want
+        assert (win.window_bytes, f.stats.bytes_read) == (len(want), len(want))
+        assert f.stats.read_calls == nwindows == 1
+
+    def test_sparse_file_order_keeps_the_block_route(self, big_file):
+        starts = np.arange(40, dtype=np.int64) * (3 * GAP) + 7
+        # Spanning under 15/16 of the file, they are not even summed.
+        assert window_totals(starts, starts + 9, 0, 5 * CAP // 2) is None
+        assert window_totals(starts, starts + 9, 0, int(starts[-1]))[2] == 40 * 9
+        win = self._read(FlatFile(big_file), starts, starts + 9)
+        assert len(win.starts) == 40
+
+    def test_short_read_is_retried(self, small_file):
+        starts, ends = file_ordered(3, SMALL, 4)
+        plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})
+        f = FlatFile(small_file, fault_plan=plan)
+        win = self._read(f, starts, ends, 4)
+        self._dense(win, int(ends[-1]))
+        assert win.buffer == file_bytes(small_file, 0, int(ends[-1]))
+        assert f.stats.retries == 1
+        want, nwindows = per_window_oracle(small_file, starts, ends, 4)
+        assert (f.stats.bytes_read, f.stats.read_calls) == (len(want), nwindows)
+
+    def test_persistent_short_read_is_typed(self, small_file):
+        starts, ends = file_ordered(3, SMALL, 4)
+        plan = FaultPlan({"flatfile.short_read": FaultSpec(times=None)})
+        f = FlatFile(small_file, fault_plan=plan)
+        with pytest.raises(FlatFileError, match="short window read"):
+            self._read(f, starts, ends, 4)
+        assert (f.stats.bytes_read, f.stats.read_calls) == (0, 0)
+
+    def test_shift_is_one_number_for_one_block(self, small_file):
+        starts, ends = file_ordered(5, SMALL, 0)
+        win = self._read(FlatFile(small_file), starts, ends)
+        assert win.shift(starts) == 0
+        with pytest.raises(FlatFileError):
+            win.shift(np.array([int(ends[-1]) + 1]))
 
 
 class TestThrottle:
