@@ -5,10 +5,13 @@ queries touch the file, how much is parsed, what the store retains — rather
 than wall-clock times, which the benches cover.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro import EngineConfig, NoDBEngine
+from repro import POLICIES, EngineConfig, NoDBEngine
 
 
 SQL_A12 = "select sum(a1), avg(a2) from r where a1 > 100 and a1 < 260 and a2 > 150 and a2 < 310"
@@ -277,3 +280,141 @@ class TestSplitFilesDialectFallback:
         plain = engine_factory("splitfiles")
         plain.query("select sum(a1) from r")
         assert plain.catalog.get("r").split_catalog is not None  # plain still cracks
+
+
+# ---------------------------------------------------------------------------
+# every counter of every policy, pinned
+# ---------------------------------------------------------------------------
+
+#: Recorded per-query counters of :func:`run_pinned_sequence`, one list per
+#: ``"<scenario>/<policy>"``.  Any change to what a policy reads, parses,
+#: keeps or serves shows up here as a changed tuple.
+PINNED = Path(__file__).with_name("policy_counters.json")
+
+PINNED_ROWS = 960
+COLORS = ("red", "green", "blue", "amber")
+RANGE = "select sum(a2), avg(a3) from r where a1 >= 100 and a1 < 400"
+PINNED_SEQUENCE = [
+    RANGE,  # cold
+    RANGE,  # repeat
+    "select sum(a2), avg(a3) from r where a1 >= 150 and a1 < 300",  # zoom-in
+    "select sum(a4) from r where a4 > 100 and a4 < 250",  # next column
+    "select a1, a4 from r where a2 < 500 order by a4 desc, a1 limit 5",
+    "select count(*) from r",
+    "select s, count(*), sum(a4) from r group by s order by s",
+    # a burst on one predicate column: cracking engages at crack_after=2
+    "select count(*), sum(a4) from r where a2 > 100 and a2 < 600",
+    "select count(*), sum(a4) from r where a2 > 200 and a2 < 500",
+    "select count(*), sum(a4) from r where a2 > 250 and a2 < 450",
+    "select count(*), sum(a4) from r where a2 > 300 and a2 < 400",
+    "select count(*), sum(a4) from r where a2 > 120 and a2 < 700",
+]
+#: Run after ``set_policy`` switches to the next policy in POLICIES.
+AFTER_SWITCH = [
+    RANGE,
+    "select sum(a3) from r where a3 > 50 and a3 < 150",
+    "select count(*) from r where a4 < 100",
+    "select s, max(a1) from r where a1 > 800 group by s order by s",
+]
+#: name -> (file suffix, attach format, memory budget in bytes)
+PINNED_SCENARIOS = {
+    "csv": (".csv", None, None),
+    "jsonl": (".jsonl", "jsonl", None),
+    # Smaller than the resident columns plus the positional map: fullload
+    # reloads evicted columns, the map is cut back after framing passes.
+    "budget": (".csv", None, 20_000),
+}
+
+
+def pinned_rows():
+    for i in range(PINNED_ROWS):
+        yield {
+            "a1": i,
+            "a2": (i * 37) % 1000,
+            "a3": ((i * 53) % 997) / 4,
+            "a4": (i * 91) % 500,
+            "s": COLORS[(i * 7) % 5 % 4],
+        }
+
+
+def write_pinned_file(path: Path, fmt: str | None) -> None:
+    if fmt == "jsonl":
+        lines = [json.dumps(row) for row in pinned_rows()]
+    else:
+        lines = ["a1,a2,a3,a4,s"] + [
+            f"{r['a1']},{r['a2']},{r['a3']:.2f},{r['a4']},{r['s']}"
+            for r in pinned_rows()
+        ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _plain(value):
+    """JSON-stable form of one result cell (floats to 12 digits)."""
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.12g}")
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+def run_pinned_sequence(scenario: str, policy: str, directory: Path) -> list[list]:
+    """Run the fixed sequence; one recorded tuple per query."""
+    suffix, fmt, budget = PINNED_SCENARIOS[scenario]
+    path = directory / f"pinned{suffix}"
+    write_pinned_file(path, fmt)
+    switch_to = POLICIES[(POLICIES.index(policy) + 1) % len(POLICIES)]
+    config = EngineConfig(
+        policy=policy, crack_after=2, zone_map_rows=64, memory_budget_bytes=budget
+    )
+    records = []
+    with NoDBEngine(config) as engine:
+        engine.attach("r", path, format=fmt)
+        for i, sql in enumerate(PINNED_SEQUENCE + AFTER_SWITCH):
+            if i == len(PINNED_SEQUENCE):
+                engine.set_policy(switch_to)
+            result = engine.query(sql)
+            q = engine.stats.last()
+            counters = engine.stats.counters
+            records.append([
+                q.policy,
+                q.went_to_file,
+                q.served_from_store,
+                q.rows_loaded,
+                q.split_files_written,
+                q.cracks,
+                q.served_by_cracker,
+                q.zone_map_skips,
+                q.file_bytes_read,
+                q.file_reads,
+                q.parse.values_parsed,
+                q.tokenizer.fields_tokenized,
+                q.result_rows,
+                counters.warm_hits,
+                counters.shared_scan_loads,
+                [[_plain(v) for v in row] for row in result.rows()[:3]],
+            ])
+    return records
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_SCENARIOS))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_counters_per_policy_are_pinned(policy, scenario, tmp_path):
+    got = run_pinned_sequence(scenario, policy, tmp_path)
+    expected = json.loads(PINNED.read_text())[f"{scenario}/{policy}"]
+    assert len(got) == len(expected)
+    for i, (g, e) in enumerate(zip(got, expected)):
+        assert g == e, f"query {i} ({(PINNED_SEQUENCE + AFTER_SWITCH)[i]!r})"
+
+
+def test_pinned_runs_reach_every_branch():
+    """The pinned sequence exercises what it is there to guard."""
+    pinned = json.loads(PINNED.read_text())
+    cracked = [key for key, runs in pinned.items() if any(r[6] for r in runs)]
+    assert {"csv/fullload", "csv/column_loads", "csv/splitfiles"} <= set(cracked)
+    assert any(r[4] for r in pinned["csv/splitfiles"])  # split files written
+    assert not any(r[4] for r in pinned["jsonl/splitfiles"])  # degraded
+    assert any(r[7] for r in pinned["csv/partial_v1"])  # zone maps skipped
+    # fullload under the budget reloads columns it evicted
+    assert any(r[1] and r[3] for r in pinned["budget/fullload"][1:])
+    # partial_v2 serves a zoom-in from certified fragments
+    assert pinned["csv/partial_v2"][2][2]
