@@ -2,9 +2,10 @@
 
 ``repro.core`` wires the substrates together: the
 :class:`~repro.core.engine.NoDBEngine` facade accepts attached flat files
-and SQL, and a pluggable :class:`~repro.core.policies.LoadingPolicy`
-decides — per query — what to read from the raw files, what to keep, and
-what to serve from the adaptive store.
+and SQL, and the configured :class:`~repro.core.policies.LoadingPolicy`
+record — a first pass over the raw file and what of it to keep — decides,
+per query, what to read from the raw files and what to serve from the
+adaptive store.
 """
 
 from repro.core.engine import NoDBEngine

@@ -55,9 +55,8 @@ from repro.config import EngineConfig
 from repro.core.lifecycle import Lifecycle, check_detached
 from repro.core.loader import _widen_column
 from repro.core.monitor import RobustnessMonitor
-from repro.core.policies import LoadContext, LoadingPolicy, TableView, make_policy
+from repro.core.policies import LoadContext, TableView, make_policy
 from repro.core.result_cache import FileSignature, QueryResultCache
-from repro.core.splitfile import SplitFileCatalog
 from repro.core.statistics import EngineStatistics, QueryStats, Stopwatch
 from repro.errors import CatalogError, FlatFileError
 from repro.faults import FaultPlan
@@ -67,7 +66,6 @@ from repro.sql.ast_nodes import SelectStmt
 from repro.sql.binder import BoundQuery, bind
 from repro.sql.parser import parse_sql
 from repro.execution.executor import execute_bound_query
-from repro.flatfile.dialects import DelimitedAdapter
 from repro.flatfile.schema import merge_schemas, widest
 from repro.storage.catalog import Catalog, MultiFileEntry, TableEntry
 from repro.storage.memory import MemoryManager
@@ -92,9 +90,6 @@ class NoDBEngine:
             else FaultPlan.from_env()
         )
         self.catalog = Catalog()
-        self.policy = make_policy(self.config.policy)
-        #: Stand-in for splitfiles on dialects that cannot be cracked.
-        self._splitfile_fallback = make_policy("column_loads")
         self.memory = MemoryManager(budget_bytes=self.config.memory_budget_bytes)
         self.stats = EngineStatistics()
         self.monitor = RobustnessMonitor(self.stats, self.config, self.memory.stats)
@@ -195,10 +190,8 @@ class NoDBEngine:
         are reused where the new policy understands them (partial_v2) or
         simply superseded by fuller loads (column/split/full).
         """
+        make_policy(policy_name)  # validates the name
         with self._lock:
-            if policy_name == self.config.policy:
-                return
-            self.policy = make_policy(policy_name)  # validates the name
             self.config.policy = policy_name
 
     def schema_of(self, name: str) -> list[tuple[str, str]]:
@@ -518,7 +511,6 @@ class NoDBEngine:
         return TableView(
             nrows=sum(v.nrows for v in part_views),
             arrays=arrays,
-            served_from_store=all(v.served_from_store for v in part_views),
             went_to_file=any(v.went_to_file for v in part_views),
         )
 
@@ -539,11 +531,10 @@ class NoDBEngine:
         entry_key = entry.name.lower()
         waited = False
         while True:
-            # One coherent read per attempt: a concurrent set_policy must
-            # not be observed as one policy here and another in the
-            # flight key or the split-catalog decision below.
-            policy_name = self.config.policy
-            policy = self._policy_for(entry, policy_name)
+            # One read of the policy per attempt: a concurrent set_policy
+            # must not be observed as one policy here and another in the
+            # flight key or the load below.
+            policy = make_policy(self.config.policy)
             # Warm path: serve from resident fragments under the shared
             # read lock — warm queries on one table run fully in parallel.
             # The result-cache probe already fingerprinted the file this
@@ -551,7 +542,7 @@ class NoDBEngine:
             stale = entry.is_stale(known_fingerprint)
             known_fingerprint = None  # retries must observe fresh state
             if not stale:
-                ctx = self._make_ctx(entry, needed, condition, qstats, policy_name)
+                ctx = self._make_ctx(entry, needed, condition, qstats)
                 try:
                     with entry.rwlock.read_locked():
                         check_detached(entry)
@@ -565,7 +556,7 @@ class NoDBEngine:
             # load under the exclusive write lock.
             flight_key = (
                 entry_key,
-                policy_name,
+                policy.name,
                 tuple(sorted(n.lower() for n in needed)),
                 repr(condition),
             )
@@ -578,9 +569,7 @@ class NoDBEngine:
                     # Staleness, append-extension and the restart-warm
                     # restore; the fingerprint is taken before any raw read.
                     fingerprint = self.lifecycle.prepare(entry)
-                    ctx = self._make_ctx(
-                        entry, needed, condition, qstats, policy_name, for_load=True
-                    )
+                    ctx = self._make_ctx(entry, needed, condition, qstats)
                     try:
                         view = policy.try_serve_warm(ctx)
                         if view is not None:
@@ -615,41 +604,13 @@ class NoDBEngine:
         else:
             self.stats.count("warm_hits")
 
-    def _policy_for(self, entry: TableEntry, policy_name: str) -> LoadingPolicy:
-        """The effective policy for one table under ``policy_name``.
-
-        Split files re-slice raw rows with delimiter arithmetic, which
-        only the plain delimited dialect supports; for other dialects the
-        splitfiles policy degrades to column loads on that table (same
-        results, no cracking).  ``policy_name`` is the caller's coherent
-        snapshot of ``config.policy`` — re-reading it here could tear
-        against a concurrent ``set_policy``.
-        """
-        if policy_name == "splitfiles" and not self._splittable(entry):
-            return self._splitfile_fallback
-        if policy_name == self.config.policy:
-            return self.policy
-        return make_policy(policy_name)
-
-    @staticmethod
-    def _splittable(entry: TableEntry) -> bool:
-        return isinstance(entry.file.adapter, DelimitedAdapter)
-
     def _make_ctx(
         self,
         entry: TableEntry,
         needed: list[str],
         condition,
         qstats: QueryStats,
-        policy_name: str,
-        for_load: bool = False,
     ) -> LoadContext:
-        # The split catalog is only materialized for the load path (its
-        # creation mutates the entry and must hold the write lock); warm
-        # probes never touch ctx.split.
-        split = None
-        if for_load and policy_name == "splitfiles" and self._splittable(entry):
-            split = self._split_catalog(entry)
         return LoadContext(
             entry=entry,
             needed=needed,
@@ -657,7 +618,6 @@ class NoDBEngine:
             config=self.config,
             memory=self.memory,
             qstats=qstats,
-            split=split,
             advisor=self.monitor.cracking,
         )
 
@@ -669,16 +629,6 @@ class NoDBEngine:
         schema = entry.ensure_schema()
         for name in needed:
             ctx.pin((entry.table.name, schema.column(name).name))
-
-    def _split_catalog(self, entry: TableEntry) -> SplitFileCatalog:
-        """The entry's split catalog (caller holds the table write lock)."""
-        if entry.split_catalog is None:
-            entry.split_catalog = SplitFileCatalog(
-                source=entry.file,
-                ncols=len(entry.ensure_schema()),
-                skip_rows=1 if entry.has_header else 0,
-            )
-        return entry.split_catalog
 
     def _file_io_totals(self, entries) -> tuple[int, int, int]:
         """Raw-file I/O attributable to the *calling thread*.

@@ -1,18 +1,19 @@
 """Adaptive load operators (paper section 3).
 
-These are the operators the paper plugs into MonetDB query plans; here they
-are functions invoked by the loading policies before execution.  Each
-operator makes one pass over a raw file (or split files) and returns typed
-column arrays plus the work counters the statistics layer aggregates:
+These are the operators the paper plugs into MonetDB query plans; here
+they are one function, :func:`run_pass`, invoked by the loading policies'
+first passes (:mod:`repro.core.policies`) before execution.  Each call
+makes one pass over a raw file and returns typed column arrays plus the
+work counters the statistics layer aggregates.  Its two flags give the
+paper's operators:
 
-* :func:`full_load_pass` — the classic loader: tokenize and parse every
-  column of every row (the MonetDB baseline of every figure).
-* :func:`column_load_pass` — load a *subset* of columns in one go
-  ("one adaptive load operator to bring in one go all missing columns").
-* :func:`partial_load_pass` — load only rows qualifying pushed-down
-  predicates (Partial Loads; section 3.2's early row abandonment).
-* :func:`external_pass` — the MySQL-CSV-engine behaviour: tokenize whole
-  rows, parse what the query needs, remember nothing.
+* ``parse_all_rows=True`` — load the given columns completely in one go
+  ("one adaptive load operator to bring in one go all missing columns";
+  all of them is the classic loader, the baseline of every figure);
+* ``parse_all_rows=False`` — load only rows qualifying pushed-down
+  predicates (Partial Loads; section 3.2's early row abandonment);
+* ``tokenize_everything=True`` — the MySQL-CSV-engine behaviour:
+  tokenize whole rows, parse what the query needs.
 
 All passes discover the table's row count as a side effect, feed the
 positional map when enabled, and honour the tokenizer ablation toggles in
@@ -685,57 +686,3 @@ def _learn_zones_from_text(
         return
     _zone_index(entry, len(texts), config).learn(col, values)
 
-
-def full_load_pass(entry: TableEntry, config: EngineConfig) -> PassResult:
-    """Load every column of every row (the up-front loading baseline)."""
-    schema = entry.ensure_schema()
-    return run_pass(
-        entry,
-        needed=schema.names,
-        condition=None,
-        config=config,
-        parse_all_rows=True,
-    )
-
-
-def column_load_pass(
-    entry: TableEntry, columns: list[str], config: EngineConfig
-) -> PassResult:
-    """Load the given columns completely, in one pass over the file."""
-    return run_pass(
-        entry,
-        needed=columns,
-        condition=None,
-        config=config,
-        parse_all_rows=True,
-    )
-
-
-def partial_load_pass(
-    entry: TableEntry,
-    columns: list[str],
-    condition: Condition | None,
-    config: EngineConfig,
-) -> PassResult:
-    """Load only rows qualifying the pushed-down range condition."""
-    return run_pass(
-        entry,
-        needed=columns,
-        condition=condition,
-        config=config,
-        parse_all_rows=False,
-    )
-
-
-def external_pass(
-    entry: TableEntry, columns: list[str], config: EngineConfig
-) -> PassResult:
-    """The CSV-engine pass: tokenize whole rows, parse needed, keep nothing."""
-    return run_pass(
-        entry,
-        needed=columns,
-        condition=None,
-        config=config,
-        parse_all_rows=True,
-        tokenize_everything=True,
-    )

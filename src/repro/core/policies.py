@@ -1,19 +1,30 @@
-"""Loading policies: the strategies of sections 3-4 behind one interface.
+"""Loading policies: the strategies of sections 3-4 as one mechanism.
 
 A :class:`LoadingPolicy` receives one query's requirements for one table —
 needed columns and the conjunctive range condition — and returns a
-:class:`TableView` of column vectors the executor can run on.  How much of
-the raw file gets touched, what is kept in the adaptive store, and what a
-repeat query will cost are entirely the policy's business:
+:class:`TableView` of column vectors the executor can run on.  The six
+policies differ in two things only: what the first pass over the raw file
+reads, and what of it outlives the query.  Each is one record of
+:data:`POLICIES`:
 
-========================  ====================================================
-``fullload``              classic DBMS: first touch loads everything
-``external``              MySQL CSV engine: re-parse whole rows every query
-``column_loads``          load whole missing columns on demand (section 3.2)
-``partial_v1``            pushdown loading, discard after query (section 3.2)
-``partial_v2``            pushdown loading, keep + reuse fragments (section 4)
-``splitfiles``            file cracking: split-as-you-load (section 4)
-========================  ====================================================
+================  =============  =========  ==================================================
+policy            first pass     keeps      models
+================  =============  =========  ==================================================
+``fullload``      column pass    columns    classic DBMS: first touch loads everything
+``external``      external pass  nothing    MySQL CSV engine: re-parse whole rows every query
+``column_loads``  column pass    columns    load whole missing columns on demand (section 3.2)
+``partial_v1``    partial pass   nothing    pushdown loading, discard after query (section 3.2)
+``partial_v2``    partial pass   fragments  pushdown loading, keep + reuse fragments (section 4)
+``splitfiles``    split pass     columns    file cracking: split-as-you-load (section 4)
+================  =============  =========  ==================================================
+
+``fullload`` alone sets ``loads_all_cold``: while its table is cold, the
+column pass loads every column, not just the ones the query needs.
+
+What a policy keeps decides its warm path too: kept ``columns`` serve
+warm once fully resident (through a cracker once a range column is hot),
+certified ``fragments`` serve warm when their certificates cover the
+query, and a policy that keeps ``nothing`` reads the file every time.
 
 The **universe convention**: a view presents either all table rows or only
 rows qualifying the query's recognized range condition.  Both are sound
@@ -26,28 +37,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Literal
 
 import numpy as np
 
 from repro.config import EngineConfig
-from repro.core.loader import (
-    PassResult,
-    column_load_pass,
-    external_pass,
-    full_load_pass,
-    parse_widening,
-    partial_load_pass,
-)
+from repro.core.loader import PassResult, parse_widening, run_pass
 from repro.core.monitor import CrackingAdvisor
 from repro.core.splitfile import SplitFileCatalog
 from repro.core.statistics import QueryStats
 from repro.cracking.cracker import CrackerColumn
 from repro.errors import ExecutionError
+from repro.flatfile.dialects import DelimitedAdapter
+from repro.flatfile.parser import ParseStats
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import TableEntry
 from repro.storage.memory import MemoryManager
-from repro.storage.partial import CoverageCertificate
+from repro.storage.partial import CoverageCertificate, PartialColumn
 from repro.storage.table import Table
+from repro.strings import StringColumn
 
 
 @dataclass
@@ -60,7 +68,6 @@ class LoadContext:
     config: EngineConfig
     memory: MemoryManager
     qstats: QueryStats
-    split: SplitFileCatalog | None = None
     #: The engine monitor's cracking advisor (None in bare-policy tests:
     #: the warm path then never cracks).
     advisor: CrackingAdvisor | None = None
@@ -81,11 +88,14 @@ class TableView:
     """Column vectors presented to the executor for one table."""
 
     nrows: int
-    arrays: dict[str, np.ndarray]
-    served_from_store: bool = False
+    arrays: dict[str, np.ndarray | StringColumn]
     went_to_file: bool = False
 
-    def get_column(self, name: str) -> np.ndarray:
+    @property
+    def served_from_store(self) -> bool:
+        return not self.went_to_file
+
+    def get_column(self, name: str) -> np.ndarray | StringColumn:
         try:
             return self.arrays[name.lower()]
         except KeyError:
@@ -94,182 +104,299 @@ class TableView:
             ) from None
 
 
+# ---------------------------------------------------------------------------
+# first passes: what a cold query reads from the raw file
+# ---------------------------------------------------------------------------
+
+
+def column_pass(ctx: LoadContext, columns: list[str]) -> PassResult:
+    """Load the given columns completely, in one pass over the file."""
+    return run_pass(ctx.entry, columns, None, ctx.config, parse_all_rows=True)
+
+
+def external_pass(ctx: LoadContext, columns: list[str]) -> PassResult:
+    """The CSV-engine pass: tokenize whole rows, parse the needed columns."""
+    return run_pass(
+        ctx.entry, columns, None, ctx.config, parse_all_rows=True, tokenize_everything=True
+    )
+
+
+def partial_pass(ctx: LoadContext, columns: list[str]) -> PassResult:
+    """Load only the rows qualifying the pushed-down range condition."""
+    return run_pass(ctx.entry, columns, ctx.condition, ctx.config, parse_all_rows=False)
+
+
+def split_pass(ctx: LoadContext, columns: list[str]) -> PassResult:
+    """Load the given columns completely through the entry's split files.
+
+    The :class:`~repro.core.splitfile.SplitFileCatalog` reads single
+    files when earlier passes already split the columns out, and splits
+    remainders as a side effect otherwise; it is created on first use
+    (the caller holds the table write lock).  Splitting re-slices raw
+    rows with delimiter arithmetic, which only the plain delimited
+    dialect supports: on any other dialect this is the column pass (same
+    results, no cracking).
+    """
+    entry = ctx.entry
+    if not isinstance(entry.file.adapter, DelimitedAdapter):
+        return column_pass(ctx, columns)
+    schema = entry.ensure_schema()
+    if entry.split_catalog is None:
+        skip = 1 if entry.has_header else 0
+        entry.split_catalog = SplitFileCatalog(entry.file, len(schema), skip)
+    fetched = entry.split_catalog.fetch_columns([schema.index_of(n) for n in columns])
+    ctx.qstats.split_files_written += fetched.files_written
+    parse = ParseStats()
+    values = {}
+    for name in columns:
+        idx = schema.index_of(name)
+        values[name] = parse_widening(entry, idx, fetched.fields[idx], parse)
+    nrows = len(next(iter(fetched.fields.values())))
+    return PassResult(nrows, values, np.arange(nrows, dtype=np.int64), fetched.stats, parse)
+
+
+# ---------------------------------------------------------------------------
+# the policy record
+# ---------------------------------------------------------------------------
+
+#: What outlives the query: ``nothing``, whole ``columns``, or certified
+#: ``fragments`` (the qualifying rows, with the condition that chose them).
+Keeps = Literal["nothing", "columns", "fragments"]
+
+
+@dataclass(frozen=True)
 class LoadingPolicy:
-    """Base class; subclasses implement :meth:`provide`."""
+    """One loading policy: its first pass and its retention rule."""
 
-    name = "abstract"
-
-    def provide(self, ctx: LoadContext) -> TableView:  # pragma: no cover
-        raise NotImplementedError
+    name: str
+    first_pass: Callable[[LoadContext, list[str]], PassResult]
+    keeps: Keeps
+    #: A cold table's first pass loads every column (``fullload``).
+    loads_all_cold: bool = False
 
     def try_serve_warm(self, ctx: LoadContext) -> TableView | None:
-        """Serve the query purely from resident fragments, or decline.
+        """Serve the query purely from what this policy keeps, or decline.
 
         Called by the engine under the table's shared *read* lock, so it
         must not mutate the entry, the store or the positional map — the
-        only side effects allowed are memory-manager pins/touches.
-        Returning ``None`` sends the caller to the exclusive load path.
-        Stateless policies (``external``, ``partial_v1``) keep nothing
-        and therefore never serve warm.
-        """
-        return None
-
-    # ------------------------------------------------------------ helpers
-
-    @staticmethod
-    def _warm_full_columns(ctx: LoadContext) -> TableView | None:
-        """Read-only store probe: every needed column fully resident.
-
-        Pins each fragment *before* inspecting it so a concurrent
-        eviction (which runs under the memory manager's lock, not the
-        table lock) cannot drop a column between the check and the
-        snapshot.  Any miss declines — the load path re-checks under the
-        write lock.
+        only side effects allowed are memory-manager pins/touches (and a
+        cracker's own state, under ``entry.cracker_lock``).  Returning
+        ``None`` sends the caller to the exclusive load path.
         """
         table = ctx.entry.table
-        if table is None:
+        if table is None or self.keeps == "nothing":
             return None
-        arrays: dict[str, np.ndarray] = {}
-        for name in ctx.needed:
-            pc = table.columns.get(name.lower())
-            if pc is None:
+        if self.keeps == "fragments":
+            # Certificates only ever change under the table write lock,
+            # but eviction does not hold it: pinning every needed column
+            # freezes the fragments the coverage check relies on.
+            if _pinned(ctx, table, ctx.needed, full=False) is None or not _covered(ctx, table):
                 return None
-            key = (table.name, pc.name)
-            if not ctx.pin(key):
-                return None
-            if not pc.is_fully_loaded or pc.values is None:
-                return None
-            ctx.memory.touch(key)
-            arrays[name.lower()] = pc.values
-        return TableView(
-            nrows=table.nrows,
-            arrays=arrays,
-            served_from_store=True,
-            went_to_file=False,
-        )
+            return _fragments_view(ctx, table)
+        view = _warm_cracked(ctx, table)
+        if view is None and _pinned(ctx, table, ctx.needed, full=True) is not None:
+            view = _columns_view(ctx, table)
+        return view
 
-    @staticmethod
-    def _warm_cracked(ctx: LoadContext) -> TableView | None:
-        """Serve a range query through a cracked column, or decline.
-
-        The warm-path strategy above plain masks: once the advisor has
-        seen ``config.crack_after`` warm range scans against a fully
-        resident numeric column, a :class:`CrackerColumn` copy of it is
-        built, and range selections are answered by cracker-index binary
-        search plus at most two edge-piece partitions — O(result) work
-        instead of O(rows) masks.
-
-        Runs under the shared *read* lock like every warm serve.  The
-        cracker owns a copy of the base column and is only mutated under
-        ``entry.cracker_lock``, so the read-lock contract (no entry,
-        store or posmap mutation) holds.  The returned view presents the
-        cracked slice in file order: the rows of the cracked column's
-        interval, plus the NaN rows a one-sided interval keeps right of
-        its cut.  The executor re-applies every WHERE conjunct, which
-        drops those and filters on the other condition columns.
-        """
-        cfg = ctx.config
-        if not cfg.cracking or ctx.advisor is None or ctx.condition.is_trivial():
-            return None
+    def provide(self, ctx: LoadContext) -> TableView:
+        """Serve the query, running the first pass for what is not kept
+        (the caller holds the table's write lock)."""
         entry = ctx.entry
         table = entry.table
-        if table is None:
-            return None
-        # Pin-then-check every column the query touches (needed plus all
-        # condition columns), exactly like _warm_full_columns: any miss
-        # declines to the load path.
-        cond_cols = [c for c, _ in ctx.condition.items]
-        pcs = {}
-        for name in dict.fromkeys([n.lower() for n in ctx.needed] + cond_cols):
-            pc = table.columns.get(name)
-            if pc is None or not ctx.pin((table.name, pc.name)):
-                return None
-            if not pc.is_fully_loaded or pc.values is None:
-                return None
-            pcs[name] = pc
-        crack_on = None
-        for col, interval in ctx.condition.items:
-            pc = pcs[col]
-            if pc.dtype.is_numeric and _crackable(interval, pc.values.dtype.kind):
-                crack_on = (col, interval)
-                break
-        if crack_on is None:
-            return None
-        col, interval = crack_on
-        hot = ctx.advisor.note_range_scan(entry.name.lower(), col)
-        if hot < cfg.crack_after and col not in entry.crackers:
-            return None  # not hot enough yet: the mask route serves
-        key = entry.cracker_key(col)
-        with entry.cracker_lock:
-            cracker = entry.crackers.get(col)
-            if cracker is None:
-                cracker = CrackerColumn(pcs[col].values)
-                entry.crackers[col] = cracker
-                ctx.memory.register(
-                    key,
-                    cracker.values.nbytes + cracker.rowids.nbytes,
-                    dropper=lambda e=entry, c=col: e.crackers.pop(c, None),
-                    pinned=True,
-                )
-                ctx.pinned_keys.append(key)
-            elif ctx.pin(key):
-                ctx.memory.touch(key)
-            else:
-                # Evicted between the dict read and the pin: drop the
-                # orphan and let a later query rebuild.
-                entry.crackers.pop(col, None)
-                return None
-            before = cracker.stats.cracks
-            rowids = np.sort(cracker.select_rowids(interval))
-            ctx.qstats.cracks += cracker.stats.cracks - before
-        arrays = {}
-        for name in ctx.needed:
-            pc = pcs[name.lower()]
-            ctx.memory.touch((table.name, pc.name))
-            arrays[name.lower()] = pc.values[rowids]
-        ctx.qstats.served_by_cracker = True
-        return TableView(
-            nrows=len(rowids),
-            arrays=arrays,
-            served_from_store=True,
-            went_to_file=False,
-        )
-
-    @staticmethod
-    def _absorb_pass(ctx: LoadContext, result: PassResult) -> None:
+        columns = list(ctx.needed)
+        if self.keeps == "columns":
+            if table is None and self.loads_all_cold:
+                columns = entry.ensure_schema().names
+            elif table is not None:
+                columns = [n for n in columns if not table.column(n).is_fully_loaded]
+                if not columns:
+                    return _columns_view(ctx, table)
+        elif self.keeps == "fragments" and table is not None and _covered(ctx, table):
+            return _fragments_view(ctx, table)
+        result = self.first_pass(ctx, columns)
+        table = entry.ensure_table(result.nrows)
         ctx.qstats.tokenizer.merge(result.tokenizer)
         ctx.qstats.parse.merge(result.parse)
-        ctx.qstats.went_to_file = True
         ctx.qstats.zone_map_skips += result.zone_map_skips
-
-    @staticmethod
-    def _store_full_columns(
-        ctx: LoadContext, table: Table, result: PassResult
-    ) -> None:
-        """Store completely loaded columns and register them for eviction."""
-        for name, values in result.columns.items():
-            ctx.qstats.rows_loaded += table.column(name).store_full(values)
-            ctx.pinned_keys.append(register_column(ctx.memory, table, name, pinned=True))
-
-    @staticmethod
-    def _view_from_store(
-        ctx: LoadContext, table: Table, served_from_store: bool, went_to_file: bool
-    ) -> TableView:
-        arrays = {}
-        for name in ctx.needed:
-            pc = table.column(name)
-            if not pc.is_fully_loaded:
-                raise ExecutionError(
-                    f"internal: column {name!r} expected fully loaded"
-                )
-            ctx.memory.touch((table.name, pc.name))
-            arrays[name.lower()] = pc.values
-        return TableView(
-            nrows=table.nrows,
-            arrays=arrays,
-            served_from_store=served_from_store,
-            went_to_file=went_to_file,
+        if self.keeps == "nothing":
+            return _pass_view(result)
+        certificate = CoverageCertificate(
+            Condition() if result.is_full_rows else ctx.condition
         )
+        for name, values in result.columns.items():
+            pc = table.column(name)
+            if self.keeps == "columns":
+                ctx.qstats.rows_loaded += pc.store_full(values)
+            else:
+                ctx.qstats.rows_loaded += pc.store(result.row_ids, values)
+                pc.add_certificate(certificate)
+            ctx.pinned_keys.append(register_column(ctx.memory, table, name, pinned=True))
+        if self.keeps == "columns":
+            return _columns_view(ctx, table, went_to_file=True)
+        return _pass_view(result)
+
+
+#: The six policies, by their :data:`repro.config.POLICIES` names.
+POLICIES: dict[str, LoadingPolicy] = {
+    p.name: p
+    for p in (
+        LoadingPolicy("fullload", column_pass, "columns", loads_all_cold=True),
+        LoadingPolicy("external", external_pass, "nothing"),
+        LoadingPolicy("column_loads", column_pass, "columns"),
+        LoadingPolicy("partial_v1", partial_pass, "nothing"),
+        LoadingPolicy("partial_v2", partial_pass, "fragments"),
+        LoadingPolicy("splitfiles", split_pass, "columns"),
+    )
+}
+
+
+def make_policy(name: str) -> LoadingPolicy:
+    """The policy record of a :data:`repro.config.POLICIES` name."""
+    try:
+        return POLICIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown policy {name!r}; expected one of {sorted(POLICIES)}"
+        ) from None
+
+
+def _pass_view(result: PassResult) -> TableView:
+    """The rows one pass read, straight from the file."""
+    return TableView(
+        nrows=len(result.row_ids),
+        arrays={k.lower(): v for k, v in result.columns.items()},
+        went_to_file=True,
+    )
+
+
+def _columns_view(ctx: LoadContext, table: Table, went_to_file: bool = False) -> TableView:
+    """Every needed column, fully resident in the store."""
+    arrays = {}
+    for name in ctx.needed:
+        pc = table.column(name)
+        if not pc.is_fully_loaded:
+            raise ExecutionError(f"internal: column {name!r} expected fully loaded")
+        ctx.memory.touch((table.name, pc.name))
+        arrays[name.lower()] = pc.values
+    return TableView(nrows=table.nrows, arrays=arrays, went_to_file=went_to_file)
+
+
+def _fragments_view(ctx: LoadContext, table: Table) -> TableView:
+    """The qualifying rows of certified fragments that cover the query."""
+    mask = np.ones(table.nrows, dtype=bool)
+    for col, interval in ctx.condition.items:
+        pc = table.column(col)
+        mask &= pc.qualifying_mask(interval)
+        ctx.memory.touch((table.name, pc.name))
+    row_ids = np.nonzero(mask)[0].astype(np.int64)
+    arrays = {}
+    for name in ctx.needed:
+        pc = table.column(name)
+        ctx.memory.touch((table.name, pc.name))
+        arrays[name.lower()] = pc.values_at(row_ids)
+    return TableView(nrows=len(row_ids), arrays=arrays)
+
+
+def _covered(ctx: LoadContext, table: Table) -> bool:
+    """Every needed column holds a certificate the query's condition implies."""
+    for name in ctx.needed:
+        pc = table.columns.get(name.lower())
+        if pc is None or not pc.covers_query(ctx.condition):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the warm path
+# ---------------------------------------------------------------------------
+
+
+def _pinned(
+    ctx: LoadContext, table: Table, names: list[str], full: bool
+) -> dict[str, PartialColumn] | None:
+    """Pin each named column before inspecting it, so a concurrent
+    eviction (which runs under the memory manager's lock, not the table
+    lock) cannot drop it between the check and the snapshot; ``None``
+    when one is not resident (or, with ``full``, not fully loaded)."""
+    pcs = {}
+    for name in dict.fromkeys(n.lower() for n in names):
+        pc = table.columns.get(name)
+        if pc is None or not ctx.pin((table.name, pc.name)):
+            return None
+        if full and (not pc.is_fully_loaded or pc.values is None):
+            return None
+        pcs[name] = pc
+    return pcs
+
+
+def _warm_cracked(ctx: LoadContext, table: Table) -> TableView | None:
+    """Serve a range query through a cracked column, or decline.
+
+    The warm-path strategy above plain masks: once the advisor has
+    seen ``config.crack_after`` warm range scans against a fully
+    resident numeric column, a :class:`CrackerColumn` copy of it is
+    built, and range selections are answered by cracker-index binary
+    search plus at most two edge-piece partitions — O(result) work
+    instead of O(rows) masks.
+
+    The cracker owns a copy of the base column and is only mutated under
+    ``entry.cracker_lock``, so the read-lock contract (no entry, store or
+    posmap mutation) holds.  The returned view presents the cracked slice
+    in file order: the rows of the cracked column's interval, plus the
+    NaN rows a one-sided interval keeps right of its cut.  The executor
+    re-applies every WHERE conjunct, which drops those and filters on the
+    other condition columns.
+    """
+    cfg = ctx.config
+    if not cfg.cracking or ctx.advisor is None or ctx.condition.is_trivial():
+        return None
+    entry = ctx.entry
+    # Every column the query touches: needed plus all condition columns.
+    pcs = _pinned(ctx, table, ctx.needed + [c for c, _ in ctx.condition.items], full=True)
+    if pcs is None:
+        return None
+    crack_on = None
+    for col, interval in ctx.condition.items:
+        values = pcs[col].values  # a numeric column's values are an array
+        if isinstance(values, np.ndarray) and _crackable(interval, values.dtype.kind):
+            crack_on = (col, interval, values)
+            break
+    if crack_on is None:
+        return None
+    col, interval, values = crack_on
+    hot = ctx.advisor.note_range_scan(entry.name.lower(), col)
+    if hot < cfg.crack_after and col not in entry.crackers:
+        return None  # not hot enough yet: the mask route serves
+    key = entry.cracker_key(col)
+    with entry.cracker_lock:
+        cracker = entry.crackers.get(col)
+        if cracker is None:
+            cracker = CrackerColumn(values)
+            entry.crackers[col] = cracker
+            ctx.memory.register(
+                key,
+                cracker.values.nbytes + cracker.rowids.nbytes,
+                dropper=lambda e=entry, c=col: e.crackers.pop(c, None),
+                pinned=True,
+            )
+            ctx.pinned_keys.append(key)
+        elif ctx.pin(key):
+            ctx.memory.touch(key)
+        else:
+            # Evicted between the dict read and the pin: drop the
+            # orphan and let a later query rebuild.
+            entry.crackers.pop(col, None)
+            return None
+        before = cracker.stats.cracks
+        rowids = np.sort(cracker.select_rowids(interval))
+        ctx.qstats.cracks += cracker.stats.cracks - before
+    arrays = {}
+    for name in ctx.needed:
+        pc = pcs[name.lower()]
+        ctx.memory.touch((table.name, pc.name))
+        arrays[name.lower()] = pc.values[rowids]
+    ctx.qstats.served_by_cracker = True
+    return TableView(nrows=len(rowids), arrays=arrays)
 
 
 def _crackable(interval: ValueInterval, kind: str) -> bool:
@@ -314,285 +441,3 @@ def register_column(
     key = (table.name, pc.name)
     memory.register(key, pc.logical_nbytes, pc.drop, pinned=pinned, mapped=pc.is_mapped)
     return key
-
-
-# ---------------------------------------------------------------------------
-# fullload
-# ---------------------------------------------------------------------------
-
-
-class FullLoadPolicy(LoadingPolicy):
-    """Load the complete table on first touch — the DBMS baseline."""
-
-    name = "fullload"
-
-    def try_serve_warm(self, ctx: LoadContext) -> TableView | None:
-        return self._warm_cracked(ctx) or self._warm_full_columns(ctx)
-
-    def provide(self, ctx: LoadContext) -> TableView:
-        entry = ctx.entry
-        went_to_file = False
-        if entry.table is None:
-            result = full_load_pass(entry, ctx.config)
-            table = entry.ensure_table(result.nrows)
-            self._absorb_pass(ctx, result)
-            self._store_full_columns(ctx, table, result)
-            went_to_file = True
-        table = entry.table
-        missing = [n for n in ctx.needed if not table.column(n).is_fully_loaded]
-        if missing:  # possible after eviction or a partial store restore
-            result = column_load_pass(entry, missing, ctx.config)
-            self._absorb_pass(ctx, result)
-            self._store_full_columns(ctx, table, result)
-            went_to_file = True
-        return self._view_from_store(
-            ctx, table, served_from_store=not went_to_file, went_to_file=went_to_file
-        )
-
-
-# ---------------------------------------------------------------------------
-# external
-# ---------------------------------------------------------------------------
-
-
-class ExternalTablePolicy(LoadingPolicy):
-    """Re-parse the flat file on every query; remember nothing.
-
-    Models the MySQL CSV engine: a row engine that materializes whole
-    tuples (tokenizes every field), converts what the query needs, and
-    keeps no state between queries.
-    """
-
-    name = "external"
-
-    def provide(self, ctx: LoadContext) -> TableView:
-        result = external_pass(ctx.entry, ctx.needed, ctx.config)
-        self._absorb_pass(ctx, result)
-        ctx.entry.ensure_table(result.nrows)  # schema/row-count bookkeeping only
-        return TableView(
-            nrows=result.nrows,
-            arrays={k.lower(): v for k, v in result.columns.items()},
-            served_from_store=False,
-            went_to_file=True,
-        )
-
-
-# ---------------------------------------------------------------------------
-# column loads
-# ---------------------------------------------------------------------------
-
-
-class ColumnLoadsPolicy(LoadingPolicy):
-    """Adaptive loading at column granularity (Figure 3/4 "Column Loads")."""
-
-    name = "column_loads"
-
-    def try_serve_warm(self, ctx: LoadContext) -> TableView | None:
-        return self._warm_cracked(ctx) or self._warm_full_columns(ctx)
-
-    def provide(self, ctx: LoadContext) -> TableView:
-        entry = ctx.entry
-        table = entry.table
-        if table is None:
-            missing = list(ctx.needed)
-        else:
-            missing = [n for n in ctx.needed if not table.column(n).is_fully_loaded]
-        went_to_file = False
-        if missing:
-            result = column_load_pass(entry, missing, ctx.config)
-            table = entry.ensure_table(result.nrows)
-            self._absorb_pass(ctx, result)
-            self._store_full_columns(ctx, table, result)
-            went_to_file = True
-        return self._view_from_store(
-            ctx, entry.table, served_from_store=not went_to_file, went_to_file=went_to_file
-        )
-
-
-# ---------------------------------------------------------------------------
-# partial loads V1
-# ---------------------------------------------------------------------------
-
-
-class PartialLoadsV1Policy(LoadingPolicy):
-    """Selection-pushdown loading that discards everything after the query.
-
-    "Partial Loads throws away the data immediately after every query ...
-    never paying the I/O cost to write the data back to disk and always
-    reading just enough from the file."  Cheapest possible single query,
-    zero benefit for the next one.
-    """
-
-    name = "partial_v1"
-
-    def provide(self, ctx: LoadContext) -> TableView:
-        result = partial_load_pass(ctx.entry, ctx.needed, ctx.condition, ctx.config)
-        self._absorb_pass(ctx, result)
-        ctx.entry.ensure_table(result.nrows)
-        return TableView(
-            nrows=len(result.row_ids),
-            arrays={k.lower(): v for k, v in result.columns.items()},
-            served_from_store=False,
-            went_to_file=True,
-        )
-
-
-# ---------------------------------------------------------------------------
-# partial loads V2
-# ---------------------------------------------------------------------------
-
-
-class PartialLoadsV2Policy(LoadingPolicy):
-    """Pushdown loading that *keeps* fragments and reuses them.
-
-    The table of contents is the certificate machinery of
-    :mod:`repro.storage.partial`: a query is served from the store when
-    every needed column holds a certificate implied by the query's range
-    condition (repeat queries, zoom-ins); otherwise one partial pass loads
-    the qualifying rows, stores them, and certifies them for the future.
-    """
-
-    name = "partial_v2"
-
-    def try_serve_warm(self, ctx: LoadContext) -> TableView | None:
-        table = ctx.entry.table
-        if table is None:
-            return None
-        # Pin first: certificates only ever change under the table write
-        # lock, but eviction does not hold it — pinning every needed
-        # column freezes the fragments the coverage check relies on.
-        for name in ctx.needed:
-            pc = table.columns.get(name.lower())
-            if pc is None:
-                return None
-            if not ctx.pin((table.name, pc.name)):
-                return None
-        if not self._covered(table, ctx):
-            return None
-        return self._serve_from_store(ctx, table)
-
-    def provide(self, ctx: LoadContext) -> TableView:
-        entry = ctx.entry
-        table = entry.table
-        if table is not None and self._covered(table, ctx):
-            return self._serve_from_store(ctx, table)
-        result = partial_load_pass(entry, ctx.needed, ctx.condition, ctx.config)
-        table = entry.ensure_table(result.nrows)
-        self._absorb_pass(ctx, result)
-        certificate = CoverageCertificate(
-            Condition() if result.is_full_rows else ctx.condition
-        )
-        for name, values in result.columns.items():
-            pc = table.column(name)
-            newly = pc.store(result.row_ids, values)
-            pc.add_certificate(certificate)
-            ctx.qstats.rows_loaded += newly
-            ctx.pinned_keys.append(register_column(ctx.memory, table, name, pinned=True))
-        return TableView(
-            nrows=len(result.row_ids),
-            arrays={k.lower(): v for k, v in result.columns.items()},
-            served_from_store=False,
-            went_to_file=True,
-        )
-
-    @staticmethod
-    def _covered(table: Table, ctx: LoadContext) -> bool:
-        for name in ctx.needed:
-            key = name.lower()
-            pc = table.columns.get(key)
-            if pc is None or not pc.covers_query(ctx.condition):
-                return False
-        return True
-
-    def _serve_from_store(self, ctx: LoadContext, table: Table) -> TableView:
-        mask = np.ones(table.nrows, dtype=bool)
-        for col, interval in ctx.condition.items:
-            pc = table.column(col)
-            mask &= pc.qualifying_mask(interval)
-            ctx.memory.touch((table.name, pc.name))
-        row_ids = np.nonzero(mask)[0].astype(np.int64)
-        arrays = {}
-        for name in ctx.needed:
-            pc = table.column(name)
-            ctx.memory.touch((table.name, pc.name))
-            arrays[name.lower()] = pc.values_at(row_ids)
-        return TableView(
-            nrows=len(row_ids),
-            arrays=arrays,
-            served_from_store=True,
-            went_to_file=False,
-        )
-
-
-# ---------------------------------------------------------------------------
-# split files
-# ---------------------------------------------------------------------------
-
-
-class SplitFilesPolicy(LoadingPolicy):
-    """Column loads over an adaptively cracked file (Figure 4 "Split Files").
-
-    Missing columns are fetched through the
-    :class:`~repro.core.splitfile.SplitFileCatalog`, which reads single
-    files when earlier passes already split the needed columns out, and
-    splits remainders as a side effect otherwise.
-    """
-
-    name = "splitfiles"
-
-    def try_serve_warm(self, ctx: LoadContext) -> TableView | None:
-        return self._warm_cracked(ctx) or self._warm_full_columns(ctx)
-
-    def provide(self, ctx: LoadContext) -> TableView:
-        entry = ctx.entry
-        if ctx.split is None:
-            raise ExecutionError("splitfiles policy requires a split catalog")
-        schema = entry.ensure_schema()
-        table = entry.table
-        if table is None:
-            missing = list(ctx.needed)
-        else:
-            missing = [n for n in ctx.needed if not table.column(n).is_fully_loaded]
-        went_to_file = False
-        if missing:
-            went_to_file = True
-            indices = [schema.index_of(n) for n in missing]
-            fetched = ctx.split.fetch_columns(indices)
-            ctx.qstats.tokenizer.merge(fetched.stats)
-            ctx.qstats.went_to_file = True
-            ctx.qstats.split_files_written += fetched.files_written
-            nrows = len(next(iter(fetched.fields.values())))
-            table = entry.ensure_table(nrows)
-            for name in missing:
-                idx = schema.index_of(name)
-                values = parse_widening(
-                    entry, idx, fetched.fields[idx], ctx.qstats.parse
-                )
-                ctx.qstats.rows_loaded += table.column(name).store_full(values)
-                ctx.pinned_keys.append(register_column(ctx.memory, table, name, pinned=True))
-        return self._view_from_store(
-            ctx, ctx.entry.table, served_from_store=not went_to_file, went_to_file=went_to_file
-        )
-
-
-_POLICY_CLASSES: dict[str, type[LoadingPolicy]] = {
-    cls.name: cls
-    for cls in (
-        FullLoadPolicy,
-        ExternalTablePolicy,
-        ColumnLoadsPolicy,
-        PartialLoadsV1Policy,
-        PartialLoadsV2Policy,
-        SplitFilesPolicy,
-    )
-}
-
-
-def make_policy(name: str) -> LoadingPolicy:
-    """Instantiate a policy by its :data:`repro.config.POLICIES` name."""
-    try:
-        return _POLICY_CLASSES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; expected one of {sorted(_POLICY_CLASSES)}"
-        ) from None

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import EngineConfig
-from repro.core.loader import (
-    _zone_candidates,
-    column_load_pass,
-    external_pass,
-    full_load_pass,
-    partial_load_pass,
-)
+from repro.core.loader import _zone_candidates, run_pass
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import Catalog
 
@@ -32,7 +26,7 @@ CONFIG = EngineConfig()
 
 class TestFullLoad:
     def test_loads_everything(self, entry):
-        result = full_load_pass(entry, CONFIG)
+        result = run_pass(entry, entry.ensure_schema().names, None, CONFIG, parse_all_rows=True)
         assert result.nrows == 100
         assert set(result.columns) == {"a1", "a2", "a3", "a4"}
         assert result.is_full_rows
@@ -42,13 +36,13 @@ class TestFullLoad:
 
 class TestColumnLoad:
     def test_loads_requested_only(self, entry):
-        result = column_load_pass(entry, ["a2", "a4"], CONFIG)
+        result = run_pass(entry, ["a2", "a4"], None, CONFIG, parse_all_rows=True)
         assert set(result.columns) == {"a2", "a4"}
         assert result.is_full_rows
         assert result.parse.values_parsed == 200
 
     def test_tokenizes_prefix_only(self, entry):
-        result = column_load_pass(entry, ["a1"], CONFIG)
+        result = run_pass(entry, ["a1"], None, CONFIG, parse_all_rows=True)
         # Early abort: one field per row.
         assert result.tokenizer.fields_tokenized == 100
 
@@ -56,37 +50,42 @@ class TestColumnLoad:
 class TestPartialLoad:
     def test_pushdown_filters_rows(self, entry):
         condition = Condition([("a1", ValueInterval(10, 20))])
-        result = partial_load_pass(entry, ["a1", "a3"], condition, CONFIG)
+        result = run_pass(entry, ["a1", "a3"], condition, CONFIG, parse_all_rows=False)
         assert result.row_ids.tolist() == list(range(11, 20))
         assert result.columns["a3"].tolist() == [i * 3 for i in range(11, 20)]
         assert not result.is_full_rows
 
     def test_condition_on_later_column(self, entry):
         condition = Condition([("a3", ValueInterval(30, 60))])
-        result = partial_load_pass(entry, ["a1", "a3"], condition, CONFIG)
+        result = run_pass(entry, ["a1", "a3"], condition, CONFIG, parse_all_rows=False)
         assert result.columns["a1"].tolist() == [
             i for i in range(100) if 30 < i * 3 < 60
         ]
 
     def test_trivial_condition_loads_all(self, entry):
-        result = partial_load_pass(entry, ["a1"], Condition(), CONFIG)
+        result = run_pass(entry, ["a1"], Condition(), CONFIG, parse_all_rows=False)
         assert result.is_full_rows
 
     def test_pushdown_disabled_by_config(self, entry):
         cfg = EngineConfig(predicate_pushdown=False)
         condition = Condition([("a1", ValueInterval(10, 20))])
-        result = partial_load_pass(entry, ["a1"], condition, cfg)
+        result = run_pass(entry, ["a1"], condition, cfg, parse_all_rows=False)
         assert result.is_full_rows  # nothing filtered during load
 
 
 class TestExternalPass:
     def test_tokenizes_whole_rows(self, entry):
-        result = external_pass(entry, ["a1"], CONFIG)
+        result = run_pass(
+            entry, ["a1"], None, CONFIG, parse_all_rows=True, tokenize_everything=True
+        )
         assert result.tokenizer.fields_tokenized == 400  # all fields
         assert result.parse.values_parsed == 100  # but converts only a1
 
     def test_row_count_discovered(self, entry):
-        assert external_pass(entry, ["a2"], CONFIG).nrows == 100
+        result = run_pass(
+            entry, ["a2"], None, CONFIG, parse_all_rows=True, tokenize_everything=True
+        )
+        assert result.nrows == 100
 
 
 class TestHeaderHandling:
@@ -94,11 +93,15 @@ class TestHeaderHandling:
         path = tmp_path / "h.csv"
         path.write_text("x,y\n1,10\n2,20\n3,30\n")
         entry = Catalog().attach("h", path)
-        full = full_load_pass(entry, CONFIG)
+        full = run_pass(entry, entry.ensure_schema().names, None, CONFIG, parse_all_rows=True)
         assert full.nrows == 3
         assert full.columns["x"].tolist() == [1, 2, 3]
-        partial = partial_load_pass(
-            entry, ["y"], Condition([("y", ValueInterval(15, None))]), CONFIG
+        partial = run_pass(
+            entry,
+            ["y"],
+            Condition([("y", ValueInterval(15, None))]),
+            CONFIG,
+            parse_all_rows=False,
         )
         assert partial.columns["y"].tolist() == [20, 30]
 

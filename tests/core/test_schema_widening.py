@@ -14,7 +14,7 @@ import pytest
 
 from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.config import POLICIES
-from repro.core.loader import column_load_pass, partial_load_pass
+from repro.core.loader import run_pass
 from repro.errors import FlatFileError, ReproError
 from repro.flatfile.schema import DataType
 from repro.ranges import Condition, ValueInterval
@@ -73,13 +73,13 @@ class TestWidening:
 
     def test_loader_returns_float_array(self, late_float_csv):
         entry = Catalog().attach("t", late_float_csv)
-        result = column_load_pass(entry, ["a1"], CONFIG)
+        result = run_pass(entry, ["a1"], None, CONFIG, parse_all_rows=True)
         assert result.columns["a1"].dtype == np.float64
         assert entry.schema.columns[0].dtype is DataType.FLOAT64
 
     def test_str_fallback_as_last_resort(self, late_text_csv):
         entry = Catalog().attach("t", late_text_csv)
-        result = column_load_pass(entry, ["a1"], CONFIG)
+        result = run_pass(entry, ["a1"], None, CONFIG, parse_all_rows=True)
         assert isinstance(result.columns["a1"], StringColumn)
         assert entry.schema.columns[0].dtype is DataType.STRING
         values = result.columns["a1"].decode()
@@ -154,14 +154,18 @@ class TestPushdownErrorDomain:
         entry = Catalog().attach("t", late_text_csv)
         condition = Condition([("a1", ValueInterval(100, None))])
         with pytest.raises(FlatFileError, match="pushdown predicate"):
-            partial_load_pass(entry, ["a2"], condition, CONFIG)
+            run_pass(entry, ["a2"], condition, CONFIG, parse_all_rows=False)
 
     def test_str_column_predicate_mismatch_is_typed(self, late_text_csv):
         """A predicate comparing a str-widened column against numeric
         bounds fails in the library's error family, not with TypeError."""
         entry = Catalog().attach("t", late_text_csv)
-        column_load_pass(entry, ["a1"], CONFIG)  # widens a1 to str
+        run_pass(entry, ["a1"], None, CONFIG, parse_all_rows=True)  # widens a1 to str
         with pytest.raises(FlatFileError, match="pushdown predicate"):
-            partial_load_pass(
-                entry, ["a2"], Condition([("a1", ValueInterval(100, None))]), CONFIG
+            run_pass(
+                entry,
+                ["a2"],
+                Condition([("a1", ValueInterval(100, None))]),
+                CONFIG,
+                parse_all_rows=False,
             )

@@ -22,8 +22,7 @@ from repro.core.loader import (
     _column_runs,
     _field_spans,
     _run_windows,
-    column_load_pass,
-    partial_load_pass,
+    run_pass,
 )
 from repro.errors import ReproError
 from repro.flatfile.files import FlatFile, coalesce_ranges, window_totals
@@ -143,8 +142,8 @@ class TestEquivalence:
         # past the field, which on CRLF input sits on the ``\r``.
         for col in (2, 3):
             entry = Catalog().attach("t", path, delimiter=delimiter)
-            cold = column_load_pass(entry, [names[col]], CONFIG)
-            warm = column_load_pass(entry, [names[col]], CONFIG)
+            cold = run_pass(entry, [names[col]], None, CONFIG, parse_all_rows=True)
+            warm = run_pass(entry, [names[col]], None, CONFIG, parse_all_rows=True)
             # The second pass must have gone selective: fewer bytes than size.
             assert entry.file.stats.full_scans == 1
 
@@ -182,9 +181,9 @@ class TestEquivalence:
         entry = Catalog().attach("t", path)
         # Teach the map every field range with one full-row scan (a
         # predicate pass abandons rows early and cannot learn a3 itself).
-        column_load_pass(entry, ["a3"], CONFIG)
+        run_pass(entry, ["a3"], None, CONFIG, parse_all_rows=True)
         condition = Condition([("a1", ValueInterval(10, 20))])
-        warm = partial_load_pass(entry, ["a1", "a3"], condition, CONFIG)
+        warm = run_pass(entry, ["a1", "a3"], condition, CONFIG, parse_all_rows=False)
         assert warm.row_ids.tolist() == list(range(11, 20))
         assert warm.columns["a3"].tolist() == [i * 3 for i in range(11, 20)]
         assert warm.tokenizer.rows_scanned == 100
@@ -198,8 +197,8 @@ class TestEquivalence:
         path = _write(tmp_path / "t.csv", rows)
         entry = Catalog().attach("t", path)
         condition = Condition([("a3", ValueInterval(30, 60))])
-        partial_load_pass(entry, ["a1", "a3"], condition, CONFIG)
-        warm = partial_load_pass(entry, ["a1", "a3"], condition, CONFIG)
+        run_pass(entry, ["a1", "a3"], condition, CONFIG, parse_all_rows=False)
+        warm = run_pass(entry, ["a1", "a3"], condition, CONFIG, parse_all_rows=False)
         assert warm.columns["a1"].tolist() == [
             i for i in range(100) if 30 < i * 3 < 60
         ]
@@ -210,9 +209,9 @@ class TestSafetyGates:
         rows = ["1,ä", "2,ö", "3,ü"] + [f"{i},x{i}" for i in range(50)]
         path = _write(tmp_path / "t.csv", rows)
         entry = Catalog().attach("t", path)
-        column_load_pass(entry, ["a2"], CONFIG)
+        run_pass(entry, ["a2"], None, CONFIG, parse_all_rows=True)
         assert not entry.positional_map.sliceable
-        column_load_pass(entry, ["a2"], CONFIG)
+        run_pass(entry, ["a2"], None, CONFIG, parse_all_rows=True)
         # Both passes were full scans: offsets are char-based, file is not.
         assert entry.file.stats.full_scans == 2
 
@@ -221,8 +220,8 @@ class TestSafetyGates:
         path = _write(tmp_path / "t.csv", rows)
         entry = Catalog().attach("t", path)
         cfg = EngineConfig(use_positional_map=False)
-        column_load_pass(entry, ["a1"], cfg)
-        column_load_pass(entry, ["a1"], cfg)
+        run_pass(entry, ["a1"], None, cfg, parse_all_rows=True)
+        run_pass(entry, ["a1"], None, cfg, parse_all_rows=True)
         assert entry.file.stats.full_scans == 2
 
     def test_file_edit_invalidates_fast_path(self, tmp_path):
@@ -242,10 +241,10 @@ class TestSafetyGates:
         rows = [f"{i},{i}" for i in range(50)]
         path = _write(tmp_path / "t.csv", rows)
         entry = Catalog().attach("t", path)
-        column_load_pass(entry, ["a1", "a2"], CONFIG)
+        run_pass(entry, ["a1", "a2"], None, CONFIG, parse_all_rows=True)
         assert entry.positional_map.knows_column(0)
         assert entry.positional_map.knows_column(1)
-        column_load_pass(entry, ["a1", "a2"], CONFIG)
+        run_pass(entry, ["a1", "a2"], None, CONFIG, parse_all_rows=True)
         # Both columns cover ~the whole file; windowed reads would not
         # beat a single sequential scan, so the loader does not bother.
         assert entry.file.stats.full_scans == 2

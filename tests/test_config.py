@@ -17,6 +17,16 @@ def test_all_policies_accepted(policy):
     assert EngineConfig(policy=policy).policy == policy
 
 
+def test_every_policy_name_has_one_record():
+    from repro.core.policies import POLICIES as RECORDS, make_policy
+
+    assert tuple(RECORDS) == POLICIES
+    assert [make_policy(p).name for p in POLICIES] == list(POLICIES)
+    assert [p for p in POLICIES if make_policy(p).loads_all_cold] == ["fullload"]
+    with pytest.raises(ValueError, match="unknown policy"):
+        make_policy("magic")
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError, match="unknown policy"):
         EngineConfig(policy="magic")

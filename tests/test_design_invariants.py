@@ -481,6 +481,74 @@ class TestLifecycleOwnsTheCondition:
         assert not self.assigned(ast.parse(source))
 
 
+
+class TestOnlyTheRecordKeeps:
+    """What outlives a query is a loading policy's ``keeps``, decided in
+    one place: outside :mod:`repro.storage.partial` (whose own methods
+    certify what they store) nothing under ``src/repro`` calls the store
+    methods that keep loaded values — except ``LoadingPolicy.provide``."""
+
+    CALLS = {"store_full", "add_certificate"}
+    OWNER = Path("repro/storage/partial.py")
+    ALLOWED = (Path("repro/core/policies.py"), "LoadingPolicy.provide")
+
+    @classmethod
+    def calls(cls, tree: ast.AST) -> list[tuple[int, str, str]]:
+        """``(line, method, scope)`` of each call of a keeping method,
+        where ``scope`` is the dotted class/function path around it."""
+        found = []
+
+        def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, scope + (child.name,))
+                    continue
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name in cls.CALLS:
+                        found.append((child.lineno, name, ".".join(scope)))
+                visit(child, scope)
+
+        visit(tree, ())
+        return found
+
+    def test_only_provide_keeps_loaded_values(self):
+        package = Path(repro.__file__).parent
+        offenders = [
+            f"{rel}:{line} calls {name} in {scope or '<module>'}"
+            for path in sorted(package.rglob("*.py"))
+            if (rel := path.relative_to(package.parent)) != self.OWNER
+            for line, name, scope in self.calls(ast.parse(path.read_text(encoding="utf-8")))
+            if (rel, scope) != self.ALLOWED
+        ]
+        assert not offenders, offenders
+
+    def test_provide_is_where_the_check_looks(self):
+        rel, scope = self.ALLOWED
+        source = (Path(repro.__file__).parent.parent / rel).read_text(encoding="utf-8")
+        assert {name for _, name, where in self.calls(ast.parse(source)) if where == scope} == (
+            self.CALLS
+        )
+
+    @pytest.mark.parametrize(
+        "source, scope",
+        [
+            ("pc.store_full(values)", ""),
+            ("table.column(name).add_certificate(cert)", ""),
+            ("def load(pc):\n    pc.store_full(v)", "load"),
+            ("class Policy:\n    def provide(self):\n        store_full(v)", "Policy.provide"),
+            ("f = lambda pc: pc.add_certificate(c)", ""),
+            (
+                "class LoadingPolicy:\n    def provide(self):\n"
+                "        def keep():\n            pc.store_full(v)",
+                "LoadingPolicy.provide.keep",
+            ),
+        ],
+    )
+    def test_check_sees_each_form(self, source, scope):
+        assert [where for _, _, where in self.calls(ast.parse(source))] == [scope]
+
 def config_fields_set(sources: list[str]) -> set[str]:
     """Names set on an engine config anywhere in ``sources``.
 
