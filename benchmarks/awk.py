@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import UnsupportedSQLError
-from repro.flatfile.files import FlatFile
+from repro.flatfile.files import FlatFile, decode_utf8
 from repro.flatfile.parser import parse_single
 from repro.flatfile.schema import TableSchema, infer_schema, looks_like_header
 from repro.result import QueryResult
@@ -134,7 +134,7 @@ class AwkEngine:
         # file order as soon as their field is available.
         condition = bound.conditions[binding]
         intervals = {n.lower(): iv for n, iv in condition.items}
-        text = table.file.read_all()
+        text = decode_utf8(table.file.read_all_bytes(), table.file.path)
         start = 1 if table.has_header else 0
         for line in text.split("\n")[start:]:
             line = line.rstrip("\r")

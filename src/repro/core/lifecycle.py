@@ -524,7 +524,7 @@ def _extend_state(
             return False
         appended_idx[idx] = parse_widening(entry, idx, raw, parse_stats)
 
-    pm.extend_tail(tail_map, added)
+    pm.extend_tail(tail_map, added, old.size)
 
     appended_by_key = {
         schema.columns[idx].name.lower(): values

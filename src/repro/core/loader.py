@@ -322,12 +322,9 @@ def run_pass(
 
 
 def _can_read_selectively(pmap: PositionalMap, cols: list[int]) -> bool:
-    """The map knows the row count, the file is single-byte text (so
-    character offsets are byte offsets), and every column the pass will
-    touch is a known byte slice."""
-    if pmap.nrows is None or not pmap.sliceable:
-        return False
-    return all(pmap.knows_column(c) for c in cols)
+    """The map knows the row count and every column the pass will touch
+    is a known byte slice."""
+    return pmap.nrows is not None and all(pmap.knows_column(c) for c in cols)
 
 
 def _zone_candidates(

@@ -25,8 +25,11 @@ Capability flags drive graceful degradation in the engine:
 ``records_are_lines``     raw newline bytes always terminate records, so
                           a newline-aligned byte range (an appended tail,
                           a schema sample's head lines) holds whole records
-``supports_field_spans``  per-field character spans exist, enabling
-                          positional-map learning and selective reads
+``supports_field_spans``  per-field spans exist, enabling positional-map
+                          learning and selective reads; the map holds
+                          byte offsets, so the adapter's character spans
+                          feed it on pure-ASCII text only (the kernel
+                          frames bytes on any UTF-8 text)
 ``identity_decode``       raw field text *is* the logical value (no unquote
                           or unescape step)
 ``supports_vectorized``   rows and fields are framed by raw ASCII bytes

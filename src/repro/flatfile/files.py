@@ -119,7 +119,7 @@ class FileWindows:
     starts: np.ndarray
     ends: np.ndarray
     offsets: np.ndarray
-    buffer: bytes | bytearray
+    buffer: bytes | memoryview
     window_bytes: int
 
     def translate(self, positions: np.ndarray) -> np.ndarray:
@@ -485,14 +485,6 @@ class FlatFile:
         self._account(len(data), full_scan=True)
         return data
 
-    def read_all(self) -> str:
-        """Read and return the entire file as text (one full scan)."""
-        return decode_utf8(self.read_all_bytes(), self.path)
-
-    def read_range(self, start: int, end: int) -> str:
-        """Read bytes ``[start, end)`` — used for positional-map jumps."""
-        return decode_utf8(self.read_range_bytes(start, end), self.path, start)
-
     def read_range_bytes(self, start: int, end: int) -> bytes:
         """Read raw bytes ``[start, end)`` (accounted, not a full scan).
 
@@ -576,8 +568,8 @@ class FlatFile:
         def once() -> list[bytes | memoryview]:
             self._maybe_fault("flatfile.read")
             with open(self.path, "rb") as f:
-                if dense:  # filled in place: no second file-sized buffer
-                    got = [memoryview(bytearray(expected))]
+                if dense:  # filled in place, never zeroed first
+                    got = [memoryview(np.empty(expected, dtype=np.uint8))]
                     got[0] = got[0][: f.readinto(got[0])]
                 else:
                     got = []
@@ -602,7 +594,7 @@ class FlatFile:
             starts=blk_starts,
             ends=blk_ends,
             offsets=np.cumsum(blk_sizes) - blk_sizes,
-            buffer=blocks[0].obj if dense else b"".join(blocks),
+            buffer=blocks[0] if dense else b"".join(blocks),
             window_bytes=window_bytes,
         )
 

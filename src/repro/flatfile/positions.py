@@ -22,10 +22,10 @@ a few rows gathers them row by row.
 Both learners hand over a whole frame (:meth:`PositionalMap.record_frame`).
 The vectorized kernel frames every column of every row in one pass, so
 the first pass over a file offers every column.  Only the dialect loop
-(quoted CSV, ragged rows, non-ASCII fixed-width) learns a shorter prefix:
-the columns up to the last one its pass needed.  A wider frame replaces
-the known one when it agrees with it (same ``sep``, same last shared
-boundary); any other frame is not recorded.  A tail-append cuts the map
+(quoted CSV, ragged rows) learns a shorter prefix: the columns up to
+the last one its pass needed.  A wider frame replaces the known one
+when it agrees with it (same ``sep``, same last shared boundary); any
+other frame is not recorded.  A tail-append cuts the map
 to the prefix the tail learned again.  Neither tokenizer reads the spans
 back; both derive every position from the text itself.
 
@@ -34,10 +34,10 @@ When the spans of every column a pass needs are known
 it reads each run of adjacent wanted columns, padded by its
 separators, in a block read and cuts the fields out of it (the
 selective-read fast path), after checking that the spans lie in file
-order and each sits between separators.  Offsets are *character*
-offsets into the decoded text; :meth:`record_text_geometry` remembers
-whether characters and bytes coincide (pure-ASCII files), which is the
-precondition for using the offsets as byte ranges.
+order and each sits between separators.  Offsets are *byte* offsets
+into the raw file, on any UTF-8 content: the kernel frames bytes, and
+the dialect loop, whose spans are character offsets into decoded text,
+offers a frame only for pure-ASCII text, where the two coincide.
 
 A recorded span covers the **encoded** field text (quotes, TSV escapes,
 fixed-width padding) as the dialect frames it (:mod:`repro.flatfile.
@@ -73,17 +73,11 @@ class PositionalMap:
         The ``(nrows, K + 2)`` ``int64`` boundary array when columns
         ``0..K`` are known, ``None`` otherwise (see the module
         docstring).  Never written in place: learning replaces it.
-    text_geometry:
-        ``(nbytes, nchars)`` of the file as last fully scanned, or ``None``
-        if no full scan has reported it yet.  When the two are equal the
-        file is pure single-byte text and learned character offsets are
-        valid byte ranges (see :attr:`sliceable`).
     """
 
     nrows: int | None = None
     sep: int | None = None
     frame: np.ndarray | None = None
-    text_geometry: tuple[int, int] | None = None
 
     # ------------------------------------------------------------ learning
 
@@ -114,11 +108,6 @@ class PositionalMap:
             return
         self.sep, self.frame = sep, frame
 
-    def record_text_geometry(self, nbytes: int, nchars: int) -> None:
-        """Remember the byte/character sizes seen by a full scan."""
-        if self.text_geometry is None:
-            self.text_geometry = (nbytes, nchars)
-
     # ----------------------------------------------------------- exploiting
 
     @property
@@ -129,13 +118,6 @@ class PositionalMap:
     def knows_column(self, col: int) -> bool:
         """True when ``col``'s field span is known in every row."""
         return 0 <= col < self.width - 1
-
-    @property
-    def sliceable(self) -> bool:
-        """True when learned character offsets double as byte offsets."""
-        return self.text_geometry is not None and (
-            self.text_geometry[0] == self.text_geometry[1]
-        )
 
     def run_slices(
         self, cols: Sequence[int], rows: np.ndarray | None = None
@@ -208,7 +190,6 @@ class PositionalMap:
             "nrows": self.nrows,
             "sep": self.sep,
             "columns": len(self.known_columns()),
-            "text_geometry": list(self.text_geometry) if self.text_geometry else None,
         }
         return meta, self.frame
 
@@ -216,7 +197,7 @@ class PositionalMap:
     def from_export(cls, meta: dict, frame: np.ndarray | None) -> "PositionalMap":
         """Rebuild an exported map; ``ValueError`` on any inconsistency,
         a frame of the wrong shape included."""
-        nrows, geometry = meta.get("nrows"), meta.get("text_geometry")
+        nrows = meta.get("nrows")
         ncols = int(meta.get("columns") or 0)
         shape = None if frame is None else np.shape(frame)
         if shape != ((nrows, ncols + 1) if ncols else None):
@@ -225,41 +206,31 @@ class PositionalMap:
             nrows=None if nrows is None else int(nrows),
             sep=int(meta["sep"]) if ncols else None,
             frame=frame,
-            text_geometry=None if geometry is None else tuple(map(int, geometry)),
         )
 
     # ---------------------------------------------------------- lifecycle
 
     def clear(self) -> None:
         """Forget everything (called when the source file was edited)."""
-        self.nrows, self.sep, self.frame, self.text_geometry = None, None, None, None
+        self.nrows, self.sep, self.frame = None, None, None
 
-    def extend_tail(self, tail: "PositionalMap", added_rows: int) -> None:
+    def extend_tail(self, tail: "PositionalMap", added_rows: int, shift: int) -> None:
         """Absorb a map learned over an appended tail region of the file.
 
         ``tail`` was learned by tokenizing only the appended bytes as a
         standalone document, so its offsets are relative to the start of
-        the appended region; they are shifted by the old text's character
-        size and appended as rows.  The map is cut to the prefix the tail
-        pass learned again (a column cannot be kept half-length).  A map
-        with no recorded geometry cannot shift offsets and is cleared
-        instead (callers treat that as "relearn later").
+        the appended region; they are shifted by ``shift``, the old
+        file's byte size, and appended as rows.  The map is cut to the
+        prefix the tail pass learned again (a column cannot be kept
+        half-length).
         """
-        if self.nrows is None and self.frame is None and self.text_geometry is None:
+        if self.nrows is None:
             return  # knows nothing
-        if self.text_geometry is None or tail.text_geometry is None:
-            self.clear()
-            return
         width = 0
         if tail.nrows == added_rows and tail.sep == self.sep:
             width = min(self.width, tail.width)
         frame = None
         if width:
-            shifted = tail.frame[:, :width] + self.text_geometry[1]
-            frame = np.concatenate([self.frame[:, :width], shifted])
+            frame = np.concatenate([self.frame[:, :width], tail.frame[:, :width] + shift])
         self.frame = frame
-        self.nrows = (self.nrows or 0) + added_rows
-        self.text_geometry = (
-            self.text_geometry[0] + tail.text_geometry[0],
-            self.text_geometry[1] + tail.text_geometry[1],
-        )
+        self.nrows += added_rows

@@ -82,7 +82,9 @@ class TokenizerStats:
 
     ``chars_scanned`` counts the characters of input a pass covers, each
     once however often it is looked at: the whole input on the kernel
-    and on the dialect loop, the window bytes on the selective read.
+    (the bytes less the UTF-8 continuation bytes) and on the dialect
+    loop, the window bytes on the selective read, whose byte offsets
+    come from the positional map.
     """
 
     rows_scanned: int = 0
@@ -110,19 +112,18 @@ class FieldSpans:
     array is ever built for it.  :meth:`values` cuts any other batch into
     an array (:func:`bulk_extract_fields`) and decodes it (``decode``:
     the adapter's ``decode_many``; every dialect leaves a field of plain
-    digits as it is).  ``ascii_only``, ``nul_free`` and ``char_lengths``
-    are what the producer already knows of the buffer (see
+    digits as it is).  ``ascii_only`` and ``nul_free`` are what the
+    producer already knows of the buffer (see
     :func:`bulk_extract_fields`).  Indexing with row positions gives the
     spans of those rows.
     """
 
-    data: bytes
+    data: bytes | memoryview
     starts: np.ndarray
     lengths: np.ndarray
     decode: Callable | None = None
     ascii_only: bool | None = None
     nul_free: bool = False
-    char_lengths: np.ndarray | None = None
     buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -132,7 +133,6 @@ class FieldSpans:
         return len(self.starts)
 
     def __getitem__(self, rows: np.ndarray) -> "FieldSpans":
-        chars = self.char_lengths
         return FieldSpans(
             self.data,
             self.starts[rows],
@@ -140,7 +140,6 @@ class FieldSpans:
             self.decode,
             self.ascii_only,
             self.nul_free,
-            None if chars is None else chars[rows],
         )
 
     def values(self) -> np.ndarray:
@@ -150,7 +149,6 @@ class FieldSpans:
             self.starts,
             self.lengths,
             buf=self.buf,
-            char_lengths=self.char_lengths,
             ascii_only=self.ascii_only,
             nul_free=self.nul_free,
         )
@@ -190,9 +188,10 @@ def tokenize_dialect(
 
     The dialect-generic pass: the adapter frames rows and iterates raw
     fields lazily, fields are decoded to their logical values, and — for
-    span-bearing dialects — raw-field character spans feed the positional
-    map.  Each record stops after the last needed column (early abort),
-    so a ragged tail beyond it is never seen.  The returned ``fields``
+    span-bearing dialects over pure-ASCII text, where its character
+    offsets are the map's byte offsets — raw-field spans feed the
+    positional map.  Each record stops after the last needed column
+    (early abort), so a ragged tail beyond it is never seen.  The returned ``fields``
     always hold *logical* (decoded) values under every adapter.
     """
     if ncols <= 0:
@@ -224,7 +223,9 @@ def tokenize_dialect(
     wanted_set = set(wanted)
     last_needed = wanted[-1]
     learn_cols = (
-        range(min(last_needed + 1, ncols)) if (learn and spans_ok) else ()
+        range(min(last_needed + 1, ncols))
+        if (learn and spans_ok and text.isascii())
+        else ()
     )
     learned: dict[int, list[int]] = {col: [] for col in learn_cols}
     learned_ends: dict[int, list[int]] = {col: [] for col in learn_cols}
@@ -350,8 +351,6 @@ def tokenize_bytes(
         if result is not None:
             return result
     text = decode_utf8(data, source, offset)
-    if positional_map is not None:
-        positional_map.record_text_geometry(nbytes=len(data), nchars=len(text))
     return tokenize_dialect(
         text,
         adapter,
@@ -380,7 +379,6 @@ def bulk_extract_fields(
     lengths: np.ndarray,
     *,
     buf: np.ndarray | None = None,
-    char_lengths: np.ndarray | None = None,
     ascii_only: bool | None = None,
     nul_free: bool = False,
 ) -> np.ndarray:
@@ -399,11 +397,15 @@ def bulk_extract_fields(
 
     The fixed-width ``S`` view strips trailing NULs, which would truncate
     a field that legitimately ends in NUL bytes; unless the caller
-    vouches the buffer is NUL-free, every field length is audited
-    against ``char_lengths`` (``lengths`` when not given — byte lengths,
-    so multi-byte fields are also caught) and mismatches are re-sliced
-    exactly into an object-dtype batch of ``str`` (the whole batch is
-    ``str`` then, never a mix of ``bytes`` and ``str``).
+    vouches the buffer is NUL-free, every field's byte length in the
+    ``S`` view is audited against ``lengths`` before any decode, and
+    mismatches are re-sliced exactly into an object-dtype batch of
+    ``str`` (the whole batch is ``str`` then, never a mix of ``bytes``
+    and ``str``).
+
+    ``data`` is any buffer (``bytes``, or the ``memoryview`` of a dense
+    window read); fields are decoded with ``str(data[a:b], encoding)``,
+    which accepts either.
 
     ``buf``/``ascii_only`` let a caller that already scanned the bytes
     (the kernel) skip recomputing them.
@@ -423,14 +425,14 @@ def bulk_extract_fields(
         # a single wide column of a big file decodes just its slices.
         if ascii_only is not False and 2 * int(lengths.sum()) >= len(data):
             try:
-                text = data.decode("ascii")
+                text = str(data, "ascii")
                 return np.array(
                     [text[s : s + ln] for s, ln in pairs], dtype=object
                 )
             except UnicodeDecodeError:
                 pass
         return np.array(
-            [data[s : s + ln].decode("utf-8") for s, ln in pairs],
+            [str(data[s : s + ln], "utf-8") for s, ln in pairs],
             dtype=object,
         )
     if buf is None:
@@ -451,16 +453,13 @@ def bulk_extract_fields(
     if ascii_only is None:
         ascii_only = bool(chars.max() < 128)
     del chars
+    bad = () if nul_free else np.flatnonzero(np.char.str_len(packed) != lengths)
     out = packed if ascii_only else np.char.decode(packed, "utf-8")
-    if nul_free:
-        return out
-    expected = lengths if char_lengths is None else char_lengths
-    bad = np.nonzero(np.char.str_len(out) != expected)[0]
     if len(bad):
         out = as_text(out).astype(object)
         for i in bad.tolist():
             s, ln = int(starts[i]), int(lengths[i])
-            out[i] = data[s : s + ln].decode("utf-8")
+            out[i] = str(data[s : s + ln], "utf-8")
     return out
 
 

@@ -43,11 +43,11 @@ pass over the raw bytes in bulk:
    spares every later column's work;
 4. **the whole frame is learned** — either frame holds every column of
    every row, so the positional map is offered all of it at once
-   (:meth:`~repro.flatfile.positions.PositionalMap.record_frame`; on
-   ASCII input the very array, no copy), whatever the pass needed or
-   its predicates abandoned.  A later query on any column is then a
-   window read cut by the map (:mod:`repro.core.loader`), not another
-   framing pass.
+   (:meth:`~repro.flatfile.positions.PositionalMap.record_frame`: the
+   very byte frame, no copy, on any UTF-8 input), whatever the pass
+   needed or its predicates abandoned.  A later query on any column is
+   then a window read cut by the map (:mod:`repro.core.loader`), not
+   another framing pass.
 
 The kernel writes the positional map and never reads it, beyond asking
 whether it already knows every column: a map — empty, warm or with
@@ -104,8 +104,7 @@ def _frame_rows(
 
     The vectorized twin of :func:`repro.flatfile.dialects.
     newline_row_bounds` (same semantics, byte offsets instead of character
-    offsets — identical for the pure-ASCII fast case, converted by the
-    caller otherwise).
+    offsets).
     """
     nl = np.nonzero(buf == _NEWLINE)[0]
     starts = np.empty(len(nl) + 1, dtype=np.int64)
@@ -267,9 +266,7 @@ def tokenize_vectorized(
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
-            # Invalid UTF-8: the fallback's decode raises the taxonomy
-            # error (and the char geometry the kernel would learn from
-            # raw continuation bytes would be fiction).
+            # Invalid UTF-8: the fallback's decode raises the taxonomy error.
             return None
     nul_free = not len(buf) or bool(buf.min() > 0)
 
@@ -283,28 +280,15 @@ def tokenize_vectorized(
         if frame is None:
             return None
     nrows, sep = len(frame), adapter.sep
-    if ascii_only:
-        nchars = len(buf)
-
-        def to_chars(a: np.ndarray) -> np.ndarray:
-            return a
-
-    else:
-        # pad[i]: continuation bytes before byte i.  One entry more than
-        # positions in the input: a last field's end plus its separator
-        # may lie one past the end, where no more bytes are continued.
-        pad = np.zeros(len(buf) + 2, dtype=np.int64)
-        np.cumsum((buf & 0xC0) == 0x80, dtype=np.int64, out=pad[1:-1])
-        pad[-1] = pad[-2]
-        nchars = len(buf) - int(pad[-1])
-
-        def to_chars(a: np.ndarray) -> np.ndarray:
-            return a - pad[a]
 
     # ------------------------------------- column sweep: stats + predicates
     stats = TokenizerStats()
     stats.rows_scanned = nrows
-    stats.chars_scanned = nchars  # the framing pass reads everything, once
+    # The framing pass reads everything, once; a character is a byte
+    # that does not continue a UTF-8 sequence.
+    stats.chars_scanned = len(buf)
+    if not ascii_only:
+        stats.chars_scanned -= int(np.count_nonzero((buf & 0xC0) == 0x80))
     candidates = np.arange(nrows, dtype=np.int64)
     pred_values: dict[int, FieldSpans] = {}
     pred_rows: dict[int, np.ndarray] = {}
@@ -325,7 +309,6 @@ def tokenize_vectorized(
             adapter.decode_many,
             ascii_only=ascii_only,
             nul_free=nul_free,
-            char_lengths=None if ascii_only else to_chars(starts + lengths) - to_chars(starts),
         )
 
     for col in wanted:
@@ -350,9 +333,7 @@ def tokenize_vectorized(
     if learn and positional_map is not None:
         positional_map.record_nrows(nrows)
         if len(positional_map.known_columns()) < ncols:
-            positional_map.record_frame(to_chars(frame), sep=sep)
-    if positional_map is not None:
-        positional_map.record_text_geometry(nbytes=len(data), nchars=nchars)
+            positional_map.record_frame(frame, sep=sep)
 
     # -------------------------------------------------------------- output
     out_fields: dict[int, FieldSpans] = {}

@@ -14,12 +14,12 @@ amortizes.
 Layout (one entry directory per source path, under ``store_dir``)::
 
     <store_dir>/<stem>-<path-digest>/
-        manifest.json       # version 5: fingerprint, schema, posmap
-                            # (nrows, sep, columns, geometry), zone
-                            # maps + column index
-        pm.bin              # the positional map's frame: int64,
-                            # row-major, nrows x (K + 2) when columns
-                            # 0..K are known (memmapped)
+        manifest.json       # version 6: fingerprint, schema, posmap
+                            # (nrows, sep, columns), zone maps +
+                            # column index
+        pm.bin              # the positional map's frame: int64 byte
+                            # offsets, row-major, nrows x (K + 2)
+                            # when columns 0..K are known (memmapped)
         col_<i>.bin         # numeric column i, little-endian (memmapped)
         col_<i>.codes       # string column i: int32 code per row
                             # (memmapped)
@@ -32,7 +32,8 @@ module does not interpret it.  It is row-major, so a tail-append adds
 rows at its end like any column file; a frame of another width (the
 dialect loop learned a wider prefix) rewrites it whole.  Only state some
 query route reads is stored.  An entry written under another manifest
-``version`` is a miss, and the next save wipes and rewrites it.
+``version`` is a miss, and the next save wipes and rewrites it (a
+version 5 ``pm.bin`` of a UTF-8 file held character offsets).
 
 Invariants
 ----------
@@ -108,7 +109,7 @@ if TYPE_CHECKING:  # import would be circular at runtime (core -> storage)
     from repro.core.zonemaps import ZoneMapIndex
     from repro.storage.catalog import TableEntry
 
-_VERSION = 5
+_VERSION = 6
 
 _ITEMSIZE = 8  # int64 / float64; the only numeric widths the engine has
 

@@ -33,13 +33,6 @@ class Table:
             )
         return self.columns[key]
 
-    def has_column(self, name: str) -> bool:
-        try:
-            self.schema.index_of(name)
-            return True
-        except KeyError:
-            return False
-
     def loaded_columns(self) -> list[str]:
         return [c.name for c in self.columns.values() if c.loaded_count > 0]
 

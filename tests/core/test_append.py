@@ -173,6 +173,31 @@ class TestAppendExtension:
         oracle.close()
         engine.close()
 
+    def test_non_ascii_tail_keeps_the_selective_route(self, tmp_path):
+        """An ASCII file that gains a UTF-8 tail keeps its byte frame: a
+        query on columns no query loaded yet reads their windows, not the
+        whole file, and answers like the oracle."""
+        path = tmp_path / "log.csv"
+        path.write_text("".join(f"{i},{i * 3},w{i % 7},{i % 11}\n" for i in range(500)))
+        engine = NoDBEngine(EngineConfig(policy="column_loads"))
+        engine.attach("t", path)
+        engine.query("select sum(a1) from t")
+        time.sleep(0.002)  # distinct mtime even on coarse filesystems
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.writelines(f"{i},{i * 3},café,{i % 11}\n" for i in range(500, 600))
+        engine.query("select sum(a1) from t")
+        assert engine.stats.counters.append_extensions == 1
+        oracle = CSVEngine()
+        oracle.attach("t", path)
+        for query in (
+            "select sum(a2), count(*) from t where a4 > 5",
+            "select a1, a3 from t where a1 > 495 and a1 < 505",
+        ):
+            assert engine.query(query).rows() == oracle.query(query).rows()
+            assert engine.stats.last().file_bytes_read < path.stat().st_size
+        oracle.close()
+        engine.close()
+
     def test_zone_maps_extended_and_still_skip(self, growing_csv):
         engine = NoDBEngine(
             EngineConfig(policy="column_loads", zone_map_rows=64)

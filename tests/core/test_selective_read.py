@@ -204,16 +204,48 @@ class TestEquivalence:
         ]
 
 
-class TestSafetyGates:
-    def test_non_ascii_file_never_goes_selective(self, tmp_path):
-        rows = ["1,ä", "2,ö", "3,ü"] + [f"{i},x{i}" for i in range(50)]
+class TestUtf8Files:
+    """The map holds byte offsets, so a UTF-8 file reads selectively like
+    an ASCII one, multi-byte fields included."""
+
+    @staticmethod
+    def _answers(path, queries):
+        """Each query's rows on a ``partial_v1`` engine (which re-reads
+        the file every query) and on the CSV oracle, and the engine's
+        full scans."""
+        engine, oracle = NoDBEngine(EngineConfig(policy="partial_v1")), CSVEngine()
+        try:
+            engine.attach("t", path)
+            oracle.attach("t", path)
+            got = [(engine.query(q).rows(), oracle.query(q).rows()) for q in queries]
+            return got, engine.catalog.get("t").file.stats.full_scans
+        finally:
+            engine.close()
+            oracle.close()
+
+    def test_non_ascii_file_goes_selective(self, tmp_path):
+        words = ["ä", "ö", "café", "東京", "naïve"]
+        rows = [f"{i},{words[i % 5]},{i * 7},pad{i:08d}" for i in range(60)]
         path = _write(tmp_path / "t.csv", rows)
-        entry = Catalog().attach("t", path)
-        run_pass(entry, ["a2"], None, CONFIG, parse_all_rows=True)
-        assert not entry.positional_map.sliceable
-        run_pass(entry, ["a2"], None, CONFIG, parse_all_rows=True)
-        # Both passes were full scans: offsets are char-based, file is not.
-        assert entry.file.stats.full_scans == 2
+        got, full_scans = self._answers(
+            path, ["select sum(a1) from t", "select a2, a3 from t where a1 > 40"]
+        )
+        for engine_rows, oracle_rows in got:
+            assert engine_rows == oracle_rows
+        # The first pass framed the file; the second read its windows.
+        assert full_scans == 1
+
+    def test_multi_byte_fields_ending_in_nul_are_cut_exactly(self, tmp_path):
+        words = ["é\0", "あ\0\0", "x\0", "ß\0y", "東京", "\0"]
+        rows = [f"{i},{words[i % 6]},pad{i:08d}" for i in range(60)]
+        path = _write(tmp_path / "t.csv", rows)
+        got, full_scans = self._answers(path, ["select sum(a1) from t", "select a2 from t"])
+        assert full_scans == 1
+        truth = [(row[1],) for row in split_rows(path.read_text())]
+        assert got[1][0] == got[1][1] == truth
+
+
+class TestSafetyGates:
 
     def test_map_disabled_never_goes_selective(self, tmp_path):
         rows = [f"{i},{i}" for i in range(50)]

@@ -138,7 +138,7 @@ def test_warm_map_passes_run_the_kernel(csv_file, tmp_path, monkeypatch):
 
 def test_corrupted_map_offsets_never_change_an_answer(csv_file):
     """The kernel never reads the map: a learned column shifted by one
-    character must not leak into the values of a later pass that
+    byte must not leak into the values of a later pass that
     re-tokenizes it."""
     sql = "select sum(a2), sum(a3) from r where a2 > 120"
     engine = NoDBEngine(EngineConfig(policy="partial_v1"))
@@ -150,10 +150,9 @@ def test_corrupted_map_offsets_never_change_an_answer(csv_file):
         pmap = engine.catalog.get("r").positional_map
         assert all(pmap.knows_column(c) for c in range(4))  # the whole frame
         (s0, e0), (s1, e1) = pmap.slices_for(0), pmap.slices_for(1)
-        nrows, geometry = pmap.nrows, pmap.text_geometry
+        nrows = pmap.nrows
         pmap.clear()  # keep columns 0 and 1, column 1 shifted right
         pmap.record_nrows(nrows)
-        pmap.record_text_geometry(*geometry)
         pmap.record_frame(np.column_stack([s0, s1 + 1, e1 + 2]), sep=1)
         assert pmap.slices_for(1)[0].tolist() == (s1 + 1).tolist()
         assert engine.query(sql).rows() == oracle.query(sql).rows()

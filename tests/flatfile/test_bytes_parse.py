@@ -186,6 +186,18 @@ def test_nul_repair_returns_only_str():
     assert all(isinstance(v, str) for v in out)
 
 
+def test_nul_audit_is_exact_on_multi_byte_fields():
+    """Byte lengths are audited before the decode: a multi-byte field
+    ending in NUL is re-sliced whole, any other decodes in bulk."""
+    data = "é\x00,東京,ß".encode("utf-8")
+    starts, lengths = np.array([0, 4, 11]), np.array([3, 6, 2])
+    out = bulk_extract_fields(data, starts, lengths)
+    assert out.tolist() == ["é\x00", "東京", "ß"]
+    clean = bulk_extract_fields(data, starts[1:], lengths[1:])
+    assert clean.dtype.kind == "U"
+    assert clean.tolist() == ["東京", "ß"]
+
+
 def test_tsv_escape_in_byte_batch():
     adapter = TsvAdapter()
     plain = np.array([b"a", b"b"])

@@ -40,32 +40,32 @@ class TestBasics:
 
     def test_read_all(self, csv_file):
         f = FlatFile(csv_file)
-        assert f.read_all() == "1,2\n3,4\n5,6\n"
+        assert f.read_all_bytes() == b"1,2\n3,4\n5,6\n"
 
     def test_read_range(self, csv_file):
         f = FlatFile(csv_file)
-        assert f.read_range(4, 7) == "3,4"
+        assert f.read_range_bytes(4, 7) == b"3,4"
 
     def test_bad_range_rejected(self, csv_file):
         f = FlatFile(csv_file)
         with pytest.raises(FlatFileError):
-            f.read_range(5, 2)
+            f.read_range_bytes(5, 2)
         with pytest.raises(FlatFileError):
-            f.read_range(-1, 2)
+            f.read_range_bytes(-1, 2)
 
 
 class TestAccounting:
     def test_bytes_counted(self, csv_file):
         f = FlatFile(csv_file)
-        f.read_all()
-        f.read_all()
+        f.read_all_bytes()
+        f.read_all_bytes()
         assert f.stats.bytes_read == 2 * f.size_bytes()
         assert f.stats.read_calls == 2
         assert f.stats.full_scans == 2
 
     def test_range_reads_not_full_scans(self, csv_file):
         f = FlatFile(csv_file)
-        f.read_range(0, 3)
+        f.read_range_bytes(0, 3)
         assert f.stats.full_scans == 0
         assert f.stats.bytes_read == 3
 
@@ -393,7 +393,7 @@ class TestThrottle:
         size = os.stat(csv_file).st_size
         f = FlatFile(csv_file, bandwidth_bytes_per_sec=size * 20.0)  # ~50 ms
         start = time.perf_counter()
-        f.read_all()
+        f.read_all_bytes()
         assert time.perf_counter() - start >= 0.04
 
 

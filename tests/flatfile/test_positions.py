@@ -156,32 +156,17 @@ class TestSlices:
         with pytest.raises(KeyError):
             m.run_slices([2, 3])  # column 3 unknown
 
-    def test_geometry_first_writer_wins(self):
-        m = PositionalMap()
-        assert not m.sliceable
-        m.record_text_geometry(nbytes=100, nchars=100)
-        m.record_text_geometry(nbytes=5, nchars=9)
-        assert m.text_geometry == (100, 100)
-        assert m.sliceable
-
-    def test_multibyte_text_not_sliceable(self):
-        m = PositionalMap()
-        m.record_text_geometry(nbytes=102, nchars=100)
-        assert not m.sliceable
-
 
 class TestLifecycle:
     def test_clear(self):
         m = PositionalMap()
         m.record_nrows(1)
         _record(m, [([0], [1])])
-        m.record_text_geometry(nbytes=2, nchars=2)
         m.clear()
         assert m.nrows is None
         assert not m.known_columns()
         assert m.sep is None
-        assert m.text_geometry is None
-        assert not m.sliceable
+        assert m.frame is None
 
     def test_truncate_copies_the_kept_columns(self):
         m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])})
@@ -203,12 +188,12 @@ class TestLifecycle:
         assert not m.extends(snapshot)
 
     def test_export_round_trip(self):
-        m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])}, (8, 8))
+        m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])})
         meta, frame = m.export()
         assert frame.shape == (2, 3)  # one boundary per known column, plus one
         back = PositionalMap.from_export(meta, frame)
         assert back.known_columns() == [0, 1]
-        assert back.nrows == 2 and back.sep == 1 and back.text_geometry == (8, 8)
+        assert back.nrows == 2 and back.sep == 1
         for col in (0, 1):
             assert [a.tolist() for a in back.slices_for(col)] == [
                 a.tolist() for a in m.slices_for(col)
@@ -224,48 +209,45 @@ class TestLifecycle:
             PositionalMap.from_export(meta, None)
 
 
-def _map(nrows, spans=None, geometry=None):
+def _map(nrows, spans=None):
     """A map over ``nrows`` rows; ``spans`` is ``{col: (starts, ends)}``."""
     m = PositionalMap()
     m.record_nrows(nrows)
     if spans:
         _record(m, [spans[col] for col in sorted(spans)])
-    if geometry is not None:
-        m.record_text_geometry(*geometry)
     return m
 
 
 class TestMerging:
     def test_extend_tail_grows_rows_and_known_spans(self):
-        m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])}, (8, 8))
-        tail = _map(1, {0: ([0], [1])}, (4, 4))
-        m.extend_tail(tail, 1)
+        m = _map(2, {0: ([0, 4], [1, 5]), 1: ([2, 6], [3, 7])})
+        tail = _map(1, {0: ([0], [1])})
+        m.extend_tail(tail, 1, shift=8)
         assert m.nrows == 3
         assert m.known_columns() == [0]  # the tail did not relearn column 1
         starts, ends = m.slices_for(0)
         assert starts.tolist() == [0, 4, 8]
         assert ends.tolist() == [1, 5, 9]
-        assert m.text_geometry == (12, 12)
 
-    def test_extend_tail_without_geometry_clears(self):
-        m = _map(2, {0: ([0, 4], [1, 5])})
-        m.extend_tail(_map(1, {0: ([0], [1])}, (4, 4)), 1)
-        assert m.nrows is None
-        assert not m.known_columns()
+    def test_extend_tail_shifts_by_the_old_byte_size(self):
+        # "é,1\n" is 5 bytes and 4 characters: the tail starts at byte 5.
+        m = _map(1, {0: ([0], [2]), 1: ([3], [4])})
+        m.extend_tail(_map(1, {0: ([0], [1]), 1: ([2], [3])}), 1, shift=5)
+        assert m.slices_for(0)[0].tolist() == [0, 5]
+        assert m.slices_for(1)[1].tolist() == [4, 8]
 
     def test_extend_tail_short_column_is_dropped(self):
-        m = _map(2, {0: ([0, 4], [1, 5])}, (8, 8))
-        tail = _map(2, {0: ([0, 4], [1, 5])}, (8, 8))
-        m.extend_tail(tail, 3)  # the tail pass framed more rows than it spanned
+        m = _map(2, {0: ([0, 4], [1, 5])})
+        tail = _map(2, {0: ([0, 4], [1, 5])})
+        m.extend_tail(tail, 3, shift=8)  # the tail pass framed more rows than it spanned
         assert m.nrows == 5
         assert not m.knows_column(0)
 
     def test_extend_tail_on_an_empty_map_learns_nothing(self):
         m = PositionalMap()
-        m.extend_tail(_map(1, {0: ([0], [1])}, (2, 2)), 1)
+        m.extend_tail(_map(1, {0: ([0], [1])}), 1, shift=2)
         assert m.nrows is None
         assert not m.known_columns()
-        assert m.text_geometry is None
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +270,11 @@ def _layout(widths: np.ndarray, sep: int):
 
 def _learned(widths: np.ndarray, sep: int, known: int) -> PositionalMap:
     """A map that learned the first ``known`` columns of ``widths``."""
-    spans, nchars = _layout(widths, sep)
+    spans, _ = _layout(widths, sep)
     m = PositionalMap()
     m.record_nrows(len(widths))
     if known:
         m.record_frame(_frame(spans[:known], sep), sep=sep)
-    m.record_text_geometry(nchars, nchars)
     return m
 
 
@@ -314,11 +295,10 @@ def test_boundary_map_matches_a_dict_of_spans(data, ncols, sep):
     widths = draw_widths(1)
     m = PositionalMap()
     m.record_nrows(len(widths))
-    m.record_text_geometry(*(2 * [_layout(widths, sep)[1]]))
     model: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     for _ in range(data.draw(st.integers(1, 8))):
-        spans, _ = _layout(widths, sep)
+        spans, size = _layout(widths, sep)
         op = data.draw(st.sampled_from(["record", "append"]))
         if op == "record":
             width = data.draw(st.integers(1, ncols))
@@ -328,7 +308,7 @@ def test_boundary_map_matches_a_dict_of_spans(data, ncols, sep):
         else:
             tail = draw_widths(0)
             known = data.draw(st.integers(0, ncols))
-            m.extend_tail(_learned(tail, sep, known), len(tail))
+            m.extend_tail(_learned(tail, sep, known), len(tail), size)
             widths = np.vstack([widths, tail])
             spans, _ = _layout(widths, sep)
             model = {c: spans[c] for c in range(min(len(model), known))}

@@ -48,7 +48,6 @@ def _pmap_state(pmap: PositionalMap):
         "nrows": pmap.nrows,
         "starts": {c: pmap.slices_for(c)[0].tolist() for c in pmap.known_columns()},
         "ends": {c: pmap.slices_for(c)[1].tolist() for c in pmap.known_columns()},
-        "geometry": pmap.text_geometry,
     }
 
 
@@ -188,23 +187,19 @@ def assert_map_extends(shipped, oracle, data, adapter, ncols, skip_rows):
     """The kernel learns the whole frame where the oracle's walk learns a
     prefix: the kernel's map is the oracle's map plus every further
     column, and each further column's spans slice exactly its fields."""
-    assert (shipped["nrows"], shipped["geometry"]) == (
-        oracle["nrows"],
-        oracle["geometry"],
-    )
+    assert shipped["nrows"] == oracle["nrows"]
     assert sorted(shipped["starts"]) == list(range(ncols))
     for key in ("starts", "ends"):
         assert {c: shipped[key][c] for c in oracle[key]} == oracle[key]
     extra = [c for c in range(ncols) if c not in oracle["starts"]]
     if not extra:
         return
-    text = data.decode("utf-8")
     truth = scalar_tokenize_bytes(
         data, adapter, ncols, range(ncols), skip_rows=skip_rows, learn=False
     )
     for c in extra:
         spans = zip(shipped["starts"][c], shipped["ends"][c])
-        raw = [text[s:e] for s, e in spans]
+        raw = [data[s:e].decode("utf-8") for s, e in spans]
         assert field_texts(adapter.decode_many(raw)) == field_texts(truth.fields[c])
 
 
@@ -310,8 +305,6 @@ def _scalar_warm_map(data: bytes, adapter, ncols: int, keep: int) -> PositionalM
         pmap.record_nrows(learned.nrows)
     if keep and learned.frame is not None:
         pmap.record_frame(learned.frame[:, : keep + 1], sep=adapter.sep)
-    if learned.text_geometry is not None:
-        pmap.record_text_geometry(*learned.text_geometry)
     return pmap
 
 
@@ -512,9 +505,9 @@ class TestEdgeCases:
         data = "é,ab\nあ素,ß\n".encode("utf-8")
         out = assert_routes_agree(data, CSV, 2, [0, 1])
         assert out[0][0]["fields"][0] == ["é", "あ素"]
-        # Learned offsets are character offsets into the decoded text
-        # ("あ素,ß" starts at char 5; its second field at char 8).
-        assert out[0][0]["pmap"]["starts"][1] == [2, 8]
+        # Learned offsets are byte offsets into the raw file ("あ素,ß"
+        # starts at byte 6; its second field at byte 13).
+        assert out[0][0]["pmap"]["starts"][1] == [3, 13]
 
     def test_nul_bytes_inside_and_trailing_fields(self):
         data = b"a\x00,b\n\x00\x00,c\nd\x00x,e\n"

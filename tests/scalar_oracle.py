@@ -100,6 +100,14 @@ def tokenize_columns(
     if learn and positional_map is not None:
         positional_map.record_nrows(nrows)
 
+    # The map holds byte offsets and the walk runs over characters: one
+    # char -> byte table (``c2b[i]`` is character ``i``'s byte offset,
+    # ``c2b[len(text)]`` the text's byte size) converts either way.
+    c2b = None
+    if not text.isascii():
+        buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        c2b = np.append(np.flatnonzero((buf & 0xC0) != 0x80), len(buf))
+
     # Choose, per needed column, the best anchor the map offers.  Anchors
     # are only usable when no pushdown predicate sits between anchor and
     # target on a *different* tokenization route; since we tokenize columns
@@ -110,7 +118,10 @@ def tokenize_columns(
         for col in wanted:
             hit = anchor_for(positional_map, col)
             if hit is not None:
-                anchors[col] = hit
+                anchor_col, offsets = hit
+                if c2b is not None:
+                    offsets = np.searchsorted(c2b, offsets)
+                anchors[col] = (anchor_col, offsets)
 
     find = text.find
     out_fields: dict[int, list[str]] = {col: [] for col in wanted}
@@ -198,10 +209,14 @@ def tokenize_columns(
         while width in learned and len(learned[width]) == nrows:
             width += 1
         if width > known:
+            walked = [learned[c] for c in range(known, width)]
+            walked.append(learned_ends[width - 1])
+            walked = [np.asarray(a, dtype=np.int64) for a in walked]
+            if c2b is not None:
+                walked = [c2b[a] for a in walked]
+            walked[-1] = walked[-1] + 1
             bounds = [positional_map.slices_for(c)[0] for c in range(known)]
-            bounds += [np.asarray(learned[c], dtype=np.int64) for c in range(known, width)]
-            bounds.append(np.asarray(learned_ends[width - 1], dtype=np.int64) + 1)
-            positional_map.record_frame(np.column_stack(bounds), sep=1)
+            positional_map.record_frame(np.column_stack(bounds + walked), sep=1)
 
     return TokenizeResult(
         fields=out_fields,
@@ -260,8 +275,6 @@ def scalar_tokenize_bytes(
 ) -> TokenizeResult:
     """``tokenize_bytes`` without the kernel: decode, then walk."""
     text = decode_utf8(data, source, offset)
-    if positional_map is not None:
-        positional_map.record_text_geometry(nbytes=len(data), nchars=len(text))
     kwargs = dict(
         predicates=predicates,
         positional_map=positional_map,

@@ -141,8 +141,6 @@ class TestRoundTrip:
             bounds.append(ends + sep)
         if ncols:
             pm.record_frame(np.column_stack(bounds), sep=sep)
-        if data.draw(st.booleans()):
-            pm.record_text_geometry(1000, 1000)
 
         store.save(_state(source, fp, nrows=nrows, positional_map=pm))
         restored = store.load(source, fp).state
@@ -155,7 +153,6 @@ class TestRoundTrip:
             s1, e1 = rpm.slices_for(col)
             assert s1.tobytes() == s0.tobytes()  # byte-for-byte
             assert e1.tobytes() == e0.tobytes()
-        assert rpm.text_geometry == pm.text_geometry
 
     @given(
         names=st.lists(
@@ -959,11 +956,9 @@ class TestLayout:
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert "pm_rows.bin" not in names
         manifest = _manifest(store_dir)
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         assert "partitions" not in manifest
-        assert set(manifest["positional_map"]) == {
-            "nrows", "sep", "columns", "text_geometry", "file"
-        }
+        assert set(manifest["positional_map"]) == {"nrows", "sep", "columns", "file"}
         assert names == {"manifest.json", *_committed(store_dir)}
 
     def test_one_map_file_of_nrows_by_known_columns_plus_one(self, tmp_path):
@@ -1006,7 +1001,7 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 5
+        assert _manifest(store_dir)["version"] == 6
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
 
@@ -1039,7 +1034,7 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 5
+        assert _manifest(store_dir)["version"] == 6
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
         assert not any(n.startswith(("pm_s", "pm_e")) for n in names)
@@ -1069,10 +1064,36 @@ class TestLayout:
         rows, stats = _run(path, store_dir)
         assert rows == _oracle(path)
         assert stats.counters.restart_warm_hits == 0
-        assert _manifest(store_dir)["version"] == 5
+        assert _manifest(store_dir)["version"] == 6
         names = {p.name for p in _entry_dir(store_dir).iterdir()}
         assert names == {"manifest.json", *_committed(store_dir)}
         assert "pm.bin" in names
+
+    def test_version_5_entry_is_a_miss_then_rewritten(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(_log_rows(0, 50))
+        store_dir = tmp_path / "store"
+        _run(path, store_dir)
+        # Dress the entry as the version-5 layout: the same pm.bin (whose
+        # offsets were characters on a UTF-8 file) beside the text geometry.
+        edir = _entry_dir(store_dir)
+        manifest = _manifest(store_dir)
+        size = path.stat().st_size
+        manifest["positional_map"]["text_geometry"] = [size, size]
+        manifest["version"] = 5
+        (edir / "manifest.json").write_text(json.dumps(manifest))
+
+        outcome = PersistentStore(store_dir).load(path, FileFingerprint.of(path))
+        assert outcome.state is None and not outcome.invalidated
+
+        rows, stats = _run(path, store_dir)
+        assert rows == _oracle(path)
+        assert stats.counters.restart_warm_hits == 0
+        manifest = _manifest(store_dir)
+        assert manifest["version"] == 6
+        assert "text_geometry" not in manifest["positional_map"]
+        names = {p.name for p in _entry_dir(store_dir).iterdir()}
+        assert names == {"manifest.json", *_committed(store_dir)}
 
     def test_restart_then_a_full_frame_matches_oracle(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -1103,11 +1124,16 @@ class TestLayout:
 
 
 def _dialect_file(tmp_path, kind: str):
-    """A headerless 4-int-column file in one dialect, and its attach args."""
+    """A headerless 4-int-column file in one dialect, and its attach args
+    (``utf8``: plain CSV with a fifth column of multi-byte words)."""
     rows = [[str((i * 37 + j * 11) % 997) for j in range(4)] for i in range(300)]
     if kind == "fixed-width":
         text = "".join("".join(v.ljust(5) for v in r) + "\n" for r in rows)
         args = {"format": "fixed-width", "fixed_widths": (5, 5, 5, 5)}
+    elif kind == "utf8":
+        words = ("café", "東京", "naïve", "ß")
+        text = "".join(",".join([*r, words[i % 4]]) + "\n" for i, r in enumerate(rows))
+        args = {}
     else:
         sep, end = {"plain": (",", "\n"), "crlf": (",", "\r\n"), "tsv": ("\t", "\n")}[kind]
         text = "".join(sep.join(r) + end for r in rows)
@@ -1123,7 +1149,7 @@ class TestRestoredSpans:
     value the dialect frames (the last field's before ``\\r``, fixed
     widths with no separator)."""
 
-    @pytest.mark.parametrize("kind", ["plain", "crlf", "tsv", "fixed-width"])
+    @pytest.mark.parametrize("kind", ["plain", "crlf", "tsv", "fixed-width", "utf8"])
     def test_restart_warm_query_on_restored_spans(self, tmp_path, kind):
         path, args = _dialect_file(tmp_path, kind)
         cfg = EngineConfig(policy="partial_v1", store_dir=tmp_path / "store")

@@ -129,7 +129,7 @@ class TestTailAppend:
 
         after = _manifest(store)
         s_before, s_after = before["columns"]["s"], after["columns"]["s"]
-        assert after["version"] == 5
+        assert after["version"] == 6
         assert after["nrows"] == 340
         assert s_after["entries"] == s_before["entries"] + 2  # "あ", "zz"
         grown = {
@@ -214,7 +214,7 @@ class TestRestart:
     def test_version_3_entry_is_a_miss_then_rewritten(self, log, tmp_path):
         """An entry in the version-3 layout (a string column as char
         offsets plus a UTF-8 blob) is a miss; the next save rewrites it
-        as version 4 and leaves no old-layout file behind."""
+        in the current layout and leaves no old-layout file behind."""
         path, rows = log
         store = tmp_path / "store"
         with _engine(store) as engine:
@@ -246,7 +246,7 @@ class TestRestart:
             assert engine.stats.counters.restart_warm_hits == 0
             engine.flush_persistent_store()
         manifest = _manifest(store)
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         names = {p.name for p in _entry_dir(store).iterdir()}
         assert names == {"manifest.json", *_committed_sizes(manifest)}
         with _engine(store) as engine:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -314,7 +315,7 @@ class TestKernelWritesTheMapOnly:
     ``record_frame``.  No edit can then make the kernel's offsets or work
     counters depend on what the map held."""
 
-    CALLS = {"record_nrows", "record_frame", "record_text_geometry", "known_columns"}
+    CALLS = {"record_nrows", "record_frame", "known_columns"}
 
     def test_vectorized_only_records_into_the_map(self):
         path = Path(repro.__file__).parent / "flatfile" / "vectorized.py"
@@ -344,6 +345,34 @@ class TestKernelWritesTheMapOnly:
                 continue
             offenders.append(f"vectorized.py:{node.lineno} {ast.unparse(up)}")
         assert uses and not offenders, offenders
+
+
+class TestMapOffsetsAreBytes:
+    """The positional map has one offset unit, the byte: no module under
+    ``src/repro`` names the character-offset bridges it once needed (a
+    text geometry, a sliceable gate, per-field character lengths, a
+    byte-to-character conversion)."""
+
+    REMOVED = re.compile(r"text_geometry|sliceable|char_lengths|to_chars")
+
+    def _named(self, source: str) -> list[str]:
+        return self.REMOVED.findall(source)
+
+    def test_the_scan_finds_a_name(self):
+        assert self._named("ok = pmap.sliceable and to_chars(a)") == [
+            "sliceable",
+            "to_chars",
+        ]
+        assert self._named("pmap.record_frame(frame, sep=1)") == []
+
+    def test_no_module_names_a_character_offset_bridge(self):
+        package = Path(repro.__file__).parent
+        offenders = [
+            f"{path.relative_to(package.parent)} names {name}"
+            for path in sorted(package.rglob("*.py"))
+            for name in self._named(path.read_text(encoding="utf-8"))
+        ]
+        assert not offenders, offenders
 
 
 class TestStringFormatBoundary:
