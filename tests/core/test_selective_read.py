@@ -35,7 +35,7 @@ CONFIG = EngineConfig()
 
 
 def _write(path, rows, line_ending="\n"):
-    path.write_text(line_ending.join(rows) + line_ending)
+    path.write_text(line_ending.join(rows) + line_ending, encoding="utf-8")
     return path
 
 
@@ -241,7 +241,7 @@ class TestUtf8Files:
         path = _write(tmp_path / "t.csv", rows)
         got, full_scans = self._answers(path, ["select sum(a1) from t", "select a2 from t"])
         assert full_scans == 1
-        truth = [(row[1],) for row in split_rows(path.read_text())]
+        truth = [(row[1],) for row in split_rows(path.read_text(encoding="utf-8"))]
         assert got[1][0] == got[1][1] == truth
 
 

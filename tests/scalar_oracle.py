@@ -210,13 +210,12 @@ def tokenize_columns(
             width += 1
         if width > known:
             walked = [learned[c] for c in range(known, width)]
-            walked.append(learned_ends[width - 1])
-            walked = [np.asarray(a, dtype=np.int64) for a in walked]
+            walked = np.column_stack(walked + [learned_ends[width - 1]]).astype(np.int64)
             if c2b is not None:
-                walked = [c2b[a] for a in walked]
-            walked[-1] = walked[-1] + 1
+                walked = c2b[walked]
+            walked[:, -1] += 1  # the last field's end plus its separator
             bounds = [positional_map.slices_for(c)[0] for c in range(known)]
-            positional_map.record_frame(np.column_stack(bounds + walked), sep=1)
+            positional_map.record_frame(np.column_stack(bounds + [walked]), sep=1)
 
     return TokenizeResult(
         fields=out_fields,
