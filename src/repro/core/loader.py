@@ -27,13 +27,13 @@ Two routes exist through :func:`run_pass`:
   activates when the positional map already knows the byte range of every
   field the pass needs — after the first pass over a file, every field
   of every column: each run of adjacent wanted columns, padded by its
-  separators, is one window a row, the windows are read in one
-  coalesced block read (a second one, for the kept rows only, reads
-  output columns far from every pushdown predicate), every field is
-  cut from the buffer, and each cut span is checked to sit between
-  separators (a damaged map re-frames the file instead of answering
-  from it) — a next-column or repeat query touches strictly less of
-  the file than its first run.
+  separators, is one window a row, in file order; the windows are read
+  in one call, a few blocks each ``readinto`` one buffer (a second call,
+  for the kept rows only, reads output columns far from every pushdown
+  predicate), every field is cut from the buffer, and each cut span is
+  checked to sit between separators (a damaged map re-frames the file
+  instead of answering from it) — a next-column or repeat query touches
+  strictly less of the file than its first run.
 
 Typed parsing is widening: a value that does not fit the inferred column
 type (e.g. a float deep in a column sampled as int) widens the column —
@@ -150,7 +150,8 @@ class WideningPredicate:
     * ``pred(text)`` — per value, for the dialect loop only:
       parse the field under the column's schema type, and on a value the
       type cannot represent widen the column one ladder step and retry;
-    * ``pred.mask(values)`` — per column, for the bulk kernel and the
+    * ``pred.mask(values)`` — per column, for the bulk kernel and (as
+      ``pred.parse_and_mask``, which also returns the parsed array) the
       selective-read route: :func:`parse_widening` over the whole array,
       then one :meth:`~repro.ranges.ValueInterval.mask`.
 
@@ -194,13 +195,20 @@ class WideningPredicate:
             ) from exc
 
     def mask(self, values: FieldSpans) -> np.ndarray:
+        return self.parse_and_mask(values)[1]
+
+    def parse_and_mask(
+        self, values: FieldSpans
+    ) -> tuple[np.ndarray | StringColumn | None, np.ndarray]:
+        """The values parsed under the column's type (``None`` when there
+        are none) and the mask of those the interval keeps."""
         if len(values) == 0:
             # Nothing to parse or compare; NumPy would still reject a type
             # mismatch over zero elements, which no per-value call sees.
-            return np.zeros(0, dtype=bool)
+            return None, np.zeros(0, dtype=bool)
         parsed = parse_widening(self.entry, self.idx, values, self.parse_stats)
         try:
-            return self.interval.mask(parsed)
+            return parsed, self.interval.mask(parsed)
         except TypeError as exc:
             column = self.entry.schema.columns[self.idx]
             raise FlatFileError(
@@ -450,7 +458,8 @@ def _locate_fields(
     for run in runs:
         s, _ = spans[run[0]]
         # The run's fields lie in one window, so in one block: one shift (0
-        # on a dense read) moves them into the buffer; ``take`` clips at its ends.
+        # for one block read from byte 0) moves them into the buffer;
+        # ``take`` clips at its ends.
         shift = windows.shift(s)
         moved = np.any(shift)
         before = buf.take(s + (shift - 1), mode="clip")
@@ -498,11 +507,13 @@ def _selective_pass(
     power: the runs holding a predicate column (with the output columns
     adjacent to it) are read in one :meth:`~repro.flatfile.files.
     FlatFile.read_windows` call for every candidate, predicate columns
-    are cut from that buffer, each as one bulk call (``pred.mask``: one
-    parse, one range mask; see :class:`WideningPredicate`), and the
-    other columns only for the rows every predicate kept.  The other
-    runs are read in a second call for those rows only.  Without a
-    predicate — a next-column load — every run is read in one call.
+    are cut from that buffer, each as one bulk call
+    (``pred.parse_and_mask``: one parse, one range mask; see
+    :class:`WideningPredicate`; the first one, parsed for every row,
+    also learns the column's zones), and the other columns only for the
+    rows every predicate kept.  The other runs are read in a second call
+    for those rows only.  Without a predicate — a next-column load —
+    every run is read in one call.
     Fields stay spans of the read buffer from the cut to the parser,
     which reads a plain digit column straight from them.
     """
@@ -521,8 +532,7 @@ def _selective_pass(
     # window; their padded windows are then two bytes closer.
     max_gap = SELECTIVE_READ_MAX_GAP - 2
     planned = _run_windows(spans, runs, size)
-    totals = window_totals(*planned, max_gap, size)
-    if totals is not None and totals[0] >= size - (size >> 4):
+    if window_totals(*planned, max_gap)[0] >= size - (size >> 4):
         return None
 
     # Counted apart from the caller's, which a declined pass must leave
@@ -533,7 +543,7 @@ def _selective_pass(
     stats.rows_scanned = nrows
     stats.rows_abandoned = nrows - len(candidates)
     adapter = entry.file.adapter
-    buffers: dict[int, bytes] = {}
+    buffers: dict[int, bytes | memoryview] = {}
 
     def read(
         read_runs: list[list[int]], at: np.ndarray | None
@@ -544,10 +554,11 @@ def _selective_pass(
             for run in read_runs
             for c in run
         }
-        same = at is None and read_runs == runs  # the windows judged above
-        ranges = planned if same else _run_windows(sub, read_runs, size)
-        sums = totals if same else window_totals(*ranges, max_gap, size)
-        windows = entry.file.read_windows(*ranges, max_gap=max_gap, totals=sums)
+        if at is None and read_runs == runs:
+            ranges = planned  # the windows judged above, not built twice
+        else:
+            ranges = _run_windows(sub, read_runs, size)
+        windows = entry.file.read_windows(*ranges, max_gap=max_gap)
         stats.chars_scanned += windows.window_bytes
         buffers.update((c, windows.buffer) for c in sub)
         return _locate_fields(windows, sub, read_runs, size, adapter, len(schema))
@@ -574,13 +585,13 @@ def _selective_pass(
     for col in sorted(predicates):
         values = cut(col, alive)
         gathered[col], gathered_rows[col] = values, rows
-        if config.zone_maps and len(values) == nrows:
-            # The first predicate column is cut for every row (no zones
+        parsed, keep = predicates[col].parse_and_mask(values)
+        if config.zone_maps and 0 < nrows == len(values):
+            # The first predicate column is parsed for every row (no zones
             # narrowed it yet): learn its zones so the next warm query
             # can skip — the partial-loads analogue of learning during
             # cold scans.
-            _learn_zones_from_text(entry, schema, col, values, config)
-        keep = predicates[col].mask(values)
+            _learn_zones(entry, schema, col, parsed, config)
         stats.rows_abandoned += int(len(keep) - keep.sum())
         rows = rows[keep]
         alive = np.flatnonzero(keep) if alive is None else alive[keep]
@@ -651,35 +662,20 @@ def _learn_zone_maps(
     if not config.zone_maps or result.nrows <= 0 or not result.is_full_rows:
         return
     for name, values in result.columns.items():
-        idx = schema.index_of(name)
-        if not schema.columns[idx].dtype.is_numeric:
-            continue
-        zmi = _zone_index(entry, result.nrows, config)
-        if not zmi.has(idx):
-            zmi.learn(idx, values)
+        _learn_zones(entry, schema, schema.index_of(name), values, config)
 
 
-def _learn_zones_from_text(
+def _learn_zones(
     entry: TableEntry,
     schema: TableSchema,
     col: int,
-    texts: FieldSpans,
+    values: "np.ndarray | StringColumn",
     config: EngineConfig,
 ) -> None:
-    """Zone-map a predicate column gathered for every row (text form).
-
-    Parses under the current schema type with throwaway stats — this is
-    index maintenance, not query-answer work.  Any parse failure
-    declines silently; the predicate path itself handles widening.
-    """
-    if entry.zone_maps is not None and entry.zone_maps.has(col):
+    """Zone-map column ``col`` from ``values``, parsed for every row
+    under its current type, unless it is not numeric or already mapped."""
+    if not schema.columns[col].dtype.is_numeric:
         return
-    dtype = schema.columns[col].dtype
-    if not dtype.is_numeric:
-        return
-    try:
-        values = parse_fields(texts, dtype, ParseStats())
-    except FlatFileError:
-        return
-    _zone_index(entry, len(texts), config).learn(col, values)
-
+    zmi = _zone_index(entry, len(values), config)
+    if not zmi.has(col):
+        zmi.learn(col, values)

@@ -45,61 +45,18 @@ def decode_utf8(data: bytes, source: object, offset: int = 0) -> str:
         ) from exc
 
 
-def coalesce_ranges(
-    starts: np.ndarray, ends: np.ndarray, max_gap: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge byte ranges ``[starts[i], ends[i])`` into batched windows.
-
-    Ranges whose gap to the running window is at most ``max_gap`` bytes are
-    merged into it, so that a window is one seek+read instead of many.  The
-    input may be unsorted and overlapping; the output windows are sorted and
-    disjoint.  ``max_gap=0`` merges only touching/overlapping ranges.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    if len(starts) != len(ends):
-        raise FlatFileError(
-            f"coalesce_ranges: {len(starts)} starts but {len(ends)} ends"
-        )
-    if len(starts) == 0:
-        return starts.copy(), ends.copy()
-    if max_gap < 0:
-        raise FlatFileError(f"max_gap must be non-negative, got {max_gap}")
-    if (ends < starts).any() or (starts < 0).any():
-        raise FlatFileError("coalesce_ranges: malformed byte range")
-    # A stable sort is a timsort: one linear pass over ranges already in
-    # file order (the loader's field windows).
-    order = np.argsort(starts, kind="stable")
-    s, e = starts[order], ends[order]
-    cummax_e = np.maximum.accumulate(e)
-    breaks = np.empty(len(s), dtype=bool)
-    breaks[0] = True
-    breaks[1:] = s[1:] > cummax_e[:-1] + max_gap
-    first = np.flatnonzero(breaks)
-    # Every earlier window ends before a window's first start, so the
-    # running maximum at a window's last range is that window's end.
-    last = np.append(first[1:] - 1, len(s) - 1)
-    return s[first], cummax_e[last]
-
-
 def window_totals(
-    starts: np.ndarray, ends: np.ndarray, max_gap: int, size: int
-) -> tuple[int, int, int] | None:
-    """``(window_bytes, windows, block_bytes)`` of ranges in file order
-    (starts and ends both): the bytes and count of :func:`coalesce_ranges`'
-    windows and the bytes of :meth:`FlatFile.read_windows`' blocks, each
-    the extent less every gap over ``max_gap`` or :attr:`FlatFile._BLOCK_GAP`.
-    ``None`` when the extent is under 15/16 of the file's ``size``."""
-    extent = int(ends[-1] - starts[0]) if len(starts) else 0
-    if extent < size - (size >> 4) or not extent:
-        return None
+    starts: np.ndarray, ends: np.ndarray, max_gap: int
+) -> tuple[int, int]:
+    """``(window_bytes, windows)`` of ranges in file order (starts and ends
+    both): ranges at most ``max_gap`` bytes apart merge into one window,
+    so the window bytes are the extent less every wider gap."""
+    if not len(starts):
+        return 0, 0
     gaps = starts[1:] - ends[:-1]
-    wide, blocks = gaps > max_gap, gaps > max(max_gap, FlatFile._BLOCK_GAP)
-    return (
-        extent - int(gaps.sum(where=wide)),
-        int(np.count_nonzero(wide)) + 1,
-        extent - int(gaps.sum(where=blocks)),
-    )
+    wide = gaps > max_gap
+    extent = int(ends[-1] - starts[0])
+    return extent - int(gaps.sum(where=wide)), int(np.count_nonzero(wide)) + 1
 
 
 @dataclass
@@ -109,11 +66,12 @@ class FileWindows:
 
     ``starts[i]``/``ends[i]`` are the file-offset bounds of block ``i``
     (sorted, disjoint) and ``offsets[i]`` is where block ``i`` begins
-    inside the concatenated :attr:`buffer`.  A block is one contiguous
-    run of file bytes, so it also holds the gaps between the windows it
-    covers: :attr:`buffer_bytes` is what was physically read, while
+    inside :attr:`buffer`.  A block is one contiguous run of file bytes,
+    so it also holds the gaps between the windows it covers:
+    :attr:`buffer_bytes` is what was physically read, while
     :attr:`window_bytes` is the coalesced window bytes that
-    ``bytes_read`` accounts; a dense read's one block starts at byte 0.
+    ``bytes_read`` accounts.  A first block that starts at byte 0 sits at
+    buffer offset 0, so its fields are at their file offsets.
     """
 
     starts: np.ndarray
@@ -122,25 +80,20 @@ class FileWindows:
     buffer: bytes | memoryview
     window_bytes: int
 
-    def translate(self, positions: np.ndarray) -> np.ndarray:
-        """Map absolute file offsets to offsets within :attr:`buffer`."""
+    def shift(self, positions: np.ndarray) -> np.ndarray | int:
+        """What to add to file offsets ``positions`` to index :attr:`buffer`:
+        one number, found with no search, when one block was read, else
+        one per position, from its block."""
         positions = np.asarray(positions, dtype=np.int64)
-        if len(positions) == 0:
-            return positions.copy()
+        if len(self.starts) == 1:
+            lo, hi = self.starts[0], self.ends[0]
+            if len(positions) and not lo <= positions.min() <= positions.max() <= hi:
+                raise FlatFileError("file offset outside every read window")
+            return int(self.offsets[0] - lo)
         idx = np.searchsorted(self.starts, positions, side="right") - 1
         if (idx < 0).any() or (positions > self.ends[idx]).any():
             raise FlatFileError("file offset outside every read window")
-        return positions - self.starts[idx] + self.offsets[idx]
-
-    def shift(self, positions: np.ndarray) -> np.ndarray | int:
-        """What to add to file offsets ``positions`` to index :attr:`buffer`:
-        one number, found with no search, when one block was read."""
-        if len(self.starts) != 1:
-            return self.translate(positions) - positions
-        lo, hi = self.starts[0], self.ends[0]
-        if len(positions) and not lo <= positions.min() <= positions.max() <= hi:
-            raise FlatFileError("file offset outside every read window")
-        return int(self.offsets[0] - lo)
+        return (self.offsets - self.starts)[idx]
 
     @property
     def buffer_bytes(self) -> int:
@@ -516,93 +469,78 @@ class FlatFile:
         return data
 
     def read_windows(
-        self,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        max_gap: int = 0,
-        totals: tuple[int, int, int] | None = None,
+        self, starts: np.ndarray, ends: np.ndarray, max_gap: int = 0
     ) -> FileWindows:
-        """Read many byte ranges in batched, coalesced window reads.
+        """Read many byte ranges in file order in a few block reads.
 
-        The selective-read fast path hands over the positional map's field
-        byte ranges; ranges closer than ``max_gap`` are merged into one
-        window (see :func:`coalesce_ranges`).  Only the coalesced windows
-        are accounted — never the whole file: ``bytes_read`` is the window
-        bytes and ``read_calls`` the window count, on either route below.
+        The ranges must be in file order, starts and ends both; they may
+        overlap or touch.  The selective-read path hands over the
+        positional map's padded field ranges, which are (the loader's
+        span checks reject a map whose spans are not), so nothing is
+        sorted here.  Ranges at most ``max_gap`` bytes apart merge into
+        one window (:func:`window_totals`), and only the windows are
+        accounted, never the whole file: ``bytes_read`` is the window
+        bytes and ``read_calls`` the window count.
 
-        Windows are then read in *blocks*: consecutive windows at most
+        The windows are read in *blocks*: windows at most
         :attr:`_BLOCK_GAP` bytes apart (``io.DEFAULT_BUFFER_SIZE``, the
         span ``BufferedReader`` streams through on a per-window
         seek+read anyway, so physical I/O does not grow) share one
-        ``read``.  A block breaks at window boundaries only, so its
-        envelope is at most :attr:`_BLOCK_MAX` plus one window.  The
-        blocks are returned joined, as they were read: a caller cuts
-        its fields straight out of them through
-        :meth:`FileWindows.translate`, which searches the few blocks,
-        never the windows, and no compacted copy is made.
-
-        *Dense route:* given :func:`window_totals` of ranges in file order
-        whose blocks would span 15/16 of the file, one ``readinto`` reads
-        bytes ``[0, ends[-1])``: no sort, no join, fields at file offsets.
+        block, and byte 0 counts as a window start, so a first window
+        that close to the file head starts its block there.  Each block
+        is ``readinto`` its slice of one ``np.empty`` buffer, never
+        zeroed first.  A caller cuts its fields straight out of that
+        buffer through :meth:`FileWindows.shift`: one number when one
+        block was read (0 from byte 0, as on a next-column load), else a
+        search of the few blocks, never of the windows.
         """
-        size = self.size_bytes()
-        dense = totals is not None and totals[2] >= size - (size >> 4)
-        if dense:
-            window_bytes, n = totals[:2]
-            blk_starts, blk_ends = np.zeros(1, dtype=np.int64), np.asarray(ends[-1:])
-        else:
-            win_starts, win_ends = coalesce_ranges(starts, ends, max_gap)
-            n = len(win_starts)
-            window_bytes = int((win_ends - win_starts).sum())
-            if not n:
-                return FileWindows(win_starts, win_ends, win_starts.copy(), b"", 0)
-            chunk = win_starts // self._BLOCK_MAX
-            gap = win_starts[1:] - win_ends[:-1]
-            new_block = (gap > self._BLOCK_GAP) | (chunk[1:] != chunk[:-1])
-            first = np.flatnonzero(np.concatenate(([True], new_block)))
-            blk_starts = win_starts[first]
-            blk_ends = win_ends[np.append(first[1:] - 1, n - 1)]
-        blk_sizes = blk_ends - blk_starts
-        expected = int(blk_sizes.sum())
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        if max_gap < 0:
+            raise FlatFileError(f"max_gap must be non-negative, got {max_gap}")
+        if len(starts) != len(ends):
+            raise FlatFileError(f"{len(starts)} range starts but {len(ends)} ends")
+        window_bytes, n = window_totals(starts, ends, max_gap)
+        if not n:
+            return FileWindows(starts.copy(), ends.copy(), starts.copy(), b"", 0)
+        limit = max(max_gap, self._BLOCK_GAP)
+        cut = np.flatnonzero(starts[1:] - ends[:-1] > limit)
+        blk_starts = np.append(0 if starts[0] <= limit else starts[0], starts[cut + 1])
+        blk_ends = np.append(ends[cut], ends[-1])
+        sizes = blk_ends - blk_starts
+        # Not every disorder shows here, only what would misshape a read.
+        if starts[0] < 0 or window_bytes < 0 or (sizes < 0).any():
+            raise FlatFileError("read_windows: ranges out of file order")
+        offsets = np.cumsum(sizes) - sizes
+        expected = int(sizes.sum())
 
-        def once() -> list[bytes | memoryview]:
+        def once() -> memoryview:
             self._maybe_fault("flatfile.read")
+            buf = memoryview(np.empty(expected, dtype=np.uint8))
+            got = 0
             with open(self.path, "rb") as f:
-                if dense:  # filled in place, never zeroed first
-                    got = [memoryview(np.empty(expected, dtype=np.uint8))]
-                    got[0] = got[0][: f.readinto(got[0])]
-                else:
-                    got = []
-                    for s, e in zip(blk_starts.tolist(), blk_ends.tolist()):
-                        f.seek(s)
-                        got.append(f.read(e - s))
-            got[0] = self._truncated(got[0])
+                for s, at, size in zip(
+                    blk_starts.tolist(), offsets.tolist(), sizes.tolist()
+                ):
+                    f.seek(s)
+                    got += f.readinto(buf[at : at + size])
             # Window bounds come from the positional map: every block
             # lies inside the file, so short is truncation.
-            if sum(len(c) for c in got) != expected:
+            if len(self._truncated(buf[:got])) != expected:
                 raise OSError(
                     f"short window read of {self.path}: expected "
-                    f"{expected} bytes over {len(got)} blocks"
+                    f"{expected} bytes over {len(sizes)} blocks"
                 )
-            return got
+            return buf
 
-        blocks = self._read_retrying(once, f"{self.path} window reads")
+        buffer = self._read_retrying(once, f"{self.path} window reads")
         # One call for every window: the same totals, without a lock
         # round trip per window (one per row on a scattered column).
         self._account(window_bytes, full_scan=False, calls=n)
-        return FileWindows(
-            starts=blk_starts,
-            ends=blk_ends,
-            offsets=np.cumsum(blk_sizes) - blk_sizes,
-            buffer=blocks[0] if dense else b"".join(blocks),
-            window_bytes=window_bytes,
-        )
+        return FileWindows(blk_starts, blk_ends, offsets, buffer, window_bytes)
 
     #: Windows at most this far apart share one block read.
     _BLOCK_GAP = io.DEFAULT_BUFFER_SIZE
-    #: A block breaks at the first window starting past a multiple of
-    #: this many bytes, bounding the buffer of one ``read``.
-    _BLOCK_MAX = 1 << 20
 
     # --------------------------------------------------------------- lines
 

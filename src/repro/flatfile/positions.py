@@ -36,8 +36,8 @@ separators, in a block read and cuts the fields out of it (the
 selective-read fast path), after checking that the spans lie in file
 order and each sits between separators.  Offsets are *byte* offsets
 into the raw file, on any UTF-8 content: the kernel frames bytes, and
-the dialect loop, whose spans are character offsets into decoded text,
-offers a frame only for pure-ASCII text, where the two coincide.
+the dialect loop converts its character offsets into decoded text to
+bytes before it offers a frame.
 
 A recorded span covers the **encoded** field text (quotes, TSV escapes,
 fixed-width padding) as the dialect frames it (:mod:`repro.flatfile.

@@ -188,11 +188,11 @@ def tokenize_dialect(
 
     The dialect-generic pass: the adapter frames rows and iterates raw
     fields lazily, fields are decoded to their logical values, and — for
-    span-bearing dialects over pure-ASCII text, where its character
-    offsets are the map's byte offsets — raw-field spans feed the
-    positional map.  Each record stops after the last needed column
-    (early abort), so a ragged tail beyond it is never seen.  The returned ``fields``
-    always hold *logical* (decoded) values under every adapter.
+    span-bearing dialects — raw-field spans feed the positional map, their
+    character offsets converted to its byte offsets on non-ASCII text.
+    Each record stops after the last needed column (early abort), so a
+    ragged tail beyond it is never seen.  The returned ``fields`` always
+    hold *logical* (decoded) values under every adapter.
     """
     if ncols <= 0:
         raise FlatFileError(f"ncols must be positive, got {ncols}")
@@ -222,11 +222,7 @@ def tokenize_dialect(
     spans_ok = adapter.supports_field_spans
     wanted_set = set(wanted)
     last_needed = wanted[-1]
-    learn_cols = (
-        range(min(last_needed + 1, ncols))
-        if (learn and spans_ok and text.isascii())
-        else ()
-    )
+    learn_cols = range(min(last_needed + 1, ncols)) if learn and spans_ok else ()
     learned: dict[int, list[int]] = {col: [] for col in learn_cols}
     learned_ends: dict[int, list[int]] = {col: [] for col in learn_cols}
     out_fields: dict[int, list[str]] = {col: [] for col in wanted}
@@ -301,7 +297,15 @@ def tokenize_dialect(
             frame = np.empty((nrows, width + 1), dtype=np.int64)
             for col in range(width):
                 frame[:, col] = learned[col]
-            frame[:, width] = np.add(learned_ends[width - 1], adapter.sep)
+            frame[:, width] = learned_ends[width - 1]
+            if not text.isascii():
+                # The walk ran over characters and the map holds bytes:
+                # one char -> byte table (``c2b[i]`` is character ``i``'s
+                # byte offset, ``c2b[len(text)]`` the text's byte size).
+                buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+                c2b = np.append(np.flatnonzero((buf & 0xC0) != 0x80), len(buf))
+                frame = c2b[frame]
+            frame[:, width] += adapter.sep  # ASCII separators: one byte each
             positional_map.record_frame(frame, sep=adapter.sep)
 
     return TokenizeResult(
@@ -403,9 +407,9 @@ def bulk_extract_fields(
     ``str`` (the whole batch is ``str`` then, never a mix of ``bytes``
     and ``str``).
 
-    ``data`` is any buffer (``bytes``, or the ``memoryview`` of a dense
-    window read); fields are decoded with ``str(data[a:b], encoding)``,
-    which accepts either.
+    ``data`` is any buffer (``bytes``, or the ``memoryview`` of a window
+    read); fields are decoded with ``str(data[a:b], encoding)``, which
+    accepts either.
 
     ``buf``/``ascii_only`` let a caller that already scanned the bytes
     (the kernel) skip recomputing them.

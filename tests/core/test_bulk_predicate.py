@@ -173,9 +173,11 @@ def uniform_csv(tmp_path):
 
 @pytest.fixture
 def per_value_forbidden(monkeypatch):
-    """Per-value calls raise; bulk calls are counted."""
+    """Per-value calls raise; bulk calls are counted (``mask``, which the
+    kernel calls, goes through ``parse_and_mask``, which the selective
+    route calls)."""
     masks = []
-    real_mask = loader.WideningPredicate.mask
+    real_mask = loader.WideningPredicate.parse_and_mask
 
     def forbidden(self, text):
         raise AssertionError(f"per-value predicate call on {text!r}")
@@ -185,7 +187,7 @@ def per_value_forbidden(monkeypatch):
         return real_mask(self, values)
 
     monkeypatch.setattr(loader.WideningPredicate, "__call__", forbidden)
-    monkeypatch.setattr(loader.WideningPredicate, "mask", counted)
+    monkeypatch.setattr(loader.WideningPredicate, "parse_and_mask", counted)
     return masks
 
 

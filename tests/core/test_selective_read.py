@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import CSVEngine, EngineConfig, NoDBEngine
 from repro.config import POLICIES
+from repro.core import loader
 from repro.core.loader import (
     SELECTIVE_READ_MAX_GAP,
     _column_runs,
@@ -25,11 +26,12 @@ from repro.core.loader import (
     run_pass,
 )
 from repro.errors import ReproError
-from repro.flatfile.files import FlatFile, coalesce_ranges, window_totals
+from repro.flatfile import files
+from repro.flatfile.files import FlatFile, window_totals
 from repro.flatfile.positions import PositionalMap
 from repro.ranges import Condition, ValueInterval
 from repro.storage.catalog import Catalog
-from scalar_oracle import split_rows
+from scalar_oracle import coalesce_ranges, split_rows
 
 CONFIG = EngineConfig()
 
@@ -50,6 +52,38 @@ def spy_reads(monkeypatch):
 
     monkeypatch.setattr(FlatFile, "read_windows", spy)
     return reads
+
+
+def spy_readinto(monkeypatch):
+    """``(file offset, bytes)`` of every ``readinto`` a window read makes
+    from now."""
+    calls = []
+    real_open = open
+
+    class Spy:
+        def __init__(self, f):
+            self._f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+        def __iter__(self):
+            return iter(self._f)
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def readinto(self, b):
+            calls.append((self._f.tell(), len(b)))
+            return self._f.readinto(b)
+
+    monkeypatch.setattr(
+        files, "open", lambda *a, **k: Spy(real_open(*a, **k)), raising=False
+    )
+    return calls
 
 
 class TestRepeatQueryBytes:
@@ -244,6 +278,32 @@ class TestUtf8Files:
         truth = [(row[1],) for row in split_rows(path.read_text(encoding="utf-8"))]
         assert got[1][0] == got[1][1] == truth
 
+    def test_non_ascii_quoted_csv_learns_a_byte_frame(self, tmp_path):
+        # The dialect loop frames quoted CSV: its character spans are
+        # converted to bytes, so later columns read selectively.
+        rows = [f'{i},"n{i}",{i * 3},{i % 97},"x, {i}"' for i in range(20_000)]
+        rows[12_345] = '12345,"café",37035,26,"x, 12345"'
+        path = _write(tmp_path / "q.csv", rows)
+        size = path.stat().st_size
+        queries = [
+            "select count(*), max(a5) from t",
+            "select sum(a3) from t",
+            "select sum(a4) from t",
+            "select a1 from t where a2 = 'café'",
+        ]
+        engine = NoDBEngine(EngineConfig(policy="column_loads"))
+        oracle = CSVEngine()
+        try:
+            engine.attach("t", path, format="quoted-csv")
+            oracle.attach("t", path, format="quoted-csv")
+            for i, sql in enumerate(queries):
+                assert engine.query(sql).rows() == oracle.query(sql).rows()
+                assert (engine.stats.last().file_bytes_read < size) is (i > 0)
+            assert engine.catalog.get("t").file.stats.full_scans == 1
+        finally:
+            engine.close()
+            oracle.close()
+
 
 class TestSafetyGates:
 
@@ -347,19 +407,10 @@ class TestPlanning:
             assert bool((lo[1:] >= lo[:-1]).all())  # file order
             assert bool((hi[1:] >= hi[:-1]).all())
             win_starts, win_ends = coalesce_ranges(lo, hi, max_gap)
-            extent = int(hi[-1] - lo[0])
-            sums = window_totals(lo, hi, max_gap, extent)
-            assert (sums is None) == (extent == 0)
-            if sums is not None:
-                assert sums[:2] == (int((win_ends - win_starts).sum()), len(win_starts))
-            # Sorted or shuffled, the same ranges coalesce to the same
-            # windows.
-            order = np.random.default_rng(7).permutation(len(lo))
-            for a, b in zip(
-                (win_starts, win_ends),
-                coalesce_ranges(lo[order], hi[order], max_gap),
-            ):
-                np.testing.assert_array_equal(a, b)
+            assert window_totals(lo, hi, max_gap) == (
+                int((win_ends - win_starts).sum()),
+                len(win_starts),
+            )
 
     def test_spans_out_of_file_order_mean_a_damaged_map(self):
         rows = np.arange(2, dtype=np.int64)
@@ -396,6 +447,58 @@ class TestPlanning:
         assert got == sum(i % 7 for i in range(1000, 1010))
         assert q.zone_map_skips > 0
         assert 0 < q.file_bytes_read < path.stat().st_size // 4
+
+    def test_zone_skipped_range_reads_only_surviving_zones(
+        self, tmp_path, monkeypatch
+    ):
+        # 36-byte rows in zones of 256: a skipped zone is a gap wider
+        # than the block gap, so no block reaches into one.
+        rows = [f"{i:08d},{i % 7},{'x' * 24}" for i in range(8000)]
+        path = _write(tmp_path / "z.csv", rows)
+        row_at = np.cumsum([0] + [len(r) + 1 for r in rows])
+        zone = 256
+        sql = "select sum(a2), count(*) from t where a1 >= 3000 and a1 < 3100"
+        cfg = EngineConfig(policy="partial_v1", zone_map_rows=zone, cracking=False)
+        with NoDBEngine(cfg) as engine:
+            engine.attach("t", path)
+            engine.query("select sum(a1), sum(a2) from t")  # map + zones
+            reads = spy_reads(monkeypatch)
+            got = engine.query(sql).rows()
+            q = engine.stats.last()
+        assert got == [(sum(i % 7 for i in range(3000, 3100)), 100)]
+        assert q.zone_map_skips == 30  # of 32 zones
+        # Zones 11 and 12 survive (rows 2816 to 3327): one block over
+        # their rows, from the newline before the first one.
+        (win,) = reads
+        first, last = 3000 // zone * zone, (3099 // zone + 1) * zone
+        assert len(win.starts) == 1
+        assert row_at[first] - 1 == win.starts[0] < win.ends[0] < row_at[last]
+        assert q.file_bytes_read < row_at[last] - row_at[first]
+
+    def test_first_predicate_column_is_parsed_once(self, tmp_path, monkeypatch):
+        # Its zones are learned from the array the predicate parsed.
+        rows = [f"{i},{i % 7},{'x' * 20}" for i in range(4000)]
+        path = _write(tmp_path / "p.csv", rows)
+        sql = "select sum(a2) from t where a1 >= 1000 and a1 < 1010"
+        cfg = EngineConfig(policy="partial_v1", zone_map_rows=256, cracking=False)
+        real_parse = loader.parse_fields
+        parsed = []
+
+        def counted(raw, dtype, stats):
+            parsed.append(len(raw))
+            return real_parse(raw, dtype, stats)
+
+        with NoDBEngine(cfg) as engine:
+            engine.attach("t", path)
+            engine.query("select sum(a2) from t")  # the map; a2's zones only
+            monkeypatch.setattr(loader, "parse_fields", counted)
+            got, skips = [], []
+            for _ in range(2):
+                got.append(engine.query(sql).scalar())
+                skips.append(engine.stats.last().zone_map_skips)
+        assert got == [sum(i % 7 for i in range(1000, 1010))] * 2
+        assert parsed[:2] == [4000, 10]  # a1 for every row, a2 for the kept
+        assert skips[0] == 0 < skips[1]
 
     def test_no_zone_skip_keeps_the_full_scan(self, tmp_path):
         path = self._sorted_file(tmp_path)
@@ -484,9 +587,9 @@ class TestOneRead:
         assert reads == [20_000, want[0][1]]
 
     def test_dense_read_counts_its_windows(self, wide_file, monkeypatch):
-        # a5 and a6 in every row: narrow windows, but blocks that span
-        # the file, so one read from the file start.  Still only the
-        # coalesced windows are counted.
+        # a5 and a6 in every row: narrow windows, but closer than the
+        # block gap, so one block: one readinto from the file start.
+        # Still only the coalesced windows are counted.
         sql = "select sum(a6), count(*) from t where a5 > 70000"
         size = wide_file.stat().st_size
         oracle = CSVEngine()
@@ -500,11 +603,13 @@ class TestOneRead:
             lo, hi = _run_windows(pmap.run_slices([4, 5]), [[4, 5]], size)
             ws, we = coalesce_ranges(lo, hi, SELECTIVE_READ_MAX_GAP - 2)
             reads = spy_reads(monkeypatch)
+            readintos = spy_readinto(monkeypatch)
             got = engine.query(sql).rows()
             q = engine.stats.last()
         assert got == want
         (win,) = reads
         assert (win.starts.tolist(), win.ends.tolist()) == ([0], [int(hi[-1])])
+        assert readintos == [(0, int(hi[-1]))]
         assert (q.file_bytes_read, q.file_reads) == (int((we - ws).sum()), len(ws))
         assert q.file_bytes_read < size // 2
 
@@ -619,7 +724,8 @@ class TestSpanCheck:
             pmap.frame = damaged
             reads = spy_reads(monkeypatch)
             assert engine.query(self.SQL).rows() == want
-            # One dense read through the damaged map, then a re-frame.
+            # One block read from byte 0 through the damaged map, then a
+            # re-frame.
             (win,) = reads
             assert win.starts.tolist() == [0]
             assert engine.stats.last().file_bytes_read > size

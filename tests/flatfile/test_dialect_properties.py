@@ -244,13 +244,9 @@ class TestPositionalMapInvariants:
         # the row count is the framing's
         starts, _ends = adapter.row_bounds(text)
         assert pmap.nrows == len(starts)
-        if not text.isascii():
-            # The loop's spans are character offsets and the map's are
-            # bytes: only pure-ASCII text, where they coincide, is framed.
-            assert pmap.frame is None
-            return
         # every learned span slices the bytes to the encoded field, which
-        # decodes back to the logical value
+        # decodes back to the logical value: the loop's character spans
+        # were converted to byte offsets
         data = text.encode("utf-8")
         for col in range(ncols):
             assert pmap.knows_column(col)

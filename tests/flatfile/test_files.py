@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 
 from repro.errors import FlatFileError
 from repro.faults import FaultPlan, FaultSpec
-from repro.flatfile.files import (
-    FileFingerprint,
-    FlatFile,
-    coalesce_ranges,
-    window_totals,
-)
+from repro.flatfile.files import FileFingerprint, FlatFile, window_totals
+from scalar_oracle import coalesce_ranges
 
 
 @pytest.fixture
@@ -76,57 +72,51 @@ class TestAccounting:
         assert f.stats.bytes_read <= f.size_bytes()
 
 
+def _ranges(pairs):
+    return (
+        np.array([s for s, _ in pairs], dtype=np.int64),
+        np.array([e for _, e in pairs], dtype=np.int64),
+    )
+
+
 class TestCoalesce:
-    def _merge(self, ranges, max_gap=0):
-        starts = np.array([s for s, _ in ranges], dtype=np.int64)
-        ends = np.array([e for _, e in ranges], dtype=np.int64)
-        ws, we = coalesce_ranges(starts, ends, max_gap)
-        return list(zip(ws.tolist(), we.tolist()))
+    """Ranges in file order merge into windows: the bytes and count that
+    ``read_windows`` accounts (``TestBlockReads`` and ``TestPlanning``
+    compare them with the :func:`coalesce_ranges` oracle's windows)."""
+
+    def _totals(self, pairs, max_gap=0):
+        return window_totals(*_ranges(pairs), max_gap)
 
     def test_empty(self):
-        assert self._merge([]) == []
+        assert self._totals([]) == (0, 0)
 
     def test_disjoint_stay_separate(self):
-        assert self._merge([(0, 3), (10, 12)]) == [(0, 3), (10, 12)]
+        assert self._totals([(0, 3), (10, 12)]) == (5, 2)
 
     def test_touching_merge(self):
-        assert self._merge([(0, 3), (3, 6)]) == [(0, 6)]
+        assert self._totals([(0, 3), (3, 6)]) == (6, 1)
 
     def test_overlapping_merge(self):
-        assert self._merge([(0, 5), (3, 8)]) == [(0, 8)]
+        assert self._totals([(0, 5), (3, 8)]) == (8, 1)
 
     def test_gap_tolerance(self):
-        assert self._merge([(0, 3), (5, 8)], max_gap=2) == [(0, 8)]
-        assert self._merge([(0, 3), (6, 8)], max_gap=2) == [(0, 3), (6, 8)]
+        assert self._totals([(0, 3), (5, 8)], max_gap=2) == (8, 1)
+        assert self._totals([(0, 3), (6, 8)], max_gap=2) == (5, 2)
 
-    def test_unsorted_input(self):
-        assert self._merge([(10, 12), (0, 3), (2, 5)]) == [(0, 5), (10, 12)]
+    def test_empty_range_is_a_window(self):
+        assert self._totals([(0, 3), (10, 10), (20, 25)]) == (8, 3)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        ranges=st.lists(
-            st.tuples(st.integers(0, 300), st.integers(0, 40)), max_size=30
-        ),
-        max_gap=st.sampled_from([0, 1, 4, 50]),
-        data=st.data(),
-    )
-    def test_sorted_and_shuffled_inputs_coalesce_alike(self, ranges, max_gap, data):
-        """Sorted input skips the sort; it must not change the windows,
-        overlapping and contained ranges included."""
-        ranges = sorted((s, s + n) for s, n in ranges)
-        shuffled = data.draw(st.permutations(ranges))
-        assert self._merge(ranges, max_gap) == self._merge(shuffled, max_gap)
-
-    def test_contained_range_absorbed(self):
-        assert self._merge([(0, 20), (5, 8), (25, 30)]) == [(0, 20), (25, 30)]
-
-    def test_malformed_rejected(self):
+    def test_malformed_rejected(self, csv_file):
+        f = FlatFile(csv_file)
         with pytest.raises(FlatFileError):
-            self._merge([(5, 2)])
+            f.read_windows(*_ranges([(5, 2)]))
         with pytest.raises(FlatFileError):
-            self._merge([(-1, 2)])
+            f.read_windows(*_ranges([(-1, 2)]))
         with pytest.raises(FlatFileError):
-            self._merge([(0, 2)], max_gap=-1)
+            f.read_windows(*_ranges([(0, 2)]), max_gap=-1)
+        with pytest.raises(FlatFileError):
+            f.read_windows(np.array([0, 4]), np.array([2]))
+        assert f.stats.read_calls == 0
 
 
 class TestReadWindows:
@@ -141,17 +131,21 @@ class TestReadWindows:
         assert f.stats.read_calls == 2
         assert f.stats.full_scans == 0
 
-    def test_translate_maps_file_offsets_into_buffer(self, csv_file):
-        f = FlatFile(csv_file)
-        win = f.read_windows(np.array([0, 8]), np.array([3, 11]))
-        local = win.translate(np.array([8, 0, 10]))
-        assert [win.buffer[i : i + 1] for i in local.tolist()] == [b"5", b"1", b"6"]
+    def test_shift_maps_file_offsets_into_buffer(self, big_file):
+        f = FlatFile(big_file)
+        starts = np.array([3 * GAP, 6 * GAP], dtype=np.int64)
+        win = f.read_windows(starts, starts + 4)
+        assert len(win.starts) == 2
+        positions = np.array([6 * GAP + 1, 3 * GAP, 3 * GAP + 3])
+        local = (positions + win.shift(positions)).tolist()
+        got = [bytes(win.buffer[i : i + 1]) for i in local]
+        assert got == [file_bytes(big_file, p, p + 1) for p in positions.tolist()]
 
-    def test_translate_outside_windows_rejected(self, csv_file):
+    def test_shift_outside_windows_rejected(self, csv_file):
         f = FlatFile(csv_file)
         win = f.read_windows(np.array([0]), np.array([3]))
         with pytest.raises(FlatFileError):
-            win.translate(np.array([7]))
+            win.shift(np.array([7]))
 
     def test_gap_merges_into_single_read(self, csv_file):
         f = FlatFile(csv_file)
@@ -167,15 +161,15 @@ class TestReadWindows:
 
 
 GAP = io.DEFAULT_BUFFER_SIZE
-CAP = FlatFile._BLOCK_MAX
+BIG = 320 * GAP
 
 
 @pytest.fixture(scope="module")
 def big_file(tmp_path_factory):
-    """Two and a half block caps of seeded bytes."""
+    """Two and a half MiB of seeded bytes."""
     path = tmp_path_factory.mktemp("blocks") / "big.bin"
     rng = np.random.default_rng(17)
-    path.write_bytes(rng.integers(0, 256, 5 * CAP // 2, dtype=np.uint8).tobytes())
+    path.write_bytes(rng.integers(0, 256, BIG, dtype=np.uint8).tobytes())
     return path
 
 
@@ -187,7 +181,7 @@ def per_window_oracle(path, starts, ends, max_gap):
         for s, e in zip(ws.tolist(), we.tolist()):
             f.seek(s)
             chunks.append(f.read(e - s))
-    return b"".join(chunks), len(ws)
+    return chunks, ws, we
 
 
 def file_bytes(path, start, end):
@@ -196,69 +190,72 @@ def file_bytes(path, start, end):
         return f.read(end - start)
 
 
+def cut(win, start, end):
+    """File bytes ``[start, end)`` cut from a window read through ``shift``."""
+    at = start + win.shift(np.array([start, end]))
+    at = int(at if np.ndim(at) == 0 else at[0])
+    return bytes(win.buffer[at : at + end - start])
+
+
 @st.composite
 def window_requests(draw):
-    """Runs of ranges near the block gap and the block cap, shuffled,
-    with overlapping and empty ranges mixed in."""
+    """Ranges in file order, starts and ends both: the first near byte 0,
+    steps around the block gap, overlapping, touching and empty ones."""
     starts, ends = [], []
-    for _ in range(draw(st.integers(0, 4))):
-        pos = draw(st.sampled_from([0, GAP, CAP, 2 * CAP])) + draw(
-            st.integers(-GAP - 8, GAP + 8)
+    pos = draw(st.sampled_from([0, 1, GAP - 1, GAP, GAP + 1, 3 * GAP]))
+    end = 0
+    for _ in range(draw(st.integers(0, 40))):
+        start = min(max(pos, starts[-1] if starts else 0), BIG)
+        end = min(max(start + draw(st.integers(0, 40)), end), BIG)
+        starts.append(start)
+        ends.append(end)
+        pos = end + draw(
+            st.sampled_from([-9, -1, 0, 1, 5, GAP - 1, GAP, GAP + 1, 3 * GAP, 90 * GAP])
         )
-        for _ in range(draw(st.integers(1, 12))):
-            pos += draw(st.sampled_from([0, 1, 5, GAP - 1, GAP, GAP + 1, 3 * GAP]))
-            length = draw(st.integers(0, 40))
-            start = min(max(pos, 0), 5 * CAP // 2 - length)
-            starts.append(start)
-            ends.append(start + length)
-            pos = start + length
-    order = draw(st.permutations(range(len(starts))))
-    starts = [starts[i] for i in order]
-    ends = [ends[i] for i in order]
-    if starts and draw(st.booleans()):
-        starts.append(starts[0])  # an overlapping duplicate
-        ends.append(ends[0] + 3)
     return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
 
 
 class TestBlockReads:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        request=window_requests(),
-        max_gap=st.sampled_from([0, 4]),
-    )
+    @settings(max_examples=120, deadline=None)
+    @given(request=window_requests(), max_gap=st.sampled_from([0, 4]))
     def test_buffer_matches_per_window_reads(self, big_file, request, max_gap):
         starts, ends = request
         f = FlatFile(big_file)
         win = f.read_windows(starts, ends, max_gap=max_gap)
-        want, nwindows = per_window_oracle(big_file, starts, ends, max_gap)
-        assert win.window_bytes == f.stats.bytes_read == len(want)
-        assert f.stats.read_calls == nwindows
-        # Every window, cut through translate, is its per-window read.
-        ws, we = coalesce_ranges(starts, ends, max_gap)
-        for start, end, at in zip(ws.tolist(), we.tolist(), win.translate(ws).tolist()):
-            assert win.buffer[at : at + end - start] == f.read_range_bytes(start, end)
-        # The buffer is the blocks, each one contiguous run of the file.
-        blocks = zip(win.starts.tolist(), win.ends.tolist(), win.offsets.tolist())
+        chunks, ws, we = per_window_oracle(big_file, starts, ends, max_gap)
+        assert win.window_bytes == f.stats.bytes_read == sum(map(len, chunks))
+        assert f.stats.read_calls == len(ws)
+        # Every window and every range, cut through shift, is its
+        # per-window read.
+        for start, end, chunk in zip(ws.tolist(), we.tolist(), chunks):
+            assert cut(win, start, end) == chunk
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            assert cut(win, start, end) == file_bytes(big_file, start, end)
+        # The buffer is the blocks, each one contiguous run of the file,
+        # more than the block gap apart; byte 0 counts as a window start.
+        blocks = list(zip(win.starts.tolist(), win.ends.tolist(), win.offsets.tolist()))
         for start, end, at in blocks:
             assert win.buffer[at : at + end - start] == file_bytes(big_file, start, end)
+        assert all(b[0] - a[1] > GAP for a, b in zip(blocks, blocks[1:]))
         assert win.buffer_bytes == int((win.ends - win.starts).sum())
-        local = win.translate(starts)
-        for start, end, at in zip(starts.tolist(), ends.tolist(), local.tolist()):
-            assert win.buffer[at : at + end - start] == file_bytes(big_file, start, end)
+        if len(starts):
+            assert (win.starts[0] == 0) == (starts[0] <= GAP)
 
     def test_many_blocks_match_per_window_reads(self, big_file):
         starts = np.arange(40, dtype=np.int64) * (3 * GAP) + 7  # 40 blocks
         win = FlatFile(big_file).read_windows(starts, starts + 9)
-        assert len(win.starts) == 40
-        assert win.buffer == per_window_oracle(big_file, starts, starts + 9, 0)[0]
+        assert win.starts.tolist() == [0, *starts[1:].tolist()]
+        chunks = per_window_oracle(big_file, starts, starts + 9, 0)[0]
+        assert [cut(win, s, s + 9) for s in starts.tolist()] == chunks
 
     def test_short_read_is_retried(self, big_file):
         plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})
         f = FlatFile(big_file, fault_plan=plan)
-        starts = np.array([10, 10 + 3 * GAP, CAP + 5], dtype=np.int64)
+        starts = np.array([10, 10 + 3 * GAP, 200 * GAP + 5], dtype=np.int64)
         win = f.read_windows(starts, starts + 20)
-        assert win.buffer == per_window_oracle(big_file, starts, starts + 20, 0)[0]
+        assert len(win.starts) == 3
+        chunks = per_window_oracle(big_file, starts, starts + 20, 0)[0]
+        assert [cut(win, s, s + 20) for s in starts.tolist()] == chunks
         assert f.stats.retries == 1
         assert (f.stats.bytes_read, f.stats.read_calls) == (60, 3)
 
@@ -287,28 +284,18 @@ SMALL = 1 << 18
 
 @pytest.fixture(scope="module")
 def small_file(tmp_path_factory):
-    """A quarter of a block cap of seeded bytes."""
-    path = tmp_path_factory.mktemp("dense") / "small.bin"
+    """A quarter MiB of seeded bytes."""
+    path = tmp_path_factory.mktemp("one_block") / "small.bin"
     rng = np.random.default_rng(19)
     path.write_bytes(rng.integers(0, 256, SMALL, dtype=np.uint8).tobytes())
     return path
 
 
 class TestDenseReads:
-    """Ranges in file order, handed over with their totals, whose blocks
-    would span the file are read in one sequential read from the file
-    start, accounted as their windows."""
+    """Dense ranges in file order, as a selective read of every row asks
+    for them, are one block from byte 0, accounted as their windows."""
 
-    @staticmethod
-    def _read(f, starts, ends, max_gap=0):
-        return f.read_windows(
-            starts,
-            ends,
-            max_gap=max_gap,
-            totals=window_totals(starts, ends, max_gap, f.size_bytes()),
-        )
-
-    def _dense(self, win, end):
+    def _one_block(self, win, end):
         assert (win.starts.tolist(), win.ends.tolist(), win.offsets.tolist()) == (
             [0],
             [end],
@@ -320,69 +307,47 @@ class TestDenseReads:
     def test_same_windows_and_counts_as_per_window_reads(self, small_file, seed, max_gap):
         starts, ends = file_ordered(seed, SMALL, max_gap)
         f = FlatFile(small_file)
-        win = self._read(f, starts, ends, max_gap)
-        self._dense(win, int(ends[-1]))
-        want, nwindows = per_window_oracle(small_file, starts, ends, max_gap)
-        assert win.window_bytes == f.stats.bytes_read == len(want)
-        assert f.stats.read_calls == nwindows
+        win = f.read_windows(starts, ends, max_gap=max_gap)
+        self._one_block(win, int(ends[-1]))
+        chunks, ws, we = per_window_oracle(small_file, starts, ends, max_gap)
+        assert win.window_bytes == f.stats.bytes_read == sum(map(len, chunks))
+        assert f.stats.read_calls == len(ws)
         assert win.buffer == file_bytes(small_file, 0, int(ends[-1]))
-        ws, we = coalesce_ranges(starts, ends, max_gap)
-        got = b"".join(win.buffer[s:e] for s, e in zip(ws.tolist(), we.tolist()))
-        assert got == want
-        # Shuffled, the same ranges take the block route, alike.
-        order = np.random.default_rng(seed).permutation(len(starts))
-        g = FlatFile(small_file)
-        blocks = g.read_windows(starts[order], ends[order], max_gap=max_gap)
-        assert blocks.starts.tolist() == [ws[0]]
-        assert blocks.buffer == win.buffer[ws[0] :]
-        assert (g.stats.bytes_read, g.stats.read_calls) == (len(want), nwindows)
-        assert window_totals(starts, ends, max_gap, SMALL) == (
-            len(want),
-            nwindows,
-            blocks.buffer_bytes,
-        )
+        got = [bytes(win.buffer[s:e]) for s, e in zip(ws.tolist(), we.tolist())]
+        assert got == chunks
 
     def test_windows_that_tile_the_file_are_its_bytes(self, small_file):
         starts = np.arange(0, SMALL, 10, dtype=np.int64)
         ends = np.minimum(starts + 10, SMALL)
         f = FlatFile(small_file)
-        win = self._read(f, starts, ends)
-        want, nwindows = per_window_oracle(small_file, starts, ends, 0)
-        self._dense(win, SMALL)
-        assert win.buffer == want
-        assert (win.window_bytes, f.stats.bytes_read) == (len(want), len(want))
-        assert f.stats.read_calls == nwindows == 1
-
-    def test_sparse_file_order_keeps_the_block_route(self, big_file):
-        starts = np.arange(40, dtype=np.int64) * (3 * GAP) + 7
-        # Spanning under 15/16 of the file, they are not even summed.
-        assert window_totals(starts, starts + 9, 0, 5 * CAP // 2) is None
-        assert window_totals(starts, starts + 9, 0, int(starts[-1]))[2] == 40 * 9
-        win = self._read(FlatFile(big_file), starts, starts + 9)
-        assert len(win.starts) == 40
+        win = f.read_windows(starts, ends)
+        self._one_block(win, SMALL)
+        assert win.buffer == file_bytes(small_file, 0, SMALL)
+        assert (win.window_bytes, f.stats.bytes_read) == (SMALL, SMALL)
+        assert f.stats.read_calls == 1
 
     def test_short_read_is_retried(self, small_file):
         starts, ends = file_ordered(3, SMALL, 4)
         plan = FaultPlan({"flatfile.short_read": FaultSpec(times=1)})
         f = FlatFile(small_file, fault_plan=plan)
-        win = self._read(f, starts, ends, 4)
-        self._dense(win, int(ends[-1]))
+        win = f.read_windows(starts, ends, max_gap=4)
+        self._one_block(win, int(ends[-1]))
         assert win.buffer == file_bytes(small_file, 0, int(ends[-1]))
         assert f.stats.retries == 1
-        want, nwindows = per_window_oracle(small_file, starts, ends, 4)
-        assert (f.stats.bytes_read, f.stats.read_calls) == (len(want), nwindows)
+        chunks, ws, _ = per_window_oracle(small_file, starts, ends, 4)
+        assert (f.stats.bytes_read, f.stats.read_calls) == (sum(map(len, chunks)), len(ws))
 
     def test_persistent_short_read_is_typed(self, small_file):
         starts, ends = file_ordered(3, SMALL, 4)
         plan = FaultPlan({"flatfile.short_read": FaultSpec(times=None)})
         f = FlatFile(small_file, fault_plan=plan)
         with pytest.raises(FlatFileError, match="short window read"):
-            self._read(f, starts, ends, 4)
+            f.read_windows(starts, ends, max_gap=4)
         assert (f.stats.bytes_read, f.stats.read_calls) == (0, 0)
 
     def test_shift_is_one_number_for_one_block(self, small_file):
         starts, ends = file_ordered(5, SMALL, 0)
-        win = self._read(FlatFile(small_file), starts, ends)
+        win = FlatFile(small_file).read_windows(starts, ends)
         assert win.shift(starts) == 0
         with pytest.raises(FlatFileError):
             win.shift(np.array([int(ends[-1]) + 1]))

@@ -16,7 +16,9 @@ dialect-generic loop for every other dialect.
 to it, for suites that compare engines query by query.
 :func:`split_rows` is plain ground truth.  :func:`field_texts` is the
 one way the suites turn a route's field batch into ``str`` before
-comparing it.
+comparing it.  :func:`coalesce_ranges` is the reference for the windows
+``FlatFile.read_windows`` accounts: any ranges, sorted and merged the
+obvious way.
 """
 
 from __future__ import annotations
@@ -326,3 +328,21 @@ def split_rows(text: str, delimiter: str = ",") -> list[list[str]]:
         if line:
             rows.append(line.split(delimiter))
     return rows
+
+
+def coalesce_ranges(
+    starts: np.ndarray, ends: np.ndarray, max_gap: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge byte ranges ``[starts[i], ends[i])`` into sorted, disjoint
+    windows: a range at most ``max_gap`` bytes past the running window's
+    end joins it.  The ranges may be unsorted, overlapping or nested."""
+    windows: list[list[int]] = []
+    for s, e in sorted(zip(np.asarray(starts).tolist(), np.asarray(ends).tolist())):
+        if windows and s <= windows[-1][1] + max_gap:
+            windows[-1][1] = max(windows[-1][1], e)
+        else:
+            windows.append([s, e])
+    return (
+        np.array([w[0] for w in windows], dtype=np.int64),
+        np.array([w[1] for w in windows], dtype=np.int64),
+    )
